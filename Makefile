@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-diff bench-gate profile
+.PHONY: check fmt vet build test test-race bench bench-diff bench-gate bench-live profile
 
 check: fmt vet build test-race
 
@@ -59,6 +59,14 @@ bench-gate:
 	echo "comparing against $$base"; \
 	$(GO) test -json -run '^$$' -bench '$(GATE_BENCHES)' -benchtime 3x -benchmem . > "$$new" || exit 1; \
 	$(GO) run ./cmd/benchdiff -gate '$(GATE_BENCHES)' -max-regress 0.20 -max-allocs-regress 0.10 "$$base" "$$new"
+
+# bench-live runs the repository benchmark's two live workloads (recovery and
+# fail-back time on the monitor/medic/sdnsim stack, with and without wire
+# delay); see benchmark/README.md for the metrics and BENCHMARK.json for the
+# bounds.
+bench-live:
+	bash benchmark/run.sh --workload live-att-wan
+	bash benchmark/run.sh --workload live-att-react
 
 # profile captures CPU and heap profiles of a pmsim evaluation run into
 # ./profiles; inspect with `go tool pprof profiles/pmsim.cpu.pb.gz`.

@@ -338,6 +338,10 @@ func (m *Medic) apply(ev monitor.Event) {
 	m.mu.Lock()
 	m.epoch++
 	epoch := m.epoch
+	// The reconciled state describes the previous epoch until reconcile
+	// replaces it: a status must not read "epoch N, converged" before N has
+	// been planned.
+	m.snap.Converged = false
 	for _, j := range ev.Failed {
 		m.failed[j] = true
 	}
@@ -377,7 +381,7 @@ func (m *Medic) pushOpts(epoch uint64) sdnsim.PushOptions {
 func (m *Medic) reconcile() {
 	start := time.Now()
 	defer func() {
-		m.metrics.observeReconcile(time.Since(start))
+		m.metrics.reconcile.observe(time.Since(start))
 		m.persistOutcome()
 		m.maybeCheckpoint()
 	}()
@@ -395,9 +399,7 @@ func (m *Medic) reconcile() {
 
 	// Fail-back first: returned controllers re-took their domains; push the
 	// ideal configuration back so demoted flows are SDN-routed again.
-	for _, j := range recovered {
-		m.restoreDomain(epoch, j)
-	}
+	m.restoreDomains(epoch, recovered)
 
 	if len(failed) == 0 {
 		m.mu.Lock()
@@ -429,7 +431,9 @@ func (m *Medic) reconcile() {
 		return
 	}
 
+	pushStart := time.Now()
 	rep, err := m.cfg.Pusher(m.cfg.Addrs, m.cfg.Flows, inst, sol, m.pushOpts(epoch))
+	m.metrics.push.observe(time.Since(pushStart))
 	if err != nil {
 		m.setUnconverged(fmt.Sprintf("push for %s failed", inst.Label()))
 		m.log.addf(KindError, "epoch %d: push %s: %v", epoch, inst.Label(), err)
@@ -601,32 +605,67 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 	return sol, nil
 }
 
-// restoreDomain pushes the ideal configuration back to one returned
-// controller's domain and drops its switches from the unreachable set (a
-// returned domain deserves fresh attempts).
-func (m *Medic) restoreDomain(epoch uint64, j int) {
-	if j < 0 || j >= len(m.cfg.Dep.Controllers) {
-		m.log.addf(KindError, "epoch %d: recovery of unknown controller %d", epoch, j)
+// restoreDomains pushes the ideal configuration back to the domains of the
+// returned controllers in one Restorer call, so the domains share the
+// driver's worker pool instead of queuing behind each other. Per returned
+// controller it then drops the domain's switches from the unreachable set (a
+// returned domain deserves fresh attempts) and re-asserts the controller's
+// mastership in the network: a recovery adopted after the controller revived
+// may have handed its switches away, and a restore that brought back the
+// flow entries but not the ownership would leave the mapping non-ideal for
+// good.
+func (m *Medic) restoreDomains(epoch uint64, recovered []int) {
+	var (
+		ctrls    []int
+		switches []topo.NodeID
+	)
+	for _, j := range recovered {
+		if j < 0 || j >= len(m.cfg.Dep.Controllers) {
+			m.log.addf(KindError, "epoch %d: recovery of unknown controller %d", epoch, j)
+			continue
+		}
+		ctrls = append(ctrls, j)
+		switches = append(switches, m.cfg.Dep.Controllers[j].Domain...)
+	}
+	if len(ctrls) == 0 {
 		return
 	}
-	domain := m.cfg.Dep.Controllers[j].Domain
-	rep, err := m.cfg.Restorer(m.cfg.Addrs, m.cfg.Flows, domain, m.pushOpts(epoch))
+	start := time.Now()
+	rep, err := m.cfg.Restorer(m.cfg.Addrs, m.cfg.Flows, switches, m.pushOpts(epoch))
+	m.metrics.restore.observe(time.Since(start))
 	if err != nil {
-		m.log.addf(KindError, "epoch %d: fail-back for controller %d: %v", epoch, j, err)
+		m.log.addf(KindError, "epoch %d: fail-back for controller(s) %v: %v", epoch, ctrls, err)
 		return
 	}
-	m.mu.Lock()
-	for _, sw := range domain {
-		delete(m.unreachable, sw)
+	acked := make(map[topo.NodeID]int, len(rep.Outcomes))
+	for _, out := range rep.Outcomes {
+		acked[out.Switch] += out.FlowModsAcked
 	}
+	failed := make(map[topo.NodeID]bool, len(rep.Failed))
 	for _, sw := range rep.Failed {
-		m.unreachable[sw] = true
+		failed[sw] = true
 	}
-	m.snap.Restores++
-	m.mu.Unlock()
-	m.metrics.addRestore()
-	m.log.addf(KindRestore, "epoch %d: controller %d returned: %d flow-mods restored to its domain, %d switch(es) unreachable",
-		epoch, j, rep.FlowModsAcked, len(rep.Failed))
+	for _, j := range ctrls {
+		mods, lost := 0, 0
+		m.mu.Lock()
+		for _, sw := range m.cfg.Dep.Controllers[j].Domain {
+			mods += acked[sw]
+			if failed[sw] {
+				m.unreachable[sw] = true
+				lost++
+			} else {
+				delete(m.unreachable, sw)
+			}
+		}
+		m.snap.Restores++
+		m.mu.Unlock()
+		if m.cfg.Net != nil {
+			m.cfg.Net.RehomeDomain(j)
+		}
+		m.metrics.addRestore()
+		m.log.addf(KindRestore, "epoch %d: controller %d returned: %d flow-mods restored to its domain, %d switch(es) unreachable",
+			epoch, j, mods, lost)
+	}
 }
 
 // setUnconverged marks the current failure set as lacking a pushed plan.

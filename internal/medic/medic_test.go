@@ -86,19 +86,29 @@ func (r *recorder) restore(_ map[topo.NodeID]string, _ *flow.Set, switches []top
 	return &sdnsim.RestoreReport{}, nil
 }
 
-func newTestMedic(t *testing.T, rec *recorder) (*Medic, chan monitor.Event) {
+// newIdleMedic wires a medic to the recorder's stubs (and to net, which may
+// be nil) without starting its loop: a test can drive apply and reconcile by
+// hand, so the interleaving is exact and nothing sleeps.
+func newIdleMedic(t *testing.T, rec *recorder, net *sdnsim.Network) *Medic {
 	t.Helper()
 	dep, flows := testFixture(t)
 	m, err := New(Config{
 		Dep:      dep,
 		Flows:    flows,
 		Addrs:    map[topo.NodeID]string{0: "stubbed"},
+		Net:      net,
 		Pusher:   rec.push,
 		Restorer: rec.restore,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func newTestMedic(t *testing.T, rec *recorder) (*Medic, chan monitor.Event) {
+	t.Helper()
+	m := newIdleMedic(t, rec, nil)
 	events := make(chan monitor.Event, 8)
 	m.Start(events)
 	t.Cleanup(m.Stop)
@@ -292,6 +302,119 @@ func TestEventLogRingWraps(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i].Seq != got[i-1].Seq+1 {
 			t.Fatalf("non-monotone seqs: %+v", got)
+		}
+	}
+}
+
+// TestSplitFailBackRestoresOwnership replays the detector reporting the
+// return of {3,4} as two events. Both controllers are already alive in the
+// network when the first event arrives, so the intermediate reconcile for
+// failed={3} adopts a recovery that hands controller 3's domain away after
+// StartController re-homed it; the fail-back for 3 must take it back, or the
+// network mapping stays non-ideal for good.
+func TestSplitFailBackRestoresOwnership(t *testing.T) {
+	dep, flows := testFixture(t)
+	net, err := sdnsim.New(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newIdleMedic(t, &recorder{}, net)
+	ideal := net.MappingSnapshot()
+	step := func(ev monitor.Event) {
+		m.apply(ev)
+		m.reconcile()
+	}
+
+	for _, j := range []int{3, 4} {
+		if err := net.StopController(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(monitor.Event{Seq: 1, Failed: []int{3, 4}})
+	for _, j := range []int{3, 4} {
+		if err := net.StartController(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(monitor.Event{Seq: 2, Recovered: []int{4}})
+	handedAway := false
+	for _, sw := range dep.Controllers[3].Domain {
+		if net.MappingSnapshot()[sw] != 3 {
+			handedAway = true
+		}
+	}
+	if !handedAway {
+		t.Fatal("the intermediate recovery for {3} left controller 3's domain alone; the test no longer reproduces the split fail-back")
+	}
+	step(monitor.Event{Seq: 3, Recovered: []int{3}})
+
+	st := m.Status()
+	if !st.Converged || !st.Ideal || len(st.Failed) != 0 || st.Restores != 2 {
+		t.Fatalf("after the split fail-back: converged=%v ideal=%v failed=%v restores=%d",
+			st.Converged, st.Ideal, st.Failed, st.Restores)
+	}
+	for sw, want := range ideal {
+		if st.NetworkMapping[sw] != want {
+			t.Fatalf("after the split fail-back switch %d is owned by %d, ideal is %d", sw, st.NetworkMapping[sw], want)
+		}
+	}
+}
+
+// TestBatchedFailBackIsOneRestorerCall: controllers that return in one event
+// batch are restored by one Restorer call over the union of their domains,
+// and still count and log as one restore each.
+func TestBatchedFailBackIsOneRestorerCall(t *testing.T) {
+	dep, _ := testFixture(t)
+	rec := &recorder{}
+	m, events := newTestMedic(t, rec)
+
+	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
+	waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
+	events <- monitor.Event{Seq: 2, Recovered: []int{3, 4}, At: time.Now()}
+	st := waitStatus(t, m, func(s Status) bool { return s.Ideal })
+
+	if st.Restores != 2 {
+		t.Fatalf("Restores = %d, want one per returned controller", st.Restores)
+	}
+	logged := 0
+	for _, e := range st.Events {
+		if e.Kind == KindRestore {
+			logged++
+		}
+	}
+	if logged != 2 {
+		t.Fatalf("%d restore log entries, want one per returned controller", logged)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	want := len(dep.Controllers[3].Domain) + len(dep.Controllers[4].Domain)
+	if len(rec.restores) != 1 || len(rec.restores[0]) != want {
+		t.Fatalf("Restorer calls covered %v, want one call over %d switches", rec.restores, want)
+	}
+}
+
+// TestMetricsTimeTheWireStages: /metrics carries one histogram per wire
+// stage next to the reconcile one, each observed once per driver call.
+func TestMetricsTimeTheWireStages(t *testing.T) {
+	m := newIdleMedic(t, &recorder{}, nil)
+	m.apply(monitor.Event{Seq: 1, Failed: []int{3, 4}})
+	m.reconcile()
+	m.apply(monitor.Event{Seq: 2, Recovered: []int{3, 4}})
+	m.reconcile()
+
+	var out strings.Builder
+	if _, err := m.Metrics().WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pmedicd_reconcile_duration_seconds_count 2\n",
+		"pmedicd_push_duration_seconds_count 1\n",
+		"pmedicd_restore_duration_seconds_count 1\n",
+		"pmedicd_push_duration_seconds_bucket{le=\"+Inf\"} 1\n",
+		"pmedicd_restores_total 2\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, out.String())
 		}
 	}
 }

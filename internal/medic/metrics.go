@@ -11,9 +11,44 @@ import (
 	"pmedic/internal/store"
 )
 
-// reconcileBuckets are the histogram upper bounds, in seconds, for
-// reconcile-pass latency (plan + push + adopt).
-var reconcileBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
+// durationBuckets are the histogram upper bounds, in seconds, shared by the
+// reconcile-pass, push and restore latencies.
+var durationBuckets = [...]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
+
+// histogram is one cumulative latency histogram over durationBuckets.
+type histogram struct {
+	mu  sync.Mutex
+	n   uint64
+	sum float64
+	le  [len(durationBuckets)]uint64 // cumulative counts per bucket
+}
+
+func (h *histogram) observe(d time.Duration) {
+	secs := d.Seconds()
+	h.mu.Lock()
+	h.n++
+	h.sum += secs
+	for i, le := range durationBuckets {
+		if secs <= le {
+			h.le[i]++
+		}
+	}
+	h.mu.Unlock()
+}
+
+// write renders the histogram in Prometheus text format.
+func (h *histogram) write(b *strings.Builder, name, help string) {
+	h.mu.Lock()
+	n, sum, le := h.n, h.sum, h.le
+	h.mu.Unlock()
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	for i, bound := range durationBuckets {
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, bound, le[i])
+	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, n)
+	fmt.Fprintf(b, "%s_sum %g\n", name, sum)
+	fmt.Fprintf(b, "%s_count %d\n", name, n)
+}
 
 // Metrics is the daemon's metrics registry, rendered in Prometheus text
 // exposition format by WriteTo (the /metrics handler). It is hand-rolled —
@@ -33,10 +68,10 @@ type Metrics struct {
 	planMisses    atomic.Uint64
 	planErrors    atomic.Uint64
 
-	mu           sync.Mutex
-	reconcileN   uint64
-	reconcileSum float64
-	reconcileLE  []uint64 // cumulative counts per bucket in reconcileBuckets
+	// reconcile times a whole reconcile pass; push and restore time the wire
+	// drivers inside it (one Pusher call, one Restorer call), the stage that
+	// dominates a recovery once the control channel carries real delay.
+	reconcile, push, restore histogram
 
 	st *store.Store // WAL fsync/checkpoint/pending sources, nil standalone
 	// plansEnabled is set once at wiring time, before the loop starts.
@@ -44,7 +79,7 @@ type Metrics struct {
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{reconcileLE: make([]uint64, len(reconcileBuckets))}
+	return &Metrics{}
 }
 
 // wireStore attaches the persistence layer as a metrics source.
@@ -69,19 +104,6 @@ func (x *Metrics) setLeader(leader bool, term uint64) {
 		x.leader.Store(0)
 	}
 	x.term.Store(term)
-}
-
-func (x *Metrics) observeReconcile(d time.Duration) {
-	secs := d.Seconds()
-	x.mu.Lock()
-	x.reconcileN++
-	x.reconcileSum += secs
-	for i, le := range reconcileBuckets {
-		if secs <= le {
-			x.reconcileLE[i]++
-		}
-	}
-	x.mu.Unlock()
 }
 
 // PlanStoreCounts returns the plan-store outcome counters (hits, superset
@@ -120,18 +142,9 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 		counter("pmedicd_planstore_errors_total", "Plan-store consultations that failed and degraded to a solve.", x.planErrors.Load())
 	}
 
-	x.mu.Lock()
-	n, sum := x.reconcileN, x.reconcileSum
-	le := append([]uint64(nil), x.reconcileLE...)
-	x.mu.Unlock()
-	name := "pmedicd_reconcile_duration_seconds"
-	fmt.Fprintf(&b, "# HELP %s Latency of one reconcile pass (plan, push, adopt).\n# TYPE %s histogram\n", name, name)
-	for i, bound := range reconcileBuckets {
-		fmt.Fprintf(&b, "%s_bucket{le=\"%g\"} %d\n", name, bound, le[i])
-	}
-	fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, n)
-	fmt.Fprintf(&b, "%s_sum %g\n", name, sum)
-	fmt.Fprintf(&b, "%s_count %d\n", name, n)
+	x.reconcile.write(&b, "pmedicd_reconcile_duration_seconds", "Latency of one reconcile pass (plan, push, adopt).")
+	x.push.write(&b, "pmedicd_push_duration_seconds", "Latency of one recovery push (every offline switch, retries and re-plan rounds included).")
+	x.restore.write(&b, "pmedicd_restore_duration_seconds", "Latency of one fail-back push over the returned domains.")
 
 	written, err := io.WriteString(w, b.String())
 	return int64(written), err

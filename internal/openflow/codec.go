@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 )
 
 // Codec errors.
@@ -24,82 +25,87 @@ var byteOrder = binary.BigEndian
 
 // Encode serializes msg under a header carrying xid.
 func Encode(msg Message, xid uint32) ([]byte, error) {
-	body, err := encodeBody(msg)
-	if err != nil {
-		return nil, err
-	}
-	total := HeaderLen + len(body)
-	if total > MaxMessageLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLong, total)
-	}
-	buf := make([]byte, total)
-	buf[0] = Version
-	buf[1] = uint8(msg.MsgType())
-	byteOrder.PutUint16(buf[2:4], uint16(total))
-	byteOrder.PutUint32(buf[4:8], xid)
-	copy(buf[HeaderLen:], body)
-	return buf, nil
+	return AppendEncode(nil, msg, xid)
 }
 
-func encodeBody(msg Message) ([]byte, error) {
+// AppendEncode appends msg's wire form, under a header carrying xid, to dst
+// and returns the extended slice. When dst has room it allocates nothing,
+// which is what lets a connection queue a whole batch of flow-mods into one
+// write buffer. On error dst is returned unchanged.
+func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
+	start := len(dst)
+	// The type byte comes from the switch rather than msg.MsgType(): a
+	// dynamic call would make msg escape and cost every caller an allocation.
+	var t MsgType
+	b := append(dst, Version, 0, 0, 0, byte(xid>>24), byte(xid>>16), byte(xid>>8), byte(xid))
 	switch m := msg.(type) {
-	case Hello, FeaturesRequest, BarrierRequest, BarrierReply:
-		return nil, nil
+	case Hello:
+		t = TypeHello
+	case FeaturesRequest:
+		t = TypeFeaturesRequest
+	case BarrierRequest:
+		t = TypeBarrierRequest
+	case BarrierReply:
+		t = TypeBarrierReply
 	case Echo:
-		return append([]byte(nil), m.Data...), nil
+		t = m.MsgType()
+		b = append(b, m.Data...)
 	case FeaturesReply:
-		b := make([]byte, 10)
-		byteOrder.PutUint64(b[0:8], m.DatapathID)
-		b[8] = m.NumTables
-		if m.Hybrid {
-			b[9] = 1
-		}
-		return b, nil
+		t = TypeFeaturesReply
+		b = byteOrder.AppendUint64(b, m.DatapathID)
+		b = append(b, m.NumTables, boolByte(m.Hybrid))
 	case FlowMod:
-		b := make([]byte, 1+2+12+4)
-		b[0] = uint8(m.Command)
-		byteOrder.PutUint16(b[1:3], m.Priority)
-		putMatch(b[3:15], m.Match)
-		byteOrder.PutUint32(b[15:19], m.NextHop)
-		return b, nil
+		t = TypeFlowMod
+		b = append(b, uint8(m.Command))
+		b = byteOrder.AppendUint16(b, m.Priority)
+		b = appendMatch(b, m.Match)
+		b = byteOrder.AppendUint32(b, m.NextHop)
 	case PacketIn:
-		b := make([]byte, 4+1+12+len(m.Data))
-		byteOrder.PutUint32(b[0:4], m.BufferID)
-		b[4] = uint8(m.Reason)
-		putMatch(b[5:17], m.Match)
-		copy(b[17:], m.Data)
-		return b, nil
+		t = TypePacketIn
+		b = byteOrder.AppendUint32(b, m.BufferID)
+		b = append(b, uint8(m.Reason))
+		b = appendMatch(b, m.Match)
+		b = append(b, m.Data...)
 	case PacketOut:
-		b := make([]byte, 4+4+len(m.Data))
-		byteOrder.PutUint32(b[0:4], m.BufferID)
-		byteOrder.PutUint32(b[4:8], m.NextHop)
-		copy(b[8:], m.Data)
-		return b, nil
+		t = TypePacketOut
+		b = byteOrder.AppendUint32(b, m.BufferID)
+		b = byteOrder.AppendUint32(b, m.NextHop)
+		b = append(b, m.Data...)
 	case RoleRequest:
-		return encodeRole(uint32(m.Role), m.GenerationID), nil
+		t = TypeRoleRequest
+		b = byteOrder.AppendUint32(b, uint32(m.Role))
+		b = byteOrder.AppendUint64(b, m.GenerationID)
 	case RoleReply:
-		return encodeRole(uint32(m.Role), m.GenerationID), nil
+		t = TypeRoleReply
+		b = byteOrder.AppendUint32(b, uint32(m.Role))
+		b = byteOrder.AppendUint64(b, m.GenerationID)
 	case ErrorMsg:
-		b := make([]byte, 2+len(m.Data))
-		byteOrder.PutUint16(b[0:2], m.Code)
-		copy(b[2:], m.Data)
-		return b, nil
+		t = TypeError
+		b = byteOrder.AppendUint16(b, m.Code)
+		b = append(b, m.Data...)
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrBadType, msg)
+		return dst, fmt.Errorf("%w: %s", ErrBadType, reflect.TypeOf(msg))
 	}
+	total := len(b) - start
+	if total > MaxMessageLen {
+		return dst, fmt.Errorf("%w: %d bytes", ErrTooLong, total)
+	}
+	b[start+1] = uint8(t)
+	byteOrder.PutUint16(b[start+2:start+4], uint16(total))
+	return b, nil
 }
 
-func encodeRole(role uint32, gen uint64) []byte {
-	b := make([]byte, 12)
-	byteOrder.PutUint32(b[0:4], role)
-	byteOrder.PutUint64(b[4:12], gen)
-	return b
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
-func putMatch(b []byte, m Match) {
-	byteOrder.PutUint32(b[0:4], m.FlowID)
-	byteOrder.PutUint32(b[4:8], m.Src)
-	byteOrder.PutUint32(b[8:12], m.Dst)
+func appendMatch(b []byte, m Match) []byte {
+	b = byteOrder.AppendUint32(b, m.FlowID)
+	b = byteOrder.AppendUint32(b, m.Src)
+	return byteOrder.AppendUint32(b, m.Dst)
 }
 
 func getMatch(b []byte) Match {

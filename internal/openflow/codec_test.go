@@ -61,9 +61,11 @@ func normalize(m Message) Message {
 	}
 }
 
-func TestRoundTripAllTypes(t *testing.T) {
+// allMessages has at least one message of every wire type, with and without
+// the optional payloads.
+func allMessages() []Message {
 	match := Match{FlowID: 7, Src: 3, Dst: 21}
-	msgs := []Message{
+	return []Message{
 		Hello{},
 		Echo{Data: []byte("ping")},
 		Echo{Reply: true, Data: []byte("pong")},
@@ -82,8 +84,44 @@ func TestRoundTripAllTypes(t *testing.T) {
 		BarrierReply{},
 		ErrorMsg{Code: 17, Data: []byte("bad flow mod")},
 	}
-	for i, m := range msgs {
+}
+
+func TestRoundTripAllTypes(t *testing.T) {
+	for i, m := range allMessages() {
 		roundTrip(t, m, uint32(i*13+1))
+	}
+}
+
+// TestAppendEncodeMatchesEncode pins the batch encoder to the one-message
+// encoder byte for byte, for every message type, and checks that it leaves
+// what was already in the buffer alone — on success and on error.
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	prefix := []byte("queued before")
+	for i, m := range allMessages() {
+		xid := uint32(i*13 + 1)
+		want, err := Encode(m, xid)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", m, err)
+		}
+		if want[1] != uint8(m.MsgType()) {
+			t.Fatalf("%T: type byte %d, want %d", m, want[1], m.MsgType())
+		}
+		got, err := AppendEncode(append([]byte(nil), prefix...), m, xid)
+		if err != nil {
+			t.Fatalf("AppendEncode(%T): %v", m, err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%T: AppendEncode = %x, want %x after the prefix", m, got[len(prefix):], want)
+		}
+	}
+	got, err := AppendEncode(prefix, Echo{Data: make([]byte, MaxMessageLen)}, 1)
+	if !errors.Is(err, ErrTooLong) || !bytes.Equal(got, prefix) {
+		t.Fatalf("oversized message: buffer %q, error %v", got, err)
+	}
+	type alien struct{ Hello }
+	got, err = AppendEncode(prefix, alien{}, 1)
+	if !errors.Is(err, ErrBadType) || !bytes.Equal(got, prefix) {
+		t.Fatalf("unknown message: buffer %q, error %v", got, err)
 	}
 }
 

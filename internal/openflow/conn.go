@@ -19,6 +19,11 @@ const (
 	DefaultHandshakeTimeout = 10 * time.Second
 )
 
+// writeBufferLen is the write buffer's initial capacity: room for the batch
+// a busy switch gets in one push session (about 200 flow-mods of 27 bytes,
+// a role request and a barrier) without growing. Larger batches grow it.
+const writeBufferLen = 8 << 10
+
 // deadliner is the deadline surface of net.Conn (and of transports, such as
 // the chaos layer, that forward it).
 type deadliner interface {
@@ -28,18 +33,24 @@ type deadliner interface {
 
 // Conn is a control channel over a byte stream: buffered framing, an XID
 // counter, per-operation deadlines, and the opening Hello handshake. Reads
-// and writes may proceed concurrently from one goroutine each; Send may
-// additionally be called from multiple goroutines.
+// and writes may proceed concurrently from one goroutine each; Send, Queue
+// and Flush may additionally be called from multiple goroutines.
+//
+// Writes go through one buffer that reaches the transport in a single Write
+// per flush. Send flushes after its message; Queue does not, so a caller
+// that has many messages for the peer (a push session's role claim,
+// flow-mods and barrier) pays the transport once per batch instead of once
+// per message.
 //
 // A Conn whose Recv fails with a timeout may have consumed part of a frame
 // and is no longer usable for further traffic; close and redial.
 type Conn struct {
-	raw io.Closer
+	raw io.ReadWriteCloser
 	dl  deadliner // nil when the transport has no deadline support
 	r   *bufio.Reader
 
-	wmu sync.Mutex
-	w   *bufio.Writer
+	wmu  sync.Mutex
+	wbuf []byte // encoded messages not yet written to raw
 
 	xid     atomic.Uint32
 	timeout atomic.Int64 // per-operation deadline, ns; 0 = none
@@ -51,9 +62,9 @@ type Conn struct {
 // per-operation deadlines.
 func NewConn(rwc io.ReadWriteCloser) *Conn {
 	c := &Conn{
-		raw: rwc,
-		r:   bufio.NewReader(rwc),
-		w:   bufio.NewWriter(rwc),
+		raw:  rwc,
+		r:    bufio.NewReader(rwc),
+		wbuf: make([]byte, 0, writeBufferLen),
 	}
 	if dl, ok := rwc.(deadliner); ok {
 		c.dl = dl
@@ -124,21 +135,53 @@ func (c *Conn) Send(msg Message) (uint32, error) {
 }
 
 // SendXID writes one message under the caller's XID (for replies, which must
-// echo the request's XID).
+// echo the request's XID), together with anything queued before it.
 func (c *Conn) SendXID(msg Message, xid uint32) error {
-	buf, err := Encode(msg, xid)
-	if err != nil {
-		return err
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if err := c.queueLocked(msg, xid); err != nil {
+		return err
+	}
+	return c.flushLocked()
+}
+
+// Queue encodes one message into the write buffer under a fresh XID, which
+// it returns, without touching the transport; Flush (or any Send) delivers
+// it. Queuing allocates nothing while the batch fits the buffer.
+func (c *Conn) Queue(msg Message) (uint32, error) {
+	xid := c.xid.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return xid, c.queueLocked(msg, xid)
+}
+
+// Flush writes every queued message to the transport in one Write, under
+// one armed deadline. After an error the batch is gone and the peer may
+// have received any prefix of it, possibly ending mid-frame: the channel is
+// no longer usable.
+func (c *Conn) Flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.flushLocked()
+}
+
+func (c *Conn) queueLocked(msg Message, xid uint32) error {
+	buf, err := AppendEncode(c.wbuf, msg, xid)
+	c.wbuf = buf
+	return err
+}
+
+func (c *Conn) flushLocked() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
+	buf := c.wbuf
+	c.wbuf = c.wbuf[:0]
 	if err := c.armWrite(); err != nil {
 		return err
 	}
-	if _, err := c.w.Write(buf); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	_, err := c.raw.Write(buf)
+	return err
 }
 
 // Recv blocks for the next message, honoring the armed per-operation

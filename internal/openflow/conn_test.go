@@ -1,8 +1,10 @@
 package openflow
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -51,6 +53,157 @@ func TestSendRecvOverPipe(t *testing.T) {
 	if !ok || fm != want {
 		t.Fatalf("got %#v (xid %d)", got, h.XID)
 	}
+}
+
+// writeLog is a transport that records every Write it receives (or, when
+// quiet, just accepts it).
+type writeLog struct {
+	writes [][]byte
+	quiet  bool
+	err    error // returned by Write when set
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	if !w.quiet {
+		w.writes = append(w.writes, append([]byte(nil), p...))
+	}
+	return len(p), nil
+}
+func (w *writeLog) Read([]byte) (int, error) { return 0, io.EOF }
+func (w *writeLog) Close() error             { return nil }
+
+// TestQueueFlushIsOneWrite pins the batch path: queued messages reach the
+// transport in exactly one Write per Flush whatever their number (also past
+// the buffer's initial capacity), in order, under the XIDs Queue returned;
+// a Send delivers what was queued before it in the same Write.
+func TestQueueFlushIsOneWrite(t *testing.T) {
+	for _, n := range []int{1, 50, 200, 2000} {
+		tr := &writeLog{}
+		c := NewConn(tr)
+		var want []byte
+		for i := 0; i < n; i++ {
+			m := FlowMod{Command: FlowAdd, Priority: 100, Match: Match{FlowID: uint32(i)}, NextHop: 3}
+			xid, err := c.Queue(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, _ := Encode(m, xid)
+			want = append(want, enc...)
+		}
+		if len(tr.writes) != 0 {
+			t.Fatalf("n=%d: Queue wrote to the transport", n)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.writes) != 1 || !bytes.Equal(tr.writes[0], want) {
+			t.Fatalf("n=%d: %d transport writes, want 1 carrying the whole batch", n, len(tr.writes))
+		}
+		if err := c.Flush(); err != nil || len(tr.writes) != 1 {
+			t.Fatalf("n=%d: empty Flush wrote (%d writes, err %v)", n, len(tr.writes), err)
+		}
+	}
+
+	tr := &writeLog{}
+	c := NewConn(tr)
+	x1, _ := c.Queue(BarrierRequest{})
+	x2, err := c.Send(Hello{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := Encode(BarrierRequest{}, x1)
+	b, _ := Encode(Hello{}, x2)
+	if len(tr.writes) != 1 || !bytes.Equal(tr.writes[0], append(a, b...)) {
+		t.Fatalf("Send after Queue: writes %x", tr.writes)
+	}
+
+	// A failed flush drops the batch: the next one starts clean.
+	tr.err = errors.New("boom")
+	if _, err := c.Queue(Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err == nil {
+		t.Fatal("Flush swallowed the transport's error")
+	}
+	tr.err, tr.writes = nil, nil
+	x3, _ := c.Queue(BarrierRequest{})
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := Encode(BarrierRequest{}, x3); len(tr.writes) != 1 || !bytes.Equal(tr.writes[0], want) {
+		t.Fatalf("flush after a failed one carried %x", tr.writes)
+	}
+}
+
+func TestQueueFlowModDoesNotAllocate(t *testing.T) {
+	c := NewConn(&writeLog{quiet: true})
+	m := FlowMod{Command: FlowAdd, Priority: 100, Match: Match{FlowID: 7, Src: 3, Dst: 21}, NextHop: 9}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 200; i++ {
+			if _, err := c.Queue(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("queuing and flushing 200 flow-mods allocates %v times, want 0", allocs)
+	}
+}
+
+// TestQueueConcurrentWithSend runs the batch path against concurrent Sends
+// (the race detector's target): every frame must arrive whole.
+func TestQueueConcurrentWithSend(t *testing.T) {
+	a, b := net.Pipe()
+	ca, cb := NewConn(a), NewConn(b)
+	defer func() {
+		_ = ca.Close()
+		_ = cb.Close()
+	}()
+	const perSender = 50
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < perSender; i++ {
+			if _, err := ca.Queue(BarrierRequest{}); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%10 == 9 {
+				if err := ca.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < perSender; i++ {
+			if _, err := ca.Send(Echo{Data: []byte("x")}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	seen := make(map[uint32]bool)
+	for i := 0; i < 2*perSender; i++ {
+		_, h, err := cb.Recv()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		if seen[h.XID] {
+			t.Fatalf("xid %d delivered twice", h.XID)
+		}
+		seen[h.XID] = true
+	}
+	wg.Wait()
 }
 
 func TestXIDsMonotone(t *testing.T) {

@@ -27,6 +27,7 @@ type Agent struct {
 	gen      uint64
 	genSet   bool
 	flowMods int
+	refused  int
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -75,6 +76,14 @@ func (a *Agent) FlowModsApplied() int {
 	return a.flowMods
 }
 
+// FlowModsRefused returns the number of flow-mods the agent discarded
+// because they arrived on a fenced connection (see connClaim).
+func (a *Agent) FlowModsRefused() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.refused
+}
+
 // Entry returns the switch's highest-priority entry for a flow, safely.
 func (a *Agent) Entry(id flow.ID) (FlowEntry, bool) {
 	a.mu.Lock()
@@ -111,9 +120,28 @@ func (a *Agent) acceptLoop() {
 	}
 }
 
+// connClaim is one connection's standing with the switch-side fence: the
+// generation of its last Master/Slave claim and whether that claim was
+// refused as stale. The push driver sends its flow-mods in the same flush as
+// its claim, before it can know the answer, so the refusal has to bind here.
+type connClaim struct {
+	made    bool
+	refused bool
+	gen     uint64
+}
+
+// fenced reports whether flow-mods from the connection must be discarded:
+// its claim was refused, or an accepted one has since been superseded by a
+// newer generation from another connection (a deposed leader still talking).
+// A connection that never claimed is not fenced. Callers hold a.mu.
+func (a *Agent) fenced(c connClaim) bool {
+	return c.refused || (c.made && int64(c.gen-a.gen) < 0)
+}
+
 // serve handles one controller channel until it closes.
 func (a *Agent) serve(conn *openflow.Conn) {
 	defer func() { _ = conn.Close() }()
+	var claim connClaim
 	for {
 		msg, h, err := conn.Recv()
 		if err != nil {
@@ -127,9 +155,14 @@ func (a *Agent) serve(conn *openflow.Conn) {
 				Hybrid:     a.sw.Pipeline == PipelineHybrid,
 			}, h.XID)
 		case openflow.RoleRequest:
-			err = a.handleRole(conn, m, h)
+			err = a.handleRole(conn, m, h, &claim)
 		case openflow.FlowMod:
 			a.mu.Lock()
+			if a.fenced(claim) {
+				a.refused++
+				a.mu.Unlock()
+				continue
+			}
 			switch m.Command {
 			case openflow.FlowAdd:
 				a.sw.InstallEntry(FlowEntry{
@@ -162,8 +195,9 @@ func (a *Agent) serve(conn *openflow.Conn) {
 // generation ID, and a request older than the highest one seen is refused
 // with a role-stale error carrying the current generation — the defense
 // against a delayed mastership claim from a stale controller re-taking a
-// switch after a newer recovery already claimed it.
-func (a *Agent) handleRole(conn *openflow.Conn, m openflow.RoleRequest, h openflow.Header) error {
+// switch after a newer recovery already claimed it. The verdict is recorded
+// in the connection's claim, which gates its flow-mods from then on.
+func (a *Agent) handleRole(conn *openflow.Conn, m openflow.RoleRequest, h openflow.Header, claim *connClaim) error {
 	a.mu.Lock()
 	stale := false
 	if m.Role == openflow.RoleMaster || m.Role == openflow.RoleSlave {
@@ -172,6 +206,7 @@ func (a *Agent) handleRole(conn *openflow.Conn, m openflow.RoleRequest, h openfl
 		} else {
 			a.gen, a.genSet = m.GenerationID, true
 		}
+		*claim = connClaim{made: true, refused: stale, gen: m.GenerationID}
 	}
 	cur := a.gen
 	if !stale {
@@ -200,39 +235,26 @@ func AgentAddrs(agents map[topo.NodeID]*Agent) map[topo.NodeID]string {
 	return addrs
 }
 
-// PushRecovery delivers a switch-mapping recovery over the wire: for every
-// offline switch with an agent, it dials the agent, claims mastership, sends
-// FlowDelete for pairs left in legacy mode and FlowAdd for SDN-mode pairs
-// (re-asserting the flow's current next hop), and synchronizes with a
-// barrier. Replies are matched by XID, so interleaved Echo traffic is
-// tolerated, and every dial and I/O operation is bounded by the default
-// timeouts. It returns the number of flow-mods acknowledged.
-//
-// PushRecovery is the strict, fail-fast driver: the first switch that cannot
-// be reconfigured aborts the push. PushRecoveryResilient is the
-// partial-failure-tolerant driver.
+// PushRecovery delivers a switch-mapping recovery over the wire and returns
+// the number of flow-mods acknowledged. It is the strict form of
+// PushRecoveryResilient — one attempt per switch, no re-planning — and
+// reports the first switch (in instance order) that could not be
+// reconfigured as an error instead of demoting it.
 func PushRecovery(
 	agents map[topo.NodeID]*Agent,
 	flows *flow.Set,
 	inst *scenario.Instance,
 	sol *core.Solution,
 ) (int, error) {
-	plan, err := buildPushPlan(flows, inst, sol)
+	rep, err := PushRecoveryResilient(AgentAddrs(agents), flows, inst, sol,
+		PushOptions{MaxAttempts: 1, DisableReplan: true})
 	if err != nil {
 		return 0, err
 	}
-	sent := 0
-	for _, sp := range plan {
-		agent, ok := agents[sp.sw]
-		if !ok {
-			return sent, fmt.Errorf("%w: %d", ErrAgentMissing, sp.sw)
-		}
-		acked, _, err := pushOnce(defaultDial, agent.Addr(), 1, sp.mods,
-			openflow.DefaultDialTimeout, openflow.DefaultDialTimeout)
-		sent += acked
-		if err != nil {
-			return sent, err
+	for i := range rep.Outcomes {
+		if rep.Outcomes[i].Status == PushDemoted {
+			return rep.FlowModsAcked, rep.Outcomes[i].Err
 		}
 	}
-	return sent, nil
+	return rep.FlowModsAcked, nil
 }

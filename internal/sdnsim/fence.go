@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"pmedic/internal/openflow"
 	"pmedic/internal/topo"
@@ -46,20 +45,9 @@ func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fe
 	sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
 
 	results = make([]FenceResult, len(switches))
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, opts.Concurrency)
-	for i, sw := range switches {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func(i int, sw topo.NodeID) {
-			defer func() {
-				<-slots
-				wg.Done()
-			}()
-			results[i] = fenceOne(opts, addrs[sw], sw, gen)
-		}(i, sw)
-	}
-	wg.Wait()
+	runPool(len(switches), opts.Concurrency, func(i int) {
+		results[i] = fenceOne(opts, addrs[switches[i]], switches[i], gen)
+	})
 
 	var firstErr error
 	for _, r := range results {
@@ -84,12 +72,8 @@ func fenceOne(opts PushOptions, addr string, sw topo.NodeID, gen uint64) FenceRe
 	conn.SetIOTimeout(opts.IOTimeout)
 	msg, _, err := conn.Request(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: gen})
 	if err != nil {
-		var re *openflow.RemoteError
-		if errors.As(err, &re) {
-			if g, ok := re.StaleGeneration(); ok {
-				res.Err = fmt.Errorf("%w: switch %d holds generation %d, asserted %d", ErrFenced, sw, g, gen)
-				return res
-			}
+		if g, ok := staleGeneration(err); ok {
+			err = fmt.Errorf("%w: switch %d holds generation %d, asserted %d", ErrFenced, sw, g, gen)
 		}
 		res.Err = err
 		return res

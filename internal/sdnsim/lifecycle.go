@@ -77,6 +77,28 @@ func (n *Network) StartController(j int) error {
 	return nil
 }
 
+// RehomeDomain re-asserts controller j's mastership of its deployment domain
+// and reports whether it did; a dead (or unknown) controller owns nothing
+// and is left alone. StartController already re-homes at revival, but a
+// recovery adopted afterwards — the daemon reconciling a failure set that
+// still lists j, because the detector reported j's return in a later event —
+// takes the domain away again. The fail-back push therefore ends with this
+// call, so ownership and flow tables return together.
+func (n *Network) RehomeDomain(j int) bool {
+	if j < 0 || j >= len(n.Controllers) {
+		return false
+	}
+	n.ctrlMu.Lock()
+	defer n.ctrlMu.Unlock()
+	if !n.Controllers[j].Alive {
+		return false
+	}
+	for _, sw := range n.Dep.Controllers[j].Domain {
+		n.Switches[sw].Controller = j
+	}
+	return true
+}
+
 // ControllerAlive reports a controller's current liveness.
 func (n *Network) ControllerAlive(j int) bool {
 	if j < 0 || j >= len(n.Controllers) {

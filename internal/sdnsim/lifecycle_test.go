@@ -248,6 +248,9 @@ func TestRestoreIdealReinstallsDemotedEntries(t *testing.T) {
 	if got := agent.FlowModsApplied(); got != len(onPath) {
 		t.Fatalf("agent applied %d mods, want %d", got, len(onPath))
 	}
+	if out := rep.Outcomes[0]; out.Status != PushApplied || out.Attempts != 1 || out.Elapsed <= 0 {
+		t.Fatalf("outcome %+v, want applied in one attempt with its elapsed time", out)
+	}
 	for _, lid := range onPath {
 		if _, ok := agent.Entry(lid); !ok {
 			t.Fatalf("flow %d entry missing after restore", lid)
@@ -267,5 +270,37 @@ func TestRestoreIdealReportsUnreachableSwitch(t *testing.T) {
 	}
 	if len(rep.Failed) != 1 || rep.Failed[0] != swID {
 		t.Fatalf("Failed = %v, want [%d]", rep.Failed, swID)
+	}
+}
+
+func TestRehomeDomainOnlyForLiveControllers(t *testing.T) {
+	dep, _, n := lifecycleFixture(t)
+	ideal := n.MappingSnapshot()
+	domain := dep.Controllers[3].Domain
+	// A recovery adopted after controller 3 revived handed its domain away.
+	n.ctrlMu.Lock()
+	for _, sw := range domain {
+		n.Switches[sw].Controller = 2
+	}
+	n.ctrlMu.Unlock()
+	if !n.RehomeDomain(3) {
+		t.Fatal("live controller 3 was not re-homed")
+	}
+	for sw, want := range ideal {
+		if got := n.MappingSnapshot()[sw]; got != want {
+			t.Fatalf("switch %d owned by %d after re-homing, ideal is %d", sw, got, want)
+		}
+	}
+
+	if err := n.StopController(3); err != nil {
+		t.Fatal(err)
+	}
+	if n.RehomeDomain(3) || n.RehomeDomain(-1) || n.RehomeDomain(len(n.Controllers)) {
+		t.Fatal("a dead or unknown controller was re-homed")
+	}
+	for _, sw := range domain {
+		if got := n.MappingSnapshot()[sw]; got != -1 {
+			t.Fatalf("switch %d owned by %d while its controller is dead", sw, got)
+		}
 	}
 }

@@ -134,6 +134,9 @@ type SwitchOutcome struct {
 	// flow-mods were sent on a connection that died before its barrier
 	// confirmed them.
 	Dirty bool
+	// Elapsed is the wall time the switch's push sessions took, first dial
+	// to final barrier or demotion (backoff included), summed over rounds.
+	Elapsed time.Duration
 	// Err is the last error of a demoted switch.
 	Err error
 }
@@ -227,10 +230,18 @@ func deleteMod(f *flow.Flow) openflow.FlowMod {
 	}
 }
 
-// pushOnce performs one complete push attempt against addr: dial, liveness
-// probe, mastership under gen, all mods, then a barrier. acked is len(mods)
-// on full success; sentAny reports whether any flow-mod left on a connection
-// whose barrier never confirmed it (the partial-state marker).
+// pushOnce performs one complete push session against addr. After the dial
+// and Hello handshake it costs one transport write and one round trip
+// whatever len(mods) is: the mastership claim under gen, every mod and the
+// barrier leave in a single flush, then the role reply (the liveness proof)
+// and the barrier reply are awaited by XID. Sending the mods before the
+// claim is answered is safe because the agent, not the driver, enforces the
+// fence: it discards the mods of a connection whose claim it refused.
+//
+// acked is len(mods) on full success. sentAny is the partial-state marker:
+// mods left on a connection whose barrier never confirmed them. A flush that
+// fails may have delivered any prefix of the batch, cut mid-frame, so it
+// counts; a refused claim does not, since the agent applied nothing.
 func pushOnce(dial DialFunc, addr string, gen uint64, mods []openflow.FlowMod, dialTO, ioTO time.Duration) (acked int, sentAny bool, err error) {
 	conn, err := dial(addr, dialTO)
 	if err != nil {
@@ -238,23 +249,34 @@ func pushOnce(dial DialFunc, addr string, gen uint64, mods []openflow.FlowMod, d
 	}
 	defer func() { _ = conn.Close() }()
 	conn.SetIOTimeout(ioTO)
-	if err := conn.Ping([]byte("pmedic")); err != nil {
-		return 0, false, err
-	}
-	msg, _, err := conn.Request(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: gen})
+	roleXID, err := conn.Queue(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: gen})
 	if err != nil {
 		return 0, false, err
 	}
-	if _, ok := msg.(openflow.RoleReply); !ok {
-		return 0, false, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
-	}
 	for _, m := range mods {
-		if _, err := conn.Send(m); err != nil {
-			return 0, true, err
+		if _, err := conn.Queue(m); err != nil {
+			return 0, false, err
 		}
-		sentAny = true
 	}
-	msg, _, err = conn.Request(openflow.BarrierRequest{})
+	barrierXID, err := conn.Queue(openflow.BarrierRequest{})
+	if err != nil {
+		return 0, false, err
+	}
+	sentAny = len(mods) > 0
+	if err := conn.Flush(); err != nil {
+		return 0, sentAny, err
+	}
+	msg, _, err := conn.RecvXID(roleXID)
+	if err != nil {
+		if _, stale := staleGeneration(err); stale {
+			sentAny = false
+		}
+		return 0, sentAny, err
+	}
+	if _, ok := msg.(openflow.RoleReply); !ok {
+		return 0, sentAny, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
+	}
+	msg, _, err = conn.RecvXID(barrierXID)
 	if err != nil {
 		return 0, sentAny, err
 	}
@@ -262,6 +284,16 @@ func pushOnce(dial DialFunc, addr string, gen uint64, mods []openflow.FlowMod, d
 		return 0, sentAny, fmt.Errorf("sdnsim: push %s: unexpected %v to barrier", addr, msg.MsgType())
 	}
 	return len(mods), false, nil
+}
+
+// staleGeneration reports whether err is an agent's refusal of a stale
+// mastership claim, and the generation the agent holds.
+func staleGeneration(err error) (gen uint64, ok bool) {
+	var re *openflow.RemoteError
+	if errors.As(err, &re) {
+		return re.StaleGeneration()
+	}
+	return 0, false
 }
 
 // cfgEqual compares two desired configurations, treating only identical
@@ -355,42 +387,33 @@ func PushRecoveryResilient(
 		rep.Rounds++
 
 		var (
-			wg      sync.WaitGroup
 			mu      sync.Mutex
 			failed  []topo.NodeID
-			slots   = make(chan struct{}, opts.Concurrency)
 			updated = make(map[topo.NodeID]map[flow.ID]bool)
 		)
-		for _, sp := range work {
-			wg.Add(1)
-			slots <- struct{}{}
-			go func(sp switchPush) {
-				defer func() {
-					<-slots
-					wg.Done()
-				}()
-				out := &rep.Outcomes[sp.index]
-				acked, dirty, err := pushSwitch(addrs, sp, &gen, opts)
-				mu.Lock()
-				defer mu.Unlock()
-				out.Attempts += acked.attempts
-				if err == nil {
-					out.Status = PushApplied
-					out.FlowModsAcked += acked.mods
-					out.Dirty = false
-					out.Err = nil
-					updated[sp.sw] = sp.cfg
-					return
-				}
-				out.Status = PushDemoted
-				out.Err = err
-				if dirty {
-					out.Dirty = true
-				}
-				failed = append(failed, sp.sw)
-			}(sp)
-		}
-		wg.Wait()
+		runPool(len(work), opts.Concurrency, func(i int) {
+			sp := work[i]
+			out := &rep.Outcomes[sp.index]
+			acked, dirty, err := pushSwitch(addrs, sp, &gen, opts)
+			mu.Lock()
+			defer mu.Unlock()
+			out.Attempts += acked.attempts
+			out.Elapsed += acked.elapsed
+			if err == nil {
+				out.Status = PushApplied
+				out.FlowModsAcked += acked.mods
+				out.Dirty = false
+				out.Err = nil
+				updated[sp.sw] = sp.cfg
+				return
+			}
+			out.Status = PushDemoted
+			out.Err = err
+			if dirty {
+				out.Dirty = true
+			}
+			failed = append(failed, sp.sw)
+		})
 		for sw, cfg := range updated {
 			installed[sw] = cfg
 		}
@@ -469,24 +492,45 @@ func planDelta(plan []switchPush, inst *scenario.Instance, demoted map[topo.Node
 	return work
 }
 
+// runPool calls fn(0), …, fn(n-1) on at most concurrency goroutines and
+// returns when all have finished. It is the worker pool of every wire
+// driver: recovery push, fail-back restore, fencing sweep.
+func runPool(n, concurrency int, fn func(i int)) {
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, concurrency)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func(i int) {
+			defer func() {
+				<-slots
+				wg.Done()
+			}()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
 // attemptResult carries a worker's bookkeeping out of the retry loop.
 type attemptResult struct {
 	attempts int
 	mods     int
+	elapsed  time.Duration
 }
 
 // pushSwitch drives one switch's retry loop: bounded attempts, capped
 // exponential backoff with seeded jitter, and generation resynchronization
 // on stale-role errors. dirty reports whether any attempt left flow-mods
 // unconfirmed.
-func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64, opts PushOptions) (attemptResult, bool, error) {
-	res := attemptResult{}
+func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64, opts PushOptions) (res attemptResult, dirty bool, err error) {
+	start := time.Now()
+	defer func() { res.elapsed = time.Since(start) }()
 	addr, ok := addrs[sp.sw]
 	if !ok {
 		return res, false, fmt.Errorf("%w: %d", ErrAgentMissing, sp.sw)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed ^ (0x5DEECE66D * int64(sp.sw+1))))
-	dirty := false
 	var lastErr error
 	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
 		res.attempts++
@@ -499,28 +543,25 @@ func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64,
 			return res, false, nil
 		}
 		lastErr = err
-		var re *openflow.RemoteError
-		if errors.As(err, &re) {
-			if g, ok := re.StaleGeneration(); ok {
-				// Resyncing past the limit would claim into a newer epoch's
-				// generation range: this push has been fenced by a newer
-				// leader (or a newer epoch of our own daemon) and must not
-				// steal the switch back.
-				if opts.GenerationLimit != 0 && int64(g+1-opts.GenerationLimit) > 0 {
-					return res, dirty, fmt.Errorf("%w: switch %d holds generation %d, epoch limit %d",
-						ErrFenced, sp.sw, g, opts.GenerationLimit)
-				}
-				// Lift the driver's generation past the switch's and retry
-				// immediately: the claim itself was fine, only its epoch was
-				// behind.
-				for {
-					curGen := gen.Load()
-					if int64(g-curGen) < 0 || gen.CompareAndSwap(curGen, g+1) {
-						break
-					}
-				}
-				continue
+		if g, ok := staleGeneration(err); ok {
+			// Resyncing past the limit would claim into a newer epoch's
+			// generation range: this push has been fenced by a newer
+			// leader (or a newer epoch of our own daemon) and must not
+			// steal the switch back.
+			if opts.GenerationLimit != 0 && int64(g+1-opts.GenerationLimit) > 0 {
+				return res, dirty, fmt.Errorf("%w: switch %d holds generation %d, epoch limit %d",
+					ErrFenced, sp.sw, g, opts.GenerationLimit)
 			}
+			// Lift the driver's generation past the switch's and retry
+			// immediately: the claim itself was fine, only its epoch was
+			// behind.
+			for {
+				curGen := gen.Load()
+				if int64(g-curGen) < 0 || gen.CompareAndSwap(curGen, g+1) {
+					break
+				}
+			}
+			continue
 		}
 		if attempt < opts.MaxAttempts {
 			time.Sleep(backoff(opts, rng, attempt))

@@ -107,7 +107,7 @@ func TestResilientPushHealthyNetwork(t *testing.T) {
 			}
 			continue
 		}
-		if out.Status != PushApplied || out.Attempts != 1 || out.Dirty {
+		if out.Status != PushApplied || out.Attempts != 1 || out.Dirty || out.Elapsed <= 0 {
 			t.Fatalf("switch %d: %+v", out.Switch, out)
 		}
 	}
@@ -184,7 +184,9 @@ func indexOf(t *testing.T, fx *pushFixture, swID topo.NodeID) int {
 func TestResilientPushSurvivesChaos(t *testing.T) {
 	// Injected resets, dial failures, and latency on every control channel:
 	// bounded fault budgets guarantee the retry loops eventually win, and the
-	// end state must still match the plan exactly.
+	// end state must still match the plan exactly. The first four dials fail
+	// for certain, so retries happen whatever the seeded reset schedule does
+	// with the handful of writes a push now makes.
 	fx := newPushFixture(t, []int{3, 4})
 	dialer := chaos.NewDialer(chaos.Config{
 		Seed:         7,
@@ -192,7 +194,7 @@ func TestResilientPushSurvivesChaos(t *testing.T) {
 		Jitter:       2 * time.Millisecond,
 		ResetProb:    0.15,
 		MaxResets:    6,
-		DialFailProb: 0.2,
+		DialFailProb: 1,
 		MaxDialFails: 4,
 	})
 	dial := func(addr string, timeout time.Duration) (*openflow.Conn, error) {

@@ -2,8 +2,8 @@ package sdnsim
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"pmedic/internal/flow"
 	"pmedic/internal/topo"
@@ -15,7 +15,10 @@ type RestoreOutcome struct {
 	Status        PushStatus
 	Attempts      int
 	FlowModsAcked int
-	Err           error
+	// Elapsed is the wall time of the switch's push sessions, first dial to
+	// final barrier or demotion.
+	Elapsed time.Duration
+	Err     error
 }
 
 // RestoreReport is the structured result of a fail-back push.
@@ -56,15 +59,13 @@ func RestoreIdeal(
 	for i, swID := range switches {
 		rep.Outcomes[i] = RestoreOutcome{Switch: swID, Status: PushLegacyPlanned}
 		sp := switchPush{index: i, sw: swID}
-		for l := range flows.Flows {
-			f := &flows.Flows[l]
-			for h := 0; h+1 < len(f.Path); h++ {
-				if f.Path[h] == swID {
-					sp.mods = append(sp.mods, addMod(f, swID))
-					break
-				}
+		// The switch→flows index lists every flow through swID; the flow's
+		// destination holds no entry for it.
+		flows.ForEachFlowThrough(swID, func(l flow.ID) {
+			if f := &flows.Flows[l]; f.Dst != swID {
+				sp.mods = append(sp.mods, addMod(f, swID))
 			}
-		}
+		})
 		if len(sp.mods) > 0 {
 			work = append(work, sp)
 		}
@@ -72,38 +73,26 @@ func RestoreIdeal(
 
 	gen := atomic.Uint64{}
 	gen.Store(opts.GenerationID)
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		slots = make(chan struct{}, opts.Concurrency)
-	)
-	for _, sp := range work {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func(sp switchPush) {
-			defer func() {
-				<-slots
-				wg.Done()
-			}()
-			acked, _, err := pushSwitch(addrs, sp, &gen, opts)
-			mu.Lock()
-			defer mu.Unlock()
-			out := &rep.Outcomes[sp.index]
-			out.Attempts = acked.attempts
-			if err != nil {
-				out.Status = PushDemoted
-				out.Err = err
-				rep.Failed = append(rep.Failed, sp.sw)
-				return
-			}
-			out.Status = PushApplied
-			out.FlowModsAcked = acked.mods
-		}(sp)
-	}
-	wg.Wait()
-	sort.Slice(rep.Failed, func(a, b int) bool { return rep.Failed[a] < rep.Failed[b] })
+	runPool(len(work), opts.Concurrency, func(i int) {
+		sp := work[i]
+		acked, _, err := pushSwitch(addrs, sp, &gen, opts)
+		out := &rep.Outcomes[sp.index]
+		out.Attempts = acked.attempts
+		out.Elapsed = acked.elapsed
+		if err != nil {
+			out.Status = PushDemoted
+			out.Err = err
+			return
+		}
+		out.Status = PushApplied
+		out.FlowModsAcked = acked.mods
+	})
 	for i := range rep.Outcomes {
 		rep.FlowModsAcked += rep.Outcomes[i].FlowModsAcked
+		if rep.Outcomes[i].Status == PushDemoted {
+			rep.Failed = append(rep.Failed, rep.Outcomes[i].Switch)
+		}
 	}
+	sort.Slice(rep.Failed, func(a, b int) bool { return rep.Failed[a] < rep.Failed[b] })
 	return rep, nil
 }
