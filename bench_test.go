@@ -3,25 +3,20 @@ package pmedic
 // One benchmark per table/figure of the paper's evaluation: each bench
 // regenerates the data series behind its figure (workload + sweep + metric
 // extraction) once per iteration and sanity-checks the reproduced shape.
-// `go test -bench=. -benchmem` therefore doubles as the reproduction run;
-// cmd/pmsim pretty-prints the same series.
+// `go test -run '^$' -bench . -benchtime 1x .` is therefore the reproduction
+// run; cmd/pmsim pretty-prints the same series. These benches assert shape,
+// not speed: every performance number comes from ./benchmark (BENCHMARK.json),
+// which has a per-layer metric for each hot path.
 
 import (
 	"fmt"
-	"math"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmedic/internal/core"
 	"pmedic/internal/eval"
 	"pmedic/internal/flow"
-	"pmedic/internal/lp"
 	"pmedic/internal/opt"
-	"pmedic/internal/planstore"
-	"pmedic/internal/region"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
@@ -435,32 +430,6 @@ func BenchmarkFig7ComputationTime(b *testing.B) {
 	}
 }
 
-// --- individual algorithm microbenches (the Fig. 7 ingredients) ---
-
-func benchAlgorithm(b *testing.B, run func(*core.Problem) (*core.Solution, error)) {
-	b.Helper()
-	_, _, ctx := benchFixtures(b)
-	inst, err := ctx.Build([]int{3, 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(inst.Problem); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAlgorithmPM times one PM solve of the headline case.
-func BenchmarkAlgorithmPM(b *testing.B) { benchAlgorithm(b, core.PM) }
-
-// BenchmarkAlgorithmRetroFlow times one RetroFlow solve of the headline case.
-func BenchmarkAlgorithmRetroFlow(b *testing.B) { benchAlgorithm(b, core.RetroFlow) }
-
-// BenchmarkAlgorithmPG times one PG solve of the headline case.
-func BenchmarkAlgorithmPG(b *testing.B) { benchAlgorithm(b, core.PG) }
-
 // --- ablations (design knobs called out in DESIGN.md) ---
 
 // BenchmarkAblationSlack sweeps the path-counting hop slack: looser bounds
@@ -534,317 +503,6 @@ func BenchmarkAblationPMIterations(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadGeneration times the Table III ingredient in isolation.
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	dep, err := topo.ATT()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := flow.Generate(dep.Graph, flow.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScenarioBuild times cold failure-case compilation: context
-// precomputation plus case assembly, as a one-shot caller would pay it.
-func BenchmarkScenarioBuild(b *testing.B) {
-	dep, flows, _ := benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Build(dep, flows, []int{3, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScenarioContextBuild times warm failure-case compilation from a
-// shared context — the per-case cost a sweep actually pays.
-func BenchmarkScenarioContextBuild(b *testing.B) {
-	_, _, ctx := benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctx.Build([]int{3, 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- solver scale benches: the sparse-simplex payoff beyond ATT ---
-
-// scaleProblem compiles a single-controller-failure instance on the
-// deterministic 100-node synthetic deployment: ~1 650 constraint rows and
-// ~2 500 binaries — the scale where the dense explicit inverse's O(m³)
-// refactorization is visibly superlinear and the eta file is not.
-func scaleProblem(b *testing.B) *core.Problem {
-	b.Helper()
-	dep, err := topo.Synthetic(100, 8, 12000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := scenario.Build(dep, flows, []int{0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return inst.Problem
-}
-
-func benchOptScale(b *testing.B, f lp.Factorization) {
-	p := scaleProblem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := opt.SensitivitiesWith(p, lp.Options{Factorization: f})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Objective <= 0 {
-			b.Fatalf("degenerate relaxation objective %v", s.Objective)
-		}
-	}
-}
-
-// millionFlowFixture is the carrier-scale input: a 1000-node synthetic
-// deployment with ~10⁶ all-pairs flows (999 000 exactly). Generation takes
-// ~30 s, so it is built once and shared; every benchmark iteration still
-// compiles its failure case and solves from scratch.
-var millionFlow struct {
-	once  sync.Once
-	dep   *topo.Deployment
-	flows *flow.Set
-	ctx   *scenario.Context
-	err   error
-}
-
-func millionFlowFixture(b *testing.B) (*topo.Deployment, *flow.Set, *scenario.Context) {
-	b.Helper()
-	millionFlow.once.Do(func() {
-		// Capacity clears the largest pre-failure domain load (~2.49 M flow
-		// traversals at n=1000, m=10) with headroom for recovery.
-		dep, err := topo.Synthetic(1000, 10, 2_600_000)
-		if err != nil {
-			millionFlow.err = err
-			return
-		}
-		flows, err := flow.Generate(dep.Graph, flow.Options{})
-		if err != nil {
-			millionFlow.err = err
-			return
-		}
-		ctx, err := scenario.NewContext(dep, flows)
-		if err != nil {
-			millionFlow.err = err
-			return
-		}
-		millionFlow.dep, millionFlow.flows, millionFlow.ctx = dep, flows, ctx
-	})
-	if millionFlow.err != nil {
-		b.Fatal(millionFlow.err)
-	}
-	return millionFlow.dep, millionFlow.flows, millionFlow.ctx
-}
-
-// BenchmarkMillionFlow times one depth-1 sweep case end to end at million-flow
-// scale: failure-case compilation from the shared context plus a PM solve.
-// This is the tentpole's headline path — the case compiles through the
-// switch→flows CSR index (touching only flows that cross the failed domain)
-// and PM plans over weighted equivalence classes instead of individual flows,
-// which is what keeps the case in the hundreds of milliseconds instead of
-// minutes.
-func BenchmarkMillionFlow(b *testing.B) {
-	_, flows, ctx := millionFlowFixture(b)
-	if flows.Len() != 999_000 {
-		b.Fatalf("flows = %d, want 999000", flows.Len())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst, err := ctx.Build([]int{0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sol, err := core.PM(inst.Problem)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := inst.Evaluate(sol)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.RecoveredFlows == 0 {
-			b.Fatal("no flows recovered at scale")
-		}
-		if i == 0 {
-			classes := inst.Problem.ClassCount()
-			if classes <= 0 {
-				b.Fatalf("instance not class-aggregable (classes=%d)", classes)
-			}
-			b.ReportMetric(float64(inst.Problem.NumFlows), "offline-flows")
-			b.ReportMetric(float64(classes), "classes")
-			b.ReportMetric(float64(inst.Problem.NumFlows)/float64(classes), "flows/class")
-		}
-	}
-}
-
-// --- hierarchical region-sharded planning (DESIGN.md §15) ---
-
-// hierWAN is the carrier-scale clustered fixture: 1000 switches, 50
-// controllers, 8 natural clusters, all-pairs traffic (999 000 flows),
-// capacity sized at 1.5x the heaviest pre-failure domain load. Workload
-// generation takes ~30 s, so the fixture is built once and shared.
-var hierWAN struct {
-	once  sync.Once
-	dep   *topo.Deployment
-	flows *flow.Set
-	ctx   *scenario.Context
-	part  *region.Partition
-	err   error
-}
-
-func hierWANFixture(b *testing.B) (*topo.Deployment, *flow.Set, *scenario.Context, *region.Partition) {
-	b.Helper()
-	hierWAN.once.Do(func() {
-		const (
-			n, m, k = 1000, 50, 8
-			seed    = 1
-		)
-		opts := topo.SyntheticOpts{Seed: seed, Regions: k}
-		dep, err := topo.SyntheticWithOpts(n, m, 1, opts)
-		if err != nil {
-			hierWAN.err = err
-			return
-		}
-		flows, err := flow.Generate(dep.Graph, flow.Options{})
-		if err != nil {
-			hierWAN.err = err
-			return
-		}
-		maxLoad := 0
-		for _, c := range dep.Controllers {
-			load := 0
-			for _, sw := range c.Domain {
-				load += flows.SwitchFlowCount(sw)
-			}
-			if load > maxLoad {
-				maxLoad = load
-			}
-		}
-		if dep, err = topo.SyntheticWithOpts(n, m, maxLoad+maxLoad/2+1, opts); err != nil {
-			hierWAN.err = err
-			return
-		}
-		ctx, err := scenario.NewContext(dep, flows)
-		if err != nil {
-			hierWAN.err = err
-			return
-		}
-		part, err := region.New(dep, k, seed)
-		if err != nil {
-			hierWAN.err = err
-			return
-		}
-		hierWAN.dep, hierWAN.flows, hierWAN.ctx, hierWAN.part = dep, flows, ctx, part
-	})
-	if hierWAN.err != nil {
-		b.Fatal(hierWAN.err)
-	}
-	return hierWAN.dep, hierWAN.flows, hierWAN.ctx, hierWAN.part
-}
-
-// BenchmarkHierarchical1000 is the tentpole headline: a full depth-1 sweep
-// (50 failure cases) of the 1000-node / 50-controller clustered WAN, solving
-// every case with flat PM and with the hierarchical region-sharded PM on the
-// same instance. The whole sweep — case compilation included — lands in
-// seconds, and the per-case mean solve times of both algorithms go into the
-// JSON as case-flat-ms / case-hier-ms: the documented comparison against the
-// flat-PM baseline at the largest size flat can still finish. Flat runs
-// first, so the per-case flow-class index (built once and shared by both
-// solvers) is charged to the baseline exactly as a standalone flat sweep
-// would pay it; the hierarchical times are planning proper — region slices,
-// class-index derivation per slice, border coordination, and two improver
-// rounds. On a single-core host the hierarchical solve costs a small constant
-// factor over flat (its region solves serialize); its worker-pool parallelism
-// across touched regions is asserted byte-identical by the region tests.
-func BenchmarkHierarchical1000(b *testing.B) {
-	dep, flows, ctx, part := hierWANFixture(b)
-	algs := []eval.Algorithm{
-		{Name: "PM", Run: func(inst *scenario.Instance) (*core.Solution, error) {
-			return core.PM(inst.Problem)
-		}},
-		eval.HierPM(part, region.SolveOptions{ImproveRounds: 2}),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cases, err := eval.SweepOpts(dep, flows, 1, algs, eval.Options{Context: ctx})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(cases) != len(dep.Controllers) {
-			b.Fatalf("swept %d cases, want %d", len(cases), len(dep.Controllers))
-		}
-		for _, c := range cases {
-			for _, name := range []string{"PM", "PM-H"} {
-				rep := c.Report(name)
-				if rep == nil {
-					b.Fatalf("case %s: no %s result", c.Label, name)
-				}
-				if rep.RecoveredFlows == 0 {
-					b.Fatalf("case %s: %s recovered no flows", c.Label, name)
-				}
-			}
-		}
-		if i == 0 {
-			flatMean, _ := eval.MeanRuntime(cases, "PM")
-			hierMean, _ := eval.MeanRuntime(cases, "PM-H")
-			b.ReportMetric(float64(flatMean.Microseconds())/1000, "case-flat-ms")
-			b.ReportMetric(float64(hierMean.Microseconds())/1000, "case-hier-ms")
-			b.ReportMetric(float64(len(part.Border)), "border-switches")
-		}
-	}
-}
-
-// BenchmarkRegionPartition times the deterministic partitioner on the
-// 1000-node WAN. A single partition is around a millisecond — inside timer
-// noise on a contended host at the suite's -benchtime — so ns/op is
-// overridden with the fastest of 8 builds per iteration, the same robust-min
-// pattern the plan-store benches use.
-func BenchmarkRegionPartition(b *testing.B) {
-	dep, _, _, _ := hierWANFixture(b)
-	minNs := math.MaxFloat64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < 8; r++ {
-			t0 := time.Now()
-			part, err := region.New(dep, 8, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if d := float64(time.Since(t0).Nanoseconds()); d < minNs {
-				minNs = d
-			}
-			if len(part.Border) == 0 {
-				b.Fatal("degenerate partition: no border")
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(minNs, "ns/op")
-}
-
-// BenchmarkOptScaleSparse times the compact model's LP relaxation on the
-// 100-node instance with the product-form eta file.
-func BenchmarkOptScaleSparse(b *testing.B) { benchOptScale(b, lp.FactorSparse) }
-
-// BenchmarkOptScaleDense times the same relaxation with the dense explicit
-// inverse the solver used before the sparse rewrite; the gap between this
-// bench and BenchmarkOptScaleSparse is the tentpole's headline number.
-func BenchmarkOptScaleDense(b *testing.B) { benchOptScale(b, lp.FactorDense) }
-
 // --- extension benches (beyond the paper; see EXPERIMENTS.md) ---
 
 // BenchmarkExtensionCascade measures a cascading-failure episode per
@@ -892,199 +550,4 @@ func BenchmarkExtensionSuccessiveChurn(b *testing.B) {
 			b.Fatal("no common switches across successive steps")
 		}
 	}
-}
-
-// BenchmarkPlanStoreLookup measures the plan store's failure-path cost — an
-// Exact binary search plus zero-allocation delta decode into a reused shell —
-// and reports the speedup over solving the same case fresh with core.PM as
-// solve-speedup-x (the acceptance floor is 100×). A single lookup is around
-// a hundred nanoseconds, far below timer noise at the suite's -benchtime 1x,
-// so the loop runs batches of 32768 lookups and overrides ns/op with the
-// robust per-lookup minimum (see the chunk comment below) — the figure the
-// perf gate compares across baselines.
-func BenchmarkPlanStoreLookup(b *testing.B) {
-	dep, flows, ctx := benchFixtures(b)
-	path := filepath.Join(b.TempDir(), "att.pmps")
-	if _, err := planstore.Compile(dep, flows, path, planstore.CompileOptions{Depth: 2, Context: ctx}); err != nil {
-		b.Fatal(err)
-	}
-	st, err := planstore.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	inst, err := ctx.Build([]int{3, 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	// Warm both paths (and the CPU's frequency governor) before pricing
-	// either: a cold run understates the solve and overstates the lookup.
-	const lookupsPerOp = 32768
-	sol := core.NewSolution("PM", inst.Problem)
-	for l := 0; l < lookupsPerOp; l++ {
-		rec, ok := st.Exact(inst.Failed)
-		if !ok {
-			b.Fatal("compiled case {3,4} absent from the store")
-		}
-		if err := st.DecodeInto(rec, inst, sol); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	// Price the path the store replaces: a fresh PM solve of the same case.
-	// Both sides are measured as minima over repeated slices — preemption on
-	// a busy host only ever adds time, so the minimum is the robust estimate
-	// of the true cost at the suite's tiny -benchtime.
-	const solveRounds = 20
-	solveNs := math.MaxFloat64
-	for i := 0; i < solveRounds; i++ {
-		t0 := time.Now()
-		if _, err := core.PM(inst.Problem); err != nil {
-			b.Fatal(err)
-		}
-		if d := float64(time.Since(t0).Nanoseconds()); d < solveNs {
-			solveNs = d
-		}
-	}
-
-	// 256 chunks of 128 lookups per op: each chunk is tens of microseconds,
-	// short enough that most chunks land inside a clean scheduling window
-	// even on a contended host, so the min converges fast.
-	const chunk = 128
-	minChunkNs := math.MaxFloat64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for base := 0; base < lookupsPerOp; base += chunk {
-			t0 := time.Now()
-			for l := 0; l < chunk; l++ {
-				rec, ok := st.Exact(inst.Failed)
-				if !ok {
-					b.Fatal("compiled case {3,4} absent from the store")
-				}
-				if err := st.DecodeInto(rec, inst, sol); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if d := float64(time.Since(t0).Nanoseconds()); d < minChunkNs {
-				minChunkNs = d
-			}
-		}
-	}
-	b.StopTimer()
-	if perLookup := minChunkNs / chunk; perLookup > 0 {
-		b.ReportMetric(perLookup, "ns/op")
-		b.ReportMetric(solveNs/perLookup, "solve-speedup-x")
-	}
-}
-
-// sweepDeltaFixture compiles the delta-sweep bench input once: a 100-node /
-// 8-controller synthetic WAN (~9 900 all-pairs flows) whose depth-3 failure
-// enumeration (56 cases) is deep enough that Gray-adjacent cases share two
-// of their three failed domains.
-var sweepDeltaOnce struct {
-	sync.Once
-	ctx    *scenario.Context
-	combos [][]int
-	err    error
-}
-
-func sweepDeltaFixture(b *testing.B) (*scenario.Context, [][]int) {
-	b.Helper()
-	sweepDeltaOnce.Do(func() {
-		dep, err := topo.Synthetic(100, 8, 12000)
-		if err != nil {
-			sweepDeltaOnce.err = err
-			return
-		}
-		flows, err := flow.Generate(dep.Graph, flow.Options{})
-		if err != nil {
-			sweepDeltaOnce.err = err
-			return
-		}
-		ctx, err := scenario.NewContext(dep, flows)
-		if err != nil {
-			sweepDeltaOnce.err = err
-			return
-		}
-		sweepDeltaOnce.ctx = ctx
-		sweepDeltaOnce.combos = scenario.Combinations(len(dep.Controllers), 3)
-	})
-	if sweepDeltaOnce.err != nil {
-		b.Fatal(sweepDeltaOnce.err)
-	}
-	return sweepDeltaOnce.ctx, sweepDeltaOnce.combos
-}
-
-// BenchmarkSweepDelta prices case compilation through the two sweep engines
-// on the same depth-3 enumeration: ns/op is the delta engine's full-sweep
-// time (min over iterations, robust to host contention), scratch-ns the
-// reference engine measured in the same iterations, and delta-speedup-x
-// their ratio. fn is a trivial consistency check so the numbers isolate
-// compilation: with real solves the delta win narrows toward the
-// compile/solve ratio, and the pipelining hides most of the compile cost
-// behind the solves.
-func BenchmarkSweepDelta(b *testing.B) {
-	ctx, combos := sweepDeltaFixture(b)
-	run := func(mode eval.SweepMode) time.Duration {
-		var flowsSeen atomic.Int64
-		t0 := time.Now()
-		err := eval.ForEachCaseMode(ctx, combos, 0, mode, func(idx int, inst *scenario.Instance) error {
-			if inst.Problem.NumFlows == 0 {
-				return fmt.Errorf("case %v compiled empty", combos[idx])
-			}
-			flowsSeen.Add(int64(inst.Problem.NumFlows))
-			return nil
-		})
-		d := time.Since(t0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if flowsSeen.Load() == 0 {
-			b.Fatal("sweep visited no flows")
-		}
-		return d
-	}
-	minDelta, minScratch := math.MaxFloat64, math.MaxFloat64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := float64(run(eval.SweepDelta).Nanoseconds()); d < minDelta {
-			minDelta = d
-		}
-		if d := float64(run(eval.SweepScratch).Nanoseconds()); d < minScratch {
-			minScratch = d
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(minDelta, "ns/op")
-	b.ReportMetric(minScratch, "scratch-ns")
-	b.ReportMetric(minScratch/minDelta, "delta-speedup-x")
-}
-
-// BenchmarkPlanStoreCompile measures the offline cost the lookup path
-// amortizes: a full depth-2 sweep of the ATT deployment (21 cases) solved,
-// delta-encoded, and written atomically. Like the lookup bench, ns/op is
-// overridden with the fastest iteration so the perf gate compares real
-// compile cost rather than host contention.
-func BenchmarkPlanStoreCompile(b *testing.B) {
-	dep, flows, ctx := benchFixtures(b)
-	path := filepath.Join(b.TempDir(), "att.pmps")
-	minNs := math.MaxFloat64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		stats, err := planstore.Compile(dep, flows, path, planstore.CompileOptions{Depth: 2, Context: ctx})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if d := float64(time.Since(t0).Nanoseconds()); d < minNs {
-			minNs = d
-		}
-		if stats.Entries != 21 {
-			b.Fatalf("depth-2 ATT sweep compiled %d plans, want 21", stats.Entries)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(minNs, "ns/op")
 }

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	pmstore -out att.pmps [-depth 2] [-sets 3,4;2,3,4] [-workers 0]
-//	        [-sweep-mode delta|scratch] [-info]
+//	pmstore -out att.pmps [-depth 2] [-sets 3,4;2,3,4] [-workers 0] [-info]
 //
 // -sets compiles exactly the named failure sets (semicolon-separated lists
 // of comma-separated controller indices) instead of a full depth sweep —
@@ -24,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 
-	"pmedic/internal/eval"
 	"pmedic/internal/flow"
 	"pmedic/internal/planstore"
 	"pmedic/internal/topo"
@@ -43,7 +41,6 @@ func run(args []string, out io.Writer) error {
 	depth := fs.Int("depth", 2, "sweep every failure combination of size 1..depth")
 	sets := fs.String("sets", "", "compile exactly these failure sets instead (e.g. '3,4;2,3,4')")
 	workers := fs.Int("workers", 0, "solver concurrency (0 = one per CPU)")
-	sweepMode := fs.String("sweep-mode", "delta", "sweep case compilation: delta (incremental Gray chains) or scratch (per-case rebuild)")
 	info := fs.String("info", "", "print an existing store's header and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,9 +59,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := planstore.CompileOptions{Depth: *depth, Workers: *workers}
-	if opts.Mode, err = eval.ParseSweepMode(*sweepMode); err != nil {
-		return err
-	}
 	if *sets != "" {
 		if opts.Sets, err = parseSets(*sets); err != nil {
 			return err

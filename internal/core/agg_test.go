@@ -8,6 +8,7 @@ import (
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
+	"pmedic/internal/israce"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
@@ -250,5 +251,35 @@ func TestAggMatchesFlatSweep(t *testing.T) {
 		if tested == 0 {
 			t.Fatalf("cfg %+v: no feasible failure case was tested", c)
 		}
+	}
+}
+
+// TestPMAllocs bounds the allocations of a warm PM solve on the paper's
+// headline case (ATT, controllers 3 and 4 down, 600 flows: the flat path).
+// The solver's working state is pooled; what remains is the returned
+// Solution, so any fifth allocation is scratch that escaped the pool.
+func TestPMAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	dep, err := topo.ATT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := scenario.Build(dep, flows, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := core.PM(inst.Problem); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("warm core.PM = %.0f allocs/op, want <= 4", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 )
@@ -65,16 +66,12 @@ func (p *Problem) classIndexOf() *classIndex {
 	}
 
 	// Group flows by signature: sort flow IDs by (signature hash, signature,
-	// flow ID) and cut runs of equal signatures. The hash front-loads almost
-	// every comparison into one integer compare; the full lexicographic
-	// compare only breaks the rare collisions, keeping the grouping exact.
+	// flow ID) and cut runs of equal signatures.
 	hash := make([]uint64, L)
 	for l := 0; l < L; l++ {
-		h := uint64(1469598103934665603)
+		h := sigHashSeed
 		for _, k := range p.PairsOfFlow(l) {
-			pr := &p.Pairs[k]
-			h = (h ^ uint64(pr.Switch)) * 1099511628211
-			h = (h ^ uint64(pr.PBar)) * 1099511628211
+			h = sigHashFold(h, p.Pairs[k].Switch, p.Pairs[k].PBar)
 		}
 		hash[l] = h
 	}
@@ -98,18 +95,7 @@ func (p *Problem) classIndexOf() *classIndex {
 	for l := range order {
 		order[l] = int32(l)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if hash[a] != hash[b] {
-			if hash[a] < hash[b] {
-				return -1
-			}
-			return 1
-		}
-		if c := sigCmp(a, b); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
+	sortBySignature(order, hash, sigCmp)
 
 	ci := &classIndex{
 		classOf:   make([]int32, L),
@@ -139,63 +125,144 @@ func (p *Problem) classIndexOf() *classIndex {
 	return ci
 }
 
+// sigHashSeed and sigHashFold are the FNV-1a fold of a signature's (switch,
+// p̄) sequence; classIndexOf and regroupClasses must order by the same key.
+const sigHashSeed = uint64(1469598103934665603)
+
+func sigHashFold(h uint64, sw, pbar int) uint64 {
+	h = (h ^ uint64(sw)) * 1099511628211
+	return (h ^ uint64(pbar)) * 1099511628211
+}
+
+// sortBySignature orders IDs by (signature hash, signature, ID). The hash
+// front-loads almost every comparison into one integer compare; sigCmp, the
+// full lexicographic compare, only breaks the rare collisions, keeping the
+// grouping exact.
+func sortBySignature(order []int32, hash []uint64, sigCmp func(a, b int32) int) {
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(hash[a], hash[b]); c != 0 {
+			return c
+		}
+		if c := sigCmp(a, b); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+}
+
 // DeriveResidualClasses fills r's class index from its parent's, where r is
 // the residual of parent that excludes every pair at the switches marked in
-// excluded (scenario.Instance.Residual). Members of one parent class share a
-// signature, so they share the filtered signature too — deriving the residual
-// index only has to regroup the parent's classes (thousands) instead of
-// re-hashing every flow (millions), which is what puts a residual re-plan
-// back on the zero-ish-cost path the parent solve already paid for.
+// excluded (scenario.Instance.Residual). Switch and flow numbering are the
+// parent's; flows left without a pair stay flows and share the empty-signature
+// class. Deriving (regroupClasses) only regroups the parent's classes
+// (thousands) instead of re-hashing every flow (millions), which is what puts
+// a residual re-plan back on the zero-ish-cost path the parent solve already
+// paid for.
 //
 // The derived index is identical, field for field, to what classIndexOf
-// would compute from scratch on r (enforced by TestDeriveResidualClasses):
-// groups are ordered by the same (hash, signature) key and members stay
-// ascending by flow ID. The call is a no-op — r computes lazily as before —
-// when the parent's index is absent or unusable, or r already has one.
+// would compute from scratch on r (enforced by TestDeriveResidualClasses).
+// The call is a no-op — r computes lazily as before — when the parent's index
+// is absent or unusable, or r already has one.
 func (r *Problem) DeriveResidualClasses(parent *Problem, excluded []bool) {
 	pc := parent.classes
 	if pc == nil || pc.numClasses <= 0 || r.classes != nil || r.NumFlows != parent.NumFlows {
 		return
 	}
+	swMap := make([]int, len(excluded))
+	for s, ex := range excluded {
+		swMap[s] = s
+		if ex {
+			swMap[s] = -1
+		}
+	}
+	r.classes = regroupClasses(pc, r.NumFlows, swMap, nil)
+}
+
+// deriveSliceClasses fills sub's class index from its parent's, where sub is
+// the slow-path Slice of p: swLocal maps parent switch → local switch (-1 =
+// dropped) and flowLocal maps parent flow → local flow (-1 = dropped). A flow
+// joins a slice only through a kept pair, so a parent class whose template
+// loses every pair has every member dropped and disappears; a class with any
+// kept pair keeps all its members (equal signatures). This is what keeps a
+// multi-region hierarchical solve from paying a fresh classIndexOf per region
+// slice.
+//
+// Local switch and flow numbering are both ascending in parent order, so the
+// derived index is identical, field for field, to a scratch computation on
+// sub (enforced by TestDeriveSliceClasses). The call is a no-op when the
+// parent's index is absent or unusable, or sub already has one.
+func (sub *Problem) deriveSliceClasses(p *Problem, swLocal, flowLocal []int) {
+	pc := p.classes
+	if pc == nil || pc.numClasses <= 0 || sub.classes != nil {
+		return
+	}
+	// The slice gathers pairs switch-major, so its per-flow signatures come
+	// out switch-ascending no matter how the parent ordered its Pairs. The
+	// parent's templates mirror the parent's order (Finalize never sorts);
+	// deriving is only faithful when the two orders agree, i.e. every parent
+	// template is switch-nondecreasing (ties keep global pair order in both).
+	// Scenario-built problems are switch-major by construction; on a hand-built
+	// parent that isn't, bail and let the sub index itself lazily.
+	for c := 0; c < pc.numClasses; c++ {
+		for t := pc.tmplOff[c] + 1; t < pc.tmplOff[c+1]; t++ {
+			if pc.tmplSwitch[t] < pc.tmplSwitch[t-1] {
+				return
+			}
+		}
+	}
+	sub.classes = regroupClasses(pc, sub.NumFlows, swLocal, flowLocal)
+}
+
+// regroupClasses derives the class index of a problem cut out of the one pc
+// indexes: swMap[s] is the derived problem's ID of parent switch s, or -1 when
+// its pairs are gone; flowMap likewise for flows, nil meaning every flow is
+// kept under its own ID. Both maps must be ascending on what they keep.
+// Members of one parent class share a signature, so they share the filtered
+// signature too: the routine filters each parent template through swMap,
+// sorts the parent classes by classIndexOf's own (hash, signature) key over
+// the mapped switch IDs, cuts runs of equal filtered signatures, and merges
+// their member lists — so groups and members come out in the order a scratch
+// classIndexOf on the derived problem produces.
+func regroupClasses(pc *classIndex, numFlows int, swMap, flowMap []int) *classIndex {
 	nc := pc.numClasses
 
-	// Filtered-signature hash and length per parent class, same FNV fold as
-	// classIndexOf so run order matches a scratch computation.
+	// Filtered-signature hash and length per parent class.
 	hash := make([]uint64, nc)
 	flen := make([]int32, nc)
 	for c := 0; c < nc; c++ {
 		sw, pb := pc.template(int32(c))
-		h := uint64(1469598103934665603)
+		h := sigHashSeed
 		n := int32(0)
 		for t := range sw {
-			if excluded[sw[t]] {
-				continue
+			if si := swMap[sw[t]]; si >= 0 {
+				h = sigHashFold(h, si, int(pb[t]))
+				n++
 			}
-			h = (h ^ uint64(sw[t])) * 1099511628211
-			h = (h ^ uint64(pb[t])) * 1099511628211
-			n++
 		}
 		hash[c] = h
 		flen[c] = n
 	}
-	// cmp compares two parent classes' filtered signatures exactly the way
+	// sigCmp compares two parent classes' filtered signatures exactly the way
 	// classIndexOf's sigCmp compares flows: length first, then pairwise.
-	cmp := func(a, b int32) int {
+	sigCmp := func(a, b int32) int {
 		if flen[a] != flen[b] {
 			return int(flen[a] - flen[b])
+		}
+		if flen[a] == 0 {
+			return 0
 		}
 		swA, pbA := pc.template(a)
 		swB, pbB := pc.template(b)
 		tb := 0
 		for ta := range swA {
-			if excluded[swA[ta]] {
+			if swMap[swA[ta]] < 0 {
 				continue
 			}
-			for excluded[swB[tb]] {
+			for swMap[swB[tb]] < 0 {
 				tb++
 			}
-			if swA[ta] != swB[tb] {
-				return int(swA[ta] - swB[tb])
+			if d := swMap[swA[ta]] - swMap[swB[tb]]; d != 0 {
+				return d
 			}
 			if pbA[ta] != pbB[tb] {
 				return int(pbA[ta] - pbB[tb])
@@ -209,212 +276,59 @@ func (r *Problem) DeriveResidualClasses(parent *Problem, excluded []bool) {
 	for c := range order {
 		order[c] = int32(c)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if hash[a] != hash[b] {
-			if hash[a] < hash[b] {
-				return -1
-			}
-			return 1
-		}
-		if c := cmp(a, b); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
+	sortBySignature(order, hash, sigCmp)
 
 	ci := &classIndex{
-		classOf:   make([]int32, r.NumFlows),
-		members:   make([]int32, 0, r.NumFlows),
+		classOf:   make([]int32, numFlows),
+		members:   make([]int32, 0, numFlows),
 		memberOff: make([]int32, 1, nc+1),
 		tmplOff:   make([]int32, 1, nc+1),
 	}
 	for idx := 0; idx < nc; {
 		run := idx + 1
-		for run < nc && hash[order[run]] == hash[order[idx]] && cmp(order[run], order[idx]) == 0 {
+		for run < nc && hash[order[run]] == hash[order[idx]] && sigCmp(order[run], order[idx]) == 0 {
 			run++
 		}
-		c := int32(ci.numClasses)
+		group := order[idx:run]
+		idx = run
 		start := len(ci.members)
-		for _, pcls := range order[idx:run] {
-			lo, hi := pc.memberOff[pcls], pc.memberOff[pcls+1]
-			ci.members = append(ci.members, pc.members[lo:hi]...)
+		for _, pcls := range group {
+			m := pc.members[pc.memberOff[pcls]:pc.memberOff[pcls+1]]
+			if flowMap == nil {
+				ci.members = append(ci.members, m...)
+				continue
+			}
+			for _, l := range m {
+				if fl := flowMap[l]; fl >= 0 {
+					ci.members = append(ci.members, int32(fl))
+				}
+			}
 		}
-		// Parent member lists are each ascending; a merged group needs one
-		// sort to restore the global ascending-flow-ID order of a scratch run.
-		if run-idx > 1 {
+		if len(ci.members) == start {
+			continue // every member dropped: no class
+		}
+		// Each parent class's members are ascending and stay so under an
+		// ascending flowMap; a merged group needs one sort to restore the
+		// global ascending order of a scratch run.
+		if len(group) > 1 {
 			slices.Sort(ci.members[start:])
 		}
+		c := int32(ci.numClasses)
 		for _, l := range ci.members[start:] {
 			ci.classOf[l] = c
 		}
-		sw, pb := pc.template(order[idx])
+		sw, pb := pc.template(group[0])
 		for t := range sw {
-			if excluded[sw[t]] {
-				continue
+			if si := swMap[sw[t]]; si >= 0 {
+				ci.tmplSwitch = append(ci.tmplSwitch, int32(si))
+				ci.tmplPBar = append(ci.tmplPBar, pb[t])
 			}
-			ci.tmplSwitch = append(ci.tmplSwitch, sw[t])
-			ci.tmplPBar = append(ci.tmplPBar, pb[t])
 		}
 		ci.memberOff = append(ci.memberOff, int32(len(ci.members)))
 		ci.tmplOff = append(ci.tmplOff, int32(len(ci.tmplSwitch)))
 		ci.numClasses++
-		idx = run
 	}
-	r.classes = ci
-}
-
-// deriveSliceClasses fills sub's class index from its parent's, where sub is
-// the slow-path Slice of p: swLocal maps parent switch → local switch (-1 =
-// dropped) and flowLocal maps parent flow → local flow (-1 = dropped). Members
-// of one parent class share a signature, so they share the slice-filtered
-// signature too — deriving the slice index regroups the parent's classes
-// (thousands) instead of re-hashing the surviving flows (potentially
-// millions), which is what keeps a multi-region hierarchical solve from
-// paying a fresh classIndexOf per region slice.
-//
-// A parent class whose template loses every pair contributes no flows — a
-// flow joins a slice only through a kept pair — and is dropped; conversely a
-// class with any kept pair keeps all its members (equal signatures). Local
-// switch and flow numbering are both ascending in parent order, so hashing
-// the local switch IDs reproduces classIndexOf's sort keys and member order
-// exactly: the derived index is identical, field for field, to a scratch
-// computation on sub (enforced by TestDeriveSliceClasses). The call is a
-// no-op when the parent's index is absent or unusable, or sub already has
-// one.
-func (sub *Problem) deriveSliceClasses(p *Problem, swLocal, flowLocal []int) {
-	pc := p.classes
-	if pc == nil || pc.numClasses <= 0 || sub.classes != nil {
-		return
-	}
-	nc := pc.numClasses
-
-	// The slice gathers pairs switch-major, so its per-flow signatures come
-	// out switch-ascending no matter how the parent ordered its Pairs. The
-	// parent's templates mirror the parent's order (Finalize never sorts);
-	// deriving is only faithful when the two orders agree, i.e. every parent
-	// template is switch-nondecreasing (ties keep global pair order in both).
-	// Scenario-built problems are switch-major by construction; on a hand-built
-	// parent that isn't, bail and let the sub index itself lazily.
-	for c := 0; c < nc; c++ {
-		for t := pc.tmplOff[c] + 1; t < pc.tmplOff[c+1]; t++ {
-			if pc.tmplSwitch[t] < pc.tmplSwitch[t-1] {
-				return
-			}
-		}
-	}
-
-	// Filtered-signature hash and length per parent class, folding the LOCAL
-	// switch IDs with the same FNV fold as classIndexOf so run order matches a
-	// scratch computation on sub.
-	hash := make([]uint64, nc)
-	flen := make([]int32, nc)
-	kept := 0
-	for c := 0; c < nc; c++ {
-		sw, pb := pc.template(int32(c))
-		h := uint64(1469598103934665603)
-		n := int32(0)
-		for t := range sw {
-			si := swLocal[sw[t]]
-			if si < 0 {
-				continue
-			}
-			h = (h ^ uint64(si)) * 1099511628211
-			h = (h ^ uint64(pb[t])) * 1099511628211
-			n++
-		}
-		hash[c] = h
-		flen[c] = n
-		if n > 0 {
-			kept++
-		}
-	}
-	cmp := func(a, b int32) int {
-		if flen[a] != flen[b] {
-			return int(flen[a] - flen[b])
-		}
-		swA, pbA := pc.template(a)
-		swB, pbB := pc.template(b)
-		tb := 0
-		for ta := range swA {
-			if swLocal[swA[ta]] < 0 {
-				continue
-			}
-			for swLocal[swB[tb]] < 0 {
-				tb++
-			}
-			if d := swLocal[swA[ta]] - swLocal[swB[tb]]; d != 0 {
-				return d
-			}
-			if pbA[ta] != pbB[tb] {
-				return int(pbA[ta] - pbB[tb])
-			}
-			tb++
-		}
-		return 0
-	}
-
-	order := make([]int32, 0, kept)
-	for c := 0; c < nc; c++ {
-		if flen[c] > 0 {
-			order = append(order, int32(c))
-		}
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if hash[a] != hash[b] {
-			if hash[a] < hash[b] {
-				return -1
-			}
-			return 1
-		}
-		if c := cmp(a, b); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
-
-	ci := &classIndex{
-		classOf:   make([]int32, sub.NumFlows),
-		members:   make([]int32, 0, sub.NumFlows),
-		memberOff: make([]int32, 1, kept+1),
-		tmplOff:   make([]int32, 1, kept+1),
-	}
-	for idx := 0; idx < len(order); {
-		run := idx + 1
-		for run < len(order) && hash[order[run]] == hash[order[idx]] && cmp(order[run], order[idx]) == 0 {
-			run++
-		}
-		c := int32(ci.numClasses)
-		start := len(ci.members)
-		for _, pcls := range order[idx:run] {
-			lo, hi := pc.memberOff[pcls], pc.memberOff[pcls+1]
-			for _, l := range pc.members[lo:hi] {
-				ci.members = append(ci.members, int32(flowLocal[l]))
-			}
-		}
-		// Each parent class's members map to ascending local flow IDs
-		// (flowLocal is monotone on kept flows); a merged group needs one sort
-		// to restore the global ascending order of a scratch run.
-		if run-idx > 1 {
-			slices.Sort(ci.members[start:])
-		}
-		for _, sl := range ci.members[start:] {
-			ci.classOf[sl] = c
-		}
-		sw, pb := pc.template(order[idx])
-		for t := range sw {
-			si := swLocal[sw[t]]
-			if si < 0 {
-				continue
-			}
-			ci.tmplSwitch = append(ci.tmplSwitch, int32(si))
-			ci.tmplPBar = append(ci.tmplPBar, pb[t])
-		}
-		ci.memberOff = append(ci.memberOff, int32(len(ci.members)))
-		ci.tmplOff = append(ci.tmplOff, int32(len(ci.tmplSwitch)))
-		ci.numClasses++
-		idx = run
-	}
-	sub.classes = ci
+	return ci
 }
 
 // ClassCount returns the number of flow equivalence classes of a finalized

@@ -43,8 +43,14 @@ func PM(p *Problem) (*Solution, error) {
 	return pmFlat(p)
 }
 
-// aggMinFlows is the instance size below which aggregation cannot pay for
-// its class-index and group bookkeeping.
+// aggMinFlows is the instance size below which the solvers stay on their
+// per-flow paths. Measured, not assumed: with the aggregated paths forced on
+// the ATT instance (600 flows, whose signatures barely repeat), the benchmark's
+// sweep-att pass over 41 cases × PM, RetroFlow and PG went from 4.9 to 16.1 ms
+// (op_ms_q1, 6 alternating pairs, same digests) — 3.3× slower, all of it
+// class-index and group bookkeeping that has no duplicates to amortize over.
+// scale-syn (999 000 flows, tens of flows per class) is the workload on the
+// other side of the threshold.
 const aggMinFlows = 1024
 
 // aggClassIndex returns the class index when the aggregated solver paths

@@ -16,18 +16,31 @@ import (
 // and they are zeroed before comparing.
 func TestSweepDeterminism(t *testing.T) {
 	dep, flows := fixtures(t)
-	run := func(workers int, mode SweepMode) []*CaseResult {
-		t.Helper()
-		cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: workers, Mode: mode})
-		if err != nil {
-			t.Fatalf("Workers=%d Mode=%d: %v", workers, mode, err)
-		}
+	ctx, err := scenario.NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := scenario.Combinations(len(dep.Controllers), 2)
+	zeroRuntimes := func(cases []*CaseResult) []*CaseResult {
 		for _, c := range cases {
 			for _, rep := range c.Reports {
 				rep.Runtime = 0
 			}
 		}
 		return cases
+	}
+	run := func(workers int, mode SweepMode) []*CaseResult {
+		t.Helper()
+		cases := make([]*CaseResult, len(combos))
+		err := ForEachCaseMode(ctx, combos, workers, mode, func(idx int, inst *scenario.Instance) error {
+			cr, err := evalCase(inst, combos[idx], heuristics())
+			cases[idx] = cr
+			return err
+		})
+		if err != nil {
+			t.Fatalf("Workers=%d Mode=%d: %v", workers, mode, err)
+		}
+		return zeroRuntimes(cases)
 	}
 
 	reference := run(1, SweepScratch)
@@ -45,11 +58,18 @@ func TestSweepDeterminism(t *testing.T) {
 			}
 		}
 	}
-	again := run(8, SweepDelta)
-	delta := run(8, SweepDelta)
-	for i := range delta {
-		if !reflect.DeepEqual(delta[i], again[i]) {
-			t.Errorf("case %d (%s): two Workers=8 delta runs differ", i, delta[i].Label)
+	// The public entry point rides the delta engine: two parallel sweeps
+	// agree with the sequential scratch reference, hence with each other.
+	for round := 0; round < 2; round++ {
+		cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range zeroRuntimes(cases) {
+			if !reflect.DeepEqual(reference[i], cases[i]) {
+				t.Errorf("case %d (%s): SweepOpts Workers=8 run %d differs from sequential scratch",
+					i, reference[i].Label, round)
+			}
 		}
 	}
 }
@@ -58,7 +78,7 @@ func TestSweepDeterminism(t *testing.T) {
 // the evaluated reports) between the delta and scratch engines, over the
 // mixed-size case enumeration the plan-store compiler uses, at several
 // worker counts. This is the delta ≡ scratch equivalence gate CI runs under
-// -race before the bench gate.
+// -race.
 func TestForEachCaseModeEquivalence(t *testing.T) {
 	dep, flows := fixtures(t)
 	ctx, err := scenario.NewContext(dep, flows)

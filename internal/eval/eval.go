@@ -65,61 +65,38 @@ func (c *CaseResult) Report(name string) *core.Report {
 	return c.Reports[name]
 }
 
-// SweepMode selects the sweep engine's case-compilation strategy.
+// SweepMode selects ForEachCaseMode's case-compilation strategy. Sweeps and
+// plan-store compiles always use SweepDelta; the mode exists so tests and the
+// benchmark can run the reference engine beside it.
 type SweepMode int
 
 const (
-	// SweepDelta — the default — compiles cases incrementally: the engine
-	// re-sequences each complete C(m, k) block into revolving-door Gray
-	// order (combos.go), partitions it into per-worker chains, and patches
-	// each case out of its chain predecessor via
-	// scenario.Context.BuildDeltaCase while the previous case is still
-	// being solved (the compile and solve stages of a chain are pipelined).
-	// Output is byte-identical to SweepScratch at any worker count.
+	// SweepDelta compiles cases incrementally: the engine re-sequences each
+	// complete C(m, k) block into revolving-door Gray order (combos.go),
+	// partitions it into per-worker chains, and patches each case out of its
+	// chain predecessor via scenario.Context.BuildDeltaCase while the
+	// previous case is still being solved (the compile and solve stages of a
+	// chain are pipelined). Output is byte-identical to SweepScratch at any
+	// worker count.
 	SweepDelta SweepMode = iota
 	// SweepScratch compiles every case independently with
-	// scenario.Context.Build over a plain worker pool — the pre-delta
-	// reference engine, kept as the escape hatch (`pmsim -sweep-mode
-	// scratch`) and as the baseline the delta≡scratch equivalence tests
-	// and BenchmarkSweepDelta compare against.
+	// scenario.Context.Build over a plain worker pool — the reference engine
+	// the delta≡scratch equivalence tests and the benchmark's
+	// eval.engine_scratch_us_per_case compare against.
 	SweepScratch
 )
 
-// String names the mode the way the -sweep-mode flags spell it.
-func (m SweepMode) String() string {
-	if m == SweepScratch {
-		return "scratch"
-	}
-	return "delta"
-}
-
-// ParseSweepMode parses a -sweep-mode flag value ("delta" or "scratch").
-func ParseSweepMode(s string) (SweepMode, error) {
-	switch s {
-	case "delta":
-		return SweepDelta, nil
-	case "scratch":
-		return SweepScratch, nil
-	default:
-		return SweepDelta, fmt.Errorf("eval: unknown sweep mode %q (want delta or scratch)", s)
-	}
-}
-
 // Options tunes Sweep's evaluation engine. The zero value selects the
-// defaults: one worker per available CPU, delta-mode case compilation, and a
-// fresh scenario context.
+// defaults: one worker per available CPU and a fresh scenario context.
 type Options struct {
 	// Workers bounds the number of failure cases evaluated concurrently.
 	// 0 selects runtime.GOMAXPROCS(0); 1 forces a single chain, on which
-	// cases solve strictly in compile order (in delta mode the next case's
-	// compilation still overlaps the current solve). Whatever the worker
+	// cases solve strictly in compile order (the next case's compilation
+	// still overlaps the current solve). Whatever the worker
 	// count, the returned slice is in exact lexicographic case order and
 	// its contents are identical (up to wall-clock Runtime fields) to a
 	// sequential run.
 	Workers int
-	// Mode selects delta (default) or scratch case compilation; results
-	// are byte-identical either way.
-	Mode SweepMode
 	// Context, when non-nil, supplies the precomputed failure-independent
 	// scenario state; nil builds one for the sweep. Share one Context across
 	// repeated sweeps over the same deployment and workload.
@@ -147,7 +124,7 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	}
 	combos := scenario.Combinations(len(dep.Controllers), k)
 	results := make([]*CaseResult, len(combos))
-	err := ForEachCaseMode(ctx, combos, opts.Workers, opts.Mode, func(idx int, inst *scenario.Instance) error {
+	err := ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
 		cr, err := evalCase(inst, combos[idx], algs)
 		if err != nil {
 			return err
@@ -162,7 +139,7 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 }
 
 // ForEachCase compiles every failure combination off the shared context and
-// calls fn with the compiled instance, using the default delta engine
+// calls fn with the compiled instance, using the delta engine
 // (ForEachCaseMode with SweepDelta). fn runs concurrently for distinct
 // indices and must only touch state it owns (writing to its own slot of a
 // results slice is the intended pattern). Errors are deterministic

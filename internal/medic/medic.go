@@ -29,6 +29,7 @@ package medic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -333,11 +334,16 @@ func (m *Medic) run() {
 }
 
 // apply folds one detector event into the failure set and advances the
-// epoch.
+// epoch. Only the loop goroutine advances it, so the new epoch's number is
+// known before it is published — and its detect entry goes into the log, and
+// the WAL ahead of the detect record, first: a Status, or a follower's
+// ReadStatus, that shows epoch N also shows what started it.
 func (m *Medic) apply(ev monitor.Event) {
+	epoch := m.Epoch() + 1
+	m.log.addf(KindDetect, "epoch %d: %s", epoch, ev)
+	m.persistDetect(epoch, ev)
 	m.mu.Lock()
-	m.epoch++
-	epoch := m.epoch
+	m.epoch = epoch
 	// The reconciled state describes the previous epoch until reconcile
 	// replaces it: a status must not read "epoch N, converged" before N has
 	// been planned.
@@ -353,8 +359,17 @@ func (m *Medic) apply(ev monitor.Event) {
 	}
 	m.mu.Unlock()
 	m.metrics.addEpoch()
-	m.persistDetect(epoch, ev)
-	m.log.addf(KindDetect, "epoch %d: %s", epoch, ev)
+}
+
+// sortedKeys returns a set's members ascending, never nil — the form the
+// failure set and the unreachable set take in plans, records and statuses.
+func sortedKeys[K ~int](set map[K]bool) []K {
+	keys := make([]K, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // stalePlan reports whether newer detector events are already queued — the
@@ -388,11 +403,7 @@ func (m *Medic) reconcile() {
 
 	m.mu.Lock()
 	epoch := m.epoch
-	failed := make([]int, 0, len(m.failed))
-	for j := range m.failed {
-		failed = append(failed, j)
-	}
-	sort.Ints(failed)
+	failed := sortedKeys(m.failed)
 	recovered := m.pendingRecovered
 	m.pendingRecovered = nil
 	m.mu.Unlock()
@@ -583,7 +594,7 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 		}
 		return m.cfg.Solve(inst.Problem)
 	}
-	rp, pairMap, err := inst.Residual(demoted)
+	sol, err := inst.SolveResidual(demoted, m.cfg.Solve)
 	if err != nil {
 		// The residual is an optimization; fall back to the full solve.
 		m.log.addf(KindError, "epoch %d: residual for %s: %v", epoch, inst.Label(), err)
@@ -591,17 +602,6 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 	}
 	m.log.addf(KindPlan, "epoch %d: residual re-plan for %s excludes %d unreachable switch(es)",
 		epoch, inst.Label(), len(demoted))
-	rsol, err := m.cfg.Solve(rp)
-	if err != nil {
-		return nil, err
-	}
-	sol := core.NewSolution(rsol.Algorithm+"+residual", inst.Problem)
-	copy(sol.SwitchController, rsol.SwitchController)
-	for k, on := range rsol.Active {
-		if on {
-			sol.Active[pairMap[k]] = true
-		}
-	}
 	return sol, nil
 }
 

@@ -17,8 +17,6 @@ package medic
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"time"
 
 	"pmedic/internal/monitor"
 	"pmedic/internal/store"
@@ -49,15 +47,12 @@ type outcomeRecord struct {
 }
 
 // durableState is the snapshot payload and the result of a replay: the
-// state a restarted daemon resumes from.
+// state a restarted daemon resumes from — the last outcome plus the event
+// log.
 type durableState struct {
-	Epoch            uint64        `json:"epoch"`
-	Failed           []int         `json:"failed"`
-	PendingRecovered []int         `json:"pending_recovered,omitempty"`
-	Unreachable      []topo.NodeID `json:"unreachable,omitempty"`
-	Snap             snapshot      `json:"snap"`
-	LogSeq           uint64        `json:"log_seq"`
-	LogEntries       []LogEntry    `json:"log_entries,omitempty"`
+	outcomeRecord
+	LogSeq     uint64     `json:"log_seq"`
+	LogEntries []LogEntry `json:"log_entries,omitempty"`
 }
 
 // replayDurable folds a snapshot payload and the WAL records over it into
@@ -125,11 +120,7 @@ func replayDurable(snap []byte, recs []store.Record) (*durableState, error) {
 			// beats refusing to start.
 		}
 	}
-	ds.Failed = ds.Failed[:0]
-	for j := range failed {
-		ds.Failed = append(ds.Failed, j)
-	}
-	sort.Ints(ds.Failed)
+	ds.Failed = sortedKeys(failed)
 	return ds, nil
 }
 
@@ -193,17 +184,13 @@ func (m *Medic) FlushState() error {
 func (m *Medic) outcomeLocked() outcomeRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec := outcomeRecord{Epoch: m.epoch, Failed: make([]int, 0, len(m.failed)), Snap: m.snap}
-	for j := range m.failed {
-		rec.Failed = append(rec.Failed, j)
+	return outcomeRecord{
+		Epoch:            m.epoch,
+		Failed:           sortedKeys(m.failed),
+		PendingRecovered: append([]int(nil), m.pendingRecovered...),
+		Unreachable:      sortedKeys(m.unreachable),
+		Snap:             m.snap,
 	}
-	sort.Ints(rec.Failed)
-	rec.PendingRecovered = append([]int(nil), m.pendingRecovered...)
-	for sw := range m.unreachable {
-		rec.Unreachable = append(rec.Unreachable, sw)
-	}
-	sort.Slice(rec.Unreachable, func(a, b int) bool { return rec.Unreachable[a] < rec.Unreachable[b] })
-	return rec
 }
 
 // durableLocked builds the full checkpoint payload: the outcome state plus
@@ -211,15 +198,7 @@ func (m *Medic) outcomeLocked() outcomeRecord {
 func (m *Medic) durableLocked() durableState {
 	rec := m.outcomeLocked()
 	seq, entries := m.log.state()
-	return durableState{
-		Epoch:            rec.Epoch,
-		Failed:           rec.Failed,
-		PendingRecovered: rec.PendingRecovered,
-		Unreachable:      rec.Unreachable,
-		Snap:             rec.Snap,
-		LogSeq:           seq,
-		LogEntries:       entries,
-	}
+	return durableState{outcomeRecord: rec, LogSeq: seq, LogEntries: entries}
 }
 
 // ReadStatus loads the durable state in dir read-only — snapshot plus WAL,
@@ -236,25 +215,10 @@ func ReadStatus(dir string) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st := Status{Now: time.Now(), Failed: []int{}, Converged: true, Ideal: true}
 	if ds == nil {
-		return st, nil
+		return newStatus(0, []int{}, nil, snapshot{Converged: true, Ideal: true}), nil
 	}
-	st.Epoch = ds.Epoch
-	st.Failed = append(st.Failed, ds.Failed...)
-	st.Unreachable = ds.Unreachable
-	st.Converged = ds.Snap.Converged
-	st.Ideal = ds.Snap.Ideal
-	st.Case = ds.Snap.Label
-	st.Restores = ds.Snap.Restores
-	st.MinProg = ds.Snap.MinProg
-	st.TotalProg = ds.Snap.TotalProg
-	st.RecoveredFlows = ds.Snap.RecoveredFlows
-	st.OfflineFlows = ds.Snap.OfflineFlows
-	st.PushRounds = ds.Snap.PushRounds
-	st.FlowModsAcked = ds.Snap.FlowModsAcked
-	st.Mapping = ds.Snap.Mapping
-	st.FlowProg = ds.Snap.FlowProg
+	st := newStatus(ds.Epoch, ds.Failed, ds.Unreachable, ds.Snap)
 	st.Events = ds.LogEntries
 	if len(st.Events) > 256 {
 		st.Events = st.Events[len(st.Events)-256:]

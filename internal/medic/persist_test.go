@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -315,6 +316,76 @@ func TestStatusUnderConcurrentReconcile(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestStatusEpochNotAheadOfDetectEntry pins the order in which apply makes
+// an event visible: a status — live or replayed from the store — that shows
+// epoch N also shows N's detect entry. The store's Guard parks apply inside
+// each of its WAL appends, so the test inspects both read surfaces at every
+// point where apply can be caught mid-way; no sleeps.
+func TestStatusEpochNotAheadOfDetectEntry(t *testing.T) {
+	dir := t.TempDir()
+	entered, release := make(chan struct{}), make(chan struct{})
+	st, err := store.Open(dir, store.Options{NoSync: true, Guard: func() error {
+		entered <- struct{}{}
+		<-release
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	dep, flows := testFixture(t)
+	rec := &recorder{}
+	m, err := New(Config{
+		Dep:      dep,
+		Flows:    flows,
+		Addrs:    map[topo.NodeID]string{0: "stubbed"},
+		Pusher:   rec.push,
+		Restorer: rec.restore,
+		Store:    st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(when string) {
+		t.Helper()
+		live := m.Status()
+		tailed, err := ReadStatus(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]Status{"Status": live, "ReadStatus": tailed} {
+			if s.Epoch > 0 && !hasLogKind(s, KindDetect, "epoch 1:") {
+				t.Errorf("%s: %s shows epoch %d without its detect entry (events: %+v)", when, name, s.Epoch, s.Events)
+			}
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.apply(monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()})
+	}()
+	appends := 0
+	for parked := true; parked; {
+		select {
+		case <-entered:
+			appends++
+			check(fmt.Sprintf("parked in WAL append %d", appends))
+			release <- struct{}{}
+		case <-done:
+			parked = false
+		}
+	}
+	if appends != 2 {
+		t.Fatalf("apply made %d WAL appends, want 2 (log entry, detect record)", appends)
+	}
+	check("after apply")
+	if got := m.Status(); got.Epoch != 1 || got.Converged {
+		t.Fatalf("after apply: epoch %d converged %v, want epoch 1 unconverged", got.Epoch, got.Converged)
+	}
 }
 
 // TestEventLogRestoreContinuesSeq: a ring restored from persisted state

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -177,43 +176,38 @@ type Status struct {
 	Detector []monitor.TargetState `json:"detector,omitempty"`
 }
 
+// newStatus renders the durable core of a Status — what a live daemon holds
+// in memory and a follower replays from the store (ReadStatus): the epoch,
+// the failure set, the unreachable switches, and the last reconciled snapshot.
+func newStatus(epoch uint64, failed []int, unreachable []topo.NodeID, snap snapshot) Status {
+	return Status{
+		Now:            time.Now(),
+		Epoch:          epoch,
+		Failed:         failed,
+		Unreachable:    unreachable,
+		Ideal:          snap.Ideal,
+		Converged:      snap.Converged,
+		Case:           snap.Label,
+		Restores:       snap.Restores,
+		MinProg:        snap.MinProg,
+		TotalProg:      snap.TotalProg,
+		RecoveredFlows: snap.RecoveredFlows,
+		OfflineFlows:   snap.OfflineFlows,
+		PushRounds:     snap.PushRounds,
+		FlowModsAcked:  snap.FlowModsAcked,
+		Mapping:        snap.Mapping,
+		FlowProg:       snap.FlowProg,
+	}
+}
+
 // Status snapshots the medic's reconciled state. Detector is left empty;
 // Handler fills it from the monitor.
 func (m *Medic) Status() Status {
 	m.mu.Lock()
-	snap := m.snap
-	st := Status{
-		Now:             time.Now(),
-		Epoch:           m.epoch,
-		Replica:         m.cfg.ReplicaID,
-		Role:            m.role,
-		Term:            m.term,
-		Ideal:           snap.Ideal,
-		Converged:       snap.Converged,
-		Case:            snap.Label,
-		Restores:        snap.Restores,
-		MinProg:         snap.MinProg,
-		TotalProg:       snap.TotalProg,
-		RecoveredFlows:  snap.RecoveredFlows,
-		OfflineFlows:    snap.OfflineFlows,
-		PushRounds:      snap.PushRounds,
-		FlowModsAcked:   snap.FlowModsAcked,
-		Mapping:         snap.Mapping,
-		FlowProg:        snap.FlowProg,
-		PersistFailures: m.persistFailures,
-	}
-	for j := range m.failed {
-		st.Failed = append(st.Failed, j)
-	}
-	for sw := range m.unreachable {
-		st.Unreachable = append(st.Unreachable, sw)
-	}
+	st := newStatus(m.epoch, sortedKeys(m.failed), sortedKeys(m.unreachable), m.snap)
+	st.Replica, st.Role, st.Term = m.cfg.ReplicaID, m.role, m.term
+	st.PersistFailures = m.persistFailures
 	m.mu.Unlock()
-	sort.Ints(st.Failed)
-	sort.Slice(st.Unreachable, func(a, b int) bool { return st.Unreachable[a] < st.Unreachable[b] })
-	if st.Failed == nil {
-		st.Failed = []int{}
-	}
 	if m.cfg.Net != nil {
 		st.NetworkMapping = m.cfg.Net.MappingSnapshot()
 	}

@@ -29,11 +29,6 @@ type CompileOptions struct {
 	// Workers bounds the compile's solver concurrency; <= 0 selects one per
 	// available CPU (eval.ForEachCase semantics).
 	Workers int
-	// Mode selects the sweep engine's case-compilation strategy: delta
-	// (default) patches each case out of a Gray-adjacent neighbor, scratch
-	// compiles each independently. The written store is byte-identical
-	// either way.
-	Mode eval.SweepMode
 	// Solve produces the plan for one compiled instance; nil selects
 	// core.PM. It must be deterministic and safe for concurrent calls — the
 	// store's contract is that a lookup reproduces a fresh solve bit for bit.
@@ -115,7 +110,7 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 	// in enumeration order so the file is deterministic.
 	payloads := make([][]byte, len(combos))
 	families := make([][2]bool, len(combos))
-	err := eval.ForEachCaseMode(ctx, combos, opts.Workers, opts.Mode, func(idx int, inst *scenario.Instance) error {
+	err := eval.ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
 		sol, err := solve(inst.Problem)
 		if err != nil {
 			return fmt.Errorf("planstore: case %v: %w", combos[idx], err)

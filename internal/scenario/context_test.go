@@ -6,6 +6,7 @@ import (
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
+	"pmedic/internal/israce"
 	"pmedic/internal/topo"
 )
 
@@ -111,5 +112,29 @@ func TestSortPairsBySwitch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sortPairsBySwitch = %v, want %v", got, want)
+	}
+}
+
+// TestContextBuildAllocs bounds the allocations of a warm case compile — the
+// per-case cost every sweep pays — on the paper's headline case. The pooled
+// scratch brought it from 515 to 29; the bound leaves three of headroom for
+// toolchain drift and none for a lost pool.
+func TestContextBuildAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	dep, flows := contextFixtures(t)
+	ctx, err := NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := []int{3, 4}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := ctx.Build(failed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("warm Context.Build(%v) = %.0f allocs/op, want <= 32", failed, allocs)
 	}
 }

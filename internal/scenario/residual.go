@@ -68,3 +68,27 @@ func (inst *Instance) Residual(demoted map[topo.NodeID]bool) (*core.Problem, []i
 	r.BudgetMs = r.IdealDelayBudget()
 	return r, pairMap, nil
 }
+
+// SolveResidual re-plans the instance around the demoted switches: it solves
+// the Residual problem with solve and returns the plan in the instance's own
+// index spaces — a solution over inst.Problem (named after the solver's, plus
+// "+residual") carrying the residual's switch mapping and its active pairs
+// translated through pairMap. The demoted switches come back unmapped.
+func (inst *Instance) SolveResidual(demoted map[topo.NodeID]bool, solve func(*core.Problem) (*core.Solution, error)) (*core.Solution, error) {
+	rp, pairMap, err := inst.Residual(demoted)
+	if err != nil {
+		return nil, err
+	}
+	rsol, err := solve(rp)
+	if err != nil {
+		return nil, err
+	}
+	sol := core.NewSolution(rsol.Algorithm+"+residual", inst.Problem)
+	copy(sol.SwitchController, rsol.SwitchController)
+	for k, on := range rsol.Active {
+		if on {
+			sol.Active[pairMap[k]] = true
+		}
+	}
+	return sol, nil
+}

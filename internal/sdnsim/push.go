@@ -423,7 +423,7 @@ func PushRecoveryResilient(
 		for _, sw := range failed {
 			demoted[sw] = true
 		}
-		cur = replan(inst, sol, cur, demoted, &rep.Replanned, opts.DisableReplan)
+		cur = replan(inst, cur, demoted, &rep.Replanned, opts.DisableReplan)
 	}
 
 	// Demoted switches are legacy in the achieved solution regardless of
@@ -581,24 +581,14 @@ func backoff(opts PushOptions, rng *rand.Rand, attempt int) time.Duration {
 }
 
 // replan recomputes the recovery after demotions. With re-planning enabled
-// it solves the residual instance through core.PM and translates the result
-// back into the original problem's pair indexing; otherwise (or when the
-// residual cannot be built) it strips the demoted switches from the current
-// solution.
-func replan(inst *scenario.Instance, orig, cur *core.Solution, demoted map[topo.NodeID]bool, replanned *bool, disabled bool) *core.Solution {
+// it solves the residual instance through core.PM (Instance.SolveResidual);
+// otherwise (or when that fails) it strips the demoted switches from the
+// current solution.
+func replan(inst *scenario.Instance, cur *core.Solution, demoted map[topo.NodeID]bool, replanned *bool, disabled bool) *core.Solution {
 	if !disabled {
-		if rp, pairMap, err := inst.Residual(demoted); err == nil {
-			if rsol, err := core.PM(rp); err == nil {
-				next := core.NewSolution(orig.Algorithm+"+replan", inst.Problem)
-				copy(next.SwitchController, rsol.SwitchController)
-				for k, on := range rsol.Active {
-					if on {
-						next.Active[pairMap[k]] = true
-					}
-				}
-				*replanned = true
-				return next
-			}
+		if next, err := inst.SolveResidual(demoted, core.PM); err == nil {
+			*replanned = true
+			return next
 		}
 	}
 	next := cloneSolution(cur)

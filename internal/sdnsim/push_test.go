@@ -439,20 +439,17 @@ func TestResidualReplanFreesCapacity(t *testing.T) {
 			t.Fatalf("residual pair %d still at the demoted switch", k)
 		}
 	}
-	rsol, err := core.PM(rp)
+	// The re-plan comes back in the original problem's index spaces: it
+	// leaves the demoted switch unmapped and evaluates against the parent.
+	next, err := inst.SolveResidual(demoted, core.PM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsol.SwitchController[0] != -1 {
-		t.Fatalf("PM mapped the demoted switch to %d", rsol.SwitchController[0])
+	if next.SwitchController[0] != -1 {
+		t.Fatalf("PM mapped the demoted switch to %d", next.SwitchController[0])
 	}
-	// The translated solution must evaluate against the original problem.
-	next := core.NewSolution("PM+replan", inst.Problem)
-	copy(next.SwitchController, rsol.SwitchController)
-	for k, on := range rsol.Active {
-		if on {
-			next.Active[pairMap[k]] = true
-		}
+	if len(next.Active) != len(inst.Problem.Pairs) {
+		t.Fatalf("re-plan has %d activation slots, parent has %d pairs", len(next.Active), len(inst.Problem.Pairs))
 	}
 	if _, err := inst.Evaluate(next); err != nil {
 		t.Fatal(err)
