@@ -189,6 +189,32 @@ func TestRetroFlowAggMatchesFlatRandom(t *testing.T) {
 	}
 }
 
+// TestClassIndexMatchesReference pins the hash-grouped class index against
+// the sort-based reference on the same adversarial problems (duplicated,
+// unique and empty signatures). The second pass hands both a constant hash:
+// every flow then collides with every class, and only the exact signature
+// compare on a hash match keeps the classes apart.
+func TestClassIndexMatchesReference(t *testing.T) {
+	iters := 120
+	if testing.Short() {
+		iters = 25
+	}
+	for it := 0; it < iters; it++ {
+		p := randAggProblem(rand.New(rand.NewSource(int64(9000 + it))))
+		if len(p.Pairs) == 0 {
+			continue
+		}
+		if err := p.Finalize(); err != nil {
+			t.Fatalf("iter %d: finalize: %v", it, err)
+		}
+		for _, constantHash := range []bool{false, true} {
+			if err := core.ClassIndexVsReference(p, constantHash); err != nil {
+				t.Fatalf("iter %d (constant hash %v): %v", it, constantHash, err)
+			}
+		}
+	}
+}
+
 // TestAggMatchesFlatRandom is the core equivalence property: on randomized
 // problems the class-aggregated PM/PG must produce byte-identical Solutions
 // and Reports to the per-flow reference paths.

@@ -50,6 +50,11 @@ var classIndexUnusable = &classIndex{numClasses: -1}
 // than maxClassPairs pairs). The first call is not safe for concurrent use;
 // every current caller solves a Problem from a single goroutine at a time
 // (the sweep engine parallelizes across Problems, not within one).
+//
+// Building the index is linear in the pairs: one FNV fold per flow, one
+// hash-table probe per flow (groupBySignature), and a comparison sort over
+// the classes only. Its throwaway arrays come from scratchPool; what the
+// classIndex retains is freshly allocated.
 func (p *Problem) classIndexOf() *classIndex {
 	if p.classes != nil {
 		if p.classes.numClasses < 0 {
@@ -57,72 +62,147 @@ func (p *Problem) classIndexOf() *classIndex {
 		}
 		return p.classes
 	}
-	L := p.NumFlows
-	for l := 0; l < L; l++ {
-		if p.flowPairOff[l+1]-p.flowPairOff[l] > maxClassPairs {
-			p.classes = classIndexUnusable
-			return nil
-		}
+	sc := scratchPool.Get().(*solverScratch)
+	defer scratchPool.Put(sc)
+	hash := growSlice(&sc.sigHash, p.NumFlows)
+	if !p.foldSignatures(hash) {
+		p.classes = classIndexUnusable
+		return nil
 	}
+	p.classes = groupBySignature(p, hash, sc)
+	return p.classes
+}
 
-	// Group flows by signature: sort flow IDs by (signature hash, signature,
-	// flow ID) and cut runs of equal signatures.
-	hash := make([]uint64, L)
-	for l := 0; l < L; l++ {
+// foldSignatures sets hash[l] to the FNV fold of flow l's signature. It stops
+// and reports false at a flow with more than maxClassPairs pairs.
+func (p *Problem) foldSignatures(hash []uint64) bool {
+	for l := range hash {
+		ks := p.PairsOfFlow(l)
+		if len(ks) > maxClassPairs {
+			return false
+		}
 		h := sigHashSeed
-		for _, k := range p.PairsOfFlow(l) {
+		for _, k := range ks {
 			h = sigHashFold(h, p.Pairs[k].Switch, p.Pairs[k].PBar)
 		}
 		hash[l] = h
 	}
-	sigCmp := func(a, b int32) int {
-		ka, kb := p.PairsOfFlow(int(a)), p.PairsOfFlow(int(b))
-		if len(ka) != len(kb) {
-			return len(ka) - len(kb)
-		}
-		for t := range ka {
-			pa, pb := &p.Pairs[ka[t]], &p.Pairs[kb[t]]
-			if pa.Switch != pb.Switch {
-				return pa.Switch - pb.Switch
-			}
-			if pa.PBar != pb.PBar {
-				return pa.PBar - pb.PBar
-			}
-		}
-		return 0
-	}
-	order := make([]int32, L)
-	for l := range order {
-		order[l] = int32(l)
-	}
-	sortBySignature(order, hash, sigCmp)
+	return true
+}
 
-	ci := &classIndex{
-		classOf:   make([]int32, L),
-		members:   order,
-		memberOff: make([]int32, 1, L+1),
-		tmplOff:   make([]int32, 1, L+1),
+// minClassTable is groupBySignature's initial table size (a power of two);
+// the table doubles whenever the classes fill half of it.
+const minClassTable = 1 << 10
+
+// groupBySignature partitions p's flows into classes of equal signature,
+// given hash[l] = some function of flow l's signature (classIndexOf passes
+// the FNV fold; any function of the signature, even a constant, yields the
+// same partition, only slower). Classes come out ordered by (hash,
+// signature) and members by ascending flow ID.
+//
+// Flows are grouped through an open-addressing table keyed on the hash whose
+// slots name provisional classes in first-seen order. A hash match is
+// confirmed by comparing the flow's (switch, p̄) sequence against the class
+// representative's, so collisions cost a probe and never merge two classes.
+// Only the class representatives are then sorted — 10³–10⁴ of them where the
+// flows number 10⁵–10⁶ — and one counting pass in ascending flow order fills
+// members and renumbers classOf.
+func groupBySignature(p *Problem, hash []uint64, sc *solverScratch) *classIndex {
+	L := p.NumFlows
+	ci := &classIndex{classOf: make([]int32, L), members: make([]int32, L)}
+
+	// rep[c] is provisional class c's first (lowest-ID) member, count[c] its
+	// size; a table slot holds c+1, 0 meaning empty.
+	rep, count := sc.classRep[:0], sc.classCount[:0]
+	table := growSlice(&sc.classTable, minClassTable)
+	clear(table)
+	shift := 64 - bits.TrailingZeros(uint(len(table)))
+	for l := 0; l < L; l++ {
+		h := hash[l]
+		slot := tableSlot(h, shift)
+		c := table[slot] - 1
+		for c >= 0 && (hash[rep[c]] != h || p.compareSignatures(rep[c], int32(l)) != 0) {
+			slot = (slot + 1) & (len(table) - 1)
+			c = table[slot] - 1
+		}
+		if c < 0 {
+			c = int32(len(rep))
+			rep, count = append(rep, int32(l)), append(count, 0)
+			table[slot] = c + 1
+			if 2*len(rep) > len(table) {
+				table = growSlice(&sc.classTable, 2*len(table))
+				clear(table)
+				shift--
+				for rc, r := range rep {
+					slot := tableSlot(hash[r], shift)
+					for table[slot] != 0 {
+						slot = (slot + 1) & (len(table) - 1)
+					}
+					table[slot] = int32(rc) + 1
+				}
+			}
+		}
+		ci.classOf[l] = c
+		count[c]++
 	}
-	for idx := 0; idx < L; {
-		run := idx + 1
-		for run < L && hash[order[run]] == hash[order[idx]] && sigCmp(order[run], order[idx]) == 0 {
-			run++
-		}
-		c := int32(ci.numClasses)
-		for _, l := range order[idx:run] {
-			ci.classOf[l] = c
-		}
-		for _, k := range p.PairsOfFlow(int(order[idx])) {
-			ci.tmplSwitch = append(ci.tmplSwitch, int32(p.Pairs[k].Switch))
-			ci.tmplPBar = append(ci.tmplPBar, int32(p.Pairs[k].PBar))
-		}
-		ci.memberOff = append(ci.memberOff, int32(run))
-		ci.tmplOff = append(ci.tmplOff, int32(len(ci.tmplSwitch)))
-		ci.numClasses++
-		idx = run
+	nc := len(rep)
+	ci.numClasses = nc
+
+	// Final class order: representatives by (hash, signature). classOf still
+	// holds provisional IDs, which is how a sorted representative finds its
+	// count; rank maps provisional to final.
+	sortBySignature(rep, hash, p.compareSignatures)
+	rank := growSlice(&sc.classRank, nc)
+	ci.memberOff = make([]int32, nc+1)
+	ci.tmplOff = make([]int32, nc+1)
+	for c, r := range rep {
+		ci.tmplOff[c+1] = ci.tmplOff[c] + int32(len(p.PairsOfFlow(int(r))))
 	}
-	p.classes = ci
+	tmpl := make([]int32, 2*ci.tmplOff[nc])
+	ci.tmplSwitch, ci.tmplPBar = tmpl[:ci.tmplOff[nc]:ci.tmplOff[nc]], tmpl[ci.tmplOff[nc]:]
+	for c, r := range rep {
+		prov := ci.classOf[r]
+		rank[prov] = int32(c)
+		ci.memberOff[c+1] = ci.memberOff[c] + count[prov]
+		count[prov] = ci.memberOff[c] // from here on the class's fill cursor
+		for t, k := range p.PairsOfFlow(int(r)) {
+			ci.tmplSwitch[int(ci.tmplOff[c])+t] = int32(p.Pairs[k].Switch)
+			ci.tmplPBar[int(ci.tmplOff[c])+t] = int32(p.Pairs[k].PBar)
+		}
+	}
+	for l := range ci.classOf {
+		prov := ci.classOf[l]
+		ci.members[count[prov]] = int32(l)
+		count[prov]++
+		ci.classOf[l] = rank[prov]
+	}
+	sc.classRep, sc.classCount = rep, count
 	return ci
+}
+
+// tableSlot is Fibonacci hashing: the top bits of h times 2⁶⁴/φ, so the slot
+// does not hinge on the low bits FNV mixes least.
+func tableSlot(h uint64, shift int) int {
+	return int((h * 0x9E3779B97F4A7C15) >> shift)
+}
+
+// compareSignatures orders flows a and b by signature: length first, then
+// pairwise (switch, p̄) in stored order. Zero means the same class.
+func (p *Problem) compareSignatures(a, b int32) int {
+	ka, kb := p.PairsOfFlow(int(a)), p.PairsOfFlow(int(b))
+	if len(ka) != len(kb) {
+		return len(ka) - len(kb)
+	}
+	for t := range ka {
+		pa, pb := &p.Pairs[ka[t]], &p.Pairs[kb[t]]
+		if pa.Switch != pb.Switch {
+			return pa.Switch - pb.Switch
+		}
+		if pa.PBar != pb.PBar {
+			return pa.PBar - pb.PBar
+		}
+	}
+	return 0
 }
 
 // sigHashSeed and sigHashFold are the FNV-1a fold of a signature's (switch,

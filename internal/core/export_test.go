@@ -41,5 +41,9 @@ func RetroFlowAgg(p *Problem) (*Solution, bool, error) {
 	return s, true, err
 }
 
+// ClassIndexVsReference checks groupBySignature against the sort-based
+// reference in classes_test.go, over the real signature hash or a constant.
+var ClassIndexVsReference = classIndexVsReference
+
 // NumClasses exposes the class count for tests and diagnostics.
 func NumClasses(p *Problem) int { return p.ClassCount() }

@@ -27,33 +27,37 @@ type solverScratch struct {
 	// nearestSet[i].
 	nearestBuf []int
 	nearestSet []bool
+	// class-index construction (classIndexOf): per-flow signature hashes, the
+	// grouping table, and the per-class representative/count/rank arrays.
+	sigHash    []uint64
+	classTable []int32
+	classRep   []int32
+	classCount []int32
+	classRank  []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}
 
-// grabInts resizes *buf to n and zeroes it.
-func grabInts(buf *[]int, n int) []int {
+// growSlice resizes *buf to n without zeroing (callers initialize).
+func growSlice[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
-	s := *buf
-	for i := range s {
-		s[i] = 0
-	}
+	return *buf
+}
+
+// grabInts resizes *buf to n and zeroes it.
+func grabInts(buf *[]int, n int) []int {
+	s := growSlice(buf, n)
+	clear(s)
 	return s
 }
 
 // grabBools resizes *buf to n and clears it.
 func grabBools(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	s := *buf
-	for i := range s {
-		s[i] = false
-	}
+	s := growSlice(buf, n)
+	clear(s)
 	return s
 }
 

@@ -125,32 +125,32 @@ func (p *Problem) Finalize() error {
 			return fmt.Errorf("%w: pair %d p̄=%d (eligible pairs need p̄ >= 2)", ErrInvalidProblem, k, pr.PBar)
 		}
 	}
-	// Build both pair indexes as CSR (counting sort): one counting pass per
-	// axis, prefix sums, one fill pass.
-	p.swPairOff = make([]int32, p.NumSwitches+1)
-	p.flowPairOff = make([]int32, p.NumFlows+1)
+	// Build both pair indexes as CSR, one counting sort per axis. The offset
+	// arrays double as the fill cursors: counts land two slots up, so after
+	// the prefix sums slot i+1 holds index i's start; the fill advances it to
+	// i's end, which is i+1's start, and slots [0, n] come out as the offsets
+	// without a separate cursor array.
+	swOff := make([]int32, p.NumSwitches+2)
+	flowOff := make([]int32, p.NumFlows+2)
 	for _, pr := range p.Pairs {
-		p.swPairOff[pr.Switch+1]++
-		p.flowPairOff[pr.Flow+1]++
+		swOff[pr.Switch+2]++
+		flowOff[pr.Flow+2]++
 	}
-	for i := 0; i < p.NumSwitches; i++ {
-		p.swPairOff[i+1] += p.swPairOff[i]
+	for i := 2; i < len(swOff); i++ {
+		swOff[i] += swOff[i-1]
 	}
-	for l := 0; l < p.NumFlows; l++ {
-		p.flowPairOff[l+1] += p.flowPairOff[l]
+	for l := 2; l < len(flowOff); l++ {
+		flowOff[l] += flowOff[l-1]
 	}
 	backing := make([]int, 2*len(p.Pairs))
 	p.swPairs, p.flowPairs = backing[:len(p.Pairs):len(p.Pairs)], backing[len(p.Pairs):]
-	swCur := make([]int32, p.NumSwitches)
-	flowCur := make([]int32, p.NumFlows)
-	copy(swCur, p.swPairOff[:p.NumSwitches])
-	copy(flowCur, p.flowPairOff[:p.NumFlows])
 	for k, pr := range p.Pairs {
-		p.swPairs[swCur[pr.Switch]] = k
-		swCur[pr.Switch]++
-		p.flowPairs[flowCur[pr.Flow]] = k
-		flowCur[pr.Flow]++
+		p.swPairs[swOff[pr.Switch+1]] = k
+		swOff[pr.Switch+1]++
+		p.flowPairs[flowOff[pr.Flow+1]] = k
+		flowOff[pr.Flow+1]++
 	}
+	p.swPairOff, p.flowPairOff = swOff[:p.NumSwitches+1], flowOff[:p.NumFlows+1]
 	p.classes = nil
 	if p.Lambda == 0 {
 		p.Lambda = DefaultLambda

@@ -15,7 +15,7 @@ package flow
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"pmedic/internal/graphalg"
 	"pmedic/internal/topo"
@@ -276,9 +276,9 @@ func (s *Set) ForEachFlowThrough(i topo.NodeID, fn func(ID)) {
 
 // AppendFlowsThrough appends the IDs (as int32) of flows traversing any of
 // the given switches to buf — with duplicates when a flow crosses several of
-// them — and returns the extended slice. It is the raw CSR gather behind
-// FlowsThrough; callers that dedupe themselves (scenario compilation) use it
-// to avoid the per-call mark array.
+// them — and returns the extended slice. It is the raw CSR gather for callers
+// that count incidences themselves (delta case compilation); FlowsThrough is
+// the distinct, ordered one.
 func (s *Set) AppendFlowsThrough(buf []int32, switches []topo.NodeID) []int32 {
 	for _, sw := range switches {
 		if sw < 0 || int(sw) >= len(s.counts) {
@@ -289,23 +289,39 @@ func (s *Set) AppendFlowsThrough(buf []int32, switches []topo.NodeID) []int32 {
 	return buf
 }
 
-// FlowsThrough returns the IDs of flows whose path includes any of the given
-// switches, in ascending flow order. It sits on the daemon's reconcile path,
-// so it gathers candidates from the switch→flows CSR index — cost
-// proportional to the traversals of the named switches, not the workload —
-// and dedupes with one sort.
-func (s *Set) FlowsThrough(switches []topo.NodeID) []ID {
-	raw := s.AppendFlowsThrough(nil, switches)
-	if len(raw) == 0 {
-		return nil
+// FlowsThrough appends to buf the IDs (as int32) of the flows whose path
+// includes any of the given switches — each flow once, in ascending order —
+// and returns the extended slice. It is the candidate gather of case
+// compilation (scenario.Context.Build), so its cost is the traversals of the
+// named switches plus one bit per flow of the workload, with no sort: every
+// CSR entry marks its flow in *seen, a one-bit-per-flow set, and a scan of
+// the set's words emits the marked flows in order.
+//
+// *seen is caller-owned scratch, grown here to the workload's size. It must
+// be all zero on entry and is all zero again on return (the scan clears each
+// word as it reads it), so a pooled one never needs clearing.
+func (s *Set) FlowsThrough(buf []int32, seen *[]uint64, switches []topo.NodeID) []int32 {
+	words := (len(s.Flows) + 63) / 64
+	if cap(*seen) < words {
+		*seen = make([]uint64, words)
 	}
-	sort.Slice(raw, func(a, b int) bool { return raw[a] < raw[b] })
-	out := make([]ID, 0, len(raw))
-	for i, l := range raw {
-		if i > 0 && ID(l) == out[len(out)-1] {
+	set := (*seen)[:words]
+	for _, sw := range switches {
+		if sw < 0 || int(sw) >= len(s.counts) {
 			continue
 		}
-		out = append(out, ID(l))
+		for _, l := range s.swFlow[s.swOff[sw]:s.swOff[sw+1]] {
+			set[l>>6] |= 1 << (l & 63)
+		}
 	}
-	return out
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		set[w] = 0
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return buf
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"reflect"
 	"testing"
 
 	"pmedic/internal/topo"
@@ -194,7 +195,8 @@ func TestFlowsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := s.FlowsThrough([]topo.NodeID{13})
+	var seen []uint64
+	ids := s.FlowsThrough(nil, &seen, []topo.NodeID{13})
 	if len(ids) != s.SwitchFlowCount(13) {
 		t.Fatalf("FlowsThrough(13) = %d flows, γ_13 = %d", len(ids), s.SwitchFlowCount(13))
 	}
@@ -203,8 +205,31 @@ func TestFlowsThrough(t *testing.T) {
 			t.Fatalf("flow %d reported through 13 but does not traverse it", id)
 		}
 	}
-	if got := s.FlowsThrough(nil); got != nil {
+	if got := s.FlowsThrough(nil, &seen, nil); got != nil {
 		t.Fatalf("FlowsThrough(nil) = %v, want nil", got)
+	}
+
+	// Several switches, one of them out of range: flows crossing more than
+	// one are reported once, ascending, after whatever buf already held, and
+	// the scratch set comes back all zero.
+	switches := []topo.NodeID{13, 2, 7, topo.NodeID(g.NumNodes())}
+	var want []int32
+	for l := range s.Flows {
+		if s.Flows[l].Traverses(13) || s.Flows[l].Traverses(2) || s.Flows[l].Traverses(7) {
+			want = append(want, int32(l))
+		}
+	}
+	got := s.FlowsThrough([]int32{-1}, &seen, switches)
+	if got[0] != -1 || !reflect.DeepEqual(got[1:], want) {
+		t.Fatalf("FlowsThrough(%v) = %v, want -1 then %v", switches, got, want)
+	}
+	if raw := s.AppendFlowsThrough(nil, switches); len(raw) <= len(want) {
+		t.Fatalf("fixture has no flow crossing two of %v: %d traversals, %d flows", switches, len(raw), len(want))
+	}
+	for w, word := range seen {
+		if word != 0 {
+			t.Fatalf("scratch word %d = %#x after return, want 0", w, word)
+		}
 	}
 }
 

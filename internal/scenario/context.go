@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -97,9 +96,12 @@ func (ctx *Context) DelayMs(a, b topo.NodeID) float64 { return ctx.dist[a][b] }
 type buildScratch struct {
 	isFailed    []bool
 	switchIndex []int
-	rawFlows    []int32
-	pairs       []core.Pair
-	start       []int
+	// offFlows is the case's candidate flows; seen is the one-bit-per-flow
+	// set flow.Set.FlowsThrough marks them in (all zero between calls).
+	offFlows []int32
+	seen     []uint64
+	pairs    []core.Pair
+	start    []int
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -114,6 +116,14 @@ var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 // domains — instead of scanning all L flows per case, which is what makes a
 // sweep case at 10⁶ all-pairs flows affordable.
 func (ctx *Context) Build(failed []int) (*Instance, error) {
+	sc := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(sc)
+	return ctx.build(sc, failed)
+}
+
+// build is Build on the caller's scratch, which may come from any earlier
+// build — of another Context, or one that returned an error.
+func (ctx *Context) build(sc *buildScratch, failed []int) (*Instance, error) {
 	dep, flows := ctx.Dep, ctx.Flows
 	m := len(dep.Controllers)
 	if len(failed) == 0 {
@@ -122,8 +132,6 @@ func (ctx *Context) Build(failed []int) (*Instance, error) {
 	if len(failed) >= m {
 		return nil, fmt.Errorf("%w: all %d controllers failed", ErrBadCase, m)
 	}
-	sc := buildPool.Get().(*buildScratch)
-	defer buildPool.Put(sc)
 	isFailed := growBools(&sc.isFailed, m)
 	for _, j := range failed {
 		if j < 0 || j >= m {
@@ -175,23 +183,18 @@ func (ctx *Context) Build(failed []int) (*Instance, error) {
 
 	// Candidate offline flows: exactly the flows whose path crosses an
 	// offline switch (a flow is offline iff some stop — src included — or
-	// its destination is offline, and all of those are path nodes). The CSR
-	// gather returns them with duplicates; one sort+dedupe restores the
-	// ascending flow order the all-flows scan used to iterate in.
-	raw := flows.AppendFlowsThrough(sc.rawFlows[:0], inst.Switches)
-	sc.rawFlows = raw
-	slices.Sort(raw)
+	// its destination is offline, and all of those are path nodes), each
+	// once and in ascending flow order.
+	offFlows := flows.FlowsThrough(sc.offFlows[:0], &sc.seen, inst.Switches)
+	sc.offFlows = offFlows
 
 	// Eligible pairs. Pairs are gathered flow-major (flows ascending, and
 	// within a flow in path order) and then bucketed by switch below, which
 	// yields the (Switch, Flow)-sorted order Finalize expects without a
 	// comparison sort.
 	pairs := sc.pairs[:0]
-	inst.FlowIDs = make([]flow.ID, 0, len(raw))
-	for x, lf := range raw {
-		if x > 0 && lf == raw[x-1] {
-			continue
-		}
+	inst.FlowIDs = make([]flow.ID, 0, len(offFlows))
+	for _, lf := range offFlows {
 		f := &flows.Flows[lf]
 		pairStart := len(pairs)
 		for _, stop := range f.Stops {

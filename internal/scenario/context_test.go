@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"pmedic/internal/core"
@@ -136,5 +137,171 @@ func TestContextBuildAllocs(t *testing.T) {
 	})
 	if allocs > 32 {
 		t.Fatalf("warm Context.Build(%v) = %.0f allocs/op, want <= 32", failed, allocs)
+	}
+}
+
+// syntheticFixtures is a 64-node, 6-controller clustered deployment with
+// all-pairs traffic (4 032 flows) and capacity 1.5× the heaviest domain: with
+// two or three domains down most offline flows cross several offline switches,
+// so the compile's CSR gather sees each of them several times.
+func syntheticFixtures(t *testing.T) (*topo.Deployment, *flow.Set) {
+	t.Helper()
+	opts := topo.SyntheticOpts{Seed: 3, Regions: 2}
+	dep, err := topo.SyntheticWithOpts(64, 6, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxLoad := 0
+	for _, c := range dep.Controllers {
+		load := 0
+		for _, sw := range c.Domain {
+			load += flows.SwitchFlowCount(sw)
+		}
+		maxLoad = max(maxLoad, load)
+	}
+	if dep, err = topo.SyntheticWithOpts(64, 6, maxLoad+maxLoad/2+1, opts); err != nil {
+		t.Fatal(err)
+	}
+	return dep, flows
+}
+
+// scanCase compiles a case's flow side the slow way — every flow of the
+// workload in ID order, every stop against the offline set — which is the
+// order and content Context.Build must reproduce from its gather.
+func scanCase(dep *topo.Deployment, flows *flow.Set, failed []int) (flowIDs, unrecoverable []flow.ID, pairs []core.Pair) {
+	var switches []topo.NodeID
+	for _, j := range failed {
+		switches = append(switches, dep.Controllers[j].Domain...)
+	}
+	sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
+	index := make(map[topo.NodeID]int, len(switches))
+	for i, sw := range switches {
+		index[sw] = i
+	}
+	for l := range flows.Flows {
+		f := &flows.Flows[l]
+		offline, recoverable := false, false
+		for _, v := range f.Path {
+			if _, ok := index[v]; ok {
+				offline = true
+			}
+		}
+		for _, stop := range f.Stops {
+			if i, ok := index[stop.Node]; ok && stop.Programmable() {
+				pairs = append(pairs, core.Pair{Switch: i, Flow: len(flowIDs), PBar: stop.PBar()})
+				recoverable = true
+			}
+		}
+		switch {
+		case recoverable:
+			flowIDs = append(flowIDs, f.ID)
+		case offline:
+			unrecoverable = append(unrecoverable, f.ID)
+		}
+	}
+	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Switch < pairs[b].Switch })
+	return flowIDs, unrecoverable, pairs
+}
+
+// TestContextBuildMatchesScan is the oracle for the mark-and-scan compile on
+// cases whose gather holds duplicates: every failure set of up to three
+// controllers (and the invalid ones) through one shared Context must equal
+// the one-shot scenario.Build — instances DeepEqual, errors string-equal —
+// and its flows and pairs must equal an all-flows scan.
+func TestContextBuildMatchesScan(t *testing.T) {
+	dep, flows := syntheticFixtures(t)
+	ctx, err := NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(dep.Controllers)
+	cases := append(CombinationsUpTo(m, 3), nil, []int{m}, []int{2, 2}, []int{0, 1, 2, 3, 4, 5})
+	duplicates := 0
+	for _, failed := range cases {
+		fresh, freshErr := Build(dep, flows, failed)
+		cached, cachedErr := ctx.Build(failed)
+		if (freshErr == nil) != (cachedErr == nil) || (freshErr != nil && freshErr.Error() != cachedErr.Error()) {
+			t.Fatalf("case %v: Context.Build err %v, Build err %v", failed, cachedErr, freshErr)
+		}
+		if freshErr != nil {
+			continue
+		}
+		if !reflect.DeepEqual(fresh, cached) {
+			t.Fatalf("case %v: shared-context instance differs from one-shot Build", failed)
+		}
+		flowIDs, unrecoverable, pairs := scanCase(dep, flows, failed)
+		if !reflect.DeepEqual(cached.FlowIDs, flowIDs) || !reflect.DeepEqual(cached.Unrecoverable, unrecoverable) {
+			t.Fatalf("case %v: offline flows differ from the all-flows scan: %d+%d flows, want %d+%d",
+				failed, len(cached.FlowIDs), len(cached.Unrecoverable), len(flowIDs), len(unrecoverable))
+		}
+		if !reflect.DeepEqual(cached.Problem.Pairs, pairs) {
+			t.Fatalf("case %v: pairs differ from the all-flows scan", failed)
+		}
+		duplicates += len(flows.AppendFlowsThrough(nil, cached.Switches)) - cached.OfflineFlowCount()
+	}
+	if duplicates == 0 {
+		t.Fatal("fixture never put a flow through two offline switches")
+	}
+}
+
+// TestContextBuildScratchHygiene hands one scratch to a compile that fails
+// after the gather — a line topology has one path per flow, so no offline flow
+// is recoverable — and then to a valid compile on another Context of the same
+// size (so every scratch array is reused, not regrown), which must equal the
+// same compile on a cold scratch.
+func TestContextBuildScratchHygiene(t *testing.T) {
+	g := &topo.Graph{}
+	for v := 0; v < 64; v++ {
+		g.AddNode("", 30, -120+float64(v))
+		if v > 0 {
+			if err := g.AddEdge(topo.NodeID(v-1), topo.NodeID(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lineDep, err := topo.AutoDeployment(g, 3, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineFlows, err := flow.Generate(g, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := NewContext(lineDep, lineFlows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, flows := syntheticFixtures(t)
+	ctx, err := NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if lineFlows.Len() < flows.Len() {
+		t.Fatalf("line workload has %d flows, fewer than the %d the valid compile marks", lineFlows.Len(), flows.Len())
+	}
+
+	sc := new(buildScratch)
+	const wantErr = "scenario: invalid failure case: failure case has no recoverable offline flows"
+	if _, err := line.build(sc, []int{0, 1}); err == nil || err.Error() != wantErr {
+		t.Fatalf("line topology: err %v, want %q", err, wantErr)
+	}
+	if len(sc.offFlows) == 0 {
+		t.Fatal("the failing compile never reached the gather")
+	}
+	warm, err := ctx.build(sc, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := ctx.build(new(buildScratch), []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatal("compile on a scratch left by a failed compile differs from a cold one")
 	}
 }
