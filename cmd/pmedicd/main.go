@@ -1,8 +1,10 @@
 // Command pmedicd runs the online recovery daemon over a simulated SD-WAN:
 // it boots the ATT deployment with an openflow agent per switch and an echo
-// liveness endpoint per controller, starts the heartbeat failure detector
-// (internal/monitor) and the event-driven recovery orchestrator
-// (internal/medic), and serves the daemon's state over HTTP.
+// liveness endpoint per controller, starts the failure detector
+// (internal/monitor: a heartbeat per controller, plus one watched session
+// whose reset makes a crash known in round trips rather than heartbeat
+// periods) and the event-driven recovery orchestrator (internal/medic), and
+// serves the daemon's state over HTTP.
 //
 // With -state-dir the daemon is crash-safe and replicable: its reconciled
 // state persists as snapshot+WAL (internal/store) in the directory, and a
@@ -107,7 +109,7 @@ func parseFlags(args []string) (config, error) {
 	interval := fs.Duration("interval", 500*time.Millisecond, "probe interval per controller")
 	timeout := fs.Duration("timeout", 0, "per-probe timeout (0 = interval)")
 	threshold := fs.Int("threshold", 3, "consecutive misses before a controller is declared down")
-	debounce := fs.Duration("debounce", 0, "failure-coalescing window (0 = 2×interval)")
+	debounce := fs.Duration("debounce", 0, "how long a returned controller is held before it is announced; failures are never held (0 = 2×interval)")
 	jitter := fs.Duration("jitter", 0, "probe schedule jitter (0 = interval/4)")
 	seed := fs.Int64("seed", 1, "seed for probe schedules and push retry jitter")
 	stateDir := fs.String("state-dir", "", "snapshot+WAL state directory; enables crash-safe HA mode")

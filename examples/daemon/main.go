@@ -121,6 +121,25 @@ func run(dryRun bool) error {
 		}
 	}
 
+	// A crash is noticed in round trips once the detector holds a session to
+	// the controller, which it opens after the first probe that succeeds;
+	// before that only the heartbeat would notice, Threshold ticks later.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(interval) {
+		armed := 0
+		for _, s := range mon.State() {
+			if s.Watched {
+				armed++
+			}
+		}
+		if armed == len(targets) {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("detector holds %d of %d sessions", armed, len(targets))
+		}
+	}
+	fmt.Println("detector armed: one watched session per controller")
+
 	// Act 1: the paper's headline-style case, injected at runtime — the hub
 	// domain's controller dies together with its only capable backup.
 	fmt.Println("\n--- killing controllers 3 and 4 ---")

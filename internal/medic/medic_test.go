@@ -2,6 +2,7 @@ package medic
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -416,5 +417,135 @@ func TestMetricsTimeTheWireStages(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestSplitFailureConvergesToJointPlan: the detector no longer holds a failure
+// to see whether another follows, so a correlated failure of {3,4} can arrive
+// as {3} then {4} a moment apart. However the two interleave with the loop —
+// batched into one pass, the second overtaking the first's plan, or the second
+// after the first was pushed — the daemon must end converged on the joint plan
+// a fresh solve of {3,4} gives, having pushed at most twice.
+func TestSplitFailureConvergesToJointPlan(t *testing.T) {
+	dep, flows := testFixture(t)
+	ctx, err := scenario.NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joint, err := ctx.Build([]int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.PM(joint.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]MappingEntry, len(fresh.SwitchController))
+	for i, jj := range fresh.SwitchController {
+		want[i] = MappingEntry{Switch: joint.Switches[i], Controller: -1}
+		if jj >= 0 {
+			want[i].Controller = joint.Active[jj]
+		}
+	}
+
+	// follow sends {4} after {3}. planning is closed when the loop enters its
+	// first solve, which then waits for release.
+	type splitCase struct {
+		name      string
+		pushes    int // 0: one or two, the timing decides
+		wantStale bool
+		follow    func(t *testing.T, m *Medic, send func(), planning <-chan struct{}, release func())
+	}
+	cases := []splitCase{
+		{"batched", 1, false, nil}, // both queued before the loop starts
+		{"overtakes the plan", 1, true, func(_ *testing.T, _ *Medic, send func(), planning <-chan struct{}, release func()) {
+			<-planning
+			send()
+			release()
+		}},
+		{"after the push", 2, false, func(t *testing.T, m *Medic, send func(), _ <-chan struct{}, release func()) {
+			release()
+			waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
+			send()
+		}},
+	}
+	for _, gap := range []time.Duration{0, 500 * time.Microsecond, time.Millisecond, 2 * time.Millisecond} {
+		gap := gap
+		cases = append(cases, splitCase{"gap " + gap.String(), 0, false,
+			func(_ *testing.T, _ *Medic, send func(), _ <-chan struct{}, release func()) {
+				release()
+				time.Sleep(gap)
+				send()
+			}})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recorder{}
+			planning, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			m, err := New(Config{
+				Dep:      dep,
+				Flows:    flows,
+				Addrs:    map[topo.NodeID]string{0: "stubbed"},
+				Pusher:   rec.push,
+				Restorer: rec.restore,
+				Solve: func(p *core.Problem) (*core.Solution, error) {
+					once.Do(func() { close(planning) })
+					<-release
+					return core.PM(p)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := make(chan monitor.Event, 8)
+			send := func() { events <- monitor.Event{Seq: 2, Failed: []int{4}} }
+			events <- monitor.Event{Seq: 1, Failed: []int{3}}
+			if tc.follow == nil {
+				send()
+				close(release)
+			}
+			m.Start(events)
+			defer m.Stop()
+			if tc.follow != nil {
+				tc.follow(t, m, send, planning, func() { close(release) })
+			}
+
+			st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
+			if st.Case != joint.Label() {
+				t.Fatalf("converged on %s, want the joint case %s", st.Case, joint.Label())
+			}
+			if !slices.Equal(st.Mapping, want) {
+				t.Fatalf("mapping differs from a fresh PM solve of {3,4}:\n got %v\nwant %v", st.Mapping, want)
+			}
+
+			rec.mu.Lock()
+			pushes := len(rec.pushes)
+			last := rec.pushes[pushes-1].Label()
+			rec.mu.Unlock()
+			if pushes > 2 || (tc.pushes != 0 && pushes != tc.pushes) {
+				t.Fatalf("%d pushes, want %d (0: one or two)", pushes, tc.pushes)
+			}
+			if last != joint.Label() {
+				t.Fatalf("last push was for %s, want %s", last, joint.Label())
+			}
+			// One push means {3} alone was never pushed: either it was never
+			// planned alone (the two detect entries are adjacent) or its plan
+			// was discarded, which the log must say.
+			stale := hasLogKind(st, KindStale, "")
+			if tc.wantStale && !stale {
+				t.Fatalf("the overtaken plan left no stale entry: %+v", st.Events)
+			}
+			if pushes == 1 && !stale {
+				first := slices.IndexFunc(st.Events, func(e LogEntry) bool { return e.Kind == KindDetect })
+				if st.Events[first+1].Kind != KindDetect {
+					t.Fatalf("one push, no stale entry, yet {3} was reconciled alone: %+v", st.Events)
+				}
+			}
+			if pushes == 2 && stale {
+				t.Fatalf("two pushes and a discarded plan: %+v", st.Events)
+			}
+		})
 	}
 }

@@ -1,11 +1,12 @@
-// Package monitor is a heartbeat-based controller failure detector. It
-// probes each target's control-plane liveness endpoint (internal/openflow
-// Echo by default) on a jittered per-target loop, turns consecutive probe
-// misses into a down suspicion and a single successful probe into a
-// recovery, and coalesces transitions inside a debounce window so a
-// correlated multi-controller failure surfaces as one event — the input the
-// recovery orchestrator (internal/medic) wants, since re-planning once for
-// the combined failure beats re-planning per controller.
+// Package monitor is the controller failure detector. Per target it runs two
+// signals side by side: a jittered heartbeat (one probe per tick against the
+// control-plane liveness endpoint, internal/openflow Echo by default) and one
+// watched session, an idle control channel that a crashing controller resets.
+// Consecutive probe misses make a down verdict and a single successful probe
+// a recovery; the watched session never decides anything, it only tells the
+// loop when to probe. Failures are emitted the moment the verdict is in;
+// recoveries are held for a debounce window so a flapping controller is not
+// handed its domain back.
 //
 // Detection semantics:
 //
@@ -16,12 +17,31 @@
 //     quiet under jitter-only chaos.
 //   - Any successful probe resets the counter and flips a down target up
 //     (fail-back detection).
-//   - Raw transitions are buffered for Debounce before an Event is emitted;
-//     transitions that cancel out within the window (a flap) are suppressed.
+//   - Losing the watched session is a hint, not a verdict: the loop probes
+//     now instead of at the next tick, and back to back until one probe
+//     succeeds (nothing happened: counter reset, session re-armed, no event)
+//     or Threshold consecutive probes missed (down). Every such probe is a
+//     Config.Probe call like any other.
+//   - A down transition becomes an Event at once, together with whatever else
+//     is already queued; correlating failures that land microseconds apart in
+//     two events is the consumer's job (internal/medic batches queued events
+//     and discards a plan that a newer event overtook).
+//   - An up transition is held for Debounce; a down for the same target inside
+//     the hold cancels it and nothing is emitted (a flap).
+//
+// Detection bounds, from the fault to the Event:
+//
+//   - crash (the peer resets its sessions): Threshold × (dial + Echo round
+//     trip), independent of Interval;
+//   - silent failure (partition, hang — no reset): the Threshold-th tick after
+//     the fault, at most Threshold × (Interval + Jitter + what a failing probe
+//     takes, itself at most Timeout); the heartbeat alone decides it, exactly
+//     as it did before sessions were watched;
+//   - recovery: one tick, plus Debounce.
 //
 // All probe scheduling is seeded: loops start phase-staggered and tick with
 // deterministic jitter drawn from per-target PRNG streams, so two monitors
-// with the same seed probe on the same schedule.
+// with the same seed probe on the same schedule until a session is lost.
 package monitor
 
 import (
@@ -34,18 +54,30 @@ import (
 	"pmedic/internal/openflow"
 )
 
+// The two signals a down verdict can come from, as TargetState.LastSignal and
+// Event.Signal name them.
+const (
+	// SignalReset: the watched session was lost and the probes that followed
+	// it back to back all missed.
+	SignalReset = "reset"
+	// SignalHeartbeat: Threshold consecutive ticks missed.
+	SignalHeartbeat = "heartbeat"
+)
+
 // Target is one monitored controller endpoint.
 type Target struct {
 	// ID is the controller's deployment index; events carry it.
 	ID int
 	// Name is a human-readable label for logs and status.
 	Name string
-	// Addr is the liveness endpoint the probe dials.
+	// Addr is the liveness endpoint the probe dials, and the one the watched
+	// session is held to.
 	Addr string
 }
 
 // ProbeFunc checks one endpoint's liveness, bounded by timeout. Every call
-// is independent (connection-per-probe); a nil error means alive.
+// is independent of every other and of the watched session (the default
+// dials, pings and closes); a nil error means alive.
 type ProbeFunc func(addr string, timeout time.Duration) error
 
 // ProbeVia builds a ProbeFunc from a control-channel dialer: each probe
@@ -71,22 +103,28 @@ var defaultProbe = ProbeVia(openflow.DialTimeout)
 type Config struct {
 	// Interval is the nominal gap between probes of one target (default
 	// 500ms). Each target's loop starts phase-staggered within one Interval.
+	// It is also the least gap between two attempts to open a target's
+	// watched session.
 	Interval time.Duration
 	// Jitter adds a uniform [0, Jitter) seeded extra delay per tick (default
 	// Interval/4) so probe loops decorrelate instead of thundering together.
 	Jitter time.Duration
-	// Timeout bounds each probe (default Interval).
+	// Timeout bounds each probe, and the dial of a watched session (default
+	// Interval).
 	Timeout time.Duration
 	// Threshold is the number of consecutive misses that flips a target down
 	// (default 3).
 	Threshold int
-	// Debounce is the coalescing window between the first raw transition and
-	// the emitted event (default 2×Interval). Correlated failures landing
-	// within one window become one event.
+	// Debounce is how long an up transition is held before it is emitted
+	// (default 2×Interval): recoveries landing within one hold become one
+	// event, and a target that goes down again inside it never surfaces as
+	// recovered. Down transitions are not held.
 	Debounce time.Duration
 	// Seed drives the probe schedule and jitter deterministically.
 	Seed int64
-	// Probe replaces the liveness check (default: openflow Echo ping).
+	// Probe replaces the liveness check (default: openflow Echo ping). It is
+	// the only thing that produces a hit or a miss, on ticks and after a lost
+	// session alike.
 	Probe ProbeFunc
 }
 
@@ -112,42 +150,61 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one coalesced liveness delta: the targets that went down and the
-// targets that came back since the previous event.
+// Event is one liveness delta: the targets that went down and the targets
+// that came back since the previous event.
 type Event struct {
 	// Seq numbers events monotonically from 1.
 	Seq uint64 `json:"seq"`
 	// Failed and Recovered carry target IDs, ascending.
 	Failed    []int `json:"failed,omitempty"`
 	Recovered []int `json:"recovered,omitempty"`
-	// At is the emission time (the end of the debounce window).
+	// Signal names what detected the failures: SignalReset, SignalHeartbeat,
+	// or "heartbeat+reset" when the event carries one of each. Empty when
+	// nothing failed.
+	Signal string `json:"signal,omitempty"`
+	// At is the emission time: the instant of the verdict for a failure, the
+	// end of the Debounce hold for a recovery.
 	At time.Time `json:"at"`
 }
 
 // String renders the event compactly.
 func (e Event) String() string {
-	return fmt.Sprintf("event #%d: failed=%v recovered=%v", e.Seq, e.Failed, e.Recovered)
+	by := ""
+	if e.Signal != "" {
+		by = " (" + e.Signal + ")"
+	}
+	return fmt.Sprintf("event #%d: failed=%v%s recovered=%v", e.Seq, e.Failed, by, e.Recovered)
 }
 
 // TargetState is one target's detector-side view, for status reporting.
 type TargetState struct {
-	ID                int       `json:"id"`
-	Name              string    `json:"name,omitempty"`
-	Addr              string    `json:"addr"`
-	Up                bool      `json:"up"`
-	ConsecutiveMisses int       `json:"consecutive_misses"`
-	Probes            uint64    `json:"probes"`
-	Misses            uint64    `json:"misses"`
-	Failures          uint64    `json:"failures"`
-	Recoveries        uint64    `json:"recoveries"`
-	LastProbeAt       time.Time `json:"last_probe_at"`
-	LastError         string    `json:"last_error,omitempty"`
+	ID                int    `json:"id"`
+	Name              string `json:"name,omitempty"`
+	Addr              string `json:"addr"`
+	Up                bool   `json:"up"`
+	ConsecutiveMisses int    `json:"consecutive_misses"`
+	Probes            uint64 `json:"probes"`
+	Misses            uint64 `json:"misses"`
+	Failures          uint64 `json:"failures"`
+	Recoveries        uint64 `json:"recoveries"`
+	// Watched reports whether a session to the target is held right now, i.e.
+	// whether a crash would be noticed before the next tick.
+	Watched bool `json:"watched"`
+	// SessionResets counts watched sessions lost, spurious ones (an idle
+	// session reaped by the peer) included.
+	SessionResets uint64 `json:"session_resets"`
+	// LastSignal is the signal behind the latest down flip.
+	LastSignal  string    `json:"last_signal,omitempty"`
+	LastProbeAt time.Time `json:"last_probe_at"`
+	LastError   string    `json:"last_error,omitempty"`
 }
 
-// transition is one raw per-target state flip, pre-debounce.
+// transition is one raw per-target state flip, as the probe loop hands it to
+// the coalescer.
 type transition struct {
-	id int
-	up bool
+	id     int
+	up     bool
+	signal string // what flipped the target down
 }
 
 type target struct {
@@ -155,7 +212,28 @@ type target struct {
 	state TargetState
 }
 
-// Monitor drives the probe loops and the debouncing coalescer.
+// watch is the idle control channel a target's loop holds so that a crashing
+// peer's reset arrives as a wake-up.
+type watch struct {
+	conn *openflow.Conn
+	lost chan struct{} // closed once the channel has ended
+}
+
+func (w *watch) close() {
+	if w != nil {
+		_ = w.conn.Close()
+	}
+}
+
+// lostC is w.lost, or for no session nil, which a select never picks.
+func (w *watch) lostC() <-chan struct{} {
+	if w == nil {
+		return nil
+	}
+	return w.lost
+}
+
+// Monitor drives the probe loops and the coalescer.
 type Monitor struct {
 	cfg     Config
 	targets []*target
@@ -187,7 +265,7 @@ func New(targets []Target, cfg Config) *Monitor {
 	return m
 }
 
-// Events is the coalesced event stream. It is closed by Stop.
+// Events is the event stream. It is closed by Stop.
 func (m *Monitor) Events() <-chan Event { return m.events }
 
 // Start launches the probe loops and the coalescer.
@@ -202,7 +280,8 @@ func (m *Monitor) Start() {
 	})
 }
 
-// Stop halts probing, waits for in-flight probes, and closes Events.
+// Stop halts probing, waits for in-flight probes, closes the watched sessions
+// and closes Events. Nothing the monitor started is running when it returns.
 func (m *Monitor) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.done)
@@ -245,27 +324,112 @@ func (m *Monitor) State() []TargetState {
 }
 
 // probeLoop drives one target: phase-staggered start, jittered ticks, one
-// probe per tick.
+// probe per tick — and, when the watched session is lost, probes back to back
+// until the verdict is in.
 func (m *Monitor) probeLoop(t *target, seed int64) {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(seed))
 	timer := time.NewTimer(time.Duration(rng.Int63n(int64(m.cfg.Interval))))
 	defer timer.Stop()
+	var (
+		w       *watch    // the session held while the target answers, or nil
+		armedAt time.Time // the latest attempt to open one
+	)
+	defer func() { w.close() }()
 	for {
+		signal := SignalHeartbeat
 		select {
 		case <-m.done:
 			return
 		case <-timer.C:
+		case <-w.lostC():
+			// A hint, not a verdict: the peer may have crashed, restarted, or
+			// only reaped an idle channel. Probe now to find out which.
+			w.close()
+			w = nil
+			m.sessionLost(t)
+			signal = SignalReset
 		}
-		err := m.cfg.Probe(t.Addr, m.cfg.Timeout)
-		m.record(t, err)
+		for {
+			err := m.cfg.Probe(t.Addr, m.cfg.Timeout)
+			up := m.record(t, err, signal)
+			if err == nil {
+				// The session is best-effort: failing to open it is not a miss.
+				// One attempt per Interval keeps an endpoint that accepts and
+				// then closes (a dead EchoServer does) from spinning the loop,
+				// and after a success the target is up, so a down target is
+				// never watched.
+				if w == nil && time.Since(armedAt) >= m.cfg.Interval {
+					armedAt = time.Now()
+					w = m.arm(t)
+				}
+				break
+			}
+			if signal != SignalReset || !up || m.stopped() {
+				break
+			}
+		}
+		// go.mod selects the pre-1.23 timer channel: a tick that fired while
+		// the loop was busy with a lost session is still queued, and Reset
+		// alone would deliver it as an extra probe.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
 		timer.Reset(m.cfg.Interval + time.Duration(rng.Int63n(int64(m.cfg.Jitter))))
 	}
 }
 
-// record folds one probe result into the target's state and queues a raw
-// transition when the suspicion threshold is crossed or the target returns.
-func (m *Monitor) record(t *target, err error) {
+func (m *Monitor) stopped() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// arm opens the target's watched session and starts its reader, which ends —
+// closing lost — when the channel does: reset or closed by the peer, or closed
+// by the loop. It answers the peer's Echo requests and drops anything else.
+func (m *Monitor) arm(t *target) *watch {
+	conn, err := openflow.DialTimeout(t.Addr, m.cfg.Timeout)
+	if err != nil {
+		return nil
+	}
+	w := &watch{conn: conn, lost: make(chan struct{})}
+	m.wg.Add(1) // the loop calling arm holds a count, so Stop's Wait cannot have returned
+	go func() {
+		defer m.wg.Done()
+		defer close(w.lost)
+		for {
+			// XID 0 is never sent on this channel, so nothing matches and
+			// only an error returns.
+			if _, _, err := conn.RecvXID(0); err != nil {
+				return
+			}
+		}
+	}()
+	m.mu.Lock()
+	t.state.Watched = true
+	m.mu.Unlock()
+	return w
+}
+
+func (m *Monitor) sessionLost(t *target) {
+	m.mu.Lock()
+	t.state.Watched = false
+	t.state.SessionResets++
+	m.mu.Unlock()
+}
+
+// record folds one probe result into the target's state, queues a raw
+// transition when the suspicion threshold is crossed or the target returns,
+// and reports whether the target is up afterwards. signal is what prompted
+// the probe.
+func (m *Monitor) record(t *target, err error, signal string) bool {
 	m.mu.Lock()
 	s := &t.state
 	s.Probes++
@@ -278,7 +442,8 @@ func (m *Monitor) record(t *target, err error) {
 		if s.Up && s.ConsecutiveMisses >= m.cfg.Threshold {
 			s.Up = false
 			s.Failures++
-			tr = &transition{id: t.ID, up: false}
+			s.LastSignal = signal
+			tr = &transition{id: t.ID, signal: signal}
 		}
 	} else {
 		s.ConsecutiveMisses = 0
@@ -289,6 +454,7 @@ func (m *Monitor) record(t *target, err error) {
 			tr = &transition{id: t.ID, up: true}
 		}
 	}
+	up := s.Up
 	m.mu.Unlock()
 	if tr != nil {
 		select {
@@ -296,11 +462,14 @@ func (m *Monitor) record(t *target, err error) {
 		case <-m.done:
 		}
 	}
+	return up
 }
 
-// coalesce buffers raw transitions for one debounce window and emits the
-// surviving delta as a single event. reported tracks the state consumers
-// last saw, so a flap inside the window cancels instead of emitting.
+// coalesce turns raw transitions into events. A down transition is emitted at
+// once, with every other transition already queued folded in; an up transition
+// waits out one Debounce hold, which starts at the first pending up, and a down
+// for the same target inside the hold cancels it. reported tracks the state
+// consumers last saw.
 func (m *Monitor) coalesce() {
 	defer m.wg.Done()
 	// reported starts from each target's current view, not a blanket "up":
@@ -312,54 +481,89 @@ func (m *Monitor) coalesce() {
 		reported[t.ID] = t.state.Up
 	}
 	m.mu.Unlock()
-	pending := make(map[int]bool)
 	var (
-		timer  *time.Timer
-		timerC <-chan time.Time
-		seq    uint64
+		pendingUp = make(map[int]bool)
+		hold      *time.Timer
+		holdC     <-chan time.Time
+		seq       uint64
 	)
 	defer func() {
-		if timer != nil {
-			timer.Stop()
+		if hold != nil {
+			hold.Stop()
 		}
 	}()
 	for {
+		var (
+			ev               Event
+			heartbeat, reset bool
+		)
 		select {
 		case <-m.done:
 			return
 		case tr := <-m.transitions:
-			pending[tr.id] = tr.up
-			if timerC == nil {
-				timer = time.NewTimer(m.cfg.Debounce)
-				timerC = timer.C
-			}
-		case <-timerC:
-			timerC = nil
-			ev := Event{At: time.Now()}
-			for id, up := range pending {
-				if up == reported[id] {
-					continue // flapped back within the window
-				}
-				reported[id] = up
-				if up {
-					ev.Recovered = append(ev.Recovered, id)
+			for more := true; more; {
+				if tr.up {
+					pendingUp[tr.id] = true
+					if holdC == nil {
+						hold = time.NewTimer(m.cfg.Debounce)
+						holdC = hold.C
+					}
 				} else {
-					ev.Failed = append(ev.Failed, id)
+					if pendingUp[tr.id] {
+						// Flapped back inside the hold: the consumer never
+						// saw it up, so there is nothing to tell.
+						delete(pendingUp, tr.id)
+						if len(pendingUp) == 0 {
+							hold.Stop()
+							holdC = nil
+						}
+					}
+					if reported[tr.id] {
+						reported[tr.id] = false
+						ev.Failed = append(ev.Failed, tr.id)
+						if tr.signal == SignalReset {
+							reset = true
+						} else {
+							heartbeat = true
+						}
+					}
+				}
+				select {
+				case tr = <-m.transitions:
+				default:
+					more = false
 				}
 			}
-			pending = make(map[int]bool)
-			if len(ev.Failed) == 0 && len(ev.Recovered) == 0 {
-				continue
+		case <-holdC:
+			holdC = nil
+			for id := range pendingUp {
+				if !reported[id] {
+					reported[id] = true
+					ev.Recovered = append(ev.Recovered, id)
+				}
 			}
-			sort.Ints(ev.Failed)
-			sort.Ints(ev.Recovered)
-			seq++
-			ev.Seq = seq
-			select {
-			case m.events <- ev:
-			case <-m.done:
-				return
-			}
+			clear(pendingUp)
+		}
+		if len(ev.Failed) == 0 && len(ev.Recovered) == 0 {
+			continue
+		}
+		sort.Ints(ev.Failed)
+		sort.Ints(ev.Recovered)
+		switch {
+		case heartbeat && reset:
+			ev.Signal = SignalHeartbeat + "+" + SignalReset
+		case reset:
+			ev.Signal = SignalReset
+		case heartbeat:
+			ev.Signal = SignalHeartbeat
+		}
+		seq++
+		ev.Seq = seq
+		ev.At = time.Now()
+		select {
+		case m.events <- ev:
+		case <-m.done:
+			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,6 +122,10 @@ func TestBlipsBelowThresholdAreSuppressed(t *testing.T) {
 	}
 }
 
+// TestCorrelatedFailuresCoalesce pins the event contract for a correlated
+// failure: downs are never held, so two controllers dying together surface as
+// one event or as two back to back — disjoint, gap-free, nothing lost — while
+// their returns, which are held for Debounce, still arrive as one.
 func TestCorrelatedFailuresCoalesce(t *testing.T) {
 	fleet := newFakeFleet("a", "b", "c")
 	m := New([]Target{{ID: 0, Addr: "a"}, {ID: 1, Addr: "b"}, {ID: 2, Addr: "c"}},
@@ -128,27 +133,41 @@ func TestCorrelatedFailuresCoalesce(t *testing.T) {
 	m.Start()
 	defer m.Stop()
 
-	// Two controllers die together: threshold crossings land within one
-	// debounce window, so one event must carry both.
 	fleet.set("a", false)
 	fleet.set("c", false)
-	ev := waitEvent(t, m, 5*time.Second)
-	if len(ev.Failed) != 2 || ev.Failed[0] != 0 || ev.Failed[1] != 2 {
-		t.Fatalf("Failed = %v, want [0 2]", ev.Failed)
+	failed := make(map[int]bool)
+	var seq uint64
+	for len(failed) < 2 {
+		ev := waitEvent(t, m, 5*time.Second)
+		if seq++; ev.Seq != seq {
+			t.Fatalf("Seq = %d, want %d (gap-free)", ev.Seq, seq)
+		}
+		if len(ev.Failed) == 0 || len(ev.Recovered) != 0 {
+			t.Fatalf("%v: want failures only", ev)
+		}
+		if ev.Signal != SignalHeartbeat {
+			t.Fatalf("Signal = %q, want %q: no session was ever held", ev.Signal, SignalHeartbeat)
+		}
+		for _, id := range ev.Failed {
+			if failed[id] {
+				t.Fatalf("target %d announced down twice (second time in %v)", id, ev)
+			}
+			failed[id] = true
+		}
 	}
-	if len(ev.Recovered) != 0 {
-		t.Fatalf("Recovered = %v, want none", ev.Recovered)
+	if !failed[0] || !failed[2] {
+		t.Fatalf("failed set = %v, want {0,2}", failed)
 	}
 
 	// Both return: one coalesced recovery event.
 	fleet.set("a", true)
 	fleet.set("c", true)
-	ev = waitEvent(t, m, 5*time.Second)
-	if len(ev.Recovered) != 2 || ev.Recovered[0] != 0 || ev.Recovered[1] != 2 {
-		t.Fatalf("Recovered = %v, want [0 2]", ev.Recovered)
+	ev := waitEvent(t, m, 5*time.Second)
+	if len(ev.Recovered) != 2 || ev.Recovered[0] != 0 || ev.Recovered[1] != 2 || len(ev.Failed) != 0 {
+		t.Fatalf("event = %v, want recovered=[0 2] only", ev)
 	}
-	if ev.Seq != 2 {
-		t.Fatalf("Seq = %d, want 2", ev.Seq)
+	if ev.Seq != seq+1 {
+		t.Fatalf("Seq = %d, want %d", ev.Seq, seq+1)
 	}
 	s := m.State()[0]
 	if s.Failures != 1 || s.Recoveries != 1 {
@@ -244,5 +263,414 @@ func TestMarkDownHandsOffDetectorState(t *testing.T) {
 	ev := waitEvent(t, m, 5*time.Second)
 	if len(ev.Recovered) != 1 || ev.Recovered[0] != 0 || len(ev.Failed) != 0 {
 		t.Fatalf("event = %v, want recovery of target 0", ev)
+	}
+}
+
+// endpoint is a liveness endpoint that can misbehave in the ways an
+// EchoServer cannot: stay connected but stop answering (a hang), reap idle
+// channels quickly, and drop every channel without ever being dead (a
+// restart faster than one probe).
+type endpoint struct {
+	l    *openflow.Listener
+	idle time.Duration // per-read deadline on every channel; 0 = none
+	mute atomic.Bool   // read requests, answer none
+
+	mu    sync.Mutex
+	conns map[*openflow.Conn]struct{}
+	wg    sync.WaitGroup
+}
+
+func serveEndpoint(t *testing.T, idle time.Duration) *endpoint {
+	t.Helper()
+	l, err := openflow.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &endpoint{l: l, idle: idle, conns: make(map[*openflow.Conn]struct{})}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			e.mu.Lock()
+			e.conns[conn] = struct{}{}
+			e.mu.Unlock()
+			e.wg.Add(1)
+			go e.serve(conn)
+		}
+	}()
+	t.Cleanup(func() {
+		_ = l.Close()
+		e.kick()
+		e.wg.Wait()
+	})
+	return e
+}
+
+func (e *endpoint) serve(conn *openflow.Conn) {
+	defer e.wg.Done()
+	defer func() {
+		_ = conn.Close()
+		e.mu.Lock()
+		delete(e.conns, conn)
+		e.mu.Unlock()
+	}()
+	conn.SetIOTimeout(e.idle)
+	for {
+		msg, h, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		if echo, ok := msg.(openflow.Echo); ok && !echo.Reply && !e.mute.Load() {
+			if err := conn.SendXID(openflow.Echo{Reply: true, Data: echo.Data}, h.XID); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// kick closes every open channel; the endpoint keeps accepting.
+func (e *endpoint) kick() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for c := range e.conns {
+		_ = c.Close()
+	}
+}
+
+func (e *endpoint) open() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.conns)
+}
+
+// waitState polls target 0's state until cond holds.
+func waitState(t *testing.T, m *Monitor, what string, cond func(TargetState) bool) TargetState {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s := m.State()[0]
+		if cond(s) {
+			return s
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not reached; last state %+v", what, s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// loseSession repeats drop until target 0's watched session is lost to it.
+// Once can be too early: Watched turns true when the monitor's end of the
+// handshake is done, a moment before the peer has the channel on its books.
+func loseSession(t *testing.T, m *Monitor, drop func()) {
+	t.Helper()
+	base := m.State()[0].SessionResets
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		drop()
+		for i := 0; i < 20; i++ {
+			if m.State()[0].SessionResets > base {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the session was never lost; state %+v", m.State()[0])
+		}
+	}
+}
+
+func expectNoEvent(t *testing.T, m *Monitor, during time.Duration, why string) {
+	t.Helper()
+	select {
+	case ev := <-m.Events():
+		t.Fatalf("unexpected %v: %s", ev, why)
+	case <-time.After(during):
+	}
+}
+
+// TestCrashIsDetectedInRoundTripsNotTicks: with a one-second heartbeat, a
+// crash that resets the watched session is announced within a few round
+// trips, by exactly Threshold extra probes.
+func TestCrashIsDetectedInRoundTripsNotTicks(t *testing.T) {
+	es, err := openflow.ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = es.Close() }()
+
+	m := New([]Target{{ID: 4, Addr: es.Addr()}}, Config{
+		Interval:  time.Second,
+		Jitter:    time.Millisecond,
+		Timeout:   200 * time.Millisecond,
+		Threshold: 2,
+		Seed:      42, // first tick 8 ms after Start; any seed passes, most wait longer
+	})
+	m.Start()
+	defer m.Stop()
+	before := waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
+
+	t0 := time.Now()
+	es.SetAlive(false)
+	ev := waitEvent(t, m, 250*time.Millisecond)
+	if took := ev.At.Sub(t0); took >= 250*time.Millisecond {
+		t.Fatalf("crash announced after %v; the next tick is a second away, so the wake was tick-driven", took)
+	}
+	if len(ev.Failed) != 1 || ev.Failed[0] != 4 || ev.Signal != SignalReset {
+		t.Fatalf("event = %v, want failed=[4] by %s", ev, SignalReset)
+	}
+	if got := ev.String(); got != "event #1: failed=[4] (reset) recovered=[]" {
+		t.Fatalf("String() = %q", got)
+	}
+	s := m.State()[0]
+	if s.Up || s.Watched || s.SessionResets != 1 || s.LastSignal != SignalReset || s.Failures != 1 {
+		t.Fatalf("state after the crash: %+v", s)
+	}
+	if s.Probes != before.Probes+2 || s.Misses != 2 {
+		t.Fatalf("verdict took %d probes (%d misses), want exactly Threshold = 2", s.Probes-before.Probes, s.Misses)
+	}
+}
+
+// TestSilentFailureIsDetectedByHeartbeatOnly: an endpoint that keeps its
+// channels open but stops answering never resets the session, so nothing is
+// probed early: the verdict comes on the Threshold-th tick, as it always did.
+func TestSilentFailureIsDetectedByHeartbeatOnly(t *testing.T) {
+	ep := serveEndpoint(t, 0)
+	cfg := Config{
+		Interval:  40 * time.Millisecond,
+		Jitter:    10 * time.Millisecond,
+		Timeout:   30 * time.Millisecond,
+		Threshold: 3,
+		Seed:      7,
+	}
+	m := New([]Target{{ID: 0, Addr: ep.l.Addr()}}, cfg)
+	m.Start()
+	defer m.Stop()
+	waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
+
+	t0 := time.Now()
+	ep.mute.Store(true)
+	ev := waitEvent(t, m, 5*time.Second)
+	took := ev.At.Sub(t0)
+	// A probe in flight when the endpoint went mute may be the first miss, so
+	// the floor counts Threshold-1 whole ticks and as many probe timeouts;
+	// the ceiling is every tick at its latest and every probe timing out.
+	floor := time.Duration(cfg.Threshold-1) * (cfg.Interval + cfg.Timeout)
+	ceiling := time.Duration(cfg.Threshold) * (cfg.Interval + cfg.Jitter + cfg.Timeout)
+	if took < floor {
+		t.Fatalf("silent failure announced after %v, before %d ticks could have missed (%v)", took, cfg.Threshold, floor)
+	}
+	if slack := 250 * time.Millisecond; took > ceiling+slack {
+		t.Fatalf("silent failure announced after %v, want within %v (+%v scheduling slack)", took, ceiling, slack)
+	}
+	if len(ev.Failed) != 1 || ev.Signal != SignalHeartbeat {
+		t.Fatalf("event = %v, want one failure by %s", ev, SignalHeartbeat)
+	}
+	s := m.State()[0]
+	if s.SessionResets != 0 || s.LastSignal != SignalHeartbeat || s.Misses != uint64(cfg.Threshold) {
+		t.Fatalf("state after the silent failure: %+v", s)
+	}
+	if !s.Watched {
+		t.Fatalf("the session was dropped although the peer never closed it: %+v", s)
+	}
+}
+
+// TestSpuriousResetsCostAProbeNotAnEvent: a controller that restarts faster
+// than a probe, and a peer that reaps idle channels, both reset the session
+// with nothing wrong. Each reset costs one successful probe and a re-arm.
+func TestSpuriousResetsCostAProbeNotAnEvent(t *testing.T) {
+	t.Run("restart", func(t *testing.T) {
+		es, err := openflow.ServeEcho("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = es.Close() }()
+		m := New([]Target{{ID: 0, Addr: es.Addr()}}, Config{
+			Interval: 20 * time.Millisecond,
+			Timeout:  200 * time.Millisecond,
+			// The endpoint is dead from the first call below until the second
+			// returns, which takes up to 2 ms while the loop it woke competes
+			// for the CPU, at some 80 µs a probe. The threshold only has to
+			// outlast that: the point is what one success does.
+			Threshold: 1000,
+			Seed:      3,
+		})
+		m.Start()
+		defer m.Stop()
+		waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
+
+		loseSession(t, m, func() {
+			es.SetAlive(false)
+			es.SetAlive(true)
+		})
+		waitState(t, m, "session re-armed after the restart", func(s TargetState) bool {
+			return s.SessionResets == 1 && s.Watched && s.ConsecutiveMisses == 0
+		})
+		expectNoEvent(t, m, 60*time.Millisecond, "a restart that a probe survives is not a failure")
+		if s := m.State()[0]; !s.Up || s.Failures != 0 {
+			t.Fatalf("state after the restart: %+v", s)
+		}
+	})
+
+	t.Run("idle reap", func(t *testing.T) {
+		ep := serveEndpoint(t, 50*time.Millisecond)
+		m := New([]Target{{ID: 0, Addr: ep.l.Addr()}}, Config{
+			Interval:  20 * time.Millisecond,
+			Timeout:   200 * time.Millisecond,
+			Threshold: 2,
+			Seed:      3,
+		})
+		m.Start()
+		defer m.Stop()
+		// The session outlives Interval before it is reaped, so it is
+		// re-armed by the very probe the reset prompted.
+		waitState(t, m, "three reaped sessions, each re-armed", func(s TargetState) bool {
+			return s.SessionResets >= 3 && s.Watched
+		})
+		expectNoEvent(t, m, 10*time.Millisecond, "a reaped idle session is not a failure")
+		if s := m.State()[0]; !s.Up || s.Failures != 0 || s.Misses != 0 {
+			t.Fatalf("state after the reaps: %+v", s)
+		}
+	})
+}
+
+// TestAcceptThenCloseDoesNotSpin: a liveness check that passes while the
+// endpoint closes every channel right after the handshake (what a custom
+// Config.Probe over a dead EchoServer looks like) loses each session it opens
+// at once. Opening at most one per Interval keeps the loop from spinning.
+func TestAcceptThenCloseDoesNotSpin(t *testing.T) {
+	es, err := openflow.ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = es.Close() }()
+	es.SetAlive(false)
+
+	cfg := fastConfig(func(string, time.Duration) error { return nil })
+	m := New([]Target{{ID: 0, Addr: es.Addr()}}, cfg)
+	m.Start()
+	defer m.Stop()
+	const window = 200 * time.Millisecond
+	expectNoEvent(t, m, window, "the probe never missed")
+	s := m.State()[0]
+	if s.SessionResets == 0 {
+		t.Fatal("no session was ever lost; the endpoint did not accept-then-close")
+	}
+	// One tick probe and one reset probe per Interval at the very most.
+	if most := uint64(2 * (window/cfg.Interval + 2)); s.Probes > most {
+		t.Fatalf("%d probes and %d sessions in %v at interval %v: the loop is spinning", s.Probes, s.SessionResets, window, cfg.Interval)
+	}
+}
+
+// TestLostSessionLeavesNoStaleTick: a probe prompted by a lost session that
+// outlasts the pending tick must swallow that tick, not run it late. With the
+// pre-1.23 timer channel go.mod selects, Reset alone would not.
+func TestLostSessionLeavesNoStaleTick(t *testing.T) {
+	ep := serveEndpoint(t, 0)
+	const interval = 40 * time.Millisecond
+	type span struct{ start, end time.Time }
+	var (
+		m     *Monitor
+		mu    sync.Mutex
+		spans []span
+		reset = -1 // index of the probe the lost session prompted
+	)
+	probe := func(addr string, timeout time.Duration) error {
+		mu.Lock()
+		i := len(spans)
+		spans = append(spans, span{start: time.Now()})
+		prompted := reset < 0 && m.State()[0].SessionResets == 1
+		if prompted {
+			reset = i
+		}
+		mu.Unlock()
+		if prompted {
+			time.Sleep(interval + interval/2) // the pending tick fires meanwhile
+		}
+		err := defaultProbe(addr, timeout)
+		mu.Lock()
+		spans[i].end = time.Now()
+		mu.Unlock()
+		return err
+	}
+	m = New([]Target{{ID: 0, Addr: ep.l.Addr()}}, Config{
+		Interval: interval,
+		Jitter:   time.Millisecond,
+		Timeout:  time.Second,
+		Seed:     5,
+		Probe:    probe,
+	})
+	m.Start()
+	defer m.Stop()
+	waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
+	loseSession(t, m, ep.kick)
+	waitState(t, m, "the reset's probe and the tick after it", func(s TargetState) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return reset >= 0 && len(spans) > reset+1
+	})
+
+	mu.Lock()
+	defer mu.Unlock()
+	if gap := spans[reset+1].start.Sub(spans[reset].end); gap < interval {
+		t.Fatalf("a probe ran %v after the reset's probe ended, want a full interval (%v): a stale tick was delivered", gap, interval)
+	}
+}
+
+// TestFlapInsideDebounceEmitsNothing: a target that comes back and goes down
+// again inside one Debounce hold was never reported up, so the consumer hears
+// nothing — and its next real recovery is event #1.
+func TestFlapInsideDebounceEmitsNothing(t *testing.T) {
+	fleet := newFakeFleet("a")
+	fleet.set("a", false)
+	cfg := fastConfig(fleet.probe)
+	cfg.Debounce = 300 * time.Millisecond
+	m := New([]Target{{ID: 0, Addr: "a"}}, cfg)
+	m.MarkDown(0)
+	m.Start()
+	defer m.Stop()
+
+	t0 := time.Now()
+	fleet.set("a", true)
+	waitState(t, m, "raw up", func(s TargetState) bool { return s.Up })
+	fleet.set("a", false)
+	waitState(t, m, "raw down", func(s TargetState) bool { return !s.Up })
+	if took := time.Since(t0); took >= cfg.Debounce {
+		t.Skipf("the flap took %v, longer than the %v hold it was meant to fit in", took, cfg.Debounce)
+	}
+	expectNoEvent(t, m, cfg.Debounce+50*time.Millisecond, "up then down inside one hold cancels out")
+
+	fleet.set("a", true)
+	t1 := time.Now()
+	ev := waitEvent(t, m, 5*time.Second)
+	if ev.Seq != 1 || len(ev.Recovered) != 1 || ev.Recovered[0] != 0 || len(ev.Failed) != 0 {
+		t.Fatalf("event = %v, want #1 recovered=[0]", ev)
+	}
+	if held := ev.At.Sub(t1); held < cfg.Debounce {
+		t.Fatalf("recovery emitted after %v, want it held for %v", held, cfg.Debounce)
+	}
+}
+
+// TestStopClosesWatchedSession: Stop closes the session it holds — the peer
+// sees it end — and its reader is one of the goroutines Stop waits for.
+func TestStopClosesWatchedSession(t *testing.T) {
+	ep := serveEndpoint(t, 0)
+	m := New([]Target{{ID: 0, Addr: ep.l.Addr()}}, Config{Interval: 10 * time.Millisecond, Timeout: time.Second, Seed: 1})
+	m.Start()
+	waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
+	m.Stop()
+	if _, ok := <-m.Events(); ok {
+		t.Fatal("event stream still open after Stop")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ep.open() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d channel(s) still open at the peer after Stop", ep.open())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -12,11 +12,18 @@ import (
 // (internal/monitor) pings to decide whether a controller is alive.
 //
 // The endpoint's liveness is toggleable without releasing its port:
-// SetAlive(false) kills every open channel and makes new ones fail during
-// the handshake, so probes see exactly what a crashed controller looks
-// like, while SetAlive(true) resumes service on the same address. That
-// address stability is what lets a simulated controller "return" and be
-// re-detected without re-configuring the detector.
+// SetAlive(false) closes every open channel, and while it is down a new
+// channel is accepted, taken through the Hello handshake and closed straight
+// after it. A dial to a dead endpoint therefore succeeds; it is the first
+// read on the channel that fails (EOF or a reset), which is how a probe and a
+// held session see a crash. SetAlive(true) resumes service on the same
+// address, and that address stability is what lets a simulated controller
+// "return" and be re-detected without re-configuring the detector.
+//
+// A served channel that carries nothing for 30 s is closed (serve's read
+// deadline). Probes never notice; an idle session held open to the endpoint,
+// such as the one internal/monitor watches, does, and must take the reset
+// for what it is: a reason to probe, not a failure.
 type EchoServer struct {
 	listener *Listener
 
@@ -101,13 +108,13 @@ func (s *EchoServer) acceptLoop() {
 				return
 			default:
 				// Handshake failure or transient accept error: keep serving.
-				// A dead endpoint also lands here — Accept completes the TCP
-				// connect but the refused handshake below kills the channel.
 				continue
 			}
 		}
 		s.mu.Lock()
 		if !s.alive {
+			// Dead: the Hello exchange is already done (Accept does it), so
+			// the dialer got a channel; closing it is the refusal.
 			s.mu.Unlock()
 			_ = conn.Close()
 			continue
@@ -122,8 +129,8 @@ func (s *EchoServer) acceptLoop() {
 	}
 }
 
-// serve answers Echo requests on one channel until it closes or the
-// endpoint goes down.
+// serve answers Echo requests on one channel until it closes, the endpoint
+// goes down, or nothing arrives for 30 s.
 func (s *EchoServer) serve(conn *Conn) {
 	defer func() {
 		_ = conn.Close()

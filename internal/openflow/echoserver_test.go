@@ -75,3 +75,28 @@ func TestEchoServerDownKillsOpenChannels(t *testing.T) {
 		t.Fatal("ping on an open channel succeeded after the endpoint died")
 	}
 }
+
+// TestEchoServerDeadEndpointAcceptsThenCloses pins what "dead" looks like on
+// the wire, since detectors are written against it: the dial and its Hello
+// exchange succeed, and the first read finds the channel closed.
+func TestEchoServerDeadEndpointAcceptsThenCloses(t *testing.T) {
+	s, err := ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	s.SetAlive(false)
+
+	conn, err := DialTimeout(s.Addr(), time.Second)
+	if err != nil {
+		t.Fatalf("dial to a dead endpoint: %v; it keeps its port and completes the handshake", err)
+	}
+	defer func() { _ = conn.Close() }()
+	conn.SetIOTimeout(time.Second)
+	if msg, _, err := conn.Recv(); err == nil {
+		t.Fatalf("read %v from a dead endpoint, want the channel closed", msg.MsgType())
+	}
+	if s.Pings() != 0 {
+		t.Fatalf("a dead endpoint answered %d pings", s.Pings())
+	}
+}
