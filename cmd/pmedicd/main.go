@@ -117,7 +117,7 @@ func parseFlags(args []string) (config, error) {
 	peers := fs.String("peers", "", "comma-separated replica IDs expected to share -state-dir (informational)")
 	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "leader lease validity; failover latency after SIGKILL is about one TTL")
 	planStore := fs.String("plan-store", "", "precompiled plan-store file (see cmd/pmstore); failure plans are served from it instead of solved")
-	compactEvery := fs.Int("compact-every", 0, "WAL records since the last checkpoint before the store asks for compaction (0 = medic default)")
+	compactEvery := fs.Int("compact-every", 0, "WAL records since the last checkpoint before the daemon folds them into a snapshot (0 = store default, 64)")
 	kill := fs.String("kill", "", "comma-separated controller indices the chaos script kills")
 	killAfter := fs.Duration("kill-after", 5*time.Second, "delay before the chaos kill")
 	reviveAfter := fs.Duration("revive-after", 10*time.Second, "delay before the killed controllers return (0 = never)")

@@ -158,8 +158,10 @@ func run(args []string, out io.Writer) (err error) {
 
 // runScale is the -scale smoke: a deterministic n-switch synthetic deployment
 // with all-pairs traffic, swept at depth 1 with the fast heuristics. It prints
-// the equivalence-class compression of every case — the class-aggregated
-// solver path the scale-syn benchmark workload exercises — and fails loudly if any
+// the equivalence-class compression of every case — the CLASSES column is
+// what PM plans over once a case is big and compressible enough (core's
+// aggMinFlows and 2×), the path the scale-syn benchmark workload exercises;
+// RetroFlow and PG plan flow by flow at every size — and fails loudly if any
 // case cannot be solved or recovers nothing.
 //
 // With regions > 0 the deployment is built clustered, the controller count

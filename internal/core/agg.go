@@ -2,18 +2,18 @@ package core
 
 import "container/heap"
 
-// This file holds the shared state machinery of the aggregated PM/PG paths:
+// This file holds the state machinery of the aggregated PM path (pm_agg.go):
 // variant groups and the merged-order walker.
 //
 // Within one equivalence class (classes.go), flows start indistinguishable
 // and only diverge when a capacity limit cuts an operation mid-class. The
-// aggregated solvers therefore keep, per class, a set of *variant groups*:
+// aggregated solver therefore keeps, per class, a set of *variant groups*:
 // all member copies that currently share the same activation mask (a uint64
 // over the class's template pairs), stored as sorted position runs into the
 // class's member list. Whole-group operations (the common case) cost O(1) in
 // the member count; only the copies an operation actually splits are touched
-// individually, in exactly the global flow-ID order the per-flow solvers
-// iterate in — which is what keeps the aggregated output byte-identical.
+// individually, in exactly the global flow-ID order the per-flow solver
+// iterates in — which is what keeps the aggregated output byte-identical.
 
 // span is a half-open run [lo, hi) of positions into classIndex.members.
 type span struct{ lo, hi int32 }
@@ -243,7 +243,7 @@ func (st *aggState) flushPending() {
 // aggWalker iterates the copies of a set of source groups in ascending global
 // flow-ID order (classIndex.members positions translate to flow IDs, and
 // member lists are flow-ascending, so a heap over per-group cursors yields
-// the exact order the per-flow solvers use). The caller consumes or keeps
+// the exact order pmFlat uses). The caller consumes or keeps
 // each copy; consumed copies are routed through aggState.pending, kept and
 // unvisited copies are written back to their source groups on finish.
 type aggWalker struct {
@@ -294,12 +294,12 @@ func (w *aggWalker) start() { heap.Init(w) }
 
 // next returns the smallest-flow pending copy without consuming it, or
 // ok=false when the walk is exhausted.
-func (w *aggWalker) next() (flow int32, gid int32, tag int32, pos int32, ok bool) {
+func (w *aggWalker) next() (gid int32, tag int32, pos int32, ok bool) {
 	if len(w.cur) == 0 {
-		return 0, 0, 0, 0, false
+		return 0, 0, 0, false
 	}
 	c := &w.cur[0]
-	return c.flow, w.gids[c.src], c.tag, c.pos, true
+	return w.gids[c.src], c.tag, c.pos, true
 }
 
 // advance moves past the current copy. With consume=true the copy leaves its

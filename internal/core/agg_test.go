@@ -16,7 +16,7 @@ import (
 // randAggProblem builds a finalized random Problem with deliberately
 // duplicated flow signatures (so classes have many members), weighted flows,
 // occasional zero-pair flows, delay ties, and capacities scarce enough to cut
-// classes mid-way — the regime where the aggregated solvers must fall back
+// classes mid-way — the regime where the aggregated solver must fall back
 // to per-copy walks and any order discrepancy against the flat path shows.
 func randAggProblem(rng *rand.Rand) *core.Problem {
 	n := 2 + rng.Intn(8)
@@ -86,6 +86,49 @@ func randAggProblem(rng *rand.Rand) *core.Problem {
 	return p
 }
 
+// hubAggProblem builds the carrier-scale shape randAggProblem's sizes never
+// reach: one hub switch (0) holding a pair of every flow, each flow owning
+// zero to seven further pairs elsewhere — so the hub's floor pairs span
+// alternatives 1…8 — drawn from a small signature pool so classes stay fat,
+// and a hub controller whose capacity runs out in the middle of an
+// alternatives level. The order pmFlat's per-switch sort hands out that
+// capacity in (alternatives ascending, flow ascending within a level) is then
+// observable, and pinned against pmAgg's merged walk.
+func hubAggProblem(rng *rand.Rand, numFlows int) *core.Problem {
+	const n, m = 9, 2
+	type sigPair struct{ sw, pbar int }
+	sigs := make([][]sigPair, 24)
+	for s := range sigs {
+		sigs[s] = []sigPair{{0, 2 + rng.Intn(3)}}
+		// s%8 extra pairs: every alternatives level 1…8 has three signatures.
+		for _, i := range rng.Perm(n - 1)[:s%8] {
+			sigs[s] = append(sigs[s], sigPair{1 + i, 2 + rng.Intn(5)})
+		}
+		sort.Slice(sigs[s], func(a, b int) bool { return sigs[s][a].sw < sigs[s][b].sw })
+	}
+	p := &core.Problem{NumSwitches: n, NumControllers: m, NumFlows: numFlows}
+	bySwitch := make([][]core.Pair, n)
+	for l := 0; l < numFlows; l++ {
+		for _, sp := range sigs[rng.Intn(len(sigs))] {
+			bySwitch[sp.sw] = append(bySwitch[sp.sw], core.Pair{Switch: sp.sw, Flow: l, PBar: sp.pbar})
+		}
+	}
+	for _, pairs := range bySwitch {
+		p.Pairs = append(p.Pairs, pairs...)
+	}
+	p.Gamma = make([]int, n)
+	p.Delay = make([][]float64, n)
+	for i := range p.Gamma {
+		p.Gamma[i] = numFlows
+		p.Delay[i] = []float64{float64(1 + i%2), float64(2 - i%2)}
+	}
+	// No controller can take the hub whole (γ) or even its pair count, so it
+	// lands on the larger one, which funds about 5/12 of its pairs: the cut
+	// falls inside alternatives level 4.
+	p.Rest = []int{numFlows * 5 / 12, numFlows / 4}
+	return p
+}
+
 // zeroRuntime clears the wall-clock field so solutions compare structurally.
 func zeroRuntime(s *core.Solution) *core.Solution {
 	s.Runtime = 0
@@ -99,13 +142,13 @@ func requireSameSolution(t *testing.T, tag string, flat, agg *core.Solution) {
 	}
 }
 
-func requireSameReport(t *testing.T, tag string, p *core.Problem, flat, agg *core.Solution, opts core.EvaluateOptions) {
+func requireSameReport(t *testing.T, tag string, p *core.Problem, flat, agg *core.Solution) {
 	t.Helper()
-	rf, err := core.Evaluate(p, flat, opts)
+	rf, err := core.Evaluate(p, flat, core.EvaluateOptions{})
 	if err != nil {
 		t.Fatalf("%s: evaluate flat: %v", tag, err)
 	}
-	ra, err := core.Evaluate(p, agg, opts)
+	ra, err := core.Evaluate(p, agg, core.EvaluateOptions{})
 	if err != nil {
 		t.Fatalf("%s: evaluate agg: %v", tag, err)
 	}
@@ -115,7 +158,9 @@ func requireSameReport(t *testing.T, tag string, p *core.Problem, flat, agg *cor
 	}
 }
 
-func checkAggEquivalence(t *testing.T, tag string, p *core.Problem, opts core.EvaluateOptions) {
+// checkAggEquivalence solves p both ways, requires identical Solutions and
+// Reports, and returns the solution.
+func checkAggEquivalence(t *testing.T, tag string, p *core.Problem) *core.Solution {
 	t.Helper()
 	pmFlat, err := core.PMFlat(p)
 	if err != nil {
@@ -129,64 +174,8 @@ func checkAggEquivalence(t *testing.T, tag string, p *core.Problem, opts core.Ev
 		t.Fatalf("%s: problem unexpectedly not aggregable", tag)
 	}
 	requireSameSolution(t, tag+"/PM", pmFlat, pmA)
-	requireSameReport(t, tag+"/PM", p, pmFlat, pmA, core.EvaluateOptions{})
-
-	pgFlat, err := core.PGFlat(p)
-	if err != nil {
-		t.Fatalf("%s: pg flat: %v", tag, err)
-	}
-	pgA, _, err := core.PGAgg(p)
-	if err != nil {
-		t.Fatalf("%s: pg agg: %v", tag, err)
-	}
-	requireSameSolution(t, tag+"/PG", pgFlat, pgA)
-	requireSameReport(t, tag+"/PG", p, pgFlat, pgA, opts)
-
-	rfFlat, err := core.RetroFlowFlat(p)
-	if err != nil {
-		t.Fatalf("%s: retroflow flat: %v", tag, err)
-	}
-	rfA, _, err := core.RetroFlowAgg(p)
-	if err != nil {
-		t.Fatalf("%s: retroflow agg: %v", tag, err)
-	}
-	requireSameSolution(t, tag+"/RetroFlow", rfFlat, rfA)
-	requireSameReport(t, tag+"/RetroFlow", p, rfFlat, rfA, core.EvaluateOptions{})
-}
-
-// TestRetroFlowAggMatchesFlatRandom pins the switch-level baseline's
-// aggregated path against its per-flow reference on its own seed range, in
-// addition to the shared checkAggEquivalence coverage above: RetroFlow's
-// greedy reads γ and density ratios no other solver touches.
-func TestRetroFlowAggMatchesFlatRandom(t *testing.T) {
-	iters := 120
-	if testing.Short() {
-		iters = 25
-	}
-	for it := 0; it < iters; it++ {
-		rng := rand.New(rand.NewSource(int64(7000 + it)))
-		p := randAggProblem(rng)
-		if len(p.Pairs) == 0 {
-			continue
-		}
-		if err := p.Finalize(); err != nil {
-			t.Fatalf("iter %d: finalize: %v", it, err)
-		}
-		p.BudgetMs = p.IdealDelayBudget()
-		flat, err := core.RetroFlowFlat(p)
-		if err != nil {
-			t.Fatalf("iter %d: flat: %v", it, err)
-		}
-		agg, ok, err := core.RetroFlowAgg(p)
-		if err != nil {
-			t.Fatalf("iter %d: agg: %v", it, err)
-		}
-		if !ok {
-			t.Fatalf("iter %d: problem unexpectedly not aggregable", it)
-		}
-		requireSameSolution(t, t.Name(), flat, agg)
-		requireSameReport(t, t.Name(), p, flat, agg, core.EvaluateOptions{})
-	}
+	requireSameReport(t, tag+"/PM", p, pmFlat, pmA)
+	return pmFlat
 }
 
 // TestClassIndexMatchesReference pins the hash-grouped class index against
@@ -216,8 +205,8 @@ func TestClassIndexMatchesReference(t *testing.T) {
 }
 
 // TestAggMatchesFlatRandom is the core equivalence property: on randomized
-// problems the class-aggregated PM/PG must produce byte-identical Solutions
-// and Reports to the per-flow reference paths.
+// problems, and on the hub-switch shape, the class-aggregated PM must produce
+// byte-identical Solutions and Reports to the per-flow reference path.
 func TestAggMatchesFlatRandom(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -233,7 +222,56 @@ func TestAggMatchesFlatRandom(t *testing.T) {
 			t.Fatalf("iter %d: finalize: %v", it, err)
 		}
 		p.BudgetMs = p.IdealDelayBudget()
-		checkAggEquivalence(t, t.Name(), p, core.EvaluateOptions{})
+		checkAggEquivalence(t, t.Name(), p)
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		p := hubAggProblem(rand.New(rand.NewSource(2000+seed)), 6000)
+		if err := p.Finalize(); err != nil {
+			t.Fatalf("hub %d: finalize: %v", seed, err)
+		}
+		p.BudgetMs = p.IdealDelayBudget()
+		if got := p.EligiblePairCount(0); got < 5000 {
+			t.Fatalf("hub %d: %d pairs at the hub, want >= 5000", seed, got)
+		}
+		sol := checkAggEquivalence(t, t.Name()+"/hub", p)
+		active := 0
+		for _, k := range p.PairsAtSwitch(0) {
+			if sol.Active[k] {
+				active++
+			}
+		}
+		if active == 0 || active == p.EligiblePairCount(0) {
+			t.Fatalf("hub %d: %d of %d hub pairs active, want capacity to cut the switch mid-way",
+				seed, active, p.EligiblePairCount(0))
+		}
+	}
+}
+
+// TestComparatorsBuildNoClassIndex: only PM plans over classes, so PG and
+// RetroFlow must leave a problem's cached index alone — on a problem big and
+// compressible enough that PM itself does build one.
+func TestComparatorsBuildNoClassIndex(t *testing.T) {
+	p := hubAggProblem(rand.New(rand.NewSource(3000)), core.AggMinFlows)
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	p.BudgetMs = p.IdealDelayBudget()
+	for _, alg := range []struct {
+		name string
+		run  func(*core.Problem) (*core.Solution, error)
+	}{{"PG", core.PG}, {"RetroFlow", core.RetroFlow}} {
+		if _, err := alg.run(p); err != nil {
+			t.Fatalf("%s: %v", alg.name, err)
+		}
+		if core.HasClassIndex(p) {
+			t.Fatalf("%s built a class index it does not use", alg.name)
+		}
+	}
+	if _, err := core.PM(p); err != nil {
+		t.Fatal(err)
+	}
+	if !core.HasClassIndex(p) {
+		t.Fatalf("PM did not index a %d-flow, %d-class problem", p.NumFlows, core.NumClasses(p))
 	}
 }
 
@@ -271,7 +309,7 @@ func TestAggMatchesFlatSweep(t *testing.T) {
 				}
 				tested++
 				tag := t.Name()
-				checkAggEquivalence(t, tag, inst.Problem, core.EvaluateOptions{MiddleDelay: inst.MiddleDelay})
+				checkAggEquivalence(t, tag, inst.Problem)
 			}
 		}
 		if tested == 0 {

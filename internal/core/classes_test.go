@@ -16,7 +16,7 @@ func referenceClassIndex(p *Problem, hash []uint64) *classIndex {
 	for l := range order {
 		order[l] = int32(l)
 	}
-	sortBySignature(order, hash, p.compareSignatures)
+	p.sortBySignature(order, hash)
 
 	ci := &classIndex{
 		classOf:   make([]int32, L),
@@ -43,6 +43,20 @@ func referenceClassIndex(p *Problem, hash []uint64) *classIndex {
 		idx = run
 	}
 	return ci
+}
+
+// normalizeClassIndex maps empty-but-non-nil and nil slices to a comparable
+// shape (append on an empty template leaves nil in one path, empty in the
+// other).
+func normalizeClassIndex(ci *classIndex) *classIndex {
+	out := &classIndex{numClasses: ci.numClasses}
+	out.classOf = append([]int32{}, ci.classOf...)
+	out.members = append([]int32{}, ci.members...)
+	out.memberOff = append([]int32{}, ci.memberOff...)
+	out.tmplSwitch = append([]int32{}, ci.tmplSwitch...)
+	out.tmplPBar = append([]int32{}, ci.tmplPBar...)
+	out.tmplOff = append([]int32{}, ci.tmplOff...)
+	return out
 }
 
 // classIndexVsReference groups p's flows both ways over the same hash slice —

@@ -22,21 +22,14 @@ import (
 // placement from delay, which is also why PG's per-flow overhead is the
 // worst of the compared algorithms.
 //
-// Like PM, PG has a per-flow path (pgFlat) and a byte-identical
-// class-aggregated path (pg_agg.go) selected for large compressible
-// instances.
+// PG plans flow by flow at every size: its output is per copy by nature —
+// each activated pair is charged to the argmax-residual controller at its own
+// moment — and planning it over flow classes measures 2–40× slower than this
+// loop from 10³ to 1.4·10⁵ flows (DESIGN.md §13, table B).
 func PG(p *Problem) (*Solution, error) {
 	if !p.finalized() {
 		return nil, fmt.Errorf("%w: problem not finalized", ErrInvalidProblem)
 	}
-	if ci := p.aggClassIndex(); ci != nil {
-		return pgAgg(p, ci)
-	}
-	return pgFlat(p)
-}
-
-// pgFlat is the per-flow reference implementation of PG.
-func pgFlat(p *Problem) (*Solution, error) {
 	start := time.Now()
 	s := NewSolution("PG", p)
 	s.MiddleLayer = true

@@ -12,8 +12,8 @@ import (
 // Two implementations share this entry point and produce byte-identical
 // Solutions: the per-flow path (pmFlat, this file) and the class-aggregated
 // path (pm_agg.go), which plans over flow equivalence classes and is chosen
-// for large instances whose flows compress well (classes.go). The agg ≡ flat
-// equivalence is enforced by the randomized property test in agg_test.go.
+// for large instances whose flows compress well (aggClassIndex). The agg ≡
+// flat equivalence is enforced by the randomized property test in agg_test.go.
 //
 // The paper's listing leaves two orders unspecified and contains two evident
 // slips; this implementation resolves them as documented in DESIGN.md §7:
@@ -43,18 +43,22 @@ func PM(p *Problem) (*Solution, error) {
 	return pmFlat(p)
 }
 
-// aggMinFlows is the instance size below which the solvers stay on their
-// per-flow paths. Measured, not assumed: with the aggregated paths forced on
-// the ATT instance (600 flows, whose signatures barely repeat), the benchmark's
-// sweep-att pass over 41 cases × PM, RetroFlow and PG went from 4.9 to 16.1 ms
-// (op_ms_q1, 6 alternating pairs, same digests) — 3.3× slower, all of it
-// class-index and group bookkeeping that has no duplicates to amortize over.
-// scale-syn (999 000 flows, tens of flows per class) is the workload on the
-// other side of the threshold.
-const aggMinFlows = 1024
+// aggMinFlows is the instance size below which PM stays on its per-flow path.
+// It is read off the table in DESIGN.md §13.3 (TestAggCrossoverTable
+// regenerates it): on the scale-syn fixture at 100–1000 nodes, class index
+// plus pmAgg costs 1.1–2.4× pmFlat on every case up to 5 400 flows, wins or
+// loses by under 1.4 ms with the case's compression between 8 000 and 17 500
+// flows (pmFlat ahead over that band as a whole), and is ahead on every case
+// from 28 000 flows up — 0.3–0.6× at the 91 000–140 000 flows of a 1000-node
+// failure. The constant sits in the gap. sweep-att (ATT, 600 flows)
+// is the workload on the flat side of it, scale-syn the one on the other.
+const aggMinFlows = 20000
 
-// aggClassIndex returns the class index when the aggregated solver paths
-// should run: enough flows to matter and at least 2× signature compression.
+// aggClassIndex returns the class index when PM should run aggregated:
+// enough flows to matter and at least 2× signature compression. Everything
+// else — fewer flows, a flow with more than maxClassPairs pairs, signatures
+// that barely repeat — lands on pmFlat, whose per-switch work is linear in the
+// switch's pairs.
 func (p *Problem) aggClassIndex() *classIndex {
 	if p.NumFlows < aggMinFlows {
 		return nil
@@ -78,9 +82,11 @@ func pmFlat(p *Problem) (*Solution, error) {
 	h := grabInts(&sc.h, p.NumFlows) // temporary programmability per flow
 	// alternatives[l] counts flow l's not-yet-activated pairs; it drives the
 	// scarcity-first activation order.
-	alternatives := grabInts(&sc.alternatives, p.NumFlows)
-	for _, pr := range p.Pairs {
-		alternatives[pr.Flow]++
+	alternatives := growSlice(&sc.alternatives, p.NumFlows)
+	maxAlt := 0 // the largest per-flow pair count: the floor sort's key range
+	for l := range alternatives {
+		alternatives[l] = len(p.PairsOfFlow(l))
+		maxAlt = max(maxAlt, alternatives[l])
 	}
 
 	inTestSet := grabBools(&sc.inTestSet, p.NumSwitches)
@@ -184,20 +190,25 @@ func pmFlat(p *Problem) (*Solution, error) {
 				scratch = append(scratch, k)
 			}
 		}
-		// Stable insertion sort, alternatives-ascending. The slice holds one
-		// switch's floor pairs (a handful), where insertion beats the
-		// reflect-backed sort.SliceStable it replaces.
-		for a := 1; a < len(scratch); a++ {
-			k := scratch[a]
-			alt := alternatives[p.Pairs[k].Flow]
-			b := a - 1
-			for b >= 0 && alternatives[p.Pairs[scratch[b]].Flow] > alt {
-				scratch[b+1] = scratch[b]
-				b--
-			}
-			scratch[b+1] = k
-		}
+		// Stable counting sort, alternatives-ascending (flow-ascending within
+		// a level, the order PairsAtSwitch lists them in). The slice holds one
+		// switch's floor pairs — a handful at ATT size, tens of thousands at a
+		// carrier-scale hub — so the sort has to be linear at every size. The
+		// pooled bucket and order buffers are free until the final pass.
+		bucket := grabInts(&sc.bucket, maxAlt+1)
 		for _, k := range scratch {
+			bucket[alternatives[p.Pairs[k].Flow]]++
+		}
+		for v, acc := 0, 0; v <= maxAlt; v++ {
+			bucket[v], acc = acc, acc+bucket[v]
+		}
+		sorted := growSlice(&sc.order, len(scratch))
+		for _, k := range scratch {
+			alt := alternatives[p.Pairs[k].Flow]
+			sorted[bucket[alt]] = k
+			bucket[alt]++
+		}
+		for _, k := range sorted {
 			if rest[j0] <= 0 {
 				break
 			}

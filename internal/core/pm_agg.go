@@ -147,7 +147,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 				}
 				w.start()
 				for rest[j0] > 0 {
-					_, gid, bit, pos, ok := w.next()
+					gid, bit, pos, ok := w.next()
 					if !ok {
 						break
 					}
@@ -250,7 +250,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 				}
 				w.start()
 				for rest[j0] > 0 {
-					_, gid, bit, pos, ok := w.next()
+					gid, bit, pos, ok := w.next()
 					if !ok {
 						break
 					}
@@ -308,7 +308,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 			}
 			w.start()
 			for {
-				_, gid, _, pos, ok := w.next()
+				gid, _, pos, ok := w.next()
 				if !ok {
 					break
 				}

@@ -2,7 +2,7 @@ package core
 
 import "sync"
 
-// solverScratch bundles the per-solve working arrays of the flat PM/PG paths.
+// solverScratch bundles the per-solve working arrays of PM and PG.
 // One instance is checked out of scratchPool per solve and returned on exit,
 // so a steady-state solve allocates nothing beyond its Solution: the parallel
 // sweep engine and the daemon's reconcile loop hit these solvers once per

@@ -68,7 +68,7 @@ type Problem struct {
 	flowPairOff []int32
 
 	// classes caches the flow equivalence-class index used by the aggregated
-	// PM/PG paths; computed lazily by classIndexOf.
+	// PM path; computed lazily by classIndexOf.
 	classes *classIndex
 }
 

@@ -20,21 +20,13 @@ import (
 // residual capacity can never be remapped — the coarse granularity that PM's
 // per-flow mode selection removes.
 //
-// Like PM and PG, RetroFlow dispatches to a class-aggregated implementation
-// (retroflow_agg.go) on large, compressible instances; the two paths produce
-// byte-identical Solutions (TestRetroFlowAggMatchesFlatRandom).
+// RetroFlow scans per-switch pair lists at every size: planning it over flow
+// classes only pays behind an index some other solver has already built
+// (DESIGN.md §13, table B).
 func RetroFlow(p *Problem) (*Solution, error) {
 	if !p.finalized() {
 		return nil, fmt.Errorf("%w: problem not finalized", ErrInvalidProblem)
 	}
-	if ci := p.aggClassIndex(); ci != nil {
-		return retroFlowAgg(p, ci)
-	}
-	return retroFlowFlat(p)
-}
-
-// retroFlowFlat is the per-flow reference implementation of RetroFlow.
-func retroFlowFlat(p *Problem) (*Solution, error) {
 	start := time.Now()
 	s := NewSolution("RetroFlow", p)
 	s.SwitchLevel = true

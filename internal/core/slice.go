@@ -42,11 +42,8 @@ func (p *Problem) Slice(keepSwitch, keepController []bool) (*Slice, error) {
 		return nil, ErrInvalidProblem
 	}
 	sl := &Slice{}
-	swLocal := make([]int, p.NumSwitches)
-	for i := range swLocal {
-		swLocal[i] = -1
+	for i := 0; i < p.NumSwitches; i++ {
 		if keepSwitch[i] {
-			swLocal[i] = len(sl.Switches)
 			sl.Switches = append(sl.Switches, i)
 		}
 	}
@@ -130,9 +127,6 @@ func (p *Problem) Slice(keepSwitch, keepController []bool) (*Slice, error) {
 		return nil, err
 	}
 	sub.BudgetMs = sub.IdealDelayBudget()
-	// When the parent's class index is already computed, derive the slice's
-	// from it instead of letting the solver re-hash the surviving flows.
-	sub.deriveSliceClasses(p, swLocal, flowLocal)
 	sl.Sub = sub
 	return sl, nil
 }

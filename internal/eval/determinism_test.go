@@ -118,7 +118,7 @@ func TestSweepOptsSharedContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 2; k++ {
-		plain, err := Sweep(dep, flows, k, heuristics())
+		plain, err := SweepOpts(dep, flows, k, heuristics(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

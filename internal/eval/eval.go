@@ -86,7 +86,7 @@ const (
 	SweepScratch
 )
 
-// Options tunes Sweep's evaluation engine. The zero value selects the
+// Options tunes SweepOpts's evaluation engine. The zero value selects the
 // defaults: one worker per available CPU and a fresh scenario context.
 type Options struct {
 	// Workers bounds the number of failure cases evaluated concurrently.
@@ -103,16 +103,10 @@ type Options struct {
 	Context *scenario.Context
 }
 
-// Sweep runs every algorithm over every failure combination of size k and
-// returns one CaseResult per case, in lexicographic case order, with the
-// default Options.
-func Sweep(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm) ([]*CaseResult, error) {
-	return SweepOpts(dep, flows, k, algs, Options{})
-}
-
-// SweepOpts is Sweep with explicit engine options: the cases fan out over a
-// bounded worker pool sharing one immutable scenario.Context, and the results
-// land in lexicographic case order regardless of completion order.
+// SweepOpts runs every algorithm over every failure combination of size k and
+// returns one CaseResult per case: the cases fan out over a bounded worker
+// pool sharing one immutable scenario.Context, and the results land in
+// lexicographic case order regardless of completion order.
 func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, opts Options) ([]*CaseResult, error) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -124,7 +118,7 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	}
 	combos := scenario.Combinations(len(dep.Controllers), k)
 	results := make([]*CaseResult, len(combos))
-	err := ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
+	err := ForEachCaseMode(ctx, combos, opts.Workers, SweepDelta, func(idx int, inst *scenario.Instance) error {
 		cr, err := evalCase(inst, combos[idx], algs)
 		if err != nil {
 			return err
@@ -138,22 +132,15 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	return results, nil
 }
 
-// ForEachCase compiles every failure combination off the shared context and
-// calls fn with the compiled instance, using the delta engine
-// (ForEachCaseMode with SweepDelta). fn runs concurrently for distinct
-// indices and must only touch state it owns (writing to its own slot of a
-// results slice is the intended pattern). Errors are deterministic
-// regardless of scheduling: the failing case with the lowest index wins.
-// workers <= 0 selects one worker per available CPU. The plan-store
-// compiler and the sweep harness share this engine.
-func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
-	return ForEachCaseMode(ctx, combos, workers, SweepDelta, fn)
-}
-
-// ForEachCaseMode is ForEachCase with an explicit compilation mode. Both
-// modes call fn with instances that are byte-identical to
-// scenario.Context.Build's, under the case's original index, so results are
-// independent of mode and worker count.
+// ForEachCaseMode compiles every failure combination off the shared context
+// and calls fn with the compiled instance. Both modes call fn with instances
+// that are byte-identical to scenario.Context.Build's, under the case's
+// original index, so results are independent of mode and worker count. fn
+// runs concurrently for distinct indices and must only touch state it owns
+// (writing to its own slot of a results slice is the intended pattern).
+// Errors are deterministic regardless of scheduling: the failing case with
+// the lowest index wins. workers <= 0 selects one worker per available CPU.
+// The plan-store compiler and the sweep harness share this engine.
 func ForEachCaseMode(ctx *scenario.Context, combos [][]int, workers int, mode SweepMode, fn func(idx int, inst *scenario.Instance) error) error {
 	if len(combos) == 0 {
 		return nil

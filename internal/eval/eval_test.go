@@ -119,7 +119,7 @@ func TestRunCasePropagatesHardErrors(t *testing.T) {
 func TestSweepCounts(t *testing.T) {
 	dep, flows := fixtures(t)
 	for k, want := range map[int]int{1: 6, 2: 15} {
-		cases, err := Sweep(dep, flows, k, heuristics()[:1])
+		cases, err := SweepOpts(dep, flows, k, heuristics()[:1], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestMetricAccessors(t *testing.T) {
 
 func TestRuntimeHelpers(t *testing.T) {
 	dep, flows := fixtures(t)
-	cases, err := Sweep(dep, flows, 1, heuristics())
+	cases, err := SweepOpts(dep, flows, 1, heuristics(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

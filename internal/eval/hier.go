@@ -2,10 +2,8 @@ package eval
 
 import (
 	"pmedic/internal/core"
-	"pmedic/internal/flow"
 	"pmedic/internal/region"
 	"pmedic/internal/scenario"
-	"pmedic/internal/topo"
 )
 
 // HierPM wraps the hierarchical region-sharded PM as a sweep Algorithm named
@@ -18,21 +16,4 @@ func HierPM(part *region.Partition, opts region.SolveOptions) Algorithm {
 			return region.SolvePM(inst, part, opts)
 		},
 	}
-}
-
-// SweepHier partitions the deployment into k regions (seeded) and runs a
-// hierarchical sweep at the given failure depth: the convenience entry point
-// behind `pmsim -regions`. Extra algorithms (e.g. flat PM for a quality
-// comparison) ride along in the same sweep.
-func SweepHier(dep *topo.Deployment, flows *flow.Set, depth, regions int, seed uint64, sopts region.SolveOptions, opts Options, extra ...Algorithm) ([]*CaseResult, *region.Partition, error) {
-	part, err := region.New(dep, regions, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	algs := append([]Algorithm{HierPM(part, sopts)}, extra...)
-	cases, err := SweepOpts(dep, flows, depth, algs, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cases, part, nil
 }

@@ -1,8 +1,7 @@
 // Package graphalg provides the graph algorithms the reproduction relies on:
 // Dijkstra shortest paths (with a hop-primary composite metric for flow
-// routing), BFS hop distances, bounded simple-path counting (the path
-// programmability coefficient p_i^l of the paper), and Yen's k-shortest
-// paths.
+// routing), BFS hop distances, and bounded simple-path counting (the path
+// programmability coefficient p_i^l of the paper).
 package graphalg
 
 import (

@@ -276,62 +276,6 @@ func TestPathWeight(t *testing.T) {
 	}
 }
 
-func TestKShortestPathsDiamond(t *testing.T) {
-	g := diamond(t)
-	paths, err := KShortestPaths(g, 0, 3, 3, UnitWeight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2 (diamond has exactly two loopless paths)", len(paths))
-	}
-	for _, p := range paths {
-		if p[0] != 0 || p[len(p)-1] != 3 {
-			t.Fatalf("bad endpoints in %v", p)
-		}
-	}
-}
-
-func TestKShortestPathsOrdering(t *testing.T) {
-	// Pentagon + chord: paths of increasing length from 0 to 2.
-	g := &topo.Graph{}
-	for i := 0; i < 5; i++ {
-		g.AddNode("n", 0, 0)
-	}
-	for _, e := range [][2]topo.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	paths, err := KShortestPaths(g, 0, 2, 5, UnitWeight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	if len(paths[0]) > len(paths[1]) {
-		t.Fatal("paths not ordered by weight")
-	}
-}
-
-func TestKShortestPathsNoPath(t *testing.T) {
-	g := &topo.Graph{}
-	g.AddNode("a", 0, 0)
-	g.AddNode("b", 0, 0)
-	if _, err := KShortestPaths(g, 0, 1, 2, UnitWeight); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("error = %v, want ErrNoPath", err)
-	}
-}
-
-func TestKShortestPathsZeroK(t *testing.T) {
-	g := diamond(t)
-	paths, err := KShortestPaths(g, 0, 3, 0, UnitWeight)
-	if err != nil || paths != nil {
-		t.Fatalf("k=0 should be (nil, nil), got (%v, %v)", paths, err)
-	}
-}
-
 func TestHopMajorComposition(t *testing.T) {
 	// A 2-hop cheap-delay path must lose to a 1-hop expensive-delay path.
 	g := &topo.Graph{}

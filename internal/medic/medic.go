@@ -94,9 +94,6 @@ type Config struct {
 	// from scratch. The medic appends records; the store's lifecycle (Open/
 	// Close) belongs to the caller.
 	Store *store.Store
-	// CheckpointEvery folds the WAL into a fresh snapshot once this many
-	// records accumulate (default 64).
-	CheckpointEvery int
 	// ReplicaID names this daemon instance in Status (HA deployments).
 	ReplicaID string
 	// OnFenced fires (once per reconcile, on the loop goroutine) when a
@@ -187,9 +184,6 @@ func New(cfg Config) (*Medic, error) {
 	}
 	if cfg.LogSize <= 0 {
 		cfg.LogSize = 256
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 64
 	}
 	ctx, err := scenario.NewContext(cfg.Dep, cfg.Flows)
 	if err != nil {

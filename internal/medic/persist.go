@@ -153,14 +153,10 @@ func (m *Medic) persistLogEntry(e LogEntry) {
 	m.countPersist(m.cfg.Store.Append(recLog, e))
 }
 
-// maybeCheckpoint folds the WAL into a fresh snapshot once enough records
-// accumulate — either past the medic's own CheckpointEvery or past the
-// store's CompactEvery threshold (store.Options), whichever trips first.
+// maybeCheckpoint folds the WAL into a fresh snapshot once the store's
+// CompactEvery threshold (store.Options) is reached.
 func (m *Medic) maybeCheckpoint() {
-	if m.cfg.Store == nil {
-		return
-	}
-	if !m.cfg.Store.NeedsCheckpoint() && m.cfg.Store.Pending() < m.cfg.CheckpointEvery {
+	if m.cfg.Store == nil || !m.cfg.Store.NeedsCheckpoint() {
 		return
 	}
 	m.countPersist(m.cfg.Store.Checkpoint(m.durableLocked()))

@@ -16,26 +16,22 @@ import (
 
 // newStoredMedic builds a medic over an open store in dir, with the
 // recorder stubbing the wire.
-func newStoredMedic(t *testing.T, dir string, rec *recorder, extra func(*Config)) (*Medic, *store.Store, chan monitor.Event) {
+func newStoredMedic(t *testing.T, dir string, rec *recorder, compactEvery int) (*Medic, *store.Store, chan monitor.Event) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{NoSync: true})
+	st, err := store.Open(dir, store.Options{NoSync: true, CompactEvery: compactEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	dep, flows := testFixture(t)
-	cfg := Config{
+	m, err := New(Config{
 		Dep:      dep,
 		Flows:    flows,
 		Addrs:    map[topo.NodeID]string{0: "stubbed"},
 		Pusher:   rec.push,
 		Restorer: rec.restore,
 		Store:    st,
-	}
-	if extra != nil {
-		extra(&cfg)
-	}
-	m, err := New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +67,7 @@ func TestSnapshotReplayRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			rec := &recorder{}
-			m1, _, events := newStoredMedic(t, dir, rec, nil)
+			m1, _, events := newStoredMedic(t, dir, rec, 0)
 			for i, ev := range tc.events {
 				ev.At = time.Now()
 				events <- ev
@@ -82,7 +78,7 @@ func TestSnapshotReplayRoundTrip(t *testing.T) {
 			before := m1.Status()
 			m1.Stop() // the daemon dies; the WAL alone carries the state
 
-			m2, _, _ := newStoredMedic(t, dir, &recorder{}, nil)
+			m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 			after := m2.Status()
 
 			if want := before.Epoch + 1; after.Epoch != want {
@@ -134,13 +130,13 @@ func mustJSONEqual(t *testing.T, what string, a, b any) {
 	}
 }
 
-// TestCheckpointFoldsDaemonWAL drives enough reconciles to cross
-// CheckpointEvery and asserts the WAL folded into a snapshot — and that a
+// TestCheckpointFoldsDaemonWAL drives enough reconciles to cross the store's
+// CompactEvery and asserts the WAL folded into a snapshot — and that a
 // restart over the checkpointed directory still restores the same state.
 func TestCheckpointFoldsDaemonWAL(t *testing.T) {
 	dir := t.TempDir()
 	rec := &recorder{}
-	m1, st1, events := newStoredMedic(t, dir, rec, func(c *Config) { c.CheckpointEvery = 4 })
+	m1, st1, events := newStoredMedic(t, dir, rec, 4)
 
 	toggles := []monitor.Event{
 		{Seq: 1, Failed: []int{3}},
@@ -154,7 +150,7 @@ func TestCheckpointFoldsDaemonWAL(t *testing.T) {
 		waitStatus(t, m1, func(s Status) bool { return s.Converged && s.Epoch == uint64(i+1) })
 	}
 	if st1.Checkpoints() == 0 {
-		t.Fatalf("no checkpoint after %d reconciles with CheckpointEvery=4", len(toggles))
+		t.Fatalf("no checkpoint after %d reconciles with CompactEvery=4", len(toggles))
 	}
 	before := m1.Status()
 	m1.Stop()
@@ -165,7 +161,7 @@ func TestCheckpointFoldsDaemonWAL(t *testing.T) {
 		t.Fatalf("%d WAL records pending after FlushState, want 0", st1.Pending())
 	}
 
-	m2, _, _ := newStoredMedic(t, dir, &recorder{}, nil)
+	m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 	after := m2.Status()
 	if after.Epoch != before.Epoch+1 {
 		t.Fatalf("epoch after checkpointed restart = %d, want %d", after.Epoch, before.Epoch+1)
@@ -176,34 +172,12 @@ func TestCheckpointFoldsDaemonWAL(t *testing.T) {
 	}
 }
 
-// TestStoreCompactEveryBoundsReplay: the store's own CompactEvery knob
-// (store.Options) forces folds even when the medic's CheckpointEvery would
-// never trip, so the WAL a crashed daemon leaves behind — and hence restart
-// replay work — stays bounded by the knob plus one reconcile's records.
+// TestStoreCompactEveryBoundsReplay: CompactEvery (store.Options) is the one
+// fold threshold, so the WAL a crashed daemon leaves behind — and hence
+// restart replay work — stays bounded by it plus one reconcile's records.
 func TestStoreCompactEveryBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoSync: true, CompactEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = st.Close() })
-	rec := &recorder{}
-	dep, flows := testFixture(t)
-	m1, err := New(Config{
-		Dep:             dep,
-		Flows:           flows,
-		Addrs:           map[topo.NodeID]string{0: "stubbed"},
-		Pusher:          rec.push,
-		Restorer:        rec.restore,
-		Store:           st,
-		CheckpointEvery: 1 << 30, // only the store's knob can trigger a fold
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := make(chan monitor.Event, 8)
-	m1.Start(events)
-	t.Cleanup(m1.Stop)
+	m1, st, events := newStoredMedic(t, dir, &recorder{}, 2)
 
 	toggles := []monitor.Event{
 		{Seq: 1, Failed: []int{3}},
@@ -216,12 +190,12 @@ func TestStoreCompactEveryBoundsReplay(t *testing.T) {
 		waitStatus(t, m1, func(s Status) bool { return s.Converged && s.Epoch == uint64(i+1) })
 	}
 	if st.Checkpoints() == 0 {
-		t.Fatal("store.CompactEvery=2 never forced a checkpoint despite CheckpointEvery=1<<30")
+		t.Fatal("store.CompactEvery=2 never forced a checkpoint")
 	}
 	before := m1.Status()
 	m1.Stop() // crash, no FlushState: the bounded WAL alone carries the tail
 
-	m2, _, _ := newStoredMedic(t, dir, &recorder{}, nil)
+	m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 	after := m2.Status()
 	if after.Epoch != before.Epoch+1 {
 		t.Fatalf("epoch after restart = %d, want %d", after.Epoch, before.Epoch+1)

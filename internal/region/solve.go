@@ -31,7 +31,9 @@ type SolveOptions struct {
 //     holding offline switches) are solved at all.
 //  2. Slice the problem per touched region — region-local switches, flows,
 //     and controller capacity — and run the flat/aggregated PM on each slice,
-//     concurrently on a bounded worker pool.
+//     concurrently on a bounded worker pool. Each slice is a Problem of its
+//     own and indexes its flow classes itself, so the workers share nothing
+//     they write.
 //  3. Merge the per-region solutions (disjoint by construction) and run the
 //     border coordinator: whole-switch moves of border switches — plus any
 //     switch stranded in a region with no surviving controller — to
@@ -49,14 +51,6 @@ func SolvePM(inst *scenario.Instance, part *Partition, opts SolveOptions) (*core
 		return nil, fmt.Errorf("region: %w", err)
 	}
 	s := core.NewSolution("PM-H", p)
-
-	// Force the parent's flow-class index once, sequentially, before the
-	// worker pool: region slices derive their own index from it (a regroup of
-	// thousands of classes) instead of each re-hashing their flows, and the
-	// index's first computation is not goroutine-safe. Flat PM pays this same
-	// one-time cost inside its own solve, so K=1 stays cost- and
-	// byte-identical.
-	p.ClassCount()
 
 	type job struct {
 		sl  *core.Slice

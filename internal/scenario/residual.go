@@ -61,10 +61,6 @@ func (inst *Instance) Residual(demoted map[topo.NodeID]bool) (*core.Problem, []i
 	if err := r.Finalize(); err != nil {
 		return nil, nil, fmt.Errorf("scenario: residual instance: %w", err)
 	}
-	// A residual re-plan usually follows a solve of the parent problem (a
-	// push that demoted switches mid-recovery): reuse the parent's flow
-	// class index instead of regrouping millions of flows from scratch.
-	r.DeriveResidualClasses(p, excluded)
 	r.BudgetMs = r.IdealDelayBudget()
 	return r, pairMap, nil
 }

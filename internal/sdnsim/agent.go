@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"sync"
 
-	"pmedic/internal/core"
 	"pmedic/internal/flow"
 	"pmedic/internal/openflow"
-	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
 
@@ -233,28 +231,4 @@ func AgentAddrs(agents map[topo.NodeID]*Agent) map[topo.NodeID]string {
 		addrs[id] = a.Addr()
 	}
 	return addrs
-}
-
-// PushRecovery delivers a switch-mapping recovery over the wire and returns
-// the number of flow-mods acknowledged. It is the strict form of
-// PushRecoveryResilient — one attempt per switch, no re-planning — and
-// reports the first switch (in instance order) that could not be
-// reconfigured as an error instead of demoting it.
-func PushRecovery(
-	agents map[topo.NodeID]*Agent,
-	flows *flow.Set,
-	inst *scenario.Instance,
-	sol *core.Solution,
-) (int, error) {
-	rep, err := PushRecoveryResilient(AgentAddrs(agents), flows, inst, sol,
-		PushOptions{MaxAttempts: 1, DisableReplan: true})
-	if err != nil {
-		return 0, err
-	}
-	for i := range rep.Outcomes {
-		if rep.Outcomes[i].Status == PushDemoted {
-			return rep.FlowModsAcked, rep.Outcomes[i].Err
-		}
-	}
-	return rep.FlowModsAcked, nil
 }

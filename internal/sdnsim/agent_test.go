@@ -184,11 +184,14 @@ func TestPushRecoveryOverTheWire(t *testing.T) {
 		}
 	}()
 
-	sent, err := PushRecovery(agents, flows, inst, sol)
+	rep, err := PushRecoveryResilient(AgentAddrs(agents), flows, inst, sol, PushOptions{MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent == 0 {
+	if len(rep.Demoted) != 0 {
+		t.Fatalf("demoted %v on a clean channel", rep.Demoted)
+	}
+	if rep.FlowModsAcked == 0 {
 		t.Fatal("nothing sent")
 	}
 	// Wire effect must match the analytic solution: SDN pairs have entries,
@@ -232,8 +235,21 @@ func TestPushRecoveryMissingAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = PushRecovery(map[topo.NodeID]*Agent{}, flows, inst, sol)
-	if !errors.Is(err, ErrAgentMissing) {
-		t.Fatalf("error = %v, want ErrAgentMissing", err)
+	rep, err := PushRecoveryResilient(nil, flows, inst, sol, PushOptions{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demoted := 0
+	for _, out := range rep.Outcomes {
+		if out.Status != PushDemoted {
+			continue
+		}
+		demoted++
+		if !errors.Is(out.Err, ErrAgentMissing) {
+			t.Fatalf("switch %d: error = %v, want ErrAgentMissing", out.Switch, out.Err)
+		}
+	}
+	if demoted == 0 || demoted != len(rep.Demoted) {
+		t.Fatalf("%d demoted outcomes, report lists %v", demoted, rep.Demoted)
 	}
 }

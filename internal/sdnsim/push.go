@@ -56,9 +56,6 @@ type PushOptions struct {
 	GenerationLimit uint64
 	// Dial replaces the transport (default: plain TCP via openflow).
 	Dial DialFunc
-	// DisableReplan skips re-planning through core.PM after demotions; the
-	// demoted switches' pairs are simply deactivated instead.
-	DisableReplan bool
 }
 
 func (o PushOptions) withDefaults() PushOptions {
@@ -423,7 +420,7 @@ func PushRecoveryResilient(
 		for _, sw := range failed {
 			demoted[sw] = true
 		}
-		cur = replan(inst, cur, demoted, &rep.Replanned, opts.DisableReplan)
+		cur = replan(inst, cur, demoted, &rep.Replanned)
 	}
 
 	// Demoted switches are legacy in the achieved solution regardless of
@@ -580,16 +577,13 @@ func backoff(opts PushOptions, rng *rand.Rand, attempt int) time.Duration {
 	return d + time.Duration(rng.Int63n(int64(opts.BaseBackoff)))
 }
 
-// replan recomputes the recovery after demotions. With re-planning enabled
-// it solves the residual instance through core.PM (Instance.SolveResidual);
-// otherwise (or when that fails) it strips the demoted switches from the
-// current solution.
-func replan(inst *scenario.Instance, cur *core.Solution, demoted map[topo.NodeID]bool, replanned *bool, disabled bool) *core.Solution {
-	if !disabled {
-		if next, err := inst.SolveResidual(demoted, core.PM); err == nil {
-			*replanned = true
-			return next
-		}
+// replan recomputes the recovery after demotions: it solves the residual
+// instance through core.PM (Instance.SolveResidual) or, when that fails,
+// strips the demoted switches from the current solution.
+func replan(inst *scenario.Instance, cur *core.Solution, demoted map[topo.NodeID]bool, replanned *bool) *core.Solution {
+	if next, err := inst.SolveResidual(demoted, core.PM); err == nil {
+		*replanned = true
+		return next
 	}
 	next := cloneSolution(cur)
 	for i, swID := range inst.Switches {

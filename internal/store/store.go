@@ -77,11 +77,11 @@ type Options struct {
 	// non-nil error refuses the write with ErrGuarded. Wire it to the
 	// elector's leadership check to fence a deposed leader's late writes.
 	Guard func() error
-	// CompactEvery is the store's own compaction threshold: once this many
+	// CompactEvery is the compaction threshold (default 64): once this many
 	// records accumulate since the last checkpoint, NeedsCheckpoint reports
 	// true and the owning daemon should fold the WAL into a snapshot. It
 	// bounds both the WAL's size on disk and the replay work a restarted
-	// process pays. Zero leaves the policy entirely to the caller.
+	// process pays.
 	CompactEvery int
 }
 
@@ -107,6 +107,9 @@ type Store struct {
 // record returns ErrCorrupt. The returned store holds the WAL open for
 // appending.
 func Open(dir string, opts Options) (*Store, error) {
+	if opts.CompactEvery <= 0 {
+		opts.CompactEvery = 64
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -252,12 +255,9 @@ func (s *Store) Pending() int {
 	return s.pending
 }
 
-// NeedsCheckpoint reports whether the WAL has grown past the store's own
-// CompactEvery threshold. Always false when the knob is unset (zero).
+// NeedsCheckpoint reports whether the WAL has grown to the CompactEvery
+// threshold.
 func (s *Store) NeedsCheckpoint() bool {
-	if s.opts.CompactEvery <= 0 {
-		return false
-	}
 	return s.Pending() >= s.opts.CompactEvery
 }
 

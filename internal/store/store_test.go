@@ -95,9 +95,9 @@ func TestCheckpointFoldsWAL(t *testing.T) {
 	}
 }
 
-// TestCompactEveryThreshold drives the store's own compaction knob: below
-// the threshold NeedsCheckpoint stays quiet, at it the store asks for a
-// fold, and a checkpoint (or an unset knob) silences it again.
+// TestCompactEveryThreshold drives the compaction threshold: below it
+// NeedsCheckpoint stays quiet, at it the store asks for a fold, a checkpoint
+// silences it again, and an unset knob means the default of 64.
 func TestCompactEveryThreshold(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{NoSync: true, CompactEvery: 3})
@@ -137,10 +137,21 @@ func TestCompactEveryThreshold(t *testing.T) {
 		t.Fatalf("NeedsCheckpoint false after replaying %d records, threshold 3", s3.Pending())
 	}
 
-	// The knob unset, the store never volunteers an opinion.
+	// The knob unset, the threshold is 64 records.
 	s4 := openT(t, dir, Options{NoSync: true})
+	for s4.Pending() < 63 {
+		if err := s4.Append("fact", fact{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if s4.NeedsCheckpoint() {
-		t.Fatal("NeedsCheckpoint true with CompactEvery unset")
+		t.Fatalf("NeedsCheckpoint true at %d pending with CompactEvery unset", s4.Pending())
+	}
+	if err := s4.Append("fact", fact{}); err != nil {
+		t.Fatal(err)
+	}
+	if !s4.NeedsCheckpoint() {
+		t.Fatalf("NeedsCheckpoint false at %d pending with CompactEvery unset", s4.Pending())
 	}
 }
 

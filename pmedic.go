@@ -195,7 +195,7 @@ func solveOptimal(sc *Scenario, budget time.Duration, warm *Solution) (*Solution
 // Sweep runs the given algorithms over every failure combination of size k
 // — the paper's 6 single-, 15 double-, and 20 triple-failure cases.
 func Sweep(dep *Deployment, w *Workload, k int, algs []Algorithm) ([]*CaseResult, error) {
-	return eval.Sweep(dep, w, k, algs)
+	return eval.SweepOpts(dep, w, k, algs, eval.Options{})
 }
 
 // SweepWith is Sweep with tuning: Workers bounds how many failure cases run
