@@ -295,9 +295,10 @@ func (d *daemon) detectorConfig() monitor.Config {
 
 // promote runs the leader takeover sequence: open the store under the
 // lease guard, replay it into a medic (the epoch bump fences the dead
-// leader), stamp the new epoch's generation floor onto the agents, hand
-// the restored failure set to a fresh detector, start reconciling, and
-// swap in the leader HTTP surface.
+// leader), stamp the new epoch's generation floor onto the agents (over
+// channels the medic keeps as its standby sessions), hand the restored
+// failure set to a fresh detector, start reconciling, and swap in the
+// leader HTTP surface.
 func (d *daemon) promote(term uint64) error {
 	opts := store.Options{CompactEvery: d.cfg.compactEvery}
 	if d.el != nil {
@@ -333,8 +334,7 @@ func (d *daemon) promote(term uint64) error {
 		return err
 	}
 	d.m.SetRole("leader", term)
-	if gen := d.m.FenceGen(); gen > 0 {
-		fenced, _, err := sdnsim.FenceAgents(d.s.addrs, gen, sdnsim.PushOptions{Seed: d.cfg.seed})
+	if gen, fenced, err := d.m.Fence(); gen > 0 {
 		if err != nil {
 			// Unreachable agents are demoted later by the push path; a fenced
 			// sweep error only means this replica is itself stale.

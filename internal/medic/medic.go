@@ -17,6 +17,11 @@
 //     returned domain through sdnsim.RestoreIdeal (fail-back) and re-plans
 //     whatever failures remain.
 //
+// The medic holds one standby control channel per switch (sdnsim.Sessions):
+// a warm-up started by Start opens them off the recovery path and re-opens
+// whatever a reconcile dropped, so a push or a fail-back is one flush and one
+// round trip on a channel that is already open; Stop closes them.
+//
 // Epochs number the event batches; the generation IDs claimed on the wire
 // are derived from the epoch, so a slow push from an earlier epoch can
 // never re-take a switch from a newer one (the agents refuse the stale
@@ -68,7 +73,7 @@ type Config struct {
 	// Network is used.
 	Net *sdnsim.Network
 	// Push tunes the wire drivers; GenerationID and Seed are overridden
-	// per epoch.
+	// per epoch, Sessions with the medic's own set.
 	Push sdnsim.PushOptions
 	// Solve replaces the planning algorithm (default core.PM).
 	Solve func(*core.Problem) (*core.Solution, error)
@@ -128,6 +133,13 @@ type Medic struct {
 	// role and term are the HA identity Status reports (SetRole).
 	role string
 	term uint64
+
+	// sessions are the standby control channels, one per switch in
+	// cfg.Addrs, that every wire operation of this medic rides on. rewarm
+	// (capacity 1: a pending pass covers every drop before it) wakes the
+	// warm-up after a reconcile, which may have closed some.
+	sessions *sdnsim.Sessions
+	rewarm   chan struct{}
 
 	log     *eventLog
 	metrics *Metrics
@@ -195,10 +207,12 @@ func New(cfg Config) (*Medic, error) {
 		failed:      make(map[int]bool),
 		unreachable: make(map[topo.NodeID]bool),
 		snap:        snapshot{Converged: true, Ideal: true, UpdatedAt: time.Now()},
+		sessions:    sdnsim.NewSessions(),
+		rewarm:      make(chan struct{}, 1),
 		log:         newEventLog(cfg.LogSize),
-		metrics:     newMetrics(),
 		done:        make(chan struct{}),
 	}
+	m.metrics = newMetrics(m.sessions)
 	if cfg.Plans != nil {
 		// A store compiled for a different deployment would serve plans whose
 		// switch indices, delays, and capacities are all stale: refuse it and
@@ -258,13 +272,27 @@ func (m *Medic) Epoch() uint64 {
 }
 
 // FenceGen is the generation a freshly promoted leader stamps onto the
-// agents (sdnsim.FenceAgents): the bottom of the current epoch's range.
-// Every claim signed by an earlier epoch — the deposed leader's — compares
-// below it and is refused.
+// agents (Fence): the bottom of the current epoch's range. Every claim signed
+// by an earlier epoch — the deposed leader's — compares below it and is
+// refused.
 func (m *Medic) FenceGen() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.epoch * genStride
+}
+
+// Fence is the takeover sweep of a freshly promoted leader: it stamps
+// FenceGen onto every agent (sdnsim.FenceAgents) with the medic's own wire
+// options, so the sweep's channels stay open as the standby sessions the
+// first recovery pushes on. A medic that has never seen an epoch (gen 0) has
+// no predecessor to fence and sweeps nothing.
+func (m *Medic) Fence() (gen uint64, fenced int, err error) {
+	epoch := m.Epoch()
+	if gen = epoch * genStride; gen == 0 {
+		return 0, 0, nil
+	}
+	fenced, _, err = sdnsim.FenceAgents(m.cfg.Addrs, gen, m.pushOpts(epoch))
+	return gen, fenced, err
 }
 
 // SetRole records the daemon's HA identity for Status and the leader
@@ -279,22 +307,41 @@ func (m *Medic) SetRole(role string, term uint64) {
 // Metrics exposes the daemon's metrics registry (the /metrics source).
 func (m *Medic) Metrics() *Metrics { return m.metrics }
 
-// Start launches the reconcile loop over the detector's event stream. The
-// loop exits when the stream closes or Stop is called.
+// Start launches the reconcile loop over the detector's event stream, and
+// beside it the warm-up of the standby sessions; it returns before either has
+// done anything. The loop exits when the stream closes or Stop is called.
 func (m *Medic) Start(events <-chan monitor.Event) {
 	m.startOnce.Do(func() {
 		m.events = events
-		m.wg.Add(1)
+		m.wg.Add(2)
 		go m.run()
+		go m.keepWarm()
 	})
 }
 
-// Stop halts the loop and waits for an in-flight reconcile to finish.
+// Stop halts the loop and the warm-up, waits for an in-flight reconcile and
+// an in-flight warm-up dial to finish, and leaves no standby session open.
 func (m *Medic) Stop() {
 	m.stopOnce.Do(func() {
 		close(m.done)
+		m.sessions.Close()
 		m.wg.Wait()
 	})
+}
+
+// keepWarm opens a standby session to every switch, then again after each
+// reconcile to whichever switches lost theirs. It never holds up a recovery:
+// a push that finds a switch cold dials it as it would without the set.
+func (m *Medic) keepWarm() {
+	defer m.wg.Done()
+	for {
+		m.sessions.Warm(m.cfg.Addrs, m.cfg.Push)
+		select {
+		case <-m.done:
+			return
+		case <-m.rewarm:
+		}
+	}
 }
 
 func (m *Medic) run() {
@@ -375,9 +422,10 @@ func (m *Medic) stalePlan() bool { return len(m.events) > 0 }
 // generation ID (stale pushes are refused on the wire), the matching
 // fencing limit (a push signed by this epoch may resynchronize inside the
 // epoch's generation stride but never claim into a later epoch's range),
-// and a decorrelated retry-jitter seed.
+// a decorrelated retry-jitter seed, and the medic's standby sessions.
 func (m *Medic) pushOpts(epoch uint64) sdnsim.PushOptions {
 	opts := m.cfg.Push
+	opts.Sessions = m.sessions
 	opts.GenerationID = epoch*genStride + 1
 	opts.GenerationLimit = (epoch+1)*genStride - 1
 	opts.Seed = m.cfg.Push.Seed ^ int64(epoch)
@@ -393,6 +441,10 @@ func (m *Medic) reconcile() {
 		m.metrics.reconcile.observe(time.Since(start))
 		m.persistOutcome()
 		m.maybeCheckpoint()
+		select {
+		case m.rewarm <- struct{}{}:
+		default:
+		}
 	}()
 
 	m.mu.Lock()

@@ -145,7 +145,11 @@ func TestFailureEventConvergesToPushedPlan(t *testing.T) {
 	m, events := newTestMedic(t, rec)
 
 	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return s.Converged && !s.Ideal })
+	// The converged entry lands a moment after the status reads converged
+	// (ROADMAP item 1): wait for both.
+	st := waitStatus(t, m, func(s Status) bool {
+		return s.Converged && !s.Ideal && hasLogKind(s, KindConverged, "")
+	})
 
 	if len(st.Failed) != 2 || st.Failed[0] != 3 || st.Failed[1] != 4 {
 		t.Fatalf("Failed = %v, want [3 4]", st.Failed)

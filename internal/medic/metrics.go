@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pmedic/internal/sdnsim"
 	"pmedic/internal/store"
 )
 
@@ -73,13 +74,14 @@ type Metrics struct {
 	// dominates a recovery once the control channel carries real delay.
 	reconcile, push, restore histogram
 
-	st *store.Store // WAL fsync/checkpoint/pending sources, nil standalone
+	sessions *sdnsim.Sessions // standby-session gauge and counters
+	st       *store.Store     // WAL fsync/checkpoint/pending sources, nil standalone
 	// plansEnabled is set once at wiring time, before the loop starts.
 	plansEnabled bool
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{}
+func newMetrics(sessions *sdnsim.Sessions) *Metrics {
+	return &Metrics{sessions: sessions}
 }
 
 // wireStore attaches the persistence layer as a metrics source.
@@ -128,6 +130,14 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter("pmedicd_restores_total", "Returned controller domains restored to the ideal mapping.", x.restores.Load())
 	gauge("pmedicd_leader", "1 when this replica holds the leader lease, 0 otherwise.", x.leader.Load())
 	gauge("pmedicd_leader_term", "Fencing term of the last lease this replica held or observed.", x.term.Load())
+
+	// Why a recovery took a dial and a handshake longer than the last one: its
+	// switch had no session standing by.
+	ss := x.sessions.Stats()
+	gauge("pmedicd_standby_sessions", "Control channels standing by, open and idle, one per switch at most.", uint64(ss.Idle))
+	counter("pmedicd_session_reuses_total", "Push, restore and fence attempts that ran on a standby session (no dial).", ss.Reused)
+	counter("pmedicd_session_dials_total", "Control channels dialled: warm-up, cold start, a session lost or busy.", ss.Dialled)
+	counter("pmedicd_session_stale_redials_total", "Standby sessions found dead on use and redialled at once.", ss.StaleRedialled)
 
 	if x.st != nil {
 		counter("pmedicd_wal_fsyncs_total", "fsync calls issued by the snapshot+WAL store.", x.st.Fsyncs())

@@ -75,8 +75,11 @@ func TestSnapshotReplayRoundTrip(t *testing.T) {
 					return s.Converged && s.Epoch == uint64(i+1)
 				})
 			}
+			// The daemon dies; the WAL alone carries the state. Its last status
+			// is read after the loop has drained: a status can read converged a
+			// moment before the converged entry is in the log (ROADMAP item 1).
+			m1.Stop()
 			before := m1.Status()
-			m1.Stop() // the daemon dies; the WAL alone carries the state
 
 			m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 			after := m2.Status()

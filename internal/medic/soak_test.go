@@ -22,6 +22,7 @@ type liveStack struct {
 	dep    *topo.Deployment
 	flows  *flow.Set
 	net    *sdnsim.Network
+	agents map[topo.NodeID]*sdnsim.Agent
 	addrs  map[topo.NodeID]string
 	echos  []*openflow.EchoServer
 	detCfg monitor.Config
@@ -42,16 +43,16 @@ func newLiveStack(t *testing.T, seed int64) *liveStack {
 		t.Fatal(err)
 	}
 	s := &liveStack{dep: dep, flows: flows, net: net}
-	agents := make(map[topo.NodeID]*sdnsim.Agent, len(net.Switches))
+	s.agents = make(map[topo.NodeID]*sdnsim.Agent, len(net.Switches))
 	for _, sw := range net.Switches {
 		a, err := sdnsim.ServeSwitch(sw, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		agents[sw.ID] = a
+		s.agents[sw.ID] = a
 		t.Cleanup(func() { _ = a.Close() })
 	}
-	s.addrs = sdnsim.AgentAddrs(agents)
+	s.addrs = sdnsim.AgentAddrs(s.agents)
 	s.echos = make([]*openflow.EchoServer, len(net.Controllers))
 	for j := range net.Controllers {
 		es, err := openflow.ServeEcho("127.0.0.1:0")
@@ -95,8 +96,8 @@ type replica struct {
 // performs — the same sequence cmd/pmedicd runs in its OnElected hook:
 // open the shared store under the lease guard, replay it into a medic
 // (epoch bump included), fence the agents at the new epoch's generation
-// floor, hand the restored failure set to a fresh detector, and start the
-// reconcile loop.
+// floor (over channels the medic keeps as its standby sessions), hand the
+// restored failure set to a fresh detector, and start the reconcile loop.
 func (r *replica) promote(t *testing.T, s *liveStack, dir string) {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{NoSync: true, Guard: r.el.Check})
@@ -118,10 +119,8 @@ func (r *replica) promote(t *testing.T, s *liveStack, dir string) {
 	}
 	r.m = m
 	m.SetRole("leader", r.el.Term())
-	if gen := m.FenceGen(); gen > 0 {
-		if _, _, err := sdnsim.FenceAgents(s.addrs, gen, sdnsim.PushOptions{}); err != nil {
-			t.Fatalf("fencing sweep at generation %d: %v", gen, err)
-		}
+	if gen, fenced, err := m.Fence(); err != nil || (gen > 0 && fenced != len(s.addrs)) {
+		t.Fatalf("fencing sweep at generation %d: %d of %d fenced, %v", gen, fenced, len(s.addrs), err)
 	}
 	r.mon = monitor.New(s.targets(), s.detCfg)
 	r.mon.MarkDown(m.Status().Failed...)

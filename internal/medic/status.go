@@ -9,6 +9,7 @@ import (
 
 	"pmedic/internal/flow"
 	"pmedic/internal/monitor"
+	"pmedic/internal/sdnsim"
 	"pmedic/internal/topo"
 )
 
@@ -172,6 +173,11 @@ type Status struct {
 	// nonzero means durability is degraded.
 	PersistFailures uint64 `json:"persist_failures,omitempty"`
 
+	// Sessions reports the standby control channels: how many switches have
+	// one open, and how often a wire attempt reused one, dialled, or found
+	// one dead. Zero on a follower, which holds none.
+	Sessions sdnsim.SessionStats `json:"standby_sessions"`
+
 	Events   []LogEntry            `json:"events"`
 	Detector []monitor.TargetState `json:"detector,omitempty"`
 }
@@ -208,6 +214,7 @@ func (m *Medic) Status() Status {
 	st.Replica, st.Role, st.Term = m.cfg.ReplicaID, m.role, m.term
 	st.PersistFailures = m.persistFailures
 	m.mu.Unlock()
+	st.Sessions = m.sessions.Stats()
 	if m.cfg.Net != nil {
 		st.NetworkMapping = m.cfg.Net.MappingSnapshot()
 	}

@@ -26,6 +26,10 @@ type Agent struct {
 	genSet   bool
 	flowMods int
 	refused  int
+	// conns are the accepted controller channels still being served. A
+	// controller may hold one open indefinitely (Sessions), so Close has to
+	// end them itself rather than wait for the peer to hang up.
+	conns map[*openflow.Conn]struct{}
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -42,6 +46,7 @@ func ServeSwitch(sw *Switch, addr string) (*Agent, error) {
 		listener: l,
 		sw:       sw,
 		role:     openflow.RoleEqual,
+		conns:    make(map[*openflow.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
 	a.wg.Add(1)
@@ -89,10 +94,25 @@ func (a *Agent) Entry(id flow.ID) (FlowEntry, bool) {
 	return a.sw.Entry(id)
 }
 
-// Close stops the agent and waits for its connections to drain.
+// OpenSessions returns the number of controller channels the agent is
+// serving right now.
+func (a *Agent) OpenSessions() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.conns)
+}
+
+// Close stops the agent: it stops accepting, closes every controller channel
+// still open — the switch going away under its sessions — and waits for
+// their handlers to return.
 func (a *Agent) Close() error {
 	close(a.done)
 	err := a.listener.Close()
+	a.mu.Lock()
+	for conn := range a.conns {
+		_ = conn.Close()
+	}
+	a.mu.Unlock()
 	a.wg.Wait()
 	return err
 }
@@ -110,6 +130,18 @@ func (a *Agent) acceptLoop() {
 				continue
 			}
 		}
+		// Close closes done before it sweeps conns under mu, so a channel
+		// accepted around a Close is either swept there or refused here.
+		a.mu.Lock()
+		select {
+		case <-a.done:
+			a.mu.Unlock()
+			_ = conn.Close()
+			return
+		default:
+		}
+		a.conns[conn] = struct{}{}
+		a.mu.Unlock()
 		a.wg.Add(1)
 		go func() {
 			defer a.wg.Done()
@@ -138,7 +170,12 @@ func (a *Agent) fenced(c connClaim) bool {
 
 // serve handles one controller channel until it closes.
 func (a *Agent) serve(conn *openflow.Conn) {
-	defer func() { _ = conn.Close() }()
+	defer func() {
+		_ = conn.Close()
+		a.mu.Lock()
+		delete(a.conns, conn)
+		a.mu.Unlock()
+	}()
 	var claim connClaim
 	for {
 		msg, h, err := conn.Recv()

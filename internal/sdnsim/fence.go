@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pmedic/internal/openflow"
 	"pmedic/internal/topo"
 )
 
@@ -60,28 +59,17 @@ func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fe
 	return fenced, results, firstErr
 }
 
-// fenceOne claims mastership at gen on one agent.
+// fenceOne claims mastership at gen on one agent: a push session with no
+// flow-mods, tried once (twice when the first try only found a standby
+// session dead), so the sweep leaves its sessions standing by in
+// opts.Sessions for the pushes that follow.
 func fenceOne(opts PushOptions, addr string, sw topo.NodeID, gen uint64) FenceResult {
-	res := FenceResult{Switch: sw}
-	conn, err := opts.Dial(addr, opts.DialTimeout)
-	if err != nil {
-		res.Err = err
-		return res
+	_, _, lost, err := pushOnce(opts, addr, gen, nil)
+	if lost {
+		_, _, _, err = pushOnce(opts, addr, gen, nil)
 	}
-	defer func() { _ = conn.Close() }()
-	conn.SetIOTimeout(opts.IOTimeout)
-	msg, _, err := conn.Request(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: gen})
-	if err != nil {
-		if g, ok := staleGeneration(err); ok {
-			err = fmt.Errorf("%w: switch %d holds generation %d, asserted %d", ErrFenced, sw, g, gen)
-		}
-		res.Err = err
-		return res
+	if g, ok := staleGeneration(err); ok {
+		err = fmt.Errorf("%w: switch %d holds generation %d, asserted %d", ErrFenced, sw, g, gen)
 	}
-	if _, ok := msg.(openflow.RoleReply); !ok {
-		res.Err = fmt.Errorf("sdnsim: fence %d: unexpected %v to role request", sw, msg.MsgType())
-		return res
-	}
-	res.Fenced = true
-	return res
+	return FenceResult{Switch: sw, Fenced: err == nil, Err: err}
 }

@@ -75,7 +75,7 @@ func TestPushSessionWritesIndependentOfBatchSize(t *testing.T) {
 			handshake = cc.writes.Load()
 			return c, nil
 		}
-		acked, sentAny, err := pushOnce(dial, addrs[13], 1, testMods(n), time.Second, time.Second)
+		acked, sentAny, _, err := pushOnce(PushOptions{Dial: dial}.withDefaults(), addrs[13], 1, testMods(n))
 		if err != nil || acked != n || sentAny {
 			t.Fatalf("n=%d: acked %d, sentAny %v, err %v", n, acked, sentAny, err)
 		}
@@ -158,8 +158,8 @@ func TestAgentDiscardsModsBehindRefusedClaim(t *testing.T) {
 
 	// The driver's view of the same thing: the refused first attempt is not
 	// partial state, and the resynced second one lands everything.
-	acked, sentAny, err := pushOnce(defaultDial, addrs[13], 2, mods, time.Second, time.Second)
-	if acked != 0 || sentAny || !errors.As(err, &re) {
+	acked, sentAny, lost, err := pushOnce(PushOptions{}.withDefaults(), addrs[13], 2, mods)
+	if acked != 0 || sentAny || lost || !errors.As(err, &re) {
 		t.Fatalf("refused attempt: acked %d, sentAny %v, err %v", acked, sentAny, err)
 	}
 	res, dirty, err := pushSwitch(addrs, switchPush{sw: 13, mods: mods}, newGen(2), PushOptions{}.withDefaults())
@@ -241,49 +241,87 @@ func resetFirstDial(seed int64) DialFunc {
 // TestPushResetMidBatchIsDirtyThenConverges cuts a session's one batch
 // write short: the attempt must report partial state (a strict prefix of
 // the mods did land), and a push that hits the same fault must retry and
-// still converge on the plan.
+// still converge on the plan. Warm, the cut lands on a reused standby
+// session: the same partial state, the session is not handed back, and the
+// retry is the free redial of a lost session (MaxAttempts 1 converges).
 func TestPushResetMidBatchIsDirtyThenConverges(t *testing.T) {
-	agent, err := ServeSwitch(network(t).Switches[13], "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mods := testMods(50)
-	acked, sentAny, err := pushOnce(resetFirstDial(11), agent.Addr(), 1, mods, time.Second, time.Second)
-	if !errors.Is(err, chaos.ErrInjectedReset) || acked != 0 || !sentAny {
-		t.Fatalf("cut batch: acked %d, sentAny %v, err %v", acked, sentAny, err)
-	}
-	// Close waits for the agent to finish reading the dead connection.
-	if err := agent.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := agent.FlowModsApplied(); got <= 0 || got >= len(mods) {
-		t.Fatalf("agent applied %d of %d flow-mods from the cut batch, want a strict prefix", got, len(mods))
-	}
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		t.Run(name, func(t *testing.T) {
+			agent, err := ServeSwitch(network(t).Switches[13], "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mods := testMods(50)
+			reset := resetFirstDial(11)
+			opts := PushOptions{Dial: func(addr string, timeout time.Duration) (*openflow.Conn, error) {
+				c, err := reset(addr, timeout)
+				// The switch is serving the channel before the batch is cut,
+				// so "no session left" below means it read it to the end.
+				openSessionsReach(agent, 1)
+				return c, err
+			}}.withDefaults()
+			if warm {
+				opts.Sessions = NewSessions()
+				defer opts.Sessions.Close()
+				opts.Sessions.Warm(map[topo.NodeID]string{13: agent.Addr()}, opts)
+			}
+			acked, sentAny, lost, err := pushOnce(opts, agent.Addr(), 1, mods)
+			if !errors.Is(err, chaos.ErrInjectedReset) || acked != 0 || !sentAny || lost != warm {
+				t.Fatalf("cut batch: acked %d, sentAny %v, lost %v, err %v", acked, sentAny, lost, err)
+			}
+			if warm {
+				if st := opts.Sessions.Stats(); st.Idle != 0 || st.Reused != 1 || st.StaleRedialled != 1 {
+					t.Fatalf("cut batch on a reused session: %+v, want it counted stale and not handed back", st)
+				}
+			}
+			// The agent has read the dead connection to its end once it
+			// stops serving it.
+			waitOpenSessions(t, agent, 0)
+			if err := agent.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := agent.FlowModsApplied(); got <= 0 || got >= len(mods) {
+				t.Fatalf("agent applied %d of %d flow-mods from the cut batch, want a strict prefix", got, len(mods))
+			}
 
-	fx := newPushFixture(t, []int{3})
-	rep, err := PushRecoveryResilient(AgentAddrs(fx.agents), fx.inst.Flows, fx.inst, fx.sol, PushOptions{
-		Seed:        1,
-		Dial:        resetFirstDial(11),
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+			fx := newPushFixture(t, []int{3})
+			addrs := pushedAddrs(fx)
+			opts = PushOptions{
+				Seed:        1,
+				Dial:        resetFirstDial(11),
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  2 * time.Millisecond,
+			}
+			if warm {
+				opts.MaxAttempts = 1
+				opts.Sessions = NewSessions()
+				defer opts.Sessions.Close()
+				opts.Sessions.Warm(addrs, opts)
+			}
+			rep, err := PushRecoveryResilient(addrs, fx.inst.Flows, fx.inst, fx.sol, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Demoted) != 0 {
+				t.Fatalf("one reset demoted %v", rep.Demoted)
+			}
+			retried := 0
+			for _, out := range rep.Outcomes {
+				if out.Attempts > 1 {
+					retried++
+				}
+				if out.Dirty {
+					t.Fatalf("switch %d converged but is still reported dirty", out.Switch)
+				}
+			}
+			if retried != 1 {
+				t.Fatalf("%d switches retried, want exactly the one whose batch was cut", retried)
+			}
+			checkTablesMatch(t, fx, rep.Final)
+		})
 	}
-	if len(rep.Demoted) != 0 {
-		t.Fatalf("one reset demoted %v", rep.Demoted)
-	}
-	retried := 0
-	for _, out := range rep.Outcomes {
-		if out.Attempts > 1 {
-			retried++
-		}
-		if out.Dirty {
-			t.Fatalf("switch %d converged but is still reported dirty", out.Switch)
-		}
-	}
-	if retried != 1 {
-		t.Fatalf("%d switches retried, want exactly the one whose batch was cut", retried)
-	}
-	checkTablesMatch(t, fx, rep.Final)
 }

@@ -56,6 +56,11 @@ type PushOptions struct {
 	GenerationLimit uint64
 	// Dial replaces the transport (default: plain TCP via openflow).
 	Dial DialFunc
+	// Sessions, when set, is the standby-session set the drivers push on: an
+	// attempt takes the switch's idle session instead of dialling and hands
+	// it back once acknowledged. Nil dials per use. The set's owner (the
+	// medic) warms and closes it.
+	Sessions *Sessions
 }
 
 func (o PushOptions) withDefaults() PushOptions {
@@ -123,7 +128,8 @@ type SwitchOutcome struct {
 	Switch topo.NodeID
 	Index  int
 	Status PushStatus
-	// Attempts counts connection attempts across all rounds.
+	// Attempts counts push sessions tried across all rounds, the free redial
+	// of a standby session found dead included.
 	Attempts int
 	// FlowModsAcked counts flow-mods confirmed behind a barrier.
 	FlowModsAcked int
@@ -131,8 +137,9 @@ type SwitchOutcome struct {
 	// flow-mods were sent on a connection that died before its barrier
 	// confirmed them.
 	Dirty bool
-	// Elapsed is the wall time the switch's push sessions took, first dial
-	// to final barrier or demotion (backoff included), summed over rounds.
+	// Elapsed is the wall time the switch's push sessions took, from taking
+	// the switch's session (a dial only when none stood by) to final barrier
+	// or demotion (backoff included), summed over rounds.
 	Elapsed time.Duration
 	// Err is the last error of a demoted switch.
 	Err error
@@ -227,60 +234,76 @@ func deleteMod(f *flow.Flow) openflow.FlowMod {
 	}
 }
 
-// pushOnce performs one complete push session against addr. After the dial
-// and Hello handshake it costs one transport write and one round trip
-// whatever len(mods) is: the mastership claim under gen, every mod and the
-// barrier leave in a single flush, then the role reply (the liveness proof)
-// and the barrier reply are awaited by XID. Sending the mods before the
-// claim is answered is safe because the agent, not the driver, enforces the
-// fence: it discards the mods of a connection whose claim it refused.
+// pushOnce performs one complete push session against addr, on the switch's
+// standby session when opts.Sessions holds one and on a fresh dial and Hello
+// handshake otherwise. From there it costs one transport write and one round
+// trip whatever len(mods) is: the mastership claim under gen, every mod and
+// the barrier leave in a single flush, then the role reply (the liveness
+// proof) and the barrier reply are awaited by XID — frames an earlier use left
+// behind carry older XIDs and are skipped. Sending the mods before the claim
+// is answered is safe because the agent, not the driver, enforces the fence:
+// it discards the mods of a connection whose claim it refused, and it judges
+// every claim, first on its connection or not, against the newest generation
+// it has seen. Only a fully acknowledged session goes back to stand by; any
+// error closes it.
 //
 // acked is len(mods) on full success. sentAny is the partial-state marker:
 // mods left on a connection whose barrier never confirmed them. A flush that
 // fails may have delivered any prefix of the batch, cut mid-frame, so it
-// counts; a refused claim does not, since the agent applied nothing.
-func pushOnce(dial DialFunc, addr string, gen uint64, mods []openflow.FlowMod, dialTO, ioTO time.Duration) (acked int, sentAny bool, err error) {
-	conn, err := dial(addr, dialTO)
+// counts; a refused claim does not, since the agent applied nothing. lost
+// reports an attempt that failed on a reused session before any answer to its
+// claim arrived: the session died while it stood by, which says nothing about
+// the switch.
+func pushOnce(opts PushOptions, addr string, gen uint64, mods []openflow.FlowMod) (acked int, sentAny, lost bool, err error) {
+	conn, reused, err := opts.Sessions.acquire(addr, opts)
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
-	defer func() { _ = conn.Close() }()
-	conn.SetIOTimeout(ioTO)
+	answered := false
+	defer func() {
+		lost = err != nil && reused && !answered
+		opts.Sessions.release(addr, conn, err == nil, lost)
+	}()
+	conn.SetIOTimeout(opts.IOTimeout)
 	roleXID, err := conn.Queue(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: gen})
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
 	for _, m := range mods {
 		if _, err := conn.Queue(m); err != nil {
-			return 0, false, err
+			return 0, false, false, err
 		}
 	}
 	barrierXID, err := conn.Queue(openflow.BarrierRequest{})
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
 	sentAny = len(mods) > 0
 	if err := conn.Flush(); err != nil {
-		return 0, sentAny, err
+		return 0, sentAny, false, err
 	}
 	msg, _, err := conn.RecvXID(roleXID)
 	if err != nil {
+		// An error the switch sent is an answer; one the transport raised is
+		// not.
+		answered = errors.As(err, new(*openflow.RemoteError))
 		if _, stale := staleGeneration(err); stale {
 			sentAny = false
 		}
-		return 0, sentAny, err
+		return 0, sentAny, false, err
 	}
+	answered = true
 	if _, ok := msg.(openflow.RoleReply); !ok {
-		return 0, sentAny, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
+		return 0, sentAny, false, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
 	}
 	msg, _, err = conn.RecvXID(barrierXID)
 	if err != nil {
-		return 0, sentAny, err
+		return 0, sentAny, false, err
 	}
 	if _, ok := msg.(openflow.BarrierReply); !ok {
-		return 0, sentAny, fmt.Errorf("sdnsim: push %s: unexpected %v to barrier", addr, msg.MsgType())
+		return 0, sentAny, false, fmt.Errorf("sdnsim: push %s: unexpected %v to barrier", addr, msg.MsgType())
 	}
-	return len(mods), false, nil
+	return len(mods), false, false, nil
 }
 
 // staleGeneration reports whether err is an agent's refusal of a stale
@@ -518,7 +541,10 @@ type attemptResult struct {
 
 // pushSwitch drives one switch's retry loop: bounded attempts, capped
 // exponential backoff with seeded jitter, and generation resynchronization
-// on stale-role errors. dirty reports whether any attempt left flow-mods
+// on stale-role errors. A standby session found dead on use is not a fault of
+// the switch: that attempt is repeated at once, once, on a fresh dial, with
+// no backoff and none of the MaxAttempts budget spent, and everything after
+// is the ordinary ladder. dirty reports whether any attempt left flow-mods
 // unconfirmed.
 func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64, opts PushOptions) (res attemptResult, dirty bool, err error) {
 	start := time.Now()
@@ -527,11 +553,14 @@ func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64,
 	if !ok {
 		return res, false, fmt.Errorf("%w: %d", ErrAgentMissing, sp.sw)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed ^ (0x5DEECE66D * int64(sp.sw+1))))
-	var lastErr error
+	var (
+		rng       *rand.Rand // seeded on the first backoff; most pushes take none
+		redialled bool
+		lastErr   error
+	)
 	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
 		res.attempts++
-		acked, sentAny, err := pushOnce(opts.Dial, addr, gen.Load(), sp.mods, opts.DialTimeout, opts.IOTimeout)
+		acked, sentAny, lost, err := pushOnce(opts, addr, gen.Load(), sp.mods)
 		if sentAny {
 			dirty = true
 		}
@@ -540,6 +569,11 @@ func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64,
 			return res, false, nil
 		}
 		lastErr = err
+		if lost && !redialled {
+			redialled = true
+			attempt--
+			continue
+		}
 		if g, ok := staleGeneration(err); ok {
 			// Resyncing past the limit would claim into a newer epoch's
 			// generation range: this push has been fenced by a newer
@@ -561,6 +595,9 @@ func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64,
 			continue
 		}
 		if attempt < opts.MaxAttempts {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(opts.Seed ^ (0x5DEECE66D * int64(sp.sw+1))))
+			}
 			time.Sleep(backoff(opts, rng, attempt))
 		}
 	}

@@ -15,8 +15,9 @@ type RestoreOutcome struct {
 	Status        PushStatus
 	Attempts      int
 	FlowModsAcked int
-	// Elapsed is the wall time of the switch's push sessions, first dial to
-	// final barrier or demotion.
+	// Elapsed is the wall time of the switch's push sessions, from taking the
+	// switch's session (a dial only when none stood by) to final barrier or
+	// demotion.
 	Elapsed time.Duration
 	Err     error
 }
