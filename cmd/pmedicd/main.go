@@ -25,7 +25,7 @@
 //
 //	pmedicd [-listen 127.0.0.1:8080] [-interval 500ms] [-timeout 0]
 //	        [-threshold 3] [-debounce 0] [-jitter 0] [-seed 1]
-//	        [-plan-store ""] [-state-dir ""] [-replica-id ""] [-peers ""]
+//	        [-plan-store ""] [-state-dir ""] [-replica-id ""]
 //	        [-lease-ttl 2s] [-compact-every 0]
 //	        [-kill 3,4] [-kill-after 5s] [-revive-after 10s]
 //	        [-run-for 0] [-dry-run]
@@ -98,7 +98,6 @@ type config struct {
 	// HA: a non-empty stateDir turns on persistence and leader election.
 	stateDir     string
 	replicaID    string
-	peers        []string
 	leaseTTL     time.Duration
 	compactEvery int
 }
@@ -114,7 +113,6 @@ func parseFlags(args []string) (config, error) {
 	seed := fs.Int64("seed", 1, "seed for probe schedules and push retry jitter")
 	stateDir := fs.String("state-dir", "", "snapshot+WAL state directory; enables crash-safe HA mode")
 	replicaID := fs.String("replica-id", "", "this replica's name in the leader lease (default pmedicd-<pid>)")
-	peers := fs.String("peers", "", "comma-separated replica IDs expected to share -state-dir (informational)")
 	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "leader lease validity; failover latency after SIGKILL is about one TTL")
 	planStore := fs.String("plan-store", "", "precompiled plan-store file (see cmd/pmstore); failure plans are served from it instead of solved")
 	compactEvery := fs.Int("compact-every", 0, "WAL records since the last checkpoint before the daemon folds them into a snapshot (0 = store default, 64)")
@@ -146,11 +144,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.replicaID == "" {
 		cfg.replicaID = fmt.Sprintf("pmedicd-%d", os.Getpid())
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			cfg.peers = append(cfg.peers, strings.TrimSpace(p))
-		}
 	}
 	if *kill != "" {
 		for _, part := range strings.Split(*kill, ",") {
@@ -428,8 +421,8 @@ func run(args []string, out io.Writer) error {
 			cfg.planStore, d.plans.Len(), h.Depth, h.Algorithm, h.NumControllers, h.TopoHash)
 	}
 	if cfg.stateDir != "" {
-		fmt.Fprintf(out, "  HA: replica %s, state dir %s, lease TTL %v, peers %v\n",
-			cfg.replicaID, cfg.stateDir, cfg.leaseTTL, cfg.peers)
+		fmt.Fprintf(out, "  HA: replica %s, state dir %s, lease TTL %v\n",
+			cfg.replicaID, cfg.stateDir, cfg.leaseTTL)
 	}
 
 	d.handler.Set(followerHandler(cfg.stateDir, cfg.replicaID))

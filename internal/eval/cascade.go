@@ -53,15 +53,11 @@ func Cascade(
 	if trigger <= 0 || trigger > 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadTrigger, trigger)
 	}
-	// One context serves every round, and one delta chain compiles them:
-	// the failed set only ever grows, so each round patches the previous
-	// round's candidate bookkeeping instead of re-gathering it
-	// (scenario.Context.BuildDeltaCase with a grow-only diff).
+	// One context serves every round.
 	ctx, err := scenario.NewContext(dep, flows)
 	if err != nil {
 		return nil, fmt.Errorf("eval: cascade: %w", err)
 	}
-	st := &scenario.DeltaState{}
 	res := &CascadeResult{}
 	failed := append([]int(nil), initial...)
 	for {
@@ -69,7 +65,7 @@ func Cascade(
 			res.Collapsed = true
 			return res, nil
 		}
-		inst, err := ctx.BuildDeltaCase(failed, st)
+		inst, err := ctx.Build(failed)
 		if err != nil {
 			return nil, fmt.Errorf("eval: cascade round %d: %w", len(res.Rounds), err)
 		}

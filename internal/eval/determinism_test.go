@@ -1,7 +1,11 @@
 package eval
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pmedic/internal/scenario"
@@ -9,18 +13,16 @@ import (
 
 // TestSweepDeterminism is the sweep engine's acceptance gate: a sweep must
 // produce the same CaseResult slice — same case order, same instances, same
-// reports, same cached statistics — no matter how many workers run it and no
-// matter whether cases compile from scratch or incrementally along Gray
-// chains (delta ≡ scratch at every worker count), and repeated parallel runs
-// must agree with each other. Only the wall-clock Runtime fields are exempt,
-// and they are zeroed before comparing.
+// reports, same cached statistics — as compiling and evaluating the cases one
+// after another without the engine, no matter how many workers run it, and
+// repeated parallel runs must agree with each other. Only the wall-clock
+// Runtime fields are exempt, and they are zeroed before comparing.
 func TestSweepDeterminism(t *testing.T) {
 	dep, flows := fixtures(t)
 	ctx, err := scenario.NewContext(dep, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combos := scenario.Combinations(len(dep.Controllers), 2)
 	zeroRuntimes := func(cases []*CaseResult) []*CaseResult {
 		for _, c := range cases {
 			for _, rep := range c.Reports {
@@ -29,82 +31,71 @@ func TestSweepDeterminism(t *testing.T) {
 		}
 		return cases
 	}
-	run := func(workers int, mode SweepMode) []*CaseResult {
-		t.Helper()
-		cases := make([]*CaseResult, len(combos))
-		err := ForEachCaseMode(ctx, combos, workers, mode, func(idx int, inst *scenario.Instance) error {
-			cr, err := evalCase(inst, combos[idx], heuristics())
-			cases[idx] = cr
-			return err
-		})
-		if err != nil {
-			t.Fatalf("Workers=%d Mode=%d: %v", workers, mode, err)
-		}
-		return zeroRuntimes(cases)
-	}
-
-	reference := run(1, SweepScratch)
-	if len(reference) != 15 {
-		t.Fatalf("2-failure sweep produced %d cases, want 15", len(reference))
-	}
-	for _, mode := range []SweepMode{SweepScratch, SweepDelta} {
-		for _, workers := range []int{1, 3, 8} {
-			got := run(workers, mode)
-			for i := range reference {
-				if !reflect.DeepEqual(reference[i], got[i]) {
-					t.Errorf("case %d (%s): Workers=%d Mode=%d differs from sequential scratch",
-						i, reference[i].Label, workers, mode)
-				}
-			}
-		}
-	}
-	// The public entry point rides the delta engine: two parallel sweeps
-	// agree with the sequential scratch reference, hence with each other.
-	for round := 0; round < 2; round++ {
-		cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: 8})
+	var reference []*CaseResult
+	for _, failed := range scenario.Combinations(len(dep.Controllers), 2) {
+		cr, err := runCase(ctx, failed, heuristics())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range zeroRuntimes(cases) {
-			if !reflect.DeepEqual(reference[i], cases[i]) {
-				t.Errorf("case %d (%s): SweepOpts Workers=8 run %d differs from sequential scratch",
-					i, reference[i].Label, round)
+		reference = append(reference, cr)
+	}
+	zeroRuntimes(reference)
+	if len(reference) != 15 {
+		t.Fatalf("2-failure enumeration has %d cases, want 15", len(reference))
+	}
+	for _, workers := range []int{1, 3, 8} {
+		for round := 0; round < 2; round++ {
+			cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: workers, Context: ctx})
+			if err != nil {
+				t.Fatalf("Workers=%d: %v", workers, err)
+			}
+			if len(cases) != len(reference) {
+				t.Fatalf("Workers=%d: %d cases, want %d", workers, len(cases), len(reference))
+			}
+			for i := range zeroRuntimes(cases) {
+				if !reflect.DeepEqual(reference[i], cases[i]) {
+					t.Errorf("case %d (%s): Workers=%d run %d differs from the sequential pass",
+						i, reference[i].Label, workers, round)
+				}
 			}
 		}
 	}
 }
 
-// TestForEachCaseModeEquivalence compares the instances themselves (not just
-// the evaluated reports) between the delta and scratch engines, over the
-// mixed-size case enumeration the plan-store compiler uses, at several
-// worker counts. This is the delta ≡ scratch equivalence gate CI runs under
-// -race.
-func TestForEachCaseModeEquivalence(t *testing.T) {
+// TestForEachCaseLowestErrorWins pins the engine's error contract: whichever
+// cases fail and in whatever order the workers get to them, the error
+// returned is the failing case with the lowest index, and a case that does
+// not compile fails wrapped as "eval: case […]". CI runs it -race -count=50.
+func TestForEachCaseLowestErrorWins(t *testing.T) {
 	dep, flows := fixtures(t)
 	ctx, err := scenario.NewContext(dep, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combos := scenario.CombinationsUpTo(len(dep.Controllers), 3)
-	collect := func(workers int, mode SweepMode) []*scenario.Instance {
-		t.Helper()
-		out := make([]*scenario.Instance, len(combos))
-		err := ForEachCaseMode(ctx, combos, workers, mode, func(idx int, inst *scenario.Instance) error {
-			out[idx] = inst
+	// 15 plannable cases, then one that lists a controller twice.
+	combos := append(scenario.Combinations(len(dep.Controllers), 2), []int{0, 0})
+	failAt := func(idx int) error { return fmt.Errorf("fn failed at %d", idx) }
+	for round := 0; round < 20; round++ {
+		err := ForEachCase(ctx, combos, 8, func(idx int, _ *scenario.Instance) error {
+			switch idx {
+			case 2:
+				// Give the higher failing cases every chance to land first.
+				for i := 0; i < 10; i++ {
+					runtime.Gosched()
+				}
+				return failAt(idx)
+			case 5, 9:
+				return failAt(idx)
+			}
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("Workers=%d Mode=%d: %v", workers, mode, err)
+		if err == nil || err.Error() != failAt(2).Error() {
+			t.Fatalf("round %d: error = %v, want case 2's", round, err)
 		}
-		return out
-	}
-	want := collect(1, SweepScratch)
-	for _, workers := range []int{1, 2, 8} {
-		got := collect(workers, SweepDelta)
-		for i := range want {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("case %v: delta instance (Workers=%d) differs from scratch", combos[i], workers)
-			}
+
+		err = ForEachCase(ctx, combos, 8, func(int, *scenario.Instance) error { return nil })
+		if !errors.Is(err, scenario.ErrBadCase) || !strings.HasPrefix(err.Error(), "eval: case [0 0]: ") {
+			t.Fatalf("round %d: error = %v, want the unplannable case wrapped as eval: case [0 0]", round, err)
 		}
 	}
 }

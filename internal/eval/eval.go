@@ -65,37 +65,14 @@ func (c *CaseResult) Report(name string) *core.Report {
 	return c.Reports[name]
 }
 
-// SweepMode selects ForEachCaseMode's case-compilation strategy. Sweeps and
-// plan-store compiles always use SweepDelta; the mode exists so tests and the
-// benchmark can run the reference engine beside it.
-type SweepMode int
-
-const (
-	// SweepDelta compiles cases incrementally: the engine re-sequences each
-	// complete C(m, k) block into revolving-door Gray order (combos.go),
-	// partitions it into per-worker chains, and patches each case out of its
-	// chain predecessor via scenario.Context.BuildDeltaCase while the
-	// previous case is still being solved (the compile and solve stages of a
-	// chain are pipelined). Output is byte-identical to SweepScratch at any
-	// worker count.
-	SweepDelta SweepMode = iota
-	// SweepScratch compiles every case independently with
-	// scenario.Context.Build over a plain worker pool — the reference engine
-	// the delta≡scratch equivalence tests and the benchmark's
-	// eval.engine_scratch_us_per_case compare against.
-	SweepScratch
-)
-
 // Options tunes SweepOpts's evaluation engine. The zero value selects the
 // defaults: one worker per available CPU and a fresh scenario context.
 type Options struct {
 	// Workers bounds the number of failure cases evaluated concurrently.
-	// 0 selects runtime.GOMAXPROCS(0); 1 forces a single chain, on which
-	// cases solve strictly in compile order (the next case's compilation
-	// still overlaps the current solve). Whatever the worker
-	// count, the returned slice is in exact lexicographic case order and
-	// its contents are identical (up to wall-clock Runtime fields) to a
-	// sequential run.
+	// 0 selects runtime.GOMAXPROCS(0); 1 runs the cases one after another
+	// on the calling goroutine. Whatever the worker count, the returned
+	// slice is in exact lexicographic case order and its contents are
+	// identical (up to wall-clock Runtime fields) to a sequential run.
 	Workers int
 	// Context, when non-nil, supplies the precomputed failure-independent
 	// scenario state; nil builds one for the sweep. Share one Context across
@@ -118,7 +95,7 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	}
 	combos := scenario.Combinations(len(dep.Controllers), k)
 	results := make([]*CaseResult, len(combos))
-	err := ForEachCaseMode(ctx, combos, opts.Workers, SweepDelta, func(idx int, inst *scenario.Instance) error {
+	err := ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
 		cr, err := evalCase(inst, combos[idx], algs)
 		if err != nil {
 			return err
@@ -132,53 +109,25 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	return results, nil
 }
 
-// ForEachCaseMode compiles every failure combination off the shared context
-// and calls fn with the compiled instance. Both modes call fn with instances
-// that are byte-identical to scenario.Context.Build's, under the case's
-// original index, so results are independent of mode and worker count. fn
-// runs concurrently for distinct indices and must only touch state it owns
-// (writing to its own slot of a results slice is the intended pattern).
-// Errors are deterministic regardless of scheduling: the failing case with
-// the lowest index wins. workers <= 0 selects one worker per available CPU.
-// The plan-store compiler and the sweep harness share this engine.
-func ForEachCaseMode(ctx *scenario.Context, combos [][]int, workers int, mode SweepMode, fn func(idx int, inst *scenario.Instance) error) error {
-	if len(combos) == 0 {
-		return nil
-	}
+// ForEachCase compiles every failure combination off the shared context with
+// scenario.Context.Build and calls fn with the compiled instance under the
+// case's index in combos, so results are independent of the worker count. It
+// is a plain worker pool: each worker takes the next case off a shared queue,
+// compiles it and runs fn, which keeps the pool balanced when single cases
+// run for minutes (Optimal). fn runs concurrently for distinct indices and
+// must only touch state it owns (writing to its own slot of a results slice
+// is the intended pattern). Errors are deterministic regardless of
+// scheduling: the failing case with the lowest index wins, and a case that
+// does not compile fails as "eval: case […]". workers <= 0 selects one worker
+// per available CPU. The plan-store compiler and the sweep harness share this
+// engine (DESIGN §10).
+func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(combos) {
 		workers = len(combos)
 	}
-	if mode == SweepScratch {
-		return forEachCaseScratch(ctx, combos, workers, fn)
-	}
-	return forEachCaseDelta(ctx, combos, workers, fn)
-}
-
-// caseErrTracker implements the engine's deterministic error contract: among
-// every case that errored, the lowest original index wins, regardless of
-// scheduling; once any error lands, the remaining queue drains without work.
-type caseErrTracker struct {
-	mu       sync.Mutex
-	firstErr error
-	errIdx   int
-	failed   atomic.Bool
-}
-
-func (tr *caseErrTracker) record(idx int, err error) {
-	tr.mu.Lock()
-	if tr.firstErr == nil || idx < tr.errIdx {
-		tr.firstErr, tr.errIdx = err, idx
-	}
-	tr.mu.Unlock()
-	tr.failed.Store(true)
-}
-
-// forEachCaseScratch is the pre-delta reference engine: a plain worker pool
-// where each worker compiles its case from scratch and solves it.
-func forEachCaseScratch(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
 	run := func(idx int) error {
 		inst, err := ctx.Build(combos[idx])
 		if err != nil {
@@ -195,21 +144,33 @@ func forEachCaseScratch(ctx *scenario.Context, combos [][]int, workers int, fn f
 		return nil
 	}
 
+	// lowest is the lowest index that has failed so far. Cases above it
+	// drain without work; a case below it still runs, because it may fail
+	// too and then wins, so the error returned is the lowest failing case's
+	// whatever the schedule.
 	var (
-		wg sync.WaitGroup
-		tr caseErrTracker
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		lowest   atomic.Int64
 	)
+	lowest.Store(int64(len(combos)))
 	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				if tr.failed.Load() {
+				if int64(idx) > lowest.Load() {
 					continue
 				}
 				if err := run(idx); err != nil {
-					tr.record(idx, err)
+					mu.Lock()
+					if int64(idx) < lowest.Load() {
+						firstErr = err
+						lowest.Store(int64(idx))
+					}
+					mu.Unlock()
 				}
 			}
 		}()
@@ -219,78 +180,7 @@ func forEachCaseScratch(ctx *scenario.Context, combos [][]int, workers int, fn f
 	}
 	close(jobs)
 	wg.Wait()
-	return tr.firstErr
-}
-
-// deltaStatePool recycles chain compilation state across sweeps; repeated
-// sweeps over the same context reuse the arenas (and even warm-start their
-// first diff from wherever the previous chain left off).
-var deltaStatePool = sync.Pool{New: func() any { return new(scenario.DeltaState) }}
-
-// compiledCase is one unit flowing through a chain's compile→solve pipe.
-type compiledCase struct {
-	idx  int
-	inst *scenario.Instance
-}
-
-// forEachCaseDelta is the pipelined two-stage delta engine. The case list is
-// re-sequenced into revolving-door compile order (compileOrder), statically
-// partitioned into `workers` contiguous chains — a deterministic split, so
-// which cases share a delta chain never depends on scheduling — and each
-// chain runs two goroutines: a compiler that patches case i+1 out of case i
-// via scenario.Context.BuildDeltaCase, and a solver draining a buffered
-// channel, so compilation of the next case overlaps the solve of the
-// current one. fn still receives each case's original index; the Gray
-// ordering is invisible in the results.
-func forEachCaseDelta(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
-	order := compileOrder(len(ctx.Dep.Controllers), combos)
-
-	var (
-		wg sync.WaitGroup
-		tr caseErrTracker
-	)
-	n := len(order)
-	for c := 0; c < workers; c++ {
-		lo, hi := c*n/workers, (c+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(chain []int) {
-			defer wg.Done()
-			pipe := make(chan compiledCase, 1)
-			var compiler sync.WaitGroup
-			compiler.Add(1)
-			go func() {
-				defer compiler.Done()
-				defer close(pipe)
-				st := deltaStatePool.Get().(*scenario.DeltaState)
-				defer deltaStatePool.Put(st)
-				for _, idx := range chain {
-					if tr.failed.Load() {
-						return
-					}
-					inst, err := ctx.BuildDeltaCase(combos[idx], st)
-					if err != nil {
-						tr.record(idx, fmt.Errorf("eval: case %v: %w", combos[idx], err))
-						return
-					}
-					pipe <- compiledCase{idx, inst}
-				}
-			}()
-			for cc := range pipe {
-				if tr.failed.Load() {
-					continue
-				}
-				if err := fn(cc.idx, cc.inst); err != nil {
-					tr.record(cc.idx, err)
-				}
-			}
-			compiler.Wait()
-		}(order[lo:hi])
-	}
-	wg.Wait()
-	return tr.firstErr
+	return firstErr
 }
 
 // RunCase builds the instance for one failure combination and runs every

@@ -274,21 +274,6 @@ func (s *Set) ForEachFlowThrough(i topo.NodeID, fn func(ID)) {
 	}
 }
 
-// AppendFlowsThrough appends the IDs (as int32) of flows traversing any of
-// the given switches to buf — with duplicates when a flow crosses several of
-// them — and returns the extended slice. It is the raw CSR gather for callers
-// that count incidences themselves (delta case compilation); FlowsThrough is
-// the distinct, ordered one.
-func (s *Set) AppendFlowsThrough(buf []int32, switches []topo.NodeID) []int32 {
-	for _, sw := range switches {
-		if sw < 0 || int(sw) >= len(s.counts) {
-			continue
-		}
-		buf = append(buf, s.swFlow[s.swOff[sw]:s.swOff[sw+1]]...)
-	}
-	return buf
-}
-
 // FlowsThrough appends to buf the IDs (as int32) of the flows whose path
 // includes any of the given switches — each flow once, in ascending order —
 // and returns the extended slice. It is the candidate gather of case

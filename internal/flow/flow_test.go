@@ -223,8 +223,12 @@ func TestFlowsThrough(t *testing.T) {
 	if got[0] != -1 || !reflect.DeepEqual(got[1:], want) {
 		t.Fatalf("FlowsThrough(%v) = %v, want -1 then %v", switches, got, want)
 	}
-	if raw := s.AppendFlowsThrough(nil, switches); len(raw) <= len(want) {
-		t.Fatalf("fixture has no flow crossing two of %v: %d traversals, %d flows", switches, len(raw), len(want))
+	traversals := 0
+	for _, sw := range switches {
+		s.ForEachFlowThrough(sw, func(ID) { traversals++ })
+	}
+	if traversals <= len(want) {
+		t.Fatalf("fixture has no flow crossing two of %v: %d traversals, %d flows", switches, traversals, len(want))
 	}
 	for w, word := range seen {
 		if word != 0 {

@@ -89,8 +89,6 @@ type Config struct {
 	// sdnsim.PushRecoveryResilient, sdnsim.RestoreIdeal); tests stub them.
 	Pusher   PushFunc
 	Restorer RestoreFunc
-	// LogSize bounds the structured event log (default 256 entries).
-	LogSize int
 
 	// Store, when set, persists the daemon's durable state — epoch, failure
 	// set, adopted mapping, unreachable set, event log — as snapshot+WAL.
@@ -194,9 +192,6 @@ func New(cfg Config) (*Medic, error) {
 	if cfg.Restorer == nil {
 		cfg.Restorer = sdnsim.RestoreIdeal
 	}
-	if cfg.LogSize <= 0 {
-		cfg.LogSize = 256
-	}
 	ctx, err := scenario.NewContext(cfg.Dep, cfg.Flows)
 	if err != nil {
 		return nil, fmt.Errorf("medic: %w", err)
@@ -209,7 +204,7 @@ func New(cfg Config) (*Medic, error) {
 		snap:        snapshot{Converged: true, Ideal: true, UpdatedAt: time.Now()},
 		sessions:    sdnsim.NewSessions(),
 		rewarm:      make(chan struct{}, 1),
-		log:         newEventLog(cfg.LogSize),
+		log:         newEventLog(logSize),
 		done:        make(chan struct{}),
 	}
 	m.metrics = newMetrics(m.sessions)

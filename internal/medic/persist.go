@@ -216,8 +216,8 @@ func ReadStatus(dir string) (Status, error) {
 	}
 	st := newStatus(ds.Epoch, ds.Failed, ds.Unreachable, ds.Snap)
 	st.Events = ds.LogEntries
-	if len(st.Events) > 256 {
-		st.Events = st.Events[len(st.Events)-256:]
+	if len(st.Events) > logSize {
+		st.Events = st.Events[len(st.Events)-logSize:]
 	}
 	return st, nil
 }

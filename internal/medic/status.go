@@ -38,6 +38,10 @@ type LogEntry struct {
 	Msg  string    `json:"msg"`
 }
 
+// logSize bounds the structured event log, in a leader's ring and in the
+// Status a follower renders from the same store (ReadStatus).
+const logSize = 256
+
 // eventLog is a bounded ring of LogEntries. The sequence counter is part
 // of the daemon's durable state: restoreRing carries it across restarts so
 // entries are never silently renumbered, and onAppend (when set) persists

@@ -27,7 +27,7 @@ type CompileOptions struct {
 	// where only some combinations are credible (or affordable).
 	Sets [][]int
 	// Workers bounds the compile's solver concurrency; <= 0 selects one per
-	// available CPU (eval.ForEachCaseMode semantics).
+	// available CPU (eval.ForEachCase semantics).
 	Workers int
 	// Solve produces the plan for one compiled instance; nil selects
 	// core.PM. It must be deterministic and safe for concurrent calls — the
@@ -110,7 +110,7 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 	// in enumeration order so the file is deterministic.
 	payloads := make([][]byte, len(combos))
 	families := make([][2]bool, len(combos))
-	err := eval.ForEachCaseMode(ctx, combos, opts.Workers, eval.SweepDelta, func(idx int, inst *scenario.Instance) error {
+	err := eval.ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
 		sol, err := solve(inst.Problem)
 		if err != nil {
 			return fmt.Errorf("planstore: case %v: %w", combos[idx], err)

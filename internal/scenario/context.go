@@ -235,8 +235,7 @@ func (ctx *Context) build(sc *buildScratch, failed []int) (*Instance, error) {
 // fillProblemMatrices populates the Problem's Delay, Gamma, and Rest off the
 // Context's cached vectors for the instance's offline switches and active
 // controllers; it errors when an active controller was already overloaded
-// before the failure. Shared by the scratch (Build) and delta
-// (BuildDeltaCase) compilation paths.
+// before the failure.
 func (ctx *Context) fillProblemMatrices(inst *Instance, p *core.Problem) error {
 	dep, flows := ctx.Dep, ctx.Flows
 	// Delay rows are views into one flat backing array — the Problem keeps
@@ -319,7 +318,7 @@ func growBools(buf *[]bool, n int) []bool {
 // path visits a switch at most once, so stable per-switch bucketing preserves
 // ascending flow order within each switch. The returned slice is freshly
 // allocated (it is retained by the Problem); the counting table lives in the
-// caller's scratch (buildScratch or DeltaState).
+// caller's buildScratch.
 func sortPairsBySwitch(pairs []core.Pair, numSwitches int, startBuf *[]int) []core.Pair {
 	if len(pairs) == 0 {
 		return nil

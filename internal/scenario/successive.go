@@ -30,11 +30,17 @@ func BuildSuccessive(dep *topo.Deployment, flows *flow.Set, order []int) ([]*Ste
 		return nil, fmt.Errorf("%w: %d successive failures would kill all %d controllers",
 			ErrBadCase, len(order), len(dep.Controllers))
 	}
+	// One Context serves the whole episode: the steps differ only in which
+	// controllers have failed.
+	ctx, err := NewContext(dep, flows)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: successive step 1: %w", err)
+	}
 	steps := make([]*Step, 0, len(order))
 	var cumulative []int
 	for _, j := range order {
 		cumulative = append(cumulative, j)
-		inst, err := Build(dep, flows, cumulative)
+		inst, err := ctx.Build(cumulative)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: successive step %d: %w", len(cumulative), err)
 		}
