@@ -10,10 +10,11 @@
 // state persists as snapshot+WAL (internal/store) in the directory, and a
 // lease there (internal/election) elects one leader among every replica
 // sharing it. Only the leader reconciles and pushes; followers tail the
-// store read-only and serve /status from it. Failover is fenced: a new
-// leader resumes at an epoch past everything the dead one persisted,
-// stamps the matching OpenFlow generation ID onto the agents, and the
-// predecessor's in-flight pushes and late WAL writes are both refused.
+// store read-only and serve /status from it. Failover is fenced: a leader
+// signs only epochs it has durably reserved, a new leader resumes at an epoch
+// past the dead one's reservation, stamps the matching OpenFlow generation ID
+// onto the agents, and the predecessor's in-flight pushes and late WAL writes
+// are both refused.
 //
 // Controller failures are injected either externally (the status endpoint
 // tells you where the echo endpoints listen) or with the built-in chaos
@@ -108,7 +109,7 @@ func parseFlags(args []string) (config, error) {
 	interval := fs.Duration("interval", 500*time.Millisecond, "probe interval per controller")
 	timeout := fs.Duration("timeout", 0, "per-probe timeout (0 = interval)")
 	threshold := fs.Int("threshold", 3, "consecutive misses before a controller is declared down")
-	debounce := fs.Duration("debounce", 0, "how long a returned controller is held before it is announced; failures are never held (0 = 2×interval)")
+	debounce := fs.Duration("debounce", 0, "how long a returned controller is held before it is announced; failures are not held by it (0 = 2×interval)")
 	jitter := fs.Duration("jitter", 0, "probe schedule jitter (0 = interval/4)")
 	seed := fs.Int64("seed", 1, "seed for probe schedules and push retry jitter")
 	stateDir := fs.String("state-dir", "", "snapshot+WAL state directory; enables crash-safe HA mode")
@@ -287,11 +288,11 @@ func (d *daemon) detectorConfig() monitor.Config {
 }
 
 // promote runs the leader takeover sequence: open the store under the
-// lease guard, replay it into a medic (the epoch bump fences the dead
-// leader), stamp the new epoch's generation floor onto the agents (over
-// channels the medic keeps as its standby sessions), hand the restored
-// failure set to a fresh detector, start reconciling, and swap in the
-// leader HTTP surface.
+// lease guard, replay it into a medic (the epoch bump past the dead leader's
+// reservation fences it), reserve this leader's own block of epochs and stamp
+// the new epoch's generation floor onto the agents (over channels the medic
+// keeps as its standby sessions), hand the restored failure set to a fresh
+// detector, start reconciling, and swap in the leader HTTP surface.
 func (d *daemon) promote(term uint64) error {
 	opts := store.Options{CompactEvery: d.cfg.compactEvery}
 	if d.el != nil {
@@ -327,24 +328,30 @@ func (d *daemon) promote(term uint64) error {
 		return err
 	}
 	d.m.SetRole("leader", term)
-	if gen, fenced, err := d.m.Fence(); gen > 0 {
+	if gen, fenced, err := d.m.Fence(); gen > 0 || err != nil {
 		if err != nil {
 			// Unreachable agents are demoted later by the push path; a fenced
-			// sweep error only means this replica is itself stale.
+			// sweep, or a reservation the store refused, only means this
+			// replica is itself stale.
 			fmt.Fprintf(d.out, "pmedicd: fencing sweep at generation %d: %d fenced, %v\n", gen, fenced, err)
 		} else {
 			fmt.Fprintf(d.out, "pmedicd: fenced %d agents at generation %d\n", fenced, gen)
 		}
 	}
+	st := d.m.Status()
 	d.mon = monitor.New(d.s.targets, d.detectorConfig())
-	if restored := d.m.Status().Failed; len(restored) > 0 {
+	if restored := st.Failed; len(restored) > 0 {
 		d.mon.MarkDown(restored...)
 		fmt.Fprintf(d.out, "pmedicd: detector handoff: controllers %v restored as down\n", restored)
 	}
 	d.mon.Start()
 	d.m.Start(d.mon.Events())
 	d.handler.Set(medic.Handler(d.m, d.mon))
-	fmt.Fprintf(d.out, "pmedicd: %s leading at term %d, epoch %d\n", d.cfg.replicaID, term, d.m.Epoch())
+	reserved := ""
+	if d.st != nil {
+		reserved = fmt.Sprintf(" (reserved through %d)", st.EpochReserved)
+	}
+	fmt.Fprintf(d.out, "pmedicd: %s leading at term %d, epoch %d%s\n", d.cfg.replicaID, term, st.Epoch, reserved)
 	return nil
 }
 

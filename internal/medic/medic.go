@@ -29,6 +29,15 @@
 // it was pushed is discarded, never pushed. Every decision lands in a
 // bounded structured event log, exposed with the rest of the daemon state
 // via the HTTP status handler (status.go).
+//
+// Nothing between a detector event and the converged entry it leads to waits
+// for the disk. With a store wired, a pass only stages its records (detect,
+// log entries, outcome) and commits them as one group — one write, one fsync —
+// in reconcile's tail, after the entry that ends the pass has been stamped.
+// What used to need a write ahead of the push, that a successor resumes above
+// every epoch this medic signed, is kept by reserving epochs in blocks ahead
+// of use (persist.go): a medic signs no epoch it has not durably reserved,
+// and a successor resumes above the reservation.
 package medic
 
 import (
@@ -37,6 +46,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pmedic/internal/core"
@@ -90,18 +100,20 @@ type Config struct {
 	Pusher   PushFunc
 	Restorer RestoreFunc
 
-	// Store, when set, persists the daemon's durable state — epoch, failure
-	// set, adopted mapping, unreachable set, event log — as snapshot+WAL.
-	// New replays it, so a restarted daemon resumes mid-episode at an epoch
-	// strictly greater than anything it persisted, instead of re-detecting
-	// from scratch. The medic appends records; the store's lifecycle (Open/
-	// Close) belongs to the caller.
+	// Store, when set, persists the daemon's durable state — epoch, epoch
+	// reservation, failure set, adopted mapping, unreachable set, event log —
+	// as snapshot+WAL. New replays it, so a restarted daemon resumes
+	// mid-episode at an epoch strictly greater than anything its predecessor
+	// could have signed, instead of re-detecting from scratch. The medic
+	// commits one group of records per reconcile pass; the store's lifecycle
+	// (Open/Close) belongs to the caller.
 	Store *store.Store
 	// ReplicaID names this daemon instance in Status (HA deployments).
 	ReplicaID string
 	// OnFenced fires (once per reconcile, on the loop goroutine) when a
-	// push is refused by generation-ID fencing — the signal that a newer
-	// leader has taken over and this daemon must step down.
+	// push is refused by generation-ID fencing, or not attempted because the
+	// store's guard refused to reserve its epoch — either way the signal that
+	// a newer leader has taken over and this daemon must step down.
 	OnFenced func()
 }
 
@@ -119,6 +131,11 @@ type Medic struct {
 	mu sync.Mutex
 	// epoch counts applied event batches; 0 = nothing ever detected.
 	epoch uint64
+	// reserved is the highest epoch the store durably holds for this medic:
+	// the only epochs it signs (ensureReserved). Always 0 without a store.
+	// Written where epochs are signed — the loop, Fence before it, FlushState
+	// after it — and read by Status and /metrics.
+	reserved atomic.Uint64
 	// failed is the controller set currently believed down.
 	failed map[int]bool
 	// pendingRecovered are controllers whose return has been detected but
@@ -223,7 +240,7 @@ func New(cfg Config) (*Medic, error) {
 		}
 	}
 	if cfg.Store != nil {
-		m.metrics.wireStore(cfg.Store)
+		m.metrics.wireStore(cfg.Store, &m.reserved)
 		ds, err := replayDurable(cfg.Store.Snapshot(), cfg.Store.Records())
 		if err != nil {
 			return nil, fmt.Errorf("medic: restore: %w", err)
@@ -233,21 +250,26 @@ func New(cfg Config) (*Medic, error) {
 		}
 		// Wire the log to the WAL only after restore, so replayed entries
 		// are not re-appended.
-		m.log.onAppend = m.persistLogEntry
+		m.log.onAppend = func(e LogEntry) { m.stage(recLog, e) }
+		// Staged, like every record from here on: New does not wait for the
+		// disk; the first reservation commits it.
 		if ds != nil {
-			m.log.addf(KindResume, "resumed at epoch %d from snapshot+WAL: failed=%v, %d unreachable, log seq %d",
-				m.epoch, ds.Failed, len(ds.Unreachable), ds.LogSeq)
+			m.log.addf(KindResume, "resumed at epoch %d from snapshot+WAL (epoch %d, reserved through %d): failed=%v, %d unreachable, log seq %d",
+				m.epoch, ds.Epoch, ds.Reserved, ds.Failed, len(ds.Unreachable), ds.LogSeq)
 		}
 	}
 	return m, nil
 }
 
-// restore loads a replayed durable state and bumps the epoch, so the
-// resumed daemon's first generation ID is strictly greater than anything
-// the dead incarnation could have signed — its in-flight pushes are fenced
-// on the wire.
+// restore loads a replayed durable state and bumps the epoch past the
+// predecessor's reservation, so the resumed daemon's first generation ID is
+// strictly greater than anything the dead incarnation could have signed —
+// including epochs whose records it never got to commit — and its in-flight
+// pushes are fenced on the wire. The reservation it inherits lies below the
+// new epoch: this incarnation signs nothing until it has made its own.
 func (m *Medic) restore(ds *durableState) {
-	m.epoch = ds.Epoch + 1
+	m.epoch = max(ds.Epoch, ds.Reserved) + 1
+	m.reserved.Store(ds.Reserved)
 	for _, j := range ds.Failed {
 		m.failed[j] = true
 	}
@@ -276,14 +298,20 @@ func (m *Medic) FenceGen() uint64 {
 	return m.epoch * genStride
 }
 
-// Fence is the takeover sweep of a freshly promoted leader: it stamps
-// FenceGen onto every agent (sdnsim.FenceAgents) with the medic's own wire
-// options, so the sweep's channels stay open as the standby sessions the
+// Fence is the takeover sweep of a freshly promoted leader: it reserves the
+// block of epochs the sweep and the first recoveries are signed with, then
+// stamps FenceGen onto every agent (sdnsim.FenceAgents) with the medic's own
+// wire options, so the sweep's channels stay open as the standby sessions the
 // first recovery pushes on. A medic that has never seen an epoch (gen 0) has
-// no predecessor to fence and sweeps nothing.
+// no predecessor to fence and sweeps nothing. A reservation the store's guard
+// refuses means this replica is not the leader: nothing is swept.
 func (m *Medic) Fence() (gen uint64, fenced int, err error) {
 	epoch := m.Epoch()
-	if gen = epoch * genStride; gen == 0 {
+	gen = epoch * genStride
+	if err := m.ensureReserved(epoch + 1); err != nil {
+		return gen, 0, fmt.Errorf("medic: fence: %w", err)
+	}
+	if gen == 0 {
 		return 0, 0, nil
 	}
 	fenced, _, err = sdnsim.FenceAgents(m.cfg.Addrs, gen, m.pushOpts(epoch))
@@ -341,6 +369,10 @@ func (m *Medic) keepWarm() {
 
 func (m *Medic) run() {
 	defer m.wg.Done()
+	// The first event's epoch is reserved before the event exists (a no-op
+	// after Fence). Refused now is refused again in front of the first push,
+	// which is where it is dealt with.
+	_ = m.ensureReserved(m.Epoch() + 1)
 	for {
 		select {
 		case <-m.done:
@@ -371,13 +403,14 @@ func (m *Medic) run() {
 
 // apply folds one detector event into the failure set and advances the
 // epoch. Only the loop goroutine advances it, so the new epoch's number is
-// known before it is published — and its detect entry goes into the log, and
-// the WAL ahead of the detect record, first: a Status, or a follower's
-// ReadStatus, that shows epoch N also shows what started it.
+// known before it is published — and its detect entry goes into the log
+// first: a Status that shows epoch N also shows what started it. Entry and
+// detect record are only staged; they reach the store in the commit that ends
+// the pass, as one group, so a follower's ReadStatus sees both or neither.
 func (m *Medic) apply(ev monitor.Event) {
 	epoch := m.Epoch() + 1
 	m.log.addf(KindDetect, "epoch %d: %s", epoch, ev)
-	m.persistDetect(epoch, ev)
+	m.stage(recDetect, detectRecord{Epoch: epoch, Failed: ev.Failed, Recovered: ev.Recovered})
 	m.mu.Lock()
 	m.epoch = epoch
 	// The reconciled state describes the previous epoch until reconcile
@@ -413,11 +446,12 @@ func sortedKeys[K ~int](set map[K]bool) []K {
 // instead of pushed.
 func (m *Medic) stalePlan() bool { return len(m.events) > 0 }
 
-// pushOpts derives the wire options for one epoch: an epoch-ranked
-// generation ID (stale pushes are refused on the wire), the matching
-// fencing limit (a push signed by this epoch may resynchronize inside the
-// epoch's generation stride but never claim into a later epoch's range),
-// a decorrelated retry-jitter seed, and the medic's standby sessions.
+// pushOpts derives the wire options for one epoch, which the caller has taken
+// through ensureReserved: an epoch-ranked generation ID (stale pushes are
+// refused on the wire), the matching fencing limit (a push signed by this
+// epoch may resynchronize inside the epoch's generation stride but never claim
+// into a later epoch's range), a decorrelated retry-jitter seed, and the
+// medic's standby sessions.
 func (m *Medic) pushOpts(epoch uint64) sdnsim.PushOptions {
 	opts := m.cfg.Push
 	opts.Sessions = m.sessions
@@ -433,8 +467,10 @@ func (m *Medic) pushOpts(epoch uint64) sdnsim.PushOptions {
 func (m *Medic) reconcile() {
 	start := time.Now()
 	defer func() {
+		// The pass is over — its converged or failback entry is stamped and
+		// visible — before anything of it goes to disk.
 		m.metrics.reconcile.observe(time.Since(start))
-		m.persistOutcome()
+		m.commitPass()
 		m.maybeCheckpoint()
 		select {
 		case m.rewarm <- struct{}{}:
@@ -442,8 +478,20 @@ func (m *Medic) reconcile() {
 		}
 	}()
 
+	epoch := m.Epoch()
+	if err := m.ensureReserved(epoch); err != nil {
+		// Not signing is the whole point: a successor resumed above the last
+		// reservation and fenced below its own epoch, and a claim signed with
+		// an epoch outside the reservation could land in its range.
+		m.setUnconverged(fmt.Sprintf("epoch %d is not reserved", epoch))
+		m.log.addf(KindFenced, "epoch %d: nothing pushed: %v; a newer leader owns the store", epoch, err)
+		if m.cfg.OnFenced != nil {
+			m.cfg.OnFenced()
+		}
+		return
+	}
+
 	m.mu.Lock()
-	epoch := m.epoch
 	failed := sortedKeys(m.failed)
 	recovered := m.pendingRecovered
 	m.pendingRecovered = nil

@@ -2,6 +2,8 @@ package medic
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"pmedic/internal/monitor"
 	"pmedic/internal/scenario"
 	"pmedic/internal/sdnsim"
+	"pmedic/internal/store"
 	"pmedic/internal/topo"
 )
 
@@ -39,10 +42,55 @@ type recorder struct {
 	sols     []*core.Solution
 	gens     []uint64
 	restores [][]topo.NodeID
+
+	// watch, when set, holds every call to the fencing invariant.
+	t      testing.TB
+	dir    string
+	signed []signedCall
+}
+
+// signedCall is one Pusher or Restorer call as the state directory saw it:
+// the epoch it was signed with and how long the WAL was on entry.
+type signedCall struct {
+	epoch  uint64
+	walLen int64
+}
+
+// watch makes every later call assert that the epoch it is signed with lies
+// inside the reservation that is durable in dir at that moment — a medic never
+// signs an epoch it has not durably reserved — and note the call in signed.
+func (r *recorder) watch(t testing.TB, dir string) { r.t, r.dir = t, dir }
+
+func (r *recorder) checkReserved(what string, opts sdnsim.PushOptions) {
+	if r.dir == "" {
+		return
+	}
+	epoch := opts.GenerationID / genStride
+	snap, recs, err := store.ReadState(r.dir)
+	if err != nil {
+		r.t.Errorf("%s at epoch %d: reading the state directory: %v", what, epoch, err)
+		return
+	}
+	ds, err := replayDurable(snap, recs)
+	if err != nil {
+		r.t.Errorf("%s at epoch %d: replaying the state directory: %v", what, epoch, err)
+		return
+	}
+	if ds == nil || epoch > ds.Reserved {
+		r.t.Errorf("%s signed with epoch %d, above the durable reservation (%+v)", what, epoch, ds)
+	}
+	var walLen int64
+	if fi, err := os.Stat(filepath.Join(r.dir, "wal.log")); err == nil {
+		walLen = fi.Size()
+	}
+	r.mu.Lock()
+	r.signed = append(r.signed, signedCall{epoch: epoch, walLen: walLen})
+	r.mu.Unlock()
 }
 
 func (r *recorder) push(_ map[topo.NodeID]string, _ *flow.Set, inst *scenario.Instance,
 	sol *core.Solution, opts sdnsim.PushOptions) (*sdnsim.RecoveryReport, error) {
+	r.checkReserved("push", opts)
 	r.mu.Lock()
 	r.pushes = append(r.pushes, inst)
 	r.sols = append(r.sols, sol)
@@ -80,7 +128,8 @@ func (r *recorder) push(_ map[topo.NodeID]string, _ *flow.Set, inst *scenario.In
 }
 
 func (r *recorder) restore(_ map[topo.NodeID]string, _ *flow.Set, switches []topo.NodeID,
-	_ sdnsim.PushOptions) (*sdnsim.RestoreReport, error) {
+	opts sdnsim.PushOptions) (*sdnsim.RestoreReport, error) {
+	r.checkReserved("restore", opts)
 	r.mu.Lock()
 	r.restores = append(r.restores, append([]topo.NodeID(nil), switches...))
 	r.mu.Unlock()

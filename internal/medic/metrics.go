@@ -13,7 +13,7 @@ import (
 )
 
 // durationBuckets are the histogram upper bounds, in seconds, shared by the
-// reconcile-pass, push and restore latencies.
+// reconcile-pass, push, restore and WAL-commit latencies.
 var durationBuckets = [...]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
 // histogram is one cumulative latency histogram over durationBuckets.
@@ -72,10 +72,13 @@ type Metrics struct {
 	// reconcile times a whole reconcile pass; push and restore time the wire
 	// drivers inside it (one Pusher call, one Restorer call), the stage that
 	// dominates a recovery once the control channel carries real delay.
-	reconcile, push, restore histogram
+	// walCommit times the write + fsync that ends a pass, after reconcile's
+	// clock has stopped.
+	reconcile, push, restore, walCommit histogram
 
 	sessions *sdnsim.Sessions // standby-session gauge and counters
 	st       *store.Store     // WAL fsync/checkpoint/pending sources, nil standalone
+	reserved *atomic.Uint64   // the medic's epoch reservation, wired with st
 	// plansEnabled is set once at wiring time, before the loop starts.
 	plansEnabled bool
 }
@@ -84,8 +87,11 @@ func newMetrics(sessions *sdnsim.Sessions) *Metrics {
 	return &Metrics{sessions: sessions}
 }
 
-// wireStore attaches the persistence layer as a metrics source.
-func (x *Metrics) wireStore(st *store.Store) { x.st = st }
+// wireStore attaches the persistence layer, and the epoch reservation the
+// medic keeps in it, as metrics sources.
+func (x *Metrics) wireStore(st *store.Store, reserved *atomic.Uint64) {
+	x.st, x.reserved = st, reserved
+}
 
 // wirePlans enables the plan-store outcome counters.
 func (x *Metrics) wirePlans() { x.plansEnabled = true }
@@ -141,8 +147,11 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 
 	if x.st != nil {
 		counter("pmedicd_wal_fsyncs_total", "fsync calls issued by the snapshot+WAL store.", x.st.Fsyncs())
+		counter("pmedicd_wal_commits_total", "Record groups written to the WAL: one per reconcile pass, plus epoch reservations made outside one.", x.st.Commits())
 		counter("pmedicd_wal_checkpoints_total", "WAL-into-snapshot checkpoints completed.", x.st.Checkpoints())
 		gauge("pmedicd_wal_pending_records", "WAL records not yet folded into a snapshot.", uint64(x.st.Pending()))
+		gauge("pmedicd_epoch_reserved", "Highest epoch durably reserved: this daemon signs nothing above it, a successor resumes above it.", x.reserved.Load())
+		x.walCommit.write(&b, "pmedicd_wal_commit_duration_seconds", "Latency of one WAL group commit (write + fsync), paid after the pass it records.")
 	}
 
 	if x.plansEnabled {
@@ -152,7 +161,7 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 		counter("pmedicd_planstore_errors_total", "Plan-store consultations that failed and degraded to a solve.", x.planErrors.Load())
 	}
 
-	x.reconcile.write(&b, "pmedicd_reconcile_duration_seconds", "Latency of one reconcile pass (plan, push, adopt).")
+	x.reconcile.write(&b, "pmedicd_reconcile_duration_seconds", "Latency of one reconcile pass (plan, push, adopt); it ends before the pass's WAL commit, which pmedicd_wal_commit_duration_seconds times.")
 	x.push.write(&b, "pmedicd_push_duration_seconds", "Latency of one recovery push (every offline switch, retries and re-plan rounds included).")
 	x.restore.write(&b, "pmedicd_restore_duration_seconds", "Latency of one fail-back push over the returned domains.")
 

@@ -1,24 +1,44 @@
 // Persistence: how a Medic's reconciled state survives the death of its
-// process. Three WAL record kinds cover the loop's durability points —
+// process. Four WAL record kinds —
 //
 //	detect   one detector event folded into the failure set (apply)
 //	outcome  the full reconciled core state after a reconcile pass
 //	log      one structured event-log entry
+//	reserve  the highest epoch this medic may sign
+//
+// Durability belongs to a reconcile pass, not to a record: the pass stages
+// its records in memory and commits them as one group after its last log
+// entry, so a crash loses whole passes, never half of one, and nothing on the
+// way from a detector event to the push waits for the disk. A pass lost that
+// way is one the network may already have seen pushed; that is safe because
+// the successor's detector is handed only the durable failure set (MarkDown),
+// re-detects what the lost pass knew, and plans it again at a higher epoch.
+//
+// The one thing a record had to be durable ahead of the push for — a successor
+// must resume above every epoch its predecessor signed — is kept by the
+// reserve record: a block of reserveBlock epochs is made durable off the
+// recovery path (Fence, the loop's start, and the commit of any pass that
+// leaves less than half a block), the medic signs no epoch above it
+// (ensureReserved, which commits a fresh block on the spot in the one case it
+// ran out), and a successor resumes above max(epoch, reserved).
 //
 // Outcome records carry absolute state, not deltas, so replaying
 // WAL-over-snapshot is idempotent: the last outcome wins, detect records
 // after it only advance the epoch and failure set for events the dead
-// process applied but never finished reconciling. All appends happen on
-// the reconcile-loop goroutine; a persistence failure degrades durability
-// (counted, surfaced in Status) but never stops the loop — recovering the
-// network outranks journaling it.
+// process committed but never finished reconciling. Everything is staged and
+// committed on the reconcile-loop goroutine (Fence, before it starts,
+// aside); a persistence failure degrades durability (counted, surfaced in
+// Status) but never stops the loop — recovering the network outranks
+// journaling it — with one exception: a reservation refused by the store's
+// guard means another leader owns the store, and nothing is signed.
 package medic
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"time"
 
-	"pmedic/internal/monitor"
 	"pmedic/internal/store"
 	"pmedic/internal/topo"
 )
@@ -28,13 +48,25 @@ const (
 	recDetect  = "detect"
 	recOutcome = "outcome"
 	recLog     = "log"
+	recReserve = "reserve"
 )
+
+// reserveBlock is how many epochs one reservation covers: what a crash can
+// make the next incarnation skip, and how many passes can go by between two
+// reservations. Generation IDs have room for 2^44 epochs.
+const reserveBlock = 64
 
 // detectRecord journals one applied detector event.
 type detectRecord struct {
 	Epoch     uint64 `json:"epoch"`
 	Failed    []int  `json:"failed,omitempty"`
 	Recovered []int  `json:"recovered,omitempty"`
+}
+
+// reserveRecord journals an epoch reservation: every epoch up to Through may
+// have been signed by the time anyone reads this.
+type reserveRecord struct {
+	Through uint64 `json:"through"`
 }
 
 // outcomeRecord journals the absolute reconciled state after one pass.
@@ -47,10 +79,14 @@ type outcomeRecord struct {
 }
 
 // durableState is the snapshot payload and the result of a replay: the
-// state a restarted daemon resumes from — the last outcome plus the event
-// log.
+// state a restarted daemon resumes from — the last outcome, the epoch
+// reservation, and the event log.
 type durableState struct {
 	outcomeRecord
+	// Reserved is the highest epoch the writer may have signed; absent from
+	// state written before epochs were reserved, which signed nothing above
+	// Epoch.
+	Reserved   uint64     `json:"reserved,omitempty"`
 	LogSeq     uint64     `json:"log_seq"`
 	LogEntries []LogEntry `json:"log_entries,omitempty"`
 }
@@ -106,6 +142,12 @@ func replayDurable(snap []byte, recs []store.Record) (*durableState, error) {
 			ds.PendingRecovered = append([]int(nil), or.PendingRecovered...)
 			ds.Unreachable = append([]topo.NodeID(nil), or.Unreachable...)
 			ds.Snap = or.Snap
+		case recReserve:
+			var rr reserveRecord
+			if err := rec.DecodeInto(&rr); err != nil {
+				return nil, fmt.Errorf("record %d (%s): %w", i, rec.Kind, err)
+			}
+			ds.Reserved = max(ds.Reserved, rr.Through)
 		case recLog:
 			var e LogEntry
 			if err := rec.DecodeInto(&e); err != nil {
@@ -124,33 +166,67 @@ func replayDurable(snap []byte, recs []store.Record) (*durableState, error) {
 	return ds, nil
 }
 
-// persistDetect journals one applied detector event.
-func (m *Medic) persistDetect(epoch uint64, ev monitor.Event) {
-	if m.cfg.Store == nil {
-		return
+// stage buffers one record for the next commit. The event log's hook comes
+// through here, so it must never log its own failure — that would recurse
+// straight back — and only bumps the counter.
+func (m *Medic) stage(kind string, v any) {
+	if m.cfg.Store != nil {
+		m.countPersist(m.cfg.Store.Stage(kind, v))
 	}
-	rec := detectRecord{Epoch: epoch, Failed: ev.Failed, Recovered: ev.Recovered}
-	m.countPersist(m.cfg.Store.Append(recDetect, rec))
 }
 
-// persistOutcome journals the absolute reconciled state; reconcile defers
-// it so every pass — converged or not — leaves a durable footprint.
-func (m *Medic) persistOutcome() {
+// commit makes everything staged durable in one group — with a reservation
+// through the given epoch in it, if that is beyond the one held — and only
+// then lets the medic count on the reservation.
+func (m *Medic) commit(through uint64) error {
+	reserve := through > m.reserved.Load()
+	if reserve {
+		m.stage(recReserve, reserveRecord{Through: through})
+	}
+	start := time.Now()
+	err := m.cfg.Store.Commit()
+	m.metrics.walCommit.observe(time.Since(start))
+	m.countPersist(err)
+	if err == nil && reserve {
+		m.reserved.Store(through)
+	}
+	return err
+}
+
+// ensureReserved stands in front of everything that signs with an epoch: it
+// returns nil once the epoch lies inside the durable reservation. Inside the
+// block that is a comparison — a medic whose store started refusing writes
+// keeps recovering there, and is refused on the wire by its successor's fence.
+// Past the block it commits a fresh one on the spot. If the guard refuses that
+// (store.ErrGuarded: the lease is gone) the epoch must not be signed. Any
+// other failure is a disk fault under a lease that still holds, where no
+// successor exists to collide with: it is counted, and recovering the network
+// goes ahead.
+func (m *Medic) ensureReserved(epoch uint64) error {
+	if m.cfg.Store == nil || epoch <= m.reserved.Load() {
+		return nil
+	}
+	if err := m.commit(epoch + reserveBlock - 1); errors.Is(err, store.ErrGuarded) {
+		return fmt.Errorf("reserving epoch %d: %w", epoch, err)
+	}
+	return nil
+}
+
+// commitPass ends a reconcile pass: the absolute reconciled state joins what
+// the pass staged — converged or not, every pass leaves a durable footprint —
+// and all of it is committed at once, topping the reservation up while it is
+// free to.
+func (m *Medic) commitPass() {
 	if m.cfg.Store == nil {
 		return
 	}
 	rec := m.outcomeLocked()
-	m.countPersist(m.cfg.Store.Append(recOutcome, rec))
-}
-
-// persistLogEntry is the eventLog's onAppend hook. It must never log its
-// own failure — that would recurse straight back here — so a failed append
-// only bumps the counter.
-func (m *Medic) persistLogEntry(e LogEntry) {
-	if m.cfg.Store == nil {
-		return
+	m.stage(recOutcome, rec)
+	var through uint64
+	if m.reserved.Load() < rec.Epoch+reserveBlock/2 {
+		through = rec.Epoch + reserveBlock
 	}
-	m.countPersist(m.cfg.Store.Append(recLog, e))
+	_ = m.commit(through) // counted; the next pass's outcome is absolute
 }
 
 // maybeCheckpoint folds the WAL into a fresh snapshot once the store's
@@ -165,11 +241,14 @@ func (m *Medic) maybeCheckpoint() {
 // FlushState checkpoints the full durable state unconditionally — the
 // graceful-shutdown path, called after Stop so no reconcile is in flight.
 // The WAL folds into the snapshot and truncates; a clean restart replays
-// nothing.
+// nothing. Nothing can be signed any more, so the checkpoint gives the unused
+// rest of the reservation back: a clean restart resumes at the next epoch,
+// and only a crash skips a block.
 func (m *Medic) FlushState() error {
 	if m.cfg.Store == nil {
 		return nil
 	}
+	m.reserved.Store(m.Epoch())
 	if err := m.cfg.Store.Checkpoint(m.durableLocked()); err != nil {
 		return err
 	}
@@ -189,12 +268,13 @@ func (m *Medic) outcomeLocked() outcomeRecord {
 	}
 }
 
-// durableLocked builds the full checkpoint payload: the outcome state plus
-// the event-log ring.
+// durableLocked builds the full checkpoint payload: the outcome state, the
+// reservation, and the event-log ring — everything a record still staged
+// could add, which is why Checkpoint may drop those.
 func (m *Medic) durableLocked() durableState {
 	rec := m.outcomeLocked()
 	seq, entries := m.log.state()
-	return durableState{outcomeRecord: rec, LogSeq: seq, LogEntries: entries}
+	return durableState{outcomeRecord: rec, Reserved: m.reserved.Load(), LogSeq: seq, LogEntries: entries}
 }
 
 // ReadStatus loads the durable state in dir read-only — snapshot plus WAL,
@@ -215,6 +295,7 @@ func ReadStatus(dir string) (Status, error) {
 		return newStatus(0, []int{}, nil, snapshot{Converged: true, Ideal: true}), nil
 	}
 	st := newStatus(ds.Epoch, ds.Failed, ds.Unreachable, ds.Snap)
+	st.EpochReserved = ds.Reserved
 	st.Events = ds.LogEntries
 	if len(st.Events) > logSize {
 		st.Events = st.Events[len(st.Events)-logSize:]

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,15 +15,17 @@ import (
 	"pmedic/internal/topo"
 )
 
-// newStoredMedic builds a medic over an open store in dir, with the
-// recorder stubbing the wire.
-func newStoredMedic(t *testing.T, dir string, rec *recorder, compactEvery int) (*Medic, *store.Store, chan monitor.Event) {
+// idleStoredMedic opens the state directory with opts and builds a medic over
+// it, the recorder stubbing the wire and holding every call to the fencing
+// invariant. The loop is not started.
+func idleStoredMedic(t *testing.T, dir string, rec *recorder, opts store.Options, onFenced func()) (*Medic, *store.Store) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{NoSync: true, CompactEvery: compactEvery})
+	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
+	rec.watch(t, dir)
 	dep, flows := testFixture(t)
 	m, err := New(Config{
 		Dep:      dep,
@@ -31,21 +34,42 @@ func newStoredMedic(t *testing.T, dir string, rec *recorder, compactEvery int) (
 		Pusher:   rec.push,
 		Restorer: rec.restore,
 		Store:    st,
+		OnFenced: onFenced,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, st
+}
+
+// newStoredMedic builds a medic over an open store in dir, with the
+// recorder stubbing the wire, and starts it.
+func newStoredMedic(t *testing.T, dir string, rec *recorder, compactEvery int) (*Medic, *store.Store, chan monitor.Event) {
+	t.Helper()
+	m, st := idleStoredMedic(t, dir, rec, store.Options{NoSync: true, CompactEvery: compactEvery}, nil)
 	events := make(chan monitor.Event, 8)
 	m.Start(events)
 	t.Cleanup(m.Stop)
 	return m, st, events
 }
 
+// wantResumedAfterCrash asserts where a daemon resumes over a state directory
+// its predecessor did not flush: above everything persisted, and no further
+// above it than one reservation.
+func wantResumedAfterCrash(t *testing.T, resumed, persisted uint64) {
+	t.Helper()
+	if resumed <= persisted || resumed > persisted+reserveBlock+1 {
+		t.Fatalf("resumed epoch = %d, want above the persisted %d and at most %d (one reservation past it)",
+			resumed, persisted, persisted+reserveBlock+1)
+	}
+}
+
 // TestSnapshotReplayRoundTrip is the determinism property the crash-safety
 // design rests on: for any sequence of applied events, a daemon restarted
 // over the dead one's state directory reports byte-for-byte the same
 // achieved mapping and flow programmability, resumes the failure set and
-// event-log numbering, and bumps the epoch past everything persisted.
+// event-log numbering, and bumps the epoch past everything persisted — by no
+// more than the reservation a crash leaves unused.
 func TestSnapshotReplayRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -84,9 +108,10 @@ func TestSnapshotReplayRoundTrip(t *testing.T) {
 			m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 			after := m2.Status()
 
-			if want := before.Epoch + 1; after.Epoch != want {
-				t.Fatalf("resumed epoch = %d, want %d (persisted %d + fencing bump)",
-					after.Epoch, want, before.Epoch)
+			wantResumedAfterCrash(t, after.Epoch, before.Epoch)
+			if after.Epoch != before.EpochReserved+1 {
+				t.Fatalf("resumed epoch = %d, want one above the dead daemon's reservation through %d",
+					after.Epoch, before.EpochReserved)
 			}
 			if len(after.Failed) != len(tc.failed) {
 				t.Fatalf("resumed Failed = %v, want %v", after.Failed, tc.failed)
@@ -166,6 +191,8 @@ func TestCheckpointFoldsDaemonWAL(t *testing.T) {
 
 	m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 	after := m2.Status()
+	// A flushed daemon gave the rest of its reservation back: no block is
+	// skipped.
 	if after.Epoch != before.Epoch+1 {
 		t.Fatalf("epoch after checkpointed restart = %d, want %d", after.Epoch, before.Epoch+1)
 	}
@@ -200,53 +227,111 @@ func TestStoreCompactEveryBoundsReplay(t *testing.T) {
 
 	m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 	after := m2.Status()
-	if after.Epoch != before.Epoch+1 {
-		t.Fatalf("epoch after restart = %d, want %d", after.Epoch, before.Epoch+1)
-	}
+	wantResumedAfterCrash(t, after.Epoch, before.Epoch)
 	if len(after.Failed) != 1 || after.Failed[0] != 3 {
 		t.Fatalf("Failed = %v, want [3]", after.Failed)
 	}
 	mustJSONEqual(t, "mapping", before.Mapping, after.Mapping)
 }
 
-// TestGuardedStoreDegradesNotFatal: a medic whose store guard refuses every
-// write (the deposed-leader path) keeps reconciling — recovery outranks
-// journaling — and surfaces the degradation in Status.
+// TestGuardedStoreDegradesNotFatal: what a medic whose store guard refuses
+// its writes (the deposed-leader path) still does depends on one thing only,
+// whether the epoch it is about to sign is one it durably reserved.
 func TestGuardedStoreDegradesNotFatal(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{
-		NoSync: true,
-		Guard:  func() error { return errors.New("lease lost") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = st.Close() })
-	dep, flows := testFixture(t)
-	rec := &recorder{}
-	m, err := New(Config{
-		Dep:      dep,
-		Flows:    flows,
-		Addrs:    map[topo.NodeID]string{0: "stubbed"},
-		Pusher:   rec.push,
-		Restorer: rec.restore,
-		Store:    st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := make(chan monitor.Event, 1)
-	m.Start(events)
-	t.Cleanup(m.Stop)
+	// Inside the reservation it keeps reconciling, with no store write at all
+	// — recovery outranks journaling — and surfaces the degradation in
+	// Status; its successor's fence refuses it on the wire.
+	t.Run("inside the reservation", func(t *testing.T) {
+		var lost atomic.Bool
+		rec := &recorder{}
+		m, st := idleStoredMedic(t, t.TempDir(), rec, store.Options{NoSync: true, Guard: func() error {
+			if lost.Load() {
+				return errors.New("lease lost")
+			}
+			return nil
+		}}, func() { t.Error("OnFenced fired for an epoch inside the reservation") })
+		events := make(chan monitor.Event, 1)
+		m.Start(events)
+		t.Cleanup(m.Stop)
+		waitStatus(t, m, func(s Status) bool { return s.EpochReserved >= 1 })
+		pending := st.Pending()
+		lost.Store(true)
 
-	events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
-	stt := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
-	if stt.PersistFailures == 0 {
-		t.Fatal("guarded store refused every write, yet PersistFailures == 0")
-	}
-	if st.Pending() != 0 {
-		t.Fatalf("guarded store accepted %d records", st.Pending())
-	}
+		events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
+		waitStatus(t, m, func(s Status) bool {
+			return s.Converged && s.Epoch == 1 && s.PersistFailures > 0
+		})
+		if st.Pending() != pending {
+			t.Fatalf("guarded store went from %d to %d records", pending, st.Pending())
+		}
+		if n := len(rec.pushes); n != 1 {
+			t.Fatalf("%d pushes, want 1", n)
+		}
+	})
+
+	// Past it — here: the guard refused the very first reservation — it signs
+	// nothing: the successor resumed right above the last durable reservation,
+	// and this epoch would land in its range.
+	t.Run("reservation refused", func(t *testing.T) {
+		var fenced atomic.Int64
+		rec := &recorder{}
+		m, st := idleStoredMedic(t, t.TempDir(), rec, store.Options{NoSync: true,
+			Guard: func() error { return errors.New("lease lost") },
+		}, func() { fenced.Add(1) })
+		events := make(chan monitor.Event, 1)
+		m.Start(events)
+
+		events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
+		stt := waitStatus(t, m, func(s Status) bool { return hasLogKind(s, KindFenced, "epoch 1: nothing pushed") })
+		m.Stop()
+		if stt.Converged || stt.EpochReserved != 0 || stt.PersistFailures == 0 {
+			t.Fatalf("status after the refusal: converged %v, reserved through %d, %d persist failures",
+				stt.Converged, stt.EpochReserved, stt.PersistFailures)
+		}
+		if n, r := len(rec.pushes), len(rec.restores); n != 0 || r != 0 {
+			t.Fatalf("%d pushes and %d restores signed with an unreserved epoch", n, r)
+		}
+		if got := fenced.Load(); got != 1 {
+			t.Fatalf("OnFenced fired %d times, want once", got)
+		}
+		if st.Pending() != 0 {
+			t.Fatalf("guarded store accepted %d records", st.Pending())
+		}
+	})
+
+	// The documented exception: the reservation fails for any other reason — a
+	// disk fault under a lease that still holds, so no successor to collide
+	// with. The daemon stays degraded-but-recovering, as it always was. (The
+	// stub's reservation check is off: this is the one path exempt from it.)
+	t.Run("disk fault", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, flows := testFixture(t)
+		rec := &recorder{}
+		m, err := New(Config{
+			Dep:      dep,
+			Flows:    flows,
+			Addrs:    map[topo.NodeID]string{0: "stubbed"},
+			Pusher:   rec.push,
+			Restorer: rec.restore,
+			Store:    st,
+			OnFenced: func() { t.Error("OnFenced fired for a disk fault") },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = st.Close() // every commit now fails, and not with ErrGuarded
+		events := make(chan monitor.Event, 1)
+		m.Start(events)
+		t.Cleanup(m.Stop)
+		events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
+		stt := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
+		if stt.PersistFailures == 0 || stt.EpochReserved != 0 {
+			t.Fatalf("after a failed reservation: %d persist failures, reserved through %d", stt.PersistFailures, stt.EpochReserved)
+		}
+	})
 }
 
 // TestStatusUnderConcurrentReconcile hammers the read surface (Status and
@@ -295,40 +380,34 @@ func TestStatusUnderConcurrentReconcile(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStatusEpochNotAheadOfDetectEntry pins the order in which apply makes
-// an event visible: a status — live or replayed from the store — that shows
-// epoch N also shows N's detect entry. The store's Guard parks apply inside
-// each of its WAL appends, so the test inspects both read surfaces at every
-// point where apply can be caught mid-way; no sleeps.
+// TestStatusEpochNotAheadOfDetectEntry pins the order in which a pass becomes
+// visible: a status — live or replayed from the store — that shows epoch N
+// also shows N's detect entry. The live one gets the entry before the epoch;
+// the store gets both in the pass's one commit, so a follower sees neither
+// or both. The store's Guard parks the pass inside that commit, so the test
+// inspects both read surfaces at the one point where the two differ; no
+// sleeps.
 func TestStatusEpochNotAheadOfDetectEntry(t *testing.T) {
 	dir := t.TempDir()
 	entered, release := make(chan struct{}), make(chan struct{})
-	st, err := store.Open(dir, store.Options{NoSync: true, Guard: func() error {
-		entered <- struct{}{}
-		<-release
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	dep, flows := testFixture(t)
+	var park atomic.Bool
 	rec := &recorder{}
-	m, err := New(Config{
-		Dep:      dep,
-		Flows:    flows,
-		Addrs:    map[topo.NodeID]string{0: "stubbed"},
-		Pusher:   rec.push,
-		Restorer: rec.restore,
-		Store:    st,
-	})
-	if err != nil {
+	m, _ := idleStoredMedic(t, dir, rec, store.Options{NoSync: true, Guard: func() error {
+		if park.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		return nil
+	}}, nil)
+	// What Start would have done before the first event.
+	if _, _, err := m.Fence(); err != nil {
 		t.Fatal(err)
 	}
+	park.Store(true)
 
-	check := func(when string) {
+	check := func(when string) (live, tailed Status) {
 		t.Helper()
-		live := m.Status()
+		live = m.Status()
 		tailed, err := ReadStatus(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -338,30 +417,40 @@ func TestStatusEpochNotAheadOfDetectEntry(t *testing.T) {
 				t.Errorf("%s: %s shows epoch %d without its detect entry (events: %+v)", when, name, s.Epoch, s.Events)
 			}
 		}
+		return live, tailed
 	}
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		m.apply(monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()})
+		m.reconcile()
 	}()
-	appends := 0
+	commits := 0
 	for parked := true; parked; {
 		select {
 		case <-entered:
-			appends++
-			check(fmt.Sprintf("parked in WAL append %d", appends))
+			commits++
+			// The pass is over for everyone watching the daemon, and has not
+			// begun for anyone watching the store.
+			live, tailed := check(fmt.Sprintf("parked in WAL commit %d", commits))
+			if live.Epoch != 1 || !live.Converged || !hasLogKind(live, KindConverged, "epoch 1:") {
+				t.Errorf("parked in the commit: live status is epoch %d converged %v, want the finished pass", live.Epoch, live.Converged)
+			}
+			if tailed.Epoch != 0 || len(tailed.Failed) != 0 {
+				t.Errorf("parked in the commit: the store already shows epoch %d failed %v", tailed.Epoch, tailed.Failed)
+			}
 			release <- struct{}{}
 		case <-done:
 			parked = false
 		}
 	}
-	if appends != 2 {
-		t.Fatalf("apply made %d WAL appends, want 2 (log entry, detect record)", appends)
+	if commits != 1 {
+		t.Fatalf("the pass made %d WAL commits, want 1", commits)
 	}
-	check("after apply")
-	if got := m.Status(); got.Epoch != 1 || got.Converged {
-		t.Fatalf("after apply: epoch %d converged %v, want epoch 1 unconverged", got.Epoch, got.Converged)
+	_, tailed := check("after the pass")
+	if tailed.Epoch != 1 || !tailed.Converged || !hasLogKind(tailed, KindConverged, "epoch 1:") {
+		t.Fatalf("after the commit ReadStatus shows epoch %d converged %v, want the whole pass", tailed.Epoch, tailed.Converged)
 	}
 }
 

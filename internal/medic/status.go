@@ -140,6 +140,10 @@ type FlowProg struct {
 type Status struct {
 	Now   time.Time `json:"now"`
 	Epoch uint64    `json:"epoch"`
+	// EpochReserved is the highest epoch the store durably holds for the
+	// leader: it signs nothing above it, and a successor resumes above it.
+	// Absent without a store.
+	EpochReserved uint64 `json:"epoch_reserved,omitempty"`
 	// Replica, Role, and Term identify this daemon in an HA deployment
 	// (SetRole); empty when running standalone.
 	Replica string `json:"replica,omitempty"`
@@ -218,6 +222,7 @@ func (m *Medic) Status() Status {
 	st.Replica, st.Role, st.Term = m.cfg.ReplicaID, m.role, m.term
 	st.PersistFailures = m.persistFailures
 	m.mu.Unlock()
+	st.EpochReserved = m.reserved.Load()
 	st.Sessions = m.sessions.Stats()
 	if m.cfg.Net != nil {
 		st.NetworkMapping = m.cfg.Net.MappingSnapshot()

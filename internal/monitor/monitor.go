@@ -4,9 +4,12 @@
 // watched session, an idle control channel that a crashing controller resets.
 // Consecutive probe misses make a down verdict and a single successful probe
 // a recovery; the watched session never decides anything, it only tells the
-// loop when to probe. Failures are emitted the moment the verdict is in;
-// recoveries are held for a debounce window so a flapping controller is not
-// handed its domain back.
+// loop when to probe. Failures are emitted the moment the verdict is in —
+// unless another target's session was lost beside this one's and its verdict
+// is still out, which is waited for, briefly and boundedly, so that
+// controllers that died together are announced together; recoveries are held
+// for a debounce window so a flapping controller is not handed its domain
+// back.
 //
 // Detection semantics:
 //
@@ -23,16 +26,22 @@
 //     or Threshold consecutive probes missed (down). Every such probe is a
 //     Config.Probe call like any other.
 //   - A down transition becomes an Event at once, together with whatever else
-//     is already queued; correlating failures that land microseconds apart in
-//     two events is the consumer's job (internal/medic batches queued events
-//     and discards a plan that a newer event overtook).
+//     is already queued, with one exception: a verdict that followed a lost
+//     session, reached while another target's loop is still probing back to
+//     back after losing its own, waits for that loop's outcome — for no longer
+//     than its own verification took, so the wait scales with the round trip
+//     and a neighbour whose probes hang costs that much, not Timeout. A lone
+//     crash is never held, and no heartbeat verdict is. Failures that still
+//     land in two events are the consumer's to correlate (internal/medic
+//     batches queued events and discards a plan that a newer event overtook).
 //   - An up transition is held for Debounce; a down for the same target inside
 //     the hold cancels it and nothing is emitted (a flap).
 //
 // Detection bounds, from the fault to the Event:
 //
 //   - crash (the peer resets its sessions): Threshold × (dial + Echo round
-//     trip), independent of Interval;
+//     trip), independent of Interval; at most twice that when another session
+//     was lost beside it, and only then;
 //   - silent failure (partition, hang — no reset): the Threshold-th tick after
 //     the fault, at most Threshold × (Interval + Jitter + what a failing probe
 //     takes, itself at most Timeout); the heartbeat alone decides it, exactly
@@ -118,7 +127,9 @@ type Config struct {
 	// Debounce is how long an up transition is held before it is emitted
 	// (default 2×Interval): recoveries landing within one hold become one
 	// event, and a target that goes down again inside it never surfaces as
-	// recovered. Down transitions are not held.
+	// recovered. Down transitions are not held for it; the only wait a down
+	// verdict can see is the one for a session lost beside it (Event.Held),
+	// which no setting governs.
 	Debounce time.Duration
 	// Seed drives the probe schedule and jitter deterministically.
 	Seed int64
@@ -162,16 +173,23 @@ type Event struct {
 	// or "heartbeat+reset" when the event carries one of each. Empty when
 	// nothing failed.
 	Signal string `json:"signal,omitempty"`
-	// At is the emission time: the instant of the verdict for a failure, the
-	// end of the Debounce hold for a recovery.
+	// Held is how long the event's first down verdict waited for the verdict
+	// of a session lost beside it; zero for a lone failure, for heartbeat
+	// verdicts and for recoveries.
+	Held time.Duration `json:"held,omitempty"`
+	// At is the emission time: the instant of the verdict for a failure (Held
+	// later, if it was held), the end of the Debounce hold for a recovery.
 	At time.Time `json:"at"`
 }
 
 // String renders the event compactly.
 func (e Event) String() string {
-	by := ""
-	if e.Signal != "" {
-		by = " (" + e.Signal + ")"
+	by := e.Signal
+	if e.Held > 0 {
+		by += ", held " + e.Held.Round(time.Microsecond).String()
+	}
+	if by != "" {
+		by = " (" + by + ")"
 	}
 	return fmt.Sprintf("event #%d: failed=%v%s recovered=%v", e.Seq, e.Failed, by, e.Recovered)
 }
@@ -199,13 +217,27 @@ type TargetState struct {
 	LastError   string    `json:"last_error,omitempty"`
 }
 
-// transition is one raw per-target state flip, as the probe loop hands it to
-// the coalescer.
+// transition is what a probe loop tells the coalescer: a raw per-target state
+// flip, or that it began or ended probing back to back after a lost session.
+// One loop's transitions arrive in the order it sent them, so the coalescer
+// always knows which loops have a verdict out.
 type transition struct {
-	id     int
-	up     bool
-	signal string // what flipped the target down
+	id   int
+	what transitionKind
+	// For a down flip: what flipped the target and, after a lost session, how
+	// long the verdict took from the loss.
+	signal string
+	took   time.Duration
 }
+
+type transitionKind int
+
+const (
+	wentDown  transitionKind = iota
+	wentUp                   // a probe succeeded on a down target
+	verifying                // the watched session was lost; probing back to back
+	settled                  // that probing is over, whatever it found
+)
 
 type target struct {
 	Target
@@ -334,6 +366,7 @@ func (m *Monitor) probeLoop(t *target, seed int64) {
 	var (
 		w       *watch    // the session held while the target answers, or nil
 		armedAt time.Time // the latest attempt to open one
+		lostAt  time.Time // when the session whose loss is being verified ended
 	)
 	defer func() { w.close() }()
 	for {
@@ -349,10 +382,12 @@ func (m *Monitor) probeLoop(t *target, seed int64) {
 			w = nil
 			m.sessionLost(t)
 			signal = SignalReset
+			lostAt = time.Now()
+			m.tell(transition{id: t.ID, what: verifying})
 		}
 		for {
 			err := m.cfg.Probe(t.Addr, m.cfg.Timeout)
-			up := m.record(t, err, signal)
+			up := m.record(t, err, signal, lostAt)
 			if err == nil {
 				// The session is best-effort: failing to open it is not a miss.
 				// One attempt per Interval keeps an endpoint that accepts and
@@ -368,6 +403,9 @@ func (m *Monitor) probeLoop(t *target, seed int64) {
 			if signal != SignalReset || !up || m.stopped() {
 				break
 			}
+		}
+		if signal == SignalReset {
+			m.tell(transition{id: t.ID, what: settled})
 		}
 		// go.mod selects the pre-1.23 timer channel: a tick that fired while
 		// the loop was busy with a lost session is still queued, and Reset
@@ -425,11 +463,19 @@ func (m *Monitor) sessionLost(t *target) {
 	m.mu.Unlock()
 }
 
+// tell queues one transition for the coalescer.
+func (m *Monitor) tell(tr transition) {
+	select {
+	case m.transitions <- tr:
+	case <-m.done:
+	}
+}
+
 // record folds one probe result into the target's state, queues a raw
 // transition when the suspicion threshold is crossed or the target returns,
 // and reports whether the target is up afterwards. signal is what prompted
-// the probe.
-func (m *Monitor) record(t *target, err error, signal string) bool {
+// the probe; after a lost session, lostAt is when it was lost.
+func (m *Monitor) record(t *target, err error, signal string, lostAt time.Time) bool {
 	m.mu.Lock()
 	s := &t.state
 	s.Probes++
@@ -443,7 +489,10 @@ func (m *Monitor) record(t *target, err error, signal string) bool {
 			s.Up = false
 			s.Failures++
 			s.LastSignal = signal
-			tr = &transition{id: t.ID, signal: signal}
+			tr = &transition{id: t.ID, what: wentDown, signal: signal}
+			if signal == SignalReset {
+				tr.took = s.LastProbeAt.Sub(lostAt)
+			}
 		}
 	} else {
 		s.ConsecutiveMisses = 0
@@ -451,25 +500,25 @@ func (m *Monitor) record(t *target, err error, signal string) bool {
 		if !s.Up {
 			s.Up = true
 			s.Recoveries++
-			tr = &transition{id: t.ID, up: true}
+			tr = &transition{id: t.ID, what: wentUp}
 		}
 	}
 	up := s.Up
 	m.mu.Unlock()
 	if tr != nil {
-		select {
-		case m.transitions <- *tr:
-		case <-m.done:
-		}
+		m.tell(*tr)
 	}
 	return up
 }
 
 // coalesce turns raw transitions into events. A down transition is emitted at
-// once, with every other transition already queued folded in; an up transition
-// waits out one Debounce hold, which starts at the first pending up, and a down
-// for the same target inside the hold cancels it. reported tracks the state
-// consumers last saw.
+// once, with every other transition already queued folded in — except that a
+// verdict which followed a lost session is held while other loops are still
+// verifying the loss of theirs, until the last of them has settled or the
+// verdict has waited as long as it took to reach, whichever is first. An up
+// transition waits out one Debounce hold, which starts at the first pending
+// up, and a down for the same target inside the hold cancels it. reported
+// tracks the state consumers last saw.
 func (m *Monitor) coalesce() {
 	defer m.wg.Done()
 	// reported starts from each target's current view, not a blanket "up":
@@ -486,29 +535,52 @@ func (m *Monitor) coalesce() {
 		hold      *time.Timer
 		holdC     <-chan time.Time
 		seq       uint64
+
+		// unsettled are the targets whose loops are probing back to back
+		// after a lost session. ev, heartbeat and reset collect the event
+		// being built; they outlive an iteration only while its failures are
+		// held, from heldAt until unsettled empties or wait fires.
+		unsettled        = make(map[int]bool)
+		ev               Event
+		heartbeat, reset bool
+		heldAt           time.Time
+		wait             *time.Timer
+		waitC            <-chan time.Time
 	)
 	defer func() {
 		if hold != nil {
 			hold.Stop()
 		}
+		if wait != nil {
+			wait.Stop()
+		}
 	}()
 	for {
+		// release: emit what has been collected whoever is still unsettled.
+		// took: the verification time of the first lost-session verdict that
+		// came in this round.
 		var (
-			ev               Event
-			heartbeat, reset bool
+			release bool
+			took    time.Duration
 		)
 		select {
 		case <-m.done:
 			return
 		case tr := <-m.transitions:
 			for more := true; more; {
-				if tr.up {
+				switch tr.what {
+				case verifying:
+					unsettled[tr.id] = true
+				case settled:
+					delete(unsettled, tr.id)
+				case wentUp:
 					pendingUp[tr.id] = true
 					if holdC == nil {
 						hold = time.NewTimer(m.cfg.Debounce)
 						holdC = hold.C
 					}
-				} else {
+				case wentDown:
+					delete(unsettled, tr.id)
 					if pendingUp[tr.id] {
 						// Flapped back inside the hold: the consumer never
 						// saw it up, so there is nothing to tell.
@@ -523,8 +595,12 @@ func (m *Monitor) coalesce() {
 						ev.Failed = append(ev.Failed, tr.id)
 						if tr.signal == SignalReset {
 							reset = true
+							if took == 0 {
+								took = tr.took
+							}
 						} else {
 							heartbeat = true
+							release = true
 						}
 					}
 				}
@@ -543,9 +619,22 @@ func (m *Monitor) coalesce() {
 				}
 			}
 			clear(pendingUp)
+			release = true
+		case <-waitC:
+			release = true
 		}
 		if len(ev.Failed) == 0 && len(ev.Recovered) == 0 {
 			continue
+		}
+		if !release && len(unsettled) > 0 {
+			if heldAt.IsZero() && took > 0 {
+				heldAt = time.Now()
+				wait = time.NewTimer(took)
+				waitC = wait.C
+			}
+			if !heldAt.IsZero() {
+				continue
+			}
 		}
 		sort.Ints(ev.Failed)
 		sort.Ints(ev.Recovered)
@@ -560,10 +649,16 @@ func (m *Monitor) coalesce() {
 		seq++
 		ev.Seq = seq
 		ev.At = time.Now()
+		if !heldAt.IsZero() {
+			ev.Held = ev.At.Sub(heldAt)
+			wait.Stop()
+			waitC, heldAt = nil, time.Time{}
+		}
 		select {
 		case m.events <- ev:
 		case <-m.done:
 			return
 		}
+		ev, heartbeat, reset = Event{}, false, false
 	}
 }

@@ -674,3 +674,234 @@ func TestStopClosesWatchedSession(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// watched waits until every target holds its session and has been probed once
+// more since: Watched turns true a moment before the peer has the session on
+// its books, but a peer that has answered a later dial has accepted the
+// earlier one.
+func watched(t *testing.T, m *Monitor) {
+	t.Helper()
+	armedAt := make(map[int]uint64) // the probe count each session was first seen at
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		settled := 0
+		for _, s := range m.State() {
+			if !s.Watched {
+				delete(armedAt, s.ID)
+				continue
+			}
+			if at, ok := armedAt[s.ID]; !ok {
+				armedAt[s.ID] = s.Probes
+			} else if s.Probes > at && s.ConsecutiveMisses == 0 {
+				settled++
+			}
+		}
+		if settled == len(m.State()) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d sessions armed and probed past: %+v", settled, len(m.State()), m.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCrashesTogetherAreOneEvent: two controllers killed back to back both
+// lose their sessions before either verdict is in. Whichever verdict comes
+// first waits for the other — that loop is visibly still verifying — and the
+// consumer gets one event for both, not two to correlate.
+//
+// The gate in front of the probes is what makes "before either verdict" hold
+// on every run: both loops are seen parked in their verification before either
+// may finish it. Without it the second kill itself races the first verdict —
+// SetAlive(false) returns once the endpoint's goroutines have let go of their
+// channels, and on two cores kept busy by the first target's probes that can
+// take longer than those probes do — and what is then emitted first is, by the
+// rule under test, a lone crash. The probes also get the round trip a WAN
+// would give them: on loopback a verification is all CPU, two of them on two
+// busy cores run one after the other rather than side by side, and the second
+// verdict then trails the first by a whole verification, which is exactly as
+// long as the first is prepared to wait.
+func TestCrashesTogetherAreOneEvent(t *testing.T) {
+	var echos [2]*openflow.EchoServer
+	for i := range echos {
+		es, err := openflow.ServeEcho("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = es.Close() }()
+		echos[i] = es
+	}
+	gate := newGatedProbe("")
+	gate.rtt = 2 * time.Millisecond
+	m := New([]Target{{ID: 3, Addr: echos[0].Addr()}, {ID: 4, Addr: echos[1].Addr()}}, Config{
+		Interval:  50 * time.Millisecond,
+		Timeout:   time.Second,
+		Threshold: 3,
+		Seed:      42,
+		Probe:     gate.probe,
+	})
+	m.Start()
+	defer m.Stop()
+	watched(t, m)
+
+	gate.armed.Store(true)
+	echos[0].SetAlive(false)
+	echos[1].SetAlive(false)
+	for i := range echos {
+		i := i
+		waitUntil(t, m, "both sessions lost", func(s []TargetState) bool { return s[i].SessionResets == 1 })
+	}
+	close(gate.open)
+	ev := waitEvent(t, m, 5*time.Second)
+	if len(ev.Failed) != 2 || ev.Failed[0] != 3 || ev.Failed[1] != 4 || ev.Signal != SignalReset {
+		t.Fatalf("event = %v, want failed=[3 4] by %s in one event", ev, SignalReset)
+	}
+	// Held is zero only if the second verdict was already queued when the
+	// coalescer picked up the first.
+	by := SignalReset
+	if ev.Held > 0 {
+		by += ", held " + ev.Held.Round(time.Microsecond).String()
+	}
+	if want := "event #1: failed=[3 4] (" + by + ") recovered=[]"; ev.String() != want {
+		t.Fatalf("String() = %q, want %q", ev.String(), want)
+	}
+	expectNoEvent(t, m, 20*time.Millisecond, "both failures were in the first event")
+	for _, s := range m.State() {
+		if s.Up || s.Misses != 3 || s.LastSignal != SignalReset {
+			t.Fatalf("target %d after the event: %+v", s.ID, s)
+		}
+	}
+}
+
+// waitUntil polls the detector's state until cond holds.
+func waitUntil(t *testing.T, m *Monitor, what string, cond func([]TargetState) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(m.State()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not reached; last state %+v", what, m.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gatedProbe is the default probe behind a gate: while shut says so, a probe
+// of addr (of any address, if addr is empty) reports on parked that it is in
+// flight and waits for the gate to open. Past the gate a probe takes rtt
+// longer, the round trip a loopback socket does not have.
+type gatedProbe struct {
+	addr   string
+	rtt    time.Duration
+	shut   func() bool
+	armed  atomic.Bool // a ready-made shut
+	parked chan struct{}
+	open   chan struct{}
+}
+
+func newGatedProbe(addr string) *gatedProbe {
+	g := &gatedProbe{addr: addr, parked: make(chan struct{}, 1), open: make(chan struct{})}
+	g.shut = g.armed.Load
+	return g
+}
+
+func (g *gatedProbe) probe(addr string, timeout time.Duration) error {
+	if (g.addr == "" || addr == g.addr) && g.shut() {
+		select {
+		case g.parked <- struct{}{}:
+		default:
+		}
+		<-g.open
+		time.Sleep(g.rtt)
+	}
+	return defaultProbe(addr, timeout)
+}
+
+// TestLoneCrashIsNotHeldByAHeartbeatProbe: only a loop verifying a lost
+// session holds a neighbour's verdict. With another target's heartbeat probe
+// in flight — parked behind a gate for as long as the test likes — a crash is
+// announced at once: the event arrives while the gate is still shut, unheld,
+// its At the verdict's own instant give or take a hand-off between goroutines.
+func TestLoneCrashIsNotHeldByAHeartbeatProbe(t *testing.T) {
+	es, err := openflow.ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = es.Close() }()
+	busy := serveEndpoint(t, 0)
+	gate := newGatedProbe(busy.l.Addr())
+	m := New([]Target{{ID: 0, Addr: es.Addr()}, {ID: 1, Addr: busy.l.Addr()}}, Config{
+		Interval:  50 * time.Millisecond,
+		Timeout:   10 * time.Second,
+		Threshold: 2,
+		Seed:      9,
+		Probe:     gate.probe,
+	})
+	m.Start()
+	defer m.Stop()
+	defer close(gate.open)
+	watched(t, m)
+	gate.armed.Store(true)
+	<-gate.parked // target 1's next tick is now in flight, and stays there
+
+	es.SetAlive(false)
+	ev := waitEvent(t, m, 5*time.Second)
+	if len(ev.Failed) != 1 || ev.Failed[0] != 0 || ev.Signal != SignalReset {
+		t.Fatalf("event = %v, want failed=[0] by %s", ev, SignalReset)
+	}
+	if ev.Held != 0 {
+		t.Fatalf("event = %v: a lone crash was held for %v behind a heartbeat probe", ev, ev.Held)
+	}
+	verdict := m.State()[0].LastProbeAt
+	if late := ev.At.Sub(verdict); late > 50*time.Millisecond {
+		t.Fatalf("event stamped %v after the verdict", late)
+	}
+}
+
+// TestHungNeighbourCostsOneVerificationNotTimeout: a verdict waits for a
+// neighbour that is verifying a lost session of its own, but not on the
+// neighbour's terms. Here the neighbour's probes hang (until the test opens
+// the gate; Timeout is ten seconds): the crash is announced, alone, after
+// about as long again as its own verification took.
+func TestHungNeighbourCostsOneVerificationNotTimeout(t *testing.T) {
+	hung := serveEndpoint(t, 0)
+	es, err := openflow.ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = es.Close() }()
+	var m *Monitor
+	gate := newGatedProbe(hung.l.Addr())
+	// Heartbeat probes pass; the ones that verify a lost session hang.
+	gate.shut = func() bool { return m.State()[0].SessionResets > 0 }
+	m = New([]Target{{ID: 0, Addr: hung.l.Addr()}, {ID: 1, Addr: es.Addr()}}, Config{
+		Interval:  50 * time.Millisecond,
+		Timeout:   10 * time.Second,
+		Threshold: 2,
+		Seed:      42,
+		Probe:     gate.probe,
+	})
+	m.Start()
+	defer m.Stop()
+	defer close(gate.open)
+	watched(t, m)
+	loseSession(t, m, hung.kick)
+	<-gate.parked // target 0 is verifying its lost session, and will be for a while
+
+	killed := time.Now()
+	es.SetAlive(false)
+	ev := waitEvent(t, m, 5*time.Second)
+	if len(ev.Failed) != 1 || ev.Failed[0] != 1 || ev.Signal != SignalReset {
+		t.Fatalf("event = %v, want failed=[1] alone by %s", ev, SignalReset)
+	}
+	// The verification took no longer than kill-to-verdict, and the hold no
+	// longer than the verification (plus what a timer and a hand-off add).
+	verification := m.State()[1].LastProbeAt.Sub(killed)
+	if ev.Held <= 0 || ev.Held > verification+50*time.Millisecond {
+		t.Fatalf("event = %v: held %v behind a hung neighbour, want more than 0 and about the %v its own verification took at most",
+			ev, ev.Held, verification)
+	}
+	if s := m.State()[0]; !s.Up || s.Failures != 0 {
+		t.Fatalf("the hung neighbour was flipped: %+v", s)
+	}
+}
