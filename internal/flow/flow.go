@@ -6,16 +6,16 @@
 // The workload is stored in CSR (compressed sparse row) form: all paths live
 // in one flat node array indexed by per-flow offsets, all stops in one flat
 // Stop array sharing those offsets, and a switch→flows index inverts the
-// paths once at generation time. Per-flow Path/Stops slices are views into
-// the flat arrays, so the familiar Flow API costs no per-flow allocations,
-// and per-case consumers (scenario compilation, the daemon's reconcile path)
-// can enumerate exactly the flows crossing a failed domain instead of
-// scanning the whole workload.
+// paths once at generation time, keeping p̄_i^l beside each flow. Per-flow
+// Path/Stops slices are views into the flat arrays, so the familiar Flow API
+// costs no per-flow allocations, and per-case consumers (scenario
+// compilation, the daemon's reconcile path) read a failed domain's
+// (switch, flow, p̄) incidences off the index alone, without touching a flow.
 package flow
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 
 	"pmedic/internal/graphalg"
 	"pmedic/internal/topo"
@@ -76,7 +76,7 @@ type Options struct {
 	// destination no longer than (hop distance + Slack). Default 1, which
 	// matches the paths enumerated in the paper's Fig. 1 example.
 	Slack int
-	// Limit caps each p_i^l (0 = default 64). Counting is exact below the
+	// Limit caps each p_i^l (0 = default 12). Counting is exact below the
 	// cap; the cap prevents exponential blow-up on dense graphs.
 	Limit int
 }
@@ -98,10 +98,10 @@ func (o Options) withDefaults() Options {
 
 // Set is a generated workload: all flows plus per-switch traversal counts.
 //
-// Storage is CSR: pathArc holds every flow's path back to back (pathOff[l]
-// .. pathOff[l+1] is flow l's slice of it), stopArc the matching stops, and
-// swOff/swFlow the transposed switch→flows index. All arrays are built once
-// by Generate; the exported Flows slice holds views into them.
+// Storage is CSR: pathArc holds every flow's path back to back, stopArc the
+// matching stops, and swOff/through the transposed switch→flows index. All
+// arrays are built once by Generate; the exported Flows slice holds views
+// into them.
 type Set struct {
 	Flows []Flow
 	// counts[i] is γ_i: the number of flows whose path includes switch i.
@@ -109,15 +109,29 @@ type Set struct {
 	opts   Options
 
 	// pathArc/stopArc are the flat backing arrays of every Flow's Path and
-	// Stops views; pathOff[l] is flow l's start in both (stops are one
-	// shorter per flow, offset by l).
+	// Stops views.
 	pathArc []topo.NodeID
 	stopArc []Stop
-	pathOff []int32
-	// swOff/swFlow list, for each switch i, the IDs of the flows whose path
-	// includes i (ascending): swFlow[swOff[i]:swOff[i+1]].
-	swOff  []int32
-	swFlow []int32
+	// swOff/through list, for each switch i, the flows whose path includes i
+	// (ascending): through[swOff[i]:swOff[i+1]].
+	swOff   []int32
+	through []Through
+}
+
+// Through is one entry of the switch→flows index: flow Flow's path includes
+// the switch, where the flow has PBar = p̄_i^l — 0 when the switch is the
+// flow's destination or cannot reroute it (β_i^l = 0), otherwise >= 2.
+type Through struct {
+	Flow int32
+	PBar int32
+}
+
+// fitsInt32 is the bound check behind the switch index's int32 fields.
+func fitsInt32(what string, v int) error {
+	if v > math.MaxInt32 {
+		return fmt.Errorf("flow: %s %d overflows the switch index's int32", what, v)
+	}
+	return nil
 }
 
 // Generate routes one flow per node pair on a hop-primary/delay-secondary
@@ -126,6 +140,13 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	opts = opts.withDefaults()
 	if opts.Slack < 0 {
 		return nil, fmt.Errorf("flow: negative slack %d", opts.Slack)
+	}
+	if opts.Limit < 0 {
+		return nil, fmt.Errorf("flow: negative limit %d", opts.Limit)
+	}
+	// Every p_i^l is at most Limit, so this bounds Through.PBar.
+	if err := fitsInt32("path-count limit", opts.Limit); err != nil {
+		return nil, err
 	}
 	delay, err := g.EdgeDelaysMs()
 	if err != nil {
@@ -162,14 +183,24 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	}
 
 	// Pass 1: route every pair, appending paths into the flat arc array and
-	// recording offsets. Views are carved out afterwards, once the backing
-	// array has stopped growing.
-	numFlows := n * (n - 1)
-	if opts.Unordered {
-		numFlows = n * (n - 1) / 2
+	// recording offsets. Routing is hop-primary, so a flow takes its hop
+	// distance plus one nodes: the array is sized exactly, and the traversal
+	// count checked against the index's int32 offsets, before a path exists.
+	// Views are carved out afterwards.
+	numFlows, traversals := n*(n-1), -n
+	for _, hops := range hopsTo {
+		for _, h := range hops {
+			traversals += h + 1
+		}
 	}
-	s.pathOff = make([]int32, 1, numFlows+1)
-	s.pathArc = make([]topo.NodeID, 0, 4*numFlows)
+	if opts.Unordered {
+		numFlows, traversals = numFlows/2, traversals/2
+	}
+	if err := fitsInt32("traversal count", traversals); err != nil {
+		return nil, err
+	}
+	pathOff := make([]int32, 1, numFlows+1)
+	s.pathArc = make([]topo.NodeID, 0, traversals)
 	type endpoints struct{ src, dst topo.NodeID }
 	ends := make([]endpoints, 0, numFlows)
 	for src := 0; src < n; src++ {
@@ -188,7 +219,7 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 			if err != nil {
 				return nil, fmt.Errorf("flow: route %d->%d: %w", src, dst, err)
 			}
-			s.pathOff = append(s.pathOff, int32(len(s.pathArc)))
+			pathOff = append(pathOff, int32(len(s.pathArc)))
 			ends = append(ends, endpoints{topo.NodeID(src), topo.NodeID(dst)})
 		}
 	}
@@ -196,7 +227,7 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	// Pass 2: programmability coefficients for every stop, flat.
 	s.stopArc = make([]Stop, 0, len(s.pathArc)-len(ends))
 	for l := range ends {
-		path := s.pathArc[s.pathOff[l]:s.pathOff[l+1]]
+		path := s.pathArc[pathOff[l]:pathOff[l+1]]
 		dst := ends[l].dst
 		for _, v := range path[:len(path)-1] {
 			s.stopArc = append(s.stopArc, Stop{Node: v, PathCount: countPaths(v, dst)})
@@ -211,7 +242,7 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	s.Flows = make([]Flow, len(ends))
 	stopOff := int32(0)
 	for l := range ends {
-		lo, hi := s.pathOff[l], s.pathOff[l+1]
+		lo, hi := pathOff[l], pathOff[l+1]
 		s.Flows[l] = Flow{
 			ID:    ID(l),
 			Src:   ends[l].src,
@@ -225,14 +256,17 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	for i, c := range s.counts {
 		s.swOff[i+1] = s.swOff[i] + int32(c)
 	}
-	s.swFlow = make([]int32, len(s.pathArc))
+	s.through = make([]Through, len(s.pathArc))
 	cursor := make([]int32, n)
 	copy(cursor, s.swOff[:n])
 	for l := range s.Flows {
-		for _, v := range s.Flows[l].Path {
-			s.swFlow[cursor[v]] = int32(l)
-			cursor[v]++
+		f := &s.Flows[l]
+		for _, st := range f.Stops {
+			s.through[cursor[st.Node]] = Through{Flow: int32(l), PBar: int32(st.PBar())}
+			cursor[st.Node]++
 		}
+		s.through[cursor[f.Dst]] = Through{Flow: int32(l)}
+		cursor[f.Dst]++
 	}
 	return s, nil
 }
@@ -262,51 +296,20 @@ func (s *Set) TotalTraversals() int {
 	return total
 }
 
-// ForEachFlowThrough calls fn with the ID of every flow whose path includes
-// switch i, in ascending flow order, straight off the switch→flows CSR
-// index. Out-of-range switches have no flows.
-func (s *Set) ForEachFlowThrough(i topo.NodeID, fn func(ID)) {
+// Through returns switch i's slice of the switch→flows index: one entry per
+// flow whose path includes i, in ascending flow order. The slice is a view
+// into the index and must not be mutated; out-of-range switches have none.
+func (s *Set) Through(i topo.NodeID) []Through {
 	if i < 0 || int(i) >= len(s.counts) {
-		return
+		return nil
 	}
-	for _, l := range s.swFlow[s.swOff[i]:s.swOff[i+1]] {
-		fn(ID(l))
-	}
+	return s.through[s.swOff[i]:s.swOff[i+1]]
 }
 
-// FlowsThrough appends to buf the IDs (as int32) of the flows whose path
-// includes any of the given switches — each flow once, in ascending order —
-// and returns the extended slice. It is the candidate gather of case
-// compilation (scenario.Context.Build), so its cost is the traversals of the
-// named switches plus one bit per flow of the workload, with no sort: every
-// CSR entry marks its flow in *seen, a one-bit-per-flow set, and a scan of
-// the set's words emits the marked flows in order.
-//
-// *seen is caller-owned scratch, grown here to the workload's size. It must
-// be all zero on entry and is all zero again on return (the scan clears each
-// word as it reads it), so a pooled one never needs clearing.
-func (s *Set) FlowsThrough(buf []int32, seen *[]uint64, switches []topo.NodeID) []int32 {
-	words := (len(s.Flows) + 63) / 64
-	if cap(*seen) < words {
-		*seen = make([]uint64, words)
+// ForEachFlowThrough calls fn with the ID of every flow whose path includes
+// switch i, in ascending flow order.
+func (s *Set) ForEachFlowThrough(i topo.NodeID, fn func(ID)) {
+	for _, e := range s.Through(i) {
+		fn(ID(e.Flow))
 	}
-	set := (*seen)[:words]
-	for _, sw := range switches {
-		if sw < 0 || int(sw) >= len(s.counts) {
-			continue
-		}
-		for _, l := range s.swFlow[s.swOff[sw]:s.swOff[sw+1]] {
-			set[l>>6] |= 1 << (l & 63)
-		}
-	}
-	for w, word := range set {
-		if word == 0 {
-			continue
-		}
-		set[w] = 0
-		for ; word != 0; word &= word - 1 {
-			buf = append(buf, int32(w<<6+bits.TrailingZeros64(word)))
-		}
-	}
-	return buf
 }

@@ -1,7 +1,9 @@
 package flow
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmedic/internal/topo"
@@ -189,51 +191,83 @@ func TestNegativeSlackRejected(t *testing.T) {
 	}
 }
 
-func TestFlowsThrough(t *testing.T) {
-	g := attGraph(t)
-	s, err := Generate(g, Options{})
+// TestSwitchIndexMatchesFlows is the oracle of the switch→flows index: every
+// switch's entries equal the list rebuilt the slow way from the flows' paths
+// and stops — flows ascending, p̄ beside each, 0 at the destination — and
+// ForEachFlowThrough yields exactly γ_i flows.
+func TestSwitchIndexMatchesFlows(t *testing.T) {
+	syn, err := topo.SyntheticWithOpts(64, 6, 1, topo.SyntheticOpts{Seed: 3, Regions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seen []uint64
-	ids := s.FlowsThrough(nil, &seen, []topo.NodeID{13})
-	if len(ids) != s.SwitchFlowCount(13) {
-		t.Fatalf("FlowsThrough(13) = %d flows, γ_13 = %d", len(ids), s.SwitchFlowCount(13))
-	}
-	for _, id := range ids {
-		if !s.Flows[id].Traverses(13) {
-			t.Fatalf("flow %d reported through 13 but does not traverse it", id)
+	graphs := map[string]*topo.Graph{"att": attGraph(t), "synthetic64": syn.Graph}
+	for name, g := range graphs {
+		for _, opts := range []Options{{}, {Unordered: true}, {Limit: 300}} {
+			s, err := Generate(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.pathArc) != cap(s.pathArc) {
+				t.Fatalf("%s %+v: %d traversals, %d predicted from hop distances", name, opts, len(s.pathArc), cap(s.pathArc))
+			}
+			want := make([][]Through, g.NumNodes())
+			programmable := 0
+			for l, f := range s.Flows {
+				for k, v := range f.Path {
+					e := Through{Flow: int32(l)}
+					if k < len(f.Stops) && f.Stops[k].Programmable() {
+						e.PBar = int32(f.Stops[k].PBar())
+						programmable++
+					}
+					want[v] = append(want[v], e)
+				}
+			}
+			for v := range want {
+				sw := topo.NodeID(v)
+				if got := s.Through(sw); !reflect.DeepEqual(got, want[v]) {
+					t.Fatalf("%s %+v: switch %d index = %v, want %v", name, opts, v, got, want[v])
+				}
+				yielded := 0
+				s.ForEachFlowThrough(sw, func(l ID) {
+					if int32(l) != want[v][yielded].Flow {
+						t.Fatalf("%s %+v: switch %d yields flow %d at %d, want %d", name, opts, v, l, yielded, want[v][yielded].Flow)
+					}
+					yielded++
+				})
+				if yielded != s.SwitchFlowCount(sw) {
+					t.Fatalf("%s %+v: switch %d yields %d flows, γ = %d", name, opts, v, yielded, s.SwitchFlowCount(sw))
+				}
+			}
+			if programmable == 0 {
+				t.Fatalf("%s %+v: no programmable stop in the fixture", name, opts)
+			}
+			if s.Through(-1) != nil || s.Through(topo.NodeID(g.NumNodes())) != nil {
+				t.Fatalf("%s %+v: out-of-range switches must have no entries", name, opts)
+			}
 		}
 	}
-	if got := s.FlowsThrough(nil, &seen, nil); got != nil {
-		t.Fatalf("FlowsThrough(nil) = %v, want nil", got)
-	}
+}
 
-	// Several switches, one of them out of range: flows crossing more than
-	// one are reported once, ascending, after whatever buf already held, and
-	// the scratch set comes back all zero.
-	switches := []topo.NodeID{13, 2, 7, topo.NodeID(g.NumNodes())}
-	var want []int32
-	for l := range s.Flows {
-		if s.Flows[l].Traverses(13) || s.Flows[l].Traverses(2) || s.Flows[l].Traverses(7) {
-			want = append(want, int32(l))
+// TestGenerateBounds pins the checks in front of the index's int32 fields:
+// a negative or oversized Limit is refused, and the traversal bound names
+// the count it refuses.
+func TestGenerateBounds(t *testing.T) {
+	g := attGraph(t)
+	if _, err := Generate(g, Options{Limit: -1}); err == nil {
+		t.Fatal("negative limit must be rejected")
+	}
+	if one := 1; math.MaxInt > math.MaxInt32 { // int is 64 bits wide
+		big := math.MaxInt32 + one
+		if _, err := Generate(g, Options{Limit: big}); err == nil {
+			t.Fatal("a limit beyond int32 must be rejected")
+		}
+		err := fitsInt32("traversal count", big)
+		if err == nil || !strings.Contains(err.Error(), "traversal count 2147483648") {
+			t.Fatalf("fitsInt32(2^31) = %v, want an error naming the count", err)
 		}
 	}
-	got := s.FlowsThrough([]int32{-1}, &seen, switches)
-	if got[0] != -1 || !reflect.DeepEqual(got[1:], want) {
-		t.Fatalf("FlowsThrough(%v) = %v, want -1 then %v", switches, got, want)
-	}
-	traversals := 0
-	for _, sw := range switches {
-		s.ForEachFlowThrough(sw, func(ID) { traversals++ })
-	}
-	if traversals <= len(want) {
-		t.Fatalf("fixture has no flow crossing two of %v: %d traversals, %d flows", switches, traversals, len(want))
-	}
-	for w, word := range seen {
-		if word != 0 {
-			t.Fatalf("scratch word %d = %#x after return, want 0", w, word)
-		}
+	if err := fitsInt32("traversal count", math.MaxInt32); err != nil {
+		t.Fatalf("fitsInt32(2^31-1) = %v, want nil", err)
 	}
 }
 

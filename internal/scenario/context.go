@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -91,17 +93,17 @@ func (ctx *Context) DelayMs(a, b topo.NodeID) float64 { return ctx.dist[a][b] }
 // buildScratch holds Context.Build's per-case working memory. Instances are
 // recycled through buildPool: the Context is shared by concurrent sweep
 // workers, so the scratch cannot live on the Context itself, and the pool
-// keeps each worker's steady-state case compilation free of the per-case
-// slice/map churn that used to dominate sweep allocation profiles.
+// keeps each worker's steady-state case compilation free of per-case slice
+// churn.
 type buildScratch struct {
-	isFailed    []bool
-	switchIndex []int
-	// offFlows is the case's candidate flows; seen is the one-bit-per-flow
-	// set flow.Set.FlowsThrough marks them in (all zero between calls).
-	offFlows []int32
-	seen     []uint64
-	pairs    []core.Pair
-	start    []int
+	isFailed []bool
+	// through and recoverable are one-bit-per-flow sets over the workload:
+	// the flows crossing an offline switch, and those of them some offline
+	// switch can reroute. Both are all zero between builds. rank[w] counts
+	// the recoverable flows below word w.
+	through     []uint64
+	recoverable []uint64
+	rank        []int32
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -111,10 +113,11 @@ var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 // produces exactly the Instance that scenario.Build would, case for case and
 // byte for byte; only the shared precomputation is skipped.
 //
-// Candidate flows are enumerated through the workload's switch→flows CSR
-// index — cost proportional to the traffic actually crossing the failed
-// domains — instead of scanning all L flows per case, which is what makes a
-// sweep case at 10⁶ all-pairs flows affordable.
+// The flow side is read off the workload's switch→flows index alone — two
+// sequential passes over the offline switches' entries, cost proportional to
+// the traffic actually crossing the failed domains — with no flow looked at
+// and nothing sorted, which is what makes a sweep case at 10⁶ all-pairs flows
+// affordable.
 func (ctx *Context) Build(failed []int) (*Instance, error) {
 	sc := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(sc)
@@ -132,7 +135,8 @@ func (ctx *Context) build(sc *buildScratch, failed []int) (*Instance, error) {
 	if len(failed) >= m {
 		return nil, fmt.Errorf("%w: all %d controllers failed", ErrBadCase, m)
 	}
-	isFailed := growBools(&sc.isFailed, m)
+	isFailed := grow(&sc.isFailed, m)
+	clear(isFailed)
 	for _, j := range failed {
 		if j < 0 || j >= m {
 			return nil, fmt.Errorf("%w: controller index %d out of range [0,%d)", ErrBadCase, j, m)
@@ -163,15 +167,7 @@ func (ctx *Context) build(sc *buildScratch, failed []int) (*Instance, error) {
 	for _, j := range inst.Failed {
 		inst.Switches = append(inst.Switches, dep.Controllers[j].Domain...)
 	}
-	sort.Slice(inst.Switches, func(a, b int) bool { return inst.Switches[a] < inst.Switches[b] })
-	// switchIndex[sw] is the problem index of offline switch sw, or -1.
-	switchIndex := growInts(&sc.switchIndex, dep.Graph.NumNodes())
-	for i := range switchIndex {
-		switchIndex[i] = -1
-	}
-	for i, sw := range inst.Switches {
-		switchIndex[sw] = i
-	}
+	slices.Sort(inst.Switches)
 
 	p := &core.Problem{
 		NumSwitches:    len(inst.Switches),
@@ -180,45 +176,7 @@ func (ctx *Context) build(sc *buildScratch, failed []int) (*Instance, error) {
 	if err := ctx.fillProblemMatrices(inst, p); err != nil {
 		return nil, err
 	}
-
-	// Candidate offline flows: exactly the flows whose path crosses an
-	// offline switch (a flow is offline iff some stop — src included — or
-	// its destination is offline, and all of those are path nodes), each
-	// once and in ascending flow order.
-	offFlows := flows.FlowsThrough(sc.offFlows[:0], &sc.seen, inst.Switches)
-	sc.offFlows = offFlows
-
-	// Eligible pairs. Pairs are gathered flow-major (flows ascending, and
-	// within a flow in path order) and then bucketed by switch below, which
-	// yields the (Switch, Flow)-sorted order Finalize expects without a
-	// comparison sort.
-	pairs := sc.pairs[:0]
-	inst.FlowIDs = make([]flow.ID, 0, len(offFlows))
-	for _, lf := range offFlows {
-		f := &flows.Flows[lf]
-		pairStart := len(pairs)
-		for _, stop := range f.Stops {
-			i := switchIndex[stop.Node]
-			if i < 0 {
-				continue
-			}
-			if stop.Programmable() {
-				pairs = append(pairs, core.Pair{Switch: i, PBar: stop.PBar()})
-			}
-		}
-		if len(pairs) == pairStart {
-			inst.Unrecoverable = append(inst.Unrecoverable, f.ID)
-			continue
-		}
-		flowIdx := len(inst.FlowIDs)
-		inst.FlowIDs = append(inst.FlowIDs, f.ID)
-		for k := pairStart; k < len(pairs); k++ {
-			pairs[k].Flow = flowIdx
-		}
-	}
-	sc.pairs = pairs
-	p.Pairs = sortPairsBySwitch(pairs, p.NumSwitches, &sc.start)
-	p.NumFlows = len(inst.FlowIDs)
+	ctx.fillFlows(sc, inst, p)
 	if p.NumFlows == 0 {
 		return nil, fmt.Errorf("%w: failure case has no recoverable offline flows", ErrBadCase)
 	}
@@ -230,6 +188,74 @@ func (ctx *Context) build(sc *buildScratch, failed []int) (*Instance, error) {
 
 	ctx.fillMiddleDelay(inst)
 	return inst, nil
+}
+
+// fillFlows compiles the case's flow side — inst.FlowIDs and Unrecoverable,
+// p.NumFlows and p.Pairs — from the offline switches' slices of the
+// switch→flows index. A flow is offline iff its path crosses an offline
+// switch, and recoverable iff one of those can reroute it (p̄ >= 2), so the
+// slices hold everything the case needs. sc's bit sets are all zero again on
+// return.
+func (ctx *Context) fillFlows(sc *buildScratch, inst *Instance, p *core.Problem) {
+	flows := ctx.Flows
+	words := (flows.Len() + 63) / 64
+	through, recoverable := grow(&sc.through, words), grow(&sc.recoverable, words)
+	rank := grow(&sc.rank, words)
+
+	// Pass 1: mark the offline and the recoverable flows, count the pairs.
+	numPairs := 0
+	for _, sw := range inst.Switches {
+		for _, e := range flows.Through(sw) {
+			w, bit := e.Flow>>6, uint64(1)<<(e.Flow&63)
+			through[w] |= bit
+			if e.PBar != 0 {
+				recoverable[w] |= bit
+				numPairs++
+			}
+		}
+	}
+
+	// The sets' words in order give both flow lists ascending, and the
+	// problem index of a recoverable flow: its rank in its set.
+	numFlows, numUnrecoverable := 0, 0
+	for w, word := range recoverable {
+		rank[w] = int32(numFlows)
+		numFlows += bits.OnesCount64(word)
+		numUnrecoverable += bits.OnesCount64(through[w] &^ word)
+	}
+	inst.FlowIDs = make([]flow.ID, 0, numFlows)
+	if numUnrecoverable > 0 {
+		inst.Unrecoverable = make([]flow.ID, 0, numUnrecoverable)
+	}
+	for w, word := range recoverable {
+		for rest := word; rest != 0; rest &= rest - 1 {
+			inst.FlowIDs = append(inst.FlowIDs, flow.ID(w<<6+bits.TrailingZeros64(rest)))
+		}
+		for rest := through[w] &^ word; rest != 0; rest &= rest - 1 {
+			inst.Unrecoverable = append(inst.Unrecoverable, flow.ID(w<<6+bits.TrailingZeros64(rest)))
+		}
+	}
+	p.NumFlows = numFlows
+
+	// Pass 2: the pairs, switch-major with flows ascending within a switch —
+	// the (Switch, Flow) order Finalize documents.
+	pairs := make([]core.Pair, 0, numPairs)
+	for i, sw := range inst.Switches {
+		for _, e := range flows.Through(sw) {
+			if e.PBar == 0 {
+				continue
+			}
+			w, below := e.Flow>>6, uint64(1)<<(e.Flow&63)-1
+			pairs = append(pairs, core.Pair{
+				Switch: i,
+				Flow:   int(rank[w]) + bits.OnesCount64(recoverable[w]&below),
+				PBar:   int(e.PBar),
+			})
+		}
+	}
+	p.Pairs = pairs
+	clear(through)
+	clear(recoverable)
 }
 
 // fillProblemMatrices populates the Problem's Delay, Gamma, and Rest off the
@@ -291,52 +317,10 @@ func flatMatrix(n, m int) [][]float64 {
 	return rows
 }
 
-// growInts resizes *buf to n without zeroing (callers initialize).
-func growInts(buf *[]int, n int) []int {
+// grow returns *buf resized to n, reallocated (all zero) when it is too small.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]T, n)
 	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growBools resizes *buf to n and clears it.
-func growBools(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	s := *buf
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// sortPairsBySwitch reorders flow-major pairs into (Switch, Flow) ascending
-// order with a counting sort: pairs arrive with flows ascending, and a simple
-// path visits a switch at most once, so stable per-switch bucketing preserves
-// ascending flow order within each switch. The returned slice is freshly
-// allocated (it is retained by the Problem); the counting table lives in the
-// caller's buildScratch.
-func sortPairsBySwitch(pairs []core.Pair, numSwitches int, startBuf *[]int) []core.Pair {
-	if len(pairs) == 0 {
-		return nil
-	}
-	start := growInts(startBuf, numSwitches+1)
-	for i := range start {
-		start[i] = 0
-	}
-	for _, pr := range pairs {
-		start[pr.Switch+1]++
-	}
-	for i := 1; i <= numSwitches; i++ {
-		start[i] += start[i-1]
-	}
-	out := make([]core.Pair, len(pairs))
-	for _, pr := range pairs {
-		out[start[pr.Switch]] = pr
-		start[pr.Switch]++
-	}
-	return out
+	return (*buf)[:n]
 }

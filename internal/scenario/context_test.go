@@ -91,31 +91,6 @@ func TestContextBuildValidation(t *testing.T) {
 	}
 }
 
-// TestSortPairsBySwitch checks the counting sort against the comparison sort
-// it replaces on a synthetic flow-major pair list.
-func TestSortPairsBySwitch(t *testing.T) {
-	pairs := []core.Pair{
-		{Switch: 2, Flow: 0, PBar: 2},
-		{Switch: 0, Flow: 0, PBar: 3},
-		{Switch: 1, Flow: 1, PBar: 2},
-		{Switch: 0, Flow: 2, PBar: 4},
-		{Switch: 2, Flow: 2, PBar: 2},
-		{Switch: 1, Flow: 3, PBar: 5},
-	}
-	got := sortPairsBySwitch(pairs, 3, new([]int))
-	want := []core.Pair{
-		{Switch: 0, Flow: 0, PBar: 3},
-		{Switch: 0, Flow: 2, PBar: 4},
-		{Switch: 1, Flow: 1, PBar: 2},
-		{Switch: 1, Flow: 3, PBar: 5},
-		{Switch: 2, Flow: 0, PBar: 2},
-		{Switch: 2, Flow: 2, PBar: 2},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sortPairsBySwitch = %v, want %v", got, want)
-	}
-}
-
 // TestContextBuildAllocs bounds the allocations of a warm case compile — the
 // per-case cost every sweep pays — on the paper's headline case. The pooled
 // scratch brought it from 515 to 29; the bound leaves three of headroom for
@@ -293,8 +268,15 @@ func TestContextBuildScratchHygiene(t *testing.T) {
 	if _, err := line.build(sc, []int{0, 1}); err == nil || err.Error() != wantErr {
 		t.Fatalf("line topology: err %v, want %q", err, wantErr)
 	}
-	if len(sc.offFlows) == 0 {
+	if cap(sc.through) == 0 || cap(sc.recoverable) == 0 {
 		t.Fatal("the failing compile never reached the gather")
+	}
+	for _, set := range [][]uint64{sc.through, sc.recoverable} {
+		for w, word := range set[:cap(set)] {
+			if word != 0 {
+				t.Fatalf("scratch word %d = %#x after the failed compile, want 0", w, word)
+			}
+		}
 	}
 	warm, err := ctx.build(sc, []int{1, 4})
 	if err != nil {
