@@ -13,6 +13,10 @@
 // The -failed list names controllers by their site IDs as printed by pmtopo
 // (e.g. "13,16" is the paper-style case (13, 16)).
 //
+// -algorithm optimal adds an "exact" object: whether branch & bound proved
+// its answer or a budget cut it short, nodes, bound and gap, and the simplex
+// work underneath.
+//
 // -algorithm hier runs the hierarchical region-sharded PM (internal/region):
 // -regions picks the region count, -improve-rounds bounds its anytime
 // improver.
@@ -24,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -31,6 +36,7 @@ import (
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
+	"pmedic/internal/mip"
 	"pmedic/internal/opt"
 	"pmedic/internal/prof"
 	"pmedic/internal/region"
@@ -54,7 +60,44 @@ type output struct {
 	Metrics     *metrics       `json:"metrics,omitempty"`
 	Mapping     []mappingEntry `json:"mapping,omitempty"`
 	SDNFlows    []sdnFlowEntry `json:"sdnFlows,omitempty"`
+	Exact       *exact         `json:"exact,omitempty"`
 	Sensitivity *sensitivity   `json:"sensitivity,omitempty"`
+}
+
+// exact says what -algorithm optimal's branch & bound can claim about its
+// answer — proved (status optimal or infeasible) or cut short (feasible,
+// unknown) — and what the search cost: nodes, and under lp the relaxations by
+// how they started with their iterations and refactorizations. Objective and
+// bound are in the exact model's terms (r + λ·Σ p̄·z); a bound that is not
+// finite is left out.
+type exact struct {
+	Status    string     `json:"status"`
+	Proved    bool       `json:"proved"`
+	Nodes     int        `json:"nodes"`
+	Objective *float64   `json:"objective,omitempty"`
+	Bound     *float64   `json:"bound,omitempty"`
+	Gap       *float64   `json:"gap,omitempty"`
+	LP        mip.LPWork `json:"lp"`
+}
+
+func exactOf(res *opt.Result) *exact {
+	finite := func(x float64) *float64 {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return nil
+		}
+		return &x
+	}
+	e := &exact{
+		Status: res.Status.String(),
+		Proved: res.Proved(),
+		Nodes:  res.Nodes,
+		Bound:  finite(res.Bound),
+		LP:     res.LP,
+	}
+	if res.Solution != nil {
+		e.Objective, e.Gap = finite(res.Objective), finite(res.Gap)
+	}
+	return e
 }
 
 // sensitivity carries the LP-relaxation shadow prices (-sensitivity flag):
@@ -164,7 +207,11 @@ func run(args []string, out io.Writer) (err error) {
 		if warm, err = core.PM(inst.Problem); err != nil {
 			warm = nil
 		}
-		sol, err = opt.Solve(inst.Problem, opt.Options{TimeLimit: *optTime, Workers: *optWorkers, Warm: warm})
+		var res *opt.Result
+		res, err = opt.Search(inst.Problem, opt.Options{TimeLimit: *optTime, Workers: *optWorkers, Warm: warm})
+		if res != nil {
+			doc.Exact, sol = exactOf(res), res.Solution
+		}
 		if errors.Is(err, opt.ErrNoSolution) {
 			doc.NoResult = true
 			doc.Reason = err.Error()

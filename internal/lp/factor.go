@@ -3,14 +3,15 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // factorizer is the basis-inverse representation behind the simplex: either
-// a dense explicit inverse (tiny models) or a product-form eta file with
-// sparse refactorization. Basis positions are identified with constraint
-// rows; a factorizer's refactorize may permute s.basis to establish that
-// identification.
+// a dense explicit inverse (tiny models) or a product-form eta file whose
+// refactorization costs what the basis columns' non-zeros cost. Basis
+// positions are identified with constraint rows; a factorizer's refactorize
+// may permute s.basis to establish that identification.
 type factorizer interface {
 	// refactorize rebuilds the representation from s.basis. It may reorder
 	// s.basis (the basis is a set; positions are representation-defined).
@@ -178,31 +179,32 @@ type eta struct {
 // cost tracks the basis's fill rather than m². Refactorization rebuilds the
 // product by sparse Gauss-Jordan elimination over the basis columns,
 // processing sparsest columns first and permuting s.basis so that basis
-// positions coincide with pivot rows.
+// positions coincide with pivot rows; it works on each column's non-zero
+// pattern and never scans all m rows for one column.
 type etaFactor struct {
 	etas []eta
-	// scratch buffers reused across calls.
-	dense []float64
-}
-
-func (e *etaFactor) scratch(m int) []float64 {
-	if cap(e.dense) < m {
-		e.dense = make([]float64, m)
-	}
-	buf := e.dense[:m]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
+	// Refactorization scratch, reused across calls: work is all zero and
+	// mark all false between columns; nz lists the rows of the column in
+	// hand that work may be non-zero on.
+	work []float64
+	mark []bool
+	nz   []int32
 }
 
 // dropTol discards eta entries smaller than this; they cannot influence a
 // pivot decision above the solver tolerances but would accumulate fill.
 const dropTol = 1e-13
 
+// singularTol is the smallest pivot a refactorization accepts.
+const singularTol = 1e-11
+
 func (e *etaFactor) refactorize(s *simplex) error {
 	m := s.m
 	e.etas = e.etas[:0]
+	if cap(e.work) < m {
+		e.work, e.mark = make([]float64, m), make([]bool, m)
+	}
+	work, mark := e.work[:m], e.mark[:m]
 	// Process basis columns sparsest-first (deterministic tiebreak on
 	// position) — short columns early keep the partial products sparse.
 	order := make([]int, m)
@@ -220,54 +222,110 @@ func (e *etaFactor) refactorize(s *simplex) error {
 	})
 	used := make([]bool, m)
 	newBasis := make([]int, m)
-	work := e.scratch(m)
-	for _, pos := range order {
-		v := s.basis[pos]
-		// work = (E_t ··· E_1) A_v with the etas built so far.
-		for i := range work {
-			work[i] = 0
-		}
+	singular := func(pos int) error {
+		return fmt.Errorf("%w: singular basis at position %d", errNumerical, pos)
+	}
+
+	// Leading single-entry columns (slacks, mostly): no eta built so far
+	// pivots on the column's row, so none touches it and its eta is the bare
+	// diagonal 1/a. single[r] is that diagonal, 0 where no such eta exists.
+	single := make([]float64, m)
+	k := 0
+	for ; k < m; k++ {
+		v := s.basis[order[k]]
 		rows, vals := s.col(v)
-		for k, r := range rows {
-			work[r] = vals[k]
+		if len(rows) != 1 || used[rows[0]] {
+			break
 		}
-		e.apply(work)
-		// Pivot on the largest remaining row (stability; smallest index on
-		// ties for determinism).
+		r, a := rows[0], vals[0]
+		if math.Abs(a) < singularTol {
+			return singular(order[k])
+		}
+		single[r] = 1 / a
+		e.etas = append(e.etas, eta{p: r, diag: single[r]})
+		used[r] = true
+		newBasis[r] = v
+	}
+	firstFull := len(e.etas)
+
+	for _, pos := range order[k:] {
+		v := s.basis[pos]
+		// work = (E_t ··· E_1) A_v with the etas built so far. The
+		// single-entry etas come first and each scales its own row only:
+		// one multiply per original non-zero on such a row.
+		nz := e.nz[:0]
+		rows, vals := s.col(v)
+		for i, r := range rows {
+			a := vals[i]
+			if d := single[r]; d != 0 {
+				a *= d
+			}
+			work[r], mark[r] = a, true
+			nz = append(nz, r)
+		}
+		for idx := firstFull; idx < len(e.etas); idx++ {
+			et := &e.etas[idx]
+			xp := work[et.p]
+			if xp == 0 {
+				continue
+			}
+			work[et.p] = et.diag * xp
+			for i, r := range et.rows {
+				work[r] += et.vals[i] * xp
+				if !mark[r] {
+					mark[r] = true
+					nz = append(nz, r)
+				}
+			}
+		}
+		// Ascending rows: the pivot scan below then breaks ties toward the
+		// lowest row, and the eta's rows come out sorted, which fixes the
+		// summation order of every later BTRAN.
+		slices.Sort(nz)
+		// Pivot on the largest remaining row (stability).
 		p := -1
 		best := 0.0
-		for r := 0; r < m; r++ {
+		for _, r := range nz {
 			if used[r] {
 				continue
 			}
 			if a := math.Abs(work[r]); a > best {
-				best, p = a, r
+				best, p = a, int(r)
 			}
 		}
-		if p < 0 || best < 1e-11 {
-			return fmt.Errorf("%w: singular basis at position %d", errNumerical, pos)
+		ok := p >= 0 && best >= singularTol
+		if ok {
+			e.push(p, work, nz)
+			used[p] = true
+			newBasis[p] = v
 		}
-		e.push(p, work)
-		used[p] = true
-		newBasis[p] = v
+		for _, r := range nz {
+			work[r], mark[r] = 0, false
+		}
+		e.nz = nz
+		if !ok {
+			return singular(pos)
+		}
 	}
 	copy(s.basis, newBasis)
 	return nil
 }
 
-// push appends the eta eliminating column direction work with pivot row p.
-func (e *etaFactor) push(p int, work []float64) {
+// push appends the eta eliminating column direction work with pivot row p;
+// nz lists, ascending, the rows work may be non-zero on.
+func (e *etaFactor) push(p int, work []float64, nz []int32) {
 	inv := 1 / work[p]
 	et := eta{p: int32(p), diag: inv}
-	for r, a := range work {
-		if r == p || a == 0 {
+	for _, r := range nz {
+		a := work[r]
+		if int(r) == p || a == 0 {
 			continue
 		}
 		val := -a * inv
 		if math.Abs(val) < dropTol {
 			continue
 		}
-		et.rows = append(et.rows, int32(r))
+		et.rows = append(et.rows, r)
 		et.vals = append(et.vals, val)
 	}
 	e.etas = append(e.etas, et)
@@ -323,9 +381,16 @@ func (e *etaFactor) applyInv(s *simplex, x []float64) {
 }
 
 func (e *etaFactor) update(s *simplex, p int, alpha []float64) error {
-	if math.Abs(alpha[p]) < 1e-11 {
+	if math.Abs(alpha[p]) < singularTol {
 		return fmt.Errorf("%w: pivot %g at position %d", errNumerical, alpha[p], p)
 	}
-	e.push(p, alpha)
+	nz := e.nz[:0]
+	for r, a := range alpha {
+		if a != 0 {
+			nz = append(nz, int32(r))
+		}
+	}
+	e.nz = nz
+	e.push(p, alpha, nz)
 	return nil
 }

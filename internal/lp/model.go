@@ -3,11 +3,14 @@
 // artificial variables for feasibility, then optimality), Dantzig pricing
 // with a Bland anti-cycling fallback, and periodic basis refactorization.
 // The constraint matrix is stored in compressed-sparse-column form; the
-// basis inverse is a product-form eta file with sparse refactorization for
-// large models and a dense explicit inverse for tiny ones. Solves can be
-// warm-started from the basis of a related solve (Solution.Basis →
-// Options.Warm), which branch & bound uses to start child nodes from their
-// parent's vertex.
+// basis inverse is a product-form eta file, rebuilt from the basis columns'
+// non-zero patterns, for large models and a dense explicit inverse for tiny
+// ones. Solves can be warm-started from the basis of a related solve
+// (Solution.Basis → Options.Warm), which branch & bound uses to start child
+// nodes from their parent's vertex: a basis the new bounds made infeasible
+// is repaired by dual simplex, and a repair that dead-ends on a row proving
+// infeasibility ends the solve there. Solution.Start, Iters and Refactors
+// say which of these happened and what it cost.
 //
 // It is the bottom layer of the reproduction's GUROBI substitute; package
 // mip adds branch & bound for integer models on top of it.
@@ -183,7 +186,45 @@ type Solution struct {
 	// StatusOptimal, or when the final basis is not exportable (a redundant
 	// row kept an artificial variable basic).
 	Basis *Basis
-	Iters int
+	// Start says how the solve got its first basis; Iters counts simplex
+	// iterations (dual-repair pivots included) and Refactors basis
+	// refactorizations, over the whole solve.
+	Start     Start
+	Iters     int
+	Refactors int
+}
+
+// Start says where a solve's first feasible basis came from.
+type Start int
+
+// Solve starts.
+const (
+	// StartCold: the two-phase start from the slack/artificial crash basis —
+	// no warm basis was given, or the one given could not be used.
+	StartCold Start = iota
+	// StartWarm: the warm basis was primal feasible as given.
+	StartWarm
+	// StartRepaired: dual-simplex pivots made the warm basis primal feasible.
+	StartRepaired
+	// StartCertified: dual simplex on the warm basis reached a row that
+	// proves the bounds infeasible; the solve ended there (StatusInfeasible).
+	StartCertified
+)
+
+// String renders the start for logs and reports.
+func (s Start) String() string {
+	switch s {
+	case StartCold:
+		return "cold"
+	case StartWarm:
+		return "warm"
+	case StartRepaired:
+		return "warm+repair"
+	case StartCertified:
+		return "certified-infeasible"
+	default:
+		return fmt.Sprintf("lp.Start(%d)", int(s))
+	}
 }
 
 // Basis is an opaque snapshot of a simplex basis over the model's expanded
@@ -219,8 +260,9 @@ type Options struct {
 	Factorization Factorization
 	// Warm, when non-nil, attempts to start from a basis exported by a
 	// previous solve of the same model (Solution.Basis). A warm basis that
-	// is singular or primal-infeasible under the current bounds is silently
-	// discarded and the solve falls back to the two-phase cold start.
+	// is singular, or primal-infeasible under the current bounds beyond what
+	// dual simplex repairs or certifies, is silently discarded and the solve
+	// falls back to the two-phase cold start (Solution.Start says which).
 	Warm *Basis
 }
 

@@ -50,8 +50,9 @@ type simplex struct {
 	fact         factorizer
 	refreshEvery int
 
-	maximize bool
-	iters    int
+	maximize  bool
+	iters     int
+	refactors int
 }
 
 func (s *simplex) numCols() int { return len(s.colPtr) - 1 }
@@ -210,8 +211,14 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 	resid := make([]float64, s.m)
 	s.residual(resid)
 
-	warmStarted := warm != nil && s.tryWarm(warm)
-	if !warmStarted {
+	start := StartCold
+	if warm != nil {
+		start = s.tryWarm(warm)
+	}
+	switch start {
+	case StartCertified:
+		return s.result(StatusInfeasible, start), nil
+	case StartCold:
 		s.crashBasis(resid)
 		if err := s.refactorize(); err != nil {
 			return nil, err
@@ -227,10 +234,10 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 				return nil, err
 			}
 			if status == StatusIterLimit {
-				return &Solution{Status: StatusIterLimit, Iters: s.iters}, nil
+				return s.result(StatusIterLimit, start), nil
 			}
 			if s.phase1Objective() > s.opts.Tol*float64(1+s.m) {
-				return &Solution{Status: StatusInfeasible, Iters: s.iters}, nil
+				return s.result(StatusInfeasible, start), nil
 			}
 			s.lockArtificials()
 		}
@@ -241,7 +248,7 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Status: status, Iters: s.iters}
+	sol := s.result(status, start)
 	if status == StatusOptimal || status == StatusIterLimit {
 		sol.X = s.extractX()
 		var obj float64
@@ -258,6 +265,11 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 		sol.Basis = s.exportBasis()
 	}
 	return sol, nil
+}
+
+// result stamps a solution with the solve's counters.
+func (s *simplex) result(status Status, start Start) *Solution {
+	return &Solution{Status: status, Start: start, Iters: s.iters, Refactors: s.refactors}
 }
 
 // residual fills resid with b - N x_N for all nonbasic variables at their
@@ -313,12 +325,14 @@ func (s *simplex) crashBasis(resid []float64) {
 }
 
 // tryWarm attempts to start from a previously exported basis: it must have
-// the right size, reference only structural/slack variables, and yield a
-// primal-feasible, nonsingular starting point. On any failure the simplex is
-// left ready for the cold-start path and false is returned.
-func (s *simplex) tryWarm(warm *Basis) bool {
+// the right size, reference only structural/slack variables, and be
+// nonsingular. It returns StartWarm when the basis is primal feasible as
+// given, StartRepaired when dual simplex made it so, StartCertified when
+// dual simplex proved the bounds infeasible, and StartCold — with the simplex
+// left ready for the cold-start path — in every other case.
+func (s *simplex) tryWarm(warm *Basis) Start {
 	if len(warm.vars) != s.m {
-		return false
+		return StartCold
 	}
 	nCols := s.numCols()
 	s.artStart = nCols
@@ -327,14 +341,14 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 	seen := make([]bool, nCols)
 	for _, v := range warm.vars {
 		if v < 0 || int(v) >= nCols || seen[v] {
-			return false
+			return StartCold
 		}
 		seen[v] = true
 		s.state[v] = inBasis
 	}
 	for _, v := range warm.upper {
 		if v < 0 || int(v) >= nCols || s.state[v] == inBasis || math.IsInf(s.upper[v], 1) {
-			return false
+			return StartCold
 		}
 		s.state[v] = atUpper
 	}
@@ -346,7 +360,7 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 	if err := s.refactorize(); err != nil {
 		// Singular warm basis: reset for the crash path.
 		s.state = nil
-		return false
+		return StartCold
 	}
 	tol := s.opts.Tol * 10
 	feasible := true
@@ -357,26 +371,28 @@ func (s *simplex) tryWarm(warm *Basis) bool {
 		}
 	}
 	if feasible {
-		return true
+		return StartWarm
 	}
 	// Bound changes since the basis was exported (branch & bound tightens
 	// one variable per node) leave it dual-feasible but primal-infeasible:
 	// exactly the case dual simplex repairs in a handful of pivots.
-	if s.dualRepair() {
-		return true
+	start := s.dualRepair()
+	if start == StartCold {
+		s.state = nil
 	}
-	s.state = nil
-	return false
+	return start
 }
 
 // dualRepair restores primal feasibility of a structurally valid warm basis
 // by bounded-variable dual simplex: pick the most-violated basic variable,
 // drive it to its violated bound, and choose the entering column by the
-// dual ratio test so reduced costs keep their signs. Returns false when it
-// cannot finish (no entering column — possibly primal-infeasible — or
-// numerical trouble); the caller then falls back to the cold start, which
-// settles feasibility authoritatively.
-func (s *simplex) dualRepair() bool {
+// dual ratio test so reduced costs keep their signs. It returns
+// StartRepaired when the basis is feasible again. With no entering column
+// for the leaving row it returns StartCertified if that row alone proves the
+// bounds infeasible (certifiesInfeasible). Otherwise — a dead end the row
+// does not settle, the pivot budget, numerical trouble — it returns
+// StartCold and the caller's two-phase start settles feasibility.
+func (s *simplex) dualRepair() Start {
 	const pivTol = 1e-9
 	tol := s.opts.Tol
 	cb := make([]float64, s.m)
@@ -400,7 +416,7 @@ func (s *simplex) dualRepair() bool {
 			}
 		}
 		if r < 0 {
-			return true
+			return StartRepaired
 		}
 		s.iters++
 		// Duals and row r of B⁻¹.
@@ -445,7 +461,10 @@ func (s *simplex) dualRepair() bool {
 			}
 		}
 		if entering < 0 {
-			return false
+			if s.certifiesInfeasible(rho, below, worst) {
+				return StartCertified
+			}
+			return StartCold
 		}
 		leavingVar := s.basis[r]
 		target := s.upper[leavingVar]
@@ -458,7 +477,7 @@ func (s *simplex) dualRepair() bool {
 			// rho-based row entry disagreed with the recomputed column:
 			// refactorize and retry the iteration.
 			if s.refactorize() != nil {
-				return false
+				return StartCold
 			}
 			continue
 		}
@@ -469,7 +488,7 @@ func (s *simplex) dualRepair() bool {
 		}
 		if err := s.fact.update(s, r, alpha); err != nil {
 			if s.refactorize() != nil {
-				return false
+				return StartCold
 			}
 			continue
 		}
@@ -489,12 +508,45 @@ func (s *simplex) dualRepair() bool {
 		sinceRefresh++
 		if sinceRefresh >= s.refreshEvery {
 			if s.refactorize() != nil {
-				return false
+				return StartCold
 			}
 			sinceRefresh = 0
 		}
 	}
-	return false
+	return StartCold
+}
+
+// certifiesInfeasible decides a dual-simplex dead end on the leaving row
+// alone. Row r of B⁻¹ (rho) applied to Ax = b reads
+// x_B[r] = ρ·b − Σ_v (ρ·A_v)·x_v over the nonbasic columns, so the furthest
+// x_B[r] can move toward the bound it violates is Σ max(gain_v, 0)·(u_v − l_v)
+// with gain_v = ∓ρ·A_v by v's resting bound and the side violated — every
+// nonbasic, non-fixed column counted, however small its coefficient. A reach
+// short of the violation by more than Tol means no point within the bounds
+// satisfies the row: the one-row form of phase 1's tolerance test. An
+// infinite range behind any helpful coefficient makes the reach infinite and
+// certifies nothing.
+func (s *simplex) certifiesInfeasible(rho []float64, below bool, violation float64) bool {
+	reach := 0.0
+	for v := 0; v < s.numCols(); v++ {
+		if s.state[v] == inBasis || s.lower[v] == s.upper[v] {
+			continue
+		}
+		rows, vals := s.col(v)
+		var gain float64
+		for k, rr := range rows {
+			gain += rho[rr] * vals[k]
+		}
+		// Leaving its lower bound, x_v lowers x_B[r] by ρ·A_v per unit;
+		// leaving its upper bound it raises it by as much.
+		if below == (s.state[v] == atLower) {
+			gain = -gain
+		}
+		if gain > 0 {
+			reach += gain * (s.upper[v] - s.lower[v])
+		}
+	}
+	return reach < violation-s.opts.Tol
 }
 
 // exportBasis snapshots the final basis for warm-starting a related solve.
@@ -515,9 +567,17 @@ func (s *simplex) exportBasis() *Basis {
 	return bs
 }
 
+// testHookRefactorize, when a test sets it, sees the simplex before each
+// refactorization.
+var testHookRefactorize func(s *simplex)
+
 // refactorize rebuilds the basis-inverse representation from s.basis and
 // recomputes the basic values.
 func (s *simplex) refactorize() error {
+	if testHookRefactorize != nil {
+		testHookRefactorize(s)
+	}
+	s.refactors++
 	if err := s.fact.refactorize(s); err != nil {
 		return err
 	}

@@ -203,10 +203,18 @@ func TestWarmStartReuse(t *testing.T) {
 }
 
 // TestWarmStartRandom cross-checks warm-started solves against cold solves
-// under random bound tightenings, for both factorizations.
+// under random bound tightenings, for both factorizations: the same status
+// and, when optimal, the same objective. Two trials in three split one
+// variable around its value as a branch & bound child would; the third
+// squeezes several variables away from their values, which often leaves
+// nothing feasible — there the warm solve must say so too, and where it says
+// so by certificate (a dual-simplex dead end, no cold start) the cold solve
+// is the witness that the certificate told the truth.
 func TestWarmStartRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5150))
-	for trial := 0; trial < 120; trial++ {
+	starts := make(map[Start]int)
+	infeasible := 0
+	for trial := 0; trial < 600; trial++ {
 		nv := 2 + rng.Intn(10)
 		nr := 1 + rng.Intn(10)
 		m := randomModel(rng, nv, nr)
@@ -218,19 +226,26 @@ func TestWarmStartRandom(t *testing.T) {
 		if base.Status != StatusOptimal || base.Basis == nil {
 			continue
 		}
-		// Tighten one variable's bounds around an integer split of its value.
-		v := rng.Intn(nv)
-		lo, hi, _ := m.Bounds(v)
-		if rng.Intn(2) == 0 {
-			hi = math.Floor(base.X[v])
-		} else {
-			lo = math.Ceil(base.X[v])
+		squeeze := 1
+		if trial%3 == 2 {
+			squeeze = 1 + rng.Intn(nv)
 		}
-		if lo > hi {
-			continue
-		}
-		if err := m.SetBounds(v, lo, hi); err != nil {
-			t.Fatalf("trial %d: SetBounds: %v", trial, err)
+		for ; squeeze > 0; squeeze-- {
+			// Tighten one variable's bounds around an integer split of its
+			// value.
+			v := rng.Intn(nv)
+			lo, hi, _ := m.Bounds(v)
+			if rng.Intn(2) == 0 {
+				hi = math.Floor(base.X[v])
+			} else {
+				lo = math.Ceil(base.X[v])
+			}
+			if lo > hi {
+				continue
+			}
+			if err := m.SetBounds(v, lo, hi); err != nil {
+				t.Fatalf("trial %d: SetBounds: %v", trial, err)
+			}
 		}
 		warm, err := m.SolveWith(Options{Factorization: fact, Warm: base.Basis})
 		if err != nil {
@@ -240,14 +255,83 @@ func TestWarmStartRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		if warm.Status != cold.Status {
-			t.Fatalf("trial %d: warm %v vs cold %v", trial, warm.Status, cold.Status)
+		if cold.Start != StartCold {
+			t.Fatalf("trial %d: a solve without a basis reports start %v", trial, cold.Start)
 		}
-		if warm.Status == StatusOptimal {
-			if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+		starts[warm.Start]++
+		if warm.Status != cold.Status {
+			t.Fatalf("trial %d: warm %v (start %v) vs cold %v", trial, warm.Status, warm.Start, cold.Status)
+		}
+		switch warm.Status {
+		case StatusOptimal:
+			if math.Abs(warm.Objective-cold.Objective) > 1e-7*(1+math.Abs(cold.Objective)) {
 				t.Fatalf("trial %d: warm obj %v vs cold obj %v", trial, warm.Objective, cold.Objective)
 			}
 			checkFeasible(t, m, warm.X, "warm")
+		case StatusInfeasible:
+			infeasible++
 		}
+		if warm.Start == StartCertified && cold.Status != StatusInfeasible {
+			t.Fatalf("trial %d: certified infeasible, cold start says %v", trial, cold.Status)
+		}
+	}
+	t.Logf("warm solves by start: %v; %d infeasible", starts, infeasible)
+	if starts[StartCertified] < 40 || starts[StartRepaired] < 40 || starts[StartWarm] < 40 {
+		t.Fatalf("starts %v: want at least 40 certified, 40 repaired and 40 feasible as given", starts)
+	}
+}
+
+// TestCertifiesInfeasible pins the dead-end certificate on one row,
+// s = 10 − 2x − 3y + z with the slack s basic (row of B⁻¹ = [1]): which
+// nonbasic columns can help by resting bound and side, fixed and basic
+// columns left out, an infinite range certifying nothing, and the Tol margin.
+func TestCertifiesInfeasible(t *testing.T) {
+	m := NewModel(Maximize)
+	x := m.AddVar(0, 4, 0, "x")
+	y := m.AddVar(0, 2, 0, "y")
+	z := m.AddVar(0, 1, 0, "z")
+	w := m.AddVar(0, 5, 0, "w") // basic in these states: never counted
+	mustRow(t, m, LE, 10, Term{x, 2}, Term{y, 3}, Term{z, -1}, Term{w, 7})
+	s := newSimplex(m, Options{}.withDefaults())
+	slack := int(s.slackVar[0])
+	rho := []float64{1}
+	set := func(sx, sy, sz varState) {
+		s.state = make([]varState, s.numCols())
+		s.state[x], s.state[y], s.state[z] = sx, sy, sz
+		s.state[w], s.state[slack] = inBasis, inBasis
+	}
+
+	// s below its bound: y falling from its upper bound gains 3 per unit over
+	// a range of 2, z rising from its lower bound 1 over 1; x rising only
+	// hurts. Reach 7.
+	set(atLower, atUpper, atLower)
+	for _, c := range []struct {
+		violation float64
+		want      bool
+	}{{7.5, true}, {7 + 2e-7, true}, {7 + 5e-8, false}, {6.9, false}} {
+		if got := s.certifiesInfeasible(rho, true, c.violation); got != c.want {
+			t.Errorf("below, reach 7, violation %v: certified %v, want %v", c.violation, got, c.want)
+		}
+	}
+	// s above its bound: the same columns help from the opposite bounds —
+	// x rising (2·4), y rising (3·2), z falling (1·1): reach 15.
+	set(atLower, atLower, atUpper)
+	if !s.certifiesInfeasible(rho, false, 15.1) || s.certifiesInfeasible(rho, false, 14.9) {
+		t.Error("above, reach 15: want 15.1 certified and 14.9 not")
+	}
+	// At the unhelpful bounds nothing can move s down.
+	set(atUpper, atUpper, atLower)
+	if !s.certifiesInfeasible(rho, false, 1e-6) {
+		t.Error("above, reach 0: want any violation beyond Tol certified")
+	}
+	// A fixed column has no range; an infinite one certifies nothing.
+	set(atLower, atUpper, atLower)
+	s.lower[y] = s.upper[y]
+	if !s.certifiesInfeasible(rho, true, 1.1) || s.certifiesInfeasible(rho, true, 0.9) {
+		t.Error("below with y fixed, reach 1: want 1.1 certified and 0.9 not")
+	}
+	s.upper[z] = math.Inf(1)
+	if s.certifiesInfeasible(rho, true, 1e9) {
+		t.Error("below with z unbounded above: certified despite an infinite reach")
 	}
 }

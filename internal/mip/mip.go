@@ -81,14 +81,15 @@ type Status int
 const (
 	// StatusOptimal: the tree was exhausted; the incumbent is optimal.
 	StatusOptimal Status = iota + 1
-	// StatusFeasible: a budget ran out; the incumbent is feasible but not
-	// proved optimal.
+	// StatusFeasible: the search is incomplete — a budget ran out, or a
+	// node's relaxation hit the LP iteration limit and could not be
+	// explored; the incumbent is feasible but not proved optimal.
 	StatusFeasible
 	// StatusInfeasible: the tree was exhausted without any integer-feasible
 	// solution.
 	StatusInfeasible
-	// StatusUnknown: a budget ran out before any integer-feasible solution
-	// was found.
+	// StatusUnknown: the search is incomplete (as for StatusFeasible) and no
+	// integer-feasible solution was found.
 	StatusUnknown
 	// StatusUnbounded: the LP relaxation is unbounded.
 	StatusUnbounded
@@ -123,8 +124,37 @@ type Result struct {
 	Bound float64
 	Gap   float64
 	Nodes int
+	// LP sums the counters of every node relaxation solved.
+	LP LPWork
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
+}
+
+// LPWork is the simplex work behind a search: iterations (dual-repair pivots
+// included), basis refactorizations, and the relaxations by how they started
+// (lp.Start). It does not depend on Options.Workers.
+type LPWork struct {
+	Iters     int `json:"iterations"`
+	Refactors int `json:"refactorizations"`
+	Cold      int `json:"cold"`
+	Warm      int `json:"warm"`
+	Repaired  int `json:"warmRepaired"`
+	Certified int `json:"certifiedInfeasible"`
+}
+
+func (w *LPWork) add(sol *lp.Solution) {
+	w.Iters += sol.Iters
+	w.Refactors += sol.Refactors
+	switch sol.Start {
+	case lp.StartCold:
+		w.Cold++
+	case lp.StartWarm:
+		w.Warm++
+	case lp.StartRepaired:
+		w.Repaired++
+	case lp.StartCertified:
+		w.Certified++
+	}
 }
 
 // Options tunes the search; the zero value selects defaults.
@@ -196,6 +226,7 @@ type fix struct {
 // worker. Merging back into the search state happens sequentially.
 type expansion struct {
 	err       error
+	lp        *lp.Solution // nil when the node's fixes contradict each other
 	status    lp.Status
 	obj       float64
 	x         []float64
@@ -253,14 +284,18 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 	}
 
 	open := []*node{{bound: infFor(m.sense)}}
+	// dropped holds nodes whose relaxation hit the LP iteration limit: they
+	// are neither explored nor pruned, so the search cannot claim a proof
+	// while one of them could still hold a better point.
+	var dropped []*node
 	var nextSeq int64 = 1
 	var rootBound float64
 	rootBoundSet := false
-	limitHit := false
+	incomplete := false
 
 	for len(open) > 0 {
 		if opts.TimeLimit > 0 && time.Since(start) > opts.TimeLimit {
-			limitHit = true
+			incomplete = true
 			break
 		}
 		// Drop nodes the incumbent already dominates (not counted, same as a
@@ -282,7 +317,7 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 			width = rem
 		}
 		if width <= 0 {
-			limitHit = true
+			incomplete = true
 			break
 		}
 		if width > len(open) {
@@ -325,6 +360,9 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 			if ex.err != nil {
 				return nil, fmt.Errorf("mip: node %d relaxation: %w", res.Nodes+1, ex.err)
 			}
+			if ex.lp != nil {
+				res.LP.add(ex.lp)
+			}
 			// Re-check the bound: an earlier merge this round may have raised
 			// the incumbent past this node.
 			if incumbent != nil && !better(nd.bound, incumbentObj) {
@@ -342,7 +380,7 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 				}
 				continue
 			case lp.StatusIterLimit:
-				// Treat as unexplorable; keep going without its bound.
+				dropped = append(dropped, nd)
 				continue
 			}
 			if !rootBoundSet {
@@ -398,10 +436,18 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 	}
 
 	res.Runtime = time.Since(start)
+	// Unexplored nodes: what a budget left open, and the dropped nodes the
+	// incumbent does not dominate.
+	for _, nd := range dropped {
+		if incumbent == nil || better(nd.bound, incumbentObj) {
+			open = append(open, nd)
+			incomplete = true
+		}
+	}
 	if incumbent != nil {
 		res.Objective = incumbentObj
 		res.X = incumbent
-		if limitHit {
+		if incomplete {
 			res.Status = StatusFeasible
 			// The open-node bound: the best bound among unexplored nodes and
 			// the incumbent.
@@ -418,7 +464,7 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 		}
 		return res, nil
 	}
-	if limitHit {
+	if incomplete {
 		res.Status = StatusUnknown
 	} else {
 		res.Status = StatusInfeasible
@@ -449,7 +495,7 @@ func (m *Model) expandNode(clone *lp.Model, nd *node, origLo, origHi []float64, 
 	if err != nil {
 		return expansion{err: err}
 	}
-	ex := expansion{status: sol.Status, branchVar: -1}
+	ex := expansion{lp: sol, status: sol.Status, branchVar: -1}
 	if sol.Status != lp.StatusOptimal {
 		return ex
 	}

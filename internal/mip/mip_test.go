@@ -223,3 +223,57 @@ func TestRandomBinaryExact(t *testing.T) {
 		}
 	}
 }
+
+// TestDroppedNodeIsNotAProof is the false-optimality regression: with one
+// simplex iteration per phase the root relaxation of a 6-item knapsack ends
+// at the LP iteration limit and the node is dropped. The tree then empties,
+// but the search saw nothing: the incumbent handed in (value 4) is not the
+// optimum (24), so the result must say feasible, not optimal, and keep the
+// dropped node's bound — the root's, which is infinite.
+func TestDroppedNodeIsNotAProof(t *testing.T) {
+	weights := []float64{5, 4, 6, 3, 7, 2}
+	values := []float64{10, 4, 8, 6, 9, 8}
+	build := func() *Model {
+		m := NewModel(lp.Maximize)
+		terms := make([]lp.Term, len(weights))
+		for i := range weights {
+			terms[i] = lp.Term{Var: m.AddBinary(values[i], ""), Coeff: weights[i]}
+		}
+		if err := m.AddRow(lp.LE, 12, terms...); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	incumbent := []float64{0, 1, 0, 0, 0, 0} // value 4
+
+	full, err := build().Solve(Options{Incumbent: incumbent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Status != StatusOptimal || math.Abs(full.Objective-24) > 1e-9 {
+		t.Fatalf("unrestricted solve: %v obj %v, want optimal 24", full.Status, full.Objective)
+	}
+	if full.LP.Iters == 0 || full.LP.Refactors == 0 || full.LP.Cold == 0 {
+		t.Fatalf("LP counters not summed: %+v", full.LP)
+	}
+
+	res, err := build().Solve(Options{Incumbent: incumbent, LP: lp.Options{MaxIters: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusFeasible {
+		t.Fatalf("status %v with a dropped root, want feasible", res.Status)
+	}
+	if res.Objective != 4 || !math.IsInf(res.Bound, 1) || !math.IsInf(res.Gap, 1) {
+		t.Fatalf("obj %v bound %v gap %v, want 4, +Inf, +Inf", res.Objective, res.Bound, res.Gap)
+	}
+
+	// Without an incumbent a dropped root is unknown, not infeasible.
+	res, err = build().Solve(Options{LP: lp.Options{MaxIters: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusUnknown {
+		t.Fatalf("status %v with a dropped root and no incumbent, want unknown", res.Status)
+	}
+}

@@ -11,7 +11,7 @@
 //
 // As in the paper, the model carries the hard constraint r ≥ 1 ("each
 // offline flow must be recovered"): in tight failure cases it is infeasible
-// and Solve returns ErrNoSolution, mirroring GUROBI's missing results in
+// and Search returns ErrNoSolution, mirroring GUROBI's missing results in
 // 8 of 20 three-failure cases.
 package opt
 
@@ -47,8 +47,9 @@ type Options struct {
 	// worker count given the same node budget.
 	Workers int
 	// RequireProved makes Solve return ErrNoSolution unless optimality was
-	// proved (tree exhausted); by default a budget-expired incumbent is
-	// returned, matching how a time-limited GUROBI run is reported.
+	// proved (tree exhausted, no node dropped); by default the incumbent of
+	// an incomplete search is returned, matching how a time-limited GUROBI
+	// run is reported.
 	RequireProved bool
 }
 
@@ -73,8 +74,37 @@ type model struct {
 	budgetRow int   // delay-budget row
 }
 
-// Solve builds and solves the compact FMSSM model for p.
+// Result is what an exact search found and what it can say about it.
+type Result struct {
+	// Solution is the incumbent as a core.Solution; nil when the search
+	// ended without one (Search then also returns ErrNoSolution).
+	Solution *core.Solution
+	// Result is the branch & bound outcome. Status optimal and infeasible
+	// are proofs (tree exhausted); feasible and unknown mean the search was
+	// cut short by a budget or by a relaxation it could not finish.
+	// Objective and Bound are in the model's terms (r + λ·Σ p̄·z); Bound can
+	// be +Inf when even the root was not solved.
+	*mip.Result
+}
+
+// Proved reports whether the tree was exhausted, i.e. Solution is optimal
+// (or, with no solution, the model is infeasible).
+func (r *Result) Proved() bool {
+	return r.Status == mip.StatusOptimal || r.Status == mip.StatusInfeasible
+}
+
+// Solve is Search for callers that want only the solution.
 func Solve(p *core.Problem, opts Options) (*core.Solution, error) {
+	res, err := Search(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Solution, nil
+}
+
+// Search builds and solves the compact FMSSM model for p. The Result is
+// non-nil whenever branch & bound ran, also beside an ErrNoSolution.
+func Search(p *core.Problem, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	md, err := build(p)
@@ -92,25 +122,37 @@ func Solve(p *core.Problem, opts Options) (*core.Solution, error) {
 			mipOpts.Incumbent = pt
 		}
 	}
-	res, err := md.m.Solve(mipOpts)
+	mres, err := md.m.Solve(mipOpts)
 	if err != nil {
 		return nil, fmt.Errorf("opt: %w", err)
 	}
-	switch res.Status {
-	case mip.StatusOptimal:
-	case mip.StatusFeasible:
-		if opts.RequireProved {
-			return nil, fmt.Errorf("%w: budget expired with gap %.3f", ErrNoSolution, res.Gap)
-		}
-	default:
-		return nil, fmt.Errorf("%w: %v after %d nodes", ErrNoSolution, res.Status, res.Nodes)
+	res := &Result{Result: mres}
+	if err := opts.refusal(mres); err != nil {
+		return res, err
 	}
-	sol := md.extract(res.X)
+	sol := md.extract(mres.X)
 	sol.Runtime = time.Since(start)
 	if err := sol.Verify(p); err != nil {
 		return nil, fmt.Errorf("opt: extracted solution: %w", err)
 	}
-	return sol, nil
+	res.Solution = sol
+	return res, nil
+}
+
+// refusal is the ErrNoSolution a search outcome amounts to under o, or nil
+// when its incumbent is to be returned.
+func (o Options) refusal(res *mip.Result) error {
+	switch res.Status {
+	case mip.StatusOptimal:
+		return nil
+	case mip.StatusFeasible:
+		if o.RequireProved {
+			return fmt.Errorf("%w: not proved after %d nodes (budget expired or a relaxation hit its iteration limit), gap %.3f", ErrNoSolution, res.Nodes, res.Gap)
+		}
+		return nil
+	default:
+		return fmt.Errorf("%w: %v after %d nodes", ErrNoSolution, res.Status, res.Nodes)
+	}
 }
 
 // build compiles the compact model.
