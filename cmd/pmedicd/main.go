@@ -230,34 +230,22 @@ func (h *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.v.Load().(http.Handler).ServeHTTP(w, r)
 }
 
-// followerHandler serves a follower's read-only view: /status tailed from
-// the shared store, /metrics with just the leader gauge, /healthz.
+// followerHandler serves a follower's read-only view: the daemon's HTTP
+// surface over the status tailed from the shared store, and a registry that
+// has counted nothing.
 func followerHandler(dir, id string) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+	return medic.Handler(func() (medic.Status, error) {
 		st, err := medic.ReadStatus(dir)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return st, err
 		}
 		st.Replica = id
 		st.Role = "follower"
 		if lease, err := election.Leader(dir); err == nil {
 			st.Term = lease.Term
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(st)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, "# HELP pmedicd_leader 1 when this replica holds the leader lease, 0 otherwise.\n# TYPE pmedicd_leader gauge\npmedicd_leader 0\n")
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		_, _ = fmt.Fprintln(w, "ok")
-	})
-	return mux
+		return st, nil
+	}, new(medic.Metrics))
 }
 
 // daemon is one pmedicd replica: always the stack and the HTTP surface,
@@ -346,7 +334,12 @@ func (d *daemon) promote(term uint64) error {
 	}
 	d.mon.Start()
 	d.m.Start(d.mon.Events())
-	d.handler.Set(medic.Handler(d.m, d.mon))
+	m, mon := d.m, d.mon
+	d.handler.Set(medic.Handler(func() (medic.Status, error) {
+		st := m.Status()
+		st.Detector = mon.State()
+		return st, nil
+	}, m.Metrics()))
 	reserved := ""
 	if d.st != nil {
 		reserved = fmt.Sprintf(" (reserved through %d)", st.EpochReserved)

@@ -40,7 +40,6 @@ import (
 	"pmedic/internal/core"
 	"pmedic/internal/eval"
 	"pmedic/internal/flow"
-	"pmedic/internal/opt"
 	"pmedic/internal/prof"
 	"pmedic/internal/region"
 	"pmedic/internal/scenario"
@@ -133,7 +132,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	algs := Algorithms(cfg.lambda, cfg.skipOptimal, cfg.optTime, cfg.optWorkers)
+	algs := eval.Comparators(cfg.lambda, cfg.optTime, cfg.optWorkers, cfg.skipOptimal)
 	if *regions > 0 {
 		part, err := region.New(dep, *regions, 1)
 		if err != nil {
@@ -370,61 +369,6 @@ func exportCSV(dir string, k int, cases []*eval.CaseResult, names []string) erro
 		}
 	}
 	return nil
-}
-
-// Algorithms builds the comparator list. λ = 0 selects the default weight.
-func Algorithms(lambda float64, skipOptimal bool, optTime time.Duration, optWorkers int) []eval.Algorithm {
-	withLambda := func(inst *scenario.Instance) *core.Problem {
-		if lambda > 0 {
-			inst.Problem.Lambda = lambda
-		}
-		return inst.Problem
-	}
-	algs := []eval.Algorithm{
-		{Name: "PM", Run: func(inst *scenario.Instance) (*core.Solution, error) {
-			return core.PM(withLambda(inst))
-		}},
-		{Name: "RetroFlow", Run: func(inst *scenario.Instance) (*core.Solution, error) {
-			return core.RetroFlow(withLambda(inst))
-		}},
-		{Name: "PG", Run: func(inst *scenario.Instance) (*core.Solution, error) {
-			return core.PG(withLambda(inst))
-		}},
-	}
-	if !skipOptimal {
-		solve := func(inst *scenario.Instance, warm *core.Solution) (*core.Solution, error) {
-			sol, err := opt.Solve(inst.Problem, opt.Options{
-				TimeLimit: optTime,
-				Workers:   optWorkers,
-				Warm:      warm,
-			})
-			if errors.Is(err, opt.ErrNoSolution) {
-				return nil, fmt.Errorf("%w: %v", eval.ErrNoResult, err)
-			}
-			return sol, err
-		}
-		algs = append(algs, eval.Algorithm{
-			Name: "Optimal",
-			// Direct runs compute the PM warm start themselves.
-			Run: func(inst *scenario.Instance) (*core.Solution, error) {
-				warm, err := core.PM(withLambda(inst))
-				if err != nil {
-					warm = nil
-				}
-				return solve(inst, warm)
-			},
-			// In a sweep the harness hands over the PM solution already
-			// computed for the case, so the warm start is free.
-			RunSeeded: func(inst *scenario.Instance, prior map[string]*core.Solution) (*core.Solution, error) {
-				warm := prior["PM"]
-				if warm == nil {
-					warm, _ = core.PM(withLambda(inst))
-				}
-				return solve(inst, warm)
-			},
-		})
-	}
-	return algs
 }
 
 func algNames(algs []eval.Algorithm) []string {

@@ -29,7 +29,7 @@
 //     internal/ospf, internal/des), plus an OpenFlow-style control-channel
 //     codec and TCP transport (internal/openflow);
 //   - the experiment harness regenerating every figure of the paper
-//     (internal/eval, cmd/pmsim, and the benchmarks in bench_test.go).
+//     (internal/eval, cmd/pmsim, and the tests in figures_test.go).
 //
 // This package is the façade: it wires those pieces into the common
 // workflow — load the topology, generate the workload, pick a failure case,

@@ -240,8 +240,7 @@ type Factorization int
 
 // Factorization choices.
 const (
-	// FactorAuto (the default) picks the sparse eta file for large models
-	// and the dense explicit inverse for tiny ones.
+	// FactorAuto (the default) is the sparse eta file.
 	FactorAuto Factorization = iota
 	// FactorDense forces the dense explicit inverse.
 	FactorDense

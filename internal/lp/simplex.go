@@ -126,16 +126,9 @@ func newSimplex(m *Model, opts Options) *simplex {
 		}
 	}
 
-	// Basis-inverse representation: dense explicit inverse for tiny models,
-	// product-form eta file with sparse refactorization otherwise.
-	useDense := s.m <= denseCutoff
-	switch opts.Factorization {
-	case FactorDense:
-		useDense = true
-	case FactorSparse:
-		useDense = false
-	}
-	if useDense {
+	// Basis-inverse representation: the product-form eta file with sparse
+	// refactorization, unless the dense explicit inverse is asked for.
+	if opts.Factorization == FactorDense {
 		s.fact = &denseFactor{}
 		s.refreshEvery = 256
 	} else {
@@ -144,11 +137,6 @@ func newSimplex(m *Model, opts Options) *simplex {
 	}
 	return s
 }
-
-// denseCutoff is the row count below which the dense explicit inverse wins:
-// at this size an O(m^3) refactorization is cheaper than the bookkeeping of
-// the eta file.
-const denseCutoff = 48
 
 // mergeDuplicates sums repeated row entries inside each CSC column, keeping
 // entries sorted by row.

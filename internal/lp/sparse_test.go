@@ -129,13 +129,13 @@ func TestSparseDenseEquivalence(t *testing.T) {
 	}
 }
 
-// TestSparseDenseEquivalenceLarge drives the equivalence on LPs big enough
-// that FactorAuto actually selects the eta path (m > denseCutoff).
+// TestSparseDenseEquivalenceLarge drives the equivalence on larger LPs, with
+// the eta path as FactorAuto selects it.
 func TestSparseDenseEquivalenceLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
 		nv := 40 + rng.Intn(40)
-		nr := denseCutoff + 10 + rng.Intn(40)
+		nr := 58 + rng.Intn(40)
 		m := randomModel(rng, nv, nr)
 		dense, err := m.SolveWith(Options{Factorization: FactorDense})
 		if err != nil {

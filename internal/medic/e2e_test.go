@@ -131,7 +131,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 	defer m.Stop()
 	defer mon.Stop()
 
-	srv := httptest.NewServer(Handler(m, mon))
+	srv := httptest.NewServer(Handler(func() (Status, error) {
+		st := m.Status()
+		st.Detector = mon.State()
+		return st, nil
+	}, m.Metrics()))
 	defer srv.Close()
 
 	getStatus := func() Status {

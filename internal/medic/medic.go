@@ -4,7 +4,9 @@
 // set the detector reports — the paper's PM algorithm, run continuously
 // instead of once.
 //
-// One serialized reconcile loop owns all decisions. Per event batch it:
+// One serialized reconcile loop owns all decisions and the one state value
+// they are made on (status.go); everyone else reads the copy it publishes. Per
+// event batch it:
 //
 //   - compiles the current failure set into a scenario.Instance and solves
 //     it (core.PM by default);
@@ -128,26 +130,14 @@ type Medic struct {
 	// configured or the store was compiled for a different deployment.
 	plans *planstore.Store
 
-	mu sync.Mutex
-	// epoch counts applied event batches; 0 = nothing ever detected.
-	epoch uint64
-	// reserved is the highest epoch the store durably holds for this medic:
-	// the only epochs it signs (ensureReserved). Always 0 without a store.
-	// Written where epochs are signed — the loop, Fence before it, FlushState
-	// after it — and read by Status and /metrics.
-	reserved atomic.Uint64
-	// failed is the controller set currently believed down.
-	failed map[int]bool
-	// pendingRecovered are controllers whose return has been detected but
-	// whose domains have not been restored yet.
-	pendingRecovered []int
-	// unreachable accumulates switches demoted by pushes in this failure
-	// episode; cleared when the failure set empties.
-	unreachable map[topo.NodeID]bool
-	snap        snapshot
-	// role and term are the HA identity Status reports (SetRole).
-	role string
-	term uint64
+	// cur is the daemon's state, written by whoever drives the medic and by
+	// nobody else: the loop goroutine, New and Fence before it starts,
+	// FlushState after it has stopped. pub is the copy everyone else reads
+	// (publish).
+	cur state
+	pub atomic.Pointer[state]
+	// role is the HA identity Status reports (SetRole).
+	role atomic.Pointer[haRole]
 
 	// sessions are the standby control channels, one per switch in
 	// cfg.Addrs, that every wire operation of this medic rides on. rewarm
@@ -160,7 +150,7 @@ type Medic struct {
 	metrics *Metrics
 	// persistFailures counts store writes that failed (durability degraded
 	// but the daemon stays up).
-	persistFailures uint64
+	persistFailures atomic.Uint64
 
 	events    <-chan monitor.Event
 	startOnce sync.Once
@@ -169,27 +159,10 @@ type Medic struct {
 	wg        sync.WaitGroup
 }
 
-// snapshot is the reconciled state Status reports. Every field is
-// JSON-serializable because the same struct is the persisted "outcome"
-// payload: what Status shows after a restart is byte-for-byte what the
-// dead daemon last reconciled.
-type snapshot struct {
-	Converged bool   `json:"converged"`
-	Ideal     bool   `json:"ideal"`
-	Label     string `json:"label,omitempty"`
-	Restores  int    `json:"restores"`
-
-	MinProg        int `json:"min_prog"`
-	TotalProg      int `json:"total_prog"`
-	RecoveredFlows int `json:"recovered_flows"`
-	OfflineFlows   int `json:"offline_flows"`
-	PushRounds     int `json:"push_rounds,omitempty"`
-	FlowModsAcked  int `json:"flow_mods_acked,omitempty"`
-
-	Mapping  []MappingEntry `json:"mapping,omitempty"`
-	FlowProg []FlowProg     `json:"flow_prog,omitempty"`
-
-	UpdatedAt time.Time `json:"updated_at"`
+// haRole is a replica's place in an HA deployment.
+type haRole struct {
+	name string
+	term uint64
 }
 
 // New validates the wiring and returns an idle Medic.
@@ -214,15 +187,13 @@ func New(cfg Config) (*Medic, error) {
 		return nil, fmt.Errorf("medic: %w", err)
 	}
 	m := &Medic{
-		cfg:         cfg,
-		ctx:         ctx,
-		failed:      make(map[int]bool),
-		unreachable: make(map[topo.NodeID]bool),
-		snap:        snapshot{Converged: true, Ideal: true, UpdatedAt: time.Now()},
-		sessions:    sdnsim.NewSessions(),
-		rewarm:      make(chan struct{}, 1),
-		log:         newEventLog(logSize),
-		done:        make(chan struct{}),
+		cfg:      cfg,
+		ctx:      ctx,
+		cur:      idleState(),
+		sessions: sdnsim.NewSessions(),
+		rewarm:   make(chan struct{}, 1),
+		log:      newEventLog(logSize),
+		done:     make(chan struct{}),
 	}
 	m.metrics = newMetrics(m.sessions)
 	if cfg.Plans != nil {
@@ -230,17 +201,17 @@ func New(cfg Config) (*Medic, error) {
 		// switch indices, delays, and capacities are all stale: refuse it and
 		// keep recovering on the solve path instead of pushing garbage.
 		if got, want := cfg.Plans.Header().TopoHash, planstore.TopoHash(cfg.Dep, cfg.Flows); got != want {
-			m.log.addf(KindError, "plan store %s disabled: topology hash %#x does not match deployment %#x",
+			m.logf(KindError, "plan store %s disabled: topology hash %#x does not match deployment %#x",
 				cfg.Plans.Path(), got, want)
 		} else {
 			m.plans = cfg.Plans
 			m.metrics.wirePlans()
-			m.log.addf(KindPlan, "plan store %s: %d precompiled plans up to depth %d (%s)",
+			m.logf(KindPlan, "plan store %s: %d precompiled plans up to depth %d (%s)",
 				cfg.Plans.Path(), cfg.Plans.Len(), cfg.Plans.Header().Depth, cfg.Plans.Header().Algorithm)
 		}
 	}
 	if cfg.Store != nil {
-		m.metrics.wireStore(cfg.Store, &m.reserved)
+		m.metrics.wireStore(cfg.Store, &m.pub)
 		ds, err := replayDurable(cfg.Store.Snapshot(), cfg.Store.Records())
 		if err != nil {
 			return nil, fmt.Errorf("medic: restore: %w", err)
@@ -254,10 +225,11 @@ func New(cfg Config) (*Medic, error) {
 		// Staged, like every record from here on: New does not wait for the
 		// disk; the first reservation commits it.
 		if ds != nil {
-			m.log.addf(KindResume, "resumed at epoch %d from snapshot+WAL (epoch %d, reserved through %d): failed=%v, %d unreachable, log seq %d",
-				m.epoch, ds.Epoch, ds.Reserved, ds.Failed, len(ds.Unreachable), ds.LogSeq)
+			m.logf(KindResume, "resumed at epoch %d from snapshot+WAL (epoch %d, reserved through %d): failed=%v, %d unreachable, log seq %d",
+				m.cur.Epoch, ds.Epoch, ds.Reserved, ds.Failed, len(ds.Unreachable), ds.LogSeq)
 		}
 	}
+	m.publish()
 	return m, nil
 }
 
@@ -268,35 +240,19 @@ func New(cfg Config) (*Medic, error) {
 // pushes are fenced on the wire. The reservation it inherits lies below the
 // new epoch: this incarnation signs nothing until it has made its own.
 func (m *Medic) restore(ds *durableState) {
-	m.epoch = max(ds.Epoch, ds.Reserved) + 1
-	m.reserved.Store(ds.Reserved)
-	for _, j := range ds.Failed {
-		m.failed[j] = true
-	}
-	m.pendingRecovered = append([]int(nil), ds.PendingRecovered...)
-	for _, sw := range ds.Unreachable {
-		m.unreachable[sw] = true
-	}
-	m.snap = ds.Snap
+	m.cur = ds.state
+	m.cur.Epoch = max(ds.Epoch, ds.Reserved) + 1
 	m.log.restoreRing(ds.LogSeq, ds.LogEntries)
 }
 
 // Epoch returns the current epoch.
-func (m *Medic) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
-}
+func (m *Medic) Epoch() uint64 { return m.pub.Load().Epoch }
 
 // FenceGen is the generation a freshly promoted leader stamps onto the
 // agents (Fence): the bottom of the current epoch's range. Every claim signed
 // by an earlier epoch — the deposed leader's — compares below it and is
 // refused.
-func (m *Medic) FenceGen() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch * genStride
-}
+func (m *Medic) FenceGen() uint64 { return m.Epoch() * genStride }
 
 // Fence is the takeover sweep of a freshly promoted leader: it reserves the
 // block of epochs the sweep and the first recoveries are signed with, then
@@ -304,9 +260,10 @@ func (m *Medic) FenceGen() uint64 {
 // wire options, so the sweep's channels stay open as the standby sessions the
 // first recovery pushes on. A medic that has never seen an epoch (gen 0) has
 // no predecessor to fence and sweeps nothing. A reservation the store's guard
-// refuses means this replica is not the leader: nothing is swept.
+// refuses means this replica is not the leader: nothing is swept. Call it
+// before Start.
 func (m *Medic) Fence() (gen uint64, fenced int, err error) {
-	epoch := m.Epoch()
+	epoch := m.cur.Epoch
 	gen = epoch * genStride
 	if err := m.ensureReserved(epoch + 1); err != nil {
 		return gen, 0, fmt.Errorf("medic: fence: %w", err)
@@ -321,9 +278,7 @@ func (m *Medic) Fence() (gen uint64, fenced int, err error) {
 // SetRole records the daemon's HA identity for Status and the leader
 // gauge.
 func (m *Medic) SetRole(role string, term uint64) {
-	m.mu.Lock()
-	m.role, m.term = role, term
-	m.mu.Unlock()
+	m.role.Store(&haRole{name: role, term: term})
 	m.metrics.setLeader(role == "leader", term)
 }
 
@@ -372,7 +327,7 @@ func (m *Medic) run() {
 	// The first event's epoch is reserved before the event exists (a no-op
 	// after Fence). Refused now is refused again in front of the first push,
 	// which is where it is dealt with.
-	_ = m.ensureReserved(m.Epoch() + 1)
+	_ = m.ensureReserved(m.cur.Epoch + 1)
 	for {
 		select {
 		case <-m.done:
@@ -401,44 +356,28 @@ func (m *Medic) run() {
 	}
 }
 
-// apply folds one detector event into the failure set and advances the
-// epoch. Only the loop goroutine advances it, so the new epoch's number is
-// known before it is published — and its detect entry goes into the log
-// first: a Status that shows epoch N also shows what started it. Entry and
-// detect record are only staged; they reach the store in the commit that ends
-// the pass, as one group, so a follower's ReadStatus sees both or neither.
-func (m *Medic) apply(ev monitor.Event) {
-	epoch := m.Epoch() + 1
-	m.log.addf(KindDetect, "epoch %d: %s", epoch, ev)
-	m.stage(recDetect, detectRecord{Epoch: epoch, Failed: ev.Failed, Recovered: ev.Recovered})
-	m.mu.Lock()
-	m.epoch = epoch
-	// The reconciled state describes the previous epoch until reconcile
-	// replaces it: a status must not read "epoch N, converged" before N has
-	// been planned.
-	m.snap.Converged = false
-	for _, j := range ev.Failed {
-		m.failed[j] = true
-	}
-	for _, j := range ev.Recovered {
-		if m.failed[j] {
-			delete(m.failed, j)
-			m.pendingRecovered = append(m.pendingRecovered, j)
-		}
-	}
-	m.mu.Unlock()
-	m.metrics.addEpoch()
+// logf stamps one entry into the event log and moves the state's log position
+// onto it.
+func (m *Medic) logf(kind Kind, format string, args ...any) {
+	m.cur.LogSeq = m.log.addf(kind, format, args...)
 }
 
-// sortedKeys returns a set's members ascending, never nil — the form the
-// failure set and the unreachable set take in plans, records and statuses.
-func sortedKeys[K ~int](set map[K]bool) []K {
-	keys := make([]K, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
+// apply folds one detector event into the failure set, advances the epoch and
+// publishes the result — after the detect entry is in the log, so a status
+// that shows epoch N also shows what started it. Entry and detect record are
+// only staged; they reach the store in the commit that ends the pass, as one
+// group, so a follower's ReadStatus sees both or neither.
+func (m *Medic) apply(ev monitor.Event) {
+	s := &m.cur
+	s.Epoch++
+	m.logf(KindDetect, "epoch %d: %s", s.Epoch, ev)
+	m.stage(recDetect, detectRecord{Epoch: s.Epoch, Failed: ev.Failed, Recovered: ev.Recovered})
+	// The reconciled state describes the previous epoch until reconcile
+	// replaces it: epoch N reads converged only once N has been planned.
+	s.Snap.Converged = false
+	s.detect(ev.Failed, ev.Recovered)
+	m.publish()
+	m.metrics.addEpoch()
 }
 
 // stalePlan reports whether newer detector events are already queued — the
@@ -463,12 +402,14 @@ func (m *Medic) pushOpts(epoch uint64) sdnsim.PushOptions {
 
 // reconcile drives the failure set to a pushed, adopted plan. It runs only
 // on the loop goroutine; the epoch cannot advance underneath it, but newer
-// events can queue, which is checked between planning and pushing.
+// events can queue, which is checked between planning and pushing. Whatever
+// way it returns, the entry that says how the pass ended is stamped by then,
+// and only then does anyone see what the pass did to the state.
 func (m *Medic) reconcile() {
 	start := time.Now()
 	defer func() {
-		// The pass is over — its converged or failback entry is stamped and
-		// visible — before anything of it goes to disk.
+		// The pass is over, and visible, before anything of it goes to disk.
+		m.publish()
 		m.metrics.reconcile.observe(time.Since(start))
 		m.commitPass()
 		m.maybeCheckpoint()
@@ -478,36 +419,32 @@ func (m *Medic) reconcile() {
 		}
 	}()
 
-	epoch := m.Epoch()
+	epoch := m.cur.Epoch
 	if err := m.ensureReserved(epoch); err != nil {
 		// Not signing is the whole point: a successor resumed above the last
 		// reservation and fenced below its own epoch, and a claim signed with
 		// an epoch outside the reservation could land in its range.
 		m.setUnconverged(fmt.Sprintf("epoch %d is not reserved", epoch))
-		m.log.addf(KindFenced, "epoch %d: nothing pushed: %v; a newer leader owns the store", epoch, err)
+		m.logf(KindFenced, "epoch %d: nothing pushed: %v; a newer leader owns the store", epoch, err)
 		if m.cfg.OnFenced != nil {
 			m.cfg.OnFenced()
 		}
 		return
 	}
 
-	m.mu.Lock()
-	failed := sortedKeys(m.failed)
-	recovered := m.pendingRecovered
-	m.pendingRecovered = nil
-	m.mu.Unlock()
+	failed := m.cur.Failed
+	recovered := m.cur.PendingRecovered
+	m.cur.PendingRecovered = nil
 
 	// Fail-back first: returned controllers re-took their domains; push the
 	// ideal configuration back so demoted flows are SDN-routed again.
 	m.restoreDomains(epoch, recovered)
 
 	if len(failed) == 0 {
-		m.mu.Lock()
-		m.unreachable = make(map[topo.NodeID]bool)
-		m.snap = snapshot{Converged: true, Ideal: true, Restores: m.snap.Restores, UpdatedAt: time.Now()}
-		m.mu.Unlock()
+		m.cur.Unreachable = nil
+		m.cur.Snap = snapshot{Converged: true, Ideal: true, Restores: m.cur.Snap.Restores, UpdatedAt: time.Now()}
 		if len(recovered) > 0 {
-			m.log.addf(KindFailback, "epoch %d: all controllers back, ideal mapping restored", epoch)
+			m.logf(KindFailback, "epoch %d: all controllers back, ideal mapping restored", epoch)
 		}
 		return
 	}
@@ -515,19 +452,19 @@ func (m *Medic) reconcile() {
 	inst, err := m.ctx.Build(failed)
 	if err != nil {
 		m.setUnconverged(fmt.Sprintf("failure set %v is unplannable", failed))
-		m.log.addf(KindError, "epoch %d: compile %v: %v", epoch, failed, err)
+		m.logf(KindError, "epoch %d: compile %v: %v", epoch, failed, err)
 		return
 	}
 
 	sol, err := m.plan(epoch, inst)
 	if err != nil {
 		m.setUnconverged(fmt.Sprintf("planning for %s failed", inst.Label()))
-		m.log.addf(KindError, "epoch %d: plan %s: %v", epoch, inst.Label(), err)
+		m.logf(KindError, "epoch %d: plan %s: %v", epoch, inst.Label(), err)
 		return
 	}
 
 	if m.stalePlan() {
-		m.log.addf(KindStale, "epoch %d: plan for %s discarded, newer events queued", epoch, inst.Label())
+		m.logf(KindStale, "epoch %d: plan for %s discarded, newer events queued", epoch, inst.Label())
 		return
 	}
 
@@ -536,7 +473,7 @@ func (m *Medic) reconcile() {
 	m.metrics.push.observe(time.Since(pushStart))
 	if err != nil {
 		m.setUnconverged(fmt.Sprintf("push for %s failed", inst.Label()))
-		m.log.addf(KindError, "epoch %d: push %s: %v", epoch, inst.Label(), err)
+		m.logf(KindError, "epoch %d: push %s: %v", epoch, inst.Label(), err)
 		return
 	}
 	m.metrics.addPushRetries(pushRetries(rep))
@@ -547,7 +484,7 @@ func (m *Medic) reconcile() {
 	if n := fencedOutcomes(rep); n > 0 {
 		m.metrics.addFenced(uint64(n))
 		m.setUnconverged(fmt.Sprintf("push for %s fenced by a newer generation", inst.Label()))
-		m.log.addf(KindFenced, "epoch %d: push %s refused by generation-ID fencing on %d switch(es); a newer leader owns the network",
+		m.logf(KindFenced, "epoch %d: push %s refused by generation-ID fencing on %d switch(es); a newer leader owns the network",
 			epoch, inst.Label(), n)
 		if m.cfg.OnFenced != nil {
 			m.cfg.OnFenced()
@@ -555,28 +492,23 @@ func (m *Medic) reconcile() {
 		return
 	}
 
-	m.log.addf(KindPush, "epoch %d: pushed %s: %d flow-mods acked in %d round(s), %d demoted",
+	m.logf(KindPush, "epoch %d: pushed %s: %d flow-mods acked in %d round(s), %d demoted",
 		epoch, inst.Label(), rep.FlowModsAcked, rep.Rounds, len(rep.Demoted))
 
-	m.mu.Lock()
 	for _, sw := range rep.Demoted {
-		m.unreachable[sw] = true
+		m.cur.Unreachable = setAdd(m.cur.Unreachable, sw)
 	}
-	m.mu.Unlock()
 
 	if m.cfg.Net != nil {
 		if err := m.cfg.Net.AdoptMapping(inst, rep.Final); err != nil {
 			m.setUnconverged(fmt.Sprintf("adopting the %s mapping failed", inst.Label()))
-			m.log.addf(KindError, "epoch %d: adopt %s: %v", epoch, inst.Label(), err)
+			m.logf(KindError, "epoch %d: adopt %s: %v", epoch, inst.Label(), err)
 			return
 		}
 	}
 
-	m.mu.Lock()
-	restores := m.snap.Restores
-	m.snap = achievedSnapshot(inst, rep, restores)
-	m.mu.Unlock()
-	m.log.addf(KindConverged, "epoch %d: converged on %s: r=%d total=%d recovered=%d/%d",
+	m.cur.Snap = achievedSnapshot(inst, rep, m.cur.Snap.Restores)
+	m.logf(KindConverged, "epoch %d: converged on %s: r=%d total=%d recovered=%d/%d",
 		epoch, inst.Label(), rep.Achieved.MinProg, rep.Achieved.TotalProg,
 		rep.Achieved.RecoveredFlows, inst.OfflineFlowCount())
 }
@@ -645,16 +577,14 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 	// The common case — nothing demoted — must not allocate: plan runs per
 	// failure event and the map is only needed when a push already failed.
 	var demoted map[topo.NodeID]bool
-	m.mu.Lock()
 	for _, sw := range inst.Switches {
-		if m.unreachable[sw] {
+		if _, down := slices.BinarySearch(m.cur.Unreachable, sw); down {
 			if demoted == nil {
 				demoted = make(map[topo.NodeID]bool, len(inst.Switches))
 			}
 			demoted[sw] = true
 		}
 	}
-	m.mu.Unlock()
 
 	if len(demoted) == 0 {
 		// Failure-time fast path: serve the plan from the precompiled store
@@ -666,15 +596,15 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 			switch {
 			case err != nil:
 				m.metrics.addPlanError()
-				m.log.addf(KindError, "epoch %d: plan store for %s: %v", epoch, inst.Label(), err)
+				m.logf(KindError, "epoch %d: plan store for %s: %v", epoch, inst.Label(), err)
 			case outcome == planstore.OutcomeHit:
 				m.metrics.addPlanHit()
-				m.log.addf(KindPlan, "epoch %d: plan for %s served from the plan store in %s",
+				m.logf(KindPlan, "epoch %d: plan for %s served from the plan store in %s",
 					epoch, inst.Label(), sol.Runtime)
 				return sol, nil
 			case outcome == planstore.OutcomeFallback:
 				m.metrics.addPlanFallback()
-				m.log.addf(KindPlan, "epoch %d: plan for %s projected from a precompiled superset plan and repaired in %s",
+				m.logf(KindPlan, "epoch %d: plan for %s projected from a precompiled superset plan and repaired in %s",
 					epoch, inst.Label(), sol.Runtime)
 				return sol, nil
 			default:
@@ -686,10 +616,10 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 	sol, err := inst.SolveResidual(demoted, m.cfg.Solve)
 	if err != nil {
 		// The residual is an optimization; fall back to the full solve.
-		m.log.addf(KindError, "epoch %d: residual for %s: %v", epoch, inst.Label(), err)
+		m.logf(KindError, "epoch %d: residual for %s: %v", epoch, inst.Label(), err)
 		return m.cfg.Solve(inst.Problem)
 	}
-	m.log.addf(KindPlan, "epoch %d: residual re-plan for %s excludes %d unreachable switch(es)",
+	m.logf(KindPlan, "epoch %d: residual re-plan for %s excludes %d unreachable switch(es)",
 		epoch, inst.Label(), len(demoted))
 	return sol, nil
 }
@@ -710,7 +640,7 @@ func (m *Medic) restoreDomains(epoch uint64, recovered []int) {
 	)
 	for _, j := range recovered {
 		if j < 0 || j >= len(m.cfg.Dep.Controllers) {
-			m.log.addf(KindError, "epoch %d: recovery of unknown controller %d", epoch, j)
+			m.logf(KindError, "epoch %d: recovery of unknown controller %d", epoch, j)
 			continue
 		}
 		ctrls = append(ctrls, j)
@@ -723,7 +653,7 @@ func (m *Medic) restoreDomains(epoch uint64, recovered []int) {
 	rep, err := m.cfg.Restorer(m.cfg.Addrs, m.cfg.Flows, switches, m.pushOpts(epoch))
 	m.metrics.restore.observe(time.Since(start))
 	if err != nil {
-		m.log.addf(KindError, "epoch %d: fail-back for controller(s) %v: %v", epoch, ctrls, err)
+		m.logf(KindError, "epoch %d: fail-back for controller(s) %v: %v", epoch, ctrls, err)
 		return
 	}
 	acked := make(map[topo.NodeID]int, len(rep.Outcomes))
@@ -736,33 +666,27 @@ func (m *Medic) restoreDomains(epoch uint64, recovered []int) {
 	}
 	for _, j := range ctrls {
 		mods, lost := 0, 0
-		m.mu.Lock()
 		for _, sw := range m.cfg.Dep.Controllers[j].Domain {
 			mods += acked[sw]
 			if failed[sw] {
-				m.unreachable[sw] = true
+				m.cur.Unreachable = setAdd(m.cur.Unreachable, sw)
 				lost++
 			} else {
-				delete(m.unreachable, sw)
+				m.cur.Unreachable, _ = setDel(m.cur.Unreachable, sw)
 			}
 		}
-		m.snap.Restores++
-		m.mu.Unlock()
+		m.cur.Snap.Restores++
 		if m.cfg.Net != nil {
 			m.cfg.Net.RehomeDomain(j)
 		}
 		m.metrics.addRestore()
-		m.log.addf(KindRestore, "epoch %d: controller %d returned: %d flow-mods restored to its domain, %d switch(es) unreachable",
+		m.logf(KindRestore, "epoch %d: controller %d returned: %d flow-mods restored to its domain, %d switch(es) unreachable",
 			epoch, j, mods, lost)
 	}
 }
 
 // setUnconverged marks the current failure set as lacking a pushed plan.
 func (m *Medic) setUnconverged(why string) {
-	m.mu.Lock()
-	m.snap.Converged = false
-	m.snap.Ideal = false
-	m.snap.Label = why
-	m.snap.UpdatedAt = time.Now()
-	m.mu.Unlock()
+	snap := &m.cur.Snap
+	snap.Converged, snap.Ideal, snap.Label, snap.UpdatedAt = false, false, why, time.Now()
 }

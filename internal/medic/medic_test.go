@@ -2,11 +2,15 @@ package medic
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,11 +198,7 @@ func TestFailureEventConvergesToPushedPlan(t *testing.T) {
 	m, events := newTestMedic(t, rec)
 
 	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
-	// The converged entry lands a moment after the status reads converged
-	// (ROADMAP item 1): wait for both.
-	st := waitStatus(t, m, func(s Status) bool {
-		return s.Converged && !s.Ideal && hasLogKind(s, KindConverged, "")
-	})
+	st := waitStatus(t, m, func(s Status) bool { return s.Converged && !s.Ideal })
 
 	if len(st.Failed) != 2 || st.Failed[0] != 3 || st.Failed[1] != 4 {
 		t.Fatalf("Failed = %v, want [3 4]", st.Failed)
@@ -601,4 +601,131 @@ func TestSplitFailureConvergesToJointPlan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStatusIsOneState pins what a reader of Status may rely on while the loop
+// works: every status is one point in the daemon's history. Readers hammer
+// Status through 100 fail / fail-back episodes over the stub pusher, two cases
+// alternating (one of which demotes a switch), and hold every read to:
+//
+//   - epoch N shown ⇒ N's detect entry shown;
+//   - converged and not ideal at epoch N ⇒ N's converged entry shown;
+//   - converged and ideal after a fail-back at epoch N ⇒ N's failback entry
+//     shown;
+//   - nothing of a pass the state does not show yet: the newest entry is one
+//     of epoch N;
+//   - case, mapping, r and the unreachable set are all from the same pass:
+//     they equal what a medic driven by hand through that case alone reports.
+func TestStatusIsOneState(t *testing.T) {
+	dep, _ := testFixture(t)
+	demote := map[topo.NodeID]bool{dep.Controllers[3].Domain[0]: true}
+	sets := [][]int{{3, 4}, {2}}
+
+	// What each pass a reader can meet looks like from the inside.
+	type passView struct {
+		mapping     []MappingEntry
+		minProg     int
+		unreachable []topo.NodeID
+	}
+	views := map[string]passView{"": {}}
+	for _, set := range sets {
+		ref := newIdleMedic(t, &recorder{demote: demote}, nil)
+		ref.apply(monitor.Event{Seq: 1, Failed: set})
+		ref.reconcile()
+		st := ref.Status()
+		if !st.Converged || st.Case == "" {
+			t.Fatalf("reference pass for %v did not converge: %+v", set, st)
+		}
+		views[st.Case] = passView{st.Mapping, st.MinProg, st.Unreachable}
+	}
+	if len(views) != 3 {
+		t.Fatalf("the cases share a label: %v", views)
+	}
+
+	m, events := newTestMedic(t, &recorder{demote: demote})
+	// A pass's entries are the newest the log can hold: search from the end, and
+	// no further back than the epoch before (a read must stay cheap for enough
+	// of them to land inside a pass).
+	hasEntry := func(st Status, kind Kind) bool {
+		at := "epoch " + strconv.FormatUint(st.Epoch, 10) + ":"
+		before := "epoch " + strconv.FormatUint(st.Epoch-1, 10) + ":"
+		for i := len(st.Events) - 1; i >= 0; i-- {
+			e := &st.Events[i]
+			if e.Kind == kind && strings.HasPrefix(e.Msg, at) {
+				return true
+			}
+			if strings.HasPrefix(e.Msg, before) {
+				break
+			}
+		}
+		return false
+	}
+	check := func(st Status) string {
+		switch {
+		case st.Epoch > 0 && !hasEntry(st, KindDetect):
+			return "no detect entry"
+		case st.Converged && !st.Ideal && !hasEntry(st, KindConverged):
+			return "converged without the converged entry"
+		case st.Converged && st.Ideal && st.Epoch > 0 && !hasEntry(st, KindFailback):
+			return "ideal without the failback entry"
+		case st.Epoch > 0 && !strings.HasPrefix(st.Events[len(st.Events)-1].Msg, fmt.Sprintf("epoch %d:", st.Epoch)):
+			return "entries of a pass the state does not show"
+		}
+		want, known := views[st.Case]
+		if !known {
+			return "unknown case " + st.Case
+		}
+		if !slices.Equal(st.Mapping, want.mapping) || st.MinProg != want.minProg || !slices.Equal(st.Unreachable, want.unreachable) {
+			return fmt.Sprintf("case %q beside another pass's mapping, r=%d or unreachable set %v", st.Case, st.MinProg, st.Unreachable)
+		}
+		return ""
+	}
+
+	var reads, violations atomic.Int64
+	var firstViolation sync.Once
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := m.Status()
+				reads.Add(1)
+				if why := check(st); why != "" {
+					violations.Add(1)
+					firstViolation.Do(func() {
+						t.Errorf("epoch %d (converged %v, ideal %v): %s; events: %+v", st.Epoch, st.Converged, st.Ideal, why, st.Events)
+					})
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+
+	// The driver waits on the status alone, and briefly, so that most reads
+	// land inside a pass.
+	await := func(cond func(Status) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(m.Status()); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("status never satisfied condition; last: %+v", m.Status())
+			}
+		}
+	}
+	for ep := uint64(0); ep < 100; ep++ {
+		set := sets[ep%2]
+		events <- monitor.Event{Seq: 2*ep + 1, Failed: set, At: time.Now()}
+		await(func(s Status) bool { return s.Converged && !s.Ideal && s.Epoch == 2*ep+1 })
+		events <- monitor.Event{Seq: 2*ep + 2, Recovered: set, At: time.Now()}
+		await(func(s Status) bool { return s.Converged && s.Ideal && s.Epoch == 2*ep+2 })
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d of %d Status reads were not one state", violations.Load(), reads.Load())
 }

@@ -54,7 +54,8 @@ func (h *histogram) write(b *strings.Builder, name, help string) {
 // Metrics is the daemon's metrics registry, rendered in Prometheus text
 // exposition format by WriteTo (the /metrics handler). It is hand-rolled —
 // the repo takes no dependency on a client library — and safe for
-// concurrent use.
+// concurrent use. The zero value is a registry with nothing wired and nothing
+// counted: what a follower, which runs no medic, serves.
 type Metrics struct {
 	epochs      atomic.Uint64
 	pushRetries atomic.Uint64
@@ -76,9 +77,9 @@ type Metrics struct {
 	// clock has stopped.
 	reconcile, push, restore, walCommit histogram
 
-	sessions *sdnsim.Sessions // standby-session gauge and counters
-	st       *store.Store     // WAL fsync/checkpoint/pending sources, nil standalone
-	reserved *atomic.Uint64   // the medic's epoch reservation, wired with st
+	sessions *sdnsim.Sessions       // standby-session gauge and counters, nil on a follower
+	st       *store.Store           // WAL fsync/checkpoint/pending sources, nil standalone
+	pub      *atomic.Pointer[state] // the medic's published state (its epoch reservation), wired with st
 	// plansEnabled is set once at wiring time, before the loop starts.
 	plansEnabled bool
 }
@@ -87,10 +88,10 @@ func newMetrics(sessions *sdnsim.Sessions) *Metrics {
 	return &Metrics{sessions: sessions}
 }
 
-// wireStore attaches the persistence layer, and the epoch reservation the
-// medic keeps in it, as metrics sources.
-func (x *Metrics) wireStore(st *store.Store, reserved *atomic.Uint64) {
-	x.st, x.reserved = st, reserved
+// wireStore attaches the persistence layer, and the published state whose
+// epoch reservation the medic keeps in it, as metrics sources.
+func (x *Metrics) wireStore(st *store.Store, pub *atomic.Pointer[state]) {
+	x.st, x.pub = st, pub
 }
 
 // wirePlans enables the plan-store outcome counters.
@@ -139,18 +140,20 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 
 	// Why a recovery took a dial and a handshake longer than the last one: its
 	// switch had no session standing by.
-	ss := x.sessions.Stats()
-	gauge("pmedicd_standby_sessions", "Control channels standing by, open and idle, one per switch at most.", uint64(ss.Idle))
-	counter("pmedicd_session_reuses_total", "Push, restore and fence attempts that ran on a standby session (no dial).", ss.Reused)
-	counter("pmedicd_session_dials_total", "Control channels dialled: warm-up, cold start, a session lost or busy.", ss.Dialled)
-	counter("pmedicd_session_stale_redials_total", "Standby sessions found dead on use and redialled at once.", ss.StaleRedialled)
+	if x.sessions != nil {
+		ss := x.sessions.Stats()
+		gauge("pmedicd_standby_sessions", "Control channels standing by, open and idle, one per switch at most.", uint64(ss.Idle))
+		counter("pmedicd_session_reuses_total", "Push, restore and fence attempts that ran on a standby session (no dial).", ss.Reused)
+		counter("pmedicd_session_dials_total", "Control channels dialled: warm-up, cold start, a session lost or busy.", ss.Dialled)
+		counter("pmedicd_session_stale_redials_total", "Standby sessions found dead on use and redialled at once.", ss.StaleRedialled)
+	}
 
 	if x.st != nil {
 		counter("pmedicd_wal_fsyncs_total", "fsync calls issued by the snapshot+WAL store.", x.st.Fsyncs())
 		counter("pmedicd_wal_commits_total", "Record groups written to the WAL: one per reconcile pass, plus epoch reservations made outside one.", x.st.Commits())
 		counter("pmedicd_wal_checkpoints_total", "WAL-into-snapshot checkpoints completed.", x.st.Checkpoints())
 		gauge("pmedicd_wal_pending_records", "WAL records not yet folded into a snapshot.", uint64(x.st.Pending()))
-		gauge("pmedicd_epoch_reserved", "Highest epoch durably reserved: this daemon signs nothing above it, a successor resumes above it.", x.reserved.Load())
+		gauge("pmedicd_epoch_reserved", "Highest epoch durably reserved: this daemon signs nothing above it, a successor resumes above it.", x.pub.Load().Reserved)
 		x.walCommit.write(&b, "pmedicd_wal_commit_duration_seconds", "Latency of one WAL group commit (write + fsync), paid after the pass it records.")
 	}
 

@@ -2,7 +2,7 @@
 // process. Four WAL record kinds —
 //
 //	detect   one detector event folded into the failure set (apply)
-//	outcome  the full reconciled core state after a reconcile pass
+//	outcome  the state a reconcile pass published as it ended
 //	log      one structured event-log entry
 //	reserve  the highest epoch this medic may sign
 //
@@ -26,11 +26,12 @@
 // WAL-over-snapshot is idempotent: the last outcome wins, detect records
 // after it only advance the epoch and failure set for events the dead
 // process committed but never finished reconciling. Everything is staged and
-// committed on the reconcile-loop goroutine (Fence, before it starts,
-// aside); a persistence failure degrades durability (counted, surfaced in
-// Status) but never stops the loop — recovering the network outranks
-// journaling it — with one exception: a reservation refused by the store's
-// guard means another leader owns the store, and nothing is signed.
+// committed by whoever owns the state at the time (the reconcile loop, Fence
+// before it starts, FlushState after it has stopped); a persistence failure
+// degrades durability (counted, surfaced in Status) but never stops the loop
+// — recovering the network outranks journaling it — with one exception: a
+// reservation refused by the store's guard means another leader owns the
+// store, and nothing is signed.
 package medic
 
 import (
@@ -40,7 +41,6 @@ import (
 	"time"
 
 	"pmedic/internal/store"
-	"pmedic/internal/topo"
 )
 
 // WAL record kinds (store.Record.Kind).
@@ -69,25 +69,10 @@ type reserveRecord struct {
 	Through uint64 `json:"through"`
 }
 
-// outcomeRecord journals the absolute reconciled state after one pass.
-type outcomeRecord struct {
-	Epoch            uint64        `json:"epoch"`
-	Failed           []int         `json:"failed"`
-	PendingRecovered []int         `json:"pending_recovered,omitempty"`
-	Unreachable      []topo.NodeID `json:"unreachable,omitempty"`
-	Snap             snapshot      `json:"snap"`
-}
-
-// durableState is the snapshot payload and the result of a replay: the
-// state a restarted daemon resumes from — the last outcome, the epoch
-// reservation, and the event log.
+// durableState is the snapshot payload and the result of a replay: the state a
+// restarted daemon resumes from, and the event log beside it.
 type durableState struct {
-	outcomeRecord
-	// Reserved is the highest epoch the writer may have signed; absent from
-	// state written before epochs were reserved, which signed nothing above
-	// Epoch.
-	Reserved   uint64     `json:"reserved,omitempty"`
-	LogSeq     uint64     `json:"log_seq"`
+	state
 	LogEntries []LogEntry `json:"log_entries,omitempty"`
 }
 
@@ -104,10 +89,6 @@ func replayDurable(snap []byte, recs []store.Record) (*durableState, error) {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 	}
-	failed := make(map[int]bool, len(ds.Failed))
-	for _, j := range ds.Failed {
-		failed[j] = true
-	}
 	for i, rec := range recs {
 		switch rec.Kind {
 		case recDetect:
@@ -115,33 +96,18 @@ func replayDurable(snap []byte, recs []store.Record) (*durableState, error) {
 			if err := rec.DecodeInto(&dr); err != nil {
 				return nil, fmt.Errorf("record %d (%s): %w", i, rec.Kind, err)
 			}
-			if dr.Epoch > ds.Epoch {
-				ds.Epoch = dr.Epoch
-			}
-			for _, j := range dr.Failed {
-				failed[j] = true
-			}
-			for _, j := range dr.Recovered {
-				if failed[j] {
-					delete(failed, j)
-					ds.PendingRecovered = append(ds.PendingRecovered, j)
-				}
-			}
+			ds.Epoch = max(ds.Epoch, dr.Epoch)
+			ds.detect(dr.Failed, dr.Recovered)
 		case recOutcome:
-			var or outcomeRecord
-			if err := rec.DecodeInto(&or); err != nil {
+			var out state
+			if err := rec.DecodeInto(&out); err != nil {
 				return nil, fmt.Errorf("record %d (%s): %w", i, rec.Kind, err)
 			}
-			if or.Epoch > ds.Epoch {
-				ds.Epoch = or.Epoch
-			}
-			failed = make(map[int]bool, len(or.Failed))
-			for _, j := range or.Failed {
-				failed[j] = true
-			}
-			ds.PendingRecovered = append([]int(nil), or.PendingRecovered...)
-			ds.Unreachable = append([]topo.NodeID(nil), or.Unreachable...)
-			ds.Snap = or.Snap
+			// An outcome replaces what came before, except what only grows.
+			out.Epoch = max(out.Epoch, ds.Epoch)
+			out.Reserved = max(out.Reserved, ds.Reserved)
+			out.LogSeq = max(out.LogSeq, ds.LogSeq)
+			ds.state = out
 		case recReserve:
 			var rr reserveRecord
 			if err := rec.DecodeInto(&rr); err != nil {
@@ -154,15 +120,15 @@ func replayDurable(snap []byte, recs []store.Record) (*durableState, error) {
 				return nil, fmt.Errorf("record %d (%s): %w", i, rec.Kind, err)
 			}
 			ds.LogEntries = append(ds.LogEntries, e)
-			if e.Seq > ds.LogSeq {
-				ds.LogSeq = e.Seq
-			}
+			ds.LogSeq = max(ds.LogSeq, e.Seq)
 		default:
 			// An unknown kind was written by a newer version; skipping it
 			// beats refusing to start.
 		}
 	}
-	ds.Failed = sortedKeys(failed)
+	if ds.Failed == nil {
+		ds.Failed = []int{}
+	}
 	return ds, nil
 }
 
@@ -177,9 +143,12 @@ func (m *Medic) stage(kind string, v any) {
 
 // commit makes everything staged durable in one group — with a reservation
 // through the given epoch in it, if that is beyond the one held — and only
-// then lets the medic count on the reservation.
+// then lets the medic count on the reservation, and publishes it. It runs
+// where the state is otherwise as published: outside a pass, at the head of one
+// (nothing has touched the state since apply), and in its tail (after
+// reconcile published).
 func (m *Medic) commit(through uint64) error {
-	reserve := through > m.reserved.Load()
+	reserve := through > m.cur.Reserved
 	if reserve {
 		m.stage(recReserve, reserveRecord{Through: through})
 	}
@@ -188,7 +157,8 @@ func (m *Medic) commit(through uint64) error {
 	m.metrics.walCommit.observe(time.Since(start))
 	m.countPersist(err)
 	if err == nil && reserve {
-		m.reserved.Store(through)
+		m.cur.Reserved = through
+		m.publish()
 	}
 	return err
 }
@@ -203,7 +173,7 @@ func (m *Medic) commit(through uint64) error {
 // successor exists to collide with: it is counted, and recovering the network
 // goes ahead.
 func (m *Medic) ensureReserved(epoch uint64) error {
-	if m.cfg.Store == nil || epoch <= m.reserved.Load() {
+	if m.cfg.Store == nil || epoch <= m.cur.Reserved {
 		return nil
 	}
 	if err := m.commit(epoch + reserveBlock - 1); errors.Is(err, store.ErrGuarded) {
@@ -212,19 +182,19 @@ func (m *Medic) ensureReserved(epoch uint64) error {
 	return nil
 }
 
-// commitPass ends a reconcile pass: the absolute reconciled state joins what
-// the pass staged — converged or not, every pass leaves a durable footprint —
-// and all of it is committed at once, topping the reservation up while it is
-// free to.
+// commitPass ends a reconcile pass: the state it just published joins what the
+// pass staged — converged or not, every pass leaves a durable footprint — and
+// all of it is committed at once, topping the reservation up while it is free
+// to.
 func (m *Medic) commitPass() {
 	if m.cfg.Store == nil {
 		return
 	}
-	rec := m.outcomeLocked()
-	m.stage(recOutcome, rec)
+	out := m.pub.Load()
+	m.stage(recOutcome, out)
 	var through uint64
-	if m.reserved.Load() < rec.Epoch+reserveBlock/2 {
-		through = rec.Epoch + reserveBlock
+	if out.Reserved < out.Epoch+reserveBlock/2 {
+		through = out.Epoch + reserveBlock
 	}
 	_ = m.commit(through) // counted; the next pass's outcome is absolute
 }
@@ -235,7 +205,7 @@ func (m *Medic) maybeCheckpoint() {
 	if m.cfg.Store == nil || !m.cfg.Store.NeedsCheckpoint() {
 		return
 	}
-	m.countPersist(m.cfg.Store.Checkpoint(m.durableLocked()))
+	m.countPersist(m.cfg.Store.Checkpoint(m.durable()))
 }
 
 // FlushState checkpoints the full durable state unconditionally — the
@@ -248,33 +218,20 @@ func (m *Medic) FlushState() error {
 	if m.cfg.Store == nil {
 		return nil
 	}
-	m.reserved.Store(m.Epoch())
-	if err := m.cfg.Store.Checkpoint(m.durableLocked()); err != nil {
+	m.cur.Reserved = m.cur.Epoch
+	m.publish()
+	if err := m.cfg.Store.Checkpoint(m.durable()); err != nil {
 		return err
 	}
 	return m.cfg.Store.Sync()
 }
 
-// outcomeLocked snapshots the core state into an outcome record.
-func (m *Medic) outcomeLocked() outcomeRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return outcomeRecord{
-		Epoch:            m.epoch,
-		Failed:           sortedKeys(m.failed),
-		PendingRecovered: append([]int(nil), m.pendingRecovered...),
-		Unreachable:      sortedKeys(m.unreachable),
-		Snap:             m.snap,
-	}
-}
-
-// durableLocked builds the full checkpoint payload: the outcome state, the
-// reservation, and the event-log ring — everything a record still staged
-// could add, which is why Checkpoint may drop those.
-func (m *Medic) durableLocked() durableState {
-	rec := m.outcomeLocked()
-	seq, entries := m.log.state()
-	return durableState{outcomeRecord: rec, Reserved: m.reserved.Load(), LogSeq: seq, LogEntries: entries}
+// durable is the full checkpoint payload: the published state and the
+// event-log ring — everything a record still staged could add, which is why
+// Checkpoint may drop those. Its callers own the state, so the ring holds
+// nothing newer than the state's log position.
+func (m *Medic) durable() durableState {
+	return durableState{state: *m.pub.Load(), LogEntries: m.log.snapshot()}
 }
 
 // ReadStatus loads the durable state in dir read-only — snapshot plus WAL,
@@ -292,24 +249,15 @@ func ReadStatus(dir string) (Status, error) {
 		return Status{}, err
 	}
 	if ds == nil {
-		return newStatus(0, []int{}, nil, snapshot{Converged: true, Ideal: true}), nil
+		ds = &durableState{state: idleState()}
 	}
-	st := newStatus(ds.Epoch, ds.Failed, ds.Unreachable, ds.Snap)
-	st.EpochReserved = ds.Reserved
-	st.Events = ds.LogEntries
-	if len(st.Events) > logSize {
-		st.Events = st.Events[len(st.Events)-logSize:]
-	}
-	return st, nil
+	return ds.status(ds.LogEntries), nil
 }
 
 // countPersist folds one store-write result into the degraded-durability
 // counter.
 func (m *Medic) countPersist(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		m.persistFailures.Add(1)
 	}
-	m.mu.Lock()
-	m.persistFailures++
-	m.mu.Unlock()
 }

@@ -92,18 +92,16 @@ func TestSnapshotReplayRoundTrip(t *testing.T) {
 			dir := t.TempDir()
 			rec := &recorder{}
 			m1, _, events := newStoredMedic(t, dir, rec, 0)
+			var before Status
 			for i, ev := range tc.events {
 				ev.At = time.Now()
 				events <- ev
-				waitStatus(t, m1, func(s Status) bool {
+				before = waitStatus(t, m1, func(s Status) bool {
 					return s.Converged && s.Epoch == uint64(i+1)
 				})
 			}
-			// The daemon dies; the WAL alone carries the state. Its last status
-			// is read after the loop has drained: a status can read converged a
-			// moment before the converged entry is in the log (ROADMAP item 1).
+			// The daemon dies; the WAL alone carries the state.
 			m1.Stop()
-			before := m1.Status()
 
 			m2, _, _ := newStoredMedic(t, dir, &recorder{}, 0)
 			after := m2.Status()
@@ -462,7 +460,7 @@ func TestEventLogRestoreContinuesSeq(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.addf(KindDetect, "entry %d", i)
 	}
-	seq, entries := l.state()
+	seq, entries := l.seq, l.snapshot()
 	if seq != 10 || len(entries) != 4 {
 		t.Fatalf("state = seq %d, %d entries; want 10, 4", seq, len(entries))
 	}

@@ -1,9 +1,11 @@
 package medic
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,7 +63,8 @@ func newEventLog(size int) *eventLog {
 	return &eventLog{entries: make([]LogEntry, size)}
 }
 
-func (l *eventLog) addf(kind Kind, format string, args ...interface{}) {
+// addf appends one entry and returns its sequence number.
+func (l *eventLog) addf(kind Kind, format string, args ...interface{}) uint64 {
 	l.mu.Lock()
 	l.seq++
 	e := LogEntry{Seq: l.seq, At: time.Now(), Kind: kind, Msg: fmt.Sprintf(format, args...)}
@@ -75,6 +78,7 @@ func (l *eventLog) addf(kind Kind, format string, args ...interface{}) {
 	if hook != nil {
 		hook(e)
 	}
+	return e.Seq
 }
 
 // restoreRing reloads the ring from persisted state: the retained entries
@@ -99,15 +103,6 @@ func (l *eventLog) restoreRing(seq uint64, entries []LogEntry) {
 	if n := len(entries); n > 0 && entries[n-1].Seq > l.seq {
 		l.seq = entries[n-1].Seq
 	}
-}
-
-// state snapshots the ring for a checkpoint: the sequence counter and the
-// retained entries, oldest first.
-func (l *eventLog) state() (uint64, []LogEntry) {
-	l.mu.Lock()
-	seq := l.seq
-	l.mu.Unlock()
-	return seq, l.snapshot()
 }
 
 // snapshot returns the retained entries, oldest first.
@@ -190,61 +185,181 @@ type Status struct {
 	Detector []monitor.TargetState `json:"detector,omitempty"`
 }
 
-// newStatus renders the durable core of a Status — what a live daemon holds
-// in memory and a follower replays from the store (ReadStatus): the epoch,
-// the failure set, the unreachable switches, and the last reconciled snapshot.
-func newStatus(epoch uint64, failed []int, unreachable []topo.NodeID, snap snapshot) Status {
-	return Status{
-		Now:            time.Now(),
-		Epoch:          epoch,
-		Failed:         failed,
-		Unreachable:    unreachable,
-		Ideal:          snap.Ideal,
-		Converged:      snap.Converged,
-		Case:           snap.Label,
-		Restores:       snap.Restores,
-		MinProg:        snap.MinProg,
-		TotalProg:      snap.TotalProg,
-		RecoveredFlows: snap.RecoveredFlows,
-		OfflineFlows:   snap.OfflineFlows,
-		PushRounds:     snap.PushRounds,
-		FlowModsAcked:  snap.FlowModsAcked,
-		Mapping:        snap.Mapping,
-		FlowProg:       snap.FlowProg,
+// state is everything the daemon knows: what the reconcile loop owns and works
+// on, what it publishes for every reader, what a pass journals as its outcome
+// record, and (with the log ring beside it, durableState) what a checkpoint
+// holds and a replay returns. One value, so that what an observer or a
+// successor finds is one point in the daemon's history and never half of a
+// transition.
+type state struct {
+	// Epoch counts applied event batches; 0 = nothing ever detected.
+	Epoch uint64 `json:"epoch"`
+	// Failed is the controller set currently believed down, ascending, never
+	// nil.
+	Failed []int `json:"failed"`
+	// PendingRecovered are controllers whose return has been detected but
+	// whose domains have not been restored yet.
+	PendingRecovered []int `json:"pending_recovered,omitempty"`
+	// Unreachable accumulates, ascending, the switches demoted by pushes in
+	// this failure episode; cleared when the failure set empties.
+	Unreachable []topo.NodeID `json:"unreachable,omitempty"`
+	Snap        snapshot      `json:"snap"`
+	// Reserved is the highest epoch the store durably holds for this medic:
+	// the only epochs it signs (ensureReserved), and what a successor resumes
+	// above. Always 0 without a store, and absent from state written before
+	// epochs were reserved, which signed nothing above Epoch.
+	Reserved uint64 `json:"reserved,omitempty"`
+	// LogSeq is the last event-log entry stamped when the state was as it
+	// reads here: the entries up to it, and no others, belong to the state.
+	LogSeq uint64 `json:"log_seq"`
+}
+
+// snapshot is the outcome of the last reconcile pass, as Status reports it.
+type snapshot struct {
+	Converged bool   `json:"converged"`
+	Ideal     bool   `json:"ideal"`
+	Label     string `json:"label,omitempty"`
+	Restores  int    `json:"restores"`
+
+	MinProg        int `json:"min_prog"`
+	TotalProg      int `json:"total_prog"`
+	RecoveredFlows int `json:"recovered_flows"`
+	OfflineFlows   int `json:"offline_flows"`
+	PushRounds     int `json:"push_rounds,omitempty"`
+	FlowModsAcked  int `json:"flow_mods_acked,omitempty"`
+
+	Mapping  []MappingEntry `json:"mapping,omitempty"`
+	FlowProg []FlowProg     `json:"flow_prog,omitempty"`
+
+	UpdatedAt time.Time `json:"updated_at"`
+}
+
+// idleState is the ideal steady state of a daemon that has seen nothing.
+func idleState() state {
+	return state{Failed: []int{}, Snap: snapshot{Converged: true, Ideal: true, UpdatedAt: time.Now()}}
+}
+
+// detect folds one detector event into the failure set, live (apply) or
+// replayed from its record: a controller that returns from the set awaits its
+// fail-back, one that was never in it is ignored.
+func (s *state) detect(failed, recovered []int) {
+	for _, j := range failed {
+		s.Failed = setAdd(s.Failed, j)
+	}
+	for _, j := range recovered {
+		var wasDown bool
+		if s.Failed, wasDown = setDel(s.Failed, j); wasDown {
+			s.PendingRecovered = append(s.PendingRecovered, j)
+		}
 	}
 }
 
-// Status snapshots the medic's reconciled state. Detector is left empty;
-// Handler fills it from the monitor.
+// setAdd and setDel keep a small ascending slice as a set, the form the
+// failure set and the unreachable set have in plans, records and statuses.
+// setDel reports whether the member was there.
+func setAdd[T cmp.Ordered](set []T, v T) []T {
+	i, found := slices.BinarySearch(set, v)
+	if found {
+		return set
+	}
+	return slices.Insert(set, i, v)
+}
+
+func setDel[T cmp.Ordered](set []T, v T) ([]T, bool) {
+	i, found := slices.BinarySearch(set, v)
+	if !found {
+		return set, false
+	}
+	return slices.Delete(set, i, i+1), true
+}
+
+// publish makes the state as the loop holds it now the one everybody else
+// sees, in one store. A pass publishes twice: apply, once the detect entry is
+// stamped (epoch N shown means N's detect entry is shown), and reconcile's
+// tail, once the entry that ends the pass is (converged, ideal, mapping, case,
+// metrics and unreachable set are all that pass's, and its converged or
+// failback entry is shown). Between the two nothing the pass does is visible.
+// Outside a pass only the reservation moves, and commit publishes that. The
+// copy shares the snapshot's mapping and flow tables with the loop, which
+// replaces those and never writes into them; the sets it edits in place are
+// cloned.
+func (m *Medic) publish() {
+	s := m.cur
+	s.Failed = slices.Clone(s.Failed)
+	s.PendingRecovered = slices.Clone(s.PendingRecovered)
+	s.Unreachable = slices.Clone(s.Unreachable)
+	m.pub.Store(&s)
+}
+
+// status renders a state and, of the log it is handed, the entries that belong
+// to it (the newest logSize of them) — the one way a Status comes about,
+// whether the state is the one a live daemon published or the one a follower
+// replayed from the store. Entries stamped since the state was published are
+// left out: they are the first half of a transition whose second half the
+// state does not show yet.
+func (s *state) status(events []LogEntry) Status {
+	for len(events) > 0 && events[len(events)-1].Seq > s.LogSeq {
+		events = events[:len(events)-1]
+	}
+	if len(events) > logSize {
+		events = events[len(events)-logSize:]
+	}
+	return Status{
+		Now:            time.Now(),
+		Epoch:          s.Epoch,
+		EpochReserved:  s.Reserved,
+		Failed:         s.Failed,
+		Unreachable:    s.Unreachable,
+		Ideal:          s.Snap.Ideal,
+		Converged:      s.Snap.Converged,
+		Case:           s.Snap.Label,
+		Restores:       s.Snap.Restores,
+		MinProg:        s.Snap.MinProg,
+		TotalProg:      s.Snap.TotalProg,
+		RecoveredFlows: s.Snap.RecoveredFlows,
+		OfflineFlows:   s.Snap.OfflineFlows,
+		PushRounds:     s.Snap.PushRounds,
+		FlowModsAcked:  s.Snap.FlowModsAcked,
+		Mapping:        s.Snap.Mapping,
+		FlowProg:       s.Snap.FlowProg,
+		Events:         events,
+	}
+}
+
+// Status is the published state plus what only a live daemon has: identity,
+// standby sessions, the network's ownership, the count of failed store
+// writes. The state is read before the ring, so the ring holds every entry the
+// state was published after. Detector is left empty; the daemon's status
+// source fills it from the monitor.
 func (m *Medic) Status() Status {
-	m.mu.Lock()
-	st := newStatus(m.epoch, sortedKeys(m.failed), sortedKeys(m.unreachable), m.snap)
-	st.Replica, st.Role, st.Term = m.cfg.ReplicaID, m.role, m.term
-	st.PersistFailures = m.persistFailures
-	m.mu.Unlock()
-	st.EpochReserved = m.reserved.Load()
+	s := m.pub.Load()
+	st := s.status(m.log.snapshot())
+	st.Replica = m.cfg.ReplicaID
+	if role := m.role.Load(); role != nil {
+		st.Role, st.Term = role.name, role.term
+	}
+	st.PersistFailures = m.persistFailures.Load()
 	st.Sessions = m.sessions.Stats()
 	if m.cfg.Net != nil {
 		st.NetworkMapping = m.cfg.Net.MappingSnapshot()
 	}
-	st.Events = m.log.snapshot()
 	return st
 }
 
-// Handler serves the daemon's HTTP surface:
+// Handler serves the daemon's HTTP surface over a status source — a leader's
+// Medic.Status with the detector's view added, a follower's ReadStatus of the
+// shared directory — and a metrics registry (a follower's is an empty one):
 //
-//	GET /status  — the full Status JSON (detector state included when a
-//	               monitor is attached)
-//	GET /metrics — the daemon's metrics in Prometheus text format
+//	GET /status  — the source's Status as JSON, or 500 with its error
+//	GET /metrics — the registry in Prometheus text format
 //	GET /healthz — liveness of the daemon process itself
-//
-// mon may be nil.
-func Handler(m *Medic, mon *monitor.Monitor) http.Handler {
+func Handler(status func() (Status, error), metrics *Metrics) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		st := m.Status()
-		if mon != nil {
-			st.Detector = mon.State()
+		st, err := status()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -253,7 +368,7 @@ func Handler(m *Medic, mon *monitor.Monitor) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = m.metrics.WriteTo(w)
+		_, _ = metrics.WriteTo(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = fmt.Fprintln(w, "ok")

@@ -151,45 +151,7 @@ func Optimal(sc *Scenario, opts OptimalOptions) (*Result, error) {
 // Algorithms returns the paper's four comparators, ready for Sweep.
 // optimalBudget bounds each exact solve; zero selects the default.
 func Algorithms(optimalBudget time.Duration) []Algorithm {
-	algs := []Algorithm{
-		{Name: "PM", Run: func(sc *Scenario) (*Solution, error) {
-			return core.PM(sc.Problem)
-		}},
-		{Name: "RetroFlow", Run: func(sc *Scenario) (*Solution, error) {
-			return core.RetroFlow(sc.Problem)
-		}},
-		{Name: "PG", Run: func(sc *Scenario) (*Solution, error) {
-			return core.PG(sc.Problem)
-		}},
-		{
-			Name: "Optimal",
-			Run: func(sc *Scenario) (*Solution, error) {
-				warm, err := core.PM(sc.Problem)
-				if err != nil {
-					warm = nil
-				}
-				return solveOptimal(sc, optimalBudget, warm)
-			},
-			// Sweeps seed the branch & bound incumbent from the PM solution
-			// the harness already computed for the case.
-			RunSeeded: func(sc *Scenario, prior map[string]*Solution) (*Solution, error) {
-				warm := prior["PM"]
-				if warm == nil {
-					warm, _ = core.PM(sc.Problem)
-				}
-				return solveOptimal(sc, optimalBudget, warm)
-			},
-		},
-	}
-	return algs
-}
-
-func solveOptimal(sc *Scenario, budget time.Duration, warm *Solution) (*Solution, error) {
-	sol, err := opt.Solve(sc.Problem, opt.Options{TimeLimit: budget, Warm: warm})
-	if errors.Is(err, opt.ErrNoSolution) {
-		return nil, fmt.Errorf("%w: %v", ErrNoResult, err)
-	}
-	return sol, err
+	return eval.Comparators(0, optimalBudget, 0, false)
 }
 
 // Sweep runs the given algorithms over every failure combination of size k
