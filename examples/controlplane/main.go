@@ -50,7 +50,7 @@ func run(dryRun bool) error {
 		if sw != 13 {
 			continue
 		}
-		for _, k := range sc.Problem.PairsAtSwitch(i) {
+		for k, hi := sc.Problem.SwitchRun(i); k < hi; k++ {
 			if !res.Solution.Active[k] {
 				continue
 			}

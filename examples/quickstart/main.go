@@ -78,7 +78,7 @@ func run(dryRun bool) error {
 		}
 		site := dep.Controllers[sc.Active[jj]].Site
 		sdn := 0
-		for _, k := range sc.Problem.PairsAtSwitch(i) {
+		for k, hi := sc.Problem.SwitchRun(i); k < hi; k++ {
 			if pm.Solution.Active[k] {
 				sdn++
 			}

@@ -39,7 +39,7 @@ type aggState struct {
 	classHead []int32 // head of each class's group list, -1 when empty
 
 	// swClasses CSR: for each switch, the (class, bit) template pairs located
-	// there — the aggregated counterpart of Problem.PairsAtSwitch.
+	// there — the aggregated counterpart of a switch's run of Pairs.
 	swClassOff []int32
 	swClass    []int32 // class IDs
 	swBit      []int32 // template bit within the class

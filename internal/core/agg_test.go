@@ -178,11 +178,55 @@ func checkAggEquivalence(t *testing.T, tag string, p *core.Problem) *core.Soluti
 	return pmFlat
 }
 
-// TestClassIndexMatchesReference pins the hash-grouped class index against
-// the sort-based reference on the same adversarial problems (duplicated,
-// unique and empty signatures). The second pass hands both a constant hash:
-// every flow then collides with every class, and only the exact signature
-// compare on a hash match keeps the classes apart.
+// flowMajorProblem hand-builds a problem whose Pairs are listed flow by flow,
+// the order Finalize has to turn switch-major itself: numFlows flows over 80
+// switches, half of them sharing 64 signatures and the rest spread over a pool
+// of thousands, with flow 0 given pairs at its first flow0Pairs switches.
+func flowMajorProblem(rng *rand.Rand, numFlows, flow0Pairs int) *core.Problem {
+	const numSwitches = 80
+	type sigPair struct{ sw, pbar int }
+	pool := make([][]sigPair, 1<<12)
+	for s := range pool {
+		for i := 0; i < numSwitches; i++ {
+			if rng.Intn(20) == 0 {
+				pool[s] = append(pool[s], sigPair{i, 2 + rng.Intn(3)})
+			}
+		}
+	}
+	p := &core.Problem{
+		NumSwitches:    numSwitches,
+		NumControllers: 2,
+		NumFlows:       numFlows,
+		Rest:           []int{numFlows, numFlows / 2},
+		Gamma:          make([]int, numSwitches),
+		Delay:          make([][]float64, numSwitches),
+	}
+	for i := range p.Delay {
+		p.Gamma[i] = numFlows
+		p.Delay[i] = []float64{float64(1 + i%3), float64(3 - i%3)}
+	}
+	for i := 0; i < flow0Pairs; i++ {
+		p.Pairs = append(p.Pairs, core.Pair{Switch: i, Flow: 0, PBar: 2 + i%2})
+	}
+	for l := 1; l < numFlows; l++ {
+		sig := pool[rng.Intn(64)]
+		if l%2 == 0 {
+			sig = pool[rng.Intn(len(pool))]
+		}
+		for _, sp := range sig {
+			p.Pairs = append(p.Pairs, core.Pair{Switch: sp.sw, Flow: l, PBar: sp.pbar})
+		}
+	}
+	return p
+}
+
+// TestClassIndexMatchesReference pins the refined class index against the
+// sort-based reference, up to the numbering of the classes, on the adversarial
+// random problems (duplicated, unique and empty signatures), on hand-built
+// flow-major problems Finalize has to reorder first — one with a 64-pair flow,
+// the most a class can hold, one with a 65-pair flow, which leaves the problem
+// without an index and PM on its per-flow path — and on a 1000-node scale-syn
+// case.
 func TestClassIndexMatchesReference(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -193,14 +237,54 @@ func TestClassIndexMatchesReference(t *testing.T) {
 		if len(p.Pairs) == 0 {
 			continue
 		}
+		if it%4 == 0 {
+			// Pairless flows: the empty signature is a class like any other.
+			p.NumFlows += 3
+		}
 		if err := p.Finalize(); err != nil {
 			t.Fatalf("iter %d: finalize: %v", it, err)
 		}
-		for _, constantHash := range []bool{false, true} {
-			if err := core.ClassIndexVsReference(p, constantHash); err != nil {
-				t.Fatalf("iter %d (constant hash %v): %v", it, constantHash, err)
-			}
+		if err := core.ClassIndexVsReference(p); err != nil {
+			t.Fatalf("iter %d: %v", it, err)
 		}
+	}
+
+	for _, flow0Pairs := range []int{64, 65} {
+		p := flowMajorProblem(rand.New(rand.NewSource(17)), core.AggMinFlows, flow0Pairs)
+		if err := p.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		p.BudgetMs = p.IdealDelayBudget()
+		if err := core.ClassIndexVsReference(p); err != nil {
+			t.Fatalf("flow-major, %d-pair flow: %v", flow0Pairs, err)
+		}
+		if usable := core.NumClasses(p) > 0; usable != (flow0Pairs <= 64) {
+			t.Fatalf("flow-major, %d-pair flow: index usable = %v", flow0Pairs, usable)
+		}
+		if flow0Pairs <= 64 {
+			checkAggEquivalence(t, t.Name()+"/flow-major", p)
+			continue
+		}
+		pm, err := core.PM(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := core.PMFlat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSolution(t, t.Name()+"/65-pair flow", flat, pm)
+	}
+
+	if testing.Short() {
+		return
+	}
+	inst, err := scaleSynContext(t, 1000, 50, 8).Build([]int{13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.ClassIndexVsReference(inst.Problem); err != nil {
+		t.Fatalf("scale-syn %s: %v", inst.Label(), err)
 	}
 }
 
@@ -235,7 +319,7 @@ func TestAggMatchesFlatRandom(t *testing.T) {
 		}
 		sol := checkAggEquivalence(t, t.Name()+"/hub", p)
 		active := 0
-		for _, k := range p.PairsAtSwitch(0) {
+		for k, hi := p.SwitchRun(0); k < hi; k++ {
 			if sol.Active[k] {
 				active++
 			}

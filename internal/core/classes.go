@@ -1,10 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // classIndex partitions a finalized Problem's flows into equivalence classes:
 // two flows are equivalent when their eligible-pair signatures — the sequence
@@ -18,7 +14,7 @@ import (
 // ~10³–10⁴ distinct signatures a carrier-scale failure case actually has.
 //
 // Every problem — a compiled case, a region slice, a residual — is indexed by
-// this one routine, lazily, on its own flows.
+// one routine (refineClasses), lazily, on its own flows.
 //
 // Bit t of a class refers to template pair t; for member flow l the concrete
 // pair index is flowPairs[flowPairOff[l]+t] (a flow's pairs are stored
@@ -53,184 +49,121 @@ var classIndexUnusable = &classIndex{numClasses: -1}
 // every current caller solves a Problem from a single goroutine at a time
 // (the sweep engine and the hierarchical solve parallelize across Problems,
 // not within one).
-//
-// Building the index is linear in the pairs: one FNV fold per flow, one
-// hash-table probe per flow (groupBySignature), and a comparison sort over
-// the classes only. Its throwaway arrays come from scratchPool; what the
-// classIndex retains is freshly allocated.
 func (p *Problem) classIndexOf() *classIndex {
-	if p.classes != nil {
-		if p.classes.numClasses < 0 {
-			return nil
-		}
-		return p.classes
+	if p.classes == nil {
+		p.classes = refineClasses(p)
 	}
-	sc := scratchPool.Get().(*solverScratch)
-	defer scratchPool.Put(sc)
-	hash := growSlice(&sc.sigHash, p.NumFlows)
-	if !p.foldSignatures(hash) {
-		p.classes = classIndexUnusable
+	if p.classes.numClasses < 0 {
 		return nil
 	}
-	p.classes = groupBySignature(p, hash, sc)
 	return p.classes
 }
 
-// foldSignatures sets hash[l] to the FNV fold of flow l's signature. It stops
-// and reports false at a flow with more than maxClassPairs pairs.
-func (p *Problem) foldSignatures(hash []uint64) bool {
-	for l := range hash {
-		ks := p.PairsOfFlow(l)
-		if len(ks) > maxClassPairs {
-			return false
-		}
-		h := sigHashSeed
-		for _, k := range ks {
-			h = sigHashFold(h, p.Pairs[k].Switch, p.Pairs[k].PBar)
-		}
-		hash[l] = h
-	}
-	return true
+// refineNode is one node of refineClasses' tree: the class of the flows that
+// have met exactly the (switch, p̄) sequence spelled by the path from the root
+// down to it.
+type refineNode struct {
+	parent, sw, pbar int32
+	depth            int32 // pairs on the path, the template length
+	// The node's children made at switch kidsAt: kid first, then along
+	// sibling, oldest first. Children made at earlier switches are never
+	// looked up again.
+	kidsAt, kid, sibling int32
+	count                int32 // flows ending here; later the fill cursor
+	class                int32 // final class ID, for nodes where flows end
 }
 
-// minClassTable is groupBySignature's initial table size (a power of two);
-// the table doubles whenever the classes fill half of it.
-const minClassTable = 1 << 10
-
-// groupBySignature partitions p's flows into classes of equal signature,
-// given hash[l] = some function of flow l's signature (classIndexOf passes
-// the FNV fold; any function of the signature, even a constant, yields the
-// same partition, only slower). Classes come out ordered by (hash,
-// signature) and members by ascending flow ID.
+// refineClasses builds p's class index by partition refinement over the
+// switch runs of Pairs. All flows start in one class, the empty signature.
+// Each run, read once in order, moves every flow it names from its class to
+// that class's child for (this switch, the pair's p̄), made on first use. A
+// flow's class is thereby a function of the (switch, p̄) sequence it has met
+// and of nothing else, so two flows share a class at the end iff their
+// signatures are equal: the grouping is exact with no signature ever hashed or
+// compared. The classes are the nodes flows end in, numbered in order of
+// creation; a class's template is the path down to its node.
 //
-// Flows are grouped through an open-addressing table keyed on the hash whose
-// slots name provisional classes in first-seen order. A hash match is
-// confirmed by comparing the flow's (switch, p̄) sequence against the class
-// representative's, so collisions cost a probe and never merge two classes.
-// Only the class representatives are then sorted — 10³–10⁴ of them where the
-// flows number 10⁵–10⁶ — and one counting pass in ascending flow order fills
-// members and renumbers classOf.
-func groupBySignature(p *Problem, hash []uint64, sc *solverScratch) *classIndex {
+// The cost is one sequential pass over Pairs with a random access into
+// classOf and the (few thousand) nodes per pair, then two passes over the
+// flows. The nodes are pooled scratch; what the classIndex retains is freshly
+// allocated. It returns classIndexUnusable at the first flow to exceed
+// maxClassPairs pairs.
+func refineClasses(p *Problem) *classIndex {
 	L := p.NumFlows
 	ci := &classIndex{classOf: make([]int32, L), members: make([]int32, L)}
-
-	// rep[c] is provisional class c's first (lowest-ID) member, count[c] its
-	// size; a table slot holds c+1, 0 meaning empty.
-	rep, count := sc.classRep[:0], sc.classCount[:0]
-	table := growSlice(&sc.classTable, minClassTable)
-	clear(table)
-	shift := 64 - bits.TrailingZeros(uint(len(table)))
-	for l := 0; l < L; l++ {
-		h := hash[l]
-		slot := tableSlot(h, shift)
-		c := table[slot] - 1
-		for c >= 0 && (hash[rep[c]] != h || p.compareSignatures(rep[c], int32(l)) != 0) {
-			slot = (slot + 1) & (len(table) - 1)
-			c = table[slot] - 1
-		}
-		if c < 0 {
-			c = int32(len(rep))
-			rep, count = append(rep, int32(l)), append(count, 0)
-			table[slot] = c + 1
-			if 2*len(rep) > len(table) {
-				table = growSlice(&sc.classTable, 2*len(table))
-				clear(table)
-				shift--
-				for rc, r := range rep {
-					slot := tableSlot(hash[r], shift)
-					for table[slot] != 0 {
-						slot = (slot + 1) & (len(table) - 1)
-					}
-					table[slot] = int32(rc) + 1
+	classOf := ci.classOf
+	sc := scratchPool.Get().(*solverScratch)
+	nodes := append(sc.refine[:0], refineNode{parent: -1, kidsAt: -1})
+	defer func() {
+		sc.refine = nodes
+		scratchPool.Put(sc)
+	}()
+	for i := int32(0); i < int32(p.NumSwitches); i++ {
+		for _, pr := range p.Pairs[p.swPairOff[i]:p.swPairOff[i+1]] {
+			from := classOf[pr.Flow]
+			to, last := int32(-1), int32(-1)
+			if nodes[from].kidsAt == i {
+				for to = nodes[from].kid; to >= 0 && nodes[to].pbar != int32(pr.PBar); to = nodes[to].sibling {
+					last = to
 				}
 			}
+			if to < 0 {
+				if nodes[from].depth == maxClassPairs {
+					return classIndexUnusable
+				}
+				to = int32(len(nodes))
+				nodes = append(nodes, refineNode{
+					parent: from, sw: i, pbar: int32(pr.PBar), depth: nodes[from].depth + 1,
+					kidsAt: -1, sibling: -1,
+				})
+				if last >= 0 {
+					nodes[last].sibling = to
+				} else {
+					nodes[from].kidsAt, nodes[from].kid = i, to
+				}
+			}
+			classOf[pr.Flow] = to
 		}
-		ci.classOf[l] = c
-		count[c]++
 	}
-	nc := len(rep)
-	ci.numClasses = nc
 
-	// Final class order: representatives by (hash, signature). classOf still
-	// holds provisional IDs, which is how a sorted representative finds its
-	// count; rank maps provisional to final.
-	p.sortBySignature(rep, hash)
-	rank := growSlice(&sc.classRank, nc)
-	ci.memberOff = make([]int32, nc+1)
-	ci.tmplOff = make([]int32, nc+1)
-	for c, r := range rep {
-		ci.tmplOff[c+1] = ci.tmplOff[c] + int32(len(p.PairsOfFlow(int(r))))
+	// Number the nodes flows ended in, lay out their members and templates,
+	// and spell each template bottom-up along the parent chain.
+	for _, n := range classOf {
+		nodes[n].count++
 	}
-	tmpl := make([]int32, 2*ci.tmplOff[nc])
-	ci.tmplSwitch, ci.tmplPBar = tmpl[:ci.tmplOff[nc]:ci.tmplOff[nc]], tmpl[ci.tmplOff[nc]:]
-	for c, r := range rep {
-		prov := ci.classOf[r]
-		rank[prov] = int32(c)
-		ci.memberOff[c+1] = ci.memberOff[c] + count[prov]
-		count[prov] = ci.memberOff[c] // from here on the class's fill cursor
-		for t, k := range p.PairsOfFlow(int(r)) {
-			ci.tmplSwitch[int(ci.tmplOff[c])+t] = int32(p.Pairs[k].Switch)
-			ci.tmplPBar[int(ci.tmplOff[c])+t] = int32(p.Pairs[k].PBar)
+	var tmplLen int32
+	for n := range nodes {
+		if nodes[n].count > 0 {
+			nodes[n].class = int32(ci.numClasses)
+			ci.numClasses++
+			tmplLen += nodes[n].depth
 		}
 	}
-	for l := range ci.classOf {
-		prov := ci.classOf[l]
-		ci.members[count[prov]] = int32(l)
-		count[prov]++
-		ci.classOf[l] = rank[prov]
+	ci.memberOff = make([]int32, ci.numClasses+1)
+	ci.tmplOff = make([]int32, ci.numClasses+1)
+	tmpl := make([]int32, 2*tmplLen)
+	ci.tmplSwitch, ci.tmplPBar = tmpl[:tmplLen:tmplLen], tmpl[tmplLen:]
+	for n := range nodes {
+		nd := &nodes[n]
+		if nd.count == 0 {
+			continue
+		}
+		c := nd.class
+		ci.memberOff[c+1] = ci.memberOff[c] + nd.count
+		ci.tmplOff[c+1] = ci.tmplOff[c] + nd.depth
+		nd.count = ci.memberOff[c]
+		for t, a := ci.tmplOff[c+1]-1, nd; t >= ci.tmplOff[c]; t, a = t-1, &nodes[a.parent] {
+			ci.tmplSwitch[t], ci.tmplPBar[t] = a.sw, a.pbar
+		}
 	}
-	sc.classRep, sc.classCount = rep, count
+	// Ascending flow order keeps every class's members ascending.
+	for l, n := range classOf {
+		nd := &nodes[n]
+		ci.members[nd.count] = int32(l)
+		nd.count++
+		classOf[l] = nd.class
+	}
 	return ci
-}
-
-// tableSlot is Fibonacci hashing: the top bits of h times 2⁶⁴/φ, so the slot
-// does not hinge on the low bits FNV mixes least.
-func tableSlot(h uint64, shift int) int {
-	return int((h * 0x9E3779B97F4A7C15) >> shift)
-}
-
-// compareSignatures orders flows a and b by signature: length first, then
-// pairwise (switch, p̄) in stored order. Zero means the same class.
-func (p *Problem) compareSignatures(a, b int32) int {
-	ka, kb := p.PairsOfFlow(int(a)), p.PairsOfFlow(int(b))
-	if len(ka) != len(kb) {
-		return len(ka) - len(kb)
-	}
-	for t := range ka {
-		pa, pb := &p.Pairs[ka[t]], &p.Pairs[kb[t]]
-		if pa.Switch != pb.Switch {
-			return pa.Switch - pb.Switch
-		}
-		if pa.PBar != pb.PBar {
-			return pa.PBar - pb.PBar
-		}
-	}
-	return 0
-}
-
-// sigHashSeed and sigHashFold are the FNV-1a fold of a signature's (switch,
-// p̄) sequence.
-const sigHashSeed = uint64(1469598103934665603)
-
-func sigHashFold(h uint64, sw, pbar int) uint64 {
-	h = (h ^ uint64(sw)) * 1099511628211
-	return (h ^ uint64(pbar)) * 1099511628211
-}
-
-// sortBySignature orders flow IDs by (signature hash, signature, ID). The
-// hash front-loads almost every comparison into one integer compare;
-// compareSignatures, the full lexicographic compare, only breaks the rare
-// collisions, keeping the grouping exact.
-func (p *Problem) sortBySignature(order []int32, hash []uint64) {
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(hash[a], hash[b]); c != 0 {
-			return c
-		}
-		if c := p.compareSignatures(a, b); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
 }
 
 // ClassCount returns the number of flow equivalence classes of a finalized

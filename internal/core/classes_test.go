@@ -2,21 +2,48 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
-	"testing"
+	"slices"
 )
 
-// referenceClassIndex is the grouping classIndexOf used before it hashed:
-// sort every flow ID by (hash, signature, flow ID) and cut runs of equal
-// signatures. It is the oracle groupBySignature must match field for field.
-func referenceClassIndex(p *Problem, hash []uint64) *classIndex {
+// compareSignatures orders flows a and b by signature: length first, then
+// pairwise (switch, p̄) in stored order. Zero means the same class.
+func (p *Problem) compareSignatures(a, b int32) int {
+	ka, kb := p.PairsOfFlow(int(a)), p.PairsOfFlow(int(b))
+	if len(ka) != len(kb) {
+		return len(ka) - len(kb)
+	}
+	for t := range ka {
+		pa, pb := &p.Pairs[ka[t]], &p.Pairs[kb[t]]
+		if pa.Switch != pb.Switch {
+			return pa.Switch - pb.Switch
+		}
+		if pa.PBar != pb.PBar {
+			return pa.PBar - pb.PBar
+		}
+	}
+	return 0
+}
+
+// referenceClassIndex is the grouping classIndexOf used before it refined:
+// sort every flow ID by (signature, flow ID) and cut runs of equal
+// signatures. It is the oracle refineClasses must match up to the numbering
+// of the classes. It returns nil when some flow has more than maxClassPairs
+// pairs.
+func referenceClassIndex(p *Problem) *classIndex {
 	L := p.NumFlows
 	order := make([]int32, L)
 	for l := range order {
+		if len(p.PairsOfFlow(l)) > maxClassPairs {
+			return nil
+		}
 		order[l] = int32(l)
 	}
-	p.sortBySignature(order, hash)
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := p.compareSignatures(a, b); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
 
 	ci := &classIndex{
 		classOf:   make([]int32, L),
@@ -26,7 +53,7 @@ func referenceClassIndex(p *Problem, hash []uint64) *classIndex {
 	}
 	for idx := 0; idx < L; {
 		run := idx + 1
-		for run < L && hash[order[run]] == hash[order[idx]] && p.compareSignatures(order[run], order[idx]) == 0 {
+		for run < L && p.compareSignatures(order[run], order[idx]) == 0 {
 			run++
 		}
 		c := int32(ci.numClasses)
@@ -45,86 +72,69 @@ func referenceClassIndex(p *Problem, hash []uint64) *classIndex {
 	return ci
 }
 
-// normalizeClassIndex maps empty-but-non-nil and nil slices to a comparable
-// shape (append on an empty template leaves nil in one path, empty in the
-// other).
-func normalizeClassIndex(ci *classIndex) *classIndex {
-	out := &classIndex{numClasses: ci.numClasses}
-	out.classOf = append([]int32{}, ci.classOf...)
-	out.members = append([]int32{}, ci.members...)
-	out.memberOff = append([]int32{}, ci.memberOff...)
-	out.tmplSwitch = append([]int32{}, ci.tmplSwitch...)
-	out.tmplPBar = append([]int32{}, ci.tmplPBar...)
-	out.tmplOff = append([]int32{}, ci.tmplOff...)
-	return out
-}
-
-// classIndexVsReference groups p's flows both ways over the same hash slice —
-// the real signature fold, or one constant so that every flow collides and
-// only the exact signature compare separates classes — and reports the first
-// difference.
-func classIndexVsReference(p *Problem, constantHash bool) error {
-	hash := make([]uint64, p.NumFlows)
-	if !constantHash && !p.foldSignatures(hash) {
-		return fmt.Errorf("problem not aggregable")
+// classIndexVsReference builds p's class index afresh and checks it against
+// the sort-based reference up to class renumbering: the same partition of the
+// flows, every class's template equal to each member's literal (switch, p̄)
+// sequence, members ascending within a class, memberOff and tmplOff
+// consistent. A problem the reference cannot index must have no index.
+func classIndexVsReference(p *Problem) error {
+	p.classes = nil
+	got, want := p.classIndexOf(), referenceClassIndex(p)
+	if want == nil || got == nil {
+		if want != nil || got != nil {
+			return fmt.Errorf("index usable: got %v, reference %v", got != nil, want != nil)
+		}
+		return nil
 	}
-	sc := scratchPool.Get().(*solverScratch)
-	defer scratchPool.Put(sc)
-	got := groupBySignature(p, hash, sc)
-	want := referenceClassIndex(p, hash)
-	if !reflect.DeepEqual(normalizeClassIndex(want), normalizeClassIndex(got)) {
-		return fmt.Errorf("class index differs from the sort-based reference:\nwant: %+v\ngot:  %+v", want, got)
+	nc, L := got.numClasses, p.NumFlows
+	if nc != want.numClasses {
+		return fmt.Errorf("%d classes, reference has %d", nc, want.numClasses)
 	}
-	return nil
-}
-
-// TestClassIndexGrowsTable runs the oracle on a problem big and diverse
-// enough (2¹⁷ flows, tens of thousands of classes, fat and singleton) that the
-// grouping table doubles several times from minClassTable, rehashing the
-// representatives each time.
-func TestClassIndexGrowsTable(t *testing.T) {
-	const (
-		numFlows    = 1 << 17
-		numSwitches = 48
-	)
-	rng := rand.New(rand.NewSource(17))
-	type sigPair struct{ sw, pbar int }
-	pool := make([][]sigPair, 1<<15)
-	for s := range pool {
-		for i := 0; i < numSwitches; i++ {
-			if rng.Intn(12) == 0 {
-				pool[s] = append(pool[s], sigPair{i, 2 + rng.Intn(3)})
+	if len(got.classOf) != L || len(got.members) != L || len(got.memberOff) != nc+1 || len(got.tmplOff) != nc+1 {
+		return fmt.Errorf("lengths: classOf %d members %d (L=%d), memberOff %d tmplOff %d (classes %d)",
+			len(got.classOf), len(got.members), L, len(got.memberOff), len(got.tmplOff), nc)
+	}
+	if got.memberOff[0] != 0 || int(got.memberOff[nc]) != L || got.tmplOff[0] != 0 ||
+		int(got.tmplOff[nc]) != len(got.tmplSwitch) || len(got.tmplSwitch) != len(got.tmplPBar) {
+		return fmt.Errorf("offset ends: memberOff %d..%d (L=%d), tmplOff %d..%d (templates %d/%d)",
+			got.memberOff[0], got.memberOff[nc], L, got.tmplOff[0], got.tmplOff[nc], len(got.tmplSwitch), len(got.tmplPBar))
+	}
+	// toWant maps each class to the reference class of its first member; the
+	// map must be one to one for the partitions to be the same.
+	toWant := make([]int32, nc)
+	taken := make([]bool, nc)
+	for c := int32(0); c < int32(nc); c++ {
+		members := got.members[got.memberOff[c]:got.memberOff[c+1]]
+		if len(members) == 0 {
+			return fmt.Errorf("class %d is empty", c)
+		}
+		toWant[c] = want.classOf[members[0]]
+		if taken[toWant[c]] {
+			return fmt.Errorf("class %d and an earlier one both hold members of reference class %d", c, toWant[c])
+		}
+		taken[toWant[c]] = true
+		sw, pbar := got.template(c)
+		for m, l := range members {
+			if m > 0 && members[m-1] >= l {
+				return fmt.Errorf("class %d: members not ascending at %d: %d then %d", c, m, members[m-1], l)
+			}
+			if got.classOf[l] != c {
+				return fmt.Errorf("flow %d listed under class %d but classOf says %d", l, c, got.classOf[l])
+			}
+			if want.classOf[l] != toWant[c] {
+				return fmt.Errorf("flows %d and %d share class %d but not a reference class", members[0], l, c)
+			}
+			ks := p.PairsOfFlow(int(l))
+			if len(ks) != len(sw) {
+				return fmt.Errorf("class %d: template has %d pairs, member %d has %d", c, len(sw), l, len(ks))
+			}
+			for t, k := range ks {
+				if int(sw[t]) != p.Pairs[k].Switch || int(pbar[t]) != p.Pairs[k].PBar {
+					return fmt.Errorf("class %d bit %d: template (%d, %d), member %d has (%d, %d)",
+						c, t, sw[t], pbar[t], l, p.Pairs[k].Switch, p.Pairs[k].PBar)
+				}
 			}
 		}
 	}
-	p := &Problem{
-		NumSwitches:    numSwitches,
-		NumControllers: 1,
-		NumFlows:       numFlows,
-		Rest:           []int{1},
-		Gamma:          make([]int, numSwitches),
-		Delay:          make([][]float64, numSwitches),
-	}
-	for i := range p.Delay {
-		p.Delay[i] = []float64{1}
-	}
-	for l := 0; l < numFlows; l++ {
-		// Half the flows share 64 signatures, the rest spread over the pool.
-		sig := pool[rng.Intn(64)]
-		if l%2 == 0 {
-			sig = pool[rng.Intn(len(pool))]
-		}
-		for _, sp := range sig {
-			p.Pairs = append(p.Pairs, Pair{Switch: sp.sw, Flow: l, PBar: sp.pbar})
-		}
-	}
-	if err := p.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := classIndexVsReference(p, false); err != nil {
-		t.Fatal(err)
-	}
-	if nc := p.ClassCount(); 2*nc <= 8*minClassTable {
-		t.Fatalf("%d classes: the table grew fewer than four times", nc)
-	}
+	return nil
 }

@@ -17,8 +17,8 @@ func PMAgg(p *Problem) (*Solution, bool, error) {
 	return s, true, err
 }
 
-// ClassIndexVsReference checks groupBySignature against the sort-based
-// reference in classes_test.go, over the real signature hash or a constant.
+// ClassIndexVsReference rebuilds p's class index and checks it against the
+// sort-based reference in classes_test.go, up to class renumbering.
 var ClassIndexVsReference = classIndexVsReference
 
 // NumClasses exposes the class count for tests and diagnostics.

@@ -46,13 +46,14 @@ func PM(p *Problem) (*Solution, error) {
 // aggMinFlows is the instance size below which PM stays on its per-flow path.
 // It is read off the table in DESIGN.md §13.3 (TestAggCrossoverTable
 // regenerates it): on the scale-syn fixture at 100–1000 nodes, class index
-// plus pmAgg costs 1.1–2.4× pmFlat on every case up to 5 400 flows, wins or
-// loses by under 1.4 ms with the case's compression between 8 000 and 17 500
-// flows (pmFlat ahead over that band as a whole), and is ahead on every case
-// from 28 000 flows up — 0.3–0.6× at the 91 000–140 000 flows of a 1000-node
-// failure. The constant sits in the gap. sweep-att (ATT, 600 flows)
-// is the workload on the flat side of it, scale-syn the one on the other.
-const aggMinFlows = 20000
+// plus pmAgg costs 1.2–2.4× pmFlat on ten of the eleven cases up to 5 400
+// flows, is ahead on ten of the twelve between 7 900 and 17 500 flows (0.5–1.0×,
+// and within 0.4 ms behind on the other two), and on every case from 28 000
+// flows up — 0.3–0.45× at the 91 000–140 000 flows of a 1000-node failure. The
+// constant sits in the gap between the first two bands. sweep-att (ATT, 600
+// flows) is the workload on the flat side of it, scale-syn the one on the
+// other.
+const aggMinFlows = 6500
 
 // aggClassIndex returns the class index when PM should run aggregated:
 // enough flows to matter and at least 2× signature compression. Everything
@@ -185,13 +186,13 @@ func pmFlat(p *Problem) (*Solution, error) {
 		// Enable SDN mode for floor flows at i0 while capacity lasts
 		// (lines 31–36), scarcity-first.
 		scratch = scratch[:0]
-		for _, k := range p.PairsAtSwitch(i0) {
+		for k, hi := p.SwitchRun(i0); k < hi; k++ {
 			if !s.Active[k] && h[p.Pairs[k].Flow] <= sigma {
 				scratch = append(scratch, k)
 			}
 		}
 		// Stable counting sort, alternatives-ascending (flow-ascending within
-		// a level, the order PairsAtSwitch lists them in). The slice holds one
+		// a level, the order of the switch's run). The slice holds one
 		// switch's floor pairs — a handful at ATT size, tens of thousands at a
 		// carrier-scale hub — so the sort has to be linear at every size. The
 		// pooled bucket and order buffers are free until the final pass.

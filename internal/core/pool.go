@@ -27,13 +27,8 @@ type solverScratch struct {
 	// nearestSet[i].
 	nearestBuf []int
 	nearestSet []bool
-	// class-index construction (classIndexOf): per-flow signature hashes, the
-	// grouping table, and the per-class representative/count/rank arrays.
-	sigHash    []uint64
-	classTable []int32
-	classRep   []int32
-	classCount []int32
-	classRank  []int32
+	// class-index construction (refineClasses): the refinement tree.
+	refine []refineNode
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Pair is an eligible (switch, flow) decision point: flow Flow traverses
@@ -43,8 +44,13 @@ type Problem struct {
 	// is the whole-switch control cost used by switch-level recovery and by
 	// the capacity pre-check of PM's mapping step.
 	Gamma []int
-	// Pairs lists every eligible (switch, flow) decision point, sorted by
-	// (Switch, Flow).
+	// Pairs lists every eligible (switch, flow) decision point, switch-major:
+	// ascending by Switch, with each switch's flows in the order given
+	// (ascending from every builder in this module). Every stage reads a
+	// switch's pairs as one contiguous run of this slice. Finalize checks the
+	// order and, for a hand-built problem that is not in it, reorders Pairs in
+	// place — so pair indices, and with them Solution.Active, refer to Pairs
+	// as Finalize left it.
 	Pairs []Pair
 	// BudgetMs is G: the total control propagation delay of the ideal
 	// recovery (every offline switch mapped to its nearest active
@@ -57,12 +63,10 @@ type Problem struct {
 	// maximum number of offline switches on any offline flow's path.
 	TotalIterations int
 
-	// Pair indexes in CSR form, built by Finalize: switch i's pair indices
-	// are swPairs[swPairOff[i]:swPairOff[i+1]], flow l's are
-	// flowPairs[flowPairOff[l]:flowPairOff[l+1]]. Two flat arrays replace
-	// N+L per-switch/per-flow slices: at 10⁶ flows the per-slice headers and
-	// append regrowth were the dominant Finalize cost.
-	swPairs     []int
+	// Pair indexes, built by Finalize. Pairs is switch-major, so switch i's
+	// pairs are the run Pairs[swPairOff[i]:swPairOff[i+1]] and need no index
+	// of their own; flow l's pair indices, ascending (hence switch-ascending),
+	// are flowPairs[flowPairOff[l]:flowPairOff[l+1]].
 	swPairOff   []int32
 	flowPairs   []int
 	flowPairOff []int32
@@ -83,9 +87,9 @@ var (
 	ErrInvalidProblem = errors.New("core: invalid problem")
 )
 
-// Finalize validates the instance, fills derived fields (pair indexes,
-// default lambda, TotalIterations when unset), and must be called before the
-// problem is handed to any solver.
+// Finalize validates the instance, puts Pairs in switch-major order when they
+// are not, fills derived fields (pair indexes, default lambda, TotalIterations
+// when unset), and must be called before the problem is handed to any solver.
 func (p *Problem) Finalize() error {
 	if p.NumSwitches <= 0 || p.NumControllers <= 0 || p.NumFlows <= 0 {
 		return fmt.Errorf("%w: N=%d M=%d L=%d", ErrEmptyProblem, p.NumSwitches, p.NumControllers, p.NumFlows)
@@ -114,6 +118,14 @@ func (p *Problem) Finalize() error {
 			return fmt.Errorf("%w: Rest[%d]=%d", ErrInvalidProblem, j, a)
 		}
 	}
+	// One pass over the pairs validates them, counts them per switch and per
+	// flow, and notes whether they are switch-major already. Flow counts land
+	// two slots up so that flowOff doubles as the fill cursor below: after the
+	// prefix sums slot l+1 holds flow l's start, the fill advances it to l's
+	// end, which is l+1's start, and slots [0, L] come out as the offsets.
+	swOff := make([]int32, p.NumSwitches+1)
+	flowOff := make([]int32, p.NumFlows+2)
+	switchMajor, last := true, 0
 	for k, pr := range p.Pairs {
 		if pr.Switch < 0 || pr.Switch >= p.NumSwitches {
 			return fmt.Errorf("%w: pair %d switch %d", ErrInvalidProblem, k, pr.Switch)
@@ -124,49 +136,45 @@ func (p *Problem) Finalize() error {
 		if pr.PBar < 2 {
 			return fmt.Errorf("%w: pair %d p̄=%d (eligible pairs need p̄ >= 2)", ErrInvalidProblem, k, pr.PBar)
 		}
-	}
-	// Build both pair indexes as CSR, one counting sort per axis. The offset
-	// arrays double as the fill cursors: counts land two slots up, so after
-	// the prefix sums slot i+1 holds index i's start; the fill advances it to
-	// i's end, which is i+1's start, and slots [0, n] come out as the offsets
-	// without a separate cursor array.
-	swOff := make([]int32, p.NumSwitches+2)
-	flowOff := make([]int32, p.NumFlows+2)
-	for _, pr := range p.Pairs {
-		swOff[pr.Switch+2]++
+		switchMajor = switchMajor && pr.Switch >= last
+		last = pr.Switch
+		swOff[pr.Switch+1]++
 		flowOff[pr.Flow+2]++
 	}
-	for i := 2; i < len(swOff); i++ {
-		swOff[i] += swOff[i-1]
-	}
-	for l := 2; l < len(flowOff); l++ {
-		flowOff[l] += flowOff[l-1]
-	}
-	backing := make([]int, 2*len(p.Pairs))
-	p.swPairs, p.flowPairs = backing[:len(p.Pairs):len(p.Pairs)], backing[len(p.Pairs):]
-	for k, pr := range p.Pairs {
-		p.swPairs[swOff[pr.Switch+1]] = k
-		swOff[pr.Switch+1]++
-		p.flowPairs[flowOff[pr.Flow+1]] = k
-		flowOff[pr.Flow+1]++
-	}
-	p.swPairOff, p.flowPairOff = swOff[:p.NumSwitches+1], flowOff[:p.NumFlows+1]
-	p.classes = nil
 	if p.Lambda == 0 {
 		p.Lambda = DefaultLambda
 	}
 	if p.Lambda < 0 {
 		return fmt.Errorf("%w: Lambda=%v", ErrInvalidProblem, p.Lambda)
 	}
+	for i := 1; i < len(swOff); i++ {
+		swOff[i] += swOff[i-1]
+	}
+	maxFlowPairs := int32(0)
+	for l := 2; l < len(flowOff); l++ {
+		maxFlowPairs = max(maxFlowPairs, flowOff[l])
+		flowOff[l] += flowOff[l-1]
+	}
+	if !switchMajor {
+		// A stable counting sort by switch, written back over Pairs.
+		sorted := make([]Pair, len(p.Pairs))
+		next := slices.Clone(swOff[:p.NumSwitches])
+		for _, pr := range p.Pairs {
+			sorted[next[pr.Switch]] = pr
+			next[pr.Switch]++
+		}
+		copy(p.Pairs, sorted)
+	}
+	p.flowPairs = make([]int, len(p.Pairs))
+	for k := range p.Pairs {
+		l := p.Pairs[k].Flow
+		p.flowPairs[flowOff[l+1]] = k
+		flowOff[l+1]++
+	}
+	p.swPairOff, p.flowPairOff = swOff, flowOff[:p.NumFlows+1]
+	p.classes = nil
 	if p.TotalIterations == 0 {
-		for l := 0; l < p.NumFlows; l++ {
-			if n := int(p.flowPairOff[l+1] - p.flowPairOff[l]); n > p.TotalIterations {
-				p.TotalIterations = n
-			}
-		}
-		if p.TotalIterations == 0 {
-			p.TotalIterations = 1
-		}
+		p.TotalIterations = max(int(maxFlowPairs), 1)
 	}
 	return nil
 }
@@ -174,11 +182,10 @@ func (p *Problem) Finalize() error {
 // finalized reports whether Finalize has run.
 func (p *Problem) finalized() bool { return p.swPairOff != nil }
 
-// PairsAtSwitch returns the indices into Pairs of switch i's eligible pairs.
-// The returned slice is a view into the shared CSR index; callers must not
-// mutate it.
-func (p *Problem) PairsAtSwitch(i int) []int {
-	return p.swPairs[p.swPairOff[i]:p.swPairOff[i+1]]
+// SwitchRun returns the half-open range [lo, hi) of indices into Pairs (and
+// Solution.Active) holding switch i's eligible pairs.
+func (p *Problem) SwitchRun(i int) (lo, hi int) {
+	return int(p.swPairOff[i]), int(p.swPairOff[i+1])
 }
 
 // PairsOfFlow returns the indices into Pairs of flow l's eligible pairs.

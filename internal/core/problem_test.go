@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -42,19 +45,20 @@ func TestFinalizeValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Problem)
+		want   string
 	}{
-		{"empty", func(p *Problem) { p.NumSwitches = 0 }},
-		{"rest size", func(p *Problem) { p.Rest = []int{1} }},
-		{"gamma size", func(p *Problem) { p.Gamma = nil }},
-		{"delay rows", func(p *Problem) { p.Delay = p.Delay[:1] }},
-		{"delay cols", func(p *Problem) { p.Delay[0] = p.Delay[0][:1] }},
-		{"negative delay", func(p *Problem) { p.Delay[0][0] = -1 }},
-		{"nan delay", func(p *Problem) { p.Delay[1][1] = math.NaN() }},
-		{"negative rest", func(p *Problem) { p.Rest[0] = -1 }},
-		{"pair switch", func(p *Problem) { p.Pairs[0].Switch = 9 }},
-		{"pair flow", func(p *Problem) { p.Pairs[0].Flow = -1 }},
-		{"pair pbar", func(p *Problem) { p.Pairs[0].PBar = 1 }},
-		{"negative lambda", func(p *Problem) { p.Lambda = -0.5 }},
+		{"empty", func(p *Problem) { p.NumSwitches = 0 }, "core: empty problem: N=0 M=2 L=3"},
+		{"rest size", func(p *Problem) { p.Rest = []int{1} }, "len(Rest)=1, want 2"},
+		{"gamma size", func(p *Problem) { p.Gamma = nil }, "len(Gamma)=0, want 2"},
+		{"delay rows", func(p *Problem) { p.Delay = p.Delay[:1] }, "len(Delay)=1, want 2"},
+		{"delay cols", func(p *Problem) { p.Delay[0] = p.Delay[0][:1] }, "len(Delay[0])=1, want 2"},
+		{"negative delay", func(p *Problem) { p.Delay[0][0] = -1 }, "Delay[0][0]=-1"},
+		{"nan delay", func(p *Problem) { p.Delay[1][1] = math.NaN() }, "Delay[1][1]=NaN"},
+		{"negative rest", func(p *Problem) { p.Rest[0] = -1 }, "Rest[0]=-1"},
+		{"pair switch", func(p *Problem) { p.Pairs[0].Switch = 9 }, "pair 0 switch 9"},
+		{"pair flow", func(p *Problem) { p.Pairs[0].Flow = -1 }, "pair 0 flow -1"},
+		{"pair pbar", func(p *Problem) { p.Pairs[1].PBar = 1 }, "pair 1 p̄=1 (eligible pairs need p̄ >= 2)"},
+		{"negative lambda", func(p *Problem) { p.Lambda = -0.5 }, "Lambda=-0.5"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,8 +75,12 @@ func TestFinalizeValidation(t *testing.T) {
 				},
 			}
 			tc.mutate(p)
-			if err := p.Finalize(); err == nil {
+			err := p.Finalize()
+			if err == nil {
 				t.Fatal("Finalize accepted an invalid problem")
+			}
+			if !strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("error = %q, want it to end in %q", err, tc.want)
 			}
 		})
 	}
@@ -87,8 +95,8 @@ func TestFinalizeDerivedFields(t *testing.T) {
 	if p.TotalIterations != 2 {
 		t.Fatalf("TotalIterations = %d, want 2", p.TotalIterations)
 	}
-	if got := p.PairsAtSwitch(0); len(got) != 2 {
-		t.Fatalf("PairsAtSwitch(0) = %v", got)
+	if lo, hi := p.SwitchRun(0); lo != 0 || hi != 2 {
+		t.Fatalf("SwitchRun(0) = [%d, %d)", lo, hi)
 	}
 	if got := p.PairsOfFlow(1); len(got) != 2 {
 		t.Fatalf("PairsOfFlow(1) = %v", got)
@@ -101,6 +109,70 @@ func TestFinalizeDerivedFields(t *testing.T) {
 	}
 	if p.MaxPossibleProgrammability() != 11 {
 		t.Fatalf("MaxPossibleProgrammability = %d", p.MaxPossibleProgrammability())
+	}
+
+	// The layout contract: whatever order Pairs arrive in, they leave
+	// switch-major with each switch's pairs in their given relative order, the
+	// switch runs and PairsOfFlow index exactly what a scan of Pairs finds,
+	// and finalizing again moves nothing.
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomProblem(rng)
+		shuffled := seed%4 != 0 // every fourth problem stays as built: switch-major
+		if shuffled {
+			rng.Shuffle(len(p.Pairs), func(a, b int) { p.Pairs[a], p.Pairs[b] = p.Pairs[b], p.Pairs[a] })
+		}
+		given := slices.Clone(p.Pairs)
+		p.TotalIterations = 0
+		if err := p.Finalize(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+
+		// The stable sort by switch of what was given, by brute force.
+		var want []Pair
+		for i := 0; i < p.NumSwitches; i++ {
+			lo, hi := p.SwitchRun(i)
+			if lo != len(want) {
+				t.Fatalf("seed %d: switch %d's run starts at %d, want %d", seed, i, lo, len(want))
+			}
+			for _, pr := range given {
+				if pr.Switch == i {
+					want = append(want, pr)
+				}
+			}
+			if hi != len(want) || p.EligiblePairCount(i) != hi-lo {
+				t.Fatalf("seed %d: switch %d's run ends at %d (count %d), want %d", seed, i, hi, p.EligiblePairCount(i), len(want))
+			}
+		}
+		if !slices.Equal(p.Pairs, want) {
+			t.Fatalf("seed %d: Pairs after Finalize\n got %v\nwant %v", seed, p.Pairs, want)
+		}
+		if !shuffled && !slices.Equal(p.Pairs, given) {
+			t.Fatalf("seed %d: Finalize reordered switch-major pairs", seed)
+		}
+		maxPerFlow := 1
+		for l := 0; l < p.NumFlows; l++ {
+			var ks []int
+			for k, pr := range p.Pairs {
+				if pr.Flow == l {
+					ks = append(ks, k)
+				}
+			}
+			if !slices.Equal(p.PairsOfFlow(l), ks) {
+				t.Fatalf("seed %d: PairsOfFlow(%d) = %v, want %v", seed, l, p.PairsOfFlow(l), ks)
+			}
+			maxPerFlow = max(maxPerFlow, len(ks))
+		}
+		if p.TotalIterations != maxPerFlow {
+			t.Fatalf("seed %d: TotalIterations = %d, want %d", seed, p.TotalIterations, maxPerFlow)
+		}
+
+		if err := p.Finalize(); err != nil {
+			t.Fatalf("seed %d: second Finalize: %v", seed, err)
+		}
+		if !slices.Equal(p.Pairs, want) {
+			t.Fatalf("seed %d: a second Finalize moved pairs", seed)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // residual capacity can never be remapped — the coarse granularity that PM's
 // per-flow mode selection removes.
 //
-// RetroFlow scans per-switch pair lists at every size: planning it over flow
+// RetroFlow scans per-switch pair runs at every size: planning it over flow
 // classes only pays behind an index some other solver has already built
 // (DESIGN.md §13, table B).
 func RetroFlow(p *Problem) (*Solution, error) {
@@ -48,8 +48,9 @@ func RetroFlow(p *Problem) (*Solution, error) {
 	}
 	uncoveredGain := func(i int) int {
 		gain := 0
-		for _, k := range p.PairsAtSwitch(i) {
-			if !covered[p.Pairs[k].Flow] {
+		lo, hi := p.SwitchRun(i)
+		for _, pr := range p.Pairs[lo:hi] {
+			if !covered[pr.Flow] {
 				gain++
 			}
 		}
@@ -57,8 +58,9 @@ func RetroFlow(p *Problem) (*Solution, error) {
 	}
 	pbarSum := func(i int) int {
 		sum := 0
-		for _, k := range p.PairsAtSwitch(i) {
-			sum += p.Pairs[k].PBar
+		lo, hi := p.SwitchRun(i)
+		for _, pr := range p.Pairs[lo:hi] {
+			sum += pr.PBar
 		}
 		return sum
 	}
@@ -66,7 +68,8 @@ func RetroFlow(p *Problem) (*Solution, error) {
 		mapped[i] = true
 		s.SwitchController[i] = j
 		rest[j] -= p.Gamma[i]
-		for _, k := range p.PairsAtSwitch(i) {
+		lo, hi := p.SwitchRun(i)
+		for k := lo; k < hi; k++ {
 			s.Active[k] = true
 			covered[p.Pairs[k].Flow] = true
 		}

@@ -7,12 +7,11 @@ package core
 // one Slice per region against region-local controller capacity and merges
 // the sub-solutions through the index maps kept here.
 //
-// Slicing reuses the parent's CSR machinery: kept switches are walked
-// ascending and each switch's pair list is already flow-ascending, so the
-// gathered pairs arrive in the (Switch, Flow) order Finalize expects without
-// any sorting. A slice that keeps everything reproduces the parent problem
-// content field for field, which is what makes the K=1 hierarchical solve
-// byte-identical to flat PM.
+// Slicing walks the kept switches ascending and copies each one's run of
+// pairs as it stands, so the gathered pairs arrive switch-major, as Finalize
+// wants them, without any sorting. A slice that keeps everything reproduces
+// the parent problem content field for field, which is what makes the K=1
+// hierarchical solve byte-identical to flat PM.
 type Slice struct {
 	// Sub is the finalized sub-problem over dense local indices.
 	Sub *Problem
@@ -76,10 +75,11 @@ func (p *Problem) Slice(keepSwitch, keepController []bool) (*Slice, error) {
 	}
 	numPairs := 0
 	for _, i := range sl.Switches {
-		for _, k := range p.PairsAtSwitch(i) {
-			flowLocal[p.Pairs[k].Flow] = 0
-			numPairs++
+		lo, hi := p.SwitchRun(i)
+		for _, pr := range p.Pairs[lo:hi] {
+			flowLocal[pr.Flow] = 0
 		}
+		numPairs += hi - lo
 	}
 	if numPairs == 0 {
 		return nil, nil
@@ -102,7 +102,8 @@ func (p *Problem) Slice(keepSwitch, keepController []bool) (*Slice, error) {
 	sub.Pairs = make([]Pair, 0, numPairs)
 	sl.PairIndex = make([]int, 0, numPairs)
 	for si, i := range sl.Switches {
-		for _, k := range p.PairsAtSwitch(i) {
+		lo, hi := p.SwitchRun(i)
+		for k := lo; k < hi; k++ {
 			pr := p.Pairs[k]
 			sub.Pairs = append(sub.Pairs, Pair{Switch: si, Flow: flowLocal[pr.Flow], PBar: pr.PBar})
 			sl.PairIndex = append(sl.PairIndex, k)
@@ -147,7 +148,6 @@ func (p *Problem) sliceAllSwitches(sl *Slice) (*Slice, error) {
 		Gamma:           p.Gamma,
 		Lambda:          p.Lambda,
 		TotalIterations: p.TotalIterations,
-		swPairs:         p.swPairs,
 		swPairOff:       p.swPairOff,
 		flowPairs:       p.flowPairs,
 		flowPairOff:     p.flowPairOff,

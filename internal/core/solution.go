@@ -55,12 +55,107 @@ func NewSolution(algorithm string, p *Problem) *Solution {
 // ErrInfeasible reports a solution that violates the problem's constraints.
 var ErrInfeasible = errors.New("core: infeasible solution")
 
-// controllerOfPair returns the controller charged for pair k, or -1.
-func (s *Solution) controllerOfPair(p *Problem, k int) int {
-	if s.PairController != nil {
-		return s.PairController[k]
+// tally is the one reading of a solution behind Verify, ControllerLoads and
+// Evaluate: a single pass over Active in pair order that checks every active
+// pair's controller and accumulates the rest on the way.
+type tally struct {
+	// loads[j] is the capacity consumed on controller j.
+	loads []int
+	// recoveredSwitches counts mapped switches, or for flow-mapping solutions
+	// switches with an active pair.
+	recoveredSwitches int
+	// pro[l] is pro^l and overheadMs the total control propagation overhead,
+	// summed in pair order (switch order for switch-level solutions). Both
+	// are filled only when the pass is given a delay matrix.
+	pro        []int
+	overheadMs float64
+}
+
+// tally reads s against p, pricing overhead on the switch×controller matrix
+// delay; a nil delay asks for loads and checks alone. It reports an active
+// pair charged to no valid controller; dimensions are the caller's to check.
+func (s *Solution) tally(p *Problem, delay [][]float64) (tally, error) {
+	t := tally{loads: make([]int, p.NumControllers)}
+	if delay != nil {
+		t.pro = make([]int, p.NumFlows)
 	}
-	return s.SwitchController[p.Pairs[k].Switch]
+	for i, ji := range s.SwitchController {
+		if s.SwitchLevel && ji >= 0 {
+			t.loads[ji] += p.Gamma[i]
+			if delay != nil {
+				t.overheadMs += float64(p.Gamma[i]) * delay[i][ji]
+			}
+		}
+		lo, hi := p.SwitchRun(i)
+		touched := false
+		for k := lo; k < hi; k++ {
+			if !s.Active[k] {
+				continue
+			}
+			touched = true
+			j := ji
+			if s.PairController != nil {
+				j = s.PairController[k]
+			}
+			if s.SwitchLevel {
+				// Active pairs must be consistent: only at mapped switches.
+				if j < 0 {
+					return t, fmt.Errorf("%w: active pair %d at unmapped switch %d", ErrInfeasible, k, i)
+				}
+			} else {
+				if j < 0 || j >= p.NumControllers {
+					return t, fmt.Errorf("%w: active pair %d charged to controller %d", ErrInfeasible, k, j)
+				}
+				t.loads[j]++
+			}
+			if delay != nil {
+				if !s.SwitchLevel {
+					t.overheadMs += delay[i][j]
+				}
+				t.pro[p.Pairs[k].Flow] += p.Pairs[k].PBar
+			}
+		}
+		if s.PairController != nil && !s.SwitchLevel {
+			if touched {
+				t.recoveredSwitches++
+			}
+		} else if ji >= 0 {
+			t.recoveredSwitches++
+		}
+	}
+	return t, nil
+}
+
+// checked is tally behind Verify's checks: dimensions and mapping ranges
+// before the pass, capacities after it.
+func (s *Solution) checked(p *Problem, delay [][]float64) (tally, error) {
+	if !p.finalized() {
+		return tally{}, fmt.Errorf("%w: problem not finalized", ErrInvalidProblem)
+	}
+	if len(s.SwitchController) != p.NumSwitches {
+		return tally{}, fmt.Errorf("%w: len(SwitchController)=%d, want %d", ErrInfeasible, len(s.SwitchController), p.NumSwitches)
+	}
+	if len(s.Active) != len(p.Pairs) {
+		return tally{}, fmt.Errorf("%w: len(Active)=%d, want %d", ErrInfeasible, len(s.Active), len(p.Pairs))
+	}
+	if s.PairController != nil && len(s.PairController) != len(p.Pairs) {
+		return tally{}, fmt.Errorf("%w: len(PairController)=%d, want %d", ErrInfeasible, len(s.PairController), len(p.Pairs))
+	}
+	for i, j := range s.SwitchController {
+		if j < -1 || j >= p.NumControllers {
+			return tally{}, fmt.Errorf("%w: switch %d mapped to controller %d", ErrInfeasible, i, j)
+		}
+	}
+	t, err := s.tally(p, delay)
+	if err != nil {
+		return t, err
+	}
+	for j, load := range t.loads {
+		if load > p.Rest[j] {
+			return t, fmt.Errorf("%w: controller %d load %d exceeds residual %d", ErrInfeasible, j, load, p.Rest[j])
+		}
+	}
+	return t, nil
 }
 
 // Verify checks structural and capacity feasibility of s against p:
@@ -69,33 +164,8 @@ func (s *Solution) controllerOfPair(p *Problem, k int) int {
 // exceeds its residual capacity. The delay budget is a soft constraint in
 // the heuristics (as in the paper) and is reported, not enforced, here.
 func (s *Solution) Verify(p *Problem) error {
-	if !p.finalized() {
-		return fmt.Errorf("%w: problem not finalized", ErrInvalidProblem)
-	}
-	if len(s.SwitchController) != p.NumSwitches {
-		return fmt.Errorf("%w: len(SwitchController)=%d, want %d", ErrInfeasible, len(s.SwitchController), p.NumSwitches)
-	}
-	if len(s.Active) != len(p.Pairs) {
-		return fmt.Errorf("%w: len(Active)=%d, want %d", ErrInfeasible, len(s.Active), len(p.Pairs))
-	}
-	if s.PairController != nil && len(s.PairController) != len(p.Pairs) {
-		return fmt.Errorf("%w: len(PairController)=%d, want %d", ErrInfeasible, len(s.PairController), len(p.Pairs))
-	}
-	for i, j := range s.SwitchController {
-		if j < -1 || j >= p.NumControllers {
-			return fmt.Errorf("%w: switch %d mapped to controller %d", ErrInfeasible, i, j)
-		}
-	}
-	loads, err := s.ControllerLoads(p)
-	if err != nil {
-		return err
-	}
-	for j, load := range loads {
-		if load > p.Rest[j] {
-			return fmt.Errorf("%w: controller %d load %d exceeds residual %d", ErrInfeasible, j, load, p.Rest[j])
-		}
-	}
-	return nil
+	_, err := s.checked(p, nil)
+	return err
 }
 
 // ControllerLoads returns the capacity consumed per controller. Switch-level
@@ -103,32 +173,11 @@ func (s *Solution) Verify(p *Problem) error {
 // per active pair to the pair's controller. An active pair whose controller
 // is -1 is an encoding error.
 func (s *Solution) ControllerLoads(p *Problem) ([]int, error) {
-	loads := make([]int, p.NumControllers)
-	if s.SwitchLevel {
-		for i, j := range s.SwitchController {
-			if j >= 0 {
-				loads[j] += p.Gamma[i]
-			}
-		}
-		// Active pairs must be consistent: only at mapped switches.
-		for k, on := range s.Active {
-			if on && s.controllerOfPair(p, k) < 0 {
-				return nil, fmt.Errorf("%w: active pair %d at unmapped switch %d", ErrInfeasible, k, p.Pairs[k].Switch)
-			}
-		}
-		return loads, nil
+	t, err := s.tally(p, nil)
+	if err != nil {
+		return nil, err
 	}
-	for k, on := range s.Active {
-		if !on {
-			continue
-		}
-		j := s.controllerOfPair(p, k)
-		if j < 0 || j >= p.NumControllers {
-			return nil, fmt.Errorf("%w: active pair %d charged to controller %d", ErrInfeasible, k, j)
-		}
-		loads[j]++
-	}
-	return loads, nil
+	return t.loads, nil
 }
 
 // FlowProgrammability returns pro^l for every flow: the sum of p̄ over the
@@ -180,24 +229,26 @@ type EvaluateOptions struct {
 	MiddleDelay [][]float64
 }
 
-// Evaluate verifies s and computes its Report.
+// Evaluate verifies s and computes its Report, reading the solution once.
 func Evaluate(p *Problem, s *Solution, opts EvaluateOptions) (*Report, error) {
-	if err := s.Verify(p); err != nil {
-		return nil, err
+	delay := p.Delay
+	if s.MiddleLayer && opts.MiddleDelay != nil {
+		delay = opts.MiddleDelay
 	}
-	loads, err := s.ControllerLoads(p)
+	t, err := s.checked(p, delay)
 	if err != nil {
 		return nil, err
 	}
-	pro := s.FlowProgrammability(p)
 	r := &Report{
-		Algorithm:      s.Algorithm,
-		FlowProg:       pro,
-		ControllerLoad: loads,
-		Runtime:        s.Runtime,
+		Algorithm:         s.Algorithm,
+		FlowProg:          t.pro,
+		ControllerLoad:    t.loads,
+		RecoveredSwitches: t.recoveredSwitches,
+		OverheadMs:        t.overheadMs,
+		Runtime:           s.Runtime,
 	}
 	r.MinProg = int(^uint(0) >> 1)
-	for _, v := range pro {
+	for _, v := range t.pro {
 		r.TotalProg += v
 		if v >= 1 {
 			r.RecoveredFlows++
@@ -206,48 +257,10 @@ func Evaluate(p *Problem, s *Solution, opts EvaluateOptions) (*Report, error) {
 			r.MinProg = v
 		}
 	}
-	if len(pro) == 0 {
+	if len(t.pro) == 0 {
 		r.MinProg = 0
 	}
 	r.Objective = float64(r.MinProg) + p.Lambda*float64(r.TotalProg)
-
-	delayOf := func(i, j int) float64 {
-		if s.MiddleLayer && opts.MiddleDelay != nil {
-			return opts.MiddleDelay[i][j]
-		}
-		return p.Delay[i][j]
-	}
-	if s.SwitchLevel {
-		for i, j := range s.SwitchController {
-			if j >= 0 {
-				r.RecoveredSwitches++
-				r.OverheadMs += float64(p.Gamma[i]) * delayOf(i, j)
-			}
-		}
-	} else {
-		touched := make([]bool, p.NumSwitches)
-		for k, on := range s.Active {
-			if !on {
-				continue
-			}
-			i := p.Pairs[k].Switch
-			touched[i] = true
-			r.OverheadMs += delayOf(i, s.controllerOfPair(p, k))
-		}
-		if s.PairController == nil {
-			for _, j := range s.SwitchController {
-				if j >= 0 {
-					r.RecoveredSwitches++
-				}
-			}
-		} else {
-			for _, t := range touched {
-				if t {
-					r.RecoveredSwitches++
-				}
-			}
-		}
-	}
 	if r.RecoveredFlows > 0 {
 		r.PerFlowOverheadMs = r.OverheadMs / float64(r.RecoveredFlows)
 	}

@@ -58,7 +58,7 @@ func TestControllerLoadsSwitchLevel(t *testing.T) {
 	s := NewSolution("RF", p)
 	s.SwitchLevel = true
 	s.SwitchController[0] = 0
-	for _, k := range p.PairsAtSwitch(0) {
+	for k, hi := p.SwitchRun(0); k < hi; k++ {
 		s.Active[k] = true
 	}
 	loads, err := s.ControllerLoads(p)

@@ -113,9 +113,8 @@ func (r *recorder) push(_ map[topo.NodeID]string, _ *flow.Set, inst *scenario.In
 	for i, swID := range inst.Switches {
 		if demote[swID] {
 			final.SwitchController[i] = -1
-			for _, k := range inst.Problem.PairsAtSwitch(i) {
-				final.Active[k] = false
-			}
+			lo, hi := inst.Problem.SwitchRun(i)
+			clear(final.Active[lo:hi])
 			rep.Demoted = append(rep.Demoted, swID)
 		}
 	}

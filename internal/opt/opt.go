@@ -207,11 +207,12 @@ func build(p *core.Problem) (*model, error) {
 	}
 	// Balance: Σ_j c_ij = Σ_{k at i} z_k.
 	for i := 0; i < N; i++ {
-		terms := make([]lp.Term, 0, M+len(p.PairsAtSwitch(i)))
+		lo, hi := p.SwitchRun(i)
+		terms := make([]lp.Term, 0, M+hi-lo)
 		for j := 0; j < M; j++ {
 			terms = append(terms, lp.Term{Var: md.cij[i][j], Coeff: 1})
 		}
-		for _, k := range p.PairsAtSwitch(i) {
+		for k := lo; k < hi; k++ {
 			terms = append(terms, lp.Term{Var: md.z[k], Coeff: -1})
 		}
 		if err := md.m.AddRow(lp.EQ, 0, terms...); err != nil {

@@ -320,22 +320,14 @@ func decodePlanInto(t *template, payload []byte, sol *core.Solution) error {
 
 	// Default every pair to its switch's mapped state. Mapped switches
 	// dominate a plan, so fill Active true in one memmove from the template,
-	// then clear the (usually few) unmapped switches' pair runs — Pairs is
-	// sorted by (Switch, Flow), so each switch's pairs are one contiguous
-	// slice.
+	// then clear the (usually few) unmapped switches' pair runs.
 	copy(sol.Active, t.active)
 	for i, j := range sol.SwitchController {
 		if j >= 0 {
 			continue
 		}
-		ks := p.PairsAtSwitch(i)
-		if len(ks) == 0 {
-			continue
-		}
-		run := sol.Active[ks[0] : ks[len(ks)-1]+1]
-		for k := range run {
-			run[k] = false
-		}
+		lo, hi := p.SwitchRun(i)
+		clear(sol.Active[lo:hi])
 	}
 	nRun, n := binary.Uvarint(payload[pos:])
 	if n <= 0 {

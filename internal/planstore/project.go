@@ -76,17 +76,16 @@ func Project(sup *scenario.Instance, supSol *core.Solution, inst *scenario.Insta
 		}
 		// Pairs at a switch are ascending in flow index, and flow indices
 		// follow ascending flow IDs in both instances: one merge per switch.
-		supPairs := sp.PairsAtSwitch(si)
-		t := 0
-		for _, k := range ip.PairsAtSwitch(i) {
+		t, supHi := sp.SwitchRun(si)
+		for k, hi := ip.SwitchRun(i); k < hi; k++ {
 			fid := inst.FlowIDs[ip.Pairs[k].Flow]
-			for t < len(supPairs) && sup.FlowIDs[sp.Pairs[supPairs[t]].Flow] < fid {
+			for t < supHi && sup.FlowIDs[sp.Pairs[t].Flow] < fid {
 				t++
 			}
-			if t >= len(supPairs) || sup.FlowIDs[sp.Pairs[supPairs[t]].Flow] != fid {
+			if t >= supHi || sup.FlowIDs[sp.Pairs[t].Flow] != fid {
 				return nil, fmt.Errorf("%w: pair (switch %d, flow %d) missing from superset instance", ErrMismatch, sw, fid)
 			}
-			out.Active[k] = supSol.Active[supPairs[t]]
+			out.Active[k] = supSol.Active[t]
 		}
 	}
 	return out, nil

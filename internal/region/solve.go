@@ -188,7 +188,7 @@ func coordinate(p *core.Problem, s *core.Solution, proj *scenario.Projection, pa
 		// Activate switch i's inactive pairs p̄-descending (pair index breaks
 		// ties) while the adopting controller has capacity.
 		scratch = scratch[:0]
-		for _, k := range p.PairsAtSwitch(i) {
+		for k, hi := p.SwitchRun(i); k < hi; k++ {
 			if !s.Active[k] {
 				scratch = append(scratch, k)
 			}

@@ -238,7 +238,8 @@ func (ctx *Context) fillFlows(sc *buildScratch, inst *Instance, p *core.Problem)
 	p.NumFlows = numFlows
 
 	// Pass 2: the pairs, switch-major with flows ascending within a switch —
-	// the (Switch, Flow) order Finalize documents.
+	// the order Finalize checks and every later stage reads, so nothing
+	// downstream sorts or indexes a switch's pairs.
 	pairs := make([]core.Pair, 0, numPairs)
 	for i, sw := range inst.Switches {
 		for _, e := range flows.Through(sw) {

@@ -191,7 +191,7 @@ func buildPushPlan(flows *flow.Set, inst *scenario.Instance, sol *core.Solution)
 			continue
 		}
 		sp := switchPush{index: i, sw: swID, cfg: make(map[flow.ID]bool)}
-		for _, k := range p.PairsAtSwitch(i) {
+		for k, hi := p.SwitchRun(i); k < hi; k++ {
 			pr := p.Pairs[k]
 			lid := inst.FlowIDs[pr.Flow]
 			f := &flows.Flows[lid]
@@ -452,9 +452,8 @@ func PushRecoveryResilient(
 	for i, swID := range inst.Switches {
 		if demoted[swID] {
 			final.SwitchController[i] = -1
-			for _, k := range inst.Problem.PairsAtSwitch(i) {
-				final.Active[k] = false
-			}
+			lo, hi := inst.Problem.SwitchRun(i)
+			clear(final.Active[lo:hi])
 			rep.Demoted = append(rep.Demoted, swID)
 		}
 	}
@@ -626,9 +625,8 @@ func replan(inst *scenario.Instance, cur *core.Solution, demoted map[topo.NodeID
 	for i, swID := range inst.Switches {
 		if demoted[swID] {
 			next.SwitchController[i] = -1
-			for _, k := range inst.Problem.PairsAtSwitch(i) {
-				next.Active[k] = false
-			}
+			lo, hi := inst.Problem.SwitchRun(i)
+			clear(next.Active[lo:hi])
 		}
 	}
 	return next

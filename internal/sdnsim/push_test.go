@@ -158,7 +158,7 @@ func TestResilientPushMissingAgentDemotesAndReplans(t *testing.T) {
 	if rep.Final.SwitchController[vi] != -1 {
 		t.Fatalf("victim still mapped to %d", rep.Final.SwitchController[vi])
 	}
-	for _, k := range fx.inst.Problem.PairsAtSwitch(vi) {
+	for k, hi := fx.inst.Problem.SwitchRun(vi); k < hi; k++ {
 		if rep.Final.Active[k] {
 			t.Fatalf("pair %d active at demoted switch", k)
 		}
@@ -289,7 +289,7 @@ func TestResilientPushBarrierTimeoutDemotesDirty(t *testing.T) {
 	fx := newPushFixture(t, []int{3})
 	var victim topo.NodeID = -1
 	for i, swID := range fx.inst.Switches {
-		if fx.sol.SwitchController[i] >= 0 && len(fx.inst.Problem.PairsAtSwitch(i)) > 0 {
+		if fx.sol.SwitchController[i] >= 0 && fx.inst.Problem.EligiblePairCount(i) > 0 {
 			victim = swID
 			break
 		}
