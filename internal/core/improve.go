@@ -2,30 +2,13 @@ package core
 
 import "fmt"
 
-// ImproveOptions tunes Improve.
-type ImproveOptions struct {
-	// MaxRounds bounds the number of fill/rebalance/upgrade rounds; 0 selects
-	// the same 64-round cap PM's own final pass uses. The deadline is
-	// expressed in rounds, not wall time, so a run is deterministic given the
-	// solution it starts from and the round budget it gets.
-	MaxRounds int
-	// Stop, when non-nil, is polled before each round; returning true stops
-	// the improver at the last completed round. It is the hook for wall-clock
-	// deadlines — but note that a time-based Stop trades the determinism a
-	// pure round budget gives.
-	Stop func() bool
-}
-
-// improveDefaultRounds mirrors pmFlat's final-pass round cap.
-const improveDefaultRounds = 64
-
 // Improve runs PM's final utilization pass as a standalone anytime refiner on
 // an existing per-flow, switch-mapping solution: per-switch local moves
 // (whole-switch rebalancing between controllers), pair fills in global
 // p̄-descending order, and same-flow pair upgrades — all against the global
-// programmability objective. The hierarchical planner calls it after merging
-// per-region solutions, where the cross-region moves it discovers are exactly
-// the refinement a region-local solve cannot see.
+// programmability objective. The hierarchical planner ends in it after
+// merging per-region solutions, where the cross-region moves it discovers are
+// exactly the refinement a region-local solve cannot see.
 //
 // Every round is monotone: fills only add programmability, upgrades swap a
 // flow's active pair for a strictly higher-p̄ one, and rebalancing moves a
@@ -33,10 +16,13 @@ const improveDefaultRounds = 64
 // flow's programmability therefore never decreases, so neither objective term
 // can worsen — the property TestImproveMonotonic pins.
 //
-// Improve returns the number of rounds it ran. Starting from a quiescent PM
-// solution it is a no-op (0 effective changes), which keeps the K=1
-// hierarchical solve byte-identical to flat PM.
-func Improve(p *Problem, s *Solution, opts ImproveOptions) (int, error) {
+// Improve runs at most rounds rounds, then unmaps every switch left without
+// an active pair; rounds <= 0 validates and unmaps only. The budget is
+// counted in rounds, not wall time, so a run is deterministic given the
+// solution it starts from. Improve returns the number of rounds it ran.
+// Starting from a quiescent PM solution it is a no-op (0 effective changes),
+// which keeps the K=1 hierarchical solve byte-identical to flat PM.
+func Improve(p *Problem, s *Solution, rounds int) (int, error) {
 	if !p.finalized() {
 		return 0, fmt.Errorf("%w: problem not finalized", ErrInvalidProblem)
 	}
@@ -46,16 +32,13 @@ func Improve(p *Problem, s *Solution, opts ImproveOptions) (int, error) {
 	if len(s.SwitchController) != p.NumSwitches || len(s.Active) != len(p.Pairs) {
 		return 0, fmt.Errorf("%w: solution shape does not match problem", ErrInfeasible)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = improveDefaultRounds
-	}
 
 	sc := scratchPool.Get().(*solverScratch)
 	defer scratchPool.Put(sc)
 
-	// Reconstruct the solver-internal state pmFlat ends with: residual
-	// capacity, per-flow programmability, and per-flow inactive-pair counts.
+	// Reconstruct the solver-internal state pmFlat's balancing loop ends
+	// with: residual capacity, per-flow programmability, and per-flow
+	// inactive-pair counts.
 	rest := grabInts(&sc.rest, p.NumControllers)
 	copy(rest, p.Rest)
 	h := grabInts(&sc.h, p.NumFlows)
@@ -77,18 +60,27 @@ func Improve(p *Problem, s *Solution, opts ImproveOptions) (int, error) {
 			return 0, fmt.Errorf("%w: controller %d over capacity before improvement", ErrInfeasible, j)
 		}
 	}
-	// Unmapped switches stay unmapped: PM only unmaps a switch after proving
-	// no controller can fund any of its pairs, and re-mapping one here would
-	// open upgrade swaps PM's own configuration never saw — breaking the
-	// Improve-is-a-no-op-after-PM property. Adopting stranded switches across
-	// capacity boundaries is the hierarchical coordinator's job, not the
-	// improver's.
+	return refine(p, s, sc, rest, h, alternatives, rounds), nil
+}
+
+// refine is Algorithm 1's final pass (lines 42–50), shared by pmFlat and
+// Improve: each round fills inactive pairs in global p̄-descending order
+// while their switch's controller has capacity — the order that maximizes
+// obj₂ under scarcity, run before the rebalance so it sees true saturation —
+// then rebalances whole switches and upgrades same-flow pairs, until a round
+// changes nothing or rounds run out. It then unmaps idle switches. rest, h
+// and alternatives are the solver state matching s, updated in place; it
+// returns the number of rounds run.
+//
+// Unmapped switches stay unmapped: PM only leaves a switch unmapped after
+// proving no controller can fund any of its pairs, and re-mapping one here
+// would open upgrade swaps PM's own configuration never saw — breaking the
+// Improve-is-a-no-op-after-PM property. Adopting stranded switches across
+// capacity boundaries is the hierarchical coordinator's job.
+func refine(p *Problem, s *Solution, sc *solverScratch, rest, h, alternatives []int, rounds int) int {
 	byPBar := pairsByPBarDesc(p, sc)
-	rounds := 0
-	for ; rounds < maxRounds; rounds++ {
-		if opts.Stop != nil && opts.Stop() {
-			break
-		}
+	n := 0
+	for ; n < rounds; n++ {
 		filled := false
 		for _, k := range byPBar {
 			if s.Active[k] {
@@ -107,23 +99,10 @@ func Improve(p *Problem, s *Solution, opts ImproveOptions) (int, error) {
 		moved := rebalanceFlat(p, s, sc, rest)
 		upgraded := upgrade(p, s, rest, h, alternatives)
 		if !filled && !moved && !upgraded {
-			rounds++
+			n++
 			break
 		}
 	}
-
-	// Re-establish PM's terminal invariant: a switch with no active pair
-	// stays unmapped.
-	activeAt := grabBools(&sc.activeAt, p.NumSwitches)
-	for k, on := range s.Active {
-		if on {
-			activeAt[p.Pairs[k].Switch] = true
-		}
-	}
-	for i := range s.SwitchController {
-		if !activeAt[i] {
-			s.SwitchController[i] = -1
-		}
-	}
-	return rounds, nil
+	s.UnmapIdle(p)
+	return n
 }

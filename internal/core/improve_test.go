@@ -71,7 +71,7 @@ func TestImproveNoOpAfterPM(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := cloneSolution(s)
-		if _, err := core.Improve(p, got, core.ImproveOptions{}); err != nil {
+		if _, err := core.Improve(p, got, 64); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(zeroRuntime(s), zeroRuntime(got)) {
@@ -98,7 +98,7 @@ func TestImproveMonotonic(t *testing.T) {
 		prev := objective(t, p, start)
 		for rounds := 1; rounds <= 5; rounds++ {
 			got := cloneSolution(start)
-			if _, err := core.Improve(p, got, core.ImproveOptions{MaxRounds: rounds}); err != nil {
+			if _, err := core.Improve(p, got, rounds); err != nil {
 				t.Fatal(err)
 			}
 			obj := objective(t, p, got)
@@ -111,9 +111,8 @@ func TestImproveMonotonic(t *testing.T) {
 }
 
 // TestImproveDeterministic runs the improver twice from identical inputs and
-// checks byte-identical results, and that a counting Stop callback lands on
-// exactly the same solution as the equivalent MaxRounds budget — the
-// deadline-stop determinism contract.
+// checks byte-identical results, and that a zero round budget leaves an
+// already unmapped-when-idle solution untouched.
 func TestImproveDeterministic(t *testing.T) {
 	for it := 0; it < 40; it++ {
 		rng := rand.New(rand.NewSource(int64(8300 + it)))
@@ -129,11 +128,11 @@ func TestImproveDeterministic(t *testing.T) {
 
 		a := cloneSolution(start)
 		b := cloneSolution(start)
-		ra, err := core.Improve(p, a, core.ImproveOptions{MaxRounds: 3})
+		ra, err := core.Improve(p, a, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := core.Improve(p, b, core.ImproveOptions{MaxRounds: 3})
+		rb, err := core.Improve(p, b, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,22 +140,13 @@ func TestImproveDeterministic(t *testing.T) {
 			t.Fatalf("it %d: repeated Improve diverged (%d vs %d rounds)", it, ra, rb)
 		}
 
-		// Stop after two polls == MaxRounds of 2.
+		// A zero budget only unmaps idle switches, and degrade left none.
 		c := cloneSolution(start)
-		d := cloneSolution(start)
-		if _, err := core.Improve(p, c, core.ImproveOptions{MaxRounds: 2}); err != nil {
-			t.Fatal(err)
+		if rc, err := core.Improve(p, c, 0); err != nil || rc != 0 {
+			t.Fatalf("it %d: zero-round Improve ran %d rounds, err %v", it, rc, err)
 		}
-		polls := 0
-		stop := func() bool {
-			polls++
-			return polls > 2
-		}
-		if _, err := core.Improve(p, d, core.ImproveOptions{MaxRounds: 64, Stop: stop}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(c, d) {
-			t.Fatalf("it %d: Stop-based deadline diverged from round budget", it)
+		if !reflect.DeepEqual(c, start) {
+			t.Fatalf("it %d: zero-round Improve changed the solution", it)
 		}
 	}
 }
@@ -174,12 +164,12 @@ func TestImproveValidation(t *testing.T) {
 	}
 	bad := cloneSolution(s)
 	bad.SwitchLevel = true
-	if _, err := core.Improve(p, bad, core.ImproveOptions{}); err == nil {
+	if _, err := core.Improve(p, bad, 64); err == nil {
 		t.Fatal("want error for switch-level solution")
 	}
 	short := cloneSolution(s)
 	short.Active = short.Active[:len(short.Active)-1]
-	if _, err := core.Improve(p, short, core.ImproveOptions{}); err == nil {
+	if _, err := core.Improve(p, short, 64); err == nil {
 		t.Fatal("want error for shape mismatch")
 	}
 }

@@ -103,34 +103,10 @@ func PG(p *Problem) (*Solution, error) {
 
 	// Phase 2: full utilization — activate any remaining pair while capacity
 	// lasts, highest p̄ first.
-	// Stable counting sort, p̄-descending: p̄ is bounded by the path-count
-	// cap, and the quadratic insertion sort this replaces was PG's hottest
-	// loop across a full figure sweep.
-	inactive := sc.pairScratch[:0]
-	maxPBar := 0
-	for k := range p.Pairs {
+	for _, k := range pairsByPBarDesc(p, sc) {
 		if s.Active[k] {
 			continue
 		}
-		inactive = append(inactive, k)
-		if p.Pairs[k].PBar > maxPBar {
-			maxPBar = p.Pairs[k].PBar
-		}
-	}
-	sc.pairScratch = inactive
-	bucket := grabInts(&sc.bucket, maxPBar+1)
-	for _, k := range inactive {
-		bucket[p.Pairs[k].PBar]++
-	}
-	for v, acc := maxPBar, 0; v >= 0; v-- {
-		bucket[v], acc = acc, acc+bucket[v]
-	}
-	order := grabInts(&sc.order, len(inactive))
-	for _, k := range inactive {
-		order[bucket[p.Pairs[k].PBar]] = k
-		bucket[p.Pairs[k].PBar]++
-	}
-	for _, k := range order {
 		j := maxRestController()
 		if j < 0 {
 			break

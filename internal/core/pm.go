@@ -71,6 +71,10 @@ func (p *Problem) aggClassIndex() *classIndex {
 	return ci
 }
 
+// finalPassRounds caps the rounds of PM's final utilization pass, flat and
+// aggregated; quiescence normally ends it far sooner.
+const finalPassRounds = 64
+
 // pmFlat is the per-flow reference implementation of PM.
 func pmFlat(p *Problem) (*Solution, error) {
 	start := time.Now()
@@ -123,10 +127,8 @@ func pmFlat(p *Problem) (*Solution, error) {
 	// incrementally instead of rescanning every switch's pair list on every
 	// balancing iteration. It is rebuilt in O(|Pairs|) when σ advances and
 	// decremented (across all of a flow's switches) when an activation lifts
-	// the flow off the floor; trackFloor turns the upkeep off once the
-	// balancing loop is done.
+	// the flow off the floor.
 	floorPairs := grabInts(&sc.floorPairs, p.NumSwitches)
-	trackFloor := true
 	rebuildFloor := func() {
 		for i := range floorPairs {
 			floorPairs[i] = 0
@@ -141,7 +143,7 @@ func pmFlat(p *Problem) (*Solution, error) {
 
 	activate := func(k, j0 int) {
 		l := p.Pairs[k].Flow
-		if trackFloor && h[l] == sigma {
+		if h[l] == sigma {
 			// The flow leaves the floor (p̄ >= 2 > 0): every switch hosting
 			// one of its pairs loses a floor pair.
 			for _, kk := range p.PairsOfFlow(l) {
@@ -227,57 +229,18 @@ func pmFlat(p *Problem) (*Solution, error) {
 		}
 	}
 	sc.pairScratch = scratch
-	trackFloor = false
 
-	// Final pass: spend leftover capacity on total programmability
-	// (lines 42–50), alternating with switch rebalancing until neither makes
-	// progress. Capacity is spent on the highest-p̄ pairs first — the order
-	// that maximizes obj₂ under scarcity — and the fill runs before each
-	// rebalance so the rebalance sees true saturation.
 	// Map any switch the balancing loop never selected (all of its flows
 	// were lifted elsewhere first) so the utilization pass can reach its
-	// pairs: nearest controller with spare capacity, else nearest.
+	// pairs: nearest controller with spare capacity, else nearest. Then spend
+	// leftover capacity on total programmability (lines 42–50).
 	for i := 0; i < p.NumSwitches; i++ {
 		if s.SwitchController[i] >= 0 || p.EligiblePairCount(i) == 0 {
 			continue
 		}
 		s.SwitchController[i] = mapLeftoverSwitch(p, sc, rest, i)
 	}
-
-	// Order pairs PBar-descending with a stable counting sort: p̄ values are
-	// small (bounded by the path-count cap), and sorting all pairs was the
-	// single hottest line of a sweep under a comparison sort.
-	byPBar := pairsByPBarDesc(p, sc)
-	for round := 0; round < 64; round++ {
-		for _, k := range byPBar {
-			if s.Active[k] {
-				continue
-			}
-			j0 := s.SwitchController[p.Pairs[k].Switch]
-			if j0 >= 0 && rest[j0] > 0 {
-				activate(k, j0)
-			}
-		}
-		moved := rebalanceFlat(p, s, sc, rest)
-		upgraded := upgrade(p, s, rest, h, alternatives)
-		if !moved && !upgraded {
-			break
-		}
-	}
-
-	// Unmap switches that ended up with no active pair: mapping them would
-	// consume a controller session for nothing.
-	activeAt := grabBools(&sc.activeAt, p.NumSwitches)
-	for k, on := range s.Active {
-		if on {
-			activeAt[p.Pairs[k].Switch] = true
-		}
-	}
-	for i := range s.SwitchController {
-		if !activeAt[i] {
-			s.SwitchController[i] = -1
-		}
-	}
+	refine(p, s, sc, rest, h, alternatives, finalPassRounds)
 
 	s.Runtime = time.Since(start)
 	return s, nil

@@ -327,7 +327,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 		return changed
 	}
 
-	for round := 0; round < 64; round++ {
+	for round := 0; round < finalPassRounds; round++ {
 		fill()
 		moved := rebalanceAgg()
 		upgraded := upgradeAgg()

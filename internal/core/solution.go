@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -50,6 +51,17 @@ func NewSolution(algorithm string, p *Problem) *Solution {
 		s.SwitchController[i] = -1
 	}
 	return s
+}
+
+// UnmapIdle unmaps every switch with no active pair: mapping it would hold a
+// controller session for nothing. It is PM's terminal invariant, which the
+// exact solver's extraction mirrors.
+func (s *Solution) UnmapIdle(p *Problem) {
+	for i := range s.SwitchController {
+		if lo, hi := p.SwitchRun(i); !slices.Contains(s.Active[lo:hi], true) {
+			s.SwitchController[i] = -1
+		}
+	}
 }
 
 // ErrInfeasible reports a solution that violates the problem's constraints.

@@ -8,7 +8,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +15,7 @@ import (
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
+	"pmedic/internal/par"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
@@ -111,75 +111,46 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 
 // ForEachCase compiles every failure combination off the shared context with
 // scenario.Context.Build and calls fn with the compiled instance under the
-// case's index in combos, so results are independent of the worker count. It
-// is a plain worker pool: each worker takes the next case off a shared queue,
-// compiles it and runs fn, which keeps the pool balanced when single cases
-// run for minutes (Optimal). fn runs concurrently for distinct indices and
-// must only touch state it owns (writing to its own slot of a results slice
-// is the intended pattern). Errors are deterministic regardless of
-// scheduling: the failing case with the lowest index wins, and a case that
-// does not compile fails as "eval: case […]". workers <= 0 selects one worker
-// per available CPU. The plan-store compiler and the sweep harness share this
-// engine (DESIGN §10).
+// case's index in combos, so results are independent of the worker count.
+// The cases go out over par.For, each worker taking the next index as it
+// frees up, which keeps the pool balanced when single cases run for minutes
+// (Optimal). fn runs concurrently for distinct indices and must only touch
+// state it owns (writing to its own slot of a results slice is the intended
+// pattern). Errors are deterministic regardless of scheduling: the failing
+// case with the lowest index wins, and a case that does not compile fails as
+// "eval: case […]". workers <= 0 selects one worker per available CPU; 1 runs
+// the cases in order on the calling goroutine. The plan-store compiler and
+// the sweep harness share this engine (DESIGN §10).
 func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(combos) {
-		workers = len(combos)
-	}
-	run := func(idx int) error {
-		inst, err := ctx.Build(combos[idx])
-		if err != nil {
-			return fmt.Errorf("eval: case %v: %w", combos[idx], err)
-		}
-		return fn(idx, inst)
-	}
-	if workers <= 1 {
-		for idx := range combos {
-			if err := run(idx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// lowest is the lowest index that has failed so far. Cases above it
-	// drain without work; a case below it still runs, because it may fail
-	// too and then wins, so the error returned is the lowest failing case's
-	// whatever the schedule.
+	// lowest is the lowest index that has failed so far. Cases above it are
+	// skipped; a case below it still runs, because it may fail too and then
+	// wins, so the error returned is the lowest failing case's whatever the
+	// schedule.
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		lowest   atomic.Int64
 	)
 	lowest.Store(int64(len(combos)))
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if int64(idx) > lowest.Load() {
-					continue
-				}
-				if err := run(idx); err != nil {
-					mu.Lock()
-					if int64(idx) < lowest.Load() {
-						firstErr = err
-						lowest.Store(int64(idx))
-					}
-					mu.Unlock()
-				}
+	par.For(len(combos), workers, func(_, idx int) {
+		if int64(idx) > lowest.Load() {
+			return
+		}
+		inst, err := ctx.Build(combos[idx])
+		if err != nil {
+			err = fmt.Errorf("eval: case %v: %w", combos[idx], err)
+		} else {
+			err = fn(idx, inst)
+		}
+		if err != nil {
+			mu.Lock()
+			if int64(idx) < lowest.Load() {
+				firstErr = err
+				lowest.Store(int64(idx))
 			}
-		}()
-	}
-	for idx := range combos {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
+			mu.Unlock()
+		}
+	})
 	return firstErr
 }
 

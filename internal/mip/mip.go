@@ -14,11 +14,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pmedic/internal/lp"
+	"pmedic/internal/par"
 )
 
 // Model is a MIP under construction: a linear model plus integrality marks.
@@ -336,22 +335,9 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 		// Expand the selected nodes in parallel; results land in a slice
 		// indexed by selection order, so scheduling cannot reorder them.
 		results := make([]expansion, len(selected))
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < opts.Workers && w < len(selected); w++ {
-			wg.Add(1)
-			go func(clone *lp.Model) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(selected) {
-						return
-					}
-					results[i] = m.expandNode(clone, selected[i], origLo, origHi, opts)
-				}
-			}(clones[w])
-		}
-		wg.Wait()
+		par.For(len(selected), opts.Workers, func(w, i int) {
+			results[i] = m.expandNode(clones[w], selected[i], origLo, origHi, opts)
+		})
 
 		// Merge sequentially in selection order: counting, incumbent updates,
 		// heuristics, and child creation are all deterministic.

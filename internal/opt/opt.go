@@ -539,17 +539,6 @@ func (md *model) extract(x []float64) *core.Solution {
 			sol.Active[k] = true
 		}
 	}
-	// Drop mappings that carry no active pair (cosmetic, mirrors PM).
-	activeAt := make([]bool, p.NumSwitches)
-	for k, on := range sol.Active {
-		if on {
-			activeAt[p.Pairs[k].Switch] = true
-		}
-	}
-	for i := range sol.SwitchController {
-		if !activeAt[i] {
-			sol.SwitchController[i] = -1
-		}
-	}
+	sol.UnmapIdle(p) // cosmetic, mirrors PM
 	return sol
 }

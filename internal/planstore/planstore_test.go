@@ -53,7 +53,7 @@ func samePlan(a, b *core.Solution) bool {
 }
 
 // TestRoundTrip is the store's core property: for every compiled failure
-// set, Lookup reproduces a fresh PM solve bit for bit.
+// set, Consult hits and reproduces a fresh PM solve bit for bit.
 func TestRoundTrip(t *testing.T) {
 	path, stats, ctx := compileDepth2(t)
 	combos := scenario.CombinationsUpTo(len(ctx.Dep.Controllers), 2)
@@ -81,9 +81,9 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build %v: %v", failed, err)
 		}
-		got, ok, err := st.Lookup(inst)
-		if err != nil || !ok {
-			t.Fatalf("Lookup %v: ok=%v err=%v", failed, ok, err)
+		got, outcome, err := st.Consult(ctx, inst, core.PM)
+		if err != nil || outcome != OutcomeHit {
+			t.Fatalf("Consult %v: outcome=%v err=%v", failed, outcome, err)
 		}
 		want, err := core.PM(inst.Problem)
 		if err != nil {
@@ -99,10 +99,11 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestLookupMiss covers the two non-hit shapes: a depth-3 set (superset of
-// nothing in a depth-2 store) misses Exact but finds no Superset either,
-// while a set whose superset was compiled resolves through Superset.
+// nothing in a depth-2 store) misses Exact but finds no Superset either, so
+// Consult reports a miss, while a set whose superset was compiled resolves
+// through Superset.
 func TestLookupMiss(t *testing.T) {
-	path, _, _ := compileDepth2(t)
+	path, _, ctx := compileDepth2(t)
 	st, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -114,6 +115,13 @@ func TestLookupMiss(t *testing.T) {
 	}
 	if _, ok := st.Superset([]int{0, 1, 2}); ok {
 		t.Fatal("depth-2 store claims a superset of a depth-3 set")
+	}
+	inst, err := ctx.Build([]int{0, 1, 2})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if sol, outcome, err := st.Consult(ctx, inst, core.PM); sol != nil || outcome != OutcomeMiss || err != nil {
+		t.Fatalf("Consult {0,1,2}: plan=%v outcome=%v err=%v, want a bare miss", sol != nil, outcome, err)
 	}
 	rec, ok := st.Superset([]int{3})
 	if !ok {
@@ -260,8 +268,8 @@ func TestCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build %v: %v", failed, err)
 			}
-			if _, ok, err := st.Lookup(inst); !ok || err != nil {
-				t.Fatalf("intact record %v: ok=%v err=%v", failed, ok, err)
+			if _, outcome, err := st.Consult(ctx, inst, core.PM); outcome != OutcomeHit || err != nil {
+				t.Fatalf("intact record %v: outcome=%v err=%v", failed, outcome, err)
 			}
 		}
 		if absent == 0 {
@@ -285,7 +293,7 @@ func TestCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build %v: %v", last, err)
 		}
-		if _, _, err := st.Lookup(inst); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := st.Consult(ctx, inst, core.PM); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("bit-flipped record served: err=%v, want ErrCorrupt", err)
 		}
 	})

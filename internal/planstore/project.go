@@ -93,50 +93,42 @@ func Project(sup *scenario.Instance, supSol *core.Solution, inst *scenario.Insta
 
 // repairProjected improves a projected plan with the capacity it left on the
 // table: switches the superset plan never mapped get a residual re-plan
-// (the same machinery a recovery push uses after demoting unreachable
-// switches) against the residual capacities minus what the projection
-// already charged, and the two plans merge disjointly. The merged plan stays
-// feasible: projected loads fit within Rest, and the repair solve only
-// spends what the reduction left.
+// (Instance.SolveResidual, the same machinery a recovery push uses after
+// demoting unreachable switches, here demoting the mapped ones) against the
+// residual capacities minus what the projection already charged, and the two
+// plans merge disjointly. The merged plan stays feasible: projected loads fit
+// within Rest, and the repair solve only spends what the reduction left.
 func repairProjected(inst *scenario.Instance, proj *core.Solution, solve func(*core.Problem) (*core.Solution, error)) (*core.Solution, error) {
 	demoted := make(map[topo.NodeID]bool)
-	unmapped := false
 	for i, j := range proj.SwitchController {
 		if j >= 0 {
 			demoted[inst.Switches[i]] = true
-		} else {
-			unmapped = true
 		}
 	}
-	if !unmapped {
+	if len(demoted) == len(inst.Switches) {
 		return proj, nil
-	}
-	r, pairMap, err := inst.Residual(demoted)
-	if err != nil {
-		return nil, fmt.Errorf("planstore: fallback repair: %w", err)
 	}
 	loads, err := proj.ControllerLoads(inst.Problem)
 	if err != nil {
 		return nil, fmt.Errorf("planstore: fallback repair: %w", err)
 	}
-	for j, l := range loads {
-		r.Rest[j] -= l
-	}
-	rsol, err := solve(r)
+	rsol, err := inst.SolveResidual(demoted, func(r *core.Problem) (*core.Solution, error) {
+		for j, l := range loads {
+			r.Rest[j] -= l
+		}
+		return solve(r)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("planstore: fallback repair: %w", err)
-	}
-	if rsol.PairController != nil {
-		return nil, fmt.Errorf("planstore: fallback repair produced flow-mapping solution %q", rsol.Algorithm)
 	}
 	for i, j := range rsol.SwitchController {
 		if j >= 0 && proj.SwitchController[i] < 0 {
 			proj.SwitchController[i] = j
 		}
 	}
-	for rk, on := range rsol.Active {
+	for k, on := range rsol.Active {
 		if on {
-			proj.Active[pairMap[rk]] = true
+			proj.Active[k] = true
 		}
 	}
 	return proj, nil

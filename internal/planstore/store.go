@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"os"
 	"sync/atomic"
-	"time"
 
 	"pmedic/internal/core"
 	"pmedic/internal/scenario"
@@ -247,21 +246,4 @@ func (st *Store) templateFor(p *core.Problem) *template {
 	t := newTemplate(p)
 	st.tmpl.Store(t)
 	return t
-}
-
-// Lookup serves the plan compiled for exactly the instance's failure set.
-// ok is false when the set was never compiled; the caller then decides
-// between Superset fallback and a fresh solve (Consult bundles the policy).
-func (st *Store) Lookup(inst *scenario.Instance) (sol *core.Solution, ok bool, err error) {
-	start := time.Now()
-	rec, ok := st.Exact(inst.Failed)
-	if !ok {
-		return nil, false, nil
-	}
-	sol, err = st.Decode(rec, inst)
-	if err != nil {
-		return nil, false, err
-	}
-	sol.Runtime = time.Since(start)
-	return sol, true, nil
 }

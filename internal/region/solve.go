@@ -2,12 +2,11 @@ package region
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"pmedic/internal/core"
+	"pmedic/internal/par"
 	"pmedic/internal/scenario"
 )
 
@@ -18,10 +17,10 @@ type SolveOptions struct {
 	// is byte-identical regardless of the worker count: region solves are
 	// independent and merge into disjoint index ranges.
 	Workers int
-	// ImproveRounds > 0 runs the anytime improver (core.Improve) for at most
-	// that many rounds after the coordinator; 0 disables it. The deadline is
-	// counted in rounds, so a given (instance, partition, ImproveRounds) is
-	// fully deterministic.
+	// ImproveRounds bounds the rounds of the anytime improver (core.Improve)
+	// after the coordinator; 0 runs none, leaving only Improve's unmapping of
+	// idle switches. The deadline is counted in rounds, so a given (instance,
+	// partition, ImproveRounds) is fully deterministic.
 	ImproveRounds int
 }
 
@@ -31,14 +30,15 @@ type SolveOptions struct {
 //     holding offline switches) are solved at all.
 //  2. Slice the problem per touched region — region-local switches, flows,
 //     and controller capacity — and run the flat/aggregated PM on each slice,
-//     concurrently on a bounded worker pool. Each slice is a Problem of its
+//     concurrently on par.For. Each slice is a Problem of its
 //     own and indexes its flow classes itself, so the workers share nothing
 //     they write.
 //  3. Merge the per-region solutions (disjoint by construction) and run the
 //     border coordinator: whole-switch moves of border switches — plus any
 //     switch stranded in a region with no surviving controller — to
 //     adjacent-region controllers with spare capacity.
-//  4. Optionally refine with the anytime improver.
+//  4. End in core.Improve: at most ImproveRounds rounds of the anytime
+//     improver, then PM's terminal unmapping of idle switches.
 //
 // With K=1 the single slice is the whole problem, the coordinator has no
 // cross-region pair to consider, and the improver starts from PM quiescence:
@@ -58,7 +58,7 @@ func SolvePM(inst *scenario.Instance, part *Partition, opts SolveOptions) (*core
 		err error
 	}
 	jobs := make([]job, len(proj.Touched))
-	solveRegion := func(x int) {
+	solveRegion := func(_, x int) {
 		r := proj.Touched[x]
 		keepSw := make([]bool, p.NumSwitches)
 		for i, ri := range proj.SwitchGroup {
@@ -90,35 +90,7 @@ func SolvePM(inst *scenario.Instance, part *Partition, opts SolveOptions) (*core
 		jobs[x].sl, jobs[x].sub = sl, sub
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(proj.Touched) {
-		workers = len(proj.Touched)
-	}
-	if workers <= 1 {
-		for x := range jobs {
-			solveRegion(x)
-		}
-	} else {
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for x := range ch {
-					solveRegion(x)
-				}
-			}()
-		}
-		for x := range jobs {
-			ch <- x
-		}
-		close(ch)
-		wg.Wait()
-	}
+	par.For(len(jobs), opts.Workers, solveRegion)
 	for x := range jobs {
 		if jobs[x].err != nil {
 			return nil, fmt.Errorf("region %d: %w", proj.Touched[x], jobs[x].err)
@@ -134,12 +106,8 @@ func SolvePM(inst *scenario.Instance, part *Partition, opts SolveOptions) (*core
 
 	coordinate(p, s, proj, part, inst)
 
-	if opts.ImproveRounds > 0 {
-		if _, err := core.Improve(p, s, core.ImproveOptions{MaxRounds: opts.ImproveRounds}); err != nil {
-			return nil, fmt.Errorf("region: improve: %w", err)
-		}
-	} else {
-		unmapEmpty(p, s)
+	if _, err := core.Improve(p, s, opts.ImproveRounds); err != nil {
+		return nil, fmt.Errorf("region: improve: %w", err)
 	}
 	s.Runtime = time.Since(start)
 	return s, nil
@@ -255,22 +223,6 @@ func coordinate(p *core.Problem, s *core.Solution, proj *scenario.Projection, pa
 			s.SwitchController[i] = bestJ
 			fund(i, bestJ)
 			moved = true
-		}
-	}
-}
-
-// unmapEmpty re-establishes PM's terminal invariant on the merged solution:
-// a switch with no active pair stays unmapped.
-func unmapEmpty(p *core.Problem, s *core.Solution) {
-	activeAt := make([]bool, p.NumSwitches)
-	for k, on := range s.Active {
-		if on {
-			activeAt[p.Pairs[k].Switch] = true
-		}
-	}
-	for i := range s.SwitchController {
-		if !activeAt[i] {
-			s.SwitchController[i] = -1
 		}
 	}
 }

@@ -87,9 +87,6 @@ func NewContext(dep *topo.Deployment, flows *flow.Set) (*Context, error) {
 // placement depends only on the topology, not on the failure case.
 func (ctx *Context) MiddleSite() topo.NodeID { return ctx.middleSite }
 
-// DelayMs returns the shortest-path control delay from a to b in ms.
-func (ctx *Context) DelayMs(a, b topo.NodeID) float64 { return ctx.dist[a][b] }
-
 // buildScratch holds Context.Build's per-case working memory. Instances are
 // recycled through buildPool: the Context is shared by concurrent sweep
 // workers, so the scratch cannot live on the Context itself, and the pool

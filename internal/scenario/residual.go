@@ -69,7 +69,9 @@ func (inst *Instance) Residual(demoted map[topo.NodeID]bool) (*core.Problem, []i
 // the Residual problem with solve and returns the plan in the instance's own
 // index spaces — a solution over inst.Problem (named after the solver's, plus
 // "+residual") carrying the residual's switch mapping and its active pairs
-// translated through pairMap. The demoted switches come back unmapped.
+// translated through pairMap. The demoted switches come back unmapped. The
+// re-plan is a switch mapping: a flow-mapping solution from solve is an
+// error.
 func (inst *Instance) SolveResidual(demoted map[topo.NodeID]bool, solve func(*core.Problem) (*core.Solution, error)) (*core.Solution, error) {
 	rp, pairMap, err := inst.Residual(demoted)
 	if err != nil {
@@ -78,6 +80,9 @@ func (inst *Instance) SolveResidual(demoted map[topo.NodeID]bool, solve func(*co
 	rsol, err := solve(rp)
 	if err != nil {
 		return nil, err
+	}
+	if rsol.PairController != nil {
+		return nil, fmt.Errorf("scenario: residual re-plan produced flow-mapping solution %q", rsol.Algorithm)
 	}
 	sol := core.NewSolution(rsol.Algorithm+"+residual", inst.Problem)
 	copy(sol.SwitchController, rsol.SwitchController)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pmedic/internal/core"
@@ -138,5 +139,50 @@ func TestResidualRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolveResidual pins the re-plan's contract per solver family: a
+// switch-mapping solver's plan is its residual solve translated back, and a
+// flow-mapping solver (PG) is refused with an error instead of coming back as
+// a plan with active pairs at unmapped switches.
+func TestSolveResidual(t *testing.T) {
+	dep, err := topo.ATT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := Build(dep, flows, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demoted := map[topo.NodeID]bool{inst.Switches[0]: true, inst.Switches[2]: true}
+
+	got, err := inst.SolveResidual(demoted, core.PM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, pairMap, err := inst.Residual(demoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsol, err := core.PM(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := translate(inst, rsol, pairMap)
+	if got.Algorithm != "PM+residual" || !reflect.DeepEqual(got.SwitchController, want.SwitchController) ||
+		!reflect.DeepEqual(got.Active, want.Active) || got.PairController != nil {
+		t.Fatalf("PM re-plan %q differs from the translated residual solve", got.Algorithm)
+	}
+	if err := got.Verify(inst.Problem); err != nil {
+		t.Fatalf("PM re-plan infeasible: %v", err)
+	}
+
+	if sol, err := inst.SolveResidual(demoted, core.PG); err == nil {
+		t.Fatalf("PG re-plan accepted (Verify says %v)", sol.Verify(inst.Problem))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
 
@@ -44,7 +45,7 @@ func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fe
 	sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
 
 	results = make([]FenceResult, len(switches))
-	runPool(len(switches), opts.Concurrency, func(i int) {
+	par.For(len(switches), opts.Concurrency, func(_, i int) {
 		results[i] = fenceOne(opts, addrs[switches[i]], switches[i], gen)
 	})
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
 	"pmedic/internal/openflow"
+	"pmedic/internal/par"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
@@ -120,11 +122,11 @@ func (s PushStatus) String() string {
 	}
 }
 
-// SwitchOutcome reports how one offline switch fared under the resilient
-// push.
+// SwitchOutcome reports how one switch fared under a push: a recovery
+// (PushRecoveryResilient) or a fail-back (RestoreIdeal).
 type SwitchOutcome struct {
-	// Switch is the switch's node ID; Index its position in the instance's
-	// switch order.
+	// Switch is the switch's node ID; Index its position in the driver's
+	// input — the instance's switch order, or the switches to restore.
 	Switch topo.NodeID
 	Index  int
 	Status PushStatus
@@ -133,8 +135,8 @@ type SwitchOutcome struct {
 	Attempts int
 	// FlowModsAcked counts flow-mods confirmed behind a barrier.
 	FlowModsAcked int
-	// Dirty marks a demoted switch that may hold partial state: some
-	// flow-mods were sent on a connection that died before its barrier
+	// Dirty marks a demoted recovery switch that may hold partial state:
+	// some flow-mods were sent on a connection that died before its barrier
 	// confirmed them.
 	Dirty bool
 	// Elapsed is the wall time the switch's push sessions took, from taking
@@ -167,13 +169,12 @@ type RecoveryReport struct {
 	Final    *core.Solution
 }
 
-// switchPush is one switch's desired configuration compiled to wire
-// messages: cfg records, per offline flow at the switch, whether a flow
-// entry must exist (SDN mode) or not (legacy mode), and mods realizes cfg.
+// switchPush is one switch's desired configuration as wire messages: per
+// offline flow at the switch, in flow order, a FlowAdd where the flow is in
+// SDN mode and a FlowDelete where it is legacy.
 type switchPush struct {
 	index int
 	sw    topo.NodeID
-	cfg   map[flow.ID]bool
 	mods  []openflow.FlowMod
 }
 
@@ -190,16 +191,12 @@ func buildPushPlan(flows *flow.Set, inst *scenario.Instance, sol *core.Solution)
 		if sol.SwitchController[i] < 0 {
 			continue
 		}
-		sp := switchPush{index: i, sw: swID, cfg: make(map[flow.ID]bool)}
+		sp := switchPush{index: i, sw: swID}
 		for k, hi := p.SwitchRun(i); k < hi; k++ {
-			pr := p.Pairs[k]
-			lid := inst.FlowIDs[pr.Flow]
-			f := &flows.Flows[lid]
+			f := &flows.Flows[inst.FlowIDs[p.Pairs[k].Flow]]
 			if sol.Active[k] {
-				sp.cfg[lid] = true
 				sp.mods = append(sp.mods, addMod(f, swID))
 			} else {
-				sp.cfg[lid] = false
 				sp.mods = append(sp.mods, deleteMod(f))
 			}
 		}
@@ -316,21 +313,6 @@ func staleGeneration(err error) (gen uint64, ok bool) {
 	return 0, false
 }
 
-// cfgEqual compares two desired configurations, treating only identical
-// key sets with identical modes as equal.
-func cfgEqual(a, b map[flow.ID]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
-
 // cloneSolution deep-copies the fields the driver mutates.
 func cloneSolution(s *core.Solution) *core.Solution {
 	c := *s
@@ -390,9 +372,9 @@ func PushRecoveryResilient(
 	gen := atomic.Uint64{}
 	gen.Store(opts.GenerationID)
 	demoted := make(map[topo.NodeID]bool)
-	// installed[sw] is the last configuration the switch acknowledged behind
-	// a barrier; nil means the switch was never successfully pushed.
-	installed := make(map[topo.NodeID]map[flow.ID]bool)
+	// installed[sw] is the last mod list the switch acknowledged behind a
+	// barrier; absent means the switch was never successfully pushed.
+	installed := make(map[topo.NodeID][]openflow.FlowMod)
 
 	maxRounds := len(inst.Switches) + 1
 	for round := 0; round < maxRounds; round++ {
@@ -407,11 +389,10 @@ func PushRecoveryResilient(
 		rep.Rounds++
 
 		var (
-			mu      sync.Mutex
-			failed  []topo.NodeID
-			updated = make(map[topo.NodeID]map[flow.ID]bool)
+			mu     sync.Mutex
+			failed []topo.NodeID
 		)
-		runPool(len(work), opts.Concurrency, func(i int) {
+		par.For(len(work), opts.Concurrency, func(_, i int) {
 			sp := work[i]
 			out := &rep.Outcomes[sp.index]
 			acked, dirty, err := pushSwitch(addrs, sp, &gen, opts)
@@ -424,7 +405,7 @@ func PushRecoveryResilient(
 				out.FlowModsAcked += acked.mods
 				out.Dirty = false
 				out.Err = nil
-				updated[sp.sw] = sp.cfg
+				installed[sp.sw] = sp.mods
 				return
 			}
 			out.Status = PushDemoted
@@ -434,9 +415,6 @@ func PushRecoveryResilient(
 			}
 			failed = append(failed, sp.sw)
 		})
-		for sw, cfg := range updated {
-			installed[sw] = cfg
-		}
 		if len(failed) == 0 {
 			break
 		}
@@ -448,14 +426,9 @@ func PushRecoveryResilient(
 
 	// Demoted switches are legacy in the achieved solution regardless of
 	// what the re-plan said.
-	final := cloneSolution(cur)
-	for i, swID := range inst.Switches {
-		if demoted[swID] {
-			final.SwitchController[i] = -1
-			lo, hi := inst.Problem.SwitchRun(i)
-			clear(final.Active[lo:hi])
-			rep.Demoted = append(rep.Demoted, swID)
-		}
+	final := demote(inst, cur, demoted)
+	for swID := range demoted {
+		rep.Demoted = append(rep.Demoted, swID)
 	}
 	sort.Slice(rep.Demoted, func(a, b int) bool { return rep.Demoted[a] < rep.Demoted[b] })
 	for i := range rep.Outcomes {
@@ -474,7 +447,7 @@ func PushRecoveryResilient(
 // acknowledged configuration differs from the plan, plus cleanups for
 // switches a re-plan unmapped after they were already configured. Demoted
 // switches are excluded.
-func planDelta(plan []switchPush, inst *scenario.Instance, demoted map[topo.NodeID]bool, installed map[topo.NodeID]map[flow.ID]bool) []switchPush {
+func planDelta(plan []switchPush, inst *scenario.Instance, demoted map[topo.NodeID]bool, installed map[topo.NodeID][]openflow.FlowMod) []switchPush {
 	inPlan := make(map[topo.NodeID]bool, len(plan))
 	var work []switchPush
 	for _, sp := range plan {
@@ -482,53 +455,31 @@ func planDelta(plan []switchPush, inst *scenario.Instance, demoted map[topo.Node
 		if demoted[sp.sw] {
 			continue
 		}
-		if have, ok := installed[sp.sw]; ok && cfgEqual(have, sp.cfg) {
+		if have, ok := installed[sp.sw]; ok && slices.Equal(have, sp.mods) {
 			continue
 		}
 		work = append(work, sp)
 	}
 	// Cleanups: previously configured switches no longer in the plan must
 	// drop the entries we installed, or stale SDN state would shadow the
-	// legacy pipeline.
+	// legacy pipeline. The deletes follow the acknowledged list, so they go
+	// out flow-ascending.
 	for i, swID := range inst.Switches {
 		if inPlan[swID] || demoted[swID] {
 			continue
 		}
-		have := installed[swID]
-		sp := switchPush{index: i, sw: swID, cfg: make(map[flow.ID]bool)}
-		for lid, present := range have {
-			sp.cfg[lid] = false
-			if present {
-				f := &inst.Flows.Flows[lid]
-				sp.mods = append(sp.mods, deleteMod(f))
+		sp := switchPush{index: i, sw: swID}
+		for _, m := range installed[swID] {
+			if m.Command == openflow.FlowAdd {
+				sp.mods = append(sp.mods, deleteMod(&inst.Flows.Flows[m.Match.FlowID]))
 			}
 		}
-		if len(sp.mods) > 0 && !cfgEqual(have, sp.cfg) {
+		if len(sp.mods) > 0 {
 			work = append(work, sp)
 		}
 	}
 	sort.Slice(work, func(a, b int) bool { return work[a].index < work[b].index })
 	return work
-}
-
-// runPool calls fn(0), …, fn(n-1) on at most concurrency goroutines and
-// returns when all have finished. It is the worker pool of every wire
-// driver: recovery push, fail-back restore, fencing sweep.
-func runPool(n, concurrency int, fn func(i int)) {
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, concurrency)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		slots <- struct{}{}
-		go func(i int) {
-			defer func() {
-				<-slots
-				wg.Done()
-			}()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // attemptResult carries a worker's bookkeeping out of the retry loop.
@@ -621,7 +572,13 @@ func replan(inst *scenario.Instance, cur *core.Solution, demoted map[topo.NodeID
 		*replanned = true
 		return next
 	}
-	next := cloneSolution(cur)
+	return demote(inst, cur, demoted)
+}
+
+// demote returns a copy of sol with the demoted switches unmapped and their
+// pairs inactive.
+func demote(inst *scenario.Instance, sol *core.Solution, demoted map[topo.NodeID]bool) *core.Solution {
+	next := cloneSolution(sol)
 	for i, swID := range inst.Switches {
 		if demoted[swID] {
 			next.SwitchController[i] = -1

@@ -2,6 +2,9 @@ package sdnsim
 
 import (
 	"errors"
+	"net"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -453,5 +456,87 @@ func TestResidualReplanFreesCapacity(t *testing.T) {
 	}
 	if _, err := inst.Evaluate(next); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingConn logs every write a driver makes on a control channel.
+type recordingConn struct {
+	net.Conn
+	mu     *sync.Mutex
+	writes *[][]byte
+}
+
+func (c recordingConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	*c.writes = append(*c.writes, append([]byte(nil), b...))
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// TestResilientPushCleansUnmappedSwitches drives a re-plan that unmaps
+// switches acknowledged in round 1 (under {1,2,4} with switch 1's agent
+// missing, the residual PM drops switches 0 and 6): none of their round-1
+// entries may survive in their agents' tables, and two same-seed runs must
+// send each of them the identical cleanup batch.
+func TestResilientPushCleansUnmappedSwitches(t *testing.T) {
+	const victim topo.NodeID = 1
+	run := func() map[topo.NodeID][]byte {
+		fx := newPushFixture(t, []int{1, 2, 4})
+		addrs := AgentAddrs(fx.agents)
+		delete(addrs, victim)
+		var mu sync.Mutex
+		writes := make(map[string]*[][]byte)
+		dial := func(addr string, timeout time.Duration) (*openflow.Conn, error) {
+			nc, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			if writes[addr] == nil {
+				writes[addr] = new([][]byte)
+			}
+			log := writes[addr]
+			mu.Unlock()
+			c := openflow.NewConn(recordingConn{Conn: nc, mu: &mu, writes: log})
+			c.SetIOTimeout(timeout)
+			if err := c.Handshake(); err != nil {
+				_ = nc.Close()
+				return nil, err
+			}
+			c.SetIOTimeout(0)
+			return c, nil
+		}
+		rep, err := PushRecoveryResilient(addrs, fx.inst.Flows, fx.inst, fx.sol, PushOptions{Seed: 1, Dial: dial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Replanned || rep.Rounds != 2 || len(rep.Demoted) != 1 || rep.Demoted[0] != victim {
+			t.Fatalf("replanned=%v rounds=%d demoted=%v, want one re-plan around %d", rep.Replanned, rep.Rounds, rep.Demoted, victim)
+		}
+		checkTablesMatch(t, fx, rep.Final)
+
+		batches := make(map[topo.NodeID][]byte)
+		p := fx.inst.Problem
+		for i, swID := range fx.inst.Switches {
+			if swID == victim || fx.sol.SwitchController[i] < 0 || rep.Final.SwitchController[i] >= 0 {
+				continue
+			}
+			for k, hi := p.SwitchRun(i); k < hi; k++ {
+				if _, has := fx.agents[swID].Entry(fx.inst.FlowIDs[p.Pairs[k].Flow]); fx.sol.Active[k] && has {
+					t.Fatalf("switch %d unmapped by the re-plan still holds round-1 entry for flow %d",
+						swID, fx.inst.FlowIDs[p.Pairs[k].Flow])
+				}
+			}
+			log := *writes[addrs[swID]]
+			batches[swID] = log[len(log)-1]
+		}
+		if len(batches) < 2 {
+			t.Fatalf("re-plan unmapped %d acknowledged switches, want at least 2", len(batches))
+		}
+		return batches
+	}
+	first, second := run(), run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("two same-seed runs sent different cleanup batches")
 	}
 }

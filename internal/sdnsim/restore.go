@@ -3,29 +3,16 @@ package sdnsim
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"pmedic/internal/flow"
+	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
-
-// RestoreOutcome reports how one switch fared under a fail-back push.
-type RestoreOutcome struct {
-	Switch        topo.NodeID
-	Status        PushStatus
-	Attempts      int
-	FlowModsAcked int
-	// Elapsed is the wall time of the switch's push sessions, from taking the
-	// switch's session (a dial only when none stood by) to final barrier or
-	// demotion.
-	Elapsed time.Duration
-	Err     error
-}
 
 // RestoreReport is the structured result of a fail-back push.
 type RestoreReport struct {
 	// Outcomes has one entry per requested switch, in input order.
-	Outcomes []RestoreOutcome
+	Outcomes []SwitchOutcome
 	// FlowModsAcked totals the acknowledged flow-mods.
 	FlowModsAcked int
 	// Failed lists switches that stayed unreachable through every retry,
@@ -54,11 +41,11 @@ func RestoreIdeal(
 	opts PushOptions,
 ) (*RestoreReport, error) {
 	opts = opts.withDefaults()
-	rep := &RestoreReport{Outcomes: make([]RestoreOutcome, len(switches))}
+	rep := &RestoreReport{Outcomes: make([]SwitchOutcome, len(switches))}
 
 	var work []switchPush
 	for i, swID := range switches {
-		rep.Outcomes[i] = RestoreOutcome{Switch: swID, Status: PushLegacyPlanned}
+		rep.Outcomes[i] = SwitchOutcome{Switch: swID, Index: i, Status: PushLegacyPlanned}
 		sp := switchPush{index: i, sw: swID}
 		// The switch→flows index lists every flow through swID; the flow's
 		// destination holds no entry for it.
@@ -74,7 +61,7 @@ func RestoreIdeal(
 
 	gen := atomic.Uint64{}
 	gen.Store(opts.GenerationID)
-	runPool(len(work), opts.Concurrency, func(i int) {
+	par.For(len(work), opts.Concurrency, func(_, i int) {
 		sp := work[i]
 		acked, _, err := pushSwitch(addrs, sp, &gen, opts)
 		out := &rep.Outcomes[sp.index]

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"pmedic/internal/openflow"
+	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
 
@@ -144,7 +145,7 @@ func (s *Sessions) Warm(addrs map[topo.NodeID]string, opts PushOptions) {
 		}
 	}
 	s.mu.Unlock()
-	runPool(len(cold), opts.Concurrency, func(i int) {
+	par.For(len(cold), opts.Concurrency, func(_, i int) {
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
