@@ -24,10 +24,10 @@
 //     shortest-path workload with path-programmability coefficients
 //     (internal/flow);
 //   - a behavioural SD-WAN simulator: hybrid-pipeline switches over
-//     OSPF-computed legacy tables, controller failure injection, and
-//     recovery application with real packet traces (internal/sdnsim,
-//     internal/ospf, internal/des), plus an OpenFlow-style control-channel
-//     codec and TCP transport (internal/openflow);
+//     converged OSPF (shortest-delay) legacy tables, controller failure
+//     injection, and recovery application with real packet traces
+//     (internal/sdnsim), plus an OpenFlow-style control-channel codec and TCP
+//     transport (internal/openflow);
 //   - the experiment harness regenerating every figure of the paper
 //     (internal/eval, cmd/pmsim, and the tests in figures_test.go).
 //

@@ -45,8 +45,10 @@ func run(dryRun bool) error {
 		return err
 	}
 	failed := []int{3, 4}
-	if err := n.FailControllers(failed...); err != nil {
-		return err
+	for _, j := range failed {
+		if err := n.StopController(j); err != nil {
+			return err
+		}
 	}
 	inst, err := scenario.Build(dep, flows, failed)
 	if err != nil {

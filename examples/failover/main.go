@@ -1,5 +1,4 @@
-// Failover: a live, event-driven controller-failure drill on the behavioural
-// simulator. It watches one transcontinental flow, kills the hub domain's
+// Failover: a live controller-failure drill on the behavioural simulator. It watches one transcontinental flow, kills the hub domain's
 // controller mid-run, shows that the data plane keeps forwarding while
 // reroutability is lost, applies PM's recovery, and then actually reroutes
 // the flow at the recovered hub switch.
@@ -63,22 +62,20 @@ func run(dryRun bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("t=%6.2fms  steady state: delivered over %v (%.2f ms one-way)\n",
-		net.Sim.Now(), tr.Path, tr.LatencyMs)
-	fmt.Printf("           programmable at hub 13? %v\n", net.ProgrammableAt(id, 13))
+	fmt.Printf("steady state: delivered over %v (%.2f ms one-way)\n", tr.Path, tr.LatencyMs)
+	fmt.Printf("              programmable at hub 13? %v\n", net.ProgrammableAt(id, 13))
 
 	// --- controller failure ---
-	if err := net.FailControllers(3); err != nil {
+	if err := net.StopController(3); err != nil {
 		return err
 	}
-	fmt.Printf("\nt=%6.2fms  controller C4 (site 13) FAILS: offline switches %v\n",
-		net.Sim.Now(), net.OfflineSwitches())
+	fmt.Printf("\ncontroller C4 (site 13) FAILS: offline switches %v\n", net.OfflineSwitches())
 	tr, err = net.Inject(id)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("t=%6.2fms  data plane survives: delivered over %v\n", net.Sim.Now(), tr.Path)
-	fmt.Printf("           programmable at hub 13? %v  (control is gone)\n", net.ProgrammableAt(id, 13))
+	fmt.Printf("data plane survives: delivered over %v\n", tr.Path)
+	fmt.Printf("              programmable at hub 13? %v  (control is gone)\n", net.ProgrammableAt(id, 13))
 
 	// --- recovery ---
 	sc, err := pmedic.NewScenario(dep, workload, []int{3})
@@ -93,9 +90,9 @@ func run(dryRun bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nt=%6.2fms  PM recovery applied: %d control messages, %d/%d offline flows programmable again\n",
-		net.Sim.Now(), msgs, res.Report.RecoveredFlows, sc.Problem.NumFlows)
-	fmt.Printf("           programmable at hub 13? %v\n", net.ProgrammableAt(id, 13))
+	fmt.Printf("\nPM recovery applied: %d control messages, %d/%d offline flows programmable again\n",
+		msgs, res.Report.RecoveredFlows, sc.Problem.NumFlows)
+	fmt.Printf("              programmable at hub 13? %v\n", net.ProgrammableAt(id, 13))
 
 	// --- prove it: reroute the watched flow at the hub ---
 	entry := pmedic.NodeID(-1)
@@ -107,14 +104,14 @@ func run(dryRun bool) error {
 	}
 	if entry >= 0 && net.ProgrammableAt(id, 13) {
 		if err := net.Reroute(id, 13, entry); err != nil {
-			fmt.Printf("           reroute via %s refused: %v\n", name(entry), err)
+			fmt.Printf("              reroute via %s refused: %v\n", name(entry), err)
 		} else {
 			tr, err = net.Inject(id)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("t=%6.2fms  rerouted at the hub toward %s: new path %v (delivered=%v)\n",
-				net.Sim.Now(), name(entry), tr.Path, tr.Delivered)
+			fmt.Printf("rerouted at the hub toward %s: new path %v (delivered=%v)\n",
+				name(entry), tr.Path, tr.Delivered)
 		}
 	}
 	fmt.Printf("\nsimulator stats: %+v\n", net.Stats)

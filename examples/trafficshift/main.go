@@ -75,14 +75,15 @@ func run(dryRun bool) error {
 	}
 
 	// Double failure: the hub's domain and its backup controller.
-	if err := net.FailControllers(3, 4); err != nil {
+	failed := []int{3, 4}
+	if err := stop(net, failed); err != nil {
 		return err
 	}
 	if err := sheddable("after failing C4+C5:"); err != nil {
 		return err
 	}
 
-	sc, err := pmedic.NewScenario(dep, workload, []int{3, 4})
+	sc, err := pmedic.NewScenario(dep, workload, failed)
 	if err != nil {
 		return err
 	}
@@ -98,7 +99,7 @@ func run(dryRun bool) error {
 		if err != nil {
 			return err
 		}
-		if err := net.FailControllers(3, 4); err != nil {
+		if err := stop(net, failed); err != nil {
 			return err
 		}
 		res, err := alg.run(sc)
@@ -116,5 +117,15 @@ func run(dryRun bool) error {
 	fmt.Println("elsewhere on their paths — but only PM restores the full headroom; the")
 	fmt.Println("residual pinned load under RetroFlow is exactly the flows whose only")
 	fmt.Println("reroute points sit in the unrecoverable hub switch.")
+	return nil
+}
+
+// stop kills the given controllers.
+func stop(net *pmedic.Network, controllers []int) error {
+	for _, j := range controllers {
+		if err := net.StopController(j); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -444,3 +444,74 @@ func TestExtensionSuccessiveChurn(t *testing.T) {
 		t.Fatal("no common switches across successive steps")
 	}
 }
+
+// TestExtensionBehaviouralCheck applies PM's and RetroFlow's recovery of every
+// ATT failure set (41 cases) to the behavioural simulator and holds the
+// packet-level network to the analytic report: every flow the solution
+// recovers (programmability > 0) can be rerouted somewhere on its path,
+// every pair the solution leaves in legacy mode at a mapped switch cannot be
+// rerouted there, and every offline flow still delivers.
+func TestExtensionBehaviouralCheck(t *testing.T) {
+	d := figures(t)
+	algs := []struct {
+		name string
+		run  func(*Scenario) (*Result, error)
+	}{{"PM", PM}, {"RetroFlow", RetroFlow}}
+	recovered, legacy := make([]int, len(algs)), 0
+	for k := 1; k <= 3; k++ {
+		for _, c := range d.sweep[k] {
+			sc, err := NewScenario(d.dep, d.flows, c.Failed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, alg := range algs {
+				res, err := alg.run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := Simulate(d.dep, d.flows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range c.Failed {
+					if err := net.StopController(j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := net.ApplyRecovery(sc, res.Solution); err != nil {
+					t.Fatalf("case %s, %s: %v", c.Label, alg.name, err)
+				}
+				p, sol := sc.Problem, res.Solution
+				for l, pro := range sol.FlowProgrammability(p) {
+					if pro == 0 {
+						continue
+					}
+					recovered[a]++
+					if id := sc.FlowIDs[l]; !net.Programmable(id) {
+						t.Fatalf("case %s, %s: flow %d recovered (pro=%d) but not reroutable", c.Label, alg.name, id, pro)
+					}
+				}
+				for k, pr := range p.Pairs {
+					if sol.SwitchController[pr.Switch] < 0 || sol.Active[k] {
+						continue
+					}
+					legacy++
+					if id, sw := sc.FlowIDs[pr.Flow], sc.Switches[pr.Switch]; net.ProgrammableAt(id, sw) {
+						t.Fatalf("case %s, %s: flow %d in legacy mode at mapped switch %d is reroutable there", c.Label, alg.name, id, sw)
+					}
+				}
+				for _, ids := range [][]flow.ID{sc.FlowIDs, sc.Unrecoverable} {
+					for _, id := range ids {
+						if tr, err := net.Inject(id); err != nil || !tr.Delivered {
+							t.Fatalf("case %s, %s: flow %d not delivered after recovery: %v", c.Label, alg.name, id, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	if recovered[0] == 0 || recovered[1] == 0 || legacy == 0 {
+		t.Fatalf("nothing checked: %d PM and %d RetroFlow recovered flows, %d legacy pairs", recovered[0], recovered[1], legacy)
+	}
+	t.Logf("%d PM and %d RetroFlow recovered flows reroutable, %d legacy-mode pairs at mapped switches not", recovered[0], recovered[1], legacy)
+}

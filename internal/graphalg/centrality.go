@@ -1,10 +1,6 @@
 package graphalg
 
-import (
-	"sort"
-
-	"pmedic/internal/topo"
-)
+import "pmedic/internal/topo"
 
 // Betweenness computes unweighted betweenness centrality for every node with
 // Brandes' algorithm: the number of shortest paths passing through each node,
@@ -72,27 +68,4 @@ func Betweenness(g *topo.Graph) []float64 {
 		}
 	}
 	return bc
-}
-
-// TopBetweenness returns the k nodes with the highest betweenness,
-// descending (ties toward lower IDs).
-func TopBetweenness(g *topo.Graph, k int) []topo.NodeID {
-	bc := Betweenness(g)
-	ids := make([]topo.NodeID, g.NumNodes())
-	for i := range ids {
-		ids[i] = topo.NodeID(i)
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if bc[ids[a]] != bc[ids[b]] {
-			return bc[ids[a]] > bc[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return ids[:k]
 }

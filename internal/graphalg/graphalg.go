@@ -20,9 +20,6 @@ type Weight func(a, b topo.NodeID) float64
 // ErrNoPath reports that the destination is unreachable from the source.
 var ErrNoPath = errors.New("graphalg: no path")
 
-// UnitWeight weighs every edge 1, producing hop-count shortest paths.
-func UnitWeight(topo.NodeID, topo.NodeID) float64 { return 1 }
-
 // HopMajor composes a hop-primary, delay-secondary metric: among paths with
 // the same hop count, the one with the smaller total delay wins. delay must
 // be strictly below hopUnit for the composition to be exact.
@@ -116,35 +113,11 @@ func Dijkstra(g *topo.Graph, src topo.NodeID, w Weight) (*Tree, error) {
 	return t, nil
 }
 
-// PathTo extracts the src→dst node sequence (inclusive of both endpoints)
-// from the tree. It returns ErrNoPath if dst is unreachable.
-func (t *Tree) PathTo(dst topo.NodeID) ([]topo.NodeID, error) {
-	if int(dst) >= len(t.Dist) || dst < 0 {
-		return nil, fmt.Errorf("graphalg: path: destination %d out of range", dst)
-	}
-	if math.IsInf(t.Dist[dst], 1) {
-		return nil, fmt.Errorf("%w: %d -> %d", ErrNoPath, t.Src, dst)
-	}
-	var rev []topo.NodeID
-	for v := dst; ; v = t.Parent[v] {
-		rev = append(rev, v)
-		if v == t.Src {
-			break
-		}
-		if t.Parent[v] < 0 {
-			return nil, fmt.Errorf("%w: broken parent chain at %d", ErrNoPath, v)
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
-}
-
 // AppendPathTo appends the src→dst node sequence (inclusive of both
-// endpoints) to buf and returns the extended slice. It is the allocation-free
-// sibling of PathTo for callers that concatenate many paths into one flat
-// CSR-style array (internal/flow's workload storage).
+// endpoints) to buf and returns the extended slice; a nil buf yields a fresh
+// path. Callers that concatenate many paths into one flat CSR-style array
+// (internal/flow's workload storage) pass the array and allocate nothing. It
+// returns ErrNoPath if dst is unreachable.
 func (t *Tree) AppendPathTo(buf []topo.NodeID, dst topo.NodeID) ([]topo.NodeID, error) {
 	if int(dst) >= len(t.Dist) || dst < 0 {
 		return buf, fmt.Errorf("graphalg: path: destination %d out of range", dst)
@@ -269,13 +242,4 @@ func (c *pathCounter) dfs(u topo.NodeID, budget int) {
 		c.dfs(v, budget-1)
 		c.visited[v] = false
 	})
-}
-
-// PathWeight sums w over consecutive pairs of path.
-func PathWeight(path []topo.NodeID, w Weight) float64 {
-	var total float64
-	for i := 1; i < len(path); i++ {
-		total += w(path[i-1], path[i])
-	}
-	return total
 }

@@ -9,6 +9,9 @@ import (
 	"pmedic/internal/topo"
 )
 
+// unitWeight weighs every edge 1, producing hop-count shortest paths.
+func unitWeight(topo.NodeID, topo.NodeID) float64 { return 1 }
+
 // line builds a path graph 0-1-2-...-(n-1).
 func line(t *testing.T, n int) *topo.Graph {
 	t.Helper()
@@ -41,7 +44,7 @@ func diamond(t *testing.T) *topo.Graph {
 
 func TestDijkstraLine(t *testing.T) {
 	g := line(t, 5)
-	tr, err := Dijkstra(g, 0, UnitWeight)
+	tr, err := Dijkstra(g, 0, unitWeight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestDijkstraLine(t *testing.T) {
 			t.Fatalf("dist[%d] = %v, want %d", i, tr.Dist[i], i)
 		}
 	}
-	path, err := tr.PathTo(4)
+	path, err := tr.AppendPathTo(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestDijkstraWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := tr.PathTo(3)
+	path, err := tr.AppendPathTo(nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestDijkstraWeighted(t *testing.T) {
 
 func TestDijkstraDeterministicTieBreak(t *testing.T) {
 	g := diamond(t)
-	tr, err := Dijkstra(g, 0, UnitWeight)
+	tr, err := Dijkstra(g, 0, unitWeight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,21 +108,21 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Dijkstra(g, 0, UnitWeight)
+	tr, err := Dijkstra(g, 0, unitWeight)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(tr.Dist[2], 1) {
 		t.Fatalf("dist to disconnected node = %v, want +inf", tr.Dist[2])
 	}
-	if _, err := tr.PathTo(2); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("PathTo error = %v, want ErrNoPath", err)
+	if _, err := tr.AppendPathTo(nil, 2); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("AppendPathTo error = %v, want ErrNoPath", err)
 	}
 }
 
 func TestDijkstraBadSource(t *testing.T) {
 	g := line(t, 3)
-	if _, err := Dijkstra(g, 7, UnitWeight); err == nil {
+	if _, err := Dijkstra(g, 7, unitWeight); err == nil {
 		t.Fatal("out-of-range source must error")
 	}
 }
@@ -263,19 +266,6 @@ func recHelper(g *topo.Graph, u, dst topo.NodeID, hops, maxHops int, visited map
 	return total
 }
 
-func TestPathWeight(t *testing.T) {
-	g := line(t, 4)
-	_ = g
-	w := func(a, b topo.NodeID) float64 { return float64(a + b) }
-	got := PathWeight([]topo.NodeID{0, 1, 2, 3}, w)
-	if got != 1+3+5 {
-		t.Fatalf("PathWeight = %v, want 9", got)
-	}
-	if PathWeight(nil, w) != 0 || PathWeight([]topo.NodeID{2}, w) != 0 {
-		t.Fatal("degenerate paths must weigh 0")
-	}
-}
-
 func TestHopMajorComposition(t *testing.T) {
 	// A 2-hop cheap-delay path must lose to a 1-hop expensive-delay path.
 	g := &topo.Graph{}
@@ -297,7 +287,7 @@ func TestHopMajorComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := tr.PathTo(2)
+	path, err := tr.AppendPathTo(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

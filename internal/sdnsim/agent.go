@@ -13,9 +13,9 @@ import (
 
 // Agent exposes one simulated switch as a network service speaking the
 // openflow wire protocol: a recovery controller can dial it, take the
-// master role, and install or remove flow entries over real TCP. It is the
-// networked counterpart of Network.ApplyRecovery, used to exercise the full
-// control channel end to end.
+// master role, and install or remove flow entries over real TCP. It applies
+// each flow-mod with Switch.Apply, as Network.ApplyRecovery does in process,
+// so the wire and the in-process path share one translation to table state.
 type Agent struct {
 	listener *openflow.Listener
 
@@ -198,18 +198,7 @@ func (a *Agent) serve(conn *openflow.Conn) {
 				a.mu.Unlock()
 				continue
 			}
-			switch m.Command {
-			case openflow.FlowAdd:
-				a.sw.InstallEntry(FlowEntry{
-					FlowID:   flow.ID(m.Match.FlowID),
-					Priority: int(m.Priority),
-					NextHop:  topo.NodeID(m.NextHop),
-				})
-			case openflow.FlowDelete:
-				a.sw.RemoveEntry(flow.ID(m.Match.FlowID))
-			case openflow.FlowDeleteAll:
-				a.sw.FlushEntries()
-			}
+			a.sw.Apply(m)
 			a.flowMods++
 			a.mu.Unlock()
 		case openflow.BarrierRequest:

@@ -158,7 +158,7 @@ func TestPushRecoveryOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailControllers(3); err != nil {
+	if err := n.StopController(3); err != nil {
 		t.Fatal(err)
 	}
 	inst, err := scenario.Build(dep, flows, []int{3})

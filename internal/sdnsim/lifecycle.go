@@ -10,11 +10,11 @@ import (
 
 // This file is the runtime controller-lifecycle surface of Network: killing
 // and reviving controllers while the network keeps running, and adopting a
-// recovery mapping computed outside the simulator. Unlike the batch entry
-// points (FailControllers, ApplyRecovery), everything here is safe to call
-// concurrently — the online recovery daemon (internal/medic) adopts mappings
-// from its reconcile loop while tests and chaos scripts kill and revive
-// controllers from other goroutines.
+// recovery mapping computed outside the simulator. Unlike the packet walk and
+// ApplyRecovery's table writes, everything here is safe to call concurrently
+// — the online recovery daemon (internal/medic) adopts mappings from its
+// reconcile loop while tests and chaos scripts kill and revive controllers
+// from other goroutines.
 
 // ErrControllerAlive reports a StartController on a controller that never
 // stopped.
@@ -26,8 +26,8 @@ var ErrControllerAlive = errors.New("sdnsim: controller already alive")
 // data-plane state survives. The OnControllerChange hook, when set, fires
 // after the state change so an attached probe endpoint can go dark.
 //
-// Unlike FailControllers it is idempotent (stopping a dead controller is a
-// no-op) and safe under concurrency with the rest of the lifecycle surface.
+// It is idempotent (stopping a dead controller is a no-op) and safe under
+// concurrency with the rest of the lifecycle surface.
 func (n *Network) StopController(j int) error {
 	if j < 0 || j >= len(n.Controllers) {
 		return fmt.Errorf("%w: %d", ErrBadController, j)
@@ -124,7 +124,7 @@ func (n *Network) MappingSnapshot() []int {
 // AdoptMapping records a pushed switch-mapping recovery in the network's
 // ownership bookkeeping: instance switches mapped by the solution move under
 // their assigned (deployment-indexed) controller, unmapped ones become
-// unmanaged. It is the ownership-only counterpart of ApplyRecovery — the
+// unmanaged. It is ApplyRecovery's last step without the flow-mods — the
 // daemon calls it after PushRecoveryResilient has already installed the
 // data-plane state over the wire, so no flow-mods are replayed here.
 func (n *Network) AdoptMapping(inst *scenario.Instance, sol *core.Solution) error {

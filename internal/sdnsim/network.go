@@ -6,22 +6,17 @@ import (
 	"sync"
 
 	"pmedic/internal/core"
-	"pmedic/internal/des"
 	"pmedic/internal/flow"
 	"pmedic/internal/graphalg"
-	"pmedic/internal/ospf"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
 
 // Controller is one control-plane instance.
 type Controller struct {
-	Index    int
-	Site     topo.NodeID
-	Capacity int
-	Alive    bool
-	// Load is the number of flow@switch sessions currently charged to it.
-	Load int
+	Index int
+	Site  topo.NodeID
+	Alive bool
 }
 
 // Stats counts simulator activity.
@@ -34,12 +29,11 @@ type Stats struct {
 	LegacyFallbacks  int
 }
 
-// Network is a running SD-WAN: a topology deployment with live switches,
-// controllers, and a virtual clock.
+// Network is a running SD-WAN: a topology deployment with live switches and
+// controllers.
 type Network struct {
 	Dep   *topo.Deployment
 	Flows *flow.Set
-	Sim   *des.Simulator
 
 	Switches    []*Switch
 	Controllers []*Controller
@@ -58,16 +52,6 @@ type Network struct {
 	ctrlMu sync.Mutex
 
 	delay func(a, b topo.NodeID) float64
-	// ctrlDist[j][v] is the control-channel delay from controller j's site
-	// to node v along shortest paths.
-	ctrlDist [][]float64
-	// middle holds flow-level control ownership installed through a
-	// FlowVisor-style middle layer (see middlelayer.go).
-	middle map[topo.NodeID]map[flow.ID]middleOwner
-	// failedLinks marks out-of-service data-plane links (see linkfail.go)
-	// and lsaSeq sequences the LSAs re-originated on link failures.
-	failedLinks map[failedLink]bool
-	lsaSeq      uint64
 }
 
 // Network errors.
@@ -75,8 +59,6 @@ var (
 	ErrControllerDown  = errors.New("sdnsim: controller is down")
 	ErrBadController   = errors.New("sdnsim: controller index out of range")
 	ErrBadFlow         = errors.New("sdnsim: unknown flow")
-	ErrNotOnPath       = errors.New("sdnsim: switch not on the flow's path")
-	ErrCapacity        = errors.New("sdnsim: controller capacity exhausted")
 	ErrPacketLoop      = errors.New("sdnsim: packet exceeded the hop budget")
 	ErrInvalidNextHop  = errors.New("sdnsim: next hop is not adjacent")
 	ErrNoAlternatePath = errors.New("sdnsim: next hop cannot reach the destination")
@@ -84,67 +66,69 @@ var (
 
 // New builds the steady-state network: every switch runs the hybrid
 // pipeline with converged legacy (OSPF) tables, every flow has SDN entries
-// along its path, and every controller manages its domain with the session
-// load those entries imply.
+// along its path, and every controller manages its domain.
 func New(dep *topo.Deployment, flows *flow.Set) (*Network, error) {
 	g := dep.Graph
 	delayW, err := g.EdgeDelaysMs()
 	if err != nil {
 		return nil, fmt.Errorf("sdnsim: %w", err)
 	}
-	tables, err := ospf.ComputeTables(g, delayW)
-	if err != nil {
-		return nil, fmt.Errorf("sdnsim: legacy tables: %w", err)
-	}
 	n := &Network{
 		Dep:   dep,
 		Flows: flows,
-		Sim:   &des.Simulator{},
 		delay: delayW,
 	}
 	n.Switches = make([]*Switch, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		n.Switches[v] = NewSwitch(topo.NodeID(v), tables[v])
+	for v := range n.Switches {
+		legacy, err := legacyTable(g, topo.NodeID(v), delayW)
+		if err != nil {
+			return nil, fmt.Errorf("sdnsim: legacy table of %d: %w", v, err)
+		}
+		n.Switches[v] = NewSwitch(topo.NodeID(v), legacy)
 	}
 	n.Controllers = make([]*Controller, len(dep.Controllers))
-	n.ctrlDist = make([][]float64, len(dep.Controllers))
 	for j, c := range dep.Controllers {
-		n.Controllers[j] = &Controller{Index: j, Site: c.Site, Capacity: c.Capacity, Alive: true}
-		tree, err := graphalg.Dijkstra(g, c.Site, delayW)
-		if err != nil {
-			return nil, fmt.Errorf("sdnsim: controller %d distances: %w", j, err)
-		}
-		n.ctrlDist[j] = tree.Dist
+		n.Controllers[j] = &Controller{Index: j, Site: c.Site, Alive: true}
 		for _, sw := range c.Domain {
 			n.Switches[sw].Controller = j
 		}
 	}
 	// Install the initial SDN state: one entry per flow per on-path switch
-	// (except the destination), charged to the switch's domain controller.
+	// (except the destination).
 	for l := range flows.Flows {
 		f := &flows.Flows[l]
 		for i := 0; i+1 < len(f.Path); i++ {
-			sw := n.Switches[f.Path[i]]
-			sw.InstallEntry(FlowEntry{FlowID: f.ID, Priority: 100, NextHop: f.Path[i+1]})
-			n.Controllers[sw.Controller].Load++
+			n.Switches[f.Path[i]].InstallEntry(FlowEntry{FlowID: f.ID, Priority: 100, NextHop: f.Path[i+1]})
 		}
 	}
 	return n, nil
 }
 
-// ControlDelayMs returns the control-channel propagation delay between a
-// controller and a switch.
-func (n *Network) ControlDelayMs(controller int, sw topo.NodeID) (float64, error) {
-	if controller < 0 || controller >= len(n.Controllers) {
-		return 0, fmt.Errorf("%w: %d", ErrBadController, controller)
+// legacyTable is src's converged OSPF table: toward every destination, the
+// first hop on src's shortest-delay tree (ties toward the lower-numbered
+// parent, as SPF breaks them), -1 for src itself and unreachable nodes.
+func legacyTable(g *topo.Graph, src topo.NodeID, delay graphalg.Weight) ([]topo.NodeID, error) {
+	tree, err := graphalg.Dijkstra(g, src, delay)
+	if err != nil {
+		return nil, err
 	}
-	if sw < 0 || int(sw) >= len(n.Switches) {
-		return 0, fmt.Errorf("sdnsim: switch %d out of range", sw)
+	next := make([]topo.NodeID, len(tree.Parent))
+	for dst := range next {
+		v := topo.NodeID(dst)
+		if v == src || tree.Parent[v] < 0 {
+			next[dst] = -1
+			continue
+		}
+		for tree.Parent[v] != src {
+			v = tree.Parent[v]
+		}
+		next[dst] = v
 	}
-	return n.ctrlDist[controller][sw], nil
+	return next, nil
 }
 
-// Trace is the outcome of one injected packet.
+// Trace is the outcome of one injected packet. LatencyMs is the sum of the
+// propagation delays of the links it crossed.
 type Trace struct {
 	Flow      flow.ID
 	Path      []topo.NodeID
@@ -157,8 +141,7 @@ type Trace struct {
 const maxHops = 64
 
 // Inject sends one packet of the flow from its source and walks it through
-// switch pipelines until delivery or drop, advancing the virtual clock by
-// each link's propagation delay.
+// switch pipelines until delivery or drop.
 func (n *Network) Inject(id flow.ID) (*Trace, error) {
 	if id < 0 || int(id) >= len(n.Flows.Flows) {
 		return nil, fmt.Errorf("%w: %d", ErrBadFlow, id)
@@ -167,7 +150,6 @@ func (n *Network) Inject(id flow.ID) (*Trace, error) {
 	n.Stats.PacketsInjected++
 	tr := &Trace{Flow: id}
 	at := f.Src
-	start := n.Sim.Now()
 	for hops := 0; hops <= maxHops; hops++ {
 		tr.Path = append(tr.Path, at)
 		nh, verdict := n.Switches[at].Forward(id, f.Dst)
@@ -175,7 +157,6 @@ func (n *Network) Inject(id flow.ID) (*Trace, error) {
 		switch verdict {
 		case VerdictDelivered:
 			tr.Delivered = true
-			tr.LatencyMs = float64(n.Sim.Now() - start)
 			n.Stats.PacketsDelivered++
 			return tr, nil
 		case VerdictFlowTable, VerdictLegacy:
@@ -186,44 +167,15 @@ func (n *Network) Inject(id flow.ID) (*Trace, error) {
 				n.Stats.PacketsDropped++
 				return tr, fmt.Errorf("%w: %d -> %d", ErrInvalidNextHop, at, nh)
 			}
-			if !n.LinkUp(at, nh) {
-				// The chosen next hop crosses a dead link: the packet is lost.
-				n.Stats.PacketsDropped++
-				tr.LatencyMs = float64(n.Sim.Now() - start)
-				return tr, nil
-			}
-			hop := nh
-			if err := n.Sim.Schedule(des.Time(n.delay(at, hop)), func() {}); err != nil {
-				return tr, err
-			}
-			n.Sim.Run(1)
-			at = hop
+			tr.LatencyMs += n.delay(at, nh)
+			at = nh
 		default:
 			n.Stats.PacketsDropped++
-			tr.LatencyMs = float64(n.Sim.Now() - start)
 			return tr, nil
 		}
 	}
 	n.Stats.PacketsDropped++
 	return tr, fmt.Errorf("%w: flow %d", ErrPacketLoop, id)
-}
-
-// FailControllers kills the given controllers: their switches become
-// unmanaged (offline). Data-plane state survives — the installed entries
-// keep forwarding — but the switches cannot be reprogrammed until remapped.
-func (n *Network) FailControllers(indices ...int) error {
-	for _, j := range indices {
-		if j < 0 || j >= len(n.Controllers) {
-			return fmt.Errorf("%w: %d", ErrBadController, j)
-		}
-	}
-	for _, j := range indices {
-		n.Controllers[j].Alive = false
-		for _, sw := range n.Dep.Controllers[j].Domain {
-			n.Switches[sw].Controller = -1
-		}
-	}
-	return nil
 }
 
 // OfflineSwitches returns the currently unmanaged switches, ascending.
@@ -246,16 +198,11 @@ func (n *Network) Reroute(id flow.ID, at topo.NodeID, newNextHop topo.NodeID) er
 		return fmt.Errorf("%w: %d", ErrBadFlow, id)
 	}
 	sw := n.Switches[at]
-	var ctrl *Controller
-	switch {
-	case sw.Managed() && n.Controllers[sw.Controller].Alive:
-		ctrl = n.Controllers[sw.Controller]
-	case n.middleManaged(id, at):
-		ctrl = n.Controllers[n.middle[at][id].controller]
-	case sw.Managed():
-		return fmt.Errorf("%w: controller %d", ErrControllerDown, sw.Controller)
-	default:
+	if !sw.Managed() {
 		return fmt.Errorf("%w: switch %d", ErrUnmanaged, at)
+	}
+	if !n.Controllers[sw.Controller].Alive {
+		return fmt.Errorf("%w: controller %d", ErrControllerDown, sw.Controller)
 	}
 	if _, ok := sw.Entry(id); !ok {
 		return fmt.Errorf("%w: flow %d at switch %d", ErrNoEntry, id, at)
@@ -267,16 +214,8 @@ func (n *Network) Reroute(id flow.ID, at topo.NodeID, newNextHop topo.NodeID) er
 	if !n.reaches(newNextHop, f.Dst, at) {
 		return fmt.Errorf("%w: %d via %d", ErrNoAlternatePath, f.Dst, newNextHop)
 	}
-	// The flow-mod travels controller -> switch before taking effect.
-	delayMs := n.ctrlDist[ctrl.Index][at]
 	n.Stats.FlowModsSent++
-	err := n.Sim.Schedule(des.Time(delayMs), func() {
-		sw.InstallEntry(FlowEntry{FlowID: id, Priority: 100, NextHop: newNextHop})
-	})
-	if err != nil {
-		return err
-	}
-	n.Sim.Run(1)
+	sw.InstallEntry(FlowEntry{FlowID: id, Priority: 100, NextHop: newNextHop})
 	return nil
 }
 
@@ -307,107 +246,41 @@ func (n *Network) reaches(start, dst, banned topo.NodeID) bool {
 	return false
 }
 
-// ApplyRecovery applies a switch-mapping recovery solution to the network:
-// offline switches are remapped per the solution, SDN-mode pairs keep (or
-// get) flow entries charged to the new controller, and entries for pairs
-// left in legacy mode are removed so those flows fall through to OSPF at
-// that switch. Flow-mods arrive after their control-channel delay; the
-// virtual clock advances until all have been applied. It returns the number
-// of reconfiguration messages sent.
+// ApplyRecovery applies a switch-mapping recovery solution in process, as
+// PushRecoveryResilient does over the wire on a healthy control channel: the
+// solution is verified against the instance, every mapped switch gets the
+// flow-mods of buildPushPlan — an add for each of its SDN-mode pairs, a
+// delete for each legacy-mode one — and AdoptMapping records the new
+// ownership. A switch the solution leaves unmapped is not touched: nobody
+// manages it, so nobody can delete its entries. It returns the control
+// messages the recovery costs: the flow-mods plus one mastership claim per
+// mapped switch.
 func (n *Network) ApplyRecovery(inst *scenario.Instance, sol *core.Solution) (int, error) {
-	if sol.PairController != nil {
-		return 0, errors.New("sdnsim: flow-level solutions need a middle layer, not a switch mapping")
+	if err := sol.Verify(inst.Problem); err != nil {
+		return 0, fmt.Errorf("sdnsim: apply: %w", err)
 	}
-	p := inst.Problem
+	plan, err := buildPushPlan(n.Flows, inst, sol)
+	if err != nil {
+		return 0, err
+	}
 	messages := 0
-	// Remap switches.
-	for i, jj := range sol.SwitchController {
-		swID := inst.Switches[i]
-		sw := n.Switches[swID]
-		if jj < 0 {
-			// Whole switch stays legacy: every offline flow entry there is
-			// stale state that can no longer be managed; leave the entries
-			// (the data plane keeps them) but count nothing.
-			continue
+	for _, sp := range plan {
+		sw := n.Switches[sp.sw]
+		for _, m := range sp.mods {
+			sw.Apply(m)
 		}
-		ctrl := n.Controllers[inst.Active[jj]]
-		if !ctrl.Alive {
-			return messages, fmt.Errorf("%w: controller %d", ErrControllerDown, ctrl.Index)
-		}
-		sw.Controller = ctrl.Index
-		n.Stats.Remappings++
-		messages++ // role-request claiming mastership
+		n.Stats.FlowModsSent += len(sp.mods)
+		messages += 1 + len(sp.mods)
 	}
-	// Reconcile flow entries at offline switches.
-	activeAt := make(map[topo.NodeID]map[flow.ID]bool, len(inst.Switches))
-	for k, on := range sol.Active {
-		if !on {
-			continue
-		}
-		pr := p.Pairs[k]
-		swID := inst.Switches[pr.Switch]
-		if activeAt[swID] == nil {
-			activeAt[swID] = make(map[flow.ID]bool)
-		}
-		activeAt[swID][inst.FlowIDs[pr.Flow]] = true
-	}
-	for i := range inst.Switches {
-		swID := inst.Switches[i]
-		sw := n.Switches[swID]
-		jj := sol.SwitchController[i]
-		var ctrl *Controller
-		if jj >= 0 {
-			ctrl = n.Controllers[inst.Active[jj]]
-		}
-		// Offline flows traversing this switch either stay SDN (entry kept,
-		// session charged) or drop to legacy (entry removed).
-		for _, lid := range append(append([]flow.ID(nil), inst.FlowIDs...), inst.Unrecoverable...) {
-			f := &n.Flows.Flows[lid]
-			onPath := false
-			for _, v := range f.Path[:len(f.Path)-1] {
-				if v == swID {
-					onPath = true
-					break
-				}
-			}
-			if !onPath {
-				continue
-			}
-			if ctrl != nil && activeAt[swID][lid] {
-				if ctrl.Load >= ctrl.Capacity {
-					return messages, fmt.Errorf("%w: controller %d", ErrCapacity, ctrl.Index)
-				}
-				ctrl.Load++
-				messages++
-				n.Stats.FlowModsSent++
-				d := n.ctrlDist[ctrl.Index][swID]
-				if err := n.Sim.Schedule(des.Time(d), func() {
-					// Entry already present from steady state; re-install to
-					// model the takeover flow-mod.
-					if e, ok := sw.Entry(lid); ok {
-						sw.InstallEntry(e)
-					}
-				}); err != nil {
-					return messages, err
-				}
-			} else {
-				// Legacy mode for this flow here.
-				sw.RemoveEntry(lid)
-			}
-		}
-	}
-	n.Sim.Run(0)
-	return messages, nil
+	return messages, n.AdoptMapping(inst, sol)
 }
 
 // ProgrammableAt reports whether the flow can actually be rerouted at the
-// switch right now: SDN entry present, the flow controllable there — via
-// the switch's live master or via middle-layer ownership — and at least one
-// alternative next hop reaching the destination.
+// switch right now: SDN entry present, the switch's master alive, and at
+// least one alternative next hop reaching the destination.
 func (n *Network) ProgrammableAt(id flow.ID, at topo.NodeID) bool {
 	sw := n.Switches[at]
-	masterOK := sw.Managed() && n.Controllers[sw.Controller].Alive
-	if !masterOK && !n.middleManaged(id, at) {
+	if !sw.Managed() || !n.Controllers[sw.Controller].Alive {
 		return false
 	}
 	entry, ok := sw.Entry(id)
@@ -418,13 +291,12 @@ func (n *Network) ProgrammableAt(id flow.ID, at topo.NodeID) bool {
 	if at == f.Dst {
 		return false
 	}
-	count := 0
 	for _, v := range n.Dep.Graph.Neighbors(at) {
 		if v != entry.NextHop && n.reaches(v, f.Dst, at) {
-			count++
+			return true
 		}
 	}
-	return count >= 1
+	return false
 }
 
 // Programmable reports whether the flow can be rerouted at any switch on its

@@ -170,8 +170,9 @@ type RecoveryReport struct {
 }
 
 // switchPush is one switch's desired configuration as wire messages: per
-// offline flow at the switch, in flow order, a FlowAdd where the flow is in
-// SDN mode and a FlowDelete where it is legacy.
+// pair at the switch, in flow order, a FlowAdd where the flow is in SDN mode
+// and a FlowDelete where it is legacy. An offline flow with no pair at the
+// switch (p̄ < 2 there) gets no message and keeps its entry.
 type switchPush struct {
 	index int
 	sw    topo.NodeID
@@ -180,7 +181,9 @@ type switchPush struct {
 
 // buildPushPlan compiles a switch-mapping solution into per-switch pushes,
 // in instance switch order. Unmapped switches are absent: nobody manages
-// them, so nothing is pushed.
+// them, so nothing is pushed. It is the one translation from a recovery to
+// flow tables, used on the wire (PushRecoveryResilient) and in process
+// (Network.ApplyRecovery).
 func buildPushPlan(flows *flow.Set, inst *scenario.Instance, sol *core.Solution) ([]switchPush, error) {
 	if sol.PairController != nil {
 		return nil, errors.New("sdnsim: flow-level solutions need a middle layer, not a switch mapping")

@@ -39,8 +39,10 @@ func newPushFixture(t *testing.T, failed []int) *pushFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailControllers(failed...); err != nil {
-		t.Fatal(err)
+	for _, j := range failed {
+		if err := n.StopController(j); err != nil {
+			t.Fatal(err)
+		}
 	}
 	inst, err := scenario.Build(dep, flows, failed)
 	if err != nil {

@@ -1,7 +1,11 @@
 package sdnsim
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"pmedic/internal/core"
@@ -137,7 +141,7 @@ func TestPriorityOrdering(t *testing.T) {
 func TestFailureFreezesProgrammabilityButNotForwarding(t *testing.T) {
 	n := network(t)
 	// Fail the hub domain controller (C4, index 3).
-	if err := n.FailControllers(3); err != nil {
+	if err := n.StopController(3); err != nil {
 		t.Fatal(err)
 	}
 	offline := n.OfflineSwitches()
@@ -230,87 +234,9 @@ func TestRerouteRejectsLoop(t *testing.T) {
 	t.Skip("topology has no degree-1 node adjacent to a flow path")
 }
 
-func TestApplyRecoveryRestoresProgrammability(t *testing.T) {
-	dep, err := topo.ATT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(dep, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail C4 and C5 — the headline case (13, 16).
-	if err := n.FailControllers(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := scenario.Build(dep, flows, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := core.PM(inst.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := inst.Evaluate(sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Before recovery: every offline flow with pairs only at offline
-	// switches is unprogrammable.
-	messages, err := n.ApplyRecovery(inst, sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if messages == 0 {
-		t.Fatal("recovery sent no control messages")
-	}
-
-	// The analytic report and the behavioural network must agree: flows the
-	// solution recovered are reroutable at some offline switch OR at an
-	// online switch on their path; flows with pro=0 must not be reroutable
-	// at any offline switch.
-	pro := sol.FlowProgrammability(inst.Problem)
-	offline := map[topo.NodeID]bool{}
-	for _, sw := range inst.Switches {
-		offline[sw] = true
-	}
-	checked := 0
-	for li, lid := range inst.FlowIDs {
-		if pro[li] == 0 {
-			continue
-		}
-		// Recovered flows must be programmable somewhere on their path.
-		if !n.Programmable(lid) {
-			t.Fatalf("flow %d recovered analytically (pro=%d) but not reroutable in the network",
-				lid, pro[li])
-		}
-		checked++
-		if checked >= 50 {
-			break
-		}
-	}
-	if checked == 0 {
-		t.Fatal("nothing checked")
-	}
-	if rep.RecoveredFlows == 0 {
-		t.Fatal("PM recovered nothing in the headline case")
-	}
-
-	// Packets still flow after reconfiguration.
-	tr, err := n.Inject(inst.FlowIDs[0])
-	if err != nil || !tr.Delivered {
-		t.Fatalf("post-recovery delivery failed: %v %+v", err, tr)
-	}
-}
-
 func TestApplyRecoveryRespectsCapacity(t *testing.T) {
 	n := network(t)
-	if err := n.FailControllers(3); err != nil {
+	if err := n.StopController(3); err != nil {
 		t.Fatal(err)
 	}
 	inst, err := scenario.Build(n.Dep, n.Flows, []int{3})
@@ -321,12 +247,100 @@ func TestApplyRecoveryRespectsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every offline switch on the controller with the least residual
+	// capacity, every pair in SDN mode: more sessions than it has left.
+	least := 0
+	for jj, rest := range inst.Problem.Rest {
+		if rest < inst.Problem.Rest[least] {
+			least = jj
+		}
+	}
+	over := &core.Solution{
+		SwitchController: make([]int, len(inst.Switches)),
+		Active:           make([]bool, len(inst.Problem.Pairs)),
+	}
+	for i := range over.SwitchController {
+		over.SwitchController[i] = least
+	}
+	for k := range over.Active {
+		over.Active[k] = true
+	}
+	before := n.MappingSnapshot()
+	if _, err := n.ApplyRecovery(inst, over); !errors.Is(err, core.ErrInfeasible) {
+		t.Fatalf("over-capacity recovery: error %v, want core.ErrInfeasible", err)
+	}
+	if got := n.MappingSnapshot(); !slices.Equal(got, before) || n.Stats.FlowModsSent != 0 {
+		t.Fatalf("a refused recovery changed the network: mapping %v -> %v, %d flow-mods", before, got, n.Stats.FlowModsSent)
+	}
 	if _, err := n.ApplyRecovery(inst, sol); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range n.Controllers {
-		if c.Load > c.Capacity {
-			t.Fatalf("controller %d over capacity: %d > %d", c.Index, c.Load, c.Capacity)
+}
+
+// TestApplyRecoveryMatchesWirePush holds the in-process and the wire
+// translation of a recovery to one result: after ApplyRecovery on one
+// network and a resilient push over loopback agents on another, every switch
+// holds the same flow table and the same master.
+func TestApplyRecoveryMatchesWirePush(t *testing.T) {
+	for _, failed := range [][]int{{3}, {3, 4}, {2, 3, 4}} {
+		for _, alg := range []struct {
+			name  string
+			solve func(*core.Problem) (*core.Solution, error)
+		}{{"PM", core.PM}, {"RetroFlow", core.RetroFlow}} {
+			t.Run(fmt.Sprintf("%s%v", alg.name, failed), func(t *testing.T) {
+				local, wire := network(t), network(t)
+				for _, j := range failed {
+					if err := local.StopController(j); err != nil {
+						t.Fatal(err)
+					}
+					if err := wire.StopController(j); err != nil {
+						t.Fatal(err)
+					}
+				}
+				inst, err := scenario.Build(local.Dep, local.Flows, failed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sol, err := alg.solve(inst.Problem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := local.ApplyRecovery(inst, sol); err != nil {
+					t.Fatal(err)
+				}
+
+				agents := make(map[topo.NodeID]*Agent, len(inst.Switches))
+				for _, swID := range inst.Switches {
+					a, err := ServeSwitch(wire.Switches[swID], "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					agents[swID] = a
+				}
+				rep, err := PushRecoveryResilient(AgentAddrs(agents), wire.Flows, inst, sol, PushOptions{Seed: 1})
+				for _, a := range agents {
+					_ = a.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Demoted) != 0 {
+					t.Fatalf("loopback push demoted %v", rep.Demoted)
+				}
+				if err := wire.AdoptMapping(inst, rep.Final); err != nil {
+					t.Fatal(err)
+				}
+
+				for v := range local.Switches {
+					a, b := local.Switches[v], wire.Switches[v]
+					if !slices.Equal(a.entries, b.entries) {
+						t.Fatalf("switch %d: %d entries in process, %d over the wire", v, a.NumEntries(), b.NumEntries())
+					}
+				}
+				if a, b := local.MappingSnapshot(), wire.MappingSnapshot(); !slices.Equal(a, b) {
+					t.Fatalf("mapping in process %v, over the wire %v", a, b)
+				}
+			})
 		}
 	}
 }
@@ -338,24 +352,12 @@ func TestInjectUnknownFlow(t *testing.T) {
 	}
 }
 
-func TestFailControllersValidation(t *testing.T) {
+func TestStopControllerValidation(t *testing.T) {
 	n := network(t)
-	if err := n.FailControllers(42); !errors.Is(err, ErrBadController) {
-		t.Fatalf("error = %v", err)
-	}
-}
-
-func TestControlDelay(t *testing.T) {
-	n := network(t)
-	d, err := n.ControlDelayMs(0, n.Dep.Controllers[0].Site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Fatalf("co-located delay = %v, want 0", d)
-	}
-	if _, err := n.ControlDelayMs(9, 0); !errors.Is(err, ErrBadController) {
-		t.Fatalf("error = %v", err)
+	for _, j := range []int{-1, len(n.Controllers)} {
+		if err := n.StopController(j); !errors.Is(err, ErrBadController) {
+			t.Fatalf("StopController(%d) error = %v", j, err)
+		}
 	}
 }
 
@@ -371,127 +373,50 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestApplyFlowLevelRecoveryPG(t *testing.T) {
-	dep, err := topo.ATT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(dep, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.FailControllers(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := scenario.Build(dep, flows, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := core.PG(inst.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := n.ApplyFlowLevelRecovery(inst, sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgs == 0 {
-		t.Fatal("no middle-layer messages")
-	}
-	// Capacity respected.
-	for _, c := range n.Controllers {
-		if c.Load > c.Capacity {
-			t.Fatalf("controller %d over capacity", c.Index)
+// TestLegacyTablesPinned pins every switch's converged legacy next hop on ATT
+// (625 entries) and on a seed-7 300-node synthetic (90 000) to an FNV-64a
+// digest of the tables a link-state SPF computes — one LSA per router in one
+// converged database, ties toward the lower-numbered parent — so the
+// shortest-delay-tree tables New builds stay those of OSPF.
+func TestLegacyTablesPinned(t *testing.T) {
+	digest := func(tables func(v int) []topo.NodeID, nodes int) uint64 {
+		h := fnv.New64a()
+		var buf [4]byte
+		for v := 0; v < nodes; v++ {
+			table := tables(v)
+			if len(table) != nodes {
+				t.Fatalf("switch %d: legacy table has %d destinations, want %d", v, len(table), nodes)
+			}
+			for _, nh := range table {
+				binary.LittleEndian.PutUint32(buf[:], uint32(int32(nh)))
+				h.Write(buf[:])
+			}
 		}
+		return h.Sum64()
 	}
-	// Behavioural parity: recovered flows are reroutable somewhere.
-	pro := sol.FlowProgrammability(inst.Problem)
-	checked := 0
-	for li, lid := range inst.FlowIDs {
-		if pro[li] == 0 {
-			continue
-		}
-		if !n.Programmable(lid) {
-			t.Fatalf("flow %d recovered by PG (pro=%d) but not reroutable", lid, pro[li])
-		}
-		checked++
-		if checked >= 40 {
-			break
-		}
-	}
-	if checked == 0 {
-		t.Fatal("nothing checked")
-	}
-	// A switch-level pass must still reject flow-level solutions and vice versa.
-	if _, err := n.ApplyRecovery(inst, sol); err == nil {
-		t.Fatal("ApplyRecovery accepted a flow-level solution")
-	}
-	pmSol, err := core.PM(inst.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.ApplyFlowLevelRecovery(inst, pmSol); !errors.Is(err, ErrNotFlowLevel) {
-		t.Fatalf("error = %v, want ErrNotFlowLevel", err)
-	}
-}
 
-func TestMiddleLayerRerouteWorks(t *testing.T) {
-	dep, err := topo.ATT()
+	n := network(t)
+	if got, want := digest(func(v int) []topo.NodeID { return n.Switches[v].legacy }, len(n.Switches)), uint64(0xbf70a71adc1d2aea); got != want {
+		t.Fatalf("ATT legacy tables digest %#016x, want %#016x", got, want)
+	}
+
+	dep, err := topo.SyntheticWithOpts(300, 8, 500, topo.SyntheticOpts{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{})
+	g := dep.Graph
+	delay, err := g.EdgeDelaysMs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(dep, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.FailControllers(3); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := scenario.Build(dep, flows, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := core.PG(inst.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.ApplyFlowLevelRecovery(inst, sol); err != nil {
-		t.Fatal(err)
-	}
-	// Find a middle-managed (flow, switch) with an alternative and reroute.
-	for k, on := range sol.Active {
-		if !on {
-			continue
+	tables := func(v int) []topo.NodeID {
+		table, err := legacyTable(g, topo.NodeID(v), delay)
+		if err != nil {
+			t.Fatal(err)
 		}
-		pr := inst.Problem.Pairs[k]
-		swID := inst.Switches[pr.Switch]
-		lid := inst.FlowIDs[pr.Flow]
-		if !n.ProgrammableAt(lid, swID) {
-			continue
-		}
-		entry, _ := n.Switches[swID].Entry(lid)
-		f := &flows.Flows[lid]
-		for _, v := range dep.Graph.Neighbors(swID) {
-			if v == entry.NextHop || !n.reaches(v, f.Dst, swID) {
-				continue
-			}
-			if err := n.Reroute(lid, swID, v); err != nil {
-				t.Fatalf("middle-layer reroute: %v", err)
-			}
-			e, _ := n.Switches[swID].Entry(lid)
-			if e.NextHop != v {
-				t.Fatalf("entry = %+v, want next hop %d", e, v)
-			}
-			return
-		}
+		return table
 	}
-	t.Fatal("no middle-managed reroutable pair found")
+	if got, want := digest(tables, g.NumNodes()), uint64(0x4b8c930488e87d18); got != want {
+		t.Fatalf("synthetic legacy tables digest %#016x, want %#016x", got, want)
+	}
 }

@@ -1,11 +1,12 @@
-// Package sdnsim is the behavioural substrate of the reproduction: an
-// event-driven SD-WAN data/control-plane simulator. Switches implement the
-// three routing pipelines of the paper's Fig. 2 — pure OpenFlow, pure legacy
-// (OSPF), and the hybrid high-priority-flow-table/legacy-fallthrough mode of
-// high-end commercial switches — and controllers own switch domains, fail,
-// and re-map. Recovery solutions computed by internal/core (or internal/opt)
-// are applied to the simulated network and their effect on real packet
-// forwarding and reroutability is observable.
+// Package sdnsim is the behavioural substrate of the reproduction: an SD-WAN
+// data/control-plane model. Switches implement the three routing pipelines of
+// the paper's Fig. 2 — pure OpenFlow, pure legacy (OSPF, here its converged
+// shortest-delay table), and the hybrid high-priority-flow-table/
+// legacy-fallthrough mode of high-end commercial switches — and controllers
+// own switch domains, fail, and re-map. Recovery solutions computed by
+// internal/core (or internal/opt) are applied to the network, in process or
+// over the openflow wire, and their effect on packet forwarding and
+// reroutability is observable.
 package sdnsim
 
 import (
@@ -14,7 +15,7 @@ import (
 	"sort"
 
 	"pmedic/internal/flow"
-	"pmedic/internal/ospf"
+	"pmedic/internal/openflow"
 	"pmedic/internal/topo"
 )
 
@@ -100,7 +101,9 @@ type Switch struct {
 	Controller int
 
 	entries []FlowEntry // kept sorted by (Priority desc, FlowID asc)
-	legacy  *ospf.Table
+	// legacy[dst] is the converged legacy next hop toward dst, -1 for the
+	// switch itself and unreachable destinations.
+	legacy []topo.NodeID
 }
 
 // Switch errors.
@@ -109,8 +112,9 @@ var (
 	ErrUnmanaged = errors.New("sdnsim: switch is unmanaged")
 )
 
-// NewSwitch builds a hybrid-pipeline switch with the given legacy table.
-func NewSwitch(id topo.NodeID, legacy *ospf.Table) *Switch {
+// NewSwitch builds a hybrid-pipeline switch with the given legacy table
+// (next hop per destination).
+func NewSwitch(id topo.NodeID, legacy []topo.NodeID) *Switch {
 	return &Switch{ID: id, Pipeline: PipelineHybrid, Controller: -1, legacy: legacy}
 }
 
@@ -149,6 +153,25 @@ func (s *Switch) RemoveEntry(id flow.ID) bool {
 // FlushEntries removes every flow entry.
 func (s *Switch) FlushEntries() { s.entries = nil }
 
+// Apply executes one flow-mod against the flow table. It is the single
+// translation from the wire's FlowMod to table state: the agent applies what
+// a controller sends, and Network.ApplyRecovery applies the same plan in
+// process.
+func (s *Switch) Apply(m openflow.FlowMod) {
+	switch m.Command {
+	case openflow.FlowAdd:
+		s.InstallEntry(FlowEntry{
+			FlowID:   flow.ID(m.Match.FlowID),
+			Priority: int(m.Priority),
+			NextHop:  topo.NodeID(m.NextHop),
+		})
+	case openflow.FlowDelete:
+		s.RemoveEntry(flow.ID(m.Match.FlowID))
+	case openflow.FlowDeleteAll:
+		s.FlushEntries()
+	}
+}
+
 // Entry returns the highest-priority entry for a flow.
 func (s *Switch) Entry(id flow.ID) (FlowEntry, bool) {
 	for _, e := range s.entries {
@@ -176,10 +199,10 @@ func (s *Switch) Forward(id flow.ID, dst topo.NodeID) (topo.NodeID, Verdict) {
 		return e.NextHop, true
 	}
 	lookupLegacy := func() (topo.NodeID, bool) {
-		if s.legacy == nil {
+		if dst < 0 || int(dst) >= len(s.legacy) {
 			return -1, false
 		}
-		nh := s.legacy.NextHop(dst)
+		nh := s.legacy[dst]
 		return nh, nh >= 0
 	}
 	switch s.Pipeline {

@@ -43,14 +43,6 @@ type (
 	CaseResult = eval.CaseResult
 	// Algorithm is a named recovery algorithm for sweeps.
 	Algorithm = eval.Algorithm
-	// ScenarioContext caches the failure-independent half of scenario
-	// compilation (delay vectors, middle-layer placement, domain loads) for
-	// one (Deployment, Workload) pair. It is immutable and safe for
-	// concurrent use; build it once and compile every failure case from it.
-	ScenarioContext = scenario.Context
-	// SweepOptions tunes SweepWith: worker-pool width and an optional
-	// pre-built ScenarioContext to share across sweeps.
-	SweepOptions = eval.Options
 )
 
 // ErrNoResult marks an algorithm run that produced no solution (the exact
@@ -74,14 +66,6 @@ func NewWorkload(dep *Deployment, opts WorkloadOptions) (*Workload, error) {
 // dep.Controllers) into an FMSSM instance with full index bookkeeping.
 func NewScenario(dep *Deployment, w *Workload, failed []int) (*Scenario, error) {
 	return scenario.Build(dep, w, failed)
-}
-
-// NewScenarioContext precomputes everything about scenario compilation that
-// does not depend on which controllers fail. Compiling a case through the
-// context (ScenarioContext.Build) yields the same Scenario as NewScenario at
-// a fraction of the cost, which matters when sweeping many failure sets.
-func NewScenarioContext(dep *Deployment, w *Workload) (*ScenarioContext, error) {
-	return scenario.NewContext(dep, w)
 }
 
 // Result pairs a solution with its evaluated report.
@@ -160,17 +144,9 @@ func Sweep(dep *Deployment, w *Workload, k int, algs []Algorithm) ([]*CaseResult
 	return eval.SweepOpts(dep, w, k, algs, eval.Options{})
 }
 
-// SweepWith is Sweep with tuning: Workers bounds how many failure cases run
-// concurrently (0 = one per CPU), and Context supplies a shared
-// ScenarioContext so consecutive sweeps skip the failure-independent
-// precomputation. Results are identical to Sweep, in the same order.
-func SweepWith(dep *Deployment, w *Workload, k int, algs []Algorithm, opts SweepOptions) ([]*CaseResult, error) {
-	return eval.SweepOpts(dep, w, k, algs, opts)
-}
-
 // Simulate builds the behavioural network: hybrid-pipeline switches with
 // converged OSPF legacy tables and the steady-state OpenFlow entries of the
-// workload. Fail controllers with Network.FailControllers and apply any
+// workload. Fail controllers with Network.StopController and apply any
 // switch-mapping Result with Network.ApplyRecovery.
 func Simulate(dep *Deployment, w *Workload) (*Network, error) {
 	return sdnsim.New(dep, w)

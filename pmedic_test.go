@@ -98,7 +98,7 @@ func TestFacadeSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.FailControllers(3); err != nil {
+	if err := n.StopController(3); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := NewScenario(dep, w, []int{3})
