@@ -7,11 +7,12 @@
 //
 //	pmsolve -failed 13,16 [-algorithm pm|retroflow|pg|optimal|hier]
 //	        [-opt-time 60s] [-opt-workers n] [-regions k] [-improve-rounds n]
-//	        [-unordered] [-slack n] [-limit n]
+//	        [-slack n] [-limit n] [-sensitivity]
 //	        [-pretty] [-cpuprofile f] [-memprofile f]
 //
 // The -failed list names controllers by their site IDs as printed by pmtopo
-// (e.g. "13,16" is the paper-style case (13, 16)).
+// (e.g. "13,16" is the paper-style case (13, 16)). The workload is one flow
+// per ordered node pair; -slack and -limit bound its path counting.
 //
 // -algorithm optimal adds an "exact" object: whether branch & bound proved
 // its answer or a budget cut it short, nodes, bound and gap, and the simplex
@@ -143,7 +144,6 @@ func run(args []string, out io.Writer) (err error) {
 	optWorkers := fs.Int("opt-workers", 0, "branch & bound worker goroutines for -algorithm optimal (0 = 1)")
 	regionsFlag := fs.Int("regions", 2, "region count for -algorithm hier")
 	improveRounds := fs.Int("improve-rounds", 0, "anytime improver rounds for -algorithm hier (0 = off)")
-	unordered := fs.Bool("unordered", false, "one flow per unordered pair")
 	slack := fs.Int("slack", 0, "path-count hop slack (0 = default)")
 	limit := fs.Int("limit", 0, "path-count cap (0 = default)")
 	pretty := fs.Bool("pretty", false, "indent the JSON output")
@@ -174,7 +174,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{Unordered: *unordered, Slack: *slack, Limit: *limit})
+	flows, err := flow.Generate(dep.Graph, flow.Options{Slack: *slack, Limit: *limit})
 	if err != nil {
 		return err
 	}

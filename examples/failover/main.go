@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"pmedic"
 )
@@ -42,7 +43,7 @@ func run(dryRun bool) error {
 	watched := -1
 	for l := range workload.Flows {
 		f := &workload.Flows[l]
-		if f.Src != 13 && f.Dst != 13 && f.Traverses(13) && len(f.Path) >= 4 {
+		if f.Src != 13 && f.Dst != 13 && slices.Contains(f.Path, 13) && len(f.Path) >= 4 {
 			watched = l
 			break
 		}
@@ -97,7 +98,7 @@ func run(dryRun bool) error {
 	// --- prove it: reroute the watched flow at the hub ---
 	entry := pmedic.NodeID(-1)
 	for _, v := range dep.Graph.Neighbors(13) {
-		if !f.Traverses(v) {
+		if !slices.Contains(f.Path, v) {
 			entry = v
 			break
 		}

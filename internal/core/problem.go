@@ -234,16 +234,6 @@ func (p *Problem) TotalRest() int {
 	return t
 }
 
-// MaxPossibleProgrammability returns Σ over all pairs of p̄ — the total
-// programmability if every eligible pair could be activated.
-func (p *Problem) MaxPossibleProgrammability() int {
-	var t int
-	for _, pr := range p.Pairs {
-		t += pr.PBar
-	}
-	return t
-}
-
 // IdealDelayBudget computes G = Σ_i γ_i · min_j D_ij. Scenario builders use
 // it to fill BudgetMs; it is exposed for tests and custom instances.
 func (p *Problem) IdealDelayBudget() float64 {

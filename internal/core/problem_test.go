@@ -107,9 +107,6 @@ func TestFinalizeDerivedFields(t *testing.T) {
 	if p.TotalRest() != 4 {
 		t.Fatalf("TotalRest = %d", p.TotalRest())
 	}
-	if p.MaxPossibleProgrammability() != 11 {
-		t.Fatalf("MaxPossibleProgrammability = %d", p.MaxPossibleProgrammability())
-	}
 
 	// The layout contract: whatever order Pairs arrive in, they leave
 	// switch-major with each switch's pairs in their given relative order, the

@@ -154,16 +154,6 @@ func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx
 	return firstErr
 }
 
-// RunCase builds the instance for one failure combination and runs every
-// algorithm on it.
-func RunCase(dep *topo.Deployment, flows *flow.Set, failed []int, algs []Algorithm) (*CaseResult, error) {
-	ctx, err := scenario.NewContext(dep, flows)
-	if err != nil {
-		return nil, fmt.Errorf("eval: case %v: %w", failed, err)
-	}
-	return runCase(ctx, failed, algs)
-}
-
 // runCase compiles one failure case off the shared context and evaluates
 // every algorithm on it. It touches only the immutable context plus state it
 // allocates itself, so any number of runCase calls may run concurrently.

@@ -66,9 +66,19 @@ func TestQuartilesDegenerate(t *testing.T) {
 	}
 }
 
+// runFresh compiles and evaluates one case on a fresh scenario context.
+func runFresh(t *testing.T, dep *topo.Deployment, flows *flow.Set, failed []int, algs []Algorithm) (*CaseResult, error) {
+	t.Helper()
+	ctx, err := scenario.NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runCase(ctx, failed, algs)
+}
+
 func TestRunCaseProducesAllReports(t *testing.T) {
 	dep, flows := fixtures(t)
-	cr, err := RunCase(dep, flows, []int{3}, heuristics())
+	cr, err := runFresh(t, dep, flows, []int{3}, heuristics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +103,7 @@ func TestRunCaseNoResultTolerated(t *testing.T) {
 			return nil, ErrNoResult
 		},
 	})
-	cr, err := RunCase(dep, flows, []int{0}, algs)
+	cr, err := runFresh(t, dep, flows, []int{0}, algs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +121,7 @@ func TestRunCasePropagatesHardErrors(t *testing.T) {
 			return nil, boom
 		},
 	}}
-	if _, err := RunCase(dep, flows, []int{0}, algs); !errors.Is(err, boom) {
+	if _, err := runFresh(t, dep, flows, []int{0}, algs); !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
 	}
 }
@@ -131,7 +141,7 @@ func TestSweepCounts(t *testing.T) {
 
 func TestMetricAccessors(t *testing.T) {
 	dep, flows := fixtures(t)
-	cr, err := RunCase(dep, flows, []int{3, 4}, heuristics())
+	cr, err := runFresh(t, dep, flows, []int{3, 4}, heuristics())
 	if err != nil {
 		t.Fatal(err)
 	}

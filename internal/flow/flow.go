@@ -3,14 +3,13 @@
 // path-programmability coefficients (β_i^l, p_i^l, p̄_i^l) that drive the
 // FMSSM optimization.
 //
-// The workload is stored in CSR (compressed sparse row) form: all paths live
-// in one flat node array indexed by per-flow offsets, all stops in one flat
-// Stop array sharing those offsets, and a switch→flows index inverts the
-// paths once at generation time, keeping p̄_i^l beside each flow. Per-flow
-// Path/Stops slices are views into the flat arrays, so the familiar Flow API
-// costs no per-flow allocations, and per-case consumers (scenario
-// compilation, the daemon's reconcile path) read a failed domain's
-// (switch, flow, p̄) incidences off the index alone, without touching a flow.
+// The workload is two arenas in CSR (compressed sparse row) form: all paths
+// back to back in one flat node array, and a switch→flows index that inverts
+// the paths once at generation time, keeping p̄_i^l beside each flow. Per-flow
+// Path slices are views into the path arena, so the familiar Flow API costs
+// no per-flow allocations, and per-case consumers (scenario compilation, the
+// daemon's reconcile path) read a failed domain's (switch, flow, p̄)
+// incidences off the index alone, without touching a flow.
 package flow
 
 import (
@@ -25,53 +24,16 @@ import (
 // (src, dst) lexicographic order.
 type ID int
 
-// Stop is one switch on a flow's forwarding path together with the flow's
-// path-count coefficient there: PathCount is p_i^l, the number of distinct
-// simple paths from the switch to the flow's destination within the counting
-// bound. The switch can reroute the flow (β_i^l = 1) iff PathCount >= 2.
-type Stop struct {
-	Node      topo.NodeID
-	PathCount int
-}
-
-// Programmable reports β_i^l for this stop.
-func (s Stop) Programmable() bool { return s.PathCount >= 2 }
-
-// PBar returns p̄_i^l = β_i^l * p_i^l.
-func (s Stop) PBar() int {
-	if s.PathCount >= 2 {
-		return s.PathCount
-	}
-	return 0
-}
-
-// Flow is a unidirectional traffic flow with its forwarding path and the
-// programmability coefficients at every path switch except the destination
-// (the destination cannot reroute the flow). Path and Stops are views into
-// the Set's flat CSR arrays; callers must not mutate them.
+// Flow is a unidirectional traffic flow and its forwarding path. Path is a
+// view into the Set's flat path arena; callers must not mutate it.
 type Flow struct {
 	ID       ID
 	Src, Dst topo.NodeID
 	Path     []topo.NodeID
-	Stops    []Stop
-}
-
-// Traverses reports whether the flow's path includes node v.
-func (f *Flow) Traverses(v topo.NodeID) bool {
-	for _, n := range f.Path {
-		if n == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Options tunes workload generation. The zero value is replaced by Defaults.
 type Options struct {
-	// Unordered generates one flow per unordered node pair instead of the
-	// default one per ordered pair. The paper's Table III flow-count
-	// arithmetic is consistent with ordered pairs (600 flows on 25 nodes).
-	Unordered bool
 	// Slack bounds path counting: p_i^l counts simple paths from i to the
 	// destination no longer than (hop distance + Slack). Default 1, which
 	// matches the paths enumerated in the paper's Fig. 1 example.
@@ -96,24 +58,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Set is a generated workload: all flows plus per-switch traversal counts.
+// Set is a generated workload: two arenas, built once by Generate.
 //
-// Storage is CSR: pathArc holds every flow's path back to back, stopArc the
-// matching stops, and swOff/through the transposed switch→flows index. All
-// arrays are built once by Generate; the exported Flows slice holds views
-// into them.
+// pathArc holds every flow's path back to back; the exported Flows slice
+// holds views into it. swOff/through is the transposed switch→flows index:
+// for each switch i, the flows whose path includes i (ascending), with p̄
+// beside each, at through[swOff[i]:swOff[i+1]]. γ_i is the length of that
+// slice.
 type Set struct {
 	Flows []Flow
-	// counts[i] is γ_i: the number of flows whose path includes switch i.
-	counts []int
-	opts   Options
+	opts  Options
 
-	// pathArc/stopArc are the flat backing arrays of every Flow's Path and
-	// Stops views.
 	pathArc []topo.NodeID
-	stopArc []Stop
-	// swOff/through list, for each switch i, the flows whose path includes i
-	// (ascending): through[swOff[i]:swOff[i+1]].
 	swOff   []int32
 	through []Through
 }
@@ -134,8 +90,9 @@ func fitsInt32(what string, v int) error {
 	return nil
 }
 
-// Generate routes one flow per node pair on a hop-primary/delay-secondary
-// shortest path and computes programmability coefficients for every stop.
+// Generate routes one flow per ordered node pair on a hop-primary/
+// delay-secondary shortest path and computes p̄ at every switch of every
+// path.
 func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	opts = opts.withDefaults()
 	if opts.Slack < 0 {
@@ -155,7 +112,7 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	routeWeight := graphalg.HopMajor(delay)
 
 	n := g.NumNodes()
-	s := &Set{counts: make([]int, n), opts: opts}
+	s := &Set{opts: opts}
 
 	// Hop distances from every destination, reused for both routing slack
 	// bounds and path counting.
@@ -182,27 +139,23 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 		return c
 	}
 
-	// Pass 1: route every pair, appending paths into the flat arc array and
-	// recording offsets. Routing is hop-primary, so a flow takes its hop
-	// distance plus one nodes: the array is sized exactly, and the traversal
-	// count checked against the index's int32 offsets, before a path exists.
-	// Views are carved out afterwards.
-	numFlows, traversals := n*(n-1), -n
+	// Routing pass: append every pair's path to the arena, carve its view and
+	// count its traversals into swOff[v+1]. Routing is hop-primary, so a flow
+	// takes its hop distance plus one nodes: the arena is sized exactly, and
+	// the traversal count checked against the index's int32 offsets, before a
+	// path exists — an append never moves a view already carved.
+	traversals := -n
 	for _, hops := range hopsTo {
 		for _, h := range hops {
 			traversals += h + 1
 		}
 	}
-	if opts.Unordered {
-		numFlows, traversals = numFlows/2, traversals/2
-	}
 	if err := fitsInt32("traversal count", traversals); err != nil {
 		return nil, err
 	}
-	pathOff := make([]int32, 1, numFlows+1)
 	s.pathArc = make([]topo.NodeID, 0, traversals)
-	type endpoints struct{ src, dst topo.NodeID }
-	ends := make([]endpoints, 0, numFlows)
+	s.Flows = make([]Flow, 0, n*(n-1))
+	s.swOff = make([]int32, n+1)
 	for src := 0; src < n; src++ {
 		tree, err := graphalg.Dijkstra(g, topo.NodeID(src), routeWeight)
 		if err != nil {
@@ -212,61 +165,38 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 			if dst == src {
 				continue
 			}
-			if opts.Unordered && dst < src {
-				continue
-			}
+			lo := len(s.pathArc)
 			s.pathArc, err = tree.AppendPathTo(s.pathArc, topo.NodeID(dst))
 			if err != nil {
 				return nil, fmt.Errorf("flow: route %d->%d: %w", src, dst, err)
 			}
-			pathOff = append(pathOff, int32(len(s.pathArc)))
-			ends = append(ends, endpoints{topo.NodeID(src), topo.NodeID(dst)})
+			path := s.pathArc[lo:len(s.pathArc):len(s.pathArc)]
+			for _, v := range path {
+				s.swOff[v+1]++
+			}
+			s.Flows = append(s.Flows, Flow{ID: ID(len(s.Flows)), Src: topo.NodeID(src), Dst: topo.NodeID(dst), Path: path})
 		}
 	}
 
-	// Pass 2: programmability coefficients for every stop, flat.
-	s.stopArc = make([]Stop, 0, len(s.pathArc)-len(ends))
-	for l := range ends {
-		path := s.pathArc[pathOff[l]:pathOff[l+1]]
-		dst := ends[l].dst
-		for _, v := range path[:len(path)-1] {
-			s.stopArc = append(s.stopArc, Stop{Node: v, PathCount: countPaths(v, dst)})
-		}
-		for _, v := range path {
-			s.counts[v]++
-		}
-	}
-
-	// Pass 3: flow views into the now-stable backing arrays, and the
-	// switch→flows CSR transpose (a counting sort over the traversal counts).
-	s.Flows = make([]Flow, len(ends))
-	stopOff := int32(0)
-	for l := range ends {
-		lo, hi := pathOff[l], pathOff[l+1]
-		s.Flows[l] = Flow{
-			ID:    ID(l),
-			Src:   ends[l].src,
-			Dst:   ends[l].dst,
-			Path:  s.pathArc[lo:hi:hi],
-			Stops: s.stopArc[stopOff : stopOff+(hi-lo)-1 : stopOff+(hi-lo)-1],
-		}
-		stopOff += hi - lo - 1
-	}
-	s.swOff = make([]int32, n+1)
-	for i, c := range s.counts {
-		s.swOff[i+1] = s.swOff[i] + int32(c)
+	// Transpose: a counting sort of the traversals into the switch→flows
+	// index, with p̄ = p_i^l where it is at least 2. The destination counts no
+	// path to itself, so its entry carries 0.
+	for i := 0; i < n; i++ {
+		s.swOff[i+1] += s.swOff[i]
 	}
 	s.through = make([]Through, len(s.pathArc))
 	cursor := make([]int32, n)
 	copy(cursor, s.swOff[:n])
 	for l := range s.Flows {
 		f := &s.Flows[l]
-		for _, st := range f.Stops {
-			s.through[cursor[st.Node]] = Through{Flow: int32(l), PBar: int32(st.PBar())}
-			cursor[st.Node]++
+		for _, v := range f.Path {
+			e := Through{Flow: int32(l)}
+			if c := countPaths(v, f.Dst); c >= 2 {
+				e.PBar = int32(c)
+			}
+			s.through[cursor[v]] = e
+			cursor[v]++
 		}
-		s.through[cursor[f.Dst]] = Through{Flow: int32(l)}
-		cursor[f.Dst]++
 	}
 	return s, nil
 }
@@ -279,37 +209,18 @@ func (s *Set) Options() Options { return s.opts }
 
 // SwitchFlowCount returns γ_i, the number of flows traversing switch i
 // (including as source or destination), or 0 for out-of-range IDs.
-func (s *Set) SwitchFlowCount(i topo.NodeID) int {
-	if i < 0 || int(i) >= len(s.counts) {
-		return 0
-	}
-	return s.counts[int(i)]
-}
+func (s *Set) SwitchFlowCount(i topo.NodeID) int { return len(s.Through(i)) }
 
 // TotalTraversals returns Σ_i γ_i, the summed per-switch flow counts
 // (each flow contributes its path length in nodes).
-func (s *Set) TotalTraversals() int {
-	var total int
-	for _, c := range s.counts {
-		total += c
-	}
-	return total
-}
+func (s *Set) TotalTraversals() int { return len(s.through) }
 
 // Through returns switch i's slice of the switch→flows index: one entry per
 // flow whose path includes i, in ascending flow order. The slice is a view
 // into the index and must not be mutated; out-of-range switches have none.
 func (s *Set) Through(i topo.NodeID) []Through {
-	if i < 0 || int(i) >= len(s.counts) {
+	if i < 0 || int(i) >= len(s.swOff)-1 {
 		return nil
 	}
 	return s.through[s.swOff[i]:s.swOff[i+1]]
-}
-
-// ForEachFlowThrough calls fn with the ID of every flow whose path includes
-// switch i, in ascending flow order.
-func (s *Set) ForEachFlowThrough(i topo.NodeID, fn func(ID)) {
-	for _, e := range s.Through(i) {
-		fn(ID(e.Flow))
-	}
 }

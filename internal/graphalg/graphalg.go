@@ -169,9 +169,10 @@ func HopDistances(g *topo.Graph, src topo.NodeID) []int {
 
 // CountSimplePaths counts simple paths from src to dst whose hop length is at
 // most maxHops, stopping early once limit paths have been found (limit <= 0
-// means unlimited). The search is pruned with BFS hop distances to dst, so
-// the cost is proportional to the number of enumerated prefixes that can
-// still reach dst in budget.
+// means unlimited). A node has no path to itself: src == dst counts 0. The
+// search is pruned with BFS hop distances to dst, so the cost is
+// proportional to the number of enumerated prefixes that can still reach dst
+// in budget.
 func CountSimplePaths(g *topo.Graph, src, dst topo.NodeID, maxHops, limit int) int {
 	n := g.NumNodes()
 	if src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {

@@ -60,17 +60,6 @@ func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 		b = byteOrder.AppendUint16(b, m.Priority)
 		b = appendMatch(b, m.Match)
 		b = byteOrder.AppendUint32(b, m.NextHop)
-	case PacketIn:
-		t = TypePacketIn
-		b = byteOrder.AppendUint32(b, m.BufferID)
-		b = append(b, uint8(m.Reason))
-		b = appendMatch(b, m.Match)
-		b = append(b, m.Data...)
-	case PacketOut:
-		t = TypePacketOut
-		b = byteOrder.AppendUint32(b, m.BufferID)
-		b = byteOrder.AppendUint32(b, m.NextHop)
-		b = append(b, m.Data...)
 	case RoleRequest:
 		t = TypeRoleRequest
 		b = byteOrder.AppendUint32(b, uint32(m.Role))
@@ -193,25 +182,6 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 			Priority: byteOrder.Uint16(body[1:3]),
 			Match:    getMatch(body[3:15]),
 			NextHop:  byteOrder.Uint32(body[15:19]),
-		}, nil
-	case TypePacketIn:
-		if err := need(17); err != nil {
-			return nil, err
-		}
-		return PacketIn{
-			BufferID: byteOrder.Uint32(body[0:4]),
-			Reason:   PacketInReason(body[4]),
-			Match:    getMatch(body[5:17]),
-			Data:     append([]byte(nil), body[17:]...),
-		}, nil
-	case TypePacketOut:
-		if err := need(8); err != nil {
-			return nil, err
-		}
-		return PacketOut{
-			BufferID: byteOrder.Uint32(body[0:4]),
-			NextHop:  byteOrder.Uint32(body[4:8]),
-			Data:     append([]byte(nil), body[8:]...),
 		}, nil
 	case TypeRoleRequest, TypeRoleReply:
 		if err := need(12); err != nil {

@@ -41,16 +41,6 @@ func normalize(m Message) Message {
 			v.Data = nil
 		}
 		return v
-	case PacketIn:
-		if len(v.Data) == 0 {
-			v.Data = nil
-		}
-		return v
-	case PacketOut:
-		if len(v.Data) == 0 {
-			v.Data = nil
-		}
-		return v
 	case ErrorMsg:
 		if len(v.Data) == 0 {
 			v.Data = nil
@@ -76,8 +66,6 @@ func allMessages() []Message {
 		FlowMod{Command: FlowAdd, Priority: 100, Match: match, NextHop: 9},
 		FlowMod{Command: FlowDelete, Match: match},
 		FlowMod{Command: FlowDeleteAll},
-		PacketIn{BufferID: 5, Reason: ReasonNoMatch, Match: match, Data: []byte{1, 2, 3}},
-		PacketOut{BufferID: 5, NextHop: 2, Data: []byte{9}},
 		RoleRequest{Role: RoleMaster, GenerationID: 42},
 		RoleReply{Role: RoleSlave, GenerationID: 43},
 		BarrierRequest{},
@@ -195,13 +183,15 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	buf, err := Encode(FlowMod{Command: FlowAdd, Match: Match{FlowID: 1}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := Decode(buf[:cut]); err == nil {
-			t.Fatalf("Decode accepted a %d-byte prefix of a %d-byte message", cut, len(buf))
+	for _, m := range []Message{FlowMod{Command: FlowAdd, Match: Match{FlowID: 1}}, Echo{Data: []byte("abc")}} {
+		buf, err := Encode(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := Decode(buf[:cut]); err == nil {
+				t.Fatalf("Decode accepted a %d-byte prefix of a %d-byte %T", cut, len(buf), m)
+			}
 		}
 	}
 }
@@ -274,7 +264,7 @@ func TestReadMessageStream(t *testing.T) {
 }
 
 func TestDecodeMutatedBytesNeverPanics(t *testing.T) {
-	seed, err := Encode(PacketIn{BufferID: 1, Reason: ReasonNoMatch, Match: Match{FlowID: 2}, Data: []byte("abc")}, 7)
+	seed, err := Encode(Echo{Data: []byte("abc")}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package openflow implements the control-channel wire protocol the
 // simulated switches and controllers speak: an OpenFlow-1.3-flavored message
-// set (hello/echo, features, flow-mod, packet-in/out, role, barrier, error)
+// set (hello/echo, features, flow-mod, role, barrier, error)
 // with a binary codec and a TCP connection wrapper. The subset covers what
 // programmability recovery needs — installing and removing flow entries,
 // claiming the master role over a re-mapped switch, and liveness probing.
@@ -15,21 +15,19 @@ const Version uint8 = 0x04
 // MsgType discriminates message bodies.
 type MsgType uint8
 
-// Message types.
+// Message types. Each keeps its wire number; 7 and 8 are unassigned.
 const (
-	TypeHello MsgType = iota + 1
-	TypeError
-	TypeEchoRequest
-	TypeEchoReply
-	TypeFeaturesRequest
-	TypeFeaturesReply
-	TypePacketIn
-	TypePacketOut
-	TypeFlowMod
-	TypeRoleRequest
-	TypeRoleReply
-	TypeBarrierRequest
-	TypeBarrierReply
+	TypeHello           MsgType = 1
+	TypeError           MsgType = 2
+	TypeEchoRequest     MsgType = 3
+	TypeEchoReply       MsgType = 4
+	TypeFeaturesRequest MsgType = 5
+	TypeFeaturesReply   MsgType = 6
+	TypeFlowMod         MsgType = 9
+	TypeRoleRequest     MsgType = 10
+	TypeRoleReply       MsgType = 11
+	TypeBarrierRequest  MsgType = 12
+	TypeBarrierReply    MsgType = 13
 )
 
 // String renders the message type for diagnostics.
@@ -47,10 +45,6 @@ func (t MsgType) String() string {
 		return "features-request"
 	case TypeFeaturesReply:
 		return "features-reply"
-	case TypePacketIn:
-		return "packet-in"
-	case TypePacketOut:
-		return "packet-out"
 	case TypeFlowMod:
 		return "flow-mod"
 	case TypeRoleRequest:
@@ -149,36 +143,6 @@ type FlowMod struct {
 
 // MsgType implements Message.
 func (FlowMod) MsgType() MsgType { return TypeFlowMod }
-
-// PacketInReason explains why a switch punted a packet to its controller.
-type PacketInReason uint8
-
-// Packet-in reasons.
-const (
-	ReasonNoMatch PacketInReason = iota + 1
-	ReasonAction
-)
-
-// PacketIn punts a packet to the controller.
-type PacketIn struct {
-	BufferID uint32
-	Reason   PacketInReason
-	Match    Match
-	Data     []byte
-}
-
-// MsgType implements Message.
-func (PacketIn) MsgType() MsgType { return TypePacketIn }
-
-// PacketOut tells a switch to emit a (possibly buffered) packet.
-type PacketOut struct {
-	BufferID uint32
-	NextHop  uint32
-	Data     []byte
-}
-
-// MsgType implements Message.
-func (PacketOut) MsgType() MsgType { return TypePacketOut }
 
 // ControllerRole is the OpenFlow multi-controller role.
 type ControllerRole uint32

@@ -7,6 +7,7 @@ import (
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
+	"pmedic/internal/graphalg"
 	"pmedic/internal/israce"
 	"pmedic/internal/topo"
 )
@@ -144,10 +145,30 @@ func syntheticFixtures(t *testing.T) (*topo.Deployment, *flow.Set) {
 	return dep, flows
 }
 
+// pBarOracle returns p̄ at (v, dst) computed apart from the workload
+// generator: graphalg.CountSimplePaths runs its own BFS on fresh scratch, and
+// only the oracle's own answers are memoized.
+func pBarOracle(g *topo.Graph, opts flow.Options) func(v, dst topo.NodeID) int {
+	memo := map[[2]topo.NodeID]int{}
+	return func(v, dst topo.NodeID) int {
+		key := [2]topo.NodeID{v, dst}
+		c, ok := memo[key]
+		if !ok {
+			maxHops := graphalg.HopDistances(g, dst)[v] + opts.Slack
+			if c = graphalg.CountSimplePaths(g, v, dst, maxHops, opts.Limit); c < 2 {
+				c = 0
+			}
+			memo[key] = c
+		}
+		return c
+	}
+}
+
 // scanCase compiles a case's flow side the slow way — every flow of the
-// workload in ID order, every stop against the offline set — which is the
-// order and content Context.Build must reproduce from its gather.
-func scanCase(dep *topo.Deployment, flows *flow.Set, failed []int) (flowIDs, unrecoverable []flow.ID, pairs []core.Pair) {
+// workload in ID order, every switch before its destination against the
+// offline set, p̄ from the oracle — which is the order and content
+// Context.Build must reproduce from its gather.
+func scanCase(dep *topo.Deployment, flows *flow.Set, pBar func(v, dst topo.NodeID) int, failed []int) (flowIDs, unrecoverable []flow.ID, pairs []core.Pair) {
 	var switches []topo.NodeID
 	for _, j := range failed {
 		switches = append(switches, dep.Controllers[j].Domain...)
@@ -160,14 +181,17 @@ func scanCase(dep *topo.Deployment, flows *flow.Set, failed []int) (flowIDs, unr
 	for l := range flows.Flows {
 		f := &flows.Flows[l]
 		offline, recoverable := false, false
-		for _, v := range f.Path {
-			if _, ok := index[v]; ok {
-				offline = true
+		for k, v := range f.Path {
+			i, ok := index[v]
+			if !ok {
+				continue
 			}
-		}
-		for _, stop := range f.Stops {
-			if i, ok := index[stop.Node]; ok && stop.Programmable() {
-				pairs = append(pairs, core.Pair{Switch: i, Flow: len(flowIDs), PBar: stop.PBar()})
+			offline = true
+			if k == len(f.Path)-1 {
+				continue
+			}
+			if c := pBar(v, f.Dst); c > 0 {
+				pairs = append(pairs, core.Pair{Switch: i, Flow: len(flowIDs), PBar: c})
 				recoverable = true
 			}
 		}
@@ -195,6 +219,7 @@ func TestContextBuildMatchesScan(t *testing.T) {
 	}
 	m := len(dep.Controllers)
 	cases := append(CombinationsUpTo(m, 3), nil, []int{m}, []int{2, 2}, []int{0, 1, 2, 3, 4, 5})
+	pBar := pBarOracle(dep.Graph, flows.Options())
 	duplicates := 0
 	for _, failed := range cases {
 		fresh, freshErr := Build(dep, flows, failed)
@@ -208,7 +233,7 @@ func TestContextBuildMatchesScan(t *testing.T) {
 		if !reflect.DeepEqual(fresh, cached) {
 			t.Fatalf("case %v: shared-context instance differs from one-shot Build", failed)
 		}
-		flowIDs, unrecoverable, pairs := scanCase(dep, flows, failed)
+		flowIDs, unrecoverable, pairs := scanCase(dep, flows, pBar, failed)
 		if !reflect.DeepEqual(cached.FlowIDs, flowIDs) || !reflect.DeepEqual(cached.Unrecoverable, unrecoverable) {
 			t.Fatalf("case %v: offline flows differ from the all-flows scan: %d+%d flows, want %d+%d",
 				failed, len(cached.FlowIDs), len(cached.Unrecoverable), len(flowIDs), len(unrecoverable))
@@ -217,7 +242,7 @@ func TestContextBuildMatchesScan(t *testing.T) {
 			t.Fatalf("case %v: pairs differ from the all-flows scan", failed)
 		}
 		for _, sw := range cached.Switches {
-			flows.ForEachFlowThrough(sw, func(flow.ID) { duplicates++ })
+			duplicates += flows.SwitchFlowCount(sw)
 		}
 		duplicates -= cached.OfflineFlowCount()
 	}

@@ -113,11 +113,12 @@ func TestBuildUnrecoverableFlows(t *testing.T) {
 	for _, sw := range inst.Switches {
 		offline[sw] = true
 	}
+	pBar := pBarOracle(dep.Graph, flows.Options())
 	for _, id := range inst.Unrecoverable {
 		f := &flows.Flows[id]
-		for _, st := range f.Stops {
-			if offline[st.Node] && st.Programmable() {
-				t.Fatalf("flow %d marked unrecoverable but has an eligible pair at %d", id, st.Node)
+		for _, v := range f.Path[:len(f.Path)-1] {
+			if offline[v] && pBar(v, f.Dst) > 0 {
+				t.Fatalf("flow %d marked unrecoverable but has an eligible pair at %d", id, v)
 			}
 		}
 	}

@@ -49,11 +49,11 @@ func RestoreIdeal(
 		sp := switchPush{index: i, sw: swID}
 		// The switch→flows index lists every flow through swID; the flow's
 		// destination holds no entry for it.
-		flows.ForEachFlowThrough(swID, func(l flow.ID) {
-			if f := &flows.Flows[l]; f.Dst != swID {
+		for _, e := range flows.Through(swID) {
+			if f := &flows.Flows[e.Flow]; f.Dst != swID {
 				sp.mods = append(sp.mods, addMod(f, swID))
 			}
-		})
+		}
 		if len(sp.mods) > 0 {
 			work = append(work, sp)
 		}

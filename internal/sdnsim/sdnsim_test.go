@@ -152,7 +152,7 @@ func TestFailureFreezesProgrammabilityButNotForwarding(t *testing.T) {
 	var crossing flow.ID = -1
 	for l := range n.Flows.Flows {
 		f := &n.Flows.Flows[l]
-		if f.Src != 13 && f.Dst != 13 && f.Traverses(13) {
+		if f.Src != 13 && f.Dst != 13 && slices.Contains(f.Path, 13) {
 			crossing = f.ID
 			break
 		}
