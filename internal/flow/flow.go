@@ -109,34 +109,42 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flow: edge delays: %w", err)
 	}
-	routeWeight := graphalg.HopMajor(delay)
 
 	n := g.NumNodes()
 	s := &Set{opts: opts}
 
-	// Hop distances from every destination, reused for both routing slack
-	// bounds and path counting.
-	hopsTo := make([][]int, n)
-	for v := 0; v < n; v++ {
-		hopsTo[v] = graphalg.HopDistances(g, topo.NodeID(v))
+	// BFS layers from every node. The graph is undirected, so a node's layers
+	// drive both routing out of it and counting paths into it.
+	layers := make([]graphalg.Layers, n)
+	for v := range layers {
+		layers[v] = graphalg.BFS(g, topo.NodeID(v))
 	}
-	// Memoize path counts: (node, dst) pairs repeat across flows sharing a
-	// destination. The memo is a dense at*n+dst table (-1 = unset): node IDs
-	// are dense, so this replaces per-lookup map hashing with one index.
-	countMemo := make([]int, n*n)
-	for i := range countMemo {
-		countMemo[i] = -1
-	}
-	countVisited := make([]bool, n)
-	countPaths := func(at, dst topo.NodeID) int {
-		key := int(at)*n + int(dst)
-		if c := countMemo[key]; c >= 0 {
+	// p_i^l depends only on the switch and the destination, so it is
+	// memoized by destination column, memo[dst*n+at]. Within one hop of the
+	// shortest — the default slack — a column is one walk-counting pass. A
+	// wider slack admits walks that are not simple paths, so it counts each
+	// (switch, destination) pair by a bounded DFS on first use instead.
+	memo := make([]int, n*n)
+	countPaths := func(at, dst topo.NodeID) int { return memo[int(dst)*n+int(at)] }
+	if opts.Slack == 1 {
+		for dst := range layers {
+			graphalg.CountWithinOneHop(g, layers[dst], opts.Limit, memo[dst*n:(dst+1)*n])
+		}
+	} else {
+		for i := range memo {
+			memo[i] = -1
+		}
+		visited := make([]bool, n)
+		countPaths = func(at, dst topo.NodeID) int {
+			key := int(dst)*n + int(at)
+			if c := memo[key]; c >= 0 {
+				return c
+			}
+			toDst := layers[dst].Hops
+			c := graphalg.CountSimplePathsPruned(g, at, dst, toDst[at]+opts.Slack, opts.Limit, toDst, visited)
+			memo[key] = c
 			return c
 		}
-		maxHops := hopsTo[dst][at] + opts.Slack
-		c := graphalg.CountSimplePathsPruned(g, at, dst, maxHops, opts.Limit, hopsTo[dst], countVisited)
-		countMemo[key] = c
-		return c
 	}
 
 	// Routing pass: append every pair's path to the arena, carve its view and
@@ -145,8 +153,8 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	// the traversal count checked against the index's int32 offsets, before a
 	// path exists — an append never moves a view already carved.
 	traversals := -n
-	for _, hops := range hopsTo {
-		for _, h := range hops {
+	for _, l := range layers {
+		for _, h := range l.Hops {
 			traversals += h + 1
 		}
 	}
@@ -157,10 +165,7 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	s.Flows = make([]Flow, 0, n*(n-1))
 	s.swOff = make([]int32, n+1)
 	for src := 0; src < n; src++ {
-		tree, err := graphalg.Dijkstra(g, topo.NodeID(src), routeWeight)
-		if err != nil {
-			return nil, fmt.Errorf("flow: route from %d: %w", src, err)
-		}
+		tree := graphalg.HopMajorTree(g, layers[src], delay)
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
 				continue

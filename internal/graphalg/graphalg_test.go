@@ -2,6 +2,7 @@ package graphalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,15 +284,145 @@ func TestHopMajorComposition(t *testing.T) {
 		}
 		return 1
 	}
-	tr, err := Dijkstra(g, 0, HopMajor(delay))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := HopMajorTree(g, BFS(g, 0), delay)
 	path, err := tr.AppendPathTo(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(path) != 2 {
 		t.Fatalf("hop-major path = %v, want the direct 1-hop link", path)
+	}
+}
+
+// randomGraph builds a seeded random graph of n nodes: one random spanning
+// tree per component (so each is connected) plus chords with probability p. Coordinates
+// come from three sites only, so many links share one delay and many are
+// co-located (delay 0) — the ties a routing tree must break by parent.
+func randomGraph(t *testing.T, rng *rand.Rand, n, components int, p float64) *topo.Graph {
+	t.Helper()
+	sites := [][2]float64{{40, -74}, {34, -118}, {41, -87}}
+	g := &topo.Graph{}
+	for i := 0; i < n; i++ {
+		s := sites[rng.Intn(len(sites))]
+		g.AddNode("n", s[0], s[1])
+	}
+	comp := func(v int) int { return v * components / n } // contiguous ranges
+	lo := 0                                               // first node of v's component
+	for v := 1; v < n; v++ {
+		if comp(v) != comp(v-1) {
+			lo = v
+			continue
+		}
+		if err := g.AddEdge(topo.NodeID(lo+rng.Intn(v-lo)), topo.NodeID(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if comp(a) == comp(b) && !g.HasEdge(topo.NodeID(a), topo.NodeID(b)) && rng.Float64() < p {
+				if err := g.AddEdge(topo.NodeID(a), topo.NodeID(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// oracleGraphs are the fixtures of the layered-pass oracles: ATT, two seeded
+// synthetic deployments, and seeded random graphs with co-located nodes, the
+// last of them in two components.
+func oracleGraphs(t *testing.T, synthetic ...[4]int) map[string]*topo.Graph {
+	t.Helper()
+	att, err := topo.ATT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*topo.Graph{"att": att.Graph}
+	for _, c := range synthetic {
+		dep, err := topo.SyntheticWithOpts(c[0], c[1], 1, topo.SyntheticOpts{Seed: uint64(c[2]), Regions: c[3]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("synthetic%d seed %d", c[0], c[2])] = dep.Graph
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 50; i++ {
+		graphs[fmt.Sprintf("random %d", i)] = randomGraph(t, rng, 5+rng.Intn(20), 1, 0.1+0.3*rng.Float64())
+	}
+	graphs["random split"] = randomGraph(t, rng, 16, 2, 0.3)
+	return graphs
+}
+
+// TestCountWithinOneHopMatchesDFS is the oracle of the walk count: for every
+// (node, destination) it equals the bounded DFS at one hop of slack, under
+// caps that bind at every size, and both sides give 0 across components.
+func TestCountWithinOneHopMatchesDFS(t *testing.T) {
+	disconnected, capped := 0, 0
+	for name, g := range oracleGraphs(t, [4]int{64, 6, 3, 2}) {
+		n := g.NumNodes()
+		count := make([]int, n)
+		for dst := 0; dst < n; dst++ {
+			l := BFS(g, topo.NodeID(dst))
+			for _, limit := range []int{1, 2, 3, 12, 300} {
+				CountWithinOneHop(g, l, limit, count)
+				for v := 0; v < n; v++ {
+					want := CountSimplePaths(g, topo.NodeID(v), topo.NodeID(dst), l.Hops[v]+1, limit)
+					if count[v] != want {
+						t.Fatalf("%s limit %d: %d->%d counts %d walks, DFS %d paths", name, limit, v, dst, count[v], want)
+					}
+					if l.Hops[v] < 0 {
+						disconnected++
+					}
+					if limit == 3 && want == 3 {
+						capped++
+					}
+				}
+			}
+		}
+	}
+	if disconnected == 0 || capped == 0 {
+		t.Fatalf("fixtures exercise %d disconnected pairs and %d capped counts, want both > 0", disconnected, capped)
+	}
+}
+
+// TestHopMajorTreeMatchesDijkstra is the oracle of layered routing: from
+// every source, Dist and Parent are bit for bit Dijkstra's under the
+// composite weight hopUnit + delay, and co-located nodes make the
+// lowest-parent rule decide some of them.
+func TestHopMajorTreeMatchesDijkstra(t *testing.T) {
+	ties := 0
+	for name, g := range oracleGraphs(t, [4]int{300, 8, 7, 0}) {
+		delay, err := g.EdgeDelaysMs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		composite := func(a, b topo.NodeID) float64 { return hopUnit + delay(a, b) }
+		for src := 0; src < g.NumNodes(); src++ {
+			l := BFS(g, topo.NodeID(src))
+			got := HopMajorTree(g, l, delay)
+			want, err := Dijkstra(g, topo.NodeID(src), composite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want.Dist {
+				if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) || got.Parent[v] != want.Parent[v] {
+					t.Fatalf("%s from %d: node %d has (%v, parent %d), Dijkstra (%v, parent %d)",
+						name, src, v, got.Dist[v], got.Parent[v], want.Dist[v], want.Parent[v])
+				}
+				if v == src || got.Parent[v] < 0 {
+					continue
+				}
+				// A tie: another parent one layer closer reaches v as cheaply.
+				g.ForEachNeighbor(topo.NodeID(v), func(u topo.NodeID) {
+					if u != got.Parent[v] && l.Hops[u] == l.Hops[v]-1 && got.Dist[u]+(hopUnit+delay(u, topo.NodeID(v))) == got.Dist[v] {
+						ties++
+					}
+				})
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal-cost parents in the fixtures: the tie-break is unexercised")
 	}
 }

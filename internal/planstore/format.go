@@ -310,10 +310,11 @@ func decodePlanInto(t *template, payload []byte, sol *core.Solution) error {
 			return errTruncated()
 		}
 		pos += n
-		i := prev + 1 + int(gap)
-		if i >= p.NumSwitches || int(ctrl) > p.NumControllers {
+		// Compared as read, before any conversion to int can wrap negative.
+		if gap >= uint64(p.NumSwitches-prev-1) || ctrl > uint64(p.NumControllers) {
 			return fmt.Errorf("%w: switch deviation out of range", ErrCorrupt)
 		}
+		i := prev + 1 + int(gap)
 		sol.SwitchController[i] = int(ctrl) - 1
 		prev = i
 	}
@@ -346,11 +347,11 @@ func decodePlanInto(t *template, payload []byte, sol *core.Solution) error {
 			return errTruncated()
 		}
 		pos += n
-		k := prev + 1 + int(gap)
-		end := k + int(length) + 1
-		if k >= len(p.Pairs) || end > len(p.Pairs) || end <= k {
+		if room := uint64(len(p.Pairs) - prev - 1); gap >= room || length >= room-gap {
 			return fmt.Errorf("%w: pair deviation run out of range", ErrCorrupt)
 		}
+		k := prev + 1 + int(gap)
+		end := k + int(length) + 1
 		for ; k < end; k++ {
 			sol.Active[k] = !sol.Active[k]
 		}

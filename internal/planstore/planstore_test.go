@@ -13,7 +13,7 @@ import (
 	"pmedic/internal/topo"
 )
 
-func attFixture(t *testing.T) (*topo.Deployment, *flow.Set, *scenario.Context) {
+func attFixture(t testing.TB) (*topo.Deployment, *flow.Set, *scenario.Context) {
 	t.Helper()
 	dep, err := topo.ATT()
 	if err != nil {
@@ -30,7 +30,7 @@ func attFixture(t *testing.T) (*topo.Deployment, *flow.Set, *scenario.Context) {
 	return dep, flows, ctx
 }
 
-func compileDepth2(t *testing.T) (string, *CompileStats, *scenario.Context) {
+func compileDepth2(t testing.TB) (string, *CompileStats, *scenario.Context) {
 	t.Helper()
 	dep, flows, ctx := attFixture(t)
 	path := filepath.Join(t.TempDir(), "att.pmps")

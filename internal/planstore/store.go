@@ -122,7 +122,7 @@ func (st *Store) parse() error {
 		if e.off < recStart {
 			return fmt.Errorf("%w: entry %d offset %d inside index", ErrCorrupt, i, e.off)
 		}
-		e.ok = e.off+uint64(e.length) <= uint64(len(st.data))
+		e.ok = e.off <= uint64(len(st.data)) && uint64(e.length) <= uint64(len(st.data))-e.off
 		st.entries[i] = e
 	}
 	return nil

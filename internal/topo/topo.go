@@ -230,9 +230,10 @@ func (g *Graph) LinkDelayMs(a, b NodeID) (float64, error) {
 	return d / propagationSpeedKmPerMs, nil
 }
 
-// EdgeDelaysMs returns, for every node, the per-neighbor link delays in the
-// same order as the internal adjacency, as a weight function suitable for
-// shortest-path computations.
+// EdgeDelaysMs returns the link delays as a weight function for
+// shortest-path computations: w(a, b) is LinkDelayMs(a, b) for every edge,
+// read from a dense n×n table built once (8 MB at 1 000 nodes). It returns 0
+// for a pair that is not an edge, so callers must ask only about edges.
 func (g *Graph) EdgeDelaysMs() (func(a, b NodeID) float64, error) {
 	n := len(g.nodes)
 	w := make([]float64, n*n)
