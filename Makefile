@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-compare bench-live profile
+.PHONY: check fmt vet build test test-race reach bench bench-compare bench-live profile
 
 check: fmt vet build test-race
 
@@ -19,6 +19,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# reach fails when a function declared in non-test code is linked by no
+# command, example, workload or figure test and is not in scripts/reach.allow
+# with its reason; `bash scripts/reach.sh -list` prints every unlinked one.
+reach:
+	bash scripts/reach.sh
 
 # bench runs the repository benchmark (all six workloads, untraced, seed 1)
 # the way the driver does and writes one stamped result file per workload to

@@ -275,6 +275,27 @@ func (d *daemon) detectorConfig() monitor.Config {
 	}
 }
 
+// medicConfig wires a medic over the stack, the plan store and the state
+// store d.st (nil when not leading, or standalone).
+func (d *daemon) medicConfig() medic.Config {
+	return medic.Config{
+		Dep:       d.s.dep,
+		Flows:     d.s.flows,
+		Addrs:     d.s.addrs,
+		Net:       d.s.network,
+		Push:      sdnsim.PushOptions{Seed: d.cfg.seed},
+		Store:     d.st,
+		Plans:     d.plans,
+		ReplicaID: d.cfg.replicaID,
+		OnFenced: func() {
+			select {
+			case d.fenced <- struct{}{}:
+			default:
+			}
+		},
+	}
+}
+
 // promote runs the leader takeover sequence: open the store under the
 // lease guard, replay it into a medic (the epoch bump past the dead leader's
 // reservation fences it), reserve this leader's own block of epochs and stamp
@@ -292,22 +313,7 @@ func (d *daemon) promote(term uint64) error {
 			return err
 		}
 	}
-	d.m, err = medic.New(medic.Config{
-		Dep:       d.s.dep,
-		Flows:     d.s.flows,
-		Addrs:     d.s.addrs,
-		Net:       d.s.network,
-		Push:      sdnsim.PushOptions{Seed: d.cfg.seed},
-		Store:     d.st,
-		Plans:     d.plans,
-		ReplicaID: d.cfg.replicaID,
-		OnFenced: func() {
-			select {
-			case d.fenced <- struct{}{}:
-			default:
-			}
-		},
-	})
+	d.m, err = medic.New(d.medicConfig())
 	if err != nil {
 		if d.st != nil {
 			_ = d.st.Close()
@@ -393,19 +399,19 @@ func run(args []string, out io.Writer) error {
 
 	d := &daemon{cfg: cfg, s: s, out: out, handler: &swapHandler{}, fenced: make(chan struct{}, 1)}
 	if cfg.planStore != "" {
-		// The store is read-only and immutable: open it once, validate it
-		// against this deployment up front, and share it across every
-		// promote/demote cycle. A mismatched store is an operator error —
-		// refusing to boot beats silently solving from scratch.
+		// The store is read-only and immutable: open it once and share it
+		// across every promote/demote cycle.
 		ps, err := planstore.Open(cfg.planStore)
 		if err != nil {
 			return err
 		}
 		defer ps.Close()
-		if got, want := ps.Header().TopoHash, planstore.TopoHash(s.dep, s.flows); got != want {
-			return fmt.Errorf("plan store %s: topology hash %#x does not match this deployment (%#x); recompile with pmstore", cfg.planStore, got, want)
-		}
 		d.plans = ps
+	}
+	// Wire a medic once at boot, so what New refuses — a plan store compiled
+	// for another deployment — refuses the boot, not every promotion.
+	if _, err := medic.New(d.medicConfig()); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "pmedicd: ATT: %d switches (agents up), %d controllers (echo endpoints up)\n",

@@ -193,8 +193,9 @@ func TestFig5RecoveredFlows(t *testing.T) {
 	for _, c := range figures(t).sweep[2] {
 		pm, _ := c.RecoveredFlowPct("PM")
 		rf, _ := c.RecoveredFlowPct("RetroFlow")
-		if pm < 99.99 || rf >= pm {
-			t.Fatalf("case %s: PM %.0f%%, RetroFlow %.0f%%", c.Label, pm, rf)
+		pg, _ := c.RecoveredFlowPct("PG")
+		if pm < 99.99 || rf >= pm || pg < pm {
+			t.Fatalf("case %s: PM %.0f%%, RetroFlow %.0f%%, PG %.0f%%", c.Label, pm, rf, pg)
 		}
 	}
 }
@@ -440,8 +441,8 @@ func TestExtensionSuccessiveChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn := eval.Churn(steps[0].Instance, prev, steps[1].Instance, next)
-	if churn.CommonSwitches == 0 {
-		t.Fatal("no common switches across successive steps")
+	if len(steps) != 2 || churn.CommonSwitches == 0 || churn.CommonPairs == 0 {
+		t.Fatalf("%d steps, churn = %+v", len(steps), churn)
 	}
 }
 

@@ -88,7 +88,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Elector campaigns for and maintains the lease. Create with New, start
-// with Start; IsLeader/Term/Check expose the replica's current view.
+// with Start; Check and Term expose the replica's current view.
 type Elector struct {
 	cfg Config
 
@@ -134,10 +134,6 @@ func (e *Elector) Stop() {
 		e.wg.Wait()
 	})
 }
-
-// IsLeader reports this replica's current view of its leadership, expired
-// leases included (a leader that could not renew within TTL answers false).
-func (e *Elector) IsLeader() bool { return e.Check() == nil }
 
 // Term returns the last term this replica observed.
 func (e *Elector) Term() uint64 {

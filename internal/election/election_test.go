@@ -45,13 +45,13 @@ func TestSingleReplicaAcquiresAndRenews(t *testing.T) {
 	var elected atomic.Uint64
 	e := newElector(t, dir, "r1", 80*time.Millisecond, &elected, nil)
 	e.Start()
-	waitCond(t, "leadership", 2*time.Second, e.IsLeader)
+	waitCond(t, "leadership", 2*time.Second, leading(e))
 	if e.Term() != 1 {
 		t.Fatalf("Term = %d, want 1", e.Term())
 	}
 	// Leadership survives several TTLs: renewals are happening.
 	time.Sleep(300 * time.Millisecond)
-	if !e.IsLeader() {
+	if e.Check() != nil {
 		t.Fatal("leadership lost despite renewals")
 	}
 	if elected.Load() != 1 {
@@ -75,17 +75,17 @@ func TestFailoverAfterLeaderDies(t *testing.T) {
 	var dep1 atomic.Uint64
 	e1 := newElector(t, dir, "r1", ttl, nil, &dep1)
 	e1.Start()
-	waitCond(t, "r1 leadership", 2*time.Second, e1.IsLeader)
+	waitCond(t, "r1 leadership", 2*time.Second, leading(e1))
 
 	e2 := newElector(t, dir, "r2", ttl, nil, nil)
 	e2.Start()
 	time.Sleep(3 * ttl)
-	if e2.IsLeader() {
+	if e2.Check() == nil {
 		t.Fatal("r2 usurped a live lease")
 	}
 
 	e1.Stop() // SIGKILL: no resign, the lease just stops being renewed
-	waitCond(t, "r2 takeover", 3*time.Second, e2.IsLeader)
+	waitCond(t, "r2 takeover", 3*time.Second, leading(e2))
 	if e2.Term() != 2 {
 		t.Fatalf("takeover term = %d, want 2", e2.Term())
 	}
@@ -101,7 +101,7 @@ func TestResignHandsOverImmediately(t *testing.T) {
 	ttl := 200 * time.Millisecond
 	e1 := newElector(t, dir, "r1", ttl, nil, nil)
 	e1.Start()
-	waitCond(t, "r1 leadership", 2*time.Second, e1.IsLeader)
+	waitCond(t, "r1 leadership", 2*time.Second, leading(e1))
 
 	e2 := newElector(t, dir, "r2", ttl, nil, nil)
 	e2.Start()
@@ -109,11 +109,11 @@ func TestResignHandsOverImmediately(t *testing.T) {
 	if err := e1.Resign(); err != nil {
 		t.Fatal(err)
 	}
-	if e1.IsLeader() {
+	if e1.Check() == nil {
 		t.Fatal("still leader after Resign")
 	}
 	// Takeover needs only one campaign tick, not a TTL expiry.
-	waitCond(t, "r2 takeover after resign", 2*time.Second, e2.IsLeader)
+	waitCond(t, "r2 takeover after resign", 2*time.Second, leading(e2))
 	if e2.Term() != 2 {
 		t.Fatalf("takeover term = %d, want 2", e2.Term())
 	}
@@ -128,7 +128,7 @@ func TestTermsFenceAcrossHandoffs(t *testing.T) {
 	for i, id := range []string{"a", "b", "c"} {
 		e := newElector(t, dir, id, ttl, nil, nil)
 		e.Start()
-		waitCond(t, id+" leadership", 3*time.Second, e.IsLeader)
+		waitCond(t, id+" leadership", 3*time.Second, leading(e))
 		if e.Term() != uint64(i+1) {
 			t.Fatalf("%s term = %d, want %d", id, e.Term(), i+1)
 		}
@@ -153,7 +153,7 @@ func TestAtMostOneLeader(t *testing.T) {
 	for time.Now().Before(deadline) {
 		n := 0
 		for _, e := range es {
-			if e.IsLeader() {
+			if e.Check() == nil {
 				n++
 			}
 		}
@@ -168,4 +168,9 @@ func TestAtMostOneLeader(t *testing.T) {
 	if !sawLeader {
 		t.Fatal("no leader ever elected")
 	}
+}
+
+// leading reports whether e holds an unexpired lease, for waitCond.
+func leading(e *Elector) func() bool {
+	return func() bool { return e.Check() == nil }
 }

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
@@ -152,17 +151,6 @@ func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx
 		}
 	})
 	return firstErr
-}
-
-// runCase compiles one failure case off the shared context and evaluates
-// every algorithm on it. It touches only the immutable context plus state it
-// allocates itself, so any number of runCase calls may run concurrently.
-func runCase(ctx *scenario.Context, failed []int, algs []Algorithm) (*CaseResult, error) {
-	inst, err := ctx.Build(failed)
-	if err != nil {
-		return nil, fmt.Errorf("eval: case %v: %w", failed, err)
-	}
-	return evalCase(inst, failed, algs)
 }
 
 // evalCase evaluates every algorithm on one compiled instance.
@@ -322,21 +310,4 @@ func (c *CaseResult) RuntimePct(name, baseline string) (float64, bool) {
 		return 0, false
 	}
 	return 100 * float64(a.Runtime) / float64(b.Runtime), true
-}
-
-// MeanRuntime averages an algorithm's runtime over the cases where it has a
-// result.
-func MeanRuntime(cases []*CaseResult, name string) (time.Duration, int) {
-	var sum time.Duration
-	n := 0
-	for _, c := range cases {
-		if rep := c.Reports[name]; rep != nil {
-			sum += rep.Runtime
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / time.Duration(n), n
 }

@@ -17,48 +17,6 @@ func mkCase(runtimes map[string]time.Duration) *CaseResult {
 	return cr
 }
 
-// TestMeanRuntimeTable pins MeanRuntime's contract on hand-built cases,
-// including the zero-case and missing-algorithm paths.
-func TestMeanRuntimeTable(t *testing.T) {
-	tests := []struct {
-		name     string
-		cases    []*CaseResult
-		alg      string
-		wantMean time.Duration
-		wantN    int
-	}{
-		{name: "no cases", cases: nil, alg: "PM", wantMean: 0, wantN: 0},
-		{name: "empty slice", cases: []*CaseResult{}, alg: "PM", wantMean: 0, wantN: 0},
-		{
-			name:  "algorithm missing everywhere",
-			cases: []*CaseResult{mkCase(map[string]time.Duration{"PM": 10})},
-			alg:   "Optimal", wantMean: 0, wantN: 0,
-		},
-		{
-			name: "mean over present cases only",
-			cases: []*CaseResult{
-				mkCase(map[string]time.Duration{"PM": 10 * time.Millisecond}),
-				mkCase(map[string]time.Duration{"RetroFlow": 99 * time.Millisecond}),
-				mkCase(map[string]time.Duration{"PM": 30 * time.Millisecond}),
-			},
-			alg: "PM", wantMean: 20 * time.Millisecond, wantN: 2,
-		},
-		{
-			name:  "single case exact",
-			cases: []*CaseResult{mkCase(map[string]time.Duration{"PM": 7 * time.Millisecond})},
-			alg:   "PM", wantMean: 7 * time.Millisecond, wantN: 1,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			mean, n := MeanRuntime(tt.cases, tt.alg)
-			if mean != tt.wantMean || n != tt.wantN {
-				t.Fatalf("MeanRuntime = (%v, %d), want (%v, %d)", mean, n, tt.wantMean, tt.wantN)
-			}
-		})
-	}
-}
-
 // TestRuntimePctTable pins RuntimePct's contract, including the missing
 // numerator/baseline and zero-baseline paths.
 func TestRuntimePctTable(t *testing.T) {

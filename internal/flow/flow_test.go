@@ -26,7 +26,7 @@ func attGraph(t *testing.T) *topo.Graph {
 // share only the definition — simple paths from v to dst no longer than the
 // hop distance plus the slack, capped at the limit, and 0 below 2.
 func pBar(g *topo.Graph, opts Options, v, dst topo.NodeID) int32 {
-	maxHops := graphalg.HopDistances(g, dst)[v] + opts.Slack
+	maxHops := graphalg.BFS(g, dst).Hops[v] + opts.Slack
 	if c := graphalg.CountSimplePaths(g, v, dst, maxHops, opts.Limit); c >= 2 {
 		return int32(c)
 	}

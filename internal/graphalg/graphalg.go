@@ -186,9 +186,6 @@ func BFS(g *topo.Graph, src topo.NodeID) Layers {
 	return l
 }
 
-// HopDistances returns BFS hop counts from src (-1 for unreachable nodes).
-func HopDistances(g *topo.Graph, src topo.NodeID) []int { return BFS(g, src).Hops }
-
 // hopUnit is the hop term of the hop-major metric. The composition is exact
 // while every path's total delay stays below it: 2^20 ms is ~10^4 hops of the
 // longest great-circle link.
@@ -301,7 +298,7 @@ func CountSimplePaths(g *topo.Graph, src, dst topo.NodeID, maxHops, limit int) i
 	if src == dst {
 		return 0
 	}
-	toDst := HopDistances(g, dst)
+	toDst := BFS(g, dst).Hops
 	return CountSimplePathsPruned(g, src, dst, maxHops, limit, toDst, make([]bool, n))
 }
 

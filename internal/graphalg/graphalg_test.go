@@ -130,14 +130,14 @@ func TestDijkstraBadSource(t *testing.T) {
 
 func TestHopDistances(t *testing.T) {
 	g := diamond(t)
-	d := HopDistances(g, 0)
+	d := BFS(g, 0).Hops
 	want := []int{0, 1, 1, 2}
 	for i, v := range want {
 		if d[i] != v {
 			t.Fatalf("hop[%d] = %d, want %d", i, d[i], v)
 		}
 	}
-	if HopDistances(g, -1)[0] != -1 {
+	if BFS(g, -1).Hops[0] != -1 {
 		t.Fatal("invalid source should leave all distances -1")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 func solveOrFatal(t *testing.T, m *Model) *Solution {
 	t.Helper()
-	sol, err := m.Solve()
+	sol, err := m.SolveWith(Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestRandomFeasibleLPs(t *testing.T) {
 			}
 			saved = append(saved, savedRow{coeffs, op, rhs})
 		}
-		sol, err := m.Solve()
+		sol, err := m.SolveWith(Options{})
 		if err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
@@ -357,7 +357,7 @@ func TestRandomTwoVarExact(t *testing.T) {
 				check(px, py)
 			}
 		}
-		sol, err := m.Solve()
+		sol, err := m.SolveWith(Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -90,17 +90,6 @@ func (m *Model) AddVar(lower, upper, objCoeff float64, name string) int {
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.obj) }
 
-// NumRows returns the number of constraints.
-func (m *Model) NumRows() int { return len(m.rows) }
-
-// VarName returns the name given at AddVar, or "" for out-of-range indices.
-func (m *Model) VarName(v int) string {
-	if v < 0 || v >= len(m.names) {
-		return ""
-	}
-	return m.names[v]
-}
-
 // SetBounds replaces variable v's bounds; used by branch & bound to fix
 // binaries.
 func (m *Model) SetBounds(v int, lower, upper float64) error {
@@ -211,22 +200,6 @@ const (
 	StartCertified
 )
 
-// String renders the start for logs and reports.
-func (s Start) String() string {
-	switch s {
-	case StartCold:
-		return "cold"
-	case StartWarm:
-		return "warm"
-	case StartRepaired:
-		return "warm+repair"
-	case StartCertified:
-		return "certified-infeasible"
-	default:
-		return fmt.Sprintf("lp.Start(%d)", int(s))
-	}
-}
-
 // Basis is an opaque snapshot of a simplex basis over the model's expanded
 // (structural + slack) variable space. It is only meaningful for a model
 // with the same variables and rows it was exported from; bounds may differ.
@@ -273,11 +246,6 @@ func (o Options) withDefaults() Options {
 		o.Tol = 1e-7
 	}
 	return o
-}
-
-// Solve optimizes the model with default options.
-func (m *Model) Solve() (*Solution, error) {
-	return m.SolveWith(Options{})
 }
 
 // SolveWith optimizes the model. The returned error is non-nil only for

@@ -94,8 +94,8 @@ type Config struct {
 	// solve), an uncompiled set falls back to the nearest superset plan plus
 	// a residual repair, and only a miss pays the full solve. The store's
 	// lifecycle (Open/Close) belongs to the caller. A store whose topology
-	// hash does not match Dep and Flows is refused at New and the daemon
-	// degrades to the solve path.
+	// hash does not match Dep and Flows is refused: New returns an error
+	// wrapping planstore.ErrMismatch.
 	Plans *planstore.Store
 	// Pusher and Restorer replace the wire drivers (defaults:
 	// sdnsim.PushRecoveryResilient, sdnsim.RestoreIdeal); tests stub them.
@@ -126,9 +126,6 @@ type Medic struct {
 	// middle-layer placement, domain loads), so every reconcile compiles its
 	// failure set without re-walking the topology.
 	ctx *scenario.Context
-	// plans is cfg.Plans after the topology-hash gate: nil when no store is
-	// configured or the store was compiled for a different deployment.
-	plans *planstore.Store
 
 	// cur is the daemon's state, written by whoever drives the medic and by
 	// nobody else: the loop goroutine, New and Fence before it starts,
@@ -182,6 +179,14 @@ func New(cfg Config) (*Medic, error) {
 	if cfg.Restorer == nil {
 		cfg.Restorer = sdnsim.RestoreIdeal
 	}
+	if cfg.Plans != nil {
+		// A store compiled for a different deployment would serve plans whose
+		// switch indices, delays, and capacities are all stale.
+		if got, want := cfg.Plans.Header().TopoHash, planstore.TopoHash(cfg.Dep, cfg.Flows); got != want {
+			return nil, fmt.Errorf("medic: plan store %s: %w: topology hash %#x, deployment %#x; recompile with pmstore",
+				cfg.Plans.Path(), planstore.ErrMismatch, got, want)
+		}
+	}
 	ctx, err := scenario.NewContext(cfg.Dep, cfg.Flows)
 	if err != nil {
 		return nil, fmt.Errorf("medic: %w", err)
@@ -197,18 +202,9 @@ func New(cfg Config) (*Medic, error) {
 	}
 	m.metrics = newMetrics(m.sessions)
 	if cfg.Plans != nil {
-		// A store compiled for a different deployment would serve plans whose
-		// switch indices, delays, and capacities are all stale: refuse it and
-		// keep recovering on the solve path instead of pushing garbage.
-		if got, want := cfg.Plans.Header().TopoHash, planstore.TopoHash(cfg.Dep, cfg.Flows); got != want {
-			m.logf(KindError, "plan store %s disabled: topology hash %#x does not match deployment %#x",
-				cfg.Plans.Path(), got, want)
-		} else {
-			m.plans = cfg.Plans
-			m.metrics.wirePlans()
-			m.logf(KindPlan, "plan store %s: %d precompiled plans up to depth %d (%s)",
-				cfg.Plans.Path(), cfg.Plans.Len(), cfg.Plans.Header().Depth, cfg.Plans.Header().Algorithm)
-		}
+		m.metrics.wirePlans()
+		m.logf(KindPlan, "plan store %s: %d precompiled plans up to depth %d (%s)",
+			cfg.Plans.Path(), cfg.Plans.Len(), cfg.Plans.Header().Depth, cfg.Plans.Header().Algorithm)
 	}
 	if cfg.Store != nil {
 		m.metrics.wireStore(cfg.Store, &m.pub)
@@ -245,14 +241,11 @@ func (m *Medic) restore(ds *durableState) {
 	m.log.restoreRing(ds.LogSeq, ds.LogEntries)
 }
 
-// Epoch returns the current epoch.
-func (m *Medic) Epoch() uint64 { return m.pub.Load().Epoch }
-
 // FenceGen is the generation a freshly promoted leader stamps onto the
 // agents (Fence): the bottom of the current epoch's range. Every claim signed
 // by an earlier epoch — the deposed leader's — compares below it and is
 // refused.
-func (m *Medic) FenceGen() uint64 { return m.Epoch() * genStride }
+func (m *Medic) FenceGen() uint64 { return m.pub.Load().Epoch * genStride }
 
 // Fence is the takeover sweep of a freshly promoted leader: it reserves the
 // block of epochs the sweep and the first recoveries are signed with, then
@@ -591,8 +584,8 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 		// when one is wired. A store error (corrupt record, unplannable
 		// superset) degrades to the solve path — the daemon keeps recovering
 		// on a broken store, it just recovers slower.
-		if m.plans != nil {
-			sol, outcome, err := m.plans.Consult(m.ctx, inst, m.cfg.Solve)
+		if m.cfg.Plans != nil {
+			sol, outcome, err := m.cfg.Plans.Consult(m.ctx, inst, m.cfg.Solve)
 			switch {
 			case err != nil:
 				m.metrics.addPlanError()

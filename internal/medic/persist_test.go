@@ -359,7 +359,6 @@ func TestStatusUnderConcurrentReconcile(t *testing.T) {
 				}
 				sink.Reset()
 				_, _ = m.Metrics().WriteTo(&sink)
-				_ = m.Epoch()
 				_ = m.FenceGen()
 			}
 		}()

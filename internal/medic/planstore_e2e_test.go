@@ -1,8 +1,10 @@
 package medic
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,14 +130,10 @@ func TestPlanStoreServesMedic(t *testing.T) {
 	}
 }
 
-// TestPlanStoreHashMismatchDisabled: a store compiled for a different
-// workload is refused at construction — logged, disabled, and the medic
-// plans by solving as if no store were configured.
-func TestPlanStoreHashMismatchDisabled(t *testing.T) {
-	dep, err := topo.ATT()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPlanStoreHashMismatchRefused: a store compiled for a different
+// workload is refused at New, with an error that names the mismatch.
+func TestPlanStoreHashMismatchRefused(t *testing.T) {
+	dep, flows := testFixture(t)
 	other, err := flow.Generate(dep.Graph, flow.Options{Slack: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -150,17 +148,8 @@ func TestPlanStoreHashMismatchDisabled(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = ps.Close() })
 
-	rec := &recorder{}
-	m, events := newPlanMedic(t, rec, ps)
-	if !hasLogKind(m.Status(), KindError, "disabled: topology hash") {
-		t.Fatalf("no hash-mismatch log entry in %+v", m.Status().Events)
-	}
-
-	// The daemon still recovers {3} — by solving, not from the store.
-	events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
-	waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
-	hits, fallbacks, misses, errs := m.Metrics().PlanStoreCounts()
-	if hits != 0 || fallbacks != 0 || misses != 0 || errs != 0 {
-		t.Fatalf("disabled store was consulted: hits=%d fallbacks=%d misses=%d errors=%d", hits, fallbacks, misses, errs)
+	_, err = New(Config{Dep: dep, Flows: flows, Addrs: map[topo.NodeID]string{0: "stubbed"}, Plans: ps})
+	if !errors.Is(err, planstore.ErrMismatch) || !strings.Contains(err.Error(), "topology hash") {
+		t.Fatalf("New with a mismatched plan store: %v, want an error wrapping planstore.ErrMismatch", err)
 	}
 }

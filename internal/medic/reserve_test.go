@@ -267,7 +267,7 @@ func TestSuccessorResumesAboveEveryCrashPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WAL cut at %d: %v", cut, err)
 		}
-		resumed := m2.Epoch()
+		resumed := m2.Status().Epoch
 		_ = st2.Close()
 		for _, c := range rec.signed {
 			if int64(cut) >= c.walLen && resumed <= c.epoch {
@@ -301,7 +301,7 @@ func TestFlushStateGivesTheReservationBack(t *testing.T) {
 	// Restarted, never started, flushed again: its resume entry was only
 	// staged when the checkpoint dropped the stage.
 	m2, st2 := idleStoredMedic(t, dir, &recorder{}, store.Options{NoSync: true}, nil)
-	if got := m2.Epoch(); got != 2 {
+	if got := m2.Status().Epoch; got != 2 {
 		t.Fatalf("clean restart resumed at epoch %d, want 2", got)
 	}
 	if err := m2.FlushState(); err != nil {

@@ -173,7 +173,7 @@ func TestDaemonKillLeaderSoak(t *testing.T) {
 	}
 	a := &replica{id: "replica-a", el: elA}
 	a.el.Start()
-	waitUntil(t, "replica-a elected", 5*time.Second, a.el.IsLeader)
+	waitUntil(t, "replica-a elected", 5*time.Second, leading(a.el))
 
 	// Open A's store at the shared dir (stateDir() needs it set first).
 	stA, err := store.Open(dir, store.Options{NoSync: true, Guard: a.el.Check})
@@ -206,10 +206,10 @@ func TestDaemonKillLeaderSoak(t *testing.T) {
 	// Phase 2 — SIGKILL the leader. The lease is not resigned; B must wait
 	// out the TTL and win the next campaign.
 	a.kill()
-	if b.el.IsLeader() {
+	if b.el.Check() == nil {
 		t.Fatal("follower claims leadership while the dead leader's lease is live")
 	}
-	waitUntil(t, "replica-b elected after lease expiry", 5*time.Second, b.el.IsLeader)
+	waitUntil(t, "replica-b elected after lease expiry", 5*time.Second, leading(b.el))
 	if b.el.Term() <= a.el.Term() {
 		t.Fatalf("successor term %d not past predecessor term %d", b.el.Term(), a.el.Term())
 	}
@@ -338,4 +338,9 @@ func waitStatusLong(t *testing.T, m *Medic, within time.Duration, cond func(Stat
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// leading reports whether el holds an unexpired lease, for waitUntil.
+func leading(el *election.Elector) func() bool {
+	return func() bool { return el.Check() == nil }
 }

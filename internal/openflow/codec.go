@@ -23,11 +23,6 @@ const MaxMessageLen = 1<<16 - 1
 
 var byteOrder = binary.BigEndian
 
-// Encode serializes msg under a header carrying xid.
-func Encode(msg Message, xid uint32) ([]byte, error) {
-	return AppendEncode(nil, msg, xid)
-}
-
 // AppendEncode appends msg's wire form, under a header carrying xid, to dst
 // and returns the extended slice. When dst has room it allocates nothing,
 // which is what lets a connection queue a whole batch of flow-mods into one
@@ -125,23 +120,6 @@ func DecodeHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Decode parses one full message (header + body) from b.
-func Decode(b []byte) (Message, Header, error) {
-	h, err := DecodeHeader(b)
-	if err != nil {
-		return nil, Header{}, err
-	}
-	if len(b) < int(h.Length) {
-		return nil, Header{}, fmt.Errorf("%w: declared %d bytes, have %d", ErrTruncated, h.Length, len(b))
-	}
-	body := b[HeaderLen:h.Length]
-	msg, err := decodeBody(h.Type, body)
-	if err != nil {
-		return nil, Header{}, err
-	}
-	return msg, h, nil
-}
-
 func decodeBody(t MsgType, body []byte) (Message, error) {
 	need := func(n int) error {
 		if len(body) < n {
@@ -229,14 +207,4 @@ func ReadMessage(r io.Reader) (Message, Header, error) {
 		return nil, Header{}, err
 	}
 	return msg, h, nil
-}
-
-// WriteMessage encodes msg under xid and writes it to w.
-func WriteMessage(w io.Writer, msg Message, xid uint32) error {
-	buf, err := Encode(msg, xid)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }

@@ -11,13 +11,13 @@ import (
 // roundTrip encodes and re-decodes a message, failing on any mismatch.
 func roundTrip(t *testing.T, msg Message, xid uint32) {
 	t.Helper()
-	buf, err := Encode(msg, xid)
+	buf, err := AppendEncode(nil, msg, xid)
 	if err != nil {
-		t.Fatalf("Encode(%T): %v", msg, err)
+		t.Fatalf("AppendEncode(%T): %v", msg, err)
 	}
-	got, h, err := Decode(buf)
+	got, h, err := ReadMessage(bytes.NewReader(buf))
 	if err != nil {
-		t.Fatalf("Decode(%T): %v", msg, err)
+		t.Fatalf("ReadMessage(bytes.NewReader(%T)): %v", msg, err)
 	}
 	if h.XID != xid {
 		t.Fatalf("xid = %d, want %d", h.XID, xid)
@@ -80,16 +80,16 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeMatchesEncode pins the batch encoder to the one-message
-// encoder byte for byte, for every message type, and checks that it leaves
-// what was already in the buffer alone — on success and on error.
+// TestAppendEncodeMatchesEncode checks that appending to a buffer writes the
+// same bytes as encoding into an empty one, for every message type, and
+// leaves what was already in the buffer alone — on success and on error.
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	prefix := []byte("queued before")
 	for i, m := range allMessages() {
 		xid := uint32(i*13 + 1)
-		want, err := Encode(m, xid)
+		want, err := AppendEncode(nil, m, xid)
 		if err != nil {
-			t.Fatalf("Encode(%T): %v", m, err)
+			t.Fatalf("AppendEncode(%T): %v", m, err)
 		}
 		if want[1] != uint8(m.MsgType()) {
 			t.Fatalf("%T: type byte %d, want %d", m, want[1], m.MsgType())
@@ -119,11 +119,11 @@ func TestRoundTripEchoQuick(t *testing.T) {
 			data = data[:MaxMessageLen-HeaderLen]
 		}
 		msg := Echo{Reply: reply, Data: data}
-		buf, err := Encode(msg, xid)
+		buf, err := AppendEncode(nil, msg, xid)
 		if err != nil {
 			return false
 		}
-		got, h, err := Decode(buf)
+		got, h, err := ReadMessage(bytes.NewReader(buf))
 		if err != nil || h.XID != xid {
 			return false
 		}
@@ -144,11 +144,11 @@ func TestRoundTripFlowModQuick(t *testing.T) {
 			Match:    Match{FlowID: flowID, Src: src, Dst: dst},
 			NextHop:  nh,
 		}
-		buf, err := Encode(msg, 1)
+		buf, err := AppendEncode(nil, msg, 1)
 		if err != nil {
 			return false
 		}
-		got, _, err := Decode(buf)
+		got, _, err := ReadMessage(bytes.NewReader(buf))
 		if err != nil {
 			return false
 		}
@@ -161,77 +161,77 @@ func TestRoundTripFlowModQuick(t *testing.T) {
 }
 
 func TestDecodeRejectsBadVersion(t *testing.T) {
-	buf, err := Encode(Hello{}, 1)
+	buf, err := AppendEncode(nil, Hello{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 0x01
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("error = %v, want ErrBadVersion", err)
 	}
 }
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	buf, err := Encode(Hello{}, 1)
+	buf, err := AppendEncode(nil, Hello{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf[1] = 0xEE
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadType) {
+	if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadType) {
 		t.Fatalf("error = %v, want ErrBadType", err)
 	}
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	for _, m := range []Message{FlowMod{Command: FlowAdd, Match: Match{FlowID: 1}}, Echo{Data: []byte("abc")}} {
-		buf, err := Encode(m, 1)
+		buf, err := AppendEncode(nil, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(buf); cut++ {
-			if _, _, err := Decode(buf[:cut]); err == nil {
-				t.Fatalf("Decode accepted a %d-byte prefix of a %d-byte %T", cut, len(buf), m)
+			if _, _, err := ReadMessage(bytes.NewReader(buf[:cut])); err == nil {
+				t.Fatalf("ReadMessage accepted a %d-byte prefix of a %d-byte %T", cut, len(buf), m)
 			}
 		}
 	}
 }
 
 func TestDecodeRejectsBadFlowModCommand(t *testing.T) {
-	buf, err := Encode(FlowMod{Command: FlowAdd, Match: Match{}}, 1)
+	buf, err := AppendEncode(nil, FlowMod{Command: FlowAdd, Match: Match{}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf[HeaderLen] = 99
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadEncoding) {
+	if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("error = %v, want ErrBadEncoding", err)
 	}
 }
 
 func TestDecodeRejectsBadRole(t *testing.T) {
-	buf, err := Encode(RoleRequest{Role: RoleMaster}, 1)
+	buf, err := AppendEncode(nil, RoleRequest{Role: RoleMaster}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byteOrder.PutUint32(buf[HeaderLen:], 77)
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadEncoding) {
+	if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("error = %v, want ErrBadEncoding", err)
 	}
 }
 
 func TestDecodeDeclaredLengthBelowHeader(t *testing.T) {
-	buf, err := Encode(Hello{}, 1)
+	buf, err := AppendEncode(nil, Hello{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byteOrder.PutUint16(buf[2:4], 3)
-	if _, _, err := Decode(buf); !errors.Is(err, ErrBadEncoding) {
+	if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("error = %v, want ErrBadEncoding", err)
 	}
 }
 
 func TestEncodeRejectsOversized(t *testing.T) {
 	big := Echo{Data: make([]byte, MaxMessageLen)}
-	if _, err := Encode(big, 1); !errors.Is(err, ErrTooLong) {
+	if _, err := AppendEncode(nil, big, 1); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("error = %v, want ErrTooLong", err)
 	}
 }
@@ -245,9 +245,11 @@ func TestReadMessageStream(t *testing.T) {
 		BarrierRequest{},
 	}
 	for i, m := range want {
-		if err := WriteMessage(&stream, m, uint32(i)); err != nil {
+		b, err := AppendEncode(nil, m, uint32(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		stream.Write(b)
 	}
 	for i, wantMsg := range want {
 		got, h, err := ReadMessage(&stream)
@@ -264,7 +266,7 @@ func TestReadMessageStream(t *testing.T) {
 }
 
 func TestDecodeMutatedBytesNeverPanics(t *testing.T) {
-	seed, err := Encode(Echo{Data: []byte("abc")}, 7)
+	seed, err := AppendEncode(nil, Echo{Data: []byte("abc")}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestDecodeMutatedBytesNeverPanics(t *testing.T) {
 			mut := append([]byte(nil), seed...)
 			mut[pos] = val
 			// Must not panic; errors are fine.
-			_, _, _ = Decode(mut)
+			_, _, _ = ReadMessage(bytes.NewReader(mut))
 		}
 	}
 }

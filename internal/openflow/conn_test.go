@@ -90,7 +90,7 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, _ := Encode(m, xid)
+			enc, _ := AppendEncode(nil, m, xid)
 			want = append(want, enc...)
 		}
 		if len(tr.writes) != 0 {
@@ -114,8 +114,8 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := Encode(BarrierRequest{}, x1)
-	b, _ := Encode(Hello{}, x2)
+	a, _ := AppendEncode(nil, BarrierRequest{}, x1)
+	b, _ := AppendEncode(nil, Hello{}, x2)
 	if len(tr.writes) != 1 || !bytes.Equal(tr.writes[0], append(a, b...)) {
 		t.Fatalf("Send after Queue: writes %x", tr.writes)
 	}
@@ -133,7 +133,7 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := Encode(BarrierRequest{}, x3); len(tr.writes) != 1 || !bytes.Equal(tr.writes[0], want) {
+	if want, _ := AppendEncode(nil, BarrierRequest{}, x3); len(tr.writes) != 1 || !bytes.Equal(tr.writes[0], want) {
 		t.Fatalf("flush after a failed one carried %x", tr.writes)
 	}
 }

@@ -57,13 +57,6 @@ func ServeEcho(addr string) (*EchoServer, error) {
 // Addr returns the endpoint's listen address.
 func (s *EchoServer) Addr() string { return s.listener.Addr() }
 
-// Alive reports whether the endpoint currently answers probes.
-func (s *EchoServer) Alive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.alive
-}
-
 // Pings returns the number of Echo requests answered so far.
 func (s *EchoServer) Pings() uint64 {
 	s.mu.Lock()

@@ -32,7 +32,8 @@ type Context struct {
 	// dist[v] is the shortest-path control delay (ms) from node v to every
 	// node, under the deployment's great-circle edge delays.
 	dist [][]float64
-	// middleSite is the delay-centroid node hosting the middle layer.
+	// middleSite is the delay-centroid node hosting the middle layer; it
+	// depends only on the topology, not on the failure case.
 	middleSite topo.NodeID
 	// domainLoad[j] is controller j's pre-failure load: Σ γ over its domain.
 	domainLoad []int
@@ -82,10 +83,6 @@ func NewContext(dep *topo.Deployment, flows *flow.Set) (*Context, error) {
 	}
 	return ctx, nil
 }
-
-// MiddleSite returns the node hosting the FlowVisor-style middle layer; the
-// placement depends only on the topology, not on the failure case.
-func (ctx *Context) MiddleSite() topo.NodeID { return ctx.middleSite }
 
 // buildScratch holds Context.Build's per-case working memory. Instances are
 // recycled through buildPool: the Context is shared by concurrent sweep

@@ -91,7 +91,7 @@ func TestAgentHandlesBasicProtocol(t *testing.T) {
 func TestAgentFlowDeleteAndFlush(t *testing.T) {
 	n := network(t)
 	sw := n.Switches[5]
-	before := sw.NumEntries()
+	before := len(sw.entries)
 	if before == 0 {
 		t.Fatal("switch 5 has no steady-state entries")
 	}
@@ -138,7 +138,7 @@ func TestAgentFlowDeleteAndFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent.mu.Lock()
-	left := sw.NumEntries()
+	left := len(sw.entries)
 	agent.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d entries survived FlowDeleteAll", left)

@@ -99,16 +99,6 @@ func (n *Network) RehomeDomain(j int) bool {
 	return true
 }
 
-// ControllerAlive reports a controller's current liveness.
-func (n *Network) ControllerAlive(j int) bool {
-	if j < 0 || j >= len(n.Controllers) {
-		return false
-	}
-	n.ctrlMu.Lock()
-	defer n.ctrlMu.Unlock()
-	return n.Controllers[j].Alive
-}
-
 // MappingSnapshot returns the current switch→controller ownership, -1 for
 // unmanaged switches.
 func (n *Network) MappingSnapshot() []int {

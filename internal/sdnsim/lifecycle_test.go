@@ -41,7 +41,7 @@ func TestStopStartControllerRoundTrip(t *testing.T) {
 	if err := n.StopController(3); err != nil {
 		t.Fatal(err)
 	}
-	if n.ControllerAlive(3) {
+	if n.Controllers[3].Alive {
 		t.Fatal("controller 3 alive after StopController")
 	}
 	for _, sw := range dep.Controllers[3].Domain {
@@ -57,7 +57,7 @@ func TestStopStartControllerRoundTrip(t *testing.T) {
 	if err := n.StartController(3); err != nil {
 		t.Fatal(err)
 	}
-	if !n.ControllerAlive(3) {
+	if !n.Controllers[3].Alive {
 		t.Fatal("controller 3 dead after StartController")
 	}
 	for _, sw := range dep.Controllers[3].Domain {
@@ -182,7 +182,6 @@ func TestLifecycleSurfaceIsRaceFree(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			_ = n.MappingSnapshot()
-			_ = n.ControllerAlive(3)
 		}
 	}()
 	wg.Wait()
@@ -227,10 +226,10 @@ func TestRestoreIdealReinstallsDemotedEntries(t *testing.T) {
 	if len(onPath) < 2 {
 		t.Fatalf("switch %d has only %d on-path flows", swID, len(onPath))
 	}
-	before := sw.NumEntries()
+	before := len(sw.entries)
 	sw.RemoveEntry(onPath[0])
 	sw.RemoveEntry(onPath[1])
-	if sw.NumEntries() != before-2 {
+	if len(sw.entries) != before-2 {
 		t.Fatal("demotion setup failed")
 	}
 

@@ -46,7 +46,7 @@ type Network struct {
 	OnControllerChange func(index int, alive bool)
 
 	// ctrlMu serializes the runtime lifecycle surface (StopController,
-	// StartController, AdoptMapping, MappingSnapshot, ControllerAlive). The
+	// StartController, AdoptMapping, MappingSnapshot). The
 	// rest of Network predates concurrent use and is not safe to call
 	// concurrently with anything.
 	ctrlMu sync.Mutex

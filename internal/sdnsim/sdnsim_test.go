@@ -334,7 +334,7 @@ func TestApplyRecoveryMatchesWirePush(t *testing.T) {
 				for v := range local.Switches {
 					a, b := local.Switches[v], wire.Switches[v]
 					if !slices.Equal(a.entries, b.entries) {
-						t.Fatalf("switch %d: %d entries in process, %d over the wire", v, a.NumEntries(), b.NumEntries())
+						t.Fatalf("switch %d: %d entries in process, %d over the wire", v, len(a.entries), len(b.entries))
 					}
 				}
 				if a, b := local.MappingSnapshot(), wire.MappingSnapshot(); !slices.Equal(a, b) {

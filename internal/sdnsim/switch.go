@@ -182,9 +182,6 @@ func (s *Switch) Entry(id flow.ID) (FlowEntry, bool) {
 	return FlowEntry{}, false
 }
 
-// NumEntries returns the flow-table size.
-func (s *Switch) NumEntries() int { return len(s.entries) }
-
 // Forward runs the pipeline of Fig. 2 for a packet of the given flow headed
 // to dst, returning the chosen next hop and the verdict.
 func (s *Switch) Forward(id flow.ID, dst topo.NodeID) (topo.NodeID, Verdict) {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -68,7 +69,7 @@ func FuzzDecodeWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		records, good, err := decodeWAL(raw)
 		if err != nil {
-			if !Corrupt(err) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v is not ErrCorrupt", err)
 			}
 			if records != nil || good != 0 {

@@ -274,9 +274,6 @@ func nextFrame(rest []byte) int {
 	return -1
 }
 
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Snapshot returns the raw snapshot payload loaded at Open (nil if the
 // directory had none).
 func (s *Store) Snapshot() []byte { return s.snapshot }
@@ -509,6 +506,3 @@ func (s *Store) syncDir() error {
 func (r Record) DecodeInto(v any) error {
 	return json.Unmarshal(r.Data, v)
 }
-
-// Corrupt reports whether err is the torn-middle-record failure.
-func Corrupt(err error) bool { return errors.Is(err, ErrCorrupt) }

