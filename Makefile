@@ -21,7 +21,7 @@ test-race:
 	$(GO) test -race ./...
 
 # reach fails when a function declared in non-test code is linked by no
-# command, example, workload or figure test and is not in scripts/reach.allow
+# command, workload or figure test and is not in scripts/reach.allow
 # with its reason; `bash scripts/reach.sh -list` prints every unlinked one.
 reach:
 	bash scripts/reach.sh

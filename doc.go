@@ -31,8 +31,7 @@
 //   - the experiment harness regenerating every figure of the paper
 //     (internal/eval, cmd/pmsim, and the tests in figures_test.go).
 //
-// This package is the façade: it wires those pieces into the common
-// workflow — load the topology, generate the workload, pick a failure case,
-// run the algorithms, and compare reports. See the examples/ directory for
-// runnable programs and DESIGN.md for the system inventory.
+// The root package has no code of its own. Its tests are the reproduction
+// run: one per table and figure of the evaluation, plus the workflow the
+// commands under cmd/ run, end to end. DESIGN.md has the system inventory.
 package pmedic

@@ -4,11 +4,14 @@ package pmedic
 // series behind its figure (workload + sweep + metric extraction) to the shape
 // the paper reports. `go test .` is therefore the reproduction run; cmd/pmsim
 // pretty-prints the same series. The tests share one sweep per failure depth.
+// The TestFacade* tests at the end hold the workflow the commands run — one
+// case solved, a sweep, a recovery applied to the simulator — end to end.
 // Every performance number comes from ./benchmark (BENCHMARK.json), which has
 // a per-layer metric for each hot path.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"pmedic/internal/flow"
 	"pmedic/internal/opt"
 	"pmedic/internal/scenario"
+	"pmedic/internal/sdnsim"
 	"pmedic/internal/topo"
 )
 
@@ -62,6 +66,20 @@ func figures(t *testing.T) *figureData {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// solveCase runs one heuristic on a compiled case and evaluates its solution.
+func solveCase(t *testing.T, sc *scenario.Instance, solve func(*core.Problem) (*core.Solution, error)) (*core.Solution, *core.Report) {
+	t.Helper()
+	sol, err := solve(sc.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sc.Evaluate(sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol, rep
 }
 
 // TestTableIII holds the controller/switch/flow-count table: the embedded
@@ -406,21 +424,48 @@ func TestAblationPMIterations(t *testing.T) {
 
 // --- extensions (beyond the paper; see EXPERIMENTS.md) ---
 
-// TestExtensionCascade runs a cascading-failure episode per algorithm
-// granularity and asserts the robustness ordering: at the same trigger,
-// switch-level recovery never outlives per-flow recovery.
+// TestExtensionCascade runs a cascading-failure episode from the hub domain's
+// failure ({3}) per trigger and algorithm and holds each to its row. Per-flow
+// recovery spreads the hub's sessions where switch-level recovery moves them
+// whole, so at the same trigger per-flow recovery never collapses sooner than
+// switch-level recovery, and at 90 % only the flow-level PG survives.
 func TestExtensionCascade(t *testing.T) {
 	d := figures(t)
-	pmRes, err := eval.Cascade(d.dep, d.flows, []int{3}, d.algs[0], 0.95)
-	if err != nil {
-		t.Fatal(err)
+	type episode struct {
+		rounds    int
+		collapsed bool
 	}
-	rfRes, err := eval.Cascade(d.dep, d.flows, []int{3}, d.algs[1], 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pmRes.Collapsed && !rfRes.Collapsed {
-		t.Fatal("PM cascaded further than RetroFlow at the same trigger")
+	for _, row := range []struct {
+		trigger float64
+		want    [3]episode // PM, RetroFlow, PG: the order of d.algs
+	}{
+		{1.0, [3]episode{{1, false}, {1, false}, {1, false}}},
+		{0.95, [3]episode{{1, false}, {4, true}, {1, false}}},
+		{0.9, [3]episode{{3, true}, {2, true}, {1, false}}},
+	} {
+		var got [3]episode
+		for a, alg := range d.algs {
+			res, err := eval.Cascade(d.dep, d.flows, []int{3}, alg, row.trigger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[a] = episode{res.SurvivedRounds(), res.Collapsed}
+			// A cascade goes on past a round only if the round overloaded a
+			// controller; a stable episode's last round overloads none.
+			for i, r := range res.Rounds {
+				stableEnd := !res.Collapsed && i == len(res.Rounds)-1
+				if (len(r.Overloaded) == 0) != stableEnd {
+					t.Fatalf("trigger %.2f, %s: round %d of %d overloads %v (collapsed %v)",
+						row.trigger, alg.Name, i+1, len(res.Rounds), r.Overloaded, res.Collapsed)
+				}
+			}
+			if !res.Collapsed && res.FinalReport() == nil {
+				t.Fatalf("trigger %.2f, %s: stabilised without a final report", row.trigger, alg.Name)
+			}
+		}
+		if got != row.want {
+			t.Fatalf("trigger %.2f: PM, RetroFlow, PG episodes %+v, want %+v", row.trigger, got, row.want)
+		}
 	}
 }
 
@@ -448,29 +493,29 @@ func TestExtensionSuccessiveChurn(t *testing.T) {
 
 // TestExtensionBehaviouralCheck applies PM's and RetroFlow's recovery of every
 // ATT failure set (41 cases) to the behavioural simulator and holds the
-// packet-level network to the analytic report: every flow the solution
+// packet-level network to the analytic report: the simulator takes offline
+// exactly the switches the case compiler does, every flow the solution
 // recovers (programmability > 0) can be rerouted somewhere on its path,
 // every pair the solution leaves in legacy mode at a mapped switch cannot be
-// rerouted there, and every offline flow still delivers.
+// rerouted there, every offline flow still delivers, and a recovered flow
+// rerouted at a switch where it is programmable is delivered through its new
+// next hop.
 func TestExtensionBehaviouralCheck(t *testing.T) {
 	d := figures(t)
 	algs := []struct {
-		name string
-		run  func(*Scenario) (*Result, error)
-	}{{"PM", PM}, {"RetroFlow", RetroFlow}}
+		name  string
+		solve func(*core.Problem) (*core.Solution, error)
+	}{{"PM", core.PM}, {"RetroFlow", core.RetroFlow}}
 	recovered, legacy := make([]int, len(algs)), 0
 	for k := 1; k <= 3; k++ {
 		for _, c := range d.sweep[k] {
-			sc, err := NewScenario(d.dep, d.flows, c.Failed)
+			sc, err := scenario.Build(d.dep, d.flows, c.Failed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for a, alg := range algs {
-				res, err := alg.run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				net, err := Simulate(d.dep, d.flows)
+				sol, _ := solveCase(t, sc, alg.solve)
+				net, err := sdnsim.New(d.dep, d.flows)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -479,10 +524,13 @@ func TestExtensionBehaviouralCheck(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, err := net.ApplyRecovery(sc, res.Solution); err != nil {
+				if got := net.OfflineSwitches(); !slices.Equal(got, sc.Switches) {
+					t.Fatalf("case %s, %s: the simulator took %v offline, the case compiler %v", c.Label, alg.name, got, sc.Switches)
+				}
+				if _, err := net.ApplyRecovery(sc, sol); err != nil {
 					t.Fatalf("case %s, %s: %v", c.Label, alg.name, err)
 				}
-				p, sol := sc.Problem, res.Solution
+				p := sc.Problem
 				for l, pro := range sol.FlowProgrammability(p) {
 					if pro == 0 {
 						continue
@@ -508,6 +556,9 @@ func TestExtensionBehaviouralCheck(t *testing.T) {
 						}
 					}
 				}
+				if !rerouteRecovered(net, sc, sol) {
+					t.Fatalf("case %s, %s: no recovered flow could be rerouted and delivered through its new next hop", c.Label, alg.name)
+				}
 			}
 		}
 	}
@@ -515,4 +566,169 @@ func TestExtensionBehaviouralCheck(t *testing.T) {
 		t.Fatalf("nothing checked: %d PM and %d RetroFlow recovered flows, %d legacy pairs", recovered[0], recovered[1], legacy)
 	}
 	t.Logf("%d PM and %d RetroFlow recovered flows reroutable, %d legacy-mode pairs at mapped switches not", recovered[0], recovered[1], legacy)
+}
+
+// rerouteRecovered uses the programmability a recovery restored: it reroutes
+// a recovered flow, at a switch where ProgrammableAt holds, through a next hop
+// other than its entry's, and reports whether a packet of the flow then
+// reaches its destination leaving that switch through the new hop. Reroute
+// checks only that the new hop reaches the destination without the switch,
+// not that the tables downstream agree, so a hop whose packet loops back is
+// legal and the next candidate is tried. It leaves the network rerouted.
+func rerouteRecovered(net *sdnsim.Network, sc *scenario.Instance, sol *core.Solution) bool {
+	for l, pro := range sol.FlowProgrammability(sc.Problem) {
+		if pro == 0 {
+			continue
+		}
+		id := sc.FlowIDs[l]
+		path := net.Flows.Flows[id].Path
+		for _, sw := range path[:len(path)-1] {
+			if !net.ProgrammableAt(id, sw) {
+				continue
+			}
+			entry, _ := net.Switches[sw].Entry(id)
+			for _, hop := range net.Dep.Graph.Neighbors(sw) {
+				if hop == entry.NextHop || net.Reroute(id, sw, hop) != nil {
+					continue
+				}
+				tr, err := net.Inject(id)
+				if err != nil || !tr.Delivered {
+					continue
+				}
+				if at := slices.Index(tr.Path, sw); at >= 0 && tr.Path[at+1] == hop {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// --- the workflow end to end, as cmd/pmsolve and cmd/pmsim run it ---
+
+// TestFacadeEndToEnd holds the headline case (13, 16) — what `pmsolve -failed
+// 13,16` solves — to its story: PM recovers every offline flow at a floor of
+// 2, beats RetroFlow on recovered flows and on total programmability, and
+// keeps the hub switch 13 by mapping it to a survivor with its flows split
+// between SDN mode and the legacy table.
+func TestFacadeEndToEnd(t *testing.T) {
+	d := figures(t)
+	sc, err := scenario.Build(d.dep, d.flows, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, pmRep := solveCase(t, sc, core.PM)
+	_, rfRep := solveCase(t, sc, core.RetroFlow)
+	if pmRep.MinProg < 2 || pmRep.RecoveredFlows != sc.Problem.NumFlows {
+		t.Fatalf("headline case: PM floor %d, recovered %d of %d", pmRep.MinProg, pmRep.RecoveredFlows, sc.Problem.NumFlows)
+	}
+	if pmRep.RecoveredFlows <= rfRep.RecoveredFlows {
+		t.Fatalf("headline case: PM recovered %d, RetroFlow %d — PM must win", pmRep.RecoveredFlows, rfRep.RecoveredFlows)
+	}
+	if pmRep.TotalProg <= rfRep.TotalProg {
+		t.Fatalf("headline case: PM total %d, RetroFlow %d", pmRep.TotalProg, rfRep.TotalProg)
+	}
+	hub := slices.Index(sc.Switches, 13)
+	if hub < 0 || pm.SwitchController[hub] < 0 {
+		t.Fatalf("hub switch 13 (offline index %d) not remapped by PM", hub)
+	}
+	lo, hi := sc.Problem.SwitchRun(hub)
+	sdn := 0
+	for k := lo; k < hi; k++ {
+		if pm.Active[k] {
+			sdn++
+		}
+	}
+	if sdn == 0 || sdn == hi-lo {
+		t.Fatalf("hub switch 13: %d of %d pairs in SDN mode, want a split", sdn, hi-lo)
+	}
+}
+
+// TestFacadeSweep holds a sweep run without a shared context to one report
+// per single-failure case and heuristic.
+func TestFacadeSweep(t *testing.T) {
+	d := figures(t)
+	cases, err := eval.SweepOpts(d.dep, d.flows, 1, d.algs, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cases) != 6 {
+		t.Fatalf("cases = %d", len(cases))
+	}
+	for _, c := range cases {
+		for _, name := range []string{"PM", "RetroFlow", "PG"} {
+			if c.Report(name) == nil {
+				t.Fatalf("case %s missing %s", c.Label, name)
+			}
+		}
+	}
+}
+
+func TestFacadeSimulate(t *testing.T) {
+	d := figures(t)
+	n, err := sdnsim.New(d.dep, d.flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.StopController(3); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Build(d.dep, d.flows, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, _ := solveCase(t, sc, core.PM)
+	if _, err := n.ApplyRecovery(sc, sol); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := n.Inject(sc.FlowIDs[0])
+	if err != nil || !tr.Delivered {
+		t.Fatalf("delivery after recovery: %v %+v", err, tr)
+	}
+}
+
+func TestFacadeScenarioValidation(t *testing.T) {
+	d := figures(t)
+	if _, err := scenario.Build(d.dep, d.flows, nil); err == nil {
+		t.Fatal("empty failure set must be rejected")
+	}
+	if _, err := scenario.Build(d.dep, d.flows, []int{0, 1, 2, 3, 4, 5}); err == nil {
+		t.Fatal("all-failed must be rejected")
+	}
+}
+
+func TestFacadeSuccessiveAndChurn(t *testing.T) {
+	d := figures(t)
+	steps, err := scenario.BuildSuccessive(d.dep, d.flows, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != 2 {
+		t.Fatalf("steps = %d", len(steps))
+	}
+	prev, _ := solveCase(t, steps[0].Instance, core.PM)
+	next, _ := solveCase(t, steps[1].Instance, core.PM)
+	churn := eval.Churn(steps[0].Instance, prev, steps[1].Instance, next)
+	if churn.CommonSwitches == 0 || churn.CommonPairs == 0 {
+		t.Fatalf("churn = %+v", churn)
+	}
+}
+
+func TestFacadeCascadeOrderingByGranularity(t *testing.T) {
+	d := figures(t)
+	pmRes, err := eval.Cascade(d.dep, d.flows, []int{3}, d.algs[0], 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rfRes, err := eval.Cascade(d.dep, d.flows, []int{3}, d.algs[1], 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-flow recovery spreads load; switch-level recovery concentrates it.
+	if pmRes.Collapsed && !rfRes.Collapsed {
+		t.Fatal("PM cascaded further than RetroFlow at the same trigger")
+	}
+	if pmRes.SurvivedRounds() == 0 || rfRes.SurvivedRounds() == 0 {
+		t.Fatalf("survived rounds: PM %d, RetroFlow %d", pmRes.SurvivedRounds(), rfRes.SurvivedRounds())
+	}
 }

@@ -11,13 +11,9 @@ import (
 	"time"
 )
 
-// Default timeouts for the convenience constructors. Dial bounds connect +
-// handshake; Accept bounds the server side of the handshake so one
-// unresponsive client cannot wedge a listener forever.
-const (
-	DefaultDialTimeout      = 10 * time.Second
-	DefaultHandshakeTimeout = 10 * time.Second
-)
+// DefaultHandshakeTimeout bounds the server side of the handshake in Accept,
+// so one unresponsive client cannot wedge a listener forever.
+const DefaultHandshakeTimeout = 10 * time.Second
 
 // writeBufferLen is the write buffer's initial capacity: room for the batch
 // a busy switch gets in one push session (about 200 flow-mods of 27 bytes,
@@ -246,12 +242,6 @@ func (c *Conn) Ping(data []byte) error {
 
 // Close closes the underlying transport.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// Dial opens a control channel to addr over TCP with the default connect +
-// handshake timeout.
-func Dial(addr string) (*Conn, error) {
-	return DialTimeout(addr, DefaultDialTimeout)
-}
 
 // DialTimeout opens a control channel to addr over TCP, bounding both the
 // TCP connect and the Hello handshake by d (d <= 0 means no bound, the

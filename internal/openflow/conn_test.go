@@ -250,7 +250,7 @@ func TestTCPDialListen(t *testing.T) {
 		acceptCh <- result{c, err}
 	}()
 
-	client, err := Dial(l.Addr())
+	client, err := DialTimeout(l.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sdnsim
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
@@ -20,7 +21,7 @@ func TestAgentHandlesBasicProtocol(t *testing.T) {
 	}
 	defer func() { _ = agent.Close() }()
 
-	conn, err := openflow.Dial(agent.Addr())
+	conn, err := openflow.DialTimeout(agent.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestAgentFlowDeleteAndFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = agent.Close() }()
-	conn, err := openflow.Dial(agent.Addr())
+	conn, err := openflow.DialTimeout(agent.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestAgentDiscardsModsBehindRefusedClaim(t *testing.T) {
 	}
 	mods := testMods(20)
 
-	conn, err := openflow.Dial(addrs[13])
+	conn, err := openflow.DialTimeout(addrs[13], 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAgentDiscardsModsOfSupersededConnection(t *testing.T) {
 	agent, addrs := oneAgent(t)
 	dialAs := func(gen uint64) *openflow.Conn {
 		t.Helper()
-		c, err := openflow.Dial(addrs[13])
+		c, err := openflow.DialTimeout(addrs[13], 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

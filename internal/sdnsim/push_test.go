@@ -334,7 +334,7 @@ func TestResilientPushStaleGenerationResync(t *testing.T) {
 	// A previous epoch claimed every agent with a high generation; the
 	// driver starts below it, gets refused, resynchronizes, and succeeds.
 	for _, a := range fx.agents {
-		conn, err := openflow.Dial(a.Addr())
+		conn, err := openflow.DialTimeout(a.Addr(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestAgentRejectsStaleGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = agent.Close() }()
-	conn, err := openflow.Dial(agent.Addr())
+	conn, err := openflow.DialTimeout(agent.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

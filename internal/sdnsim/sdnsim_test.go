@@ -79,6 +79,26 @@ func TestLegacyFallthroughAfterEntryRemoval(t *testing.T) {
 	if n.Stats.LegacyFallbacks == 0 {
 		t.Fatal("legacy fallback not counted")
 	}
+	// The removal is per flow: another flow crossing the same switch keeps
+	// its entry and still matches the flow table there.
+	var other flow.ID = -1
+	for l := range n.Flows.Flows {
+		g := &n.Flows.Flows[l]
+		if g.ID != id && g.Dst != f.Src && slices.Contains(g.Path, f.Src) {
+			other = g.ID
+			break
+		}
+	}
+	if other < 0 {
+		t.Fatalf("no other flow crosses switch %d", f.Src)
+	}
+	tr, err = n.Inject(other)
+	if err != nil || !tr.Delivered {
+		t.Fatalf("flow %d through switch %d: %v %+v", other, f.Src, err, tr)
+	}
+	if at := slices.Index(tr.Path, f.Src); tr.Verdicts[at] != VerdictFlowTable {
+		t.Fatalf("flow %d at switch %d: verdict %v after flow %d's entry was removed, want flow-table", other, f.Src, tr.Verdicts[at], id)
+	}
 }
 
 func TestSDNPipelinePuntsOnMiss(t *testing.T) {

@@ -122,7 +122,7 @@ func TestAgentCloseEndsOpenSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := openflow.Dial(agent.Addr())
+	conn, err := openflow.DialTimeout(agent.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

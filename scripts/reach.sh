@@ -3,10 +3,10 @@
 # the root package that none of the reaching binaries links, and fails when
 # one of them is missing from scripts/reach.allow.
 #
-# The reaching binaries are the cmd/ programs (the daemon among them), the
-# examples, ./benchmark (the workloads) and the root test binary (the figure
-# tests). They are built with inlining off, so a function that is only ever
-# inlined still shows in the symbol table.
+# The reaching binaries are the cmd/ programs (the daemon among them),
+# ./benchmark (the workloads) and the root test binary (the figure tests).
+# They are built with inlining off, so a function that is only ever inlined
+# still shows in the symbol table.
 #
 #   bash scripts/reach.sh          # check against the allowlist
 #   bash scripts/reach.sh -list    # print every unlinked function
@@ -16,7 +16,7 @@ mod=$(go list -m)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-for d in cmd/*/ examples/*/ benchmark/; do
+for d in cmd/*/ benchmark/; do
 	go build -gcflags=all=-l -o "$tmp/bin.$(basename "$d")" "./$d"
 done
 go test -c -gcflags=all=-l -o "$tmp/bin.root" .
