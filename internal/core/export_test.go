@@ -33,3 +33,11 @@ func DropClassIndex(p *Problem) { p.classes = nil }
 
 // AggMinFlows is PM's dispatch threshold.
 const AggMinFlows = aggMinFlows
+
+// PMRefineVsReference and ImproveVsReference check refine, from PM's balanced
+// state and from a given solution, against the full-scan reference in
+// refine_ref_test.go.
+var (
+	PMRefineVsReference = pmFlatVsReference
+	ImproveVsReference  = improveVsReference
+)

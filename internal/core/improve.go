@@ -36,13 +36,9 @@ func Improve(p *Problem, s *Solution, rounds int) (int, error) {
 	sc := scratchPool.Get().(*solverScratch)
 	defer scratchPool.Put(sc)
 
-	// Reconstruct the solver-internal state pmFlat's balancing loop ends
-	// with: residual capacity, per-flow programmability, and per-flow
-	// inactive-pair counts.
+	// Reconstruct the residual capacity pmFlat's balancing loop ends with.
 	rest := grabInts(&sc.rest, p.NumControllers)
 	copy(rest, p.Rest)
-	h := grabInts(&sc.h, p.NumFlows)
-	alternatives := grabInts(&sc.alternatives, p.NumFlows)
 	for k, pr := range p.Pairs {
 		if s.Active[k] {
 			j := s.SwitchController[pr.Switch]
@@ -50,9 +46,6 @@ func Improve(p *Problem, s *Solution, rounds int) (int, error) {
 				return 0, fmt.Errorf("%w: active pair %d at unmapped switch %d", ErrInfeasible, k, pr.Switch)
 			}
 			rest[j]--
-			h[pr.Flow] += pr.PBar
-		} else {
-			alternatives[pr.Flow]++
 		}
 	}
 	for j, r := range rest {
@@ -60,7 +53,7 @@ func Improve(p *Problem, s *Solution, rounds int) (int, error) {
 			return 0, fmt.Errorf("%w: controller %d over capacity before improvement", ErrInfeasible, j)
 		}
 	}
-	return refine(p, s, sc, rest, h, alternatives, rounds), nil
+	return refine(p, s, sc, rest, rounds), nil
 }
 
 // refine is Algorithm 1's final pass (lines 42–50), shared by pmFlat and
@@ -68,36 +61,59 @@ func Improve(p *Problem, s *Solution, rounds int) (int, error) {
 // while their switch's controller has capacity — the order that maximizes
 // obj₂ under scarcity, run before the rebalance so it sees true saturation —
 // then rebalances whole switches and upgrades same-flow pairs, until a round
-// changes nothing or rounds run out. It then unmaps idle switches. rest, h
-// and alternatives are the solver state matching s, updated in place; it
-// returns the number of rounds run.
+// changes nothing or rounds run out. It then unmaps idle switches. rest is
+// the residual capacity matching s, updated in place; refine returns the
+// number of rounds run.
+//
+// The pass is incremental, and exactly equal to rescanning everything each
+// round (TestRefineMatchesReference): the per-switch activated/inactive
+// counts are kept through fills and swaps (a rebalance moves whole switches
+// and changes neither); a fill is skipped when no switch with an inactive
+// pair is mapped to a controller with capacity, which is exactly when it
+// would fund nothing; and upgrade rescans only stale flows (see upgrade).
 //
 // Unmapped switches stay unmapped: PM only leaves a switch unmapped after
 // proving no controller can fund any of its pairs, and re-mapping one here
 // would open upgrade swaps PM's own configuration never saw — breaking the
 // Improve-is-a-no-op-after-PM property. Adopting stranded switches across
 // capacity boundaries is the hierarchical coordinator's job.
-func refine(p *Problem, s *Solution, sc *solverScratch, rest, h, alternatives []int, rounds int) int {
+func refine(p *Problem, s *Solution, sc *solverScratch, rest []int, rounds int) int {
+	activated := grabInts(&sc.activated, p.NumSwitches)
+	inactive := grabInts(&sc.inactiveCnt, p.NumSwitches)
+	for k, pr := range p.Pairs {
+		if s.Active[k] {
+			activated[pr.Switch]++
+		} else {
+			inactive[pr.Switch]++
+		}
+	}
+	stale := growSlice(&sc.stale, p.NumFlows)
+	for l := range stale {
+		stale[l] = true
+	}
 	byPBar := pairsByPBarDesc(p, sc)
 	n := 0
 	for ; n < rounds; n++ {
 		filled := false
-		for _, k := range byPBar {
-			if s.Active[k] {
-				continue
-			}
-			j0 := s.SwitchController[p.Pairs[k].Switch]
-			if j0 >= 0 && rest[j0] > 0 {
-				l := p.Pairs[k].Flow
-				rest[j0]--
-				h[l] += p.Pairs[k].PBar
-				alternatives[l]--
-				s.Active[k] = true
-				filled = true
+		if fillable(s, rest, inactive) {
+			for _, k := range byPBar {
+				if s.Active[k] {
+					continue
+				}
+				i := p.Pairs[k].Switch
+				j0 := s.SwitchController[i]
+				if j0 >= 0 && rest[j0] > 0 {
+					rest[j0]--
+					activated[i]++
+					inactive[i]--
+					stale[p.Pairs[k].Flow] = true
+					s.Active[k] = true
+					filled = true
+				}
 			}
 		}
-		moved := rebalanceFlat(p, s, sc, rest)
-		upgraded := upgrade(p, s, rest, h, alternatives)
+		moved := rebalanceCore(p, s, rest, activated, inactive)
+		upgraded := upgrade(p, s, rest, activated, inactive, stale)
 		if !filled && !moved && !upgraded {
 			n++
 			break
@@ -105,4 +121,15 @@ func refine(p *Problem, s *Solution, sc *solverScratch, rest, h, alternatives []
 	}
 	s.UnmapIdle(p)
 	return n
+}
+
+// fillable reports whether a fill would fund anything: some switch with an
+// inactive pair is mapped to a controller with capacity left.
+func fillable(s *Solution, rest, inactive []int) bool {
+	for i, j := range s.SwitchController {
+		if j >= 0 && inactive[i] > 0 && rest[j] > 0 {
+			return true
+		}
+	}
+	return false
 }

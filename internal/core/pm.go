@@ -81,7 +81,15 @@ func pmFlat(p *Problem) (*Solution, error) {
 	s := NewSolution("PM", p)
 	sc := scratchPool.Get().(*solverScratch)
 	defer scratchPool.Put(sc)
+	refine(p, s, sc, balanceFlat(p, s, sc), finalPassRounds)
+	s.Runtime = time.Since(start)
+	return s, nil
+}
 
+// balanceFlat runs pmFlat up to its final pass: the balancing loop (Algorithm
+// 1 lines 1–41), then maps every switch the loop never selected. It returns
+// the controllers' residual capacity.
+func balanceFlat(p *Problem, s *Solution, sc *solverScratch) []int {
 	rest := grabInts(&sc.rest, p.NumControllers)
 	copy(rest, p.Rest)
 	h := grabInts(&sc.h, p.NumFlows) // temporary programmability per flow
@@ -232,18 +240,14 @@ func pmFlat(p *Problem) (*Solution, error) {
 
 	// Map any switch the balancing loop never selected (all of its flows
 	// were lifted elsewhere first) so the utilization pass can reach its
-	// pairs: nearest controller with spare capacity, else nearest. Then spend
-	// leftover capacity on total programmability (lines 42–50).
+	// pairs: nearest controller with spare capacity, else nearest.
 	for i := 0; i < p.NumSwitches; i++ {
 		if s.SwitchController[i] >= 0 || p.EligiblePairCount(i) == 0 {
 			continue
 		}
 		s.SwitchController[i] = mapLeftoverSwitch(p, sc, rest, i)
 	}
-	refine(p, s, sc, rest, h, alternatives, finalPassRounds)
-
-	s.Runtime = time.Since(start)
-	return s, nil
+	return rest
 }
 
 // mapSwitchPM picks the controller for a newly selected switch (Algorithm 1
@@ -311,26 +315,12 @@ func pairsByPBarDesc(p *Problem, sc *solverScratch) []int {
 	return byPBar
 }
 
-// rebalanceFlat counts per-switch activated/inactive pairs from the solution
-// and runs the rebalancing loop.
-func rebalanceFlat(p *Problem, s *Solution, sc *solverScratch, rest []int) bool {
-	activated := grabInts(&sc.activated, p.NumSwitches)
-	inactive := grabInts(&sc.inactiveCnt, p.NumSwitches)
-	for k, pr := range p.Pairs {
-		if s.Active[k] {
-			activated[pr.Switch]++
-		} else {
-			inactive[pr.Switch]++
-		}
-	}
-	return rebalanceCore(p, s, rest, activated, inactive)
-}
-
 // rebalanceCore moves whole switches between controllers when the move lets
 // more of the switch's inactive pairs be funded — or, gain being equal,
 // lowers control delay — keeping the per-switch single-controller mapping.
 // activated/inactive hold the per-switch pair counts; rest is updated in
-// place; it reports whether any switch moved.
+// place; it reports whether any switch moved. A move never maps or unmaps a
+// switch.
 func rebalanceCore(p *Problem, s *Solution, rest, activated, inactive []int) bool {
 	anyMoved := false
 	// The move budget guards against ping-pong cycles; gains are strict so
@@ -375,9 +365,21 @@ func rebalanceCore(p *Problem, s *Solution, rest, activated, inactive []int) boo
 // controller), swap them. Each swap strictly increases total programmability
 // without overloading any controller, so the loop terminates. It reports
 // whether anything changed.
-func upgrade(p *Problem, s *Solution, rest, h, alternatives []int) bool {
+//
+// Only stale flows are scanned, in flow order. A scan that ends without a
+// candidate pair read nothing but the flow's own pairs' Active bits and
+// whether their switches are mapped. Other flows' swaps do not touch those,
+// nor does a rebalance, which only moves mapped switches; so the flow stays
+// clean until a fill activates one of its pairs (refine marks it stale
+// again). A scan stopped by a full controller stays stale, since any swap
+// or move can free capacity.
+func upgrade(p *Problem, s *Solution, rest, activated, inactive []int, stale []bool) bool {
 	changed := false
 	for l := 0; l < p.NumFlows; l++ {
+		if !stale[l] {
+			continue
+		}
+		stale[l] = false
 		ks := p.PairsOfFlow(l)
 		for {
 			worst, best := -1, -1
@@ -399,18 +401,20 @@ func upgrade(p *Problem, s *Solution, rest, h, alternatives []int) bool {
 			if worst < 0 || best < 0 || p.Pairs[best].PBar <= p.Pairs[worst].PBar {
 				break
 			}
-			jOld := s.SwitchController[p.Pairs[worst].Switch]
-			jNew := s.SwitchController[p.Pairs[best].Switch]
+			iOld, iNew := p.Pairs[worst].Switch, p.Pairs[best].Switch
+			jOld, jNew := s.SwitchController[iOld], s.SwitchController[iNew]
 			if jNew != jOld && rest[jNew] <= 0 {
+				stale[l] = true
 				break
 			}
 			s.Active[worst] = false
+			activated[iOld]--
+			inactive[iOld]++
 			rest[jOld]++
-			alternatives[l]++
 			s.Active[best] = true
+			activated[iNew]++
+			inactive[iNew]--
 			rest[jNew]--
-			alternatives[l]--
-			h[l] += p.Pairs[best].PBar - p.Pairs[worst].PBar
 			changed = true
 		}
 	}

@@ -21,6 +21,7 @@ type solverScratch struct {
 	order        []int
 	activated    []int
 	inactiveCnt  []int
+	stale        []bool
 	inTestSet    []bool
 	activeAt     []bool
 	// nearest-controller cache: row i is nearestBuf[i*M:(i+1)*M], valid when

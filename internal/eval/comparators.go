@@ -14,7 +14,8 @@ import (
 // skipOptimal, the exact Optimal warm-started from PM — in the order every
 // figure prints them. lambda > 0 overrides the objective weight of each case
 // (0 keeps the default); optBudget bounds each exact solve (0 = opt's
-// default) and optWorkers its branch & bound workers (0 = one per CPU).
+// default) and optWorkers its branch & bound workers (0 = opt's default of
+// one).
 func Comparators(lambda float64, optBudget time.Duration, optWorkers int, skipOptimal bool) []Algorithm {
 	problem := func(inst *scenario.Instance) *core.Problem {
 		if lambda > 0 {

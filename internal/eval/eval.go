@@ -8,6 +8,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -190,32 +191,60 @@ type BoxStat struct {
 
 // Quartiles computes box statistics with linear interpolation between order
 // statistics (the convention of matplotlib's boxplot, which the paper uses).
+//
+// Per-flow programmability is a few hundred small integers, so the order
+// statistics are read off a histogram over [min, max] when that range is at
+// most a few times the sample count, and off a sorted copy otherwise; either
+// way the interpolation sees the same float64 values as a sort would hand it.
 func Quartiles(values []int) BoxStat {
-	if len(values) == 0 {
+	n := len(values)
+	if n == 0 {
 		return BoxStat{}
 	}
-	xs := make([]float64, len(values))
-	for i, v := range values {
-		xs[i] = float64(v)
+	lo, hi := values[0], values[0]
+	for _, v := range values[1:] {
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	sort.Float64s(xs)
-	quantile := func(q float64) float64 {
-		pos := q * float64(len(xs)-1)
-		lo := int(pos)
-		if lo >= len(xs)-1 {
-			return xs[len(xs)-1]
+	// at(r) is the r-th smallest value, r counted from 0.
+	var at func(r int) int
+	if histogramFits(lo, hi, n) {
+		// cum[v] counts the values <= lo+v.
+		cum := make([]int, uint(hi)-uint(lo)+1)
+		for _, v := range values {
+			cum[v-lo]++
 		}
-		frac := pos - float64(lo)
-		return xs[lo]*(1-frac) + xs[lo+1]*frac
+		for v := 1; v < len(cum); v++ {
+			cum[v] += cum[v-1]
+		}
+		at = func(r int) int { return lo + sort.SearchInts(cum, r+1) }
+	} else {
+		sorted := slices.Clone(values)
+		slices.Sort(sorted)
+		at = func(r int) int { return sorted[r] }
+	}
+	quantile := func(q float64) float64 {
+		pos := q * float64(n-1)
+		r := int(pos)
+		if r >= n-1 {
+			return float64(hi)
+		}
+		frac := pos - float64(r)
+		return float64(at(r))*(1-frac) + float64(at(r+1))*frac
 	}
 	return BoxStat{
-		Min:    xs[0],
+		Min:    float64(lo),
 		Q1:     quantile(0.25),
 		Median: quantile(0.5),
 		Q3:     quantile(0.75),
-		Max:    xs[len(xs)-1],
-		N:      len(xs),
+		Max:    float64(hi),
+		N:      n,
 	}
+}
+
+// histogramFits reports whether Quartiles counts n values spanning [lo, hi]
+// into a histogram rather than sorting them.
+func histogramFits(lo, hi, n int) bool {
+	return uint(hi)-uint(lo) <= 4*uint(n)
 }
 
 // ProgBox returns the box statistics of per-flow programmability for one

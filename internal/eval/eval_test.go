@@ -3,6 +3,8 @@ package eval
 import (
 	"errors"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -209,31 +211,131 @@ func TestRuntimeHelpers(t *testing.T) {
 	}
 }
 
-// TestQuartilesProperties checks ordering and bounding invariants on
-// arbitrary integer samples.
-func TestQuartilesProperties(t *testing.T) {
-	prop := func(raw []int16) bool {
-		values := make([]int, len(raw))
-		lo, hi := math.MaxInt, math.MinInt
-		for i, v := range raw {
-			values[i] = int(v)
-			if values[i] < lo {
-				lo = values[i]
-			}
-			if values[i] > hi {
-				hi = values[i]
-			}
+// quartilesBySort is Quartiles computed from a sorted float64 copy, the
+// reference the histogram path is pinned to.
+func quartilesBySort(values []int) BoxStat {
+	if len(values) == 0 {
+		return BoxStat{}
+	}
+	xs := make([]float64, len(values))
+	for i, v := range values {
+		xs[i] = float64(v)
+	}
+	sort.Float64s(xs)
+	quantile := func(q float64) float64 {
+		pos := q * float64(len(xs)-1)
+		lo := int(pos)
+		if lo >= len(xs)-1 {
+			return xs[len(xs)-1]
 		}
+		frac := pos - float64(lo)
+		return xs[lo]*(1-frac) + xs[lo+1]*frac
+	}
+	return BoxStat{
+		Min:    xs[0],
+		Q1:     quantile(0.25),
+		Median: quantile(0.5),
+		Q3:     quantile(0.75),
+		Max:    xs[len(xs)-1],
+		N:      len(xs),
+	}
+}
+
+// sameBits reports whether two boxes agree bit for bit.
+func sameBits(a, b BoxStat) bool {
+	af := [...]float64{a.Min, a.Q1, a.Median, a.Q3, a.Max}
+	bf := [...]float64{b.Min, b.Q1, b.Median, b.Q3, b.Max}
+	for i := range af {
+		if math.Float64bits(af[i]) != math.Float64bits(bf[i]) {
+			return false
+		}
+	}
+	return a.N == b.N
+}
+
+// TestQuartilesProperties checks ordering and bounding invariants on
+// arbitrary integer samples, and that every box equals the sort-based
+// reference bit for bit: on int16 samples (mostly wider than a histogram
+// takes), on samples within a few dozen of an arbitrary offset (mostly
+// histogram), at the ends of the int range, and on every report of the ATT
+// sweep at depths 1–5, which must all take the histogram.
+func TestQuartilesProperties(t *testing.T) {
+	var hist, sorted int
+	check := func(values []int) bool {
 		box := Quartiles(values)
+		if !sameBits(box, quartilesBySort(values)) {
+			t.Logf("%v: box %+v, the reference %+v", values, box, quartilesBySort(values))
+			return false
+		}
 		if len(values) == 0 {
 			return box.N == 0
+		}
+		lo, hi := slices.Min(values), slices.Max(values)
+		if histogramFits(lo, hi, len(values)) {
+			hist++
+		} else {
+			sorted++
 		}
 		ordered := box.Min <= box.Q1 && box.Q1 <= box.Median &&
 			box.Median <= box.Q3 && box.Q3 <= box.Max
 		bounded := box.Min == float64(lo) && box.Max == float64(hi)
 		return ordered && bounded && box.N == len(values)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	wide := func(raw []int16) bool {
+		values := make([]int, len(raw))
+		for i, v := range raw {
+			values[i] = int(v)
+		}
+		return check(values)
+	}
+	narrow := func(raw []uint8, offset int32) bool {
+		values := make([]int, len(raw))
+		for i, v := range raw {
+			values[i] = int(offset) + int(v%47)
+		}
+		return check(values)
+	}
+	for _, prop := range []any{wide, narrow} {
+		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hist < 100 || sorted < 100 {
+		t.Fatalf("%d histogram and %d sorted samples, want both paths well covered", hist, sorted)
+	}
+	for _, values := range [][]int{
+		{math.MinInt, math.MaxInt},
+		{math.MaxInt, math.MaxInt - 1, math.MaxInt, math.MaxInt - 3},
+		{math.MinInt + 2, math.MinInt, math.MinInt, math.MinInt + 1, math.MinInt},
+	} {
+		if !check(values) {
+			t.Fatalf("%v: wrong box", values)
+		}
+	}
+
+	dep, flows := fixtures(t)
+	reports := 0
+	for k := 1; k <= 5; k++ {
+		cases, err := SweepOpts(dep, flows, k, heuristics(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			for name, rep := range c.Reports {
+				values := rep.FlowProg
+				if !histogramFits(slices.Min(values), slices.Max(values), len(values)) {
+					t.Fatalf("%s %s: %d values over [%d, %d] skip the histogram", c.Label, name,
+						len(values), slices.Min(values), slices.Max(values))
+				}
+				box, _ := c.ProgBox(name)
+				if want := quartilesBySort(values); !sameBits(box, want) {
+					t.Fatalf("%s %s: box %+v, the reference %+v", c.Label, name, box, want)
+				}
+				reports++
+			}
+		}
+	}
+	if reports != 62*3 {
+		t.Fatalf("%d ATT reports, want %d", reports, 62*3)
 	}
 }
