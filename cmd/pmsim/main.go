@@ -6,27 +6,20 @@
 //
 // Usage:
 //
-//	pmsim [-scenario 1|2|3|all] [-skip-optimal] [-opt-time 60s] [-opt-workers n]
-//	      [-lambda 0.001] [-workers n]
-//	      [-regions k] [-improve-rounds n]
+//	pmsim [-scenario 1|2|3|all] [-skip-optimal] [-opt-time 60s]
+//	      [-lambda 0.001] [-slack n] [-csv dir]
 //	      [-cpuprofile f] [-memprofile f]
+//
+// Each sweep evaluates one failure case per GOMAXPROCS at a time; the tables
+// are the same at any setting (GOMAXPROCS=1 runs the cases in order).
 //
 // With -scale n it instead runs a synthetic-deployment smoke at n switches:
 // a depth-1 sweep with the fast heuristics over all-pairs traffic, printing
 // per-case equivalence-class compression (the class-aggregated solver path is
 // the one under test). CI runs `pmsim -scale 100` as a smoke check.
-//
-// -regions k switches the planner to the hierarchical region-sharded PM
-// (internal/region): in figure mode PM-H joins the comparator table, in scale
-// mode the deployment is built clustered and each case is solved with PM-H,
-// planning every region against only its local controllers (see DESIGN.md
-// §15). -improve-rounds bounds its anytime improver; -dry-run builds and
-// partitions the deployment, prints the region layout, and exits without
-// generating the workload (the CI smoke for the 1000-node path).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +34,6 @@ import (
 	"pmedic/internal/eval"
 	"pmedic/internal/flow"
 	"pmedic/internal/prof"
-	"pmedic/internal/region"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
@@ -57,11 +49,9 @@ type config struct {
 	scenarios   []int
 	skipOptimal bool
 	optTime     time.Duration
-	optWorkers  int
 	lambda      float64
 	slack       int
 	csvDir      string
-	workers     int
 }
 
 func run(args []string, out io.Writer) (err error) {
@@ -69,19 +59,17 @@ func run(args []string, out io.Writer) (err error) {
 	scenarioFlag := fs.String("scenario", "all", "failure scenario: 1, 2, 3, or all")
 	skipOptimal := fs.Bool("skip-optimal", false, "skip the Optimal (branch & bound) comparator")
 	optTime := fs.Duration("opt-time", 60*time.Second, "time budget per case for Optimal")
-	optWorkers := fs.Int("opt-workers", 0, "branch & bound worker goroutines per Optimal solve (0 = 1)")
 	lambda := fs.Float64("lambda", 0, "objective weight λ (0 = default)")
 	slack := fs.Int("slack", 0, "path-count hop slack (0 = default)")
 	csvDir := fs.String("csv", "", "also write each figure panel as CSV into this directory")
-	workers := fs.Int("workers", 0, "concurrent failure cases per sweep (0 = one per CPU, 1 = sequential)")
 	scale := fs.Int("scale", 0, "run a synthetic scale smoke at this many switches instead of the paper figures")
-	regions := fs.Int("regions", 0, "shard the WAN into this many regions and solve hierarchically (0 = flat)")
-	improveRounds := fs.Int("improve-rounds", 0, "anytime improver rounds after the hierarchical solve (0 = off)")
-	dryRun := fs.Bool("dry-run", false, "with -scale: build and partition the deployment, then exit without solving")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *lambda < 0 {
+		return fmt.Errorf("invalid -lambda %v: want 0 (the default) or more", *lambda)
 	}
 	stop, perr := prof.Start(*cpuProfile, *memProfile)
 	if perr != nil {
@@ -95,17 +83,12 @@ func run(args []string, out io.Writer) (err error) {
 	cfg := config{
 		skipOptimal: *skipOptimal,
 		optTime:     *optTime,
-		optWorkers:  *optWorkers,
 		lambda:      *lambda,
 		slack:       *slack,
 		csvDir:      *csvDir,
-		workers:     *workers,
 	}
 	if *scale > 0 {
-		return runScale(out, *scale, *regions, *improveRounds, *dryRun)
-	}
-	if *dryRun {
-		return errors.New("-dry-run needs -scale")
+		return runScale(out, *scale)
 	}
 	switch *scenarioFlag {
 	case "all":
@@ -132,16 +115,9 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	algs := eval.Comparators(cfg.lambda, cfg.optTime, cfg.optWorkers, cfg.skipOptimal)
-	if *regions > 0 {
-		part, err := region.New(dep, *regions, 1)
-		if err != nil {
-			return err
-		}
-		algs = append(algs, eval.HierPM(part, region.SolveOptions{ImproveRounds: *improveRounds}))
-	}
+	algs := eval.Comparators(cfg.lambda, cfg.optTime, cfg.skipOptimal)
 	for _, k := range cfg.scenarios {
-		cases, err := eval.SweepOpts(dep, flows, k, algs, eval.Options{Workers: cfg.workers, Context: sctx})
+		cases, err := eval.SweepOpts(dep, flows, k, algs, eval.Options{Context: sctx})
 		if err != nil {
 			return err
 		}
@@ -162,34 +138,16 @@ func run(args []string, out io.Writer) (err error) {
 // aggMinFlows and 2×), the path the scale-syn benchmark workload exercises;
 // RetroFlow and PG plan flow by flow at every size — and fails loudly if any
 // case cannot be solved or recovers nothing.
-//
-// With regions > 0 the deployment is built clustered, the controller count
-// scales with n (one per ~20 switches), and every case is solved with the
-// hierarchical PM-H instead of the flat trio — the regime where a flat solve
-// cannot finish. dryRun stops after building and partitioning.
-func runScale(out io.Writer, n, regions, improveRounds int, dryRun bool) error {
-	m := 8
-	if regions > 0 && n/20 > m {
-		m = n / 20
-	}
-	const seed = 1
-	build := func(capacity int) (*topo.Deployment, error) {
-		if regions > 0 {
-			return topo.SyntheticWithOpts(n, m, capacity, topo.SyntheticOpts{Seed: seed, Regions: regions})
-		}
-		return topo.Synthetic(n, m, capacity)
-	}
+func runScale(out io.Writer, n int) error {
+	const m = 8
 	start := time.Now()
 	// Synthetic needs the controller capacity up front, but the right value
 	// depends on the workload. The graph is deterministic in n, so: build once
 	// with a placeholder, generate the flows, size capacity off the largest
 	// pre-failure domain load, and rebuild the deployment around it.
-	dep, err := build(1)
+	dep, err := topo.Synthetic(n, m, 1)
 	if err != nil {
 		return err
-	}
-	if dryRun {
-		return dryRunScale(out, dep, n, m, regions, seed, start)
 	}
 	flows, err := flow.Generate(dep.Graph, flow.Options{})
 	if err != nil {
@@ -206,7 +164,7 @@ func runScale(out io.Writer, n, regions, improveRounds int, dryRun bool) error {
 		}
 	}
 	capacity := maxLoad + maxLoad/2 + 1
-	if dep, err = build(capacity); err != nil {
+	if dep, err = topo.Synthetic(n, m, capacity); err != nil {
 		return err
 	}
 	sctx, err := scenario.NewContext(dep, flows)
@@ -216,51 +174,6 @@ func runScale(out io.Writer, n, regions, improveRounds int, dryRun bool) error {
 	fmt.Fprintf(out, "scale smoke: %d switches, %d controllers (capacity %d), %d flows [setup %s]\n\n",
 		n, m, capacity, flows.Len(), time.Since(start).Round(time.Millisecond))
 
-	if regions > 0 {
-		part, err := region.New(dep, regions, seed)
-		if err != nil {
-			return err
-		}
-		if err := runScaleHier(out, sctx, part, m, improveRounds); err != nil {
-			return err
-		}
-	} else if err := runScaleFlat(out, sctx, m); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nscale smoke passed in %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// dryRunScale prints the deployment and region layout without generating the
-// workload: the cheap CI smoke for the 1000-node hierarchical path.
-func dryRunScale(out io.Writer, dep *topo.Deployment, n, m, regions int, seed uint64, start time.Time) error {
-	if err := dep.Validate(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "dry run: %d switches, %d controllers, %d edges\n",
-		n, m, dep.Graph.NumEdges())
-	if regions > 0 {
-		part, err := region.New(dep, regions, seed)
-		if err != nil {
-			return err
-		}
-		w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(w, "REGION\tCONTROLLERS\tSWITCHES\tADJACENT\n")
-		for r := 0; r < part.K; r++ {
-			fmt.Fprintf(w, "%d\t%d\t%d\t%v\n",
-				r, len(part.Controllers[r]), part.SwitchCount[r], part.Adjacent[r])
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "border switches: %d, cut edges: %d\n", len(part.Border), part.CutEdges())
-	}
-	fmt.Fprintf(out, "dry run passed in %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runScaleFlat sweeps all single failures with the flat heuristic trio.
-func runScaleFlat(out io.Writer, sctx *scenario.Context, m int) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "CASE\tOFFLINE FLOWS\tCLASSES\tFLOWS/CLASS\tPM PROG\tRETROFLOW PROG\tPG PROG\tCOMPILE\tPM TIME\n")
 	for j := 0; j < m; j++ {
@@ -302,38 +215,11 @@ func runScaleFlat(out io.Writer, sctx *scenario.Context, m int) error {
 			prog["PM"], prog["RetroFlow"], prog["PG"],
 			compile.Round(10*time.Microsecond), pmTime.Round(10*time.Microsecond))
 	}
-	return w.Flush()
-}
-
-// runScaleHier sweeps all single failures with the hierarchical PM-H.
-func runScaleHier(out io.Writer, sctx *scenario.Context, part *region.Partition, m, improveRounds int) error {
-	sopts := region.SolveOptions{ImproveRounds: improveRounds}
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "CASE\tREGION\tOFFLINE FLOWS\tPM-H PROG\tRECOVERED\tCOMPILE\tTIME\n")
-	for j := 0; j < m; j++ {
-		t0 := time.Now()
-		inst, err := sctx.Build([]int{j})
-		compile := time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("case {%d}: %w", j, err)
-		}
-		sol, err := region.SolvePM(inst, part, sopts)
-		if err != nil {
-			return fmt.Errorf("case {%d}: PM-H: %w", j, err)
-		}
-		rep, err := inst.Evaluate(sol)
-		if err != nil {
-			return fmt.Errorf("case {%d}: PM-H: %w", j, err)
-		}
-		if rep.RecoveredFlows == 0 {
-			return fmt.Errorf("case {%d}: PM-H recovered no flows", j)
-		}
-		fmt.Fprintf(w, "{%d}\t%d\t%d\t%d\t%d/%d\t%s\t%s\n",
-			j, part.ControllerRegion[j], inst.Problem.NumFlows,
-			rep.TotalProg, rep.RecoveredFlows, inst.OfflineFlowCount(),
-			compile.Round(10*time.Microsecond), sol.Runtime.Round(10*time.Microsecond))
+	if err := w.Flush(); err != nil {
+		return err
 	}
-	return w.Flush()
+	fmt.Fprintf(out, "\nscale smoke passed in %s\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // exportCSV writes every panel of the scenario's figure as a CSV file.

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // figTables returns the CASE, PM, RetroFlow and PG columns (header row first)
@@ -41,14 +44,16 @@ func figTables(t *testing.T, out, fig string, panels, cases int) map[string][][]
 }
 
 // TestTablesMatchCommittedRun drives the figure path end to end: the tables
-// of Fig. 4(a)–(d), 5(a)–(f) and 6(a)–(f) are the same at any worker count
-// and equal to the committed full run's, Optimal column aside. Every cell is
-// a Report field as printed, so this is the byte-level guard on Evaluate.
+// of Fig. 4(a)–(d), 5(a)–(f) and 6(a)–(f) are the same with the sweep on one
+// proc or on eight and equal to the committed full run's, Optimal column
+// aside. Every cell is a Report field as printed, so this is the byte-level
+// guard on Evaluate.
 func TestTablesMatchCommittedRun(t *testing.T) {
 	committed, err := os.ReadFile("../../pmsim_full.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sc := range []struct {
 		scenario, fig string
 		panels, cases int
@@ -58,14 +63,35 @@ func TestTablesMatchCommittedRun(t *testing.T) {
 		{"3", "Fig. 6", 6, 20},
 	} {
 		want := figTables(t, string(committed), sc.fig, sc.panels, sc.cases)
-		for _, workers := range []string{"1", "8"} {
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
 			var out bytes.Buffer
-			if err := run([]string{"-scenario", sc.scenario, "-skip-optimal", "-workers", workers}, &out); err != nil {
+			if err := run([]string{"-scenario", sc.scenario, "-skip-optimal"}, &out); err != nil {
 				t.Fatal(err)
 			}
 			if got := figTables(t, out.String(), sc.fig, sc.panels, sc.cases); !reflect.DeepEqual(got, want) {
-				t.Errorf("-scenario %s -workers %s: %s tables differ from pmsim_full.txt:\n%s", sc.scenario, workers, sc.fig, out.String())
+				t.Errorf("-scenario %s at GOMAXPROCS %d: %s tables differ from pmsim_full.txt:\n%s", sc.scenario, procs, sc.fig, out.String())
 			}
+		}
+	}
+}
+
+// TestNegativeSettingsAreRefused: a negative λ or Optimal time budget is an
+// error, not the default and not an unbounded exact solve.
+func TestNegativeSettingsAreRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "1", "-skip-optimal", "-lambda", "-0.5"},
+		{"-scenario", "1", "-opt-time", "-1s"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run(args, io.Discard) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%v: no error", args)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: still running after 30s", args)
 		}
 	}
 }

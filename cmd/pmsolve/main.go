@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	pmsolve -failed 13,16 [-algorithm pm|retroflow|pg|optimal|hier]
-//	        [-opt-time 60s] [-opt-workers n] [-regions k] [-improve-rounds n]
-//	        [-slack n] [-limit n] [-sensitivity]
+//	pmsolve -failed 13,16 [-algorithm pm|retroflow|pg|optimal]
+//	        [-opt-time 60s] [-slack n] [-limit n] [-sensitivity]
 //	        [-pretty] [-cpuprofile f] [-memprofile f]
 //
 // The -failed list names controllers by their site IDs as printed by pmtopo
@@ -16,11 +15,7 @@
 //
 // -algorithm optimal adds an "exact" object: whether branch & bound proved
 // its answer or a budget cut it short, nodes, bound and gap, and the simplex
-// work underneath.
-//
-// -algorithm hier runs the hierarchical region-sharded PM (internal/region):
-// -regions picks the region count, -improve-rounds bounds its anytime
-// improver.
+// work underneath. A negative -opt-time is an error.
 package main
 
 import (
@@ -40,7 +35,6 @@ import (
 	"pmedic/internal/mip"
 	"pmedic/internal/opt"
 	"pmedic/internal/prof"
-	"pmedic/internal/region"
 	"pmedic/internal/scenario"
 	"pmedic/internal/topo"
 )
@@ -139,11 +133,8 @@ type sdnFlowEntry struct {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("pmsolve", flag.ContinueOnError)
 	failedFlag := fs.String("failed", "", "comma-separated failed controller site IDs, e.g. 13,16")
-	algFlag := fs.String("algorithm", "pm", "pm, retroflow, pg, optimal, or hier")
+	algFlag := fs.String("algorithm", "pm", "pm, retroflow, pg, or optimal")
 	optTime := fs.Duration("opt-time", 60*time.Second, "time budget for -algorithm optimal")
-	optWorkers := fs.Int("opt-workers", 0, "branch & bound worker goroutines for -algorithm optimal (0 = 1)")
-	regionsFlag := fs.Int("regions", 2, "region count for -algorithm hier")
-	improveRounds := fs.Int("improve-rounds", 0, "anytime improver rounds for -algorithm hier (0 = off)")
 	slack := fs.Int("slack", 0, "path-count hop slack (0 = default)")
 	limit := fs.Int("limit", 0, "path-count cap (0 = default)")
 	pretty := fs.Bool("pretty", false, "indent the JSON output")
@@ -196,19 +187,13 @@ func run(args []string, out io.Writer) (err error) {
 		sol, err = core.RetroFlow(inst.Problem)
 	case "pg":
 		sol, err = core.PG(inst.Problem)
-	case "hier":
-		var part *region.Partition
-		if part, err = region.New(dep, *regionsFlag, 1); err != nil {
-			return err
-		}
-		sol, err = region.SolvePM(inst, part, region.SolveOptions{ImproveRounds: *improveRounds})
 	case "optimal":
 		var warm *core.Solution
 		if warm, err = core.PM(inst.Problem); err != nil {
 			warm = nil
 		}
 		var res *opt.Result
-		res, err = opt.Search(inst.Problem, opt.Options{TimeLimit: *optTime, Workers: *optWorkers, Warm: warm})
+		res, err = opt.Search(inst.Problem, opt.Options{TimeLimit: *optTime, Warm: warm})
 		if res != nil {
 			doc.Exact, sol = exactOf(res), res.Solution
 		}

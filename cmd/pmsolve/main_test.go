@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
+	"time"
 )
 
 // TestOptimalPrintsExact: -algorithm optimal says whether its answer was
@@ -39,5 +41,22 @@ func TestOptimalPrintsExact(t *testing.T) {
 	}
 	if bytes.Contains(buf.Bytes(), []byte(`"exact"`)) {
 		t.Errorf("PM output carries an exact object: %s", buf.String())
+	}
+}
+
+// TestNegativeOptTimeFailsFast: -opt-time below zero is refused at once, not
+// read as no budget, which leaves branch & bound to its million-node cap.
+func TestNegativeOptTimeFailsFast(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-failed", "13", "-algorithm", "optimal", "-opt-time", "-1s"}, io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("-opt-time -1s: no error")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("-opt-time -1s: still solving after 30s")
 	}
 }

@@ -6,13 +6,14 @@
 //
 // Usage:
 //
-//	pmstore -out att.pmps [-depth 2] [-sets 3,4;2,3,4] [-workers 0] [-info]
+//	pmstore -out att.pmps [-depth 2] [-sets 3,4;2,3,4] [-info]
 //
 // -sets compiles exactly the named failure sets (semicolon-separated lists
 // of comma-separated controller indices) instead of a full depth sweep —
 // the sparse-store mode for deployments where only some combinations are
 // credible. -info opens an existing store and prints its header instead of
-// compiling.
+// compiling. The sweep solves one case per GOMAXPROCS at a time; the file is
+// the same at any setting.
 package main
 
 import (
@@ -40,7 +41,6 @@ func run(args []string, out io.Writer) error {
 	outPath := fs.String("out", "att.pmps", "plan-store file to write")
 	depth := fs.Int("depth", 2, "sweep every failure combination of size 1..depth")
 	sets := fs.String("sets", "", "compile exactly these failure sets instead (e.g. '3,4;2,3,4')")
-	workers := fs.Int("workers", 0, "solver concurrency (0 = one per CPU)")
 	info := fs.String("info", "", "print an existing store's header and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	opts := planstore.CompileOptions{Depth: *depth, Workers: *workers}
+	opts := planstore.CompileOptions{Depth: *depth}
 	if *sets != "" {
 		if opts.Sets, err = parseSets(*sets); err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -18,11 +19,15 @@ import (
 // moves them on purpose and re-pins this.
 const depth2SHA256 = "e77cc358f5e4e8e2ce184407fb3cbad2b8a24e1106f63e277e1765ab07919704"
 
+// TestDepth2FileIsPinnedAtAnyWorkerCount compiles with the sweep on one proc
+// and on eight.
 func TestDepth2FileIsPinnedAtAnyWorkerCount(t *testing.T) {
 	dir := t.TempDir()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 8} {
+		runtime.GOMAXPROCS(workers)
 		path := filepath.Join(dir, "att-w"+strconv.Itoa(workers)+".pmps")
-		if err := run([]string{"-out", path, "-depth", "2", "-workers", strconv.Itoa(workers)}, io.Discard); err != nil {
+		if err := run([]string{"-out", path, "-depth", "2"}, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		file, err := os.ReadFile(path)
@@ -31,14 +36,14 @@ func TestDepth2FileIsPinnedAtAnyWorkerCount(t *testing.T) {
 		}
 		sum := sha256.Sum256(file)
 		if got := hex.EncodeToString(sum[:]); got != depth2SHA256 {
-			t.Errorf("-workers %d: file hash %s, want %s", workers, got, depth2SHA256)
+			t.Errorf("GOMAXPROCS %d: file hash %s, want %s", workers, got, depth2SHA256)
 		}
 		var info bytes.Buffer
 		if err := run([]string{"-info", path}, &info); err != nil {
 			t.Fatalf("-info on the file just written: %v", err)
 		}
 		if !bytes.Contains(info.Bytes(), []byte("21 plans up to depth 2")) {
-			t.Errorf("-workers %d: -info printed %q", workers, info.String())
+			t.Errorf("GOMAXPROCS %d: -info printed %q", workers, info.String())
 		}
 	}
 }

@@ -50,7 +50,7 @@ var buildFigures = sync.OnceValues(func() (*figureData, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &figureData{dep: dep, flows: flows, ctx: ctx, algs: eval.Comparators(0, 0, 0, true)}
+	d := &figureData{dep: dep, flows: flows, ctx: ctx, algs: eval.Comparators(0, 0, true)}
 	for k := 1; k <= 3; k++ {
 		if d.sweep[k], err = eval.SweepOpts(dep, flows, k, d.algs, eval.Options{Context: ctx}); err != nil {
 			return nil, err

@@ -55,24 +55,57 @@ func minMs(reps int, fn func()) float64 {
 	return float64(best) / float64(time.Millisecond)
 }
 
+// crossoverRow is one failure case timed both ways, fastest of several runs.
+type crossoverRow struct {
+	nodes, flows, classes int
+	flat, index, agg      float64
+}
+
+// timeBothPaths times the per-flow PM against the class index plus the
+// aggregated PM on one case and requires the two to agree.
+func timeBothPaths(t *testing.T, ctx *scenario.Context, nodes int, set []int, reps int) crossoverRow {
+	t.Helper()
+	inst, err := ctx.Build(set)
+	if err != nil {
+		t.Fatalf("%d nodes, case %v: %v", nodes, set, err)
+	}
+	p := inst.Problem
+	r := crossoverRow{nodes: nodes, flows: p.NumFlows}
+	var flat, agg *core.Solution
+	r.flat = minMs(reps, func() { flat, err = core.PMFlat(p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.index = minMs(reps, func() {
+		core.DropClassIndex(p)
+		r.classes = core.NumClasses(p)
+	})
+	var ok bool
+	r.agg = minMs(reps, func() { agg, ok, err = core.PMAgg(p) })
+	if err != nil || !ok {
+		t.Fatalf("%d nodes, case %v: aggregated PM: ok=%v err=%v", nodes, set, ok, err)
+	}
+	requireSameSolution(t, inst.Label(), flat, agg)
+	return r
+}
+
 // TestAggCrossoverTable regenerates the table behind aggMinFlows (DESIGN.md
 // §13.3): per failure case of the scale-syn fixture at five sizes, the per-flow
 // PM against the class index plus the aggregated PM, fastest of several runs
-// each. The times are logged, not asserted — run it with
+// each, and then the same two paths summed over ATT's 41 depth-1–3 cases (the
+// sweep-att workload). The times are logged, not asserted — run it with
 //
 //	go test -run TestAggCrossoverTable -v ./internal/core/
 //
 // — what it asserts is that the two paths agree at sizes the randomized
-// property test never reaches.
+// property test never reaches, and that the two real workloads sit on either
+// side of aggMinFlows: every ATT case below it, every 1000-node scale-syn case
+// above it.
 func TestAggCrossoverTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 999 000-flow fixture")
 	}
-	type row struct {
-		nodes, flows, classes int
-		flat, index, agg      float64
-	}
-	var rows []row
+	var rows []crossoverRow
 	for _, shape := range []struct {
 		n, m, regions int
 		cases         [][]int
@@ -93,27 +126,10 @@ func TestAggCrossoverTable(t *testing.T) {
 			reps = 3
 		}
 		for _, set := range shape.cases {
-			inst, err := ctx.Build(set)
-			if err != nil {
-				t.Fatalf("%d nodes, case %v: %v", shape.n, set, err)
+			r := timeBothPaths(t, ctx, shape.n, set, reps)
+			if shape.n == 1000 && r.flows < core.AggMinFlows {
+				t.Errorf("scale-syn case %v: %d flows, below aggMinFlows", set, r.flows)
 			}
-			p := inst.Problem
-			r := row{nodes: shape.n, flows: p.NumFlows}
-			var flat, agg *core.Solution
-			r.flat = minMs(reps, func() { flat, err = core.PMFlat(p) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.index = minMs(reps, func() {
-				core.DropClassIndex(p)
-				r.classes = core.NumClasses(p)
-			})
-			var ok bool
-			r.agg = minMs(reps, func() { agg, ok, err = core.PMAgg(p) })
-			if err != nil || !ok {
-				t.Fatalf("%d nodes, case %v: aggregated PM: ok=%v err=%v", shape.n, set, ok, err)
-			}
-			requireSameSolution(t, inst.Label(), flat, agg)
 			rows = append(rows, r)
 		}
 	}
@@ -130,4 +146,29 @@ func TestAggCrossoverTable(t *testing.T) {
 			r.nodes, r.flows, r.classes, float64(r.flows)/float64(r.classes),
 			r.flat, r.index, r.agg, r.index+r.agg, (r.index+r.agg)/r.flat, runs)
 	}
+
+	dep, err := topo.ATT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := scenario.NewContext(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var att crossoverRow
+	sets := scenario.CombinationsUpTo(len(dep.Controllers), 3)
+	for _, set := range sets {
+		r := timeBothPaths(t, ctx, dep.Graph.NumNodes(), set, 9)
+		if r.flows >= core.AggMinFlows {
+			t.Errorf("ATT case %v: %d flows, not below aggMinFlows", set, r.flows)
+		}
+		att.flows, att.classes = max(att.flows, r.flows), max(att.classes, r.classes)
+		att.flat, att.index, att.agg = att.flat+r.flat, att.index+r.index, att.agg+r.agg
+	}
+	t.Logf("ATT, %d depth-1–3 cases summed (up to %d flows and %d classes a case; PM runs flat): flat %.2f ms, index %.2f ms, agg %.2f ms, agg+index %.2f ms = %.2f× flat",
+		len(sets), att.flows, att.classes, att.flat, att.index, att.agg, att.index+att.agg, (att.index+att.agg)/att.flat)
 }

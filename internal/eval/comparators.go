@@ -14,9 +14,8 @@ import (
 // skipOptimal, the exact Optimal warm-started from PM — in the order every
 // figure prints them. lambda > 0 overrides the objective weight of each case
 // (0 keeps the default); optBudget bounds each exact solve (0 = opt's
-// default) and optWorkers its branch & bound workers (0 = opt's default of
-// one).
-func Comparators(lambda float64, optBudget time.Duration, optWorkers int, skipOptimal bool) []Algorithm {
+// default).
+func Comparators(lambda float64, optBudget time.Duration, skipOptimal bool) []Algorithm {
 	problem := func(inst *scenario.Instance) *core.Problem {
 		if lambda > 0 {
 			inst.Problem.Lambda = lambda
@@ -37,7 +36,7 @@ func Comparators(lambda float64, optBudget time.Duration, optWorkers int, skipOp
 		if warm == nil {
 			warm, _ = core.PM(problem(inst))
 		}
-		sol, err := opt.Solve(problem(inst), opt.Options{TimeLimit: optBudget, Workers: optWorkers, Warm: warm})
+		sol, err := opt.Solve(problem(inst), opt.Options{TimeLimit: optBudget, Warm: warm})
 		if errors.Is(err, opt.ErrNoSolution) {
 			return nil, fmt.Errorf("%w: %v", ErrNoResult, err)
 		}

@@ -221,12 +221,13 @@ const (
 	FactorSparse
 )
 
+// feasTol is the simplex's feasibility and optimality tolerance.
+const feasTol = 1e-7
+
 // Options tunes the solver. The zero value selects defaults.
 type Options struct {
 	// MaxIters bounds simplex iterations per phase (default 50 000).
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance (default 1e-7).
-	Tol float64
 	// Factorization selects the basis-inverse representation (default
 	// FactorAuto).
 	Factorization Factorization
@@ -241,9 +242,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 50000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-7
 	}
 	return o
 }
@@ -267,9 +265,9 @@ func (m *Model) SolveWith(opts Options) (*Solution, error) {
 }
 
 // Clone returns a model sharing this model's immutable structure (rows,
-// objective, names) with independent bounds. It exists so branch & bound
-// workers can tighten bounds concurrently; neither model may gain variables
-// or rows after cloning.
+// objective, names) with independent bounds. Branch & bound tightens a
+// clone's bounds node by node and leaves the model's own alone; neither model
+// may gain variables or rows after cloning.
 func (m *Model) Clone() *Model {
 	cp := *m
 	cp.lower = append([]float64(nil), m.lower...)

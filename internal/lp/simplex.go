@@ -224,7 +224,7 @@ func (s *simplex) solve(warm *Basis) (*Solution, error) {
 			if status == StatusIterLimit {
 				return s.result(StatusIterLimit, start), nil
 			}
-			if s.phase1Objective() > s.opts.Tol*float64(1+s.m) {
+			if s.phase1Objective() > feasTol*float64(1+s.m) {
 				return s.result(StatusInfeasible, start), nil
 			}
 			s.lockArtificials()
@@ -350,7 +350,7 @@ func (s *simplex) tryWarm(warm *Basis) Start {
 		s.state = nil
 		return StartCold
 	}
-	tol := s.opts.Tol * 10
+	tol := feasTol * 10
 	feasible := true
 	for i, v := range s.basis {
 		if s.xB[i] < s.lower[v]-tol || s.xB[i] > s.upper[v]+tol {
@@ -382,7 +382,6 @@ func (s *simplex) tryWarm(warm *Basis) Start {
 // StartCold and the caller's two-phase start settles feasibility.
 func (s *simplex) dualRepair() Start {
 	const pivTol = 1e-9
-	tol := s.opts.Tol
 	cb := make([]float64, s.m)
 	y := make([]float64, s.m)
 	rho := make([]float64, s.m)
@@ -393,7 +392,7 @@ func (s *simplex) dualRepair() Start {
 	for iter := 0; iter < maxIter; iter++ {
 		// Leaving row: the most violated basic bound.
 		r := -1
-		worst := tol * 10
+		worst := feasTol * 10
 		below := false
 		for i, v := range s.basis {
 			if d := s.lower[v] - s.xB[i]; d > worst {
@@ -510,7 +509,7 @@ func (s *simplex) dualRepair() Start {
 // x_B[r] can move toward the bound it violates is Σ max(gain_v, 0)·(u_v − l_v)
 // with gain_v = ∓ρ·A_v by v's resting bound and the side violated — every
 // nonbasic, non-fixed column counted, however small its coefficient. A reach
-// short of the violation by more than Tol means no point within the bounds
+// short of the violation by more than feasTol means no point within the bounds
 // satisfies the row: the one-row form of phase 1's tolerance test. An
 // infinite range behind any helpful coefficient makes the reach infinite and
 // certifies nothing.
@@ -534,7 +533,7 @@ func (s *simplex) certifiesInfeasible(rho []float64, below bool, violation float
 			reach += gain * (s.upper[v] - s.lower[v])
 		}
 	}
-	return reach < violation-s.opts.Tol
+	return reach < violation-feasTol
 }
 
 // exportBasis snapshots the final basis for warm-starting a related solve.
@@ -689,9 +688,9 @@ func (s *simplex) iterate(cost []float64) (Status, error) {
 			}
 			var score float64
 			var dir float64
-			if s.state[v] == atLower && d < -s.opts.Tol {
+			if s.state[v] == atLower && d < -feasTol {
 				score, dir = -d, 1
-			} else if s.state[v] == atUpper && d > s.opts.Tol {
+			} else if s.state[v] == atUpper && d > feasTol {
 				score, dir = d, -1
 			} else {
 				continue

@@ -284,7 +284,7 @@ func TestWarmStartRandom(t *testing.T) {
 // TestCertifiesInfeasible pins the dead-end certificate on one row,
 // s = 10 − 2x − 3y + z with the slack s basic (row of B⁻¹ = [1]): which
 // nonbasic columns can help by resting bound and side, fixed and basic
-// columns left out, an infinite range certifying nothing, and the Tol margin.
+// columns left out, an infinite range certifying nothing, and the feasTol margin.
 func TestCertifiesInfeasible(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddVar(0, 4, 0, "x")
@@ -322,7 +322,7 @@ func TestCertifiesInfeasible(t *testing.T) {
 	// At the unhelpful bounds nothing can move s down.
 	set(atUpper, atUpper, atLower)
 	if !s.certifiesInfeasible(rho, false, 1e-6) {
-		t.Error("above, reach 0: want any violation beyond Tol certified")
+		t.Error("above, reach 0: want any violation beyond feasTol certified")
 	}
 	// A fixed column has no range; an infinite one certifies nothing.
 	set(atLower, atUpper, atLower)

@@ -2,11 +2,9 @@
 // bound: best-first bulk-synchronous search with most-fractional branching,
 // LP bound pruning, a root rounding heuristic, warm-started node
 // relaxations, and wall-clock/node budgets. Each round expands the K best
-// open nodes — in parallel across Options.Workers goroutines — and merges
-// the results in a fixed order, so the outcome is identical for any worker
-// count given the same node budget. Together with package lp it forms the
-// reproduction's stand-in for the GUROBI solver the paper uses for the
-// Optimal comparator.
+// open nodes on one model clone and merges the results in selection order.
+// Together with package lp it forms the reproduction's stand-in for the
+// GUROBI solver the paper uses for the Optimal comparator.
 package mip
 
 import (
@@ -17,7 +15,6 @@ import (
 	"time"
 
 	"pmedic/internal/lp"
-	"pmedic/internal/par"
 )
 
 // Model is a MIP under construction: a linear model plus integrality marks.
@@ -131,7 +128,7 @@ type Result struct {
 
 // LPWork is the simplex work behind a search: iterations (dual-repair pivots
 // included), basis refactorizations, and the relaxations by how they started
-// (lp.Start). It does not depend on Options.Workers.
+// (lp.Start).
 type LPWork struct {
 	Iters     int `json:"iterations"`
 	Refactors int `json:"refactorizations"`
@@ -166,12 +163,6 @@ type Options struct {
 	MaxNodes int
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// Workers sets how many goroutines expand frontier nodes concurrently
-	// (default 1). The frontier width and all selection/merge decisions are
-	// independent of Workers, so the result — incumbent, objective, bound,
-	// node count, status — is identical for any worker count given the same
-	// node budget.
-	Workers int
 	// Incumbent optionally warm-starts the search with a known point. It is
 	// validated against bounds, integrality, and rows; an infeasible warm
 	// start is silently ignored.
@@ -179,7 +170,6 @@ type Options struct {
 	// Heuristic, when set, is called on relaxation points (at the root and
 	// periodically during the search) to propose integer-feasible candidates.
 	// A nil return means no proposal; proposals are validated like Incumbent.
-	// It is always invoked from the merging goroutine, never concurrently.
 	Heuristic func(relaxation []float64) []float64
 	// LP tunes the relaxation solver.
 	LP lp.Options
@@ -192,9 +182,6 @@ func (o Options) withDefaults() Options {
 	if o.IntTol == 0 {
 		o.IntTol = 1e-6
 	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
 	return o
 }
 
@@ -202,8 +189,9 @@ func (o Options) withDefaults() Options {
 var ErrModel = errors.New("mip: invalid model")
 
 // frontierWidth is how many open nodes each bulk-synchronous round expands.
-// It is a constant — deliberately not tied to Options.Workers — so that the
-// search trajectory is the same no matter how many workers expand it.
+// Expansion is serial, so any width would do; 8 stays because it defines the
+// search trajectory the exact solver's pinned trees and the optimal-att
+// benchmark digest were taken on (opt's TestATTTreesPinned).
 const frontierWidth = 8
 
 type node struct {
@@ -221,8 +209,7 @@ type fix struct {
 	lo, hi float64
 }
 
-// expansion is the outcome of solving one frontier node's relaxation on a
-// worker. Merging back into the search state happens sequentially.
+// expansion is the outcome of solving one frontier node's relaxation.
 type expansion struct {
 	err       error
 	lp        *lp.Solution // nil when the node's fixes contradict each other
@@ -276,11 +263,8 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 		}
 	}
 
-	// Worker-local model clones: bounds are per-clone, structure is shared.
-	clones := make([]*lp.Model, opts.Workers)
-	for w := range clones {
-		clones[w] = m.lpm.Clone()
-	}
+	// The nodes' bounds go on a clone, so the model keeps its own.
+	clone := m.lpm.Clone()
 
 	open := []*node{{bound: infFor(m.sense)}}
 	// dropped holds nodes whose relaxation hit the LP iteration limit: they
@@ -332,17 +316,11 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 		selected := open[:width]
 		open = append([]*node(nil), open[width:]...)
 
-		// Expand the selected nodes in parallel; results land in a slice
-		// indexed by selection order, so scheduling cannot reorder them.
-		results := make([]expansion, len(selected))
-		par.For(len(selected), opts.Workers, func(w, i int) {
-			results[i] = m.expandNode(clones[w], selected[i], origLo, origHi, opts)
-		})
-
-		// Merge sequentially in selection order: counting, incumbent updates,
-		// heuristics, and child creation are all deterministic.
-		for i, nd := range selected {
-			ex := results[i]
+		// Expand and merge in selection order. Every selected node's
+		// relaxation is solved and counted, also one an earlier merge this
+		// round has since dominated.
+		for _, nd := range selected {
+			ex := m.expandNode(clone, nd, origLo, origHi, opts)
 			if ex.err != nil {
 				return nil, fmt.Errorf("mip: node %d relaxation: %w", res.Nodes+1, ex.err)
 			}
@@ -461,7 +439,7 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// expandNode solves one node's relaxation on a worker-local clone: reset
+// expandNode solves one node's relaxation on the search's clone: reset
 // bounds, apply the node's fixes, warm-start from the parent basis, and
 // locate the most fractional integer variable.
 func (m *Model) expandNode(clone *lp.Model, nd *node, origLo, origHi []float64, opts Options) expansion {

@@ -34,7 +34,8 @@ var ErrNoSolution = errors.New("opt: no solution")
 
 // Options tunes the exact solve. The zero value selects defaults.
 type Options struct {
-	// TimeLimit bounds the branch & bound wall clock (default 60s).
+	// TimeLimit bounds the branch & bound wall clock (default 60s). A
+	// negative limit is an error, not an unbounded search.
 	TimeLimit time.Duration
 	// MaxNodes bounds explored nodes (default mip's).
 	MaxNodes int
@@ -42,10 +43,6 @@ type Options struct {
 	// used only if it is feasible for the model, i.e. recovers every flow
 	// and respects the delay budget).
 	Warm *core.Solution
-	// Workers sets how many goroutines expand branch & bound nodes
-	// concurrently (default 1). The search result is identical for any
-	// worker count given the same node budget.
-	Workers int
 	// RequireProved makes Solve return ErrNoSolution unless optimality was
 	// proved (tree exhausted, no node dropped); by default the incumbent of
 	// an incomplete search is returned, matching how a time-limited GUROBI
@@ -105,6 +102,9 @@ func Solve(p *core.Problem, opts Options) (*core.Solution, error) {
 // Search builds and solves the compact FMSSM model for p. The Result is
 // non-nil whenever branch & bound ran, also beside an ErrNoSolution.
 func Search(p *core.Problem, opts Options) (*Result, error) {
+	if opts.TimeLimit < 0 {
+		return nil, fmt.Errorf("opt: negative time limit %v", opts.TimeLimit)
+	}
 	opts = opts.withDefaults()
 	start := time.Now()
 	md, err := build(p)
@@ -114,7 +114,6 @@ func Search(p *core.Problem, opts Options) (*Result, error) {
 	mipOpts := mip.Options{
 		TimeLimit: opts.TimeLimit,
 		MaxNodes:  opts.MaxNodes,
-		Workers:   opts.Workers,
 		Heuristic: md.repair,
 	}
 	if opts.Warm != nil {

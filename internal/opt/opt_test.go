@@ -173,6 +173,16 @@ func TestSolveRejectsEmptyPairs(t *testing.T) {
 	}
 }
 
+// TestSearchRefusesNegativeTimeLimit: a negative budget is an error before
+// any search, not a search without a clock (mip reads only a positive limit).
+func TestSearchRefusesNegativeTimeLimit(t *testing.T) {
+	p := smallProblem(t, rand.New(rand.NewSource(1)), 2, 2, 4)
+	res, err := Search(p, Options{TimeLimit: -time.Second})
+	if err == nil || errors.Is(err, ErrNoSolution) || res != nil {
+		t.Fatalf("Search with TimeLimit -1s = %v, %v; want no result and an error other than ErrNoSolution", res, err)
+	}
+}
+
 func TestSolveRespectsBudgetConstraint(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 6; trial++ {

@@ -26,16 +26,6 @@ type CompileOptions struct {
 	// a full depth sweep — the sparse-store escape hatch for deployments
 	// where only some combinations are credible (or affordable).
 	Sets [][]int
-	// Workers bounds the compile's solver concurrency; <= 0 selects one per
-	// available CPU (eval.ForEachCase semantics).
-	Workers int
-	// Solve produces the plan for one compiled instance; nil selects
-	// core.PM. It must be deterministic and safe for concurrent calls — the
-	// store's contract is that a lookup reproduces a fresh solve bit for bit.
-	Solve func(*core.Problem) (*core.Solution, error)
-	// Algorithm names Solve in the file header (and in every decoded
-	// solution); empty defaults to "PM".
-	Algorithm string
 	// Context, when non-nil, supplies the precomputed scenario state; nil
 	// builds one.
 	Context *scenario.Context
@@ -58,23 +48,15 @@ type CompileStats struct {
 }
 
 // Compile sweeps the requested failure combinations with the parallel sweep
-// engine, solves each, and writes the plan store to path — temp file,
-// fsync, rename, so a crash never leaves a half-written store behind. The
-// sweep is deterministic: same deployment, workload, and options produce an
-// identical file.
+// engine (GOMAXPROCS workers), solves each with core.PM, and writes the plan
+// store to path — temp file, fsync, rename, so a crash never leaves a
+// half-written store behind. The sweep is deterministic: same deployment,
+// workload, and options produce an identical file.
 func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOptions) (*CompileStats, error) {
 	start := time.Now()
 	m := len(dep.Controllers)
 	if m > maxControllers {
 		return nil, fmt.Errorf("planstore: %d controllers exceed the format's %d-controller key", m, maxControllers)
-	}
-	solve := opts.Solve
-	if solve == nil {
-		solve = core.PM
-	}
-	alg := opts.Algorithm
-	if alg == "" {
-		alg = "PM"
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -109,9 +91,8 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 	// Solve and delta-encode every case in parallel; slots keep the results
 	// in enumeration order so the file is deterministic.
 	payloads := make([][]byte, len(combos))
-	families := make([][2]bool, len(combos))
-	err := eval.ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
-		sol, err := solve(inst.Problem)
+	err := eval.ForEachCase(ctx, combos, 0, func(idx int, inst *scenario.Instance) error {
+		sol, err := core.PM(inst.Problem)
 		if err != nil {
 			return fmt.Errorf("planstore: case %v: %w", combos[idx], err)
 		}
@@ -120,16 +101,10 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 			return fmt.Errorf("planstore: case %v: %w", combos[idx], err)
 		}
 		payloads[idx] = payload
-		families[idx] = [2]bool{sol.SwitchLevel, sol.MiddleLayer}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for idx, f := range families {
-		if f != families[0] {
-			return nil, fmt.Errorf("planstore: case %v: mixed solution families in one store", combos[idx])
-		}
 	}
 
 	hdr := Header{
@@ -137,9 +112,7 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 		TopoHash:       TopoHash(dep, flows),
 		NumControllers: m,
 		NumEntries:     len(combos),
-		Algorithm:      alg,
-		SwitchLevel:    families[0][0],
-		MiddleLayer:    families[0][1],
+		Algorithm:      "PM",
 	}
 	order := make([]int, len(combos))
 	for i := range order {

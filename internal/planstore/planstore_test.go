@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pmedic/internal/core"
@@ -330,15 +331,18 @@ func TestCorruption(t *testing.T) {
 }
 
 // TestCompileDeterministic: two compiles of the same sweep produce identical
-// bytes — the property that makes stores diffable and cacheable.
+// bytes — the property that makes stores diffable and cacheable — whether
+// the sweep runs on four procs or on one.
 func TestCompileDeterministic(t *testing.T) {
 	dep, flows, ctx := attFixture(t)
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a.pmps"), filepath.Join(dir, "b.pmps")
-	if _, err := Compile(dep, flows, a, CompileOptions{Depth: 2, Context: ctx, Workers: 4}); err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if _, err := Compile(dep, flows, a, CompileOptions{Depth: 2, Context: ctx}); err != nil {
 		t.Fatalf("Compile a: %v", err)
 	}
-	if _, err := Compile(dep, flows, b, CompileOptions{Depth: 2, Context: ctx, Workers: 1}); err != nil {
+	runtime.GOMAXPROCS(1)
+	if _, err := Compile(dep, flows, b, CompileOptions{Depth: 2, Context: ctx}); err != nil {
 		t.Fatalf("Compile b: %v", err)
 	}
 	ba, _ := os.ReadFile(a)

@@ -387,15 +387,3 @@ func assemble(dep *topo.Deployment, k int, seed uint64, regionOf, domainOf []int
 func (p *Partition) IsBorder(v topo.NodeID) bool {
 	return p.borderSet[v]
 }
-
-// CutEdges counts the WAN edges crossing region boundaries — the partition
-// quality metric the refinement minimizes.
-func (p *Partition) CutEdges() int {
-	cut := 0
-	for _, e := range p.Dep.Graph.Edges() {
-		if p.NodeRegion[e.A] != p.NodeRegion[e.B] {
-			cut++
-		}
-	}
-	return cut
-}

@@ -25,7 +25,7 @@ type FenceResult struct {
 }
 
 // FenceAgents stamps gen onto every agent as a Master claim, in switch
-// order with opts.Concurrency workers. A freshly elected leader calls it
+// order with pushConcurrency workers. A freshly elected leader calls it
 // with the bottom of its first epoch's generation range before reconciling:
 // once the sweep returns, any in-flight push signed by a lower generation —
 // the deposed leader's — is refused by the agents (ErrCodeRoleStale on the
@@ -45,7 +45,7 @@ func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fe
 	sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
 
 	results = make([]FenceResult, len(switches))
-	par.For(len(switches), opts.Concurrency, func(_, i int) {
+	par.For(len(switches), pushConcurrency, func(_, i int) {
 		results[i] = fenceOne(opts, addrs[switches[i]], switches[i], gen)
 	})
 

@@ -41,8 +41,6 @@ type PushOptions struct {
 	// IOTimeout bounds every read and write on an open channel (default 2s).
 	DialTimeout time.Duration
 	IOTimeout   time.Duration
-	// Concurrency caps the switches pushed in parallel (default 8).
-	Concurrency int
 	// Seed drives the retry jitter deterministically (per-switch streams are
 	// derived from it).
 	Seed int64
@@ -65,6 +63,10 @@ type PushOptions struct {
 	Sessions *Sessions
 }
 
+// pushConcurrency caps the switches the drivers push, restore, fence or dial
+// in parallel.
+const pushConcurrency = 8
+
 func (o PushOptions) withDefaults() PushOptions {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
@@ -80,9 +82,6 @@ func (o PushOptions) withDefaults() PushOptions {
 	}
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = 2 * time.Second
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 8
 	}
 	if o.GenerationID == 0 {
 		o.GenerationID = 1
@@ -395,7 +394,7 @@ func PushRecoveryResilient(
 			mu     sync.Mutex
 			failed []topo.NodeID
 		)
-		par.For(len(work), opts.Concurrency, func(_, i int) {
+		par.For(len(work), pushConcurrency, func(_, i int) {
 			sp := work[i]
 			out := &rep.Outcomes[sp.index]
 			acked, dirty, err := pushSwitch(addrs, sp, &gen, opts)

@@ -127,7 +127,7 @@ func (s *Sessions) release(addr string, conn *openflow.Conn, keep, stale bool) {
 }
 
 // Warm opens a session to every address that has none, idle or in use, at
-// most opts.Concurrency dials at a time, and returns once each has been tried:
+// most pushConcurrency dials at a time, and returns once each has been tried:
 // a dial that fails is left to the next call, and to the push that finds the
 // address cold and dials it as it always did. Nothing waits for Warm — it
 // only decides whether a later acquire hits — so callers run it off the
@@ -145,7 +145,7 @@ func (s *Sessions) Warm(addrs map[topo.NodeID]string, opts PushOptions) {
 		}
 	}
 	s.mu.Unlock()
-	par.For(len(cold), opts.Concurrency, func(_, i int) {
+	par.For(len(cold), pushConcurrency, func(_, i int) {
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
