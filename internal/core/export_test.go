@@ -41,3 +41,7 @@ var (
 	PMRefineVsReference = pmFlatVsReference
 	ImproveVsReference  = improveVsReference
 )
+
+// BalanceVsReference checks PM's balancing loop against the all-sweeps
+// reference in balance_ref_test.go and returns the reference's no-op sweeps.
+var BalanceVsReference = balanceVsReference

@@ -16,13 +16,15 @@ import (
 // flat equivalence is enforced by the randomized property test in agg_test.go.
 //
 // The paper's listing leaves two orders unspecified and contains two evident
-// slips; this implementation resolves them as documented in DESIGN.md §7:
+// slips; this implementation resolves them as documented in DESIGN.md §8:
 //
 //   - The controller scan of lines 20–24 stops at the first (nearest)
 //     controller with sufficient capacity (the listing forgets the break).
 //   - A sweep in which no test-set switch hosts any least-programmability
 //     flow fast-forwards to the next iteration instead of dereferencing a
 //     NULL switch index.
+//   - The loop stops at its first sweep that activates nothing, because
+//     every later sweep would replay it.
 //   - Within a switch, floor flows are activated scarcity-first (fewest
 //     remaining alternative pairs first), so flows whose only eligible pair
 //     sits at an oversubscribed hub switch are not starved by flows that
@@ -46,13 +48,13 @@ func PM(p *Problem) (*Solution, error) {
 // aggMinFlows is the instance size below which PM stays on its per-flow path.
 // It is read off the table in DESIGN.md §13.3 (TestAggCrossoverTable
 // regenerates it): on the scale-syn fixture at 100–1000 nodes, class index
-// plus pmAgg costs 1.2–2.4× pmFlat on ten of the eleven cases up to 5 400
-// flows, is ahead on ten of the twelve between 7 900 and 17 500 flows (0.5–1.0×,
-// and within 0.4 ms behind on the other two), and on every case from 28 000
-// flows up — 0.3–0.45× at the 91 000–140 000 flows of a 1000-node failure. The
-// constant sits in the gap between the first two bands. sweep-att (ATT, 600
-// flows) is the workload on the flat side of it, scale-syn the one on the
-// other.
+// plus pmAgg costs 1.1–2.1× pmFlat on ten of the eleven cases up to 5 400
+// flows, is ahead on nine of the twelve between 7 900 and 17 500 flows
+// (0.5–1.0×, and within 0.8 ms behind on the other three), and on all but one
+// case from 28 000 flows up — 0.36–0.6× at the 91 000–140 000 flows of a
+// 1000-node failure. The constant sits in the gap between the first two
+// bands. sweep-att (ATT, 600 flows) is the workload on the flat side of it,
+// scale-syn the one on the other.
 const aggMinFlows = 6500
 
 // aggClassIndex returns the class index when PM should run aggregated:
@@ -111,7 +113,7 @@ func balanceFlat(p *Problem, s *Solution, sc *solverScratch) []int {
 	resetTestSet()
 	remaining := p.NumSwitches
 	sigma := 0
-	testCount := 0
+	testCount, progressed := 0, false // progressed: this sweep activated a pair
 
 	// Pooled nearest-controller cache (delay-ascending order per switch).
 	grabInts(&sc.nearestBuf, p.NumSwitches*p.NumControllers)
@@ -162,6 +164,27 @@ func balanceFlat(p *Problem, s *Solution, sc *solverScratch) []int {
 		h[l] += p.Pairs[k].PBar
 		alternatives[l]--
 		s.Active[k] = true
+		progressed = true
+	}
+
+	// endSweep closes a balancing sweep. The loop stops at its first sweep
+	// that activates no pair: such a sweep leaves h, rest, Active and
+	// alternatives unchanged, so the next one has the same σ, the same
+	// floorPairs and the same selection order. Every switch it selects is
+	// already mapped, or maps to the same controller because rest is
+	// unchanged; it activates nothing either, and by induction neither does
+	// any later sweep.
+	endSweep := func() {
+		if !progressed {
+			testCount = p.TotalIterations
+			return
+		}
+		progressed = false
+		testCount++
+		resetTestSet()
+		remaining = p.NumSwitches
+		sigma = minH()
+		rebuildFloor()
 	}
 
 	scratch := sc.pairScratch[:0]
@@ -176,11 +199,7 @@ func balanceFlat(p *Problem, s *Solution, sc *solverScratch) []int {
 		}
 		if i0 < 0 {
 			// No switch in the test set can lift a floor flow: end the sweep.
-			resetTestSet()
-			remaining = p.NumSwitches
-			testCount++
-			sigma = minH()
-			rebuildFloor()
+			endSweep()
 			continue
 		}
 
@@ -194,46 +213,45 @@ func balanceFlat(p *Problem, s *Solution, sc *solverScratch) []int {
 		remaining--
 
 		// Enable SDN mode for floor flows at i0 while capacity lasts
-		// (lines 31–36), scarcity-first.
-		scratch = scratch[:0]
-		for k, hi := p.SwitchRun(i0); k < hi; k++ {
-			if !s.Active[k] && h[p.Pairs[k].Flow] <= sigma {
-				scratch = append(scratch, k)
+		// (lines 31–36), scarcity-first. A dry controller activates nothing,
+		// so its switch skips the scan and the sort.
+		if rest[j0] > 0 {
+			scratch = scratch[:0]
+			for k, hi := p.SwitchRun(i0); k < hi; k++ {
+				if !s.Active[k] && h[p.Pairs[k].Flow] <= sigma {
+					scratch = append(scratch, k)
+				}
 			}
-		}
-		// Stable counting sort, alternatives-ascending (flow-ascending within
-		// a level, the order of the switch's run). The slice holds one
-		// switch's floor pairs — a handful at ATT size, tens of thousands at a
-		// carrier-scale hub — so the sort has to be linear at every size. The
-		// pooled bucket and order buffers are free until the final pass.
-		bucket := grabInts(&sc.bucket, maxAlt+1)
-		for _, k := range scratch {
-			bucket[alternatives[p.Pairs[k].Flow]]++
-		}
-		for v, acc := 0, 0; v <= maxAlt; v++ {
-			bucket[v], acc = acc, acc+bucket[v]
-		}
-		sorted := growSlice(&sc.order, len(scratch))
-		for _, k := range scratch {
-			alt := alternatives[p.Pairs[k].Flow]
-			sorted[bucket[alt]] = k
-			bucket[alt]++
-		}
-		for _, k := range sorted {
-			if rest[j0] <= 0 {
-				break
+			// Stable counting sort, alternatives-ascending (flow-ascending
+			// within a level, the switch's run order). One switch's floor
+			// pairs are a handful at ATT size and tens of thousands at a
+			// carrier-scale hub, so the sort has to be linear; the pooled
+			// bucket and order buffers are free until the final pass.
+			bucket := grabInts(&sc.bucket, maxAlt+1)
+			for _, k := range scratch {
+				bucket[alternatives[p.Pairs[k].Flow]]++
 			}
-			if h[p.Pairs[k].Flow] <= sigma { // may have been lifted this loop
-				activate(k, j0)
+			for v, acc := 0, 0; v <= maxAlt; v++ {
+				bucket[v], acc = acc, acc+bucket[v]
+			}
+			sorted := growSlice(&sc.order, len(scratch))
+			for _, k := range scratch {
+				alt := alternatives[p.Pairs[k].Flow]
+				sorted[bucket[alt]] = k
+				bucket[alt]++
+			}
+			for _, k := range sorted {
+				if rest[j0] <= 0 {
+					break
+				}
+				if h[p.Pairs[k].Flow] <= sigma { // may have been lifted this loop
+					activate(k, j0)
+				}
 			}
 		}
 
 		if remaining == 0 {
-			resetTestSet()
-			remaining = p.NumSwitches
-			testCount++
-			sigma = minH()
-			rebuildFloor()
+			endSweep()
 		}
 	}
 	sc.pairScratch = scratch

@@ -34,7 +34,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 	resetTestSet()
 	remaining := p.NumSwitches
 	sigma := 0
-	testCount := 0
+	testCount, progressed := 0, false
 
 	minH := func() int {
 		m := int(^uint(0) >> 1)
@@ -72,7 +72,14 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 			floorPairs[i] -= n
 		}
 	}
+	// advanceSweep closes a sweep and, as pmFlat's endSweep, stops the loop
+	// at its first sweep that activates no pair: every later one replays it.
 	advanceSweep := func() {
+		if !progressed {
+			testCount = p.TotalIterations
+			return
+		}
+		progressed = false
 		resetTestSet()
 		remaining = p.NumSwitches
 		testCount++
@@ -112,9 +119,10 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 		// (alternatives asc, flow asc) becomes: candidate groups bucketed by
 		// alternatives level; a level either fits in rest[j0] entirely (group
 		// moves, order inside the level unobservable) or is cut (merged
-		// flow-ID walk up to the remaining capacity).
+		// flow-ID walk up to the remaining capacity). A dry controller
+		// activates nothing, so its switch skips the candidate scan.
 		cands = cands[:0]
-		for idx := st.swClassOff[i0]; idx < st.swClassOff[i0+1]; idx++ {
+		for idx := st.swClassOff[i0]; rest[j0] > 0 && idx < st.swClassOff[i0+1]; idx++ {
 			c, bit := st.swClass[idx], st.swBit[idx]
 			for gid := st.classHead[c]; gid >= 0; gid = st.groups[gid].next {
 				g := &st.groups[gid]
@@ -139,6 +147,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 					rest[j0] -= n
 					leaveFloor(g.class, n)
 					st.moveWholeGroup(cd.gid, g.mask|1<<uint(cd.bit))
+					progressed = true
 				}
 			} else {
 				w := newAggWalker(st)
@@ -156,6 +165,7 @@ func pmAgg(p *Problem, ci *classIndex) (*Solution, error) {
 					leaveFloor(g.class, 1)
 					st.addPending(g.class, g.mask|1<<uint(bit), pos)
 					w.advance(true)
+					progressed = true
 				}
 				w.finish()
 			}

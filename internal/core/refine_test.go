@@ -57,12 +57,44 @@ func checkRefine(t *testing.T, tag string, p *core.Problem, rng *rand.Rand) {
 
 // TestRefineMatchesReference pins PM's incremental final pass, and Improve,
 // to the full-scan reference — the same Solution, residual capacity and
-// round count — on every ATT failure case at depths 1–5, on seeded synthetic
-// contexts from scarce to ample capacity, and on the randomized problems of
-// the aggregated ≡ per-flow property test.
+// round count — on every referenceCases problem.
 func TestRefineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
+	referenceCases(t, func(_, tag string, p *core.Problem) {
+		checkRefine(t, tag, p, rng)
+	})
+}
 
+// TestBalanceMatchesReference pins PM's balancing loop, which stops at its
+// first sweep that activates no pair and skips the floor scan at a dry
+// controller, to the reference that runs every sweep and scans every switch:
+// the same Solution and residual capacity on every referenceCases problem.
+// The exit has to be exercised: some ATT case and some synthetic case must
+// skip at least two sweeps.
+func TestBalanceMatchesReference(t *testing.T) {
+	skipped := map[string]int{}
+	referenceCases(t, func(kind, tag string, p *core.Problem) {
+		noOps, err := core.BalanceVsReference(p)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		skipped[kind] = max(skipped[kind], noOps)
+	})
+	t.Logf("most no-op sweeps skipped in one case: %v", skipped)
+	for _, kind := range []string{"ATT", "synthetic"} {
+		if skipped[kind] < 2 {
+			t.Errorf("no %s case skips two or more sweeps (most: %d)", kind, skipped[kind])
+		}
+	}
+}
+
+// referenceCases calls fn, in a fixed order, on the problems the
+// reference-identity tests share: every ATT failure case at depths 1–5 (all
+// six down is no case), seeded synthetic contexts from scarce to ample
+// capacity at depths 1–2, and the randomized problems of the aggregated ≡
+// per-flow property test. kind names the family: ATT, synthetic or random.
+func referenceCases(t *testing.T, fn func(kind, tag string, p *core.Problem)) {
+	t.Helper()
 	dep, err := topo.ATT()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +113,7 @@ func TestRefineMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ATT %v: %v", failed, err)
 			}
-			checkRefine(t, "ATT "+inst.Label(), inst.Problem, rng)
+			fn("ATT", "ATT "+inst.Label(), inst.Problem)
 		}
 	}
 
@@ -125,7 +157,7 @@ func TestRefineMatchesReference(t *testing.T) {
 						continue // infeasible case (e.g. overload) — not under test
 					}
 					tested++
-					checkRefine(t, fmt.Sprintf("synthetic %d/%d seed %d at %d%% %s", c.n, c.m, c.seed, pct, inst.Label()), inst.Problem, rng)
+					fn("synthetic", fmt.Sprintf("synthetic %d/%d seed %d at %d%% %s", c.n, c.m, c.seed, pct, inst.Label()), inst.Problem)
 				}
 			}
 			if tested == 0 {
@@ -139,6 +171,6 @@ func TestRefineMatchesReference(t *testing.T) {
 		if err := p.Finalize(); err != nil {
 			t.Fatalf("random %d: finalize: %v", it, err)
 		}
-		checkRefine(t, fmt.Sprintf("random %d", it), p, rng)
+		fn("random", fmt.Sprintf("random %d", it), p)
 	}
 }

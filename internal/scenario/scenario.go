@@ -39,7 +39,7 @@ type Instance struct {
 	FlowIDs []flow.ID
 	// Unrecoverable lists offline flows with no eligible (β=1) pair at any
 	// offline switch: no algorithm can restore their programmability, so
-	// they are excluded from the optimization (see DESIGN.md §7).
+	// they are excluded from the optimization (see DESIGN.md §8).
 	Unrecoverable []flow.ID
 
 	// MiddleSite is the node hosting the FlowVisor-style middle layer and

@@ -10,9 +10,10 @@
 package sdnsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmedic/internal/flow"
 	"pmedic/internal/openflow"
@@ -118,21 +119,20 @@ func NewSwitch(id topo.NodeID, legacy []topo.NodeID) *Switch {
 	return &Switch{ID: id, Pipeline: PipelineHybrid, Controller: -1, legacy: legacy}
 }
 
-// InstallEntry adds or replaces the entry for a flow at a priority.
+// InstallEntry adds or replaces the entry for a flow at a priority: keys are
+// unique, so a binary search finds the entry or the sorted insert position.
 func (s *Switch) InstallEntry(e FlowEntry) {
-	for i := range s.entries {
-		if s.entries[i].FlowID == e.FlowID && s.entries[i].Priority == e.Priority {
-			s.entries[i] = e
-			return
+	i, found := slices.BinarySearchFunc(s.entries, e, func(a, b FlowEntry) int {
+		if a.Priority != b.Priority {
+			return cmp.Compare(b.Priority, a.Priority)
 		}
-	}
-	s.entries = append(s.entries, e)
-	sort.SliceStable(s.entries, func(a, b int) bool {
-		if s.entries[a].Priority != s.entries[b].Priority {
-			return s.entries[a].Priority > s.entries[b].Priority
-		}
-		return s.entries[a].FlowID < s.entries[b].FlowID
+		return cmp.Compare(a.FlowID, b.FlowID)
 	})
+	if found {
+		s.entries[i] = e
+		return
+	}
+	s.entries = slices.Insert(s.entries, i, e)
 }
 
 // RemoveEntry deletes all entries for a flow; it reports whether any existed.
