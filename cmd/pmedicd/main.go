@@ -34,8 +34,6 @@
 // With -plan-store the medic serves failure plans from a precompiled plan
 // store (written by pmstore) instead of solving at failure time; the store's
 // topology hash must match the deployment or the daemon refuses to boot.
-// Unswept failure combinations fall back to superset projection + repair,
-// then to a fresh solve.
 //
 // Durations given as 0 pick the detector's defaults (timeout = interval,
 // jitter = interval/4, debounce = 2×interval). -run-for 0 runs until

@@ -65,10 +65,8 @@ type Config struct {
 	ID string
 	// TTL is the lease validity window (default 2s). A leader that cannot
 	// renew within it is deposed; failover latency after SIGKILL is at most
-	// TTL + one campaign interval.
+	// TTL + one campaign interval. Replicas campaign and renew every TTL/3.
 	TTL time.Duration
-	// RenewEvery is the campaign/renew cadence (default TTL/3).
-	RenewEvery time.Duration
 	// Seed decorrelates campaign jitter between replicas.
 	Seed int64
 	// OnElected fires on the campaign goroutine when this replica acquires
@@ -80,9 +78,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.TTL <= 0 {
 		c.TTL = 2 * time.Second
-	}
-	if c.RenewEvery <= 0 {
-		c.RenewEvery = c.TTL / 3
 	}
 	return c
 }
@@ -203,7 +198,8 @@ func Leader(dir string) (Lease, error) {
 func (e *Elector) campaignLoop() {
 	defer e.wg.Done()
 	rng := rand.New(rand.NewSource(e.cfg.Seed ^ int64(len(e.cfg.ID))*0x5DEECE66D))
-	timer := time.NewTimer(time.Duration(rng.Int63n(int64(e.cfg.RenewEvery) + 1)))
+	every := e.cfg.TTL / 3
+	timer := time.NewTimer(time.Duration(rng.Int63n(int64(every) + 1)))
 	defer timer.Stop()
 	for {
 		select {
@@ -214,7 +210,7 @@ func (e *Elector) campaignLoop() {
 		e.campaign()
 		// Jitter up to a quarter interval so replicas with identical seeds
 		// still decorrelate their file contention.
-		timer.Reset(e.cfg.RenewEvery + time.Duration(rng.Int63n(int64(e.cfg.RenewEvery)/4+1)))
+		timer.Reset(every + time.Duration(rng.Int63n(int64(every)/4+1)))
 	}
 }
 

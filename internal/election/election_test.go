@@ -21,7 +21,7 @@ func waitCond(t *testing.T, what string, within time.Duration, cond func() bool)
 func newElector(t *testing.T, dir, id string, ttl time.Duration, elected, deposed *atomic.Uint64) *Elector {
 	t.Helper()
 	e, err := New(Config{
-		Dir: dir, ID: id, TTL: ttl, RenewEvery: ttl / 4, Seed: int64(len(id)),
+		Dir: dir, ID: id, TTL: ttl, Seed: int64(len(id)),
 		OnElected: func(uint64) {
 			if elected != nil {
 				elected.Add(1)

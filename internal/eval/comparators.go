@@ -31,24 +31,14 @@ func Comparators(lambda float64, optBudget time.Duration, skipOptimal bool) []Al
 	if skipOptimal {
 		return algs
 	}
-	// A warm start that PM could not give is one Optimal does without.
-	exact := func(inst *scenario.Instance, warm *core.Solution) (*core.Solution, error) {
-		if warm == nil {
-			warm, _ = core.PM(problem(inst))
-		}
+	// Optimal warm-starts from PM's deterministic plan for the case; a warm
+	// start that PM could not give is one it does without.
+	return append(algs, Algorithm{Name: "Optimal", Run: func(inst *scenario.Instance) (*core.Solution, error) {
+		warm, _ := core.PM(problem(inst))
 		sol, err := opt.Solve(problem(inst), opt.Options{TimeLimit: optBudget, Warm: warm})
 		if errors.Is(err, opt.ErrNoSolution) {
 			return nil, fmt.Errorf("%w: %v", ErrNoResult, err)
 		}
 		return sol, err
-	}
-	return append(algs, Algorithm{
-		Name: "Optimal",
-		Run:  func(inst *scenario.Instance) (*core.Solution, error) { return exact(inst, nil) },
-		// In a sweep the harness hands over the PM solution already computed
-		// for the case, so the warm start is free.
-		RunSeeded: func(inst *scenario.Instance, prior map[string]*core.Solution) (*core.Solution, error) {
-			return exact(inst, prior["PM"])
-		},
-	})
+	}})
 }

@@ -13,9 +13,9 @@ const (
 	SweepScratch
 )
 
-// ForEachCaseMode is ForEachCase; the mode is ignored.
-func ForEachCaseMode(ctx *scenario.Context, combos [][]int, workers int, _ SweepMode, fn func(idx int, inst *scenario.Instance) error) error {
-	return ForEachCase(ctx, combos, workers, fn)
+// ForEachCaseMode is ForEachCase; the worker count and the mode are ignored.
+func ForEachCaseMode(ctx *scenario.Context, combos [][]int, _ int, _ SweepMode, fn func(idx int, inst *scenario.Instance) error) error {
+	return ForEachCase(ctx, combos, fn)
 }
 
 // GrayCombinations returns all k-subsets of {0..m-1} (each sorted ascending)

@@ -14,8 +14,8 @@ import (
 // TestSweepDeterminism is the sweep engine's acceptance gate: a sweep must
 // produce the same CaseResult slice — same case order, same instances, same
 // reports, same cached statistics — as compiling and evaluating the cases one
-// after another without the engine, no matter how many workers run it, and
-// repeated parallel runs must agree with each other. Only the wall-clock
+// after another without the engine, at any GOMAXPROCS, and repeated
+// parallel runs must agree with each other. Only the wall-clock
 // Runtime fields are exempt, and they are zeroed before comparing.
 func TestSweepDeterminism(t *testing.T) {
 	dep, flows := fixtures(t)
@@ -43,19 +43,21 @@ func TestSweepDeterminism(t *testing.T) {
 	if len(reference) != 15 {
 		t.Fatalf("2-failure enumeration has %d cases, want 15", len(reference))
 	}
-	for _, workers := range []int{1, 3, 8} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
 		for round := 0; round < 2; round++ {
-			cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Workers: workers, Context: ctx})
+			cases, err := SweepOpts(dep, flows, 2, heuristics(), Options{Context: ctx})
 			if err != nil {
-				t.Fatalf("Workers=%d: %v", workers, err)
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 			}
 			if len(cases) != len(reference) {
-				t.Fatalf("Workers=%d: %d cases, want %d", workers, len(cases), len(reference))
+				t.Fatalf("GOMAXPROCS %d: %d cases, want %d", procs, len(cases), len(reference))
 			}
 			for i := range zeroRuntimes(cases) {
 				if !reflect.DeepEqual(reference[i], cases[i]) {
-					t.Errorf("case %d (%s): Workers=%d run %d differs from the sequential pass",
-						i, reference[i].Label, workers, round)
+					t.Errorf("case %d (%s): GOMAXPROCS %d run %d differs from the sequential pass",
+						i, reference[i].Label, procs, round)
 				}
 			}
 		}
@@ -65,7 +67,8 @@ func TestSweepDeterminism(t *testing.T) {
 // TestForEachCaseLowestErrorWins pins the engine's error contract: whichever
 // cases fail and in whatever order the workers get to them, the error
 // returned is the failing case with the lowest index, and a case that does
-// not compile fails wrapped as "eval: case […]". CI runs it -race -count=50.
+// not compile fails wrapped as "eval: case […]", at any GOMAXPROCS. CI runs it
+// -race -count=50.
 func TestForEachCaseLowestErrorWins(t *testing.T) {
 	dep, flows := fixtures(t)
 	ctx, err := scenario.NewContext(dep, flows)
@@ -75,8 +78,10 @@ func TestForEachCaseLowestErrorWins(t *testing.T) {
 	// 15 plannable cases, then one that lists a controller twice.
 	combos := append(scenario.Combinations(len(dep.Controllers), 2), []int{0, 0})
 	failAt := func(idx int) error { return fmt.Errorf("fn failed at %d", idx) }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for round := 0; round < 20; round++ {
-		err := ForEachCase(ctx, combos, 8, func(idx int, _ *scenario.Instance) error {
+		runtime.GOMAXPROCS([]int{1, 3, 8}[round%3])
+		err := ForEachCase(ctx, combos, func(idx int, _ *scenario.Instance) error {
 			switch idx {
 			case 2:
 				// Give the higher failing cases every chance to land first.
@@ -93,7 +98,7 @@ func TestForEachCaseLowestErrorWins(t *testing.T) {
 			t.Fatalf("round %d: error = %v, want case 2's", round, err)
 		}
 
-		err = ForEachCase(ctx, combos, 8, func(int, *scenario.Instance) error { return nil })
+		err = ForEachCase(ctx, combos, func(int, *scenario.Instance) error { return nil })
 		if !errors.Is(err, scenario.ErrBadCase) || !strings.HasPrefix(err.Error(), "eval: case [0 0]: ") {
 			t.Fatalf("round %d: error = %v, want the unplannable case wrapped as eval: case [0 0]", round, err)
 		}
@@ -113,7 +118,7 @@ func TestSweepOptsSharedContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := SweepOpts(dep, flows, k, heuristics(), Options{Context: ctx, Workers: 4})
+		shared, err := SweepOpts(dep, flows, k, heuristics(), Options{Context: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}

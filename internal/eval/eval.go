@@ -26,20 +26,6 @@ import (
 type Algorithm struct {
 	Name string
 	Run  func(inst *scenario.Instance) (*core.Solution, error)
-	// RunSeeded, when non-nil, replaces Run for cases evaluated by the
-	// harness: it additionally receives the solutions of the algorithms that
-	// ran earlier in the same case, keyed by name (absent when they reported
-	// ErrNoResult). The Optimal comparator uses it to warm-start branch &
-	// bound from the PM solution already computed for the case.
-	RunSeeded func(inst *scenario.Instance, prior map[string]*core.Solution) (*core.Solution, error)
-}
-
-// run dispatches to RunSeeded when available, else Run.
-func (a Algorithm) run(inst *scenario.Instance, prior map[string]*core.Solution) (*core.Solution, error) {
-	if a.RunSeeded != nil {
-		return a.RunSeeded(inst, prior)
-	}
-	return a.Run(inst)
 }
 
 // ErrNoResult marks an algorithm that produced no solution for a case;
@@ -65,15 +51,9 @@ func (c *CaseResult) Report(name string) *core.Report {
 	return c.Reports[name]
 }
 
-// Options tunes SweepOpts's evaluation engine. The zero value selects the
-// defaults: one worker per available CPU and a fresh scenario context.
+// Options tunes SweepOpts's evaluation engine. The zero value builds a
+// fresh scenario context.
 type Options struct {
-	// Workers bounds the number of failure cases evaluated concurrently.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs the cases one after another
-	// on the calling goroutine. Whatever the worker count, the returned
-	// slice is in exact lexicographic case order and its contents are
-	// identical (up to wall-clock Runtime fields) to a sequential run.
-	Workers int
 	// Context, when non-nil, supplies the precomputed failure-independent
 	// scenario state; nil builds one for the sweep. Share one Context across
 	// repeated sweeps over the same deployment and workload.
@@ -81,9 +61,10 @@ type Options struct {
 }
 
 // SweepOpts runs every algorithm over every failure combination of size k and
-// returns one CaseResult per case: the cases fan out over a bounded worker
-// pool sharing one immutable scenario.Context, and the results land in
-// lexicographic case order regardless of completion order.
+// returns one CaseResult per case: the cases fan out over ForEachCase's
+// GOMAXPROCS workers sharing one immutable scenario.Context, and the results
+// land in lexicographic case order, identical (up to wall-clock Runtime
+// fields) to a sequential run whatever GOMAXPROCS is.
 func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, opts Options) ([]*CaseResult, error) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -95,7 +76,7 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 	}
 	combos := scenario.Combinations(len(dep.Controllers), k)
 	results := make([]*CaseResult, len(combos))
-	err := ForEachCase(ctx, combos, opts.Workers, func(idx int, inst *scenario.Instance) error {
+	err := ForEachCase(ctx, combos, func(idx int, inst *scenario.Instance) error {
 		cr, err := evalCase(inst, combos[idx], algs)
 		if err != nil {
 			return err
@@ -112,16 +93,16 @@ func SweepOpts(dep *topo.Deployment, flows *flow.Set, k int, algs []Algorithm, o
 // ForEachCase compiles every failure combination off the shared context with
 // scenario.Context.Build and calls fn with the compiled instance under the
 // case's index in combos, so results are independent of the worker count.
-// The cases go out over par.For, each worker taking the next index as it
-// frees up, which keeps the pool balanced when single cases run for minutes
-// (Optimal). fn runs concurrently for distinct indices and must only touch
+// The cases go out over par.For to GOMAXPROCS workers, each taking the next
+// index as it frees up, which keeps the pool balanced when single cases run
+// for minutes (Optimal); GOMAXPROCS=1 runs them in order on the calling
+// goroutine. fn runs concurrently for distinct indices and must only touch
 // state it owns (writing to its own slot of a results slice is the intended
 // pattern). Errors are deterministic regardless of scheduling: the failing
 // case with the lowest index wins, and a case that does not compile fails as
-// "eval: case […]". workers <= 0 selects one worker per available CPU; 1 runs
-// the cases in order on the calling goroutine. The plan-store compiler and
-// the sweep harness share this engine (DESIGN §10).
-func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx int, inst *scenario.Instance) error) error {
+// "eval: case […]". The plan-store compiler and the sweep harness share this
+// engine (DESIGN §10).
+func ForEachCase(ctx *scenario.Context, combos [][]int, fn func(idx int, inst *scenario.Instance) error) error {
 	// lowest is the lowest index that has failed so far. Cases above it are
 	// skipped; a case below it still runs, because it may fail too and then
 	// wins, so the error returned is the lowest failing case's whatever the
@@ -132,7 +113,7 @@ func ForEachCase(ctx *scenario.Context, combos [][]int, workers int, fn func(idx
 		lowest   atomic.Int64
 	)
 	lowest.Store(int64(len(combos)))
-	par.For(len(combos), workers, func(_, idx int) {
+	par.For(len(combos), 0, func(idx int) {
 		if int64(idx) > lowest.Load() {
 			return
 		}
@@ -163,16 +144,14 @@ func evalCase(inst *scenario.Instance, failed []int, algs []Algorithm) (*CaseRes
 		Reports:  make(map[string]*core.Report, len(algs)),
 		progBox:  make(map[string]BoxStat, len(algs)),
 	}
-	prior := make(map[string]*core.Solution, len(algs))
 	for _, alg := range algs {
-		sol, err := alg.run(inst, prior)
+		sol, err := alg.Run(inst)
 		if errors.Is(err, ErrNoResult) {
 			continue
 		}
 		if err != nil {
 			return nil, fmt.Errorf("eval: case %v: %s: %w", failed, alg.Name, err)
 		}
-		prior[alg.Name] = sol
 		rep, err := inst.Evaluate(sol)
 		if err != nil {
 			return nil, fmt.Errorf("eval: case %v: %s: %w", failed, alg.Name, err)

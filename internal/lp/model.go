@@ -213,12 +213,10 @@ type Factorization int
 
 // Factorization choices.
 const (
-	// FactorAuto (the default) is the sparse eta file.
-	FactorAuto Factorization = iota
+	// FactorSparse (the default) is the product-form eta file.
+	FactorSparse Factorization = iota
 	// FactorDense forces the dense explicit inverse.
 	FactorDense
-	// FactorSparse forces the product-form eta file.
-	FactorSparse
 )
 
 // feasTol is the simplex's feasibility and optimality tolerance.
@@ -229,7 +227,7 @@ type Options struct {
 	// MaxIters bounds simplex iterations per phase (default 50 000).
 	MaxIters int
 	// Factorization selects the basis-inverse representation (default
-	// FactorAuto).
+	// FactorSparse).
 	Factorization Factorization
 	// Warm, when non-nil, attempts to start from a basis exported by a
 	// previous solve of the same model (Solution.Basis). A warm basis that

@@ -130,7 +130,7 @@ func TestSparseDenseEquivalence(t *testing.T) {
 }
 
 // TestSparseDenseEquivalenceLarge drives the equivalence on larger LPs, with
-// the eta path as FactorAuto selects it.
+// the eta path as the zero Options select it.
 func TestSparseDenseEquivalenceLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {

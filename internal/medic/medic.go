@@ -91,8 +91,7 @@ type Config struct {
 	Solve func(*core.Problem) (*core.Solution, error)
 	// Plans, when set, is the precompiled plan store consulted before every
 	// solve: an exact hit serves the stored plan (byte-identical to a fresh
-	// solve), an uncompiled set falls back to the nearest superset plan plus
-	// a residual repair, and only a miss pays the full solve. The store's
+	// solve), and any other set is a miss that pays the solve. The store's
 	// lifecycle (Open/Close) belongs to the caller. A store whose topology
 	// hash does not match Dep and Flows is refused: New returns an error
 	// wrapping planstore.ErrMismatch.
@@ -580,28 +579,23 @@ func (m *Medic) plan(epoch uint64, inst *scenario.Instance) (*core.Solution, err
 	}
 
 	if len(demoted) == 0 {
-		// Failure-time fast path: serve the plan from the precompiled store
-		// when one is wired. A store error (corrupt record, unplannable
-		// superset) degrades to the solve path — the daemon keeps recovering
-		// on a broken store, it just recovers slower.
+		// Failure-time fast path: serve the exact plan from the precompiled
+		// store when one is wired. A corrupt record degrades to the solve —
+		// the daemon keeps recovering on a broken store, it just recovers
+		// slower.
 		if m.cfg.Plans != nil {
-			sol, outcome, err := m.cfg.Plans.Consult(m.ctx, inst, m.cfg.Solve)
-			switch {
-			case err != nil:
+			start := time.Now()
+			if rec, ok := m.cfg.Plans.Exact(inst.Failed); !ok {
+				m.metrics.addPlanMiss()
+			} else if sol, err := m.cfg.Plans.Decode(rec, inst); err != nil {
 				m.metrics.addPlanError()
 				m.logf(KindError, "epoch %d: plan store for %s: %v", epoch, inst.Label(), err)
-			case outcome == planstore.OutcomeHit:
+			} else {
+				sol.Runtime = time.Since(start)
 				m.metrics.addPlanHit()
 				m.logf(KindPlan, "epoch %d: plan for %s served from the plan store in %s",
 					epoch, inst.Label(), sol.Runtime)
 				return sol, nil
-			case outcome == planstore.OutcomeFallback:
-				m.metrics.addPlanFallback()
-				m.logf(KindPlan, "epoch %d: plan for %s projected from a precompiled superset plan and repaired in %s",
-					epoch, inst.Label(), sol.Runtime)
-				return sol, nil
-			default:
-				m.metrics.addPlanMiss()
 			}
 		}
 		return m.cfg.Solve(inst.Problem)

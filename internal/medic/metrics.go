@@ -65,10 +65,9 @@ type Metrics struct {
 	term        atomic.Uint64
 
 	// Plan-store consultation outcomes; rendered only when a store is wired.
-	planHits      atomic.Uint64
-	planFallbacks atomic.Uint64
-	planMisses    atomic.Uint64
-	planErrors    atomic.Uint64
+	planHits   atomic.Uint64
+	planMisses atomic.Uint64
+	planErrors atomic.Uint64
 
 	// reconcile times a whole reconcile pass; push and restore time the wire
 	// drivers inside it (one Pusher call, one Restorer call), the stage that
@@ -102,7 +101,6 @@ func (x *Metrics) addPushRetries(n uint64) { x.pushRetries.Add(n) }
 func (x *Metrics) addFenced(n uint64)      { x.fenced.Add(n) }
 func (x *Metrics) addRestore()             { x.restores.Add(1) }
 func (x *Metrics) addPlanHit()             { x.planHits.Add(1) }
-func (x *Metrics) addPlanFallback()        { x.planFallbacks.Add(1) }
 func (x *Metrics) addPlanMiss()            { x.planMisses.Add(1) }
 func (x *Metrics) addPlanError()           { x.planErrors.Add(1) }
 
@@ -115,10 +113,10 @@ func (x *Metrics) setLeader(leader bool, term uint64) {
 	x.term.Store(term)
 }
 
-// PlanStoreCounts returns the plan-store outcome counters (hits, superset
-// fallbacks, misses, errors) — a test and status convenience.
-func (x *Metrics) PlanStoreCounts() (hits, fallbacks, misses, errors uint64) {
-	return x.planHits.Load(), x.planFallbacks.Load(), x.planMisses.Load(), x.planErrors.Load()
+// PlanStoreCounts returns the plan-store outcome counters (hits, misses,
+// errors) — a test and status convenience.
+func (x *Metrics) PlanStoreCounts() (hits, misses, errors uint64) {
+	return x.planHits.Load(), x.planMisses.Load(), x.planErrors.Load()
 }
 
 // WriteTo renders the registry in Prometheus text format.
@@ -159,7 +157,6 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 
 	if x.plansEnabled {
 		counter("pmedicd_planstore_hits_total", "Recovery plans served from the precompiled plan store.", x.planHits.Load())
-		counter("pmedicd_planstore_fallbacks_total", "Recovery plans projected from a precompiled superset plan.", x.planFallbacks.Load())
 		counter("pmedicd_planstore_misses_total", "Failure sets absent from the plan store (full solve paid).", x.planMisses.Load())
 		counter("pmedicd_planstore_errors_total", "Plan-store consultations that failed and degraded to a solve.", x.planErrors.Load())
 	}

@@ -39,14 +39,14 @@ func newPlanMedic(t *testing.T, rec *recorder, ps *planstore.Store) (*Medic, cha
 
 // TestPlanStoreServesMedic is the end-to-end contract of the plan store
 // inside the daemon, driven through the reconcile loop against a sparse
-// store holding only the {3,4} plan:
+// store holding only the {3,4} plan: the daemon adopts a stored exact plan
+// or a solve, nothing else.
 //
-//   - a precompiled failure set is served as a hit, and the pushed plan is
-//     byte-identical to what a fresh PM solve would have produced;
-//   - a subset of a compiled set ({3}) is served as a projected+repaired
-//     fallback that stays feasible;
-//   - a set no compiled plan covers ({0,3}) is a miss and degrades to the
-//     ordinary solve path.
+//   - a precompiled failure set is served as a hit;
+//   - a subset of a compiled set ({3}) and a set no compiled plan covers
+//     ({0,3}) are misses that pay the ordinary solve;
+//   - every pushed plan is byte-identical to a fresh PM solve of its set,
+//     and /metrics counts hits, misses and errors, no fallbacks.
 func TestPlanStoreServesMedic(t *testing.T) {
 	dep, flows := testFixture(t)
 	path := filepath.Join(t.TempDir(), "att.pmps")
@@ -58,75 +58,65 @@ func TestPlanStoreServesMedic(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ps.Close() })
-
-	rec := &recorder{}
-	m, events := newPlanMedic(t, rec, ps)
-
-	// Hit: the correlated pair {3,4} was precompiled.
-	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
-	hits, fallbacks, misses, errs := m.Metrics().PlanStoreCounts()
-	if hits != 1 || fallbacks != 0 || misses != 0 || errs != 0 {
-		t.Fatalf("after hit: hits=%d fallbacks=%d misses=%d errors=%d, want 1/0/0/0", hits, fallbacks, misses, errs)
-	}
-	if !hasLogKind(st, KindPlan, "served from the plan store") {
-		t.Fatalf("no plan-store hit log entry in %+v", st.Events)
-	}
 	ctx, err := scenario.NewContext(dep, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := ctx.Build([]int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.PM(inst.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.mu.Lock()
-	got := rec.sols[0]
-	rec.mu.Unlock()
-	if got.Algorithm != want.Algorithm ||
-		!reflect.DeepEqual(got.SwitchController, want.SwitchController) ||
-		!reflect.DeepEqual(got.Active, want.Active) {
-		t.Fatalf("stored plan for {3,4} is not byte-identical to a fresh PM solve:\n got %v\nwant %v",
-			got.SwitchController, want.SwitchController)
-	}
 
-	// Fallback: {3} was never compiled, but {3,4} is a strict superset.
-	events <- monitor.Event{Seq: 2, Recovered: []int{4}, At: time.Now()}
-	st = waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
-	hits, fallbacks, misses, errs = m.Metrics().PlanStoreCounts()
-	if hits != 1 || fallbacks != 1 || misses != 0 || errs != 0 {
-		t.Fatalf("after fallback: hits=%d fallbacks=%d misses=%d errors=%d, want 1/1/0/0", hits, fallbacks, misses, errs)
+	rec := &recorder{}
+	m, events := newPlanMedic(t, rec, ps)
+	steps := []struct {
+		ev           monitor.Event
+		failed       []int
+		hits, misses uint64
+		log          string
+	}{
+		{monitor.Event{Seq: 1, Failed: []int{3, 4}}, []int{3, 4}, 1, 0, "served from the plan store"},
+		{monitor.Event{Seq: 2, Recovered: []int{4}}, []int{3}, 1, 1, ""},
+		{monitor.Event{Seq: 3, Failed: []int{0}}, []int{0, 3}, 1, 2, ""},
 	}
-	if !hasLogKind(st, KindPlan, "projected from a precompiled superset plan") {
-		t.Fatalf("no plan-store fallback log entry in %+v", st.Events)
-	}
-	sub, err := ctx.Build([]int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.mu.Lock()
-	fb := rec.sols[1]
-	rec.mu.Unlock()
-	loads, err := fb.ControllerLoads(sub.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, l := range loads {
-		if l > sub.Problem.Rest[j] {
-			t.Fatalf("fallback plan overloads controller %d: %d > rest %d", j, l, sub.Problem.Rest[j])
+	for n, step := range steps {
+		epoch := uint64(n + 1)
+		step.ev.At = time.Now()
+		events <- step.ev
+		st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == epoch })
+		hits, misses, errs := m.Metrics().PlanStoreCounts()
+		if hits != step.hits || misses != step.misses || errs != 0 {
+			t.Fatalf("after %v: hits=%d misses=%d errors=%d, want %d/%d/0", step.failed, hits, misses, errs, step.hits, step.misses)
+		}
+		if step.log != "" && !hasLogKind(st, KindPlan, step.log) {
+			t.Fatalf("%v: no %q log entry in %+v", step.failed, step.log, st.Events)
+		}
+		inst, err := ctx.Build(step.failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.PM(inst.Problem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.mu.Lock()
+		got := rec.sols[n]
+		rec.mu.Unlock()
+		if got.Algorithm != want.Algorithm ||
+			!reflect.DeepEqual(got.SwitchController, want.SwitchController) ||
+			!reflect.DeepEqual(got.Active, want.Active) {
+			t.Fatalf("plan for %v is not byte-identical to a fresh PM solve:\n got %v\nwant %v",
+				step.failed, got.SwitchController, want.SwitchController)
 		}
 	}
 
-	// Miss: {0,3} has no compiled plan and no compiled superset.
-	events <- monitor.Event{Seq: 3, Failed: []int{0}, At: time.Now()}
-	waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 3 })
-	hits, fallbacks, misses, errs = m.Metrics().PlanStoreCounts()
-	if hits != 1 || fallbacks != 1 || misses != 1 || errs != 0 {
-		t.Fatalf("after miss: hits=%d fallbacks=%d misses=%d errors=%d, want 1/1/1/0", hits, fallbacks, misses, errs)
+	var page strings.Builder
+	if _, err := m.Metrics().WriteTo(&page); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"pmedicd_planstore_hits_total 1\n", "pmedicd_planstore_misses_total 2\n", "pmedicd_planstore_errors_total 0\n"} {
+		if !strings.Contains(page.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if strings.Contains(page.String(), "fallback") {
+		t.Errorf("/metrics renders a plan-store fallback counter:\n%s", page.String())
 	}
 }
 

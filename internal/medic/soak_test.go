@@ -159,11 +159,10 @@ func TestDaemonKillLeaderSoak(t *testing.T) {
 	dir := t.TempDir()
 	leaseCfg := func(id string, seed int64) election.Config {
 		return election.Config{
-			Dir:        dir,
-			ID:         id,
-			TTL:        300 * time.Millisecond,
-			RenewEvery: 100 * time.Millisecond,
-			Seed:       seed,
+			Dir:  dir,
+			ID:   id,
+			TTL:  300 * time.Millisecond,
+			Seed: seed,
 		}
 	}
 

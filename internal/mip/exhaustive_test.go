@@ -56,7 +56,7 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 					x[v] = 1
 				}
 			}
-			if obj, ok := m.checkPoint(x, zeros(nv), ones(nv), 1e-6); ok && obj > best {
+			if obj, ok := m.checkPoint(x, zeros(nv), ones(nv)); ok && obj > best {
 				best = obj
 			}
 		}

@@ -161,8 +161,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// MaxNodes bounds explored nodes (default 1 000 000).
 	MaxNodes int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Incumbent optionally warm-starts the search with a known point. It is
 	// validated against bounds, integrality, and rows; an infeasible warm
 	// start is silently ignored.
@@ -179,14 +177,14 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 1_000_000
 	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
 	return o
 }
 
 // ErrModel reports a malformed model.
 var ErrModel = errors.New("mip: invalid model")
+
+// intTol is the integrality tolerance.
+const intTol = 1e-6
 
 // frontierWidth is how many open nodes each bulk-synchronous round expands.
 // Expansion is serial, so any width would do; 8 stays because it defines the
@@ -258,7 +256,7 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 	}
 
 	if len(opts.Incumbent) == nv {
-		if obj, ok := m.checkPoint(opts.Incumbent, origLo, origHi, opts.IntTol); ok {
+		if obj, ok := m.checkPoint(opts.Incumbent, origLo, origHi); ok {
 			accept(opts.Incumbent, obj)
 		}
 	}
@@ -361,12 +359,12 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 			if nd.depth == 0 || res.Nodes%64 == 0 {
 				// Rounding + caller-supplied repair heuristics: cheap incumbents
 				// to enable pruning.
-				if x, obj, ok := m.roundHeuristic(ex.x, origLo, origHi, opts.IntTol); ok {
+				if x, obj, ok := m.roundHeuristic(ex.x, origLo, origHi); ok {
 					accept(x, obj)
 				}
 				if opts.Heuristic != nil {
 					if cand := opts.Heuristic(ex.x); len(cand) == nv {
-						if obj, ok := m.checkPoint(cand, origLo, origHi, opts.IntTol); ok {
+						if obj, ok := m.checkPoint(cand, origLo, origHi); ok {
 							accept(cand, obj)
 						}
 					}
@@ -466,7 +464,7 @@ func (m *Model) expandNode(clone *lp.Model, nd *node, origLo, origHi []float64, 
 	ex.obj = sol.Objective
 	ex.x = sol.X
 	ex.basis = sol.Basis
-	worst := opts.IntTol
+	worst := intTol
 	for v := 0; v < nv; v++ {
 		if !m.integer[v] {
 			continue
@@ -517,7 +515,7 @@ func appendFix(fs []fix, f fix) []fix {
 // roundHeuristic rounds the relaxation point to the nearest integers,
 // clamps to bounds, and accepts it if all rows hold. It returns the point
 // and its objective value.
-func (m *Model) roundHeuristic(x []float64, lo, hi []float64, tol float64) ([]float64, float64, bool) {
+func (m *Model) roundHeuristic(x []float64, lo, hi []float64) ([]float64, float64, bool) {
 	nv := len(x)
 	cand := make([]float64, nv)
 	for v := 0; v < nv; v++ {
@@ -527,21 +525,21 @@ func (m *Model) roundHeuristic(x []float64, lo, hi []float64, tol float64) ([]fl
 		}
 		cand[v] = math.Max(lo[v], math.Min(hi[v], cand[v]))
 	}
-	obj, ok := m.checkPoint(cand, lo, hi, tol)
+	obj, ok := m.checkPoint(cand, lo, hi)
 	if !ok {
 		return nil, 0, false
 	}
 	return cand, obj, true
 }
 
-// checkPoint verifies a point against bounds, integrality, and all rows, and
-// returns its objective value.
-func (m *Model) checkPoint(x []float64, lo, hi []float64, tol float64) (float64, bool) {
+// checkPoint verifies a point against bounds, integrality (within intTol), and
+// all rows, and returns its objective value.
+func (m *Model) checkPoint(x []float64, lo, hi []float64) (float64, bool) {
 	for v := range x {
 		if x[v] < lo[v]-1e-7 || x[v] > hi[v]+1e-7 {
 			return 0, false
 		}
-		if m.integer[v] && math.Abs(x[v]-math.Round(x[v])) > tol {
+		if m.integer[v] && math.Abs(x[v]-math.Round(x[v])) > intTol {
 			return 0, false
 		}
 	}

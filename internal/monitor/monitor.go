@@ -116,7 +116,8 @@ type Config struct {
 	// watched session.
 	Interval time.Duration
 	// Jitter adds a uniform [0, Jitter) seeded extra delay per tick (default
-	// Interval/4) so probe loops decorrelate instead of thundering together.
+	// Interval/4, at least 1ns) so probe loops decorrelate instead of
+	// thundering together.
 	Jitter time.Duration
 	// Timeout bounds each probe, and the dial of a watched session (default
 	// Interval).
@@ -144,7 +145,7 @@ func (c Config) withDefaults() Config {
 		c.Interval = 500 * time.Millisecond
 	}
 	if c.Jitter <= 0 {
-		c.Jitter = c.Interval / 4
+		c.Jitter = max(c.Interval/4, 1)
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = c.Interval

@@ -216,6 +216,27 @@ func TestOpenflowProbeAgainstEchoServer(t *testing.T) {
 	}
 }
 
+// TestNanosecondIntervalProbes: an Interval under 4ns must not default Jitter
+// to 0, whose jitter draw, rand.Int63n(0), panics on the first tick; from 4ns
+// up the default stays Interval/4, so the seeded schedule is unchanged.
+func TestNanosecondIntervalProbes(t *testing.T) {
+	for _, c := range []struct{ interval, jitter time.Duration }{{3, 1}, {4, 1}, {500 * time.Millisecond, 125 * time.Millisecond}} {
+		if got := (Config{Interval: c.interval}).withDefaults().Jitter; got != c.jitter {
+			t.Errorf("Interval %v: default Jitter %v, want %v", c.interval, got, c.jitter)
+		}
+	}
+	fleet := newFakeFleet("a")
+	m := New([]Target{{ID: 0, Addr: "a"}}, Config{Interval: 3 * time.Nanosecond, Seed: 1, Probe: fleet.probe})
+	m.Start()
+	defer m.Stop()
+	for deadline := time.Now().Add(2 * time.Second); m.State()[0].Probes < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("probed %d times in 2s", m.State()[0].Probes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestStopClosesEventStream(t *testing.T) {
 	fleet := newFakeFleet("a")
 	m := New([]Target{{ID: 0, Addr: "a"}}, fastConfig(fleet.probe))

@@ -101,23 +101,25 @@ func TestATTTreesPinned(t *testing.T) {
 	}
 }
 
-// TestRequireProvedRefusesIncompleteSearch: an incumbent beside unexplored
-// nodes — whether a budget left them open or branch & bound dropped a node
-// whose relaxation hit the LP iteration limit, mip reports both as feasible —
-// is returned by default and refused under RequireProved.
-func TestRequireProvedRefusesIncompleteSearch(t *testing.T) {
+// TestIncompleteSearchIsNotProved: an incumbent beside unexplored nodes —
+// whether a budget left them open or branch & bound dropped a node whose
+// relaxation hit the LP iteration limit, mip reports both as feasible — is
+// returned, and Result.Proved says it is not a proof; a search that ends
+// without an incumbent is ErrNoSolution.
+func TestIncompleteSearchIsNotProved(t *testing.T) {
 	incomplete := &mip.Result{Status: mip.StatusFeasible, Objective: 4, Bound: math.Inf(1), Gap: math.Inf(1), Nodes: 1}
-	if err := (Options{}).refusal(incomplete); err != nil {
-		t.Fatalf("default options refuse an unproved incumbent: %v", err)
+	if err := refusal(incomplete); err != nil {
+		t.Fatalf("an unproved incumbent is refused: %v", err)
 	}
-	if err := (Options{RequireProved: true}).refusal(incomplete); !errors.Is(err, ErrNoSolution) {
-		t.Fatalf("RequireProved accepted an unproved incumbent (err %v)", err)
+	if (&Result{Result: incomplete}).Proved() {
+		t.Fatal("an unproved incumbent reads as proved")
 	}
-	if err := (Options{RequireProved: true}).refusal(&mip.Result{Status: mip.StatusOptimal}); err != nil {
-		t.Fatalf("RequireProved refused a proved optimum: %v", err)
+	optimal := &mip.Result{Status: mip.StatusOptimal}
+	if err := refusal(optimal); err != nil || !(&Result{Result: optimal}).Proved() {
+		t.Fatalf("a proved optimum: err %v, proved %v", err, (&Result{Result: optimal}).Proved())
 	}
 	for _, st := range []mip.Status{mip.StatusUnknown, mip.StatusInfeasible, mip.StatusUnbounded} {
-		if err := (Options{}).refusal(&mip.Result{Status: st}); !errors.Is(err, ErrNoSolution) {
+		if err := refusal(&mip.Result{Status: st}); !errors.Is(err, ErrNoSolution) {
 			t.Fatalf("status %v: err %v, want ErrNoSolution", st, err)
 		}
 	}

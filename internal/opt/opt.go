@@ -43,11 +43,6 @@ type Options struct {
 	// used only if it is feasible for the model, i.e. recovers every flow
 	// and respects the delay budget).
 	Warm *core.Solution
-	// RequireProved makes Solve return ErrNoSolution unless optimality was
-	// proved (tree exhausted, no node dropped); by default the incumbent of
-	// an incomplete search is returned, matching how a time-limited GUROBI
-	// run is reported.
-	RequireProved bool
 }
 
 func (o Options) withDefaults() Options {
@@ -126,7 +121,7 @@ func Search(p *core.Problem, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("opt: %w", err)
 	}
 	res := &Result{Result: mres}
-	if err := opts.refusal(mres); err != nil {
+	if err := refusal(mres); err != nil {
 		return res, err
 	}
 	sol := md.extract(mres.X)
@@ -138,16 +133,13 @@ func Search(p *core.Problem, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// refusal is the ErrNoSolution a search outcome amounts to under o, or nil
-// when its incumbent is to be returned.
-func (o Options) refusal(res *mip.Result) error {
+// refusal is the ErrNoSolution a search outcome amounts to, or nil when it
+// has an incumbent to return. The incumbent of an incomplete search is
+// returned, matching how a time-limited GUROBI run is reported;
+// Result.Proved tells the two apart.
+func refusal(res *mip.Result) error {
 	switch res.Status {
-	case mip.StatusOptimal:
-		return nil
-	case mip.StatusFeasible:
-		if o.RequireProved {
-			return fmt.Errorf("%w: not proved after %d nodes (budget expired or a relaxation hit its iteration limit), gap %.3f", ErrNoSolution, res.Nodes, res.Gap)
-		}
+	case mip.StatusOptimal, mip.StatusFeasible:
 		return nil
 	default:
 		return fmt.Errorf("%w: %v after %d nodes", ErrNoSolution, res.Status, res.Nodes)

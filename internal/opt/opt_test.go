@@ -74,13 +74,14 @@ func TestOptimalDominatesHeuristicsWhenProved(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 20 && tested < 8; trial++ {
 		p := smallProblem(t, rng, 1+rng.Intn(3), 1+rng.Intn(3), 2+rng.Intn(6))
-		optSol, err := Solve(p, Options{TimeLimit: 30 * time.Second, RequireProved: true})
-		if errors.Is(err, ErrNoSolution) {
+		res, err := Search(p, Options{TimeLimit: 30 * time.Second})
+		if errors.Is(err, ErrNoSolution) || (err == nil && !res.Proved()) {
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		optSol := res.Solution
 		optRep, err := core.Evaluate(p, optSol, core.EvaluateOptions{})
 		if err != nil {
 			t.Fatal(err)

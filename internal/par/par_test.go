@@ -24,26 +24,14 @@ func TestFor(t *testing.T) {
 			bound = max(min(bound, n), 1)
 
 			calls := make([]atomic.Int32, n)
-			last := make([]int, bound) // last[w]: worker w's latest index; only w writes it
-			for w := range last {
-				last[w] = -1
-			}
 			var inFlight, peak atomic.Int32
 			caller := goid()
-			For(n, workers, func(w, i int) {
+			For(n, workers, func(i int) {
 				cur := inFlight.Add(1)
 				defer inFlight.Add(-1)
 				for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
 				}
 				calls[i].Add(1)
-				if w < 0 || w >= bound {
-					t.Errorf("n=%d workers=%d: worker ID %d outside [0, %d)", n, workers, w, bound)
-					return
-				}
-				if i <= last[w] {
-					t.Errorf("n=%d workers=%d: worker %d took index %d after %d", n, workers, w, i, last[w])
-				}
-				last[w] = i
 				if workers == 1 && goid() != caller {
 					t.Errorf("n=%d workers=1: index %d ran off the calling goroutine", n, i)
 				}

@@ -91,7 +91,7 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 	// Solve and delta-encode every case in parallel; slots keep the results
 	// in enumeration order so the file is deterministic.
 	payloads := make([][]byte, len(combos))
-	err := eval.ForEachCase(ctx, combos, 0, func(idx int, inst *scenario.Instance) error {
+	err := eval.ForEachCase(ctx, combos, func(idx int, inst *scenario.Instance) error {
 		sol, err := core.PM(inst.Problem)
 		if err != nil {
 			return fmt.Errorf("planstore: case %v: %w", combos[idx], err)

@@ -4,9 +4,8 @@
 // (nearest-controller) mapping, and writes one versioned, CRC-framed binary
 // file. A reader memory-maps the file and serves plans by binary search over
 // the sorted failure-set index plus delta application — no optimization on
-// the failure path. Combinations the compiler never saw fall back to the
-// nearest precomputed superset plan projected onto the smaller failure plus
-// an incremental residual repair (see project.go).
+// the failure path. A combination the compiler never saw is a miss, and the
+// caller solves it.
 //
 // File layout (all integers big-endian, matching internal/store's framing):
 //

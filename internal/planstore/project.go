@@ -10,10 +10,13 @@ import (
 	"pmedic/internal/topo"
 )
 
-// transPool recycles Project's controller-translation scratch. The daemon
-// consults the store on every fallback recovery, and the projected mapping
-// used to allocate one deployment-sized slice per consult; pooling keeps the
-// steady-state fallback path free of that per-call garbage.
+// Pinned by benchmark/storeatt.go's consult stream (`planstore.fallback_us`,
+// `planstore.fallbacks`): Consult, Project, Superset and OutcomeFallback have
+// no other caller — the daemon serves Exact + Decode or solves — and go with
+// those probes in the housekeeping `benchmark` PR.
+
+// transPool recycles Project's controller-translation scratch, so a
+// superset projection allocates no deployment-sized slice per call.
 var transPool = sync.Pool{New: func() any { return new([]int) }}
 
 // Project translates a plan compiled for a superset failure (sup.Failed ⊇
@@ -158,12 +161,11 @@ func (o Outcome) String() string {
 	}
 }
 
-// Consult is the store's failure-time policy in one call: serve the exact
-// precompiled plan if the failure set was swept, otherwise project the
-// nearest superset plan and repair its unmapped switches with solve, and
-// report a miss when neither exists. Every error is returned alongside
-// OutcomeMiss so callers can degrade to their own solve path and keep the
-// daemon recovering.
+// Consult serves the exact precompiled plan if the failure set was swept,
+// otherwise projects the nearest superset plan and repairs its unmapped
+// switches with solve, and reports a miss when neither exists. Every error
+// is returned alongside OutcomeMiss. The daemon does not call it: a
+// projected plan is slower than a fresh solve and can be worse.
 func (st *Store) Consult(sctx *scenario.Context, inst *scenario.Instance, solve func(*core.Problem) (*core.Solution, error)) (*core.Solution, Outcome, error) {
 	start := time.Now()
 	if rec, ok := st.Exact(inst.Failed); ok {

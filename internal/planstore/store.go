@@ -183,7 +183,8 @@ func (st *Store) Exact(failed []int) (Rec, bool) {
 // Superset locates the nearest compiled plan for a strict superset of the
 // failure set: fewest extra failed controllers first, smallest key on ties,
 // so the fallback repairs as little as possible. ok is false when no
-// compiled set contains this one.
+// compiled set contains this one. Only Consult calls it, and Consult stays
+// only because benchmark/storeatt.go links it (see project.go).
 func (st *Store) Superset(failed []int) (Rec, bool) {
 	key, ok := KeyOf(failed)
 	if !ok {

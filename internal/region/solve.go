@@ -12,11 +12,6 @@ import (
 
 // SolveOptions tunes the hierarchical solve.
 type SolveOptions struct {
-	// Workers bounds the number of regions solved concurrently. 0 selects
-	// one worker per available CPU; 1 forces a sequential solve. The output
-	// is byte-identical regardless of the worker count: region solves are
-	// independent and merge into disjoint index ranges.
-	Workers int
 	// ImproveRounds bounds the rounds of the anytime improver (core.Improve)
 	// after the coordinator; 0 runs none, leaving only Improve's unmapping of
 	// idle switches. The deadline is counted in rounds, so a given (instance,
@@ -30,9 +25,9 @@ type SolveOptions struct {
 //     holding offline switches) are solved at all.
 //  2. Slice the problem per touched region — region-local switches, flows,
 //     and controller capacity — and run the flat/aggregated PM on each slice,
-//     concurrently on par.For. Each slice is a Problem of its
-//     own and indexes its flow classes itself, so the workers share nothing
-//     they write.
+//     concurrently on par.For's GOMAXPROCS workers. Each slice is a Problem
+//     of its own and indexes its flow classes itself, so the workers share
+//     nothing they write; the output is byte-identical at any GOMAXPROCS.
 //  3. Merge the per-region solutions (disjoint by construction) and run the
 //     border coordinator: whole-switch moves of border switches — plus any
 //     switch stranded in a region with no surviving controller — to
@@ -58,7 +53,7 @@ func SolvePM(inst *scenario.Instance, part *Partition, opts SolveOptions) (*core
 		err error
 	}
 	jobs := make([]job, len(proj.Touched))
-	solveRegion := func(_, x int) {
+	solveRegion := func(x int) {
 		r := proj.Touched[x]
 		keepSw := make([]bool, p.NumSwitches)
 		for i, ri := range proj.SwitchGroup {
@@ -90,7 +85,7 @@ func SolvePM(inst *scenario.Instance, part *Partition, opts SolveOptions) (*core
 		jobs[x].sl, jobs[x].sub = sl, sub
 	}
 
-	par.For(len(jobs), opts.Workers, solveRegion)
+	par.For(len(jobs), 0, solveRegion)
 	for x := range jobs {
 		if jobs[x].err != nil {
 			return nil, fmt.Errorf("region %d: %w", proj.Touched[x], jobs[x].err)

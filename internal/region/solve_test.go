@@ -1,6 +1,7 @@
 package region
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestHierK1MatchesFlatPM(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rounds := range []int{0, 8} {
-			hier, err := SolvePM(inst, part, SolveOptions{Workers: 3, ImproveRounds: rounds})
+			hier, err := SolvePM(inst, part, SolveOptions{ImproveRounds: rounds})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,8 +124,8 @@ func TestHierK1MatchesFlatPM(t *testing.T) {
 }
 
 // TestHierDeterministicAcrossWorkers requires the hierarchical solve to be
-// byte-identical for any worker-pool width (the CI hierarchy job runs this
-// under -race).
+// byte-identical at any GOMAXPROCS, the width of its region pool (the CI
+// sweep job runs this under -race).
 func TestHierDeterministicAcrossWorkers(t *testing.T) {
 	dep, flows := hierFixtures(t)
 	part, err := New(dep, 4, 7)
@@ -135,17 +136,20 @@ func TestHierDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, failed := range [][]int{{0}, {5}, {3, 7}, {1, 10}, {2, 6, 11}} {
 		inst, err := ctx.Build(failed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := SolvePM(inst, part, SolveOptions{Workers: 1, ImproveRounds: 4})
+		runtime.GOMAXPROCS(1)
+		base, err := SolvePM(inst, part, SolveOptions{ImproveRounds: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := SolvePM(inst, part, SolveOptions{Workers: workers, ImproveRounds: 4})
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := SolvePM(inst, part, SolveOptions{ImproveRounds: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

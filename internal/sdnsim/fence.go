@@ -45,7 +45,7 @@ func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fe
 	sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
 
 	results = make([]FenceResult, len(switches))
-	par.For(len(switches), pushConcurrency, func(_, i int) {
+	par.For(len(switches), pushConcurrency, func(i int) {
 		results[i] = fenceOne(opts, addrs[switches[i]], switches[i], gen)
 	})
 

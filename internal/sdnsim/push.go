@@ -394,7 +394,7 @@ func PushRecoveryResilient(
 			mu     sync.Mutex
 			failed []topo.NodeID
 		)
-		par.For(len(work), pushConcurrency, func(_, i int) {
+		par.For(len(work), pushConcurrency, func(i int) {
 			sp := work[i]
 			out := &rep.Outcomes[sp.index]
 			acked, dirty, err := pushSwitch(addrs, sp, &gen, opts)

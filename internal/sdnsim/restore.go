@@ -61,7 +61,7 @@ func RestoreIdeal(
 
 	gen := atomic.Uint64{}
 	gen.Store(opts.GenerationID)
-	par.For(len(work), pushConcurrency, func(_, i int) {
+	par.For(len(work), pushConcurrency, func(i int) {
 		sp := work[i]
 		acked, _, err := pushSwitch(addrs, sp, &gen, opts)
 		out := &rep.Outcomes[sp.index]

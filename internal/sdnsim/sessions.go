@@ -145,7 +145,7 @@ func (s *Sessions) Warm(addrs map[topo.NodeID]string, opts PushOptions) {
 		}
 	}
 	s.mu.Unlock()
-	par.For(len(cold), pushConcurrency, func(_, i int) {
+	par.For(len(cold), pushConcurrency, func(i int) {
 		s.mu.Lock()
 		closed := s.closed
 		s.mu.Unlock()
