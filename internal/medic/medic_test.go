@@ -46,6 +46,8 @@ type recorder struct {
 	sols     []*core.Solution
 	gens     []uint64
 	restores [][]topo.NodeID
+	// lose lists the switches every restore reports it could not reach.
+	lose []topo.NodeID
 
 	// watch, when set, holds every call to the fencing invariant.
 	t      testing.TB
@@ -135,13 +137,14 @@ func (r *recorder) restore(_ map[topo.NodeID]string, _ *flow.Set, switches []top
 	r.checkReserved("restore", opts)
 	r.mu.Lock()
 	r.restores = append(r.restores, append([]topo.NodeID(nil), switches...))
+	lose := r.lose
 	r.mu.Unlock()
-	return &sdnsim.RestoreReport{}, nil
+	return &sdnsim.RestoreReport{Failed: lose}, nil
 }
 
 // newIdleMedic wires a medic to the recorder's stubs (and to net, which may
-// be nil) without starting its loop: a test can drive apply and reconcile by
-// hand, so the interleaving is exact and nothing sleeps.
+// be nil) without starting its loop: a test drives its passes by hand, so the
+// interleaving is exact and nothing sleeps.
 func newIdleMedic(t *testing.T, rec *recorder, net *sdnsim.Network) *Medic {
 	t.Helper()
 	dep, flows := testFixture(t)
@@ -168,19 +171,28 @@ func newTestMedic(t *testing.T, rec *recorder) (*Medic, chan monitor.Event) {
 	return m, events
 }
 
-func waitStatus(t *testing.T, m *Medic, cond func(Status) bool) Status {
+// drive runs one pass by hand — the batch, then every effect step asks for —
+// and returns the status it leaves.
+func drive(m *Medic, batch ...monitor.Event) Status {
+	m.apply(batch...)
+	m.reconcile()
+	return m.Status()
+}
+
+// waitStatus waits for a medic whose loop runs to report a status that
+// satisfies cond.
+func waitStatus(t *testing.T, m *Medic, cond func(Status) bool) (st Status) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := m.Status()
-		if cond(st) {
-			return st
+	defer func() {
+		if t.Failed() {
+			t.Logf("last status: %+v", st)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("status never satisfied condition; last: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	}()
+	waitUntil(t, "status condition", 30*time.Second, func() bool {
+		st = m.Status()
+		return cond(st)
+	})
+	return st
 }
 
 func hasLogKind(st Status, k Kind, substr string) bool {
@@ -194,11 +206,12 @@ func hasLogKind(st Status, k Kind, substr string) bool {
 
 func TestFailureEventConvergesToPushedPlan(t *testing.T) {
 	rec := &recorder{}
-	m, events := newTestMedic(t, rec)
+	m := newIdleMedic(t, rec, nil)
 
-	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return s.Converged && !s.Ideal })
-
+	st := drive(m, monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()})
+	if !st.Converged || st.Ideal {
+		t.Fatalf("converged=%v ideal=%v, want a converged recovery", st.Converged, st.Ideal)
+	}
 	if len(st.Failed) != 2 || st.Failed[0] != 3 || st.Failed[1] != 4 {
 		t.Fatalf("Failed = %v, want [3 4]", st.Failed)
 	}
@@ -228,20 +241,18 @@ func TestSuccessiveFailureReplansResidually(t *testing.T) {
 	dep, _ := testFixture(t)
 	victim := dep.Controllers[3].Domain[0]
 	rec := &recorder{demote: map[topo.NodeID]bool{victim: true}}
-	m, events := newTestMedic(t, rec)
+	m := newIdleMedic(t, rec, nil)
 
 	// First failure: the push demotes the victim switch.
-	events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
-	if len(st.Unreachable) != 1 || st.Unreachable[0] != victim {
+	st := drive(m, monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()})
+	if !st.Converged || len(st.Unreachable) != 1 || st.Unreachable[0] != victim {
 		t.Fatalf("Unreachable = %v, want [%d]", st.Unreachable, victim)
 	}
 
 	// Successive failure: the new plan must route around the known-dead
 	// switch via the residual instance instead of re-mapping it.
-	events <- monitor.Event{Seq: 2, Failed: []int{4}, At: time.Now()}
-	st = waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
-	if !hasLogKind(st, KindPlan, "residual") {
+	st = drive(m, monitor.Event{Seq: 2, Failed: []int{4}, At: time.Now()})
+	if !st.Converged || !hasLogKind(st, KindPlan, "residual") {
 		t.Fatalf("no residual re-plan logged: %+v", st.Events)
 	}
 	rec.mu.Lock()
@@ -263,15 +274,13 @@ func TestSuccessiveFailureReplansResidually(t *testing.T) {
 func TestRecoveryTriggersFailBack(t *testing.T) {
 	dep, _ := testFixture(t)
 	rec := &recorder{}
-	m, events := newTestMedic(t, rec)
+	m := newIdleMedic(t, rec, nil)
 
-	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
-	waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
+	drive(m, monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()})
 
 	// One controller returns: its domain is restored, the rest re-planned.
-	events <- monitor.Event{Seq: 2, Recovered: []int{3}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
-	if len(st.Failed) != 1 || st.Failed[0] != 4 {
+	st := drive(m, monitor.Event{Seq: 2, Recovered: []int{3}, At: time.Now()})
+	if !st.Converged || len(st.Failed) != 1 || st.Failed[0] != 4 {
 		t.Fatalf("Failed = %v, want [4]", st.Failed)
 	}
 	if st.Restores != 1 {
@@ -279,9 +288,8 @@ func TestRecoveryTriggersFailBack(t *testing.T) {
 	}
 
 	// The last controller returns: ideal state.
-	events <- monitor.Event{Seq: 3, Recovered: []int{4}, At: time.Now()}
-	st = waitStatus(t, m, func(s Status) bool { return s.Ideal })
-	if !st.Converged || len(st.Failed) != 0 {
+	st = drive(m, monitor.Event{Seq: 3, Recovered: []int{4}, At: time.Now()})
+	if !st.Ideal || !st.Converged || len(st.Failed) != 0 {
 		t.Fatalf("not back to ideal: %+v", st)
 	}
 	if !hasLogKind(st, KindFailback, "") || !hasLogKind(st, KindRestore, "") {
@@ -300,19 +308,18 @@ func TestRecoveryTriggersFailBack(t *testing.T) {
 }
 
 func TestUnplannableFailureSetIsLoggedNotFatal(t *testing.T) {
-	rec := &recorder{}
-	m, events := newTestMedic(t, rec)
+	m := newIdleMedic(t, &recorder{}, nil)
 
 	// All six controllers down: nothing can be planned.
-	events <- monitor.Event{Seq: 1, Failed: []int{0, 1, 2, 3, 4, 5}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return !s.Converged })
-	if !hasLogKind(st, KindError, "") {
-		t.Fatalf("no error logged: %+v", st.Events)
+	st := drive(m, monitor.Event{Seq: 1, Failed: []int{0, 1, 2, 3, 4, 5}, At: time.Now()})
+	if st.Converged || !hasLogKind(st, KindError, "") {
+		t.Fatalf("converged=%v, events %+v; want an unconverged pass and an error entry", st.Converged, st.Events)
 	}
 
 	// A controller returning makes the set plannable again.
-	events <- monitor.Event{Seq: 2, Recovered: []int{0}, At: time.Now()}
-	waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
+	if st := drive(m, monitor.Event{Seq: 2, Recovered: []int{0}, At: time.Now()}); !st.Converged {
+		t.Fatalf("the plannable set did not converge: %+v", st)
+	}
 }
 
 func TestPushFailureLeavesUnconverged(t *testing.T) {
@@ -330,13 +337,9 @@ func TestPushFailureLeavesUnconverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := make(chan monitor.Event, 1)
-	m.Start(events)
-	defer m.Stop()
-	events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return !s.Converged })
-	if !hasLogKind(st, KindError, "wire is gone") {
-		t.Fatalf("push error not logged: %+v", st.Events)
+	st := drive(m, monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()})
+	if st.Converged || !hasLogKind(st, KindError, "wire is gone") {
+		t.Fatalf("converged=%v, events %+v; want the push error logged", st.Converged, st.Events)
 	}
 }
 
@@ -373,10 +376,7 @@ func TestSplitFailBackRestoresOwnership(t *testing.T) {
 	}
 	m := newIdleMedic(t, &recorder{}, net)
 	ideal := net.MappingSnapshot()
-	step := func(ev monitor.Event) {
-		m.apply(ev)
-		m.reconcile()
-	}
+	step := func(ev monitor.Event) { drive(m, ev) }
 
 	for _, j := range []int{3, 4} {
 		if err := net.StopController(j); err != nil {
@@ -419,14 +419,12 @@ func TestSplitFailBackRestoresOwnership(t *testing.T) {
 func TestBatchedFailBackIsOneRestorerCall(t *testing.T) {
 	dep, _ := testFixture(t)
 	rec := &recorder{}
-	m, events := newTestMedic(t, rec)
+	m := newIdleMedic(t, rec, nil)
 
-	events <- monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()}
-	waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
-	events <- monitor.Event{Seq: 2, Recovered: []int{3, 4}, At: time.Now()}
-	st := waitStatus(t, m, func(s Status) bool { return s.Ideal })
+	drive(m, monitor.Event{Seq: 1, Failed: []int{3, 4}, At: time.Now()})
+	st := drive(m, monitor.Event{Seq: 2, Recovered: []int{3, 4}, At: time.Now()})
 
-	if st.Restores != 2 {
+	if !st.Ideal || st.Restores != 2 {
 		t.Fatalf("Restores = %d, want one per returned controller", st.Restores)
 	}
 	logged := 0
@@ -450,10 +448,8 @@ func TestBatchedFailBackIsOneRestorerCall(t *testing.T) {
 // stage next to the reconcile one, each observed once per driver call.
 func TestMetricsTimeTheWireStages(t *testing.T) {
 	m := newIdleMedic(t, &recorder{}, nil)
-	m.apply(monitor.Event{Seq: 1, Failed: []int{3, 4}})
-	m.reconcile()
-	m.apply(monitor.Event{Seq: 2, Recovered: []int{3, 4}})
-	m.reconcile()
+	drive(m, monitor.Event{Seq: 1, Failed: []int{3, 4}})
+	drive(m, monitor.Event{Seq: 2, Recovered: []int{3, 4}})
 
 	var out strings.Builder
 	if _, err := m.Metrics().WriteTo(&out); err != nil {
@@ -472,12 +468,49 @@ func TestMetricsTimeTheWireStages(t *testing.T) {
 	}
 }
 
-// TestSplitFailureConvergesToJointPlan: the detector no longer holds a failure
+// TestPartialFailBackIsNotIdeal: a fail-back that cannot reach a switch of
+// the returned domain leaves the daemon short of ideal. The switch stays
+// unreachable, the failback entry names it, and the controller stays pending,
+// so the next pass pushes its domain again; once that push reaches every
+// switch, the daemon is ideal and has counted one restore.
+func TestPartialFailBackIsNotIdeal(t *testing.T) {
+	dep, _ := testFixture(t)
+	lost := dep.Controllers[3].Domain[0]
+	rec := &recorder{lose: []topo.NodeID{lost}}
+	m := newIdleMedic(t, rec, nil)
+
+	drive(m, monitor.Event{Seq: 1, Failed: []int{3}})
+	st := drive(m, monitor.Event{Seq: 2, Recovered: []int{3}})
+	if st.Ideal || !slices.Equal(st.Unreachable, []topo.NodeID{lost}) || st.Restores != 0 {
+		t.Fatalf("after a fail-back that missed switch %d: ideal=%v unreachable=%v restores=%d",
+			lost, st.Ideal, st.Unreachable, st.Restores)
+	}
+	if !hasLogKind(st, KindFailback, fmt.Sprint([]topo.NodeID{lost})) {
+		t.Fatalf("no failback entry names switch %d: %+v", lost, st.Events)
+	}
+
+	rec.mu.Lock()
+	rec.lose = nil
+	rec.mu.Unlock()
+	st = drive(m, monitor.Event{Seq: 3})
+	if !st.Ideal || len(st.Unreachable) != 0 || st.Restores != 1 {
+		t.Fatalf("after the retry: ideal=%v unreachable=%v restores=%d", st.Ideal, st.Unreachable, st.Restores)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.restores) != 2 || !slices.Equal(rec.restores[1], dep.Controllers[3].Domain) {
+		t.Fatalf("restores %v, want controller 3's domain twice", rec.restores)
+	}
+}
+
+// TestSplitFailureConvergesToJointPlan: the detector does not hold a failure
 // to see whether another follows, so a correlated failure of {3,4} can arrive
-// as {3} then {4} a moment apart. However the two interleave with the loop —
-// batched into one pass, the second overtaking the first's plan, or the second
-// after the first was pushed — the daemon must end converged on the joint plan
-// a fresh solve of {3,4} gives, having pushed at most twice.
+// as {3} then {4} a moment apart. However the two meet the passes — batched
+// into one, the second queued behind the first's plan, or the second after
+// the first was pushed — the daemon must end converged on the joint plan a
+// fresh solve of {3,4} gives, having pushed {3} alone only in the last case.
+// All but one case drive the passes by hand; "overtakes the plan" runs the
+// loop, whose peek at the event channel is what discards a queued plan.
 func TestSplitFailureConvergesToJointPlan(t *testing.T) {
 	dep, flows := testFixture(t)
 	ctx, err := scenario.NewContext(dep, flows)
@@ -499,38 +532,47 @@ func TestSplitFailureConvergesToJointPlan(t *testing.T) {
 			want[i].Controller = joint.Active[jj]
 		}
 	}
+	first := monitor.Event{Seq: 1, Failed: []int{3}}
+	second := monitor.Event{Seq: 2, Failed: []int{4}}
 
-	// follow sends {4} after {3}. planning is closed when the loop enters its
-	// first solve, which then waits for release.
-	type splitCase struct {
+	// run delivers first and second. solve is the medic's planner; planning
+	// is closed when its first solve begins.
+	cases := []struct {
 		name      string
-		pushes    int // 0: one or two, the timing decides
+		pushes    int
 		wantStale bool
-		follow    func(t *testing.T, m *Medic, send func(), planning <-chan struct{}, release func())
-	}
-	cases := []splitCase{
-		{"batched", 1, false, nil}, // both queued before the loop starts
-		{"overtakes the plan", 1, true, func(_ *testing.T, _ *Medic, send func(), planning <-chan struct{}, release func()) {
+		run       func(t *testing.T, m *Medic, planning <-chan struct{}, release func()) Status
+	}{
+		{"batched", 1, false, func(_ *testing.T, m *Medic, _ <-chan struct{}, release func()) Status {
+			release()
+			return drive(m, first, second)
+		}},
+		{"queued behind the plan", 1, true, func(_ *testing.T, m *Medic, _ <-chan struct{}, release func()) Status {
+			release()
+			// The detector's channel, as the loop would hold it, with the
+			// second event queued while the first pass plans.
+			queued := make(chan monitor.Event, 1)
+			queued <- second
+			m.events = queued
+			drive(m, first)
+			return drive(m, <-queued)
+		}},
+		{"after the push", 2, false, func(_ *testing.T, m *Medic, _ <-chan struct{}, release func()) Status {
+			release()
+			drive(m, first)
+			return drive(m, second)
+		}},
+		{"overtakes the plan", 1, true, func(t *testing.T, m *Medic, planning <-chan struct{}, release func()) Status {
+			events := make(chan monitor.Event, 2)
+			events <- first
+			m.Start(events)
+			t.Cleanup(m.Stop)
 			<-planning
-			send()
+			events <- second
 			release()
-		}},
-		{"after the push", 2, false, func(t *testing.T, m *Medic, send func(), _ <-chan struct{}, release func()) {
-			release()
-			waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 1 })
-			send()
+			return waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
 		}},
 	}
-	for _, gap := range []time.Duration{0, 500 * time.Microsecond, time.Millisecond, 2 * time.Millisecond} {
-		gap := gap
-		cases = append(cases, splitCase{"gap " + gap.String(), 0, false,
-			func(_ *testing.T, _ *Medic, send func(), _ <-chan struct{}, release func()) {
-				release()
-				time.Sleep(gap)
-				send()
-			}})
-	}
-
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &recorder{}
@@ -551,22 +593,10 @@ func TestSplitFailureConvergesToJointPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			events := make(chan monitor.Event, 8)
-			send := func() { events <- monitor.Event{Seq: 2, Failed: []int{4}} }
-			events <- monitor.Event{Seq: 1, Failed: []int{3}}
-			if tc.follow == nil {
-				send()
-				close(release)
-			}
-			m.Start(events)
-			defer m.Stop()
-			if tc.follow != nil {
-				tc.follow(t, m, send, planning, func() { close(release) })
-			}
+			st := tc.run(t, m, planning, func() { close(release) })
 
-			st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == 2 })
-			if st.Case != joint.Label() {
-				t.Fatalf("converged on %s, want the joint case %s", st.Case, joint.Label())
+			if !st.Converged || st.Epoch != 2 || st.Case != joint.Label() {
+				t.Fatalf("converged=%v at epoch %d on %s, want the joint case %s at epoch 2", st.Converged, st.Epoch, st.Case, joint.Label())
 			}
 			if !slices.Equal(st.Mapping, want) {
 				t.Fatalf("mapping differs from a fresh PM solve of {3,4}:\n got %v\nwant %v", st.Mapping, want)
@@ -576,27 +606,21 @@ func TestSplitFailureConvergesToJointPlan(t *testing.T) {
 			pushes := len(rec.pushes)
 			last := rec.pushes[pushes-1].Label()
 			rec.mu.Unlock()
-			if pushes > 2 || (tc.pushes != 0 && pushes != tc.pushes) {
-				t.Fatalf("%d pushes, want %d (0: one or two)", pushes, tc.pushes)
-			}
-			if last != joint.Label() {
-				t.Fatalf("last push was for %s, want %s", last, joint.Label())
+			if pushes != tc.pushes || last != joint.Label() {
+				t.Fatalf("%d pushes, the last for %s; want %d, the last for %s", pushes, last, tc.pushes, joint.Label())
 			}
 			// One push means {3} alone was never pushed: either it was never
 			// planned alone (the two detect entries are adjacent) or its plan
 			// was discarded, which the log must say.
 			stale := hasLogKind(st, KindStale, "")
-			if tc.wantStale && !stale {
-				t.Fatalf("the overtaken plan left no stale entry: %+v", st.Events)
+			if stale != tc.wantStale {
+				t.Fatalf("stale entry %v, want %v: %+v", stale, tc.wantStale, st.Events)
 			}
 			if pushes == 1 && !stale {
 				first := slices.IndexFunc(st.Events, func(e LogEntry) bool { return e.Kind == KindDetect })
 				if st.Events[first+1].Kind != KindDetect {
 					t.Fatalf("one push, no stale entry, yet {3} was reconciled alone: %+v", st.Events)
 				}
-			}
-			if pushes == 2 && stale {
-				t.Fatalf("two pushes and a discarded plan: %+v", st.Events)
 			}
 		})
 	}
@@ -707,22 +731,14 @@ func TestStatusIsOneState(t *testing.T) {
 		}()
 	}
 
-	// The driver waits on the status alone, and briefly, so that most reads
-	// land inside a pass.
-	await := func(cond func(Status) bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !cond(m.Status()); time.Sleep(50 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("status never satisfied condition; last: %+v", m.Status())
-			}
-		}
-	}
+	// The driver waits on the status alone, and briefly (waitStatus polls
+	// from 50µs up), so that most reads land inside a pass.
 	for ep := uint64(0); ep < 100; ep++ {
 		set := sets[ep%2]
 		events <- monitor.Event{Seq: 2*ep + 1, Failed: set, At: time.Now()}
-		await(func(s Status) bool { return s.Converged && !s.Ideal && s.Epoch == 2*ep+1 })
+		waitStatus(t, m, func(s Status) bool { return s.Converged && !s.Ideal && s.Epoch == 2*ep+1 })
 		events <- monitor.Event{Seq: 2*ep + 2, Recovered: set, At: time.Now()}
-		await(func(s Status) bool { return s.Converged && s.Ideal && s.Epoch == 2*ep+2 })
+		waitStatus(t, m, func(s Status) bool { return s.Converged && s.Ideal && s.Epoch == 2*ep+2 })
 	}
 	close(stop)
 	wg.Wait()

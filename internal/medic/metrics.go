@@ -51,11 +51,9 @@ func (h *histogram) write(b *strings.Builder, name, help string) {
 	fmt.Fprintf(b, "%s_count %d\n", name, n)
 }
 
-// Metrics is the daemon's metrics registry, rendered in Prometheus text
-// exposition format by WriteTo (the /metrics handler). It is hand-rolled —
-// the repo takes no dependency on a client library — and safe for
-// concurrent use. The zero value is a registry with nothing wired and nothing
-// counted: what a follower, which runs no medic, serves.
+// Metrics is the daemon's metrics registry, hand-rolled and safe for
+// concurrent use, rendered in Prometheus text format by WriteTo (/metrics).
+// The zero value, with nothing wired or counted, is what a follower serves.
 type Metrics struct {
 	epochs      atomic.Uint64
 	pushRetries atomic.Uint64
@@ -69,40 +67,15 @@ type Metrics struct {
 	planMisses atomic.Uint64
 	planErrors atomic.Uint64
 
-	// reconcile times a whole reconcile pass; push and restore time the wire
-	// drivers inside it (one Pusher call, one Restorer call), the stage that
-	// dominates a recovery once the control channel carries real delay.
-	// walCommit times the write + fsync that ends a pass, after reconcile's
-	// clock has stopped.
+	// reconcile times a pass; push and restore time its wire drivers (one
+	// Pusher, one Restorer call). walCommit times the write + fsync after it.
 	reconcile, push, restore, walCommit histogram
 
 	sessions *sdnsim.Sessions       // standby-session gauge and counters, nil on a follower
 	st       *store.Store           // WAL fsync/checkpoint/pending sources, nil standalone
 	pub      *atomic.Pointer[state] // the medic's published state (its epoch reservation), wired with st
-	// plansEnabled is set once at wiring time, before the loop starts.
-	plansEnabled bool
+	plans    bool                   // a plan store is wired
 }
-
-func newMetrics(sessions *sdnsim.Sessions) *Metrics {
-	return &Metrics{sessions: sessions}
-}
-
-// wireStore attaches the persistence layer, and the published state whose
-// epoch reservation the medic keeps in it, as metrics sources.
-func (x *Metrics) wireStore(st *store.Store, pub *atomic.Pointer[state]) {
-	x.st, x.pub = st, pub
-}
-
-// wirePlans enables the plan-store outcome counters.
-func (x *Metrics) wirePlans() { x.plansEnabled = true }
-
-func (x *Metrics) addEpoch()               { x.epochs.Add(1) }
-func (x *Metrics) addPushRetries(n uint64) { x.pushRetries.Add(n) }
-func (x *Metrics) addFenced(n uint64)      { x.fenced.Add(n) }
-func (x *Metrics) addRestore()             { x.restores.Add(1) }
-func (x *Metrics) addPlanHit()             { x.planHits.Add(1) }
-func (x *Metrics) addPlanMiss()            { x.planMisses.Add(1) }
-func (x *Metrics) addPlanError()           { x.planErrors.Add(1) }
 
 func (x *Metrics) setLeader(leader bool, term uint64) {
 	if leader {
@@ -111,12 +84,6 @@ func (x *Metrics) setLeader(leader bool, term uint64) {
 		x.leader.Store(0)
 	}
 	x.term.Store(term)
-}
-
-// PlanStoreCounts returns the plan-store outcome counters (hits, misses,
-// errors) — a test and status convenience.
-func (x *Metrics) PlanStoreCounts() (hits, misses, errors uint64) {
-	return x.planHits.Load(), x.planMisses.Load(), x.planErrors.Load()
 }
 
 // WriteTo renders the registry in Prometheus text format.
@@ -155,7 +122,7 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 		x.walCommit.write(&b, "pmedicd_wal_commit_duration_seconds", "Latency of one WAL group commit (write + fsync), paid after the pass it records.")
 	}
 
-	if x.plansEnabled {
+	if x.plans {
 		counter("pmedicd_planstore_hits_total", "Recovery plans served from the precompiled plan store.", x.planHits.Load())
 		counter("pmedicd_planstore_misses_total", "Failure sets absent from the plan store (full solve paid).", x.planMisses.Load())
 		counter("pmedicd_planstore_errors_total", "Plan-store consultations that failed and degraded to a solve.", x.planErrors.Load())

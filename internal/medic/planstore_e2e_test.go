@@ -2,6 +2,7 @@ package medic
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -16,8 +17,8 @@ import (
 	"pmedic/internal/topo"
 )
 
-// newPlanMedic is newTestMedic with a plan store wired in.
-func newPlanMedic(t *testing.T, rec *recorder, ps *planstore.Store) (*Medic, chan monitor.Event) {
+// newPlanMedic is newIdleMedic with a plan store wired in.
+func newPlanMedic(t *testing.T, rec *recorder, ps *planstore.Store) *Medic {
 	t.Helper()
 	dep, flows := testFixture(t)
 	m, err := New(Config{
@@ -31,14 +32,11 @@ func newPlanMedic(t *testing.T, rec *recorder, ps *planstore.Store) (*Medic, cha
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := make(chan monitor.Event, 8)
-	m.Start(events)
-	t.Cleanup(m.Stop)
-	return m, events
+	return m
 }
 
 // TestPlanStoreServesMedic is the end-to-end contract of the plan store
-// inside the daemon, driven through the reconcile loop against a sparse
+// inside the daemon, driven pass by pass against a sparse
 // store holding only the {3,4} plan: the daemon adopts a stored exact plan
 // or a solve, nothing else.
 //
@@ -64,7 +62,7 @@ func TestPlanStoreServesMedic(t *testing.T) {
 	}
 
 	rec := &recorder{}
-	m, events := newPlanMedic(t, rec, ps)
+	m := newPlanMedic(t, rec, ps)
 	steps := []struct {
 		ev           monitor.Event
 		failed       []int
@@ -76,13 +74,23 @@ func TestPlanStoreServesMedic(t *testing.T) {
 		{monitor.Event{Seq: 3, Failed: []int{0}}, []int{0, 3}, 1, 2, ""},
 	}
 	for n, step := range steps {
-		epoch := uint64(n + 1)
 		step.ev.At = time.Now()
-		events <- step.ev
-		st := waitStatus(t, m, func(s Status) bool { return s.Converged && s.Epoch == epoch })
-		hits, misses, errs := m.Metrics().PlanStoreCounts()
-		if hits != step.hits || misses != step.misses || errs != 0 {
-			t.Fatalf("after %v: hits=%d misses=%d errors=%d, want %d/%d/0", step.failed, hits, misses, errs, step.hits, step.misses)
+		st := drive(m, step.ev)
+		if !st.Converged || st.Epoch != uint64(n+1) {
+			t.Fatalf("%v: converged=%v at epoch %d", step.failed, st.Converged, st.Epoch)
+		}
+		var page strings.Builder
+		if _, err := m.Metrics().WriteTo(&page); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			fmt.Sprintf("pmedicd_planstore_hits_total %d\n", step.hits),
+			fmt.Sprintf("pmedicd_planstore_misses_total %d\n", step.misses),
+			"pmedicd_planstore_errors_total 0\n",
+		} {
+			if !strings.Contains(page.String(), line) {
+				t.Fatalf("after %v: /metrics lacks %q", step.failed, line)
+			}
 		}
 		if step.log != "" && !hasLogKind(st, KindPlan, step.log) {
 			t.Fatalf("%v: no %q log entry in %+v", step.failed, step.log, st.Events)

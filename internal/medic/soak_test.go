@@ -242,7 +242,7 @@ func TestDaemonKillLeaderSoak(t *testing.T) {
 	// Phase 5 — the successor finishes the episode on its own: its detector
 	// finds controller 4 down (3 was handed off via MarkDown, so it is not
 	// re-announced) and reconciles the combined failure set.
-	final := waitStatusLong(t, b.m, 30*time.Second, func(st Status) bool {
+	final := waitStatus(t, b.m, func(st Status) bool {
 		return st.Converged && len(st.Failed) == 2
 	})
 	if final.Failed[0] != 3 || final.Failed[1] != 4 {
@@ -313,29 +313,17 @@ func (r *replica) promoteOver(t *testing.T, s *liveStack, st *store.Store) {
 	m.Start(r.mon.Events())
 }
 
+// waitUntil polls cond until it holds: at intervals that start at 50µs, so a
+// condition the daemon meets at once costs next to nothing, and double up to
+// 10ms. waitStatus and the soak's waits all come through here.
 func waitUntil(t *testing.T, what string, within time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(within)
-	for !cond() {
+	for every := 50 * time.Microsecond; !cond(); every = min(2*every, 10*time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s not reached within %v", what, within)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func waitStatusLong(t *testing.T, m *Medic, within time.Duration, cond func(Status) bool) Status {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		st := m.Status()
-		if cond(st) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("status never satisfied condition; last: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(every)
 	}
 }
 

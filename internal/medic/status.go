@@ -25,7 +25,7 @@ const (
 	KindPush      Kind = "push"      // a recovery plan was pushed
 	KindConverged Kind = "converged" // the failure set has a pushed, adopted plan
 	KindRestore   Kind = "restore"   // a returned controller's domain was restored
-	KindFailback  Kind = "failback"  // every controller is back; ideal state
+	KindFailback  Kind = "failback"  // every controller is back: ideal, or which switches are not
 	KindStale     Kind = "stale"     // a computed plan was discarded unpushed
 	KindResume    Kind = "resume"    // a restarted daemon replayed snapshot+WAL
 	KindFenced    Kind = "fenced"    // a push was refused by generation-ID fencing
@@ -40,38 +40,38 @@ type LogEntry struct {
 	Msg  string    `json:"msg"`
 }
 
-// logSize bounds the structured event log, in a leader's ring and in the
-// Status a follower renders from the same store (ReadStatus).
+// logSize bounds the structured event log, a leader's and a follower's.
 const logSize = 256
 
-// eventLog is a bounded ring of LogEntries. The sequence counter is part
-// of the daemon's durable state: restoreRing carries it across restarts so
-// entries are never silently renumbered, and onAppend (when set) persists
-// each new entry to the WAL.
+// eventLog is the bounded structured event log: the newest size entries,
+// oldest first. The sequence counter is part of the daemon's durable state:
+// restoreRing carries it across restarts so entries are never silently
+// renumbered, and onAppend (when set) persists each new entry to the WAL.
 type eventLog struct {
 	mu      sync.Mutex
+	size    int
 	seq     uint64
 	entries []LogEntry
-	next    int
-	full    bool
-	// onAppend, when set, receives every appended entry after the ring is
-	// updated (outside the ring's lock). The medic wires it to the WAL.
+	// onAppend, when set, receives every appended entry after the log is
+	// updated (outside its lock). The medic wires it to the WAL.
 	onAppend func(LogEntry)
 }
 
-func newEventLog(size int) *eventLog {
-	return &eventLog{entries: make([]LogEntry, size)}
+func newEventLog(size int) *eventLog { return &eventLog{size: size} }
+
+// addf stamps one entry with the clock and appends it.
+func (l *eventLog) addf(kind Kind, format string, args ...interface{}) uint64 {
+	return l.add(LogEntry{At: time.Now(), Kind: kind, Msg: fmt.Sprintf(format, args...)})
 }
 
-// addf appends one entry and returns its sequence number.
-func (l *eventLog) addf(kind Kind, format string, args ...interface{}) uint64 {
+// add appends one stamped entry under the next sequence number and returns
+// the number.
+func (l *eventLog) add(e LogEntry) uint64 {
 	l.mu.Lock()
 	l.seq++
-	e := LogEntry{Seq: l.seq, At: time.Now(), Kind: kind, Msg: fmt.Sprintf(format, args...)}
-	l.entries[l.next] = e
-	l.next = (l.next + 1) % len(l.entries)
-	if l.next == 0 {
-		l.full = true
+	e.Seq = l.seq
+	if l.entries = append(l.entries, e); len(l.entries) > l.size {
+		l.entries = l.entries[1:]
 	}
 	hook := l.onAppend
 	l.mu.Unlock()
@@ -81,40 +81,25 @@ func (l *eventLog) addf(kind Kind, format string, args ...interface{}) uint64 {
 	return e.Seq
 }
 
-// restoreRing reloads the ring from persisted state: the retained entries
-// (oldest first, trimmed to the ring's capacity) and the monotonic
-// sequence counter, so the first post-restart entry continues the
-// numbering instead of starting over at 1.
+// restoreRing reloads the log from persisted state: the retained entries
+// (oldest first, the newest size of them) and the monotonic sequence counter,
+// so the first post-restart entry continues the numbering instead of
+// starting over at 1. A durable seq never runs behind the entries.
 func (l *eventLog) restoreRing(seq uint64, entries []LogEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	size := len(l.entries)
-	if len(entries) > size {
-		entries = entries[len(entries)-size:]
-	}
-	for i := range l.entries {
-		l.entries[i] = LogEntry{}
-	}
-	copy(l.entries, entries)
-	l.next = len(entries) % size
-	l.full = len(entries) == size
+	l.entries = slices.Clone(entries[max(0, len(entries)-l.size):])
 	l.seq = seq
-	// A durable seq can never run behind the restored entries.
-	if n := len(entries); n > 0 && entries[n-1].Seq > l.seq {
-		l.seq = entries[n-1].Seq
+	if n := len(l.entries); n > 0 {
+		l.seq = max(seq, l.entries[n-1].Seq)
 	}
 }
 
-// snapshot returns the retained entries, oldest first.
+// snapshot returns a copy of the retained entries, oldest first.
 func (l *eventLog) snapshot() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []LogEntry
-	if l.full {
-		out = append(out, l.entries[l.next:]...)
-	}
-	out = append(out, l.entries[:l.next]...)
-	return out
+	return slices.Clone(l.entries)
 }
 
 // MappingEntry is one switch's current assignment in the achieved plan.
@@ -146,27 +131,11 @@ type Status struct {
 	Term    uint64 `json:"term,omitempty"`
 	// Failed is the controller set currently believed down.
 	Failed []int `json:"failed_controllers"`
-	// Ideal reports the steady state: nothing failed, ideal mapping in
-	// force. Converged reports that the current failure set (possibly
-	// empty) has a pushed plan.
-	Ideal     bool   `json:"ideal"`
-	Converged bool   `json:"converged"`
-	Case      string `json:"case,omitempty"`
-	// Unreachable lists switches demoted for agent unreachability this
-	// episode, ascending.
+	Outcome
+	Case string `json:"case,omitempty"`
+	// Unreachable lists, ascending, the switches demoted or not restored
+	// for agent unreachability this episode.
 	Unreachable []topo.NodeID `json:"unreachable_switches,omitempty"`
-
-	// Plan metrics of the achieved (pushed) solution.
-	MinProg        int `json:"min_prog"`
-	TotalProg      int `json:"total_prog"`
-	RecoveredFlows int `json:"recovered_flows"`
-	OfflineFlows   int `json:"offline_flows"`
-	PushRounds     int `json:"push_rounds,omitempty"`
-	FlowModsAcked  int `json:"flow_mods_acked,omitempty"`
-	Restores       int `json:"restores"`
-
-	Mapping  []MappingEntry `json:"mapping,omitempty"`
-	FlowProg []FlowProg     `json:"flow_prog,omitempty"`
 
 	// NetworkMapping is the simulator's live switch→controller ownership
 	// (present when the medic is wired to a Network).
@@ -185,12 +154,11 @@ type Status struct {
 	Detector []monitor.TargetState `json:"detector,omitempty"`
 }
 
-// state is everything the daemon knows: what the reconcile loop owns and works
-// on, what it publishes for every reader, what a pass journals as its outcome
-// record, and (with the log ring beside it, durableState) what a checkpoint
-// holds and a replay returns. One value, so that what an observer or a
-// successor finds is one point in the daemon's history and never half of a
-// transition.
+// state is everything the daemon knows: what a pass works on, what the shell
+// publishes, what a pass journals as its outcome, and (with the log beside
+// it, durableState) what a checkpoint holds and a replay returns. One value,
+// so that an observer or a successor finds one point in the daemon's history,
+// never half of a transition.
 type state struct {
 	// Epoch counts applied event batches; 0 = nothing ever detected.
 	Epoch uint64 `json:"epoch"`
@@ -198,71 +166,84 @@ type state struct {
 	// nil.
 	Failed []int `json:"failed"`
 	// PendingRecovered are controllers whose return has been detected but
-	// whose domains have not been restored yet.
+	// whose domains have not been restored whole yet, ascending.
 	PendingRecovered []int `json:"pending_recovered,omitempty"`
 	// Unreachable accumulates, ascending, the switches demoted by pushes in
-	// this failure episode; cleared when the failure set empties.
+	// this failure episode and those a fail-back did not reach; cleared when
+	// the fail-back of the last controller is whole.
 	Unreachable []topo.NodeID `json:"unreachable,omitempty"`
 	Snap        snapshot      `json:"snap"`
 	// Reserved is the highest epoch the store durably holds for this medic:
-	// the only epochs it signs (ensureReserved), and what a successor resumes
-	// above. Always 0 without a store, and absent from state written before
-	// epochs were reserved, which signed nothing above Epoch.
+	// it signs none above (ensureReserved), and a successor resumes above it.
+	// Always 0 without a store.
 	Reserved uint64 `json:"reserved,omitempty"`
-	// LogSeq is the last event-log entry stamped when the state was as it
-	// reads here: the entries up to it, and no others, belong to the state.
+	// LogSeq is the last entry stamped when the state was as it reads here:
+	// the entries up to it, and no others, belong to the state.
 	LogSeq uint64 `json:"log_seq"`
 }
 
-// snapshot is the outcome of the last reconcile pass, as Status reports it.
-type snapshot struct {
-	Converged bool   `json:"converged"`
-	Ideal     bool   `json:"ideal"`
-	Label     string `json:"label,omitempty"`
-	Restores  int    `json:"restores"`
+// Outcome is what the last reconcile pass achieved, as the state keeps it and
+// Status reports it.
+type Outcome struct {
+	// Ideal reports the steady state: nothing failed, ideal mapping in
+	// force. Converged reports that the current failure set (possibly
+	// empty) has a pushed plan.
+	Ideal     bool `json:"ideal"`
+	Converged bool `json:"converged"`
 
+	// Plan metrics of the achieved (pushed) solution.
 	MinProg        int `json:"min_prog"`
 	TotalProg      int `json:"total_prog"`
 	RecoveredFlows int `json:"recovered_flows"`
 	OfflineFlows   int `json:"offline_flows"`
 	PushRounds     int `json:"push_rounds,omitempty"`
 	FlowModsAcked  int `json:"flow_mods_acked,omitempty"`
+	Restores       int `json:"restores"`
 
 	Mapping  []MappingEntry `json:"mapping,omitempty"`
 	FlowProg []FlowProg     `json:"flow_prog,omitempty"`
+}
 
+// snapshot is the state's record of the last pass: its outcome, the case it
+// planned (Status.Case) or why it did not, and when it ended.
+type snapshot struct {
+	Outcome
+	Label     string    `json:"label,omitempty"`
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
 // idleState is the ideal steady state of a daemon that has seen nothing.
 func idleState() state {
-	return state{Failed: []int{}, Snap: snapshot{Converged: true, Ideal: true, UpdatedAt: time.Now()}}
+	return state{Failed: []int{}, Snap: snapshot{Outcome: Outcome{Ideal: true, Converged: true}, UpdatedAt: time.Now()}}
 }
 
-// detect folds one detector event into the failure set, live (apply) or
+// detect folds one detector event into the failure set, live (step) or
 // replayed from its record: a controller that returns from the set awaits its
-// fail-back, one that was never in it is ignored.
+// fail-back, one that was never in it is ignored, and one that fails again
+// before its fail-back has nothing left to restore.
 func (s *state) detect(failed, recovered []int) {
 	for _, j := range failed {
 		s.Failed = setAdd(s.Failed, j)
+		s.PendingRecovered, _ = setDel(s.PendingRecovered, j)
 	}
 	for _, j := range recovered {
 		var wasDown bool
 		if s.Failed, wasDown = setDel(s.Failed, j); wasDown {
-			s.PendingRecovered = append(s.PendingRecovered, j)
+			s.PendingRecovered = setAdd(s.PendingRecovered, j)
 		}
 	}
 }
 
 // setAdd and setDel keep a small ascending slice as a set, the form the
-// failure set and the unreachable set have in plans, records and statuses.
-// setDel reports whether the member was there.
+// state's sets have in plans, records and statuses. Both copy on write, so a
+// state copied by value shares its sets safely. setDel reports whether the
+// member was there.
 func setAdd[T cmp.Ordered](set []T, v T) []T {
 	i, found := slices.BinarySearch(set, v)
 	if found {
 		return set
 	}
-	return slices.Insert(set, i, v)
+	return slices.Insert(slices.Clip(set), i, v)
 }
 
 func setDel[T cmp.Ordered](set []T, v T) ([]T, bool) {
@@ -270,33 +251,24 @@ func setDel[T cmp.Ordered](set []T, v T) ([]T, bool) {
 	if !found {
 		return set, false
 	}
-	return slices.Delete(set, i, i+1), true
+	return append(set[:i:i], set[i+1:]...), true
 }
 
-// publish makes the state as the loop holds it now the one everybody else
-// sees, in one store. A pass publishes twice: apply, once the detect entry is
-// stamped (epoch N shown means N's detect entry is shown), and reconcile's
-// tail, once the entry that ends the pass is (converged, ideal, mapping, case,
-// metrics and unreachable set are all that pass's, and its converged or
-// failback entry is shown). Between the two nothing the pass does is visible.
-// Outside a pass only the reservation moves, and commit publishes that. The
-// copy shares the snapshot's mapping and flow tables with the loop, which
-// replaces those and never writes into them; the sets it edits in place are
-// cloned.
+// publish makes the state as the shell holds it now the one everybody else
+// sees, in one store. A pass publishes twice: in apply, once its detect
+// entries are stamped, and in reconcile, once the entry that ends it is.
+// Between the two nothing the pass does is visible; outside a pass only the
+// reservation moves, and commit publishes that. The copy shares every slice
+// with the pass, which replaces them and never writes into them.
 func (m *Medic) publish() {
-	s := m.cur
-	s.Failed = slices.Clone(s.Failed)
-	s.PendingRecovered = slices.Clone(s.PendingRecovered)
-	s.Unreachable = slices.Clone(s.Unreachable)
+	s := m.cur.state
 	m.pub.Store(&s)
 }
 
-// status renders a state and, of the log it is handed, the entries that belong
-// to it (the newest logSize of them) — the one way a Status comes about,
-// whether the state is the one a live daemon published or the one a follower
-// replayed from the store. Entries stamped since the state was published are
-// left out: they are the first half of a transition whose second half the
-// state does not show yet.
+// status renders a state — published by a live daemon, or replayed by a
+// follower — with the newest logSize entries of the log that belong to it.
+// Entries stamped since the state was published are left out: they are the
+// first half of a transition whose second half the state does not show yet.
 func (s *state) status(events []LogEntry) Status {
 	for len(events) > 0 && events[len(events)-1].Seq > s.LogSeq {
 		events = events[:len(events)-1]
@@ -305,32 +277,21 @@ func (s *state) status(events []LogEntry) Status {
 		events = events[len(events)-logSize:]
 	}
 	return Status{
-		Now:            time.Now(),
-		Epoch:          s.Epoch,
-		EpochReserved:  s.Reserved,
-		Failed:         s.Failed,
-		Unreachable:    s.Unreachable,
-		Ideal:          s.Snap.Ideal,
-		Converged:      s.Snap.Converged,
-		Case:           s.Snap.Label,
-		Restores:       s.Snap.Restores,
-		MinProg:        s.Snap.MinProg,
-		TotalProg:      s.Snap.TotalProg,
-		RecoveredFlows: s.Snap.RecoveredFlows,
-		OfflineFlows:   s.Snap.OfflineFlows,
-		PushRounds:     s.Snap.PushRounds,
-		FlowModsAcked:  s.Snap.FlowModsAcked,
-		Mapping:        s.Snap.Mapping,
-		FlowProg:       s.Snap.FlowProg,
-		Events:         events,
+		Now:           time.Now(),
+		Epoch:         s.Epoch,
+		EpochReserved: s.Reserved,
+		Failed:        s.Failed,
+		Outcome:       s.Snap.Outcome,
+		Case:          s.Snap.Label,
+		Unreachable:   s.Unreachable,
+		Events:        events,
 	}
 }
 
 // Status is the published state plus what only a live daemon has: identity,
-// standby sessions, the network's ownership, the count of failed store
-// writes. The state is read before the ring, so the ring holds every entry the
-// state was published after. Detector is left empty; the daemon's status
-// source fills it from the monitor.
+// standby sessions, the network's ownership, failed store writes. The state
+// is read before the log, so the log holds every entry the state shows.
+// Detector is left for the daemon's status source to fill.
 func (m *Medic) Status() Status {
 	s := m.pub.Load()
 	st := s.status(m.log.snapshot())
@@ -346,9 +307,8 @@ func (m *Medic) Status() Status {
 	return st
 }
 
-// Handler serves the daemon's HTTP surface over a status source — a leader's
-// Medic.Status with the detector's view added, a follower's ReadStatus of the
-// shared directory — and a metrics registry (a follower's is an empty one):
+// Handler serves the daemon's HTTP surface over a status source (a leader's
+// Medic.Status, a follower's ReadStatus) and a metrics registry:
 //
 //	GET /status  — the source's Status as JSON, or 500 with its error
 //	GET /metrics — the registry in Prometheus text format

@@ -1,0 +1,346 @@
+package medic
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
+	"time"
+
+	"pmedic/internal/core"
+	"pmedic/internal/monitor"
+	"pmedic/internal/scenario"
+	"pmedic/internal/sdnsim"
+	"pmedic/internal/topo"
+)
+
+// effectKind names the I/O a pass waits on.
+type effectKind int
+
+const (
+	effEnd      effectKind = iota // none: the pass is over, or none has begun
+	effReserve                    // have the epoch durably reserved (ensureReserved)
+	effRestore                    // push the returned domains' ideal tables (Config.Restorer)
+	effRehome                     // give whole returned domains back to their controllers (Network)
+	effPlan                       // plan the instance, from the arm given
+	effPush                       // push the plan (Config.Pusher)
+	effAdopt                      // record the mapping pushed in the network (Network)
+	effStepDown                   // tell the owner a newer leader has taken over (Config.OnFenced)
+)
+
+// planArm is where a plan comes from.
+type planArm int
+
+const (
+	armSolve    planArm = iota // a fresh solve (Config.Solve)
+	armStore                   // the plan store's exact plan; a miss is a nil plan
+	armResidual                // a solve of the instance without the switches in avoid
+)
+
+// effect is one piece of I/O step asks the shell for, with its operands.
+type effect struct {
+	kind     effectKind
+	switches []topo.NodeID        // restore: the returned domains
+	ctrls    []int                // rehome
+	inst     *scenario.Instance   // plan, push, adopt
+	arm      planArm              // plan
+	avoid    map[topo.NodeID]bool // plan from the residual arm
+	sol      *core.Solution       // push: the plan; adopt: the mapping the push achieved
+	out      *snapshot            // adopt: the outcome in force once it is adopted
+}
+
+// input is what the shell feeds step: a detector batch, or the result of the
+// effect the pass waits on, with the clock reading taken as it arrived.
+type input struct {
+	at       time.Time
+	events   []monitor.Event        // a detector batch
+	err      error                  // the effect failed
+	restored *sdnsim.RestoreReport  // restore
+	sol      *core.Solution         // plan; nil from the store arm is a miss
+	queued   bool                   // plan: newer events were queued as it returned
+	pushed   *sdnsim.RecoveryReport // push
+}
+
+// pass is step's state: the daemon's state, which the shell publishes and
+// journals, what step only reads, and what the pass in flight has learnt.
+type pass struct {
+	state
+	ctx   *scenario.Context // the deployment, and the failure sets compiled against it
+	plans bool              // a plan store is wired
+
+	next effect     // what the pass waits on, with what it has learnt
+	at   time.Time  // the clock reading of the last input
+	log  []LogEntry // the entries the last input led to
+}
+
+// step is every decision of a reconcile pass: it takes one input into the
+// pass and returns the state that follows, with the entries it stamped.
+func step(p pass, in input) (pass, []LogEntry) {
+	p.at, p.log = in.at, nil
+	p.take(in)
+	return p, p.log
+}
+
+// note stamps one entry of the current epoch.
+func (p *pass) note(kind Kind, format string, args ...any) {
+	p.log = append(p.log, LogEntry{At: p.at, Kind: kind, Msg: fmt.Sprintf("epoch %d: ", p.Epoch) + fmt.Sprintf(format, args...)})
+}
+
+// unconverged ends the pass with no plan in force for the failure set: the
+// state says why, the entry says what happened.
+func (p *pass) unconverged(why string, kind Kind, format string, args ...any) {
+	p.Snap.Converged, p.Snap.Ideal, p.Snap.Label, p.Snap.UpdatedAt = false, false, why, p.at
+	p.note(kind, format, args...)
+	p.next = effect{}
+}
+
+func (p *pass) take(in input) {
+	if in.events != nil {
+		for _, ev := range in.events {
+			p.Epoch++
+			p.note(KindDetect, "%s", ev)
+			p.detect(ev.Failed, ev.Recovered)
+		}
+		// The state describes the previous epoch until the pass replaces it:
+		// epoch N reads converged, or ideal, only once N has been planned.
+		p.Snap.Converged, p.Snap.Ideal = false, false
+		p.next = effect{kind: effReserve}
+		return
+	}
+	switch p.next.kind {
+	case effReserve:
+		if in.err != nil {
+			// A claim signed outside the reservation could land in the range
+			// of a successor, which resumed above it.
+			p.unconverged(fmt.Sprintf("epoch %d is not reserved", p.Epoch), KindFenced,
+				"nothing pushed: %v; a newer leader owns the store", in.err)
+			p.next.kind = effStepDown
+			return
+		}
+		// Fail-back first, in one Restorer call: the returned domains' ideal
+		// tables go back before anything is planned around them.
+		var switches []topo.NodeID
+		for _, j := range p.PendingRecovered {
+			if j < 0 || j >= len(p.ctx.Dep.Controllers) {
+				p.note(KindError, "recovery of unknown controller %d", j)
+				p.PendingRecovered, _ = setDel(p.PendingRecovered, j)
+				continue
+			}
+			switches = append(switches, p.ctx.Dep.Controllers[j].Domain...)
+		}
+		if len(switches) > 0 {
+			p.next = effect{kind: effRestore, switches: switches}
+			return
+		}
+		p.settle(false)
+	case effRestore:
+		p.restored(in)
+	case effRehome:
+		p.settle(true)
+	case effPlan:
+		p.planned(in)
+	case effPush:
+		p.pushed(in)
+	case effAdopt:
+		inst, out := p.next.inst, *p.next.out
+		if in.err != nil {
+			p.unconverged(fmt.Sprintf("adopting the %s mapping failed", inst.Label()), KindError,
+				"adopt %s: %v", inst.Label(), in.err)
+			return
+		}
+		out.UpdatedAt = p.at
+		p.Snap = out
+		p.note(KindConverged, "converged on %s: r=%d total=%d recovered=%d/%d",
+			inst.Label(), out.MinProg, out.TotalProg, out.RecoveredFlows, out.OfflineFlows)
+		p.next = effect{}
+	case effStepDown:
+		p.next = effect{}
+	}
+}
+
+// restored takes the fail-back's report: each returned domain's switches
+// leave the unreachable set, or join it if the push missed them. A domain back
+// whole is restored: its controller leaves the pending set and re-takes the
+// switches, which a recovery adopted after the revival may have handed away.
+// Any other stays pending for the next pass to retry (adds are idempotent).
+func (p *pass) restored(in input) {
+	if in.err != nil {
+		p.note(KindError, "fail-back for controller(s) %v: %v", p.PendingRecovered, in.err)
+		p.settle(true)
+		return
+	}
+	rep := in.restored
+	acked := make(map[topo.NodeID]int, len(rep.Outcomes))
+	for _, out := range rep.Outcomes {
+		acked[out.Switch] += out.FlowModsAcked
+	}
+	var whole []int
+	for _, j := range p.PendingRecovered {
+		mods, lost := 0, 0
+		for _, sw := range p.ctx.Dep.Controllers[j].Domain {
+			mods += acked[sw]
+			if slices.Contains(rep.Failed, sw) {
+				p.Unreachable = setAdd(p.Unreachable, sw)
+				lost++
+			} else {
+				p.Unreachable, _ = setDel(p.Unreachable, sw)
+			}
+		}
+		p.note(KindRestore, "controller %d returned: %d flow-mods restored to its domain, %d switch(es) unreachable",
+			j, mods, lost)
+		if lost == 0 {
+			whole = append(whole, j)
+			p.PendingRecovered, _ = setDel(p.PendingRecovered, j)
+		}
+	}
+	p.Snap.Restores += len(whole)
+	if len(whole) == 0 {
+		p.settle(true)
+		return
+	}
+	p.next = effect{kind: effRehome, ctrls: whole}
+}
+
+// settle goes on from the fail-back, if the pass made one (back): a failure
+// set is compiled and planned, and an empty one ends the pass — ideal only
+// once every returned domain is whole again.
+func (p *pass) settle(back bool) {
+	if len(p.Failed) > 0 {
+		p.compile()
+		return
+	}
+	if len(p.PendingRecovered) > 0 {
+		p.unconverged(fmt.Sprintf("fail-back of controller(s) %v incomplete", p.PendingRecovered), KindFailback,
+			"all controllers back, fail-back of controller(s) %v incomplete: switch(es) %v unreachable; retried next pass",
+			p.PendingRecovered, p.Unreachable)
+		return
+	}
+	p.Unreachable = nil
+	p.Snap = snapshot{Outcome: Outcome{Ideal: true, Converged: true, Restores: p.Snap.Restores}, UpdatedAt: p.at}
+	if back {
+		p.note(KindFailback, "all controllers back, ideal mapping restored")
+	}
+	p.next = effect{}
+}
+
+// compile turns the failure set into the instance the pass plans, and picks
+// the arm: the residual around switches already proven unreachable in this
+// episode, else the plan store when one is wired, else the solve.
+func (p *pass) compile() {
+	inst, err := p.ctx.Build(p.Failed)
+	if err != nil {
+		p.unconverged(fmt.Sprintf("failure set %v is unplannable", p.Failed), KindError, "compile %v: %v", p.Failed, err)
+		return
+	}
+	p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
+	for _, sw := range inst.Switches {
+		if _, down := slices.BinarySearch(p.Unreachable, sw); down {
+			if p.next.avoid == nil {
+				p.next.arm, p.next.avoid = armResidual, make(map[topo.NodeID]bool, len(inst.Switches))
+			}
+			p.next.avoid[sw] = true
+		}
+	}
+	if p.next.arm == armSolve && p.plans {
+		p.next.arm = armStore
+	}
+}
+
+// planned takes a plan. The store and the residual are optimizations whose
+// failure, like a store miss, falls back to the solve. A plan with newer
+// events queued behind it is discarded unpushed: their pass plans again.
+func (p *pass) planned(in input) {
+	inst, arm := p.next.inst, p.next.arm
+	switch {
+	case in.err != nil && arm != armSolve:
+		p.note(KindError, "%s for %s: %v", map[planArm]string{armStore: "plan store", armResidual: "residual"}[arm], inst.Label(), in.err)
+		p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
+		return
+	case in.err != nil:
+		p.unconverged(fmt.Sprintf("planning for %s failed", inst.Label()), KindError,
+			"plan %s: %v", inst.Label(), in.err)
+		return
+	case arm == armStore && in.sol == nil:
+		p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
+		return
+	case arm == armStore:
+		p.note(KindPlan, "plan for %s served from the plan store", inst.Label())
+	case arm == armResidual:
+		p.note(KindPlan, "residual re-plan for %s excludes %d unreachable switch(es)", inst.Label(), len(p.next.avoid))
+	}
+	if in.queued {
+		p.note(KindStale, "plan for %s discarded, newer events queued", inst.Label())
+		p.next = effect{}
+		return
+	}
+	p.next = effect{kind: effPush, inst: inst, sol: in.sol}
+}
+
+// pushed takes the push's report: demoted switches join the unreachable set,
+// and the report is flattened into the outcome before the adopt, so the
+// converged entry, stamped as the adopt returns, times all the pass's work.
+func (p *pass) pushed(in input) {
+	inst, rep := p.next.inst, in.pushed
+	if in.err != nil {
+		p.unconverged(fmt.Sprintf("push for %s failed", inst.Label()), KindError, "push %s: %v", inst.Label(), in.err)
+		return
+	}
+	// A fenced push means a newer epoch — a newer leader — owns the switches
+	// now. This daemon's view is stale: report, step down, and leave the
+	// network to the claimant instead of fighting it.
+	if n := fencedOutcomes(rep); n > 0 {
+		p.unconverged(fmt.Sprintf("push for %s fenced by a newer generation", inst.Label()), KindFenced,
+			"push %s refused by generation-ID fencing on %d switch(es); a newer leader owns the network", inst.Label(), n)
+		p.next.kind = effStepDown
+		return
+	}
+	p.note(KindPush, "pushed %s: %d flow-mods acked in %d round(s), %d demoted",
+		inst.Label(), rep.FlowModsAcked, rep.Rounds, len(rep.Demoted))
+	for _, sw := range rep.Demoted {
+		p.Unreachable = setAdd(p.Unreachable, sw)
+	}
+	out := achievedSnapshot(inst, rep, p.Snap.Restores)
+	p.next = effect{kind: effAdopt, inst: inst, sol: rep.Final, out: &out}
+}
+
+// achievedSnapshot flattens a pushed plan into the serializable reconciled
+// state: the mapping table in instance switch order, per-flow achieved
+// programmability sorted by flow ID, and the plan metrics.
+func achievedSnapshot(inst *scenario.Instance, rep *sdnsim.RecoveryReport, restores int) snapshot {
+	s := snapshot{Label: inst.Label(), Outcome: Outcome{
+		Converged:      true,
+		Restores:       restores,
+		MinProg:        rep.Achieved.MinProg,
+		TotalProg:      rep.Achieved.TotalProg,
+		RecoveredFlows: rep.Achieved.RecoveredFlows,
+		OfflineFlows:   inst.OfflineFlowCount(),
+		PushRounds:     rep.Rounds,
+		FlowModsAcked:  rep.FlowModsAcked,
+	}}
+	for i, jj := range rep.Final.SwitchController {
+		e := MappingEntry{Switch: inst.Switches[i], Controller: -1}
+		if jj >= 0 {
+			e.Controller = inst.Active[jj]
+		}
+		s.Mapping = append(s.Mapping, e)
+	}
+	for l, prog := range rep.Achieved.FlowProg {
+		s.FlowProg = append(s.FlowProg, FlowProg{Flow: inst.FlowIDs[l], Prog: prog})
+	}
+	for _, lid := range inst.Unrecoverable {
+		s.FlowProg = append(s.FlowProg, FlowProg{Flow: lid, Prog: 0})
+	}
+	sort.Slice(s.FlowProg, func(a, b int) bool { return s.FlowProg[a].Flow < s.FlowProg[b].Flow })
+	return s
+}
+
+// fencedOutcomes counts switches whose push generation-ID fencing refused.
+func fencedOutcomes(rep *sdnsim.RecoveryReport) int {
+	n := 0
+	for i := range rep.Outcomes {
+		if errors.Is(rep.Outcomes[i].Err, sdnsim.ErrFenced) {
+			n++
+		}
+	}
+	return n
+}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
-	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
 
@@ -25,11 +25,14 @@ type FenceResult struct {
 }
 
 // FenceAgents stamps gen onto every agent as a Master claim, in switch
-// order with pushConcurrency workers. A freshly elected leader calls it
-// with the bottom of its first epoch's generation range before reconciling:
-// once the sweep returns, any in-flight push signed by a lower generation —
-// the deposed leader's — is refused by the agents (ErrCodeRoleStale on the
-// wire, ErrFenced in the driver).
+// order, as one round of the push driver (pushRound) with no flow-mods, one
+// attempt per switch (two when the first only found a standby session dead)
+// and gen as the generation limit; the sweep's channels are left standing by
+// in opts.Sessions for the pushes that follow. A freshly elected leader calls
+// it with the bottom of its first epoch's generation range before
+// reconciling: once the sweep returns, any in-flight push signed by a lower
+// generation — the deposed leader's — is refused by the agents
+// (ErrCodeRoleStale on the wire, ErrFenced in the driver).
 //
 // fenced counts the agents that accepted. An agent that reports the claim
 // itself as stale (its generation is already higher) yields ErrFenced for
@@ -38,39 +41,28 @@ type FenceResult struct {
 // agent nobody can reach is moot.
 func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fenced int, results []FenceResult, err error) {
 	opts = opts.withDefaults()
-	switches := make([]topo.NodeID, 0, len(addrs))
+	opts.MaxAttempts, opts.GenerationLimit = 1, gen
+	work := make([]switchPush, 0, len(addrs))
 	for sw := range addrs {
-		switches = append(switches, sw)
+		work = append(work, switchPush{sw: sw})
 	}
-	sort.Slice(switches, func(a, b int) bool { return switches[a] < switches[b] })
+	sort.Slice(work, func(a, b int) bool { return work[a].sw < work[b].sw })
+	outs := make([]SwitchOutcome, len(work))
+	for i := range work {
+		work[i].index = i
+	}
+	g := atomic.Uint64{}
+	g.Store(gen)
+	pushRound(addrs, work, &g, opts, outs)
 
-	results = make([]FenceResult, len(switches))
-	par.For(len(switches), pushConcurrency, func(i int) {
-		results[i] = fenceOne(opts, addrs[switches[i]], switches[i], gen)
-	})
-
-	var firstErr error
-	for _, r := range results {
-		if r.Fenced {
+	results = make([]FenceResult, len(work))
+	for i, out := range outs {
+		results[i] = FenceResult{Switch: work[i].sw, Fenced: out.Err == nil, Err: out.Err}
+		if out.Err == nil {
 			fenced++
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("switch %d: %w", r.Switch, r.Err)
+		} else if err == nil {
+			err = fmt.Errorf("switch %d: %w", work[i].sw, out.Err)
 		}
 	}
-	return fenced, results, firstErr
-}
-
-// fenceOne claims mastership at gen on one agent: a push session with no
-// flow-mods, tried once (twice when the first try only found a standby
-// session dead), so the sweep leaves its sessions standing by in
-// opts.Sessions for the pushes that follow.
-func fenceOne(opts PushOptions, addr string, sw topo.NodeID, gen uint64) FenceResult {
-	_, _, lost, err := pushOnce(opts, addr, gen, nil)
-	if lost {
-		_, _, _, err = pushOnce(opts, addr, gen, nil)
-	}
-	if g, ok := staleGeneration(err); ok {
-		err = fmt.Errorf("%w: switch %d holds generation %d, asserted %d", ErrFenced, sw, g, gen)
-	}
-	return FenceResult{Switch: sw, Fenced: err == nil, Err: err}
+	return fenced, results, err
 }

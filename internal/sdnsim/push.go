@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,7 +133,7 @@ type SwitchOutcome struct {
 	Attempts int
 	// FlowModsAcked counts flow-mods confirmed behind a barrier.
 	FlowModsAcked int
-	// Dirty marks a demoted recovery switch that may hold partial state:
+	// Dirty marks a demoted switch that may hold partial state:
 	// some flow-mods were sent on a connection that died before its barrier
 	// confirmed them.
 	Dirty bool
@@ -390,38 +389,17 @@ func PushRecoveryResilient(
 		}
 		rep.Rounds++
 
-		var (
-			mu     sync.Mutex
-			failed []topo.NodeID
-		)
-		par.For(len(work), pushConcurrency, func(i int) {
-			sp := work[i]
-			out := &rep.Outcomes[sp.index]
-			acked, dirty, err := pushSwitch(addrs, sp, &gen, opts)
-			mu.Lock()
-			defer mu.Unlock()
-			out.Attempts += acked.attempts
-			out.Elapsed += acked.elapsed
-			if err == nil {
-				out.Status = PushApplied
-				out.FlowModsAcked += acked.mods
-				out.Dirty = false
-				out.Err = nil
+		pushRound(addrs, work, &gen, opts, rep.Outcomes)
+		clean := true
+		for _, sp := range work {
+			if rep.Outcomes[sp.index].Status == PushApplied {
 				installed[sp.sw] = sp.mods
-				return
+			} else {
+				demoted[sp.sw], clean = true, false
 			}
-			out.Status = PushDemoted
-			out.Err = err
-			if dirty {
-				out.Dirty = true
-			}
-			failed = append(failed, sp.sw)
-		})
-		if len(failed) == 0 {
-			break
 		}
-		for _, sw := range failed {
-			demoted[sw] = true
+		if clean {
+			break
 		}
 		cur = replan(inst, cur, demoted, &rep.Replanned)
 	}
@@ -482,6 +460,29 @@ func planDelta(plan []switchPush, inst *scenario.Instance, demoted map[topo.Node
 	}
 	sort.Slice(work, func(a, b int) bool { return work[a].index < work[b].index })
 	return work
+}
+
+// pushRound is the one wire round of every driver — a recovery round, a
+// fail-back, a fencing sweep: it pushes each switch in work concurrently
+// (pushSwitch) under one shared generation and folds the result into
+// outs[sp.index]. A switch that stays unreachable ends the round PushDemoted
+// with its last error, and Dirty if this or an earlier round left flow-mods
+// unconfirmed on it; a switch that acknowledges is PushApplied and clean.
+func pushRound(addrs map[topo.NodeID]string, work []switchPush, gen *atomic.Uint64, opts PushOptions, outs []SwitchOutcome) {
+	par.For(len(work), pushConcurrency, func(i int) {
+		sp := work[i]
+		res, dirty, err := pushSwitch(addrs, sp, gen, opts)
+		out := &outs[sp.index]
+		out.Attempts += res.attempts
+		out.Elapsed += res.elapsed
+		out.FlowModsAcked += res.mods
+		out.Err = err
+		if err != nil {
+			out.Status, out.Dirty = PushDemoted, out.Dirty || dirty
+		} else {
+			out.Status, out.Dirty = PushApplied, false
+		}
+	})
 }
 
 // attemptResult carries a worker's bookkeeping out of the retry loop.

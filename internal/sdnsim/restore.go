@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pmedic/internal/flow"
-	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
 
@@ -27,12 +26,13 @@ type RestoreReport struct {
 // domain, the entries that recovery demoted to legacy mode must be
 // reinstalled before the flows are SDN-routed (and programmable) again.
 //
-// Delivery reuses the resilient driver's machinery: concurrent pushes, role
-// claim under opts.GenerationID, capped backoff with seeded jitter, and a
-// barrier per switch. Pass a GenerationID above the one the recovery pushes
-// used (the medic derives both from its epoch counter) so the fail-back
-// claim supersedes, not collides with, the recovery's mastership; the driver
-// still resynchronizes automatically if an agent reports a stale claim.
+// Delivery is one round of the resilient driver (pushRound): concurrent
+// pushes, role claim under opts.GenerationID, capped backoff with seeded
+// jitter, and a barrier per switch. Pass a GenerationID above the one the
+// recovery pushes used (the medic derives both from its epoch counter) so the
+// fail-back claim supersedes, not collides with, the recovery's mastership;
+// the driver still resynchronizes automatically if an agent reports a stale
+// claim.
 // Unreachable switches are reported in Failed, never as an error.
 func RestoreIdeal(
 	addrs map[topo.NodeID]string,
@@ -61,20 +61,7 @@ func RestoreIdeal(
 
 	gen := atomic.Uint64{}
 	gen.Store(opts.GenerationID)
-	par.For(len(work), pushConcurrency, func(i int) {
-		sp := work[i]
-		acked, _, err := pushSwitch(addrs, sp, &gen, opts)
-		out := &rep.Outcomes[sp.index]
-		out.Attempts = acked.attempts
-		out.Elapsed = acked.elapsed
-		if err != nil {
-			out.Status = PushDemoted
-			out.Err = err
-			return
-		}
-		out.Status = PushApplied
-		out.FlowModsAcked = acked.mods
-	})
+	pushRound(addrs, work, &gen, opts, rep.Outcomes)
 	for i := range rep.Outcomes {
 		rep.FlowModsAcked += rep.Outcomes[i].FlowModsAcked
 		if rep.Outcomes[i].Status == PushDemoted {
