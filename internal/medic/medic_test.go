@@ -36,9 +36,9 @@ func testFixture(t *testing.T) (*topo.Deployment, *flow.Set) {
 	return dep, flows
 }
 
-// recorder stubs the wire drivers: pushes succeed instantly (demoting a
-// configured switch set) and restores succeed instantly, while recording
-// every call for assertions.
+// recorder stubs the wire drivers: pushes succeed instantly (demoting every
+// switch of a configured set the plan maps) and restores succeed instantly,
+// while recording every call for assertions.
 type recorder struct {
 	mu       sync.Mutex
 	demote   map[topo.NodeID]bool
@@ -104,31 +104,12 @@ func (r *recorder) push(_ map[topo.NodeID]string, _ *flow.Set, inst *scenario.In
 	demote := r.demote
 	r.mu.Unlock()
 
-	final := &core.Solution{
-		Algorithm:        sol.Algorithm,
-		SwitchController: append([]int(nil), sol.SwitchController...),
-		Active:           append([]bool(nil), sol.Active...),
-		SwitchLevel:      sol.SwitchLevel,
-		MiddleLayer:      sol.MiddleLayer,
-	}
-	rep := &sdnsim.RecoveryReport{Rounds: 1}
+	rep := &sdnsim.RecoveryReport{}
 	for i, swID := range inst.Switches {
-		if demote[swID] {
-			final.SwitchController[i] = -1
-			lo, hi := inst.Problem.SwitchRun(i)
-			clear(final.Active[lo:hi])
+		if demote[swID] && sol.SwitchController[i] >= 0 {
 			rep.Demoted = append(rep.Demoted, swID)
 		}
 	}
-	planned, err := inst.Evaluate(sol)
-	if err != nil {
-		return nil, err
-	}
-	achieved, err := inst.Evaluate(final)
-	if err != nil {
-		return nil, err
-	}
-	rep.Planned, rep.Achieved, rep.Final = planned, achieved, final
 	return rep, nil
 }
 
@@ -243,31 +224,35 @@ func TestSuccessiveFailureReplansResidually(t *testing.T) {
 	rec := &recorder{demote: map[topo.NodeID]bool{victim: true}}
 	m := newIdleMedic(t, rec, nil)
 
-	// First failure: the push demotes the victim switch.
+	// First failure: the push demotes the victim switch, and the pass
+	// re-plans around it and pushes again.
 	st := drive(m, monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()})
-	if !st.Converged || len(st.Unreachable) != 1 || st.Unreachable[0] != victim {
-		t.Fatalf("Unreachable = %v, want [%d]", st.Unreachable, victim)
+	if !st.Converged || len(st.Unreachable) != 1 || st.Unreachable[0] != victim || st.PushRounds != 2 {
+		t.Fatalf("Unreachable = %v after %d push rounds, want [%d] after 2", st.Unreachable, st.PushRounds, victim)
 	}
 
 	// Successive failure: the new plan must route around the known-dead
 	// switch via the residual instance instead of re-mapping it.
 	st = drive(m, monitor.Event{Seq: 2, Failed: []int{4}, At: time.Now()})
-	if !st.Converged || !hasLogKind(st, KindPlan, "residual") {
-		t.Fatalf("no residual re-plan logged: %+v", st.Events)
+	if !st.Converged || !hasLogKind(st, KindPlan, "residual") || st.PushRounds != 1 {
+		t.Fatalf("no residual re-plan logged, or %d push rounds: %+v", st.PushRounds, st.Events)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.pushes) != 2 {
-		t.Fatalf("pushes = %d, want 2", len(rec.pushes))
+	if len(rec.pushes) != 3 {
+		t.Fatalf("pushes = %d, want 3", len(rec.pushes))
 	}
-	inst, sol := rec.pushes[1], rec.sols[1]
-	for i, swID := range inst.Switches {
-		if swID == victim && sol.SwitchController[i] >= 0 {
-			t.Fatalf("residual plan still maps unreachable switch %d", victim)
+	if rec.sols[0].SwitchController[slices.Index(rec.pushes[0].Switches, victim)] < 0 {
+		t.Fatalf("the first plan leaves switch %d unmapped; the test no longer demotes it", victim)
+	}
+	for n := 1; n < 3; n++ {
+		inst, sol := rec.pushes[n], rec.sols[n]
+		if i := slices.Index(inst.Switches, victim); i >= 0 && sol.SwitchController[i] >= 0 {
+			t.Fatalf("push %d still maps unreachable switch %d", n, victim)
 		}
 	}
-	if rec.gens[1] <= rec.gens[0] {
-		t.Fatalf("generation not monotone: %v", rec.gens)
+	if rec.gens[1] != rec.gens[0] || rec.gens[2] <= rec.gens[1] {
+		t.Fatalf("generations %v: want one per epoch, rising", rec.gens)
 	}
 }
 

@@ -129,7 +129,7 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	x.reconcile.write(&b, "pmedicd_reconcile_duration_seconds", "Latency of one reconcile pass (plan, push, adopt); it ends before the pass's WAL commit, which pmedicd_wal_commit_duration_seconds times.")
-	x.push.write(&b, "pmedicd_push_duration_seconds", "Latency of one recovery push (every offline switch, retries and re-plan rounds included).")
+	x.push.write(&b, "pmedicd_push_duration_seconds", "Latency of one recovery push (every switch its plan maps, retries included; a pass that re-plans pushes again).")
 	x.restore.write(&b, "pmedicd_restore_duration_seconds", "Latency of one fail-back push over the returned domains.")
 
 	written, err := io.WriteString(w, b.String())

@@ -196,9 +196,10 @@ type Outcome struct {
 	TotalProg      int `json:"total_prog"`
 	RecoveredFlows int `json:"recovered_flows"`
 	OfflineFlows   int `json:"offline_flows"`
-	PushRounds     int `json:"push_rounds,omitempty"`
-	FlowModsAcked  int `json:"flow_mods_acked,omitempty"`
-	Restores       int `json:"restores"`
+	// PushRounds counts the pass's pushes: one, plus one per re-plan.
+	PushRounds    int `json:"push_rounds,omitempty"`
+	FlowModsAcked int `json:"flow_mods_acked,omitempty"`
+	Restores      int `json:"restores"`
 
 	Mapping  []MappingEntry `json:"mapping,omitempty"`
 	FlowProg []FlowProg     `json:"flow_prog,omitempty"`

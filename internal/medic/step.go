@@ -23,7 +23,7 @@ const (
 	effRestore                    // push the returned domains' ideal tables (Config.Restorer)
 	effRehome                     // give whole returned domains back to their controllers (Network)
 	effPlan                       // plan the instance, from the arm given
-	effPush                       // push the plan (Config.Pusher)
+	effPush                       // push a plan (Config.Pusher)
 	effAdopt                      // record the mapping pushed in the network (Network)
 	effStepDown                   // tell the owner a newer leader has taken over (Config.OnFenced)
 )
@@ -45,8 +45,18 @@ type effect struct {
 	inst     *scenario.Instance   // plan, push, adopt
 	arm      planArm              // plan
 	avoid    map[topo.NodeID]bool // plan from the residual arm
-	sol      *core.Solution       // push: the plan; adopt: the mapping the push achieved
+	sol      *core.Solution       // push: what to push; adopt: the mapping the pushes achieved
+	plan     *core.Solution       // push: the plan, without the switches sol maps to clear them
+	done     pushes               // plan, push: what the pass's pushes so far left
 	out      *snapshot            // adopt: the outcome in force once it is adopted
+}
+
+// pushes is what a pass's pushes have left: how many there were, the
+// flow-mods they had acknowledged, and last, the plan the latest one pushed
+// without the switches it demoted.
+type pushes struct {
+	n, acked int
+	last     *core.Solution
 }
 
 // input is what the shell feeds step: a detector batch, or the result of the
@@ -206,7 +216,11 @@ func (p *pass) restored(in input) {
 // once every returned domain is whole again.
 func (p *pass) settle(back bool) {
 	if len(p.Failed) > 0 {
-		p.compile()
+		if inst, err := p.ctx.Build(p.Failed); err != nil {
+			p.unconverged(fmt.Sprintf("failure set %v is unplannable", p.Failed), KindError, "compile %v: %v", p.Failed, err)
+		} else {
+			p.plan(inst, pushes{})
+		}
 		return
 	}
 	if len(p.PendingRecovered) > 0 {
@@ -223,16 +237,11 @@ func (p *pass) settle(back bool) {
 	p.next = effect{}
 }
 
-// compile turns the failure set into the instance the pass plans, and picks
-// the arm: the residual around switches already proven unreachable in this
-// episode, else the plan store when one is wired, else the solve.
-func (p *pass) compile() {
-	inst, err := p.ctx.Build(p.Failed)
-	if err != nil {
-		p.unconverged(fmt.Sprintf("failure set %v is unplannable", p.Failed), KindError, "compile %v: %v", p.Failed, err)
-		return
-	}
-	p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
+// plan asks for a plan of inst, after the pushes done, from the arm that fits:
+// the residual around switches already proven unreachable in this episode,
+// else the plan store when one is wired, else the solve.
+func (p *pass) plan(inst *scenario.Instance, done pushes) {
+	p.next = effect{kind: effPlan, inst: inst, arm: armSolve, done: done}
 	for _, sw := range inst.Switches {
 		if _, down := slices.BinarySearch(p.Unreachable, sw); down {
 			if p.next.avoid == nil {
@@ -247,11 +256,18 @@ func (p *pass) compile() {
 }
 
 // planned takes a plan. The store and the residual are optimizations whose
-// failure, like a store miss, falls back to the solve. A plan with newer
-// events queued behind it is discarded unpushed: their pass plans again.
+// failure, like a store miss, falls back to the solve; a failed re-plan adopts
+// what the pushes achieved instead, since a solve would map the dead switches
+// again. A plan with newer events queued behind it is discarded unpushed:
+// their pass plans again. In a re-plan's push, each switch the last push
+// configured and the re-plan unmaps stays mapped with nothing active: cleared.
 func (p *pass) planned(in input) {
-	inst, arm := p.next.inst, p.next.arm
+	inst, arm, done := p.next.inst, p.next.arm, p.next.done
 	switch {
+	case in.err != nil && done.last != nil:
+		p.note(KindError, "residual re-plan for %s: %v; keeping what was pushed", inst.Label(), in.err)
+		p.adopt(inst, done)
+		return
 	case in.err != nil && arm != armSolve:
 		p.note(KindError, "%s for %s: %v", map[planArm]string{armStore: "plan store", armResidual: "residual"}[arm], inst.Label(), in.err)
 		p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
@@ -273,14 +289,24 @@ func (p *pass) planned(in input) {
 		p.next = effect{}
 		return
 	}
-	p.next = effect{kind: effPush, inst: inst, sol: in.sol}
+	push := in.sol
+	if done.last != nil {
+		push = clone(in.sol)
+		for i, j := range done.last.SwitchController {
+			if push.SwitchController[i] < 0 {
+				push.SwitchController[i] = j
+			}
+		}
+	}
+	p.next = effect{kind: effPush, inst: inst, sol: push, plan: in.sol, done: done}
 }
 
-// pushed takes the push's report: demoted switches join the unreachable set,
-// and the report is flattened into the outcome before the adopt, so the
-// converged entry, stamped as the adopt returns, times all the pass's work.
+// pushed takes a push's report. Switches it demoted that were not known
+// unreachable join the set, and the instance is planned again around all of
+// them, so a pass pushes at most once per switch plus once. A push that
+// demotes nothing new ends the loop: what the pushes achieved is adopted.
 func (p *pass) pushed(in input) {
-	inst, rep := p.next.inst, in.pushed
+	inst, rep, done := p.next.inst, in.pushed, p.next.done
 	if in.err != nil {
 		p.unconverged(fmt.Sprintf("push for %s failed", inst.Label()), KindError, "push %s: %v", inst.Label(), in.err)
 		return
@@ -294,37 +320,67 @@ func (p *pass) pushed(in input) {
 		p.next.kind = effStepDown
 		return
 	}
-	p.note(KindPush, "pushed %s: %d flow-mods acked in %d round(s), %d demoted",
-		inst.Label(), rep.FlowModsAcked, rep.Rounds, len(rep.Demoted))
-	for _, sw := range rep.Demoted {
-		p.Unreachable = setAdd(p.Unreachable, sw)
+	p.note(KindPush, "pushed %s: %d flow-mods acked, %d demoted", inst.Label(), rep.FlowModsAcked, len(rep.Demoted))
+	done.n, done.acked = done.n+1, done.acked+rep.FlowModsAcked
+	done.last = clone(p.next.plan)
+	fresh := false
+	for i, sw := range inst.Switches {
+		if slices.Contains(rep.Demoted, sw) {
+			fresh = fresh || !slices.Contains(p.Unreachable, sw)
+			p.Unreachable = setAdd(p.Unreachable, sw)
+			done.last.SwitchController[i] = -1
+			lo, hi := inst.Problem.SwitchRun(i)
+			clear(done.last.Active[lo:hi])
+		}
 	}
-	out := achievedSnapshot(inst, rep, p.Snap.Restores)
-	p.next = effect{kind: effAdopt, inst: inst, sol: rep.Final, out: &out}
+	if fresh {
+		p.plan(inst, done)
+		return
+	}
+	p.adopt(inst, done)
 }
 
-// achievedSnapshot flattens a pushed plan into the serializable reconciled
+// adopt asks for what the pushes achieved to be adopted, flattened into the
+// outcome first: the converged entry, stamped as the adopt returns, times it.
+func (p *pass) adopt(inst *scenario.Instance, done pushes) {
+	rep, err := inst.Evaluate(done.last)
+	if err != nil {
+		p.unconverged(fmt.Sprintf("the %s mapping pushed does not evaluate", inst.Label()), KindError, "evaluate %s: %v", inst.Label(), err)
+		return
+	}
+	out := achievedSnapshot(inst, done, rep, p.Snap.Restores)
+	p.next = effect{kind: effAdopt, inst: inst, sol: done.last, out: &out}
+}
+
+// clone copies a switch mapping: step writes into nothing it is handed.
+func clone(sol *core.Solution) *core.Solution {
+	c := *sol
+	c.SwitchController, c.Active = slices.Clone(sol.SwitchController), slices.Clone(sol.Active)
+	return &c
+}
+
+// achievedSnapshot flattens an adopted plan into the serializable reconciled
 // state: the mapping table in instance switch order, per-flow achieved
 // programmability sorted by flow ID, and the plan metrics.
-func achievedSnapshot(inst *scenario.Instance, rep *sdnsim.RecoveryReport, restores int) snapshot {
+func achievedSnapshot(inst *scenario.Instance, done pushes, rep *core.Report, restores int) snapshot {
 	s := snapshot{Label: inst.Label(), Outcome: Outcome{
 		Converged:      true,
 		Restores:       restores,
-		MinProg:        rep.Achieved.MinProg,
-		TotalProg:      rep.Achieved.TotalProg,
-		RecoveredFlows: rep.Achieved.RecoveredFlows,
+		MinProg:        rep.MinProg,
+		TotalProg:      rep.TotalProg,
+		RecoveredFlows: rep.RecoveredFlows,
 		OfflineFlows:   inst.OfflineFlowCount(),
-		PushRounds:     rep.Rounds,
-		FlowModsAcked:  rep.FlowModsAcked,
+		PushRounds:     done.n,
+		FlowModsAcked:  done.acked,
 	}}
-	for i, jj := range rep.Final.SwitchController {
+	for i, jj := range done.last.SwitchController {
 		e := MappingEntry{Switch: inst.Switches[i], Controller: -1}
 		if jj >= 0 {
 			e.Controller = inst.Active[jj]
 		}
 		s.Mapping = append(s.Mapping, e)
 	}
-	for l, prog := range rep.Achieved.FlowProg {
+	for l, prog := range rep.FlowProg {
 		s.FlowProg = append(s.FlowProg, FlowProg{Flow: inst.FlowIDs[l], Prog: prog})
 	}
 	for _, lid := range inst.Unrecoverable {

@@ -18,15 +18,17 @@ import (
 
 // stepFixture is a pass that has seen nothing, over the ATT deployment, and
 // the inputs a {3} episode feeds it: the plan, a push that reached every
-// switch, one refused by a newer generation, and two fail-back reports — one
-// that reached controller 3's whole domain and one that missed its first
-// switch.
+// switch, one refused by a newer generation, one that demoted the plan's
+// first mapped switch (dead) and the re-plan around it, which also leaves the
+// next mapped switch (cleared) unmapped, and two fail-back reports — one that
+// reached controller 3's whole domain and one that missed its first switch.
 type stepFixture struct {
 	idle                      pass
-	sol                       *core.Solution
-	pushed, fenced            *sdnsim.RecoveryReport
+	sol, stripped, resid      *core.Solution
+	pushed, fenced, demoted   *sdnsim.RecoveryReport
 	restored, partly          *sdnsim.RestoreReport
-	lost                      topo.NodeID
+	lost, dead                topo.NodeID
+	clearedAt                 int
 	label3                    string
 	offlineFlows3, mapping3Sz int
 }
@@ -46,20 +48,40 @@ func newStepFixture(t *testing.T) stepFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	achieved, err := inst.Evaluate(sol)
-	if err != nil {
-		t.Fatal(err)
-	}
 	domain := dep.Controllers[3].Domain
+	var mapped []int
+	for i, j := range sol.SwitchController {
+		if j >= 0 {
+			mapped = append(mapped, i)
+		}
+	}
+	if len(mapped) < 2 {
+		t.Fatalf("the {3} plan maps %d switches, want at least 2", len(mapped))
+	}
+	without := func(s *core.Solution, unmap ...int) *core.Solution {
+		c := &core.Solution{Algorithm: s.Algorithm, SwitchController: slices.Clone(s.SwitchController), Active: slices.Clone(s.Active)}
+		for _, i := range unmap {
+			c.SwitchController[i] = -1
+			lo, hi := inst.Problem.SwitchRun(i)
+			clear(c.Active[lo:hi])
+		}
+		return c
+	}
+	dead := inst.Switches[mapped[0]]
 	f := stepFixture{
-		idle:     pass{state: idleState(), ctx: ctx},
-		sol:      sol,
-		pushed:   &sdnsim.RecoveryReport{Rounds: 1, Planned: achieved, Achieved: achieved, Final: sol},
-		fenced:   &sdnsim.RecoveryReport{Outcomes: []sdnsim.SwitchOutcome{{Switch: domain[0], Err: sdnsim.ErrFenced}}},
-		restored: &sdnsim.RestoreReport{},
-		partly:   &sdnsim.RestoreReport{Failed: []topo.NodeID{domain[0]}},
-		lost:     domain[0],
-		label3:   inst.Label(),
+		idle:      pass{state: idleState(), ctx: ctx},
+		sol:       sol,
+		stripped:  without(sol, mapped[0]),
+		resid:     without(sol, mapped[0], mapped[1]),
+		pushed:    &sdnsim.RecoveryReport{},
+		fenced:    &sdnsim.RecoveryReport{Outcomes: []sdnsim.SwitchOutcome{{Switch: domain[0], Err: sdnsim.ErrFenced}}},
+		demoted:   &sdnsim.RecoveryReport{Demoted: []topo.NodeID{dead}},
+		dead:      dead,
+		clearedAt: mapped[1],
+		restored:  &sdnsim.RestoreReport{},
+		partly:    &sdnsim.RestoreReport{Failed: []topo.NodeID{domain[0]}},
+		lost:      domain[0],
+		label3:    inst.Label(),
 	}
 	f.offlineFlows3, f.mapping3Sz = inst.OfflineFlowCount(), len(inst.Switches)
 	return f
@@ -88,6 +110,20 @@ func TestStepExits(t *testing.T) {
 	pushed3 := append(slices.Clone(up3), planned(f.sol, false), pushed(f.pushed))
 	converged3 := append(slices.Clone(pushed3), answered())
 	back3 := append(slices.Clone(converged3), detected(nil, []int{3}), answered())
+	demoted3 := append(slices.Clone(up3), planned(f.sol, false), pushed(f.demoted))
+	replanned3 := append(slices.Clone(demoted3), planned(f.resid, false))
+	dead := []topo.NodeID{f.dead}
+	// adopts holds the pass to adopting sol after the given number of pushes.
+	adopts := func(sol *core.Solution, pushes int) func(*testing.T, pass, pass) {
+		return func(t *testing.T, _, p pass) {
+			if !slices.Equal(p.next.sol.SwitchController, sol.SwitchController) || !slices.Equal(p.next.sol.Active, sol.Active) {
+				t.Errorf("adopts %v, want %v", p.next.sol.SwitchController, sol.SwitchController)
+			}
+			if p.next.out.PushRounds != pushes || !p.next.out.Converged {
+				t.Errorf("outcome to adopt: %d push rounds, converged %v; want %d, true", p.next.out.PushRounds, p.next.out.Converged, pushes)
+			}
+		}
+	}
 
 	type row struct {
 		name   string
@@ -100,6 +136,8 @@ func TestStepExits(t *testing.T) {
 		label            string // a substring of the snapshot's label
 		unreachable      []topo.NodeID
 		pending          []int
+		// check, when set, asserts more of the passes before and after in.
+		check func(t *testing.T, before, after pass)
 	}
 	rows := []row{
 		{name: "unreserved epoch", before: up3[:1], in: failed(store.ErrGuarded),
@@ -123,6 +161,28 @@ func TestStepExits(t *testing.T) {
 		{name: "partial fail-back", before: back3, in: restored(f.partly),
 			kinds: []Kind{KindRestore, KindFailback}, next: effEnd, label: "incomplete",
 			unreachable: []topo.NodeID{f.lost}, pending: []int{3}},
+		{name: "push demotes", before: append(slices.Clone(up3), planned(f.sol, false)), in: pushed(f.demoted),
+			kinds: []Kind{KindPush}, next: effPlan, unreachable: dead,
+			check: func(t *testing.T, _, p pass) {
+				if p.next.arm != armResidual || len(p.next.avoid) != 1 || !p.next.avoid[f.dead] {
+					t.Errorf("re-plan from arm %d avoiding %v, want the residual around %d", p.next.arm, p.next.avoid, f.dead)
+				}
+			}},
+		{name: "re-plan demotes nothing", before: replanned3, in: pushed(f.pushed),
+			kinds: []Kind{KindPush}, next: effAdopt, unreachable: dead,
+			check: func(t *testing.T, before, after pass) {
+				push := before.next
+				lo, hi := push.inst.Problem.SwitchRun(f.clearedAt)
+				if push.sol.SwitchController[f.clearedAt] < 0 || slices.Contains(push.sol.Active[lo:hi], true) || push.plan.SwitchController[f.clearedAt] >= 0 {
+					t.Errorf("re-plan pushes switch %d mapped to %d, the plan to %d; want it pushed mapped with nothing active, and unmapped in the plan",
+						f.clearedAt, push.sol.SwitchController[f.clearedAt], push.plan.SwitchController[f.clearedAt])
+				}
+				adopts(f.resid, 2)(t, before, after)
+			}},
+		{name: "re-plan error", before: demoted3, in: failed(boom),
+			kinds: []Kind{KindError}, next: effAdopt, unreachable: dead, check: adopts(f.stripped, 1)},
+		{name: "queued re-plan", before: demoted3, in: planned(f.resid, true),
+			kinds: []Kind{KindPlan, KindStale}, next: effEnd, unreachable: dead},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -144,7 +204,11 @@ func TestStepExits(t *testing.T) {
 					t.Fatalf("the pass ended at input %d of %d leading up to the exit", i+1, len(r.before))
 				}
 			}
+			before := p
 			p, entries := feed(p, r.in)
+			if r.check != nil {
+				r.check(t, before, p)
+			}
 
 			var kinds []Kind
 			for _, e := range entries {

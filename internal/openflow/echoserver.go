@@ -32,8 +32,10 @@ type EchoServer struct {
 	conns map[*Conn]struct{}
 	pings uint64
 
-	wg   sync.WaitGroup
-	done chan struct{}
+	wg        sync.WaitGroup
+	done      chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // ServeEcho starts an echo endpoint on addr (e.g. "127.0.0.1:0"), initially
@@ -82,13 +84,16 @@ func (s *EchoServer) SetAlive(alive bool) {
 	}
 }
 
-// Close stops the endpoint and waits for its channels to drain.
+// Close stops the endpoint and waits for its channels to drain. Later calls
+// return what the first did.
 func (s *EchoServer) Close() error {
-	close(s.done)
-	err := s.listener.Close()
-	s.SetAlive(false)
-	s.wg.Wait()
-	return err
+	s.closeOnce.Do(func() {
+		close(s.done)
+		s.closeErr = s.listener.Close()
+		s.SetAlive(false)
+		s.wg.Wait()
+	})
+	return s.closeErr
 }
 
 func (s *EchoServer) acceptLoop() {

@@ -100,3 +100,22 @@ func TestEchoServerDeadEndpointAcceptsThenCloses(t *testing.T) {
 		t.Fatalf("a dead endpoint answered %d pings", s.Pings())
 	}
 }
+
+// TestEchoServerCloseTwice: the second Close is a no-op that returns what the
+// first did.
+func TestEchoServerCloseTwice(t *testing.T) {
+	s, err := ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := echoProbe(t, s.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	first := s.Close()
+	if again := s.Close(); again != first {
+		t.Fatalf("second Close returned %v, the first %v", again, first)
+	}
+	if err := echoProbe(t, s.Addr()); err == nil {
+		t.Fatal("a closed endpoint still answers")
+	}
+}

@@ -96,7 +96,7 @@ func Project(sup *scenario.Instance, supSol *core.Solution, inst *scenario.Insta
 
 // repairProjected improves a projected plan with the capacity it left on the
 // table: switches the superset plan never mapped get a residual re-plan
-// (Instance.SolveResidual, the same machinery a recovery push uses after
+// (Instance.SolveResidual, the same machinery the medic re-plans with after
 // demoting unreachable switches, here demoting the mapped ones) against the
 // residual capacities minus what the projection already charged, and the two
 // plans merge disjointly. The merged plan stays feasible: projected loads fit

@@ -8,9 +8,10 @@ import (
 )
 
 // Residual compiles the instance that remains after demoting the given
-// offline switches to legacy mode for good — the re-planning step of a
-// recovery push that found some switches unreachable over the control
-// channel. The returned problem keeps the original switch, controller, and
+// offline switches to legacy mode for good — what the medic's reconcile pass
+// plans once switches have proven unreachable over the control channel, in
+// the pass whose push demoted them and in the episode's later passes. The
+// returned problem keeps the original switch, controller, and
 // flow index spaces (so solutions translate positionally), but:
 //
 //   - every eligible pair at a demoted switch is removed, making the switch
@@ -41,8 +42,8 @@ func (inst *Instance) Residual(demoted map[topo.NodeID]bool) (*core.Problem, []i
 		}
 	}
 	// One counting pass sizes both retained slices exactly — a demotion
-	// re-plan runs on the recovery push's critical path, so the append-grow
-	// churn of the naive loop is worth avoiding.
+	// re-plan runs on the recovery's critical path, so the append-grow churn
+	// of the naive loop is worth avoiding.
 	kept := 0
 	for _, pr := range p.Pairs {
 		if !excluded[pr.Switch] {

@@ -11,8 +11,8 @@ import (
 )
 
 // translate lifts a residual-problem solution back into the original
-// problem's pair index space — the same positional translation the push
-// driver and the recovery daemon perform.
+// problem's pair index space — the same positional translation SolveResidual
+// performs.
 func translate(inst *Instance, rsol *core.Solution, pairMap []int) *core.Solution {
 	sol := core.NewSolution(rsol.Algorithm, inst.Problem)
 	copy(sol.SwitchController, rsol.SwitchController)
@@ -184,5 +184,52 @@ func TestSolveResidual(t *testing.T) {
 
 	if sol, err := inst.SolveResidual(demoted, core.PG); err == nil {
 		t.Fatalf("PG re-plan accepted (Verify says %v)", sol.Verify(inst.Problem))
+	}
+}
+
+// TestResidualReplanFreesCapacity: demoting one switch drops exactly its
+// pairs, keeps the rest in pairMap order, and the re-plan comes back in the
+// original problem's index spaces with the demoted switch unmapped.
+func TestResidualReplanFreesCapacity(t *testing.T) {
+	dep, err := topo.ATT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := Build(dep, flows, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	demoted := map[topo.NodeID]bool{inst.Switches[0]: true}
+	rp, pairMap, err := inst.Residual(demoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rp.Pairs) >= len(inst.Problem.Pairs) {
+		t.Fatalf("residual kept %d of %d pairs", len(rp.Pairs), len(inst.Problem.Pairs))
+	}
+	for k, orig := range pairMap {
+		if rp.Pairs[k] != inst.Problem.Pairs[orig] {
+			t.Fatalf("pairMap[%d]=%d mismatches", k, orig)
+		}
+		if inst.Switches[rp.Pairs[k].Switch] == inst.Switches[0] {
+			t.Fatalf("residual pair %d still at the demoted switch", k)
+		}
+	}
+	next, err := inst.SolveResidual(demoted, core.PM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.SwitchController[0] != -1 {
+		t.Fatalf("PM mapped the demoted switch to %d", next.SwitchController[0])
+	}
+	if len(next.Active) != len(inst.Problem.Pairs) {
+		t.Fatalf("re-plan has %d activation slots, parent has %d pairs", len(next.Active), len(inst.Problem.Pairs))
+	}
+	if _, err := inst.Evaluate(next); err != nil {
+		t.Fatal(err)
 	}
 }

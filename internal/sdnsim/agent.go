@@ -31,8 +31,10 @@ type Agent struct {
 	// end them itself rather than wait for the peer to hang up.
 	conns map[*openflow.Conn]struct{}
 
-	wg   sync.WaitGroup
-	done chan struct{}
+	wg        sync.WaitGroup
+	done      chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // ServeSwitch starts an agent for sw on addr (e.g. "127.0.0.1:0"). The
@@ -104,17 +106,19 @@ func (a *Agent) OpenSessions() int {
 
 // Close stops the agent: it stops accepting, closes every controller channel
 // still open — the switch going away under its sessions — and waits for
-// their handlers to return.
+// their handlers to return. Later calls return what the first did.
 func (a *Agent) Close() error {
-	close(a.done)
-	err := a.listener.Close()
-	a.mu.Lock()
-	for conn := range a.conns {
-		_ = conn.Close()
-	}
-	a.mu.Unlock()
-	a.wg.Wait()
-	return err
+	a.closeOnce.Do(func() {
+		close(a.done)
+		a.closeErr = a.listener.Close()
+		a.mu.Lock()
+		for conn := range a.conns {
+			_ = conn.Close()
+		}
+		a.mu.Unlock()
+		a.wg.Wait()
+	})
+	return a.closeErr
 }
 
 func (a *Agent) acceptLoop() {

@@ -254,3 +254,25 @@ func TestPushRecoveryMissingAgent(t *testing.T) {
 		t.Fatalf("%d demoted outcomes, report lists %v", demoted, rep.Demoted)
 	}
 }
+
+// TestAgentCloseTwice: a test that kills an agent mid-run closes it again in
+// its cleanup; the second Close is a no-op that returns what the first did.
+func TestAgentCloseTwice(t *testing.T) {
+	n := network(t)
+	agent, err := ServeSwitch(n.Switches[13], "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := openflow.DialTimeout(agent.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	first := agent.Close()
+	if again := agent.Close(); again != first {
+		t.Fatalf("second Close returned %v, the first %v", again, first)
+	}
+	if _, err := openflow.DialTimeout(agent.Addr(), time.Second); err == nil {
+		t.Fatal("a closed agent still accepts")
+	}
+}

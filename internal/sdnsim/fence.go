@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"pmedic/internal/topo"
 )
@@ -41,7 +40,7 @@ type FenceResult struct {
 // agent nobody can reach is moot.
 func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fenced int, results []FenceResult, err error) {
 	opts = opts.withDefaults()
-	opts.MaxAttempts, opts.GenerationLimit = 1, gen
+	opts.MaxAttempts, opts.GenerationID, opts.GenerationLimit = 1, gen, gen
 	work := make([]switchPush, 0, len(addrs))
 	for sw := range addrs {
 		work = append(work, switchPush{sw: sw})
@@ -51,9 +50,7 @@ func FenceAgents(addrs map[topo.NodeID]string, gen uint64, opts PushOptions) (fe
 	for i := range work {
 		work[i].index = i
 	}
-	g := atomic.Uint64{}
-	g.Store(gen)
-	pushRound(addrs, work, &g, opts, outs)
+	pushRound(addrs, work, opts, outs)
 
 	results = make([]FenceResult, len(work))
 	for i, out := range outs {

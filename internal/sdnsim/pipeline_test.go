@@ -321,7 +321,7 @@ func TestPushResetMidBatchIsDirtyThenConverges(t *testing.T) {
 			if retried != 1 {
 				t.Fatalf("%d switches retried, want exactly the one whose batch was cut", retried)
 			}
-			checkTablesMatch(t, fx, rep.Final)
+			checkTablesMatch(t, fx, rep)
 		})
 	}
 }

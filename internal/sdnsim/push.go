@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -102,7 +101,7 @@ const (
 	// PushApplied: the switch acknowledged its full configuration.
 	PushApplied
 	// PushDemoted: the switch stayed unreachable through every retry and was
-	// demoted to legacy mode; its pairs were re-planned away.
+	// demoted to legacy mode.
 	PushDemoted
 )
 
@@ -128,8 +127,8 @@ type SwitchOutcome struct {
 	Switch topo.NodeID
 	Index  int
 	Status PushStatus
-	// Attempts counts push sessions tried across all rounds, the free redial
-	// of a standby session found dead included.
+	// Attempts counts push sessions tried, the free redial of a standby
+	// session found dead included.
 	Attempts int
 	// FlowModsAcked counts flow-mods confirmed behind a barrier.
 	FlowModsAcked int
@@ -139,15 +138,14 @@ type SwitchOutcome struct {
 	Dirty bool
 	// Elapsed is the wall time the switch's push sessions took, from taking
 	// the switch's session (a dial only when none stood by) to final barrier
-	// or demotion (backoff included), summed over rounds.
+	// or demotion (backoff included).
 	Elapsed time.Duration
 	// Err is the last error of a demoted switch.
 	Err error
 }
 
-// RecoveryReport is the structured result of a resilient push: what was
-// planned, what the network actually accepted, and how hard it was to get
-// there.
+// RecoveryReport is the structured result of a resilient push: what the
+// network accepted, and how hard it was to get there.
 type RecoveryReport struct {
 	// Outcomes has one entry per offline switch, in instance switch order.
 	Outcomes []SwitchOutcome
@@ -155,16 +153,6 @@ type RecoveryReport struct {
 	FlowModsAcked int
 	// Demoted lists the switches demoted to legacy, ascending.
 	Demoted []topo.NodeID
-	// Replanned reports whether a residual re-plan (through core.PM) ran.
-	Replanned bool
-	// Rounds counts push rounds (1 = no demotions, each re-plan adds one).
-	Rounds int
-	// Planned evaluates the input solution; Achieved evaluates Final, the
-	// solution actually in force after demotions and re-planning. Comparing
-	// the two quantifies the degradation the control-plane faults cost.
-	Planned  *core.Report
-	Achieved *core.Report
-	Final    *core.Solution
 }
 
 // switchPush is one switch's desired configuration as wire messages: per
@@ -314,39 +302,18 @@ func staleGeneration(err error) (gen uint64, ok bool) {
 	return 0, false
 }
 
-// cloneSolution deep-copies the fields the driver mutates.
-func cloneSolution(s *core.Solution) *core.Solution {
-	c := *s
-	c.SwitchController = append([]int(nil), s.SwitchController...)
-	c.Active = append([]bool(nil), s.Active...)
-	if s.PairController != nil {
-		c.PairController = append([]int(nil), s.PairController...)
-	}
-	return &c
-}
-
 // PushRecoveryResilient delivers a switch-mapping recovery over a faulty
-// control channel, degrading gracefully instead of failing atomically:
-//
-//   - every mapped switch is pushed concurrently (role, flow-mods, barrier,
-//     all XID-matched), with transient faults retried under capped
-//     exponential backoff plus seeded jitter;
-//   - a switch that stays unreachable through every retry is demoted to
-//     legacy mode, and the residual instance — the original minus the
-//     demoted switches' pairs — is re-planned through core.PM so the freed
-//     controller capacity can fund programmability elsewhere;
-//   - re-planned deltas are pushed in further rounds (switches whose
-//     acknowledged configuration already matches are skipped; switches a
-//     re-plan unmapped after they were configured get their entries cleaned
-//     up) until the plan and the network agree or everything reachable has
-//     been tried.
+// control channel, degrading gracefully instead of failing atomically: every
+// mapped switch is pushed concurrently (role, flow-mods, barrier, all
+// XID-matched), with transient faults retried under capped exponential
+// backoff plus seeded jitter, and a switch that stays unreachable through
+// every retry is demoted — reported, not fatal. Planning around the demoted
+// switches is the caller's (the medic's reconcile step).
 //
 // addrs maps each offline switch to its agent's address (see AgentAddrs); a
-// mapped switch without an address is treated as permanently unreachable.
-// The returned report carries per-switch outcomes and the planned vs.
-// achieved evaluation; err is reserved for structural failures (a
-// flow-level solution, an unevaluable instance), never for control-channel
-// faults.
+// mapped switch without an address is treated as permanently unreachable. err
+// is reserved for structural failures (a flow-level solution), never for
+// control-channel faults.
 func PushRecoveryResilient(
 	addrs map[topo.NodeID]string,
 	flows *flow.Set,
@@ -355,134 +322,47 @@ func PushRecoveryResilient(
 	opts PushOptions,
 ) (*RecoveryReport, error) {
 	opts = opts.withDefaults()
-	if sol.PairController != nil {
-		return nil, errors.New("sdnsim: flow-level solutions need a middle layer, not a switch mapping")
-	}
-	planned, err := inst.Evaluate(sol)
+	work, err := buildPushPlan(flows, inst, sol)
 	if err != nil {
-		return nil, fmt.Errorf("sdnsim: push: planned solution does not evaluate: %w", err)
+		return nil, err
 	}
-
-	rep := &RecoveryReport{Planned: planned}
-	rep.Outcomes = make([]SwitchOutcome, len(inst.Switches))
+	rep := &RecoveryReport{Outcomes: make([]SwitchOutcome, len(inst.Switches))}
 	for i, swID := range inst.Switches {
 		rep.Outcomes[i] = SwitchOutcome{Switch: swID, Index: i, Status: PushLegacyPlanned}
 	}
-
-	cur := cloneSolution(sol)
-	gen := atomic.Uint64{}
-	gen.Store(opts.GenerationID)
-	demoted := make(map[topo.NodeID]bool)
-	// installed[sw] is the last mod list the switch acknowledged behind a
-	// barrier; absent means the switch was never successfully pushed.
-	installed := make(map[topo.NodeID][]openflow.FlowMod)
-
-	maxRounds := len(inst.Switches) + 1
-	for round := 0; round < maxRounds; round++ {
-		plan, err := buildPushPlan(flows, inst, cur)
-		if err != nil {
-			return nil, err
-		}
-		work := planDelta(plan, inst, demoted, installed)
-		if len(work) == 0 {
-			break
-		}
-		rep.Rounds++
-
-		pushRound(addrs, work, &gen, opts, rep.Outcomes)
-		clean := true
-		for _, sp := range work {
-			if rep.Outcomes[sp.index].Status == PushApplied {
-				installed[sp.sw] = sp.mods
-			} else {
-				demoted[sp.sw], clean = true, false
-			}
-		}
-		if clean {
-			break
-		}
-		cur = replan(inst, cur, demoted, &rep.Replanned)
-	}
-
-	// Demoted switches are legacy in the achieved solution regardless of
-	// what the re-plan said.
-	final := demote(inst, cur, demoted)
-	for swID := range demoted {
-		rep.Demoted = append(rep.Demoted, swID)
-	}
-	sort.Slice(rep.Demoted, func(a, b int) bool { return rep.Demoted[a] < rep.Demoted[b] })
-	for i := range rep.Outcomes {
-		rep.FlowModsAcked += rep.Outcomes[i].FlowModsAcked
-	}
-	achieved, err := inst.Evaluate(final)
-	if err != nil {
-		return nil, fmt.Errorf("sdnsim: push: achieved solution does not evaluate: %w", err)
-	}
-	rep.Final = final
-	rep.Achieved = achieved
+	rep.FlowModsAcked, rep.Demoted = pushRound(addrs, work, opts, rep.Outcomes)
 	return rep, nil
 }
 
-// planDelta selects the pushes still needed: mapped switches whose
-// acknowledged configuration differs from the plan, plus cleanups for
-// switches a re-plan unmapped after they were already configured. Demoted
-// switches are excluded.
-func planDelta(plan []switchPush, inst *scenario.Instance, demoted map[topo.NodeID]bool, installed map[topo.NodeID][]openflow.FlowMod) []switchPush {
-	inPlan := make(map[topo.NodeID]bool, len(plan))
-	var work []switchPush
-	for _, sp := range plan {
-		inPlan[sp.sw] = true
-		if demoted[sp.sw] {
-			continue
-		}
-		if have, ok := installed[sp.sw]; ok && slices.Equal(have, sp.mods) {
-			continue
-		}
-		work = append(work, sp)
-	}
-	// Cleanups: previously configured switches no longer in the plan must
-	// drop the entries we installed, or stale SDN state would shadow the
-	// legacy pipeline. The deletes follow the acknowledged list, so they go
-	// out flow-ascending.
-	for i, swID := range inst.Switches {
-		if inPlan[swID] || demoted[swID] {
-			continue
-		}
-		sp := switchPush{index: i, sw: swID}
-		for _, m := range installed[swID] {
-			if m.Command == openflow.FlowAdd {
-				sp.mods = append(sp.mods, deleteMod(&inst.Flows.Flows[m.Match.FlowID]))
-			}
-		}
-		if len(sp.mods) > 0 {
-			work = append(work, sp)
-		}
-	}
-	sort.Slice(work, func(a, b int) bool { return work[a].index < work[b].index })
-	return work
-}
-
-// pushRound is the one wire round of every driver — a recovery round, a
-// fail-back, a fencing sweep: it pushes each switch in work concurrently
-// (pushSwitch) under one shared generation and folds the result into
-// outs[sp.index]. A switch that stays unreachable ends the round PushDemoted
-// with its last error, and Dirty if this or an earlier round left flow-mods
-// unconfirmed on it; a switch that acknowledges is PushApplied and clean.
-func pushRound(addrs map[topo.NodeID]string, work []switchPush, gen *atomic.Uint64, opts PushOptions, outs []SwitchOutcome) {
+// pushRound is the one wire round of every driver — a recovery, a fail-back,
+// a fencing sweep: it pushes each switch in work concurrently (pushSwitch)
+// under one shared generation, starting at opts.GenerationID, and folds the
+// result into outs[sp.index]. A switch that stays unreachable ends the round
+// PushDemoted with its last error, and Dirty if flow-mods were left
+// unconfirmed on it; a switch that acknowledges is PushApplied and clean. It
+// returns the flow-mods acknowledged and the switches demoted, ascending.
+func pushRound(addrs map[topo.NodeID]string, work []switchPush, opts PushOptions, outs []SwitchOutcome) (acked int, failed []topo.NodeID) {
+	var gen atomic.Uint64
+	gen.Store(opts.GenerationID)
 	par.For(len(work), pushConcurrency, func(i int) {
 		sp := work[i]
-		res, dirty, err := pushSwitch(addrs, sp, gen, opts)
+		res, dirty, err := pushSwitch(addrs, sp, &gen, opts)
 		out := &outs[sp.index]
-		out.Attempts += res.attempts
-		out.Elapsed += res.elapsed
-		out.FlowModsAcked += res.mods
-		out.Err = err
+		out.Attempts, out.Elapsed, out.FlowModsAcked = res.attempts, res.elapsed, res.mods
+		out.Err, out.Dirty = err, dirty
+		out.Status = PushApplied
 		if err != nil {
-			out.Status, out.Dirty = PushDemoted, out.Dirty || dirty
-		} else {
-			out.Status, out.Dirty = PushApplied, false
+			out.Status = PushDemoted
 		}
 	})
+	for _, sp := range work {
+		acked += outs[sp.index].FlowModsAcked
+		if outs[sp.index].Status == PushDemoted {
+			failed = append(failed, sp.sw)
+		}
+	}
+	slices.Sort(failed)
+	return acked, failed
 }
 
 // attemptResult carries a worker's bookkeeping out of the retry loop.
@@ -565,29 +445,4 @@ func backoff(opts PushOptions, rng *rand.Rand, attempt int) time.Duration {
 		d = opts.MaxBackoff
 	}
 	return d + time.Duration(rng.Int63n(int64(opts.BaseBackoff)))
-}
-
-// replan recomputes the recovery after demotions: it solves the residual
-// instance through core.PM (Instance.SolveResidual) or, when that fails,
-// strips the demoted switches from the current solution.
-func replan(inst *scenario.Instance, cur *core.Solution, demoted map[topo.NodeID]bool, replanned *bool) *core.Solution {
-	if next, err := inst.SolveResidual(demoted, core.PM); err == nil {
-		*replanned = true
-		return next
-	}
-	return demote(inst, cur, demoted)
-}
-
-// demote returns a copy of sol with the demoted switches unmapped and their
-// pairs inactive.
-func demote(inst *scenario.Instance, sol *core.Solution, demoted map[topo.NodeID]bool) *core.Solution {
-	next := cloneSolution(sol)
-	for i, swID := range inst.Switches {
-		if demoted[swID] {
-			next.SwitchController[i] = -1
-			lo, hi := inst.Problem.SwitchRun(i)
-			clear(next.Active[lo:hi])
-		}
-	}
-	return next
 }

@@ -2,9 +2,7 @@ package sdnsim
 
 import (
 	"errors"
-	"net"
-	"reflect"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,23 +66,24 @@ func newPushFixture(t *testing.T, failed []int) *pushFixture {
 	return fx
 }
 
-// checkTablesMatch asserts that, for every switch the final solution maps,
-// the agent's flow table holds exactly the entries the solution activates.
-func checkTablesMatch(t *testing.T, fx *pushFixture, final *core.Solution) {
+// checkTablesMatch asserts that, for every switch the fixture's plan maps and
+// the push did not demote, the agent's flow table holds exactly the entries
+// the plan activates.
+func checkTablesMatch(t *testing.T, fx *pushFixture, rep *RecoveryReport) {
 	t.Helper()
 	for k, pr := range fx.inst.Problem.Pairs {
-		if final.SwitchController[pr.Switch] < 0 {
+		swID := fx.inst.Switches[pr.Switch]
+		if fx.sol.SwitchController[pr.Switch] < 0 || slices.Contains(rep.Demoted, swID) {
 			continue // legacy/demoted switch: table frozen, not programmable
 		}
-		swID := fx.inst.Switches[pr.Switch]
 		agent, ok := fx.agents[swID]
 		if !ok {
 			t.Fatalf("mapped switch %d has no agent", swID)
 		}
 		lid := fx.inst.FlowIDs[pr.Flow]
 		_, has := agent.Entry(lid)
-		if has != final.Active[k] {
-			t.Fatalf("switch %d flow %d: entry=%v, want %v", swID, lid, has, final.Active[k])
+		if has != fx.sol.Active[k] {
+			t.Fatalf("switch %d flow %d: entry=%v, want %v", swID, lid, has, fx.sol.Active[k])
 		}
 	}
 }
@@ -95,15 +94,11 @@ func TestResilientPushHealthyNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Demoted) != 0 || rep.Replanned || rep.Rounds != 1 {
-		t.Fatalf("healthy push: demoted=%v replanned=%v rounds=%d", rep.Demoted, rep.Replanned, rep.Rounds)
+	if len(rep.Demoted) != 0 {
+		t.Fatalf("healthy push: demoted=%v", rep.Demoted)
 	}
 	if rep.FlowModsAcked == 0 {
 		t.Fatal("nothing acked")
-	}
-	if rep.Achieved.MinProg != rep.Planned.MinProg || rep.Achieved.TotalProg != rep.Planned.TotalProg {
-		t.Fatalf("achieved (r=%d, total=%d) != planned (r=%d, total=%d)",
-			rep.Achieved.MinProg, rep.Achieved.TotalProg, rep.Planned.MinProg, rep.Planned.TotalProg)
 	}
 	for _, out := range rep.Outcomes {
 		if fx.sol.SwitchController[out.Index] < 0 {
@@ -116,7 +111,7 @@ func TestResilientPushHealthyNetwork(t *testing.T) {
 			t.Fatalf("switch %d: %+v", out.Switch, out)
 		}
 	}
-	checkTablesMatch(t, fx, rep.Final)
+	checkTablesMatch(t, fx, rep)
 	// Mastership was negotiated on every pushed switch.
 	for i, swID := range fx.inst.Switches {
 		if fx.sol.SwitchController[i] < 0 {
@@ -126,53 +121,6 @@ func TestResilientPushHealthyNetwork(t *testing.T) {
 			t.Fatalf("agent %d role = %v", swID, fx.agents[swID].Role())
 		}
 	}
-}
-
-func TestResilientPushMissingAgentDemotesAndReplans(t *testing.T) {
-	fx := newPushFixture(t, []int{3})
-	// Strip the agent of the first mapped switch: permanently unreachable.
-	var victim topo.NodeID = -1
-	for i, swID := range fx.inst.Switches {
-		if fx.sol.SwitchController[i] >= 0 {
-			victim = swID
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no mapped switch in fixture")
-	}
-	addrs := AgentAddrs(fx.agents)
-	delete(addrs, victim)
-
-	rep, err := PushRecoveryResilient(addrs, fx.inst.Flows, fx.inst, fx.sol, PushOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Demoted) != 1 || rep.Demoted[0] != victim {
-		t.Fatalf("demoted = %v, want [%d]", rep.Demoted, victim)
-	}
-	if !rep.Replanned {
-		t.Fatal("missing agent did not trigger a re-plan")
-	}
-	out := rep.Outcomes[indexOf(t, fx, victim)]
-	if out.Status != PushDemoted || !errors.Is(out.Err, ErrAgentMissing) || out.Dirty {
-		t.Fatalf("victim outcome = %+v", out)
-	}
-	// The victim is legacy in the final solution, and nothing is active there.
-	vi := indexOf(t, fx, victim)
-	if rep.Final.SwitchController[vi] != -1 {
-		t.Fatalf("victim still mapped to %d", rep.Final.SwitchController[vi])
-	}
-	for k, hi := fx.inst.Problem.SwitchRun(vi); k < hi; k++ {
-		if rep.Final.Active[k] {
-			t.Fatalf("pair %d active at demoted switch", k)
-		}
-	}
-	// Achieved can only degrade relative to planned, and must evaluate.
-	if rep.Achieved.TotalProg > rep.Planned.TotalProg {
-		t.Fatalf("achieved total %d exceeds planned %d", rep.Achieved.TotalProg, rep.Planned.TotalProg)
-	}
-	checkTablesMatch(t, fx, rep.Final)
 }
 
 func indexOf(t *testing.T, fx *pushFixture, swID topo.NodeID) int {
@@ -231,10 +179,6 @@ func TestResilientPushSurvivesChaos(t *testing.T) {
 	if len(rep.Demoted) != 0 {
 		t.Fatalf("bounded chaos demoted %v", rep.Demoted)
 	}
-	if rep.Achieved.MinProg != rep.Planned.MinProg || rep.Achieved.TotalProg != rep.Planned.TotalProg {
-		t.Fatalf("achieved (r=%d, total=%d) != planned (r=%d, total=%d)",
-			rep.Achieved.MinProg, rep.Achieved.TotalProg, rep.Planned.MinProg, rep.Planned.TotalProg)
-	}
 	retried := false
 	for _, out := range rep.Outcomes {
 		if out.Attempts > 1 {
@@ -244,7 +188,7 @@ func TestResilientPushSurvivesChaos(t *testing.T) {
 	if !retried {
 		t.Fatal("chaos injected no retries; faults not exercised")
 	}
-	checkTablesMatch(t, fx, rep.Final)
+	checkTablesMatch(t, fx, rep)
 }
 
 // muteBarrierAgent accepts control channels and answers everything except
@@ -326,7 +270,7 @@ func TestResilientPushBarrierTimeoutDemotesDirty(t *testing.T) {
 	if !out.Dirty {
 		t.Fatal("flow-mods were sent without confirmation; outcome must be dirty")
 	}
-	checkTablesMatch(t, fx, rep.Final)
+	checkTablesMatch(t, fx, rep)
 }
 
 func TestResilientPushStaleGenerationResync(t *testing.T) {
@@ -358,7 +302,7 @@ func TestResilientPushStaleGenerationResync(t *testing.T) {
 			t.Fatalf("switch %d needed %d attempts for a stale-gen resync", out.Switch, out.Attempts)
 		}
 	}
-	checkTablesMatch(t, fx, rep.Final)
+	checkTablesMatch(t, fx, rep)
 }
 
 func TestAgentRejectsStaleGeneration(t *testing.T) {
@@ -412,133 +356,5 @@ func TestAgentRejectsStaleGeneration(t *testing.T) {
 	}
 	if gen, _ := agent.GenerationID(); gen != 6 {
 		t.Fatalf("generation after equal-role request = %d", gen)
-	}
-}
-
-func TestResidualReplanFreesCapacity(t *testing.T) {
-	dep, err := topo.ATT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := scenario.Build(dep, flows, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	demoted := map[topo.NodeID]bool{inst.Switches[0]: true}
-	rp, pairMap, err := inst.Residual(demoted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rp.Pairs) >= len(inst.Problem.Pairs) {
-		t.Fatalf("residual kept %d of %d pairs", len(rp.Pairs), len(inst.Problem.Pairs))
-	}
-	for k, orig := range pairMap {
-		if rp.Pairs[k] != inst.Problem.Pairs[orig] {
-			t.Fatalf("pairMap[%d]=%d mismatches", k, orig)
-		}
-		if inst.Switches[rp.Pairs[k].Switch] == inst.Switches[0] {
-			t.Fatalf("residual pair %d still at the demoted switch", k)
-		}
-	}
-	// The re-plan comes back in the original problem's index spaces: it
-	// leaves the demoted switch unmapped and evaluates against the parent.
-	next, err := inst.SolveResidual(demoted, core.PM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.SwitchController[0] != -1 {
-		t.Fatalf("PM mapped the demoted switch to %d", next.SwitchController[0])
-	}
-	if len(next.Active) != len(inst.Problem.Pairs) {
-		t.Fatalf("re-plan has %d activation slots, parent has %d pairs", len(next.Active), len(inst.Problem.Pairs))
-	}
-	if _, err := inst.Evaluate(next); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// recordingConn logs every write a driver makes on a control channel.
-type recordingConn struct {
-	net.Conn
-	mu     *sync.Mutex
-	writes *[][]byte
-}
-
-func (c recordingConn) Write(b []byte) (int, error) {
-	c.mu.Lock()
-	*c.writes = append(*c.writes, append([]byte(nil), b...))
-	c.mu.Unlock()
-	return c.Conn.Write(b)
-}
-
-// TestResilientPushCleansUnmappedSwitches drives a re-plan that unmaps
-// switches acknowledged in round 1 (under {1,2,4} with switch 1's agent
-// missing, the residual PM drops switches 0 and 6): none of their round-1
-// entries may survive in their agents' tables, and two same-seed runs must
-// send each of them the identical cleanup batch.
-func TestResilientPushCleansUnmappedSwitches(t *testing.T) {
-	const victim topo.NodeID = 1
-	run := func() map[topo.NodeID][]byte {
-		fx := newPushFixture(t, []int{1, 2, 4})
-		addrs := AgentAddrs(fx.agents)
-		delete(addrs, victim)
-		var mu sync.Mutex
-		writes := make(map[string]*[][]byte)
-		dial := func(addr string, timeout time.Duration) (*openflow.Conn, error) {
-			nc, err := net.DialTimeout("tcp", addr, timeout)
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			if writes[addr] == nil {
-				writes[addr] = new([][]byte)
-			}
-			log := writes[addr]
-			mu.Unlock()
-			c := openflow.NewConn(recordingConn{Conn: nc, mu: &mu, writes: log})
-			c.SetIOTimeout(timeout)
-			if err := c.Handshake(); err != nil {
-				_ = nc.Close()
-				return nil, err
-			}
-			c.SetIOTimeout(0)
-			return c, nil
-		}
-		rep, err := PushRecoveryResilient(addrs, fx.inst.Flows, fx.inst, fx.sol, PushOptions{Seed: 1, Dial: dial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Replanned || rep.Rounds != 2 || len(rep.Demoted) != 1 || rep.Demoted[0] != victim {
-			t.Fatalf("replanned=%v rounds=%d demoted=%v, want one re-plan around %d", rep.Replanned, rep.Rounds, rep.Demoted, victim)
-		}
-		checkTablesMatch(t, fx, rep.Final)
-
-		batches := make(map[topo.NodeID][]byte)
-		p := fx.inst.Problem
-		for i, swID := range fx.inst.Switches {
-			if swID == victim || fx.sol.SwitchController[i] < 0 || rep.Final.SwitchController[i] >= 0 {
-				continue
-			}
-			for k, hi := p.SwitchRun(i); k < hi; k++ {
-				if _, has := fx.agents[swID].Entry(fx.inst.FlowIDs[p.Pairs[k].Flow]); fx.sol.Active[k] && has {
-					t.Fatalf("switch %d unmapped by the re-plan still holds round-1 entry for flow %d",
-						swID, fx.inst.FlowIDs[p.Pairs[k].Flow])
-				}
-			}
-			log := *writes[addrs[swID]]
-			batches[swID] = log[len(log)-1]
-		}
-		if len(batches) < 2 {
-			t.Fatalf("re-plan unmapped %d acknowledged switches, want at least 2", len(batches))
-		}
-		return batches
-	}
-	first, second := run(), run()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("two same-seed runs sent different cleanup batches")
 	}
 }

@@ -1,9 +1,6 @@
 package sdnsim
 
 import (
-	"sort"
-	"sync/atomic"
-
 	"pmedic/internal/flow"
 	"pmedic/internal/topo"
 )
@@ -26,7 +23,7 @@ type RestoreReport struct {
 // domain, the entries that recovery demoted to legacy mode must be
 // reinstalled before the flows are SDN-routed (and programmable) again.
 //
-// Delivery is one round of the resilient driver (pushRound): concurrent
+// Delivery is the recovery driver's one wire round (pushRound): concurrent
 // pushes, role claim under opts.GenerationID, capped backoff with seeded
 // jitter, and a barrier per switch. Pass a GenerationID above the one the
 // recovery pushes used (the medic derives both from its epoch counter) so the
@@ -58,16 +55,6 @@ func RestoreIdeal(
 			work = append(work, sp)
 		}
 	}
-
-	gen := atomic.Uint64{}
-	gen.Store(opts.GenerationID)
-	pushRound(addrs, work, &gen, opts, rep.Outcomes)
-	for i := range rep.Outcomes {
-		rep.FlowModsAcked += rep.Outcomes[i].FlowModsAcked
-		if rep.Outcomes[i].Status == PushDemoted {
-			rep.Failed = append(rep.Failed, rep.Outcomes[i].Switch)
-		}
-	}
-	sort.Slice(rep.Failed, func(a, b int) bool { return rep.Failed[a] < rep.Failed[b] })
+	rep.FlowModsAcked, rep.Failed = pushRound(addrs, work, opts, rep.Outcomes)
 	return rep, nil
 }

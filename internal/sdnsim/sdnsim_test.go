@@ -347,7 +347,7 @@ func TestApplyRecoveryMatchesWirePush(t *testing.T) {
 				if len(rep.Demoted) != 0 {
 					t.Fatalf("loopback push demoted %v", rep.Demoted)
 				}
-				if err := wire.AdoptMapping(inst, rep.Final); err != nil {
+				if err := wire.AdoptMapping(inst, sol); err != nil {
 					t.Fatal(err)
 				}
 

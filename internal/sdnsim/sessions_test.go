@@ -241,7 +241,7 @@ func TestSecondPushDialsNothing(t *testing.T) {
 	if st := set.Stats(); st.Idle != n || st.Reused != uint64(2*n) || st.Dialled != uint64(n) {
 		t.Fatalf("after restore and second push: %+v, want %d idle, %d reused", st, n, 2*n)
 	}
-	checkTablesMatch(t, fx, rep.Final)
+	checkTablesMatch(t, fx, rep)
 
 	set.Close()
 	for _, a := range fx.agents {
@@ -320,7 +320,7 @@ func TestRestartedSwitchCostsARedialNotTheBudget(t *testing.T) {
 	if st := set.Stats(); st.StaleRedialled != 1 || st.Idle != len(addrs) {
 		t.Fatalf("after the push: %+v, want one stale redial and every session idle again", st)
 	}
-	checkTablesMatch(t, fx, rep.Final)
+	checkTablesMatch(t, fx, rep)
 }
 
 // TestDeposedLeaderIsFencedOnItsStandbySession: the fence is per claim, not
