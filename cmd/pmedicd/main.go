@@ -26,20 +26,17 @@
 //
 //	pmedicd [-listen 127.0.0.1:8080] [-interval 500ms] [-timeout 0]
 //	        [-threshold 3] [-debounce 0] [-jitter 0] [-seed 1]
-//	        [-plan-store ""] [-state-dir ""] [-replica-id ""]
+//	        [-state-dir ""] [-replica-id ""]
 //	        [-lease-ttl 2s] [-compact-every 0]
 //	        [-kill 3,4] [-kill-after 5s] [-revive-after 10s]
 //	        [-run-for 0] [-dry-run]
 //
-// With -plan-store the medic serves failure plans from a precompiled plan
-// store (written by pmstore) instead of solving at failure time; the store's
-// topology hash must match the deployment or the daemon refuses to boot.
-//
 // Durations given as 0 pick the detector's defaults (timeout = interval,
-// jitter = interval/4, debounce = 2×interval). -run-for 0 runs until
-// interrupted; SIGINT/SIGTERM drain the reconcile loop, flush the WAL,
-// resign the lease, and exit 0. -dry-run builds the whole stack, prints
-// the wiring, and exits without serving — the CI smoke mode.
+// jitter = interval/4, debounce = 2×interval); a negative duration or count
+// is refused. -run-for 0 runs until interrupted; SIGINT/SIGTERM drain the
+// reconcile loop, flush the WAL, resign the lease, and exit 0. -dry-run
+// builds the whole stack, prints the wiring, and exits without serving —
+// the CI smoke mode.
 package main
 
 import (
@@ -63,7 +60,6 @@ import (
 	"pmedic/internal/medic"
 	"pmedic/internal/monitor"
 	"pmedic/internal/openflow"
-	"pmedic/internal/planstore"
 	"pmedic/internal/sdnsim"
 	"pmedic/internal/store"
 	"pmedic/internal/topo"
@@ -90,10 +86,6 @@ type config struct {
 	runFor      time.Duration
 	dryRun      bool
 
-	// planStore points at a precompiled plan-store file (cmd/pmstore); the
-	// medic serves failure plans from it instead of solving.
-	planStore string
-
 	// HA: a non-empty stateDir turns on persistence and leader election.
 	stateDir     string
 	replicaID    string
@@ -113,7 +105,6 @@ func parseFlags(args []string) (config, error) {
 	stateDir := fs.String("state-dir", "", "snapshot+WAL state directory; enables crash-safe HA mode")
 	replicaID := fs.String("replica-id", "", "this replica's name in the leader lease (default pmedicd-<pid>)")
 	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "leader lease validity; failover latency after SIGKILL is about one TTL")
-	planStore := fs.String("plan-store", "", "precompiled plan-store file (see cmd/pmstore); failure plans are served from it instead of solved")
 	compactEvery := fs.Int("compact-every", 0, "WAL records since the last checkpoint before the daemon folds them into a snapshot (0 = store default, 64)")
 	kill := fs.String("kill", "", "comma-separated controller indices the chaos script kills")
 	killAfter := fs.Duration("kill-after", 5*time.Second, "delay before the chaos kill")
@@ -122,6 +113,23 @@ func parseFlags(args []string) (config, error) {
 	dryRun := fs.Bool("dry-run", false, "build the stack, print the wiring, and exit")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
+	}
+	// A negative duration or count is refused, not run as its default.
+	var negative error
+	fs.Visit(func(f *flag.Flag) {
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && negative == nil {
+			negative = fmt.Errorf("invalid -%s %s: want 0 or more", f.Name, f.Value)
+		}
+	})
+	if negative != nil {
+		return config{}, negative
 	}
 	cfg := config{
 		listen:       *listen,
@@ -135,7 +143,6 @@ func parseFlags(args []string) (config, error) {
 		reviveAfter:  *reviveAfter,
 		runFor:       *runFor,
 		dryRun:       *dryRun,
-		planStore:    *planStore,
 		stateDir:     *stateDir,
 		replicaID:    *replicaID,
 		leaseTTL:     *leaseTTL,
@@ -249,10 +256,9 @@ func followerHandler(dir, id string) http.Handler {
 // daemon is one pmedicd replica: always the stack and the HTTP surface,
 // plus — while leading — the store, detector, and reconcile loop.
 type daemon struct {
-	cfg   config
-	s     *stack
-	out   io.Writer
-	plans *planstore.Store // immutable, shared across promote/demote cycles
+	cfg config
+	s   *stack
+	out io.Writer
 
 	handler *swapHandler
 	el      *election.Elector
@@ -273,8 +279,8 @@ func (d *daemon) detectorConfig() monitor.Config {
 	}
 }
 
-// medicConfig wires a medic over the stack, the plan store and the state
-// store d.st (nil when not leading, or standalone).
+// medicConfig wires a medic over the stack and the state store d.st (nil when
+// not leading, or standalone).
 func (d *daemon) medicConfig() medic.Config {
 	return medic.Config{
 		Dep:       d.s.dep,
@@ -283,7 +289,6 @@ func (d *daemon) medicConfig() medic.Config {
 		Net:       d.s.network,
 		Push:      sdnsim.PushOptions{Seed: d.cfg.seed},
 		Store:     d.st,
-		Plans:     d.plans,
 		ReplicaID: d.cfg.replicaID,
 		OnFenced: func() {
 			select {
@@ -396,21 +401,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	d := &daemon{cfg: cfg, s: s, out: out, handler: &swapHandler{}, fenced: make(chan struct{}, 1)}
-	if cfg.planStore != "" {
-		// The store is read-only and immutable: open it once and share it
-		// across every promote/demote cycle.
-		ps, err := planstore.Open(cfg.planStore)
-		if err != nil {
-			return err
-		}
-		defer ps.Close()
-		d.plans = ps
-	}
-	// Wire a medic once at boot, so what New refuses — a plan store compiled
-	// for another deployment — refuses the boot, not every promotion.
-	if _, err := medic.New(d.medicConfig()); err != nil {
-		return err
-	}
 
 	fmt.Fprintf(out, "pmedicd: ATT: %d switches (agents up), %d controllers (echo endpoints up)\n",
 		len(s.network.Switches), len(s.network.Controllers))
@@ -419,11 +409,6 @@ func run(args []string, out io.Writer) error {
 			j, s.dep.Controllers[j].Site, s.echos[j].Addr())
 	}
 	fmt.Fprintf(out, "  detector: interval=%v threshold=%d\n", cfg.interval, cfg.threshold)
-	if d.plans != nil {
-		h := d.plans.Header()
-		fmt.Fprintf(out, "  plan store: %s: %d plans up to depth %d (%s, M=%d, topo %#x)\n",
-			cfg.planStore, d.plans.Len(), h.Depth, h.Algorithm, h.NumControllers, h.TopoHash)
-	}
 	if cfg.stateDir != "" {
 		fmt.Fprintf(out, "  HA: replica %s, state dir %s, lease TTL %v\n",
 			cfg.replicaID, cfg.stateDir, cfg.leaseTTL)

@@ -2,17 +2,12 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"pmedic/internal/flow"
-	"pmedic/internal/planstore"
-	"pmedic/internal/topo"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -71,23 +66,18 @@ func TestKillOutOfRangeIsRefused(t *testing.T) {
 	}
 }
 
-// TestMismatchedPlanStoreRefusesBoot: a plan store compiled for another
-// workload stops the boot with an error that names the mismatch.
-func TestMismatchedPlanStoreRefusesBoot(t *testing.T) {
-	dep, err := topo.ATT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := flow.Generate(dep.Graph, flow.Options{Slack: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "other.pmps")
-	if _, err := planstore.Compile(dep, other, path, planstore.CompileOptions{Sets: [][]int{{3}}}); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-dry-run", "-plan-store", path}, new(bytes.Buffer))
-	if !errors.Is(err, planstore.ErrMismatch) || !strings.Contains(err.Error(), "topology hash") {
-		t.Fatalf("-plan-store compiled for another workload: %v, want a refused boot naming the mismatch", err)
+// TestNegativeSettingsAreRefused: a negative duration or count is an error,
+// not a setting the daemon reports and then runs as its default.
+func TestNegativeSettingsAreRefused(t *testing.T) {
+	for _, name := range []string{"-interval", "-timeout", "-jitter", "-debounce", "-threshold",
+		"-lease-ttl", "-compact-every", "-kill-after", "-revive-after", "-run-for"} {
+		value := "-1s"
+		if name == "-threshold" || name == "-compact-every" {
+			value = "-2"
+		}
+		err := run([]string{"-dry-run", name, value}, new(bytes.Buffer))
+		if err == nil || !strings.Contains(err.Error(), name+" "+value) {
+			t.Errorf("%s %s: %v, want it refused by name", name, value, err)
+		}
 	}
 }

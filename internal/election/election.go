@@ -63,9 +63,10 @@ type Config struct {
 	Dir string
 	// ID names this replica in the lease.
 	ID string
-	// TTL is the lease validity window (default 2s). A leader that cannot
-	// renew within it is deposed; failover latency after SIGKILL is at most
-	// TTL + one campaign interval. Replicas campaign and renew every TTL/3.
+	// TTL is the lease validity window (default 2s), a whole number of
+	// milliseconds: the lease file's unit. A leader that cannot renew within
+	// it is deposed; failover latency after SIGKILL is at most TTL + one
+	// campaign interval. Replicas campaign and renew every TTL/3.
 	TTL time.Duration
 	// Seed decorrelates campaign jitter between replicas.
 	Seed int64
@@ -76,7 +77,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TTL <= 0 {
+	if c.TTL == 0 {
 		c.TTL = 2 * time.Second
 	}
 	return c
@@ -105,6 +106,10 @@ type Elector struct {
 func New(cfg Config) (*Elector, error) {
 	if cfg.Dir == "" || cfg.ID == "" {
 		return nil, errors.New("election: Dir and ID are required")
+	}
+	// The lease on disk must not expire before its holder's Check fails.
+	if cfg.TTL < 0 || cfg.TTL%time.Millisecond != 0 {
+		return nil, fmt.Errorf("election: TTL %v is not a whole, positive number of milliseconds", cfg.TTL)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("election: %w", err)

@@ -174,3 +174,28 @@ func TestAtMostOneLeader(t *testing.T) {
 func leading(e *Elector) func() bool {
 	return func() bool { return e.Check() == nil }
 }
+
+// TestLeaseOnDiskOutlivesCheck: the lease file's millisecond TTL never ends
+// before the holder's own TTL, which Check enforces — else other replicas
+// could take over while the holder still acts as leader. A TTL the file
+// cannot state is refused.
+func TestLeaseOnDiskOutlivesCheck(t *testing.T) {
+	for _, ttl := range []time.Duration{2 * time.Second, 1500 * time.Microsecond, 2 * time.Nanosecond} {
+		dir := t.TempDir()
+		e, err := New(Config{Dir: dir, ID: "a", TTL: ttl})
+		if err != nil {
+			if ttl%time.Millisecond == 0 {
+				t.Errorf("TTL %v refused: %v", ttl, err)
+			}
+			continue
+		}
+		e.campaign()
+		lease, err := Leader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lease.Holder != "a" || lease.Expired(lease.RenewedAt.Add(ttl)) {
+			t.Errorf("TTL %v: lease on disk %+v is expired at RenewedAt + TTL", ttl, lease)
+		}
+	}
+}

@@ -35,7 +35,6 @@ import (
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
 	"pmedic/internal/monitor"
-	"pmedic/internal/planstore"
 	"pmedic/internal/scenario"
 	"pmedic/internal/sdnsim"
 	"pmedic/internal/store"
@@ -55,8 +54,8 @@ type PushFunc func(addrs map[topo.NodeID]string, flows *flow.Set, inst *scenario
 type RestoreFunc func(addrs map[topo.NodeID]string, flows *flow.Set, switches []topo.NodeID,
 	opts sdnsim.PushOptions) (*sdnsim.RestoreReport, error)
 
-// Config wires a Medic. Dep, Flows, and Addrs are required; the lifecycles
-// (Open/Close) of Plans and Store belong to the caller.
+// Config wires a Medic. Dep, Flows, and Addrs are required; the lifecycle
+// (Open/Close) of Store belongs to the caller.
 type Config struct {
 	Dep   *topo.Deployment
 	Flows *flow.Set
@@ -70,11 +69,6 @@ type Config struct {
 	Push sdnsim.PushOptions
 	// Solve replaces the planning algorithm (default core.PM).
 	Solve func(*core.Problem) (*core.Solution, error)
-	// Plans, when set, is the precompiled plan store asked before every
-	// solve: an exact hit serves the stored plan (byte-identical to a fresh
-	// solve), any other set pays the solve. New refuses a store compiled for
-	// another deployment with an error wrapping planstore.ErrMismatch.
-	Plans *planstore.Store
 	// Pusher and Restorer replace the wire drivers (defaults:
 	// sdnsim.PushRecoveryResilient, sdnsim.RestoreIdeal); tests stub them.
 	Pusher   PushFunc
@@ -146,31 +140,19 @@ func New(cfg Config) (*Medic, error) {
 	if cfg.Restorer == nil {
 		cfg.Restorer = sdnsim.RestoreIdeal
 	}
-	if cfg.Plans != nil {
-		// A store compiled for a different deployment would serve plans whose
-		// switch indices, delays, and capacities are all stale.
-		if got, want := cfg.Plans.Header().TopoHash, planstore.TopoHash(cfg.Dep, cfg.Flows); got != want {
-			return nil, fmt.Errorf("medic: plan store %s: %w: topology hash %#x, deployment %#x; recompile with pmstore",
-				cfg.Plans.Path(), planstore.ErrMismatch, got, want)
-		}
-	}
 	ctx, err := scenario.NewContext(cfg.Dep, cfg.Flows)
 	if err != nil {
 		return nil, fmt.Errorf("medic: %w", err)
 	}
 	m := &Medic{
 		cfg:      cfg,
-		cur:      pass{state: idleState(), ctx: ctx, plans: cfg.Plans != nil},
+		cur:      pass{state: idleState(), ctx: ctx},
 		sessions: sdnsim.NewSessions(),
 		rewarm:   make(chan struct{}, 1),
 		log:      newEventLog(logSize),
 		done:     make(chan struct{}),
 	}
-	m.metrics = &Metrics{sessions: m.sessions, plans: cfg.Plans != nil}
-	if cfg.Plans != nil {
-		m.cur.LogSeq = m.log.addf(KindPlan, "plan store %s: %d precompiled plans up to depth %d (%s)",
-			cfg.Plans.Path(), cfg.Plans.Len(), cfg.Plans.Header().Depth, cfg.Plans.Header().Algorithm)
-	}
+	m.metrics = &Metrics{sessions: m.sessions}
 	if cfg.Store != nil {
 		m.metrics.st, m.metrics.pub = cfg.Store, &m.pub
 		ds, err := replayDurable(cfg.Store.Snapshot(), cfg.Store.Records())
@@ -405,23 +387,9 @@ func (m *Medic) exec(e effect) input {
 	return in
 }
 
-// plan runs one planning arm; step decides what follows a miss or an error.
+// plan solves the instance, around the switches in avoid when there are any.
 func (m *Medic) plan(e effect) (*core.Solution, error) {
-	switch e.arm {
-	case armStore:
-		rec, ok := m.cfg.Plans.Exact(e.inst.Failed)
-		if !ok {
-			m.metrics.planMisses.Add(1)
-			return nil, nil
-		}
-		sol, err := m.cfg.Plans.Decode(rec, e.inst)
-		if err != nil {
-			m.metrics.planErrors.Add(1)
-		} else {
-			m.metrics.planHits.Add(1)
-		}
-		return sol, err
-	case armResidual:
+	if e.avoid != nil {
 		return e.inst.SolveResidual(e.avoid, m.cfg.Solve)
 	}
 	return m.cfg.Solve(e.inst.Problem)

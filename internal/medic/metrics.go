@@ -62,11 +62,6 @@ type Metrics struct {
 	leader      atomic.Uint64 // 1 when leader
 	term        atomic.Uint64
 
-	// Plan-store consultation outcomes; rendered only when a store is wired.
-	planHits   atomic.Uint64
-	planMisses atomic.Uint64
-	planErrors atomic.Uint64
-
 	// reconcile times a pass; push and restore time its wire drivers (one
 	// Pusher, one Restorer call). walCommit times the write + fsync after it.
 	reconcile, push, restore, walCommit histogram
@@ -74,7 +69,6 @@ type Metrics struct {
 	sessions *sdnsim.Sessions       // standby-session gauge and counters, nil on a follower
 	st       *store.Store           // WAL fsync/checkpoint/pending sources, nil standalone
 	pub      *atomic.Pointer[state] // the medic's published state (its epoch reservation), wired with st
-	plans    bool                   // a plan store is wired
 }
 
 func (x *Metrics) setLeader(leader bool, term uint64) {
@@ -120,12 +114,6 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 		gauge("pmedicd_wal_pending_records", "WAL records not yet folded into a snapshot.", uint64(x.st.Pending()))
 		gauge("pmedicd_epoch_reserved", "Highest epoch durably reserved: this daemon signs nothing above it, a successor resumes above it.", x.pub.Load().Reserved)
 		x.walCommit.write(&b, "pmedicd_wal_commit_duration_seconds", "Latency of one WAL group commit (write + fsync), paid after the pass it records.")
-	}
-
-	if x.plans {
-		counter("pmedicd_planstore_hits_total", "Recovery plans served from the precompiled plan store.", x.planHits.Load())
-		counter("pmedicd_planstore_misses_total", "Failure sets absent from the plan store (full solve paid).", x.planMisses.Load())
-		counter("pmedicd_planstore_errors_total", "Plan-store consultations that failed and degraded to a solve.", x.planErrors.Load())
 	}
 
 	x.reconcile.write(&b, "pmedicd_reconcile_duration_seconds", "Latency of one reconcile pass (plan, push, adopt); it ends before the pass's WAL commit, which pmedicd_wal_commit_duration_seconds times.")

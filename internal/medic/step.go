@@ -22,19 +22,10 @@ const (
 	effReserve                    // have the epoch durably reserved (ensureReserved)
 	effRestore                    // push the returned domains' ideal tables (Config.Restorer)
 	effRehome                     // give whole returned domains back to their controllers (Network)
-	effPlan                       // plan the instance, from the arm given
+	effPlan                       // plan the instance, around the switches in avoid if any
 	effPush                       // push a plan (Config.Pusher)
 	effAdopt                      // record the mapping pushed in the network (Network)
 	effStepDown                   // tell the owner a newer leader has taken over (Config.OnFenced)
-)
-
-// planArm is where a plan comes from.
-type planArm int
-
-const (
-	armSolve    planArm = iota // a fresh solve (Config.Solve)
-	armStore                   // the plan store's exact plan; a miss is a nil plan
-	armResidual                // a solve of the instance without the switches in avoid
 )
 
 // effect is one piece of I/O step asks the shell for, with its operands.
@@ -43,8 +34,7 @@ type effect struct {
 	switches []topo.NodeID        // restore: the returned domains
 	ctrls    []int                // rehome
 	inst     *scenario.Instance   // plan, push, adopt
-	arm      planArm              // plan
-	avoid    map[topo.NodeID]bool // plan from the residual arm
+	avoid    map[topo.NodeID]bool // plan: the switches a residual solve leaves out; nil solves the whole instance
 	sol      *core.Solution       // push: what to push; adopt: the mapping the pushes achieved
 	plan     *core.Solution       // push: the plan, without the switches sol maps to clear them
 	done     pushes               // plan, push: what the pass's pushes so far left
@@ -66,7 +56,7 @@ type input struct {
 	events   []monitor.Event        // a detector batch
 	err      error                  // the effect failed
 	restored *sdnsim.RestoreReport  // restore
-	sol      *core.Solution         // plan; nil from the store arm is a miss
+	sol      *core.Solution         // plan
 	queued   bool                   // plan: newer events were queued as it returned
 	pushed   *sdnsim.RecoveryReport // push
 }
@@ -75,8 +65,7 @@ type input struct {
 // journals, what step only reads, and what the pass in flight has learnt.
 type pass struct {
 	state
-	ctx   *scenario.Context // the deployment, and the failure sets compiled against it
-	plans bool              // a plan store is wired
+	ctx *scenario.Context // the deployment, and the failure sets compiled against it
 
 	next effect     // what the pass waits on, with what it has learnt
 	at   time.Time  // the clock reading of the last input
@@ -237,52 +226,43 @@ func (p *pass) settle(back bool) {
 	p.next = effect{}
 }
 
-// plan asks for a plan of inst, after the pushes done, from the arm that fits:
-// the residual around switches already proven unreachable in this episode,
-// else the plan store when one is wired, else the solve.
+// plan asks for a plan of inst, after the pushes done: the residual around
+// the switches already proven unreachable in this episode, else the solve.
 func (p *pass) plan(inst *scenario.Instance, done pushes) {
-	p.next = effect{kind: effPlan, inst: inst, arm: armSolve, done: done}
+	p.next = effect{kind: effPlan, inst: inst, done: done}
 	for _, sw := range inst.Switches {
 		if _, down := slices.BinarySearch(p.Unreachable, sw); down {
 			if p.next.avoid == nil {
-				p.next.arm, p.next.avoid = armResidual, make(map[topo.NodeID]bool, len(inst.Switches))
+				p.next.avoid = make(map[topo.NodeID]bool, len(inst.Switches))
 			}
 			p.next.avoid[sw] = true
 		}
 	}
-	if p.next.arm == armSolve && p.plans {
-		p.next.arm = armStore
-	}
 }
 
-// planned takes a plan. The store and the residual are optimizations whose
-// failure, like a store miss, falls back to the solve; a failed re-plan adopts
-// what the pushes achieved instead, since a solve would map the dead switches
-// again. A plan with newer events queued behind it is discarded unpushed:
-// their pass plans again. In a re-plan's push, each switch the last push
-// configured and the re-plan unmaps stays mapped with nothing active: cleared.
+// planned takes a plan. A failed residual falls back to the whole-instance
+// solve; a failed re-plan adopts what the pushes achieved instead, since a
+// solve would map the dead switches again. A plan with newer events queued
+// behind it is discarded unpushed: their pass plans again. In a re-plan's
+// push, each switch the last push configured and the re-plan unmaps stays
+// mapped with nothing active: cleared.
 func (p *pass) planned(in input) {
-	inst, arm, done := p.next.inst, p.next.arm, p.next.done
+	inst, avoid, done := p.next.inst, p.next.avoid, p.next.done
 	switch {
 	case in.err != nil && done.last != nil:
 		p.note(KindError, "residual re-plan for %s: %v; keeping what was pushed", inst.Label(), in.err)
 		p.adopt(inst, done)
 		return
-	case in.err != nil && arm != armSolve:
-		p.note(KindError, "%s for %s: %v", map[planArm]string{armStore: "plan store", armResidual: "residual"}[arm], inst.Label(), in.err)
-		p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
+	case in.err != nil && avoid != nil:
+		p.note(KindError, "residual for %s: %v", inst.Label(), in.err)
+		p.next = effect{kind: effPlan, inst: inst}
 		return
 	case in.err != nil:
 		p.unconverged(fmt.Sprintf("planning for %s failed", inst.Label()), KindError,
 			"plan %s: %v", inst.Label(), in.err)
 		return
-	case arm == armStore && in.sol == nil:
-		p.next = effect{kind: effPlan, inst: inst, arm: armSolve}
-		return
-	case arm == armStore:
-		p.note(KindPlan, "plan for %s served from the plan store", inst.Label())
-	case arm == armResidual:
-		p.note(KindPlan, "residual re-plan for %s excludes %d unreachable switch(es)", inst.Label(), len(p.next.avoid))
+	case avoid != nil:
+		p.note(KindPlan, "residual re-plan for %s excludes %d unreachable switch(es)", inst.Label(), len(avoid))
 	}
 	if in.queued {
 		p.note(KindStale, "plan for %s discarded, newer events queued", inst.Label())

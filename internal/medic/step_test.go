@@ -112,6 +112,9 @@ func TestStepExits(t *testing.T) {
 	back3 := append(slices.Clone(converged3), detected(nil, []int{3}), answered())
 	demoted3 := append(slices.Clone(up3), planned(f.sol, false), pushed(f.demoted))
 	replanned3 := append(slices.Clone(demoted3), planned(f.resid, false))
+	// A later pass, {3,4}, whose first plan is the residual around the switch
+	// {3}'s pass found dead.
+	residual34 := append(slices.Clone(replanned3), pushed(f.pushed), answered(), detected([]int{4}, nil), answered())
 	dead := []topo.NodeID{f.dead}
 	// adopts holds the pass to adopting sol after the given number of pushes.
 	adopts := func(sol *core.Solution, pushes int) func(*testing.T, pass, pass) {
@@ -164,8 +167,8 @@ func TestStepExits(t *testing.T) {
 		{name: "push demotes", before: append(slices.Clone(up3), planned(f.sol, false)), in: pushed(f.demoted),
 			kinds: []Kind{KindPush}, next: effPlan, unreachable: dead,
 			check: func(t *testing.T, _, p pass) {
-				if p.next.arm != armResidual || len(p.next.avoid) != 1 || !p.next.avoid[f.dead] {
-					t.Errorf("re-plan from arm %d avoiding %v, want the residual around %d", p.next.arm, p.next.avoid, f.dead)
+				if len(p.next.avoid) != 1 || !p.next.avoid[f.dead] {
+					t.Errorf("re-plan avoiding %v, want the residual around %d", p.next.avoid, f.dead)
 				}
 			}},
 		{name: "re-plan demotes nothing", before: replanned3, in: pushed(f.pushed),
@@ -181,6 +184,14 @@ func TestStepExits(t *testing.T) {
 			}},
 		{name: "re-plan error", before: demoted3, in: failed(boom),
 			kinds: []Kind{KindError}, next: effAdopt, unreachable: dead, check: adopts(f.stripped, 1)},
+		{name: "residual error", before: residual34, in: failed(boom),
+			kinds: []Kind{KindError}, next: effPlan, unreachable: dead,
+			check: func(t *testing.T, before, p pass) {
+				if !before.next.avoid[f.dead] || p.next.avoid != nil || p.next.inst != before.next.inst {
+					t.Errorf("after a residual around %v failed, plans the same instance %v avoiding %v; want the whole instance",
+						before.next.avoid, p.next.inst == before.next.inst, p.next.avoid)
+				}
+			}},
 		{name: "queued re-plan", before: demoted3, in: planned(f.resid, true),
 			kinds: []Kind{KindPlan, KindStale}, next: effEnd, unreachable: dead},
 	}

@@ -16,15 +16,10 @@ import (
 	"pmedic/internal/topo"
 )
 
-// CompileOptions tunes Compile. The zero value sweeps nothing; set Depth or
-// Sets.
+// CompileOptions tunes Compile.
 type CompileOptions struct {
-	// Depth sweeps every failure combination of size 1..Depth (capped at
-	// M-1). Ignored when Sets is non-nil.
-	Depth int
-	// Sets, when non-nil, names the exact failure sets to compile instead of
-	// a full depth sweep — the sparse-store escape hatch for deployments
-	// where only some combinations are credible (or affordable).
+	// Sets names the failure sets to compile: every combination up to a
+	// depth (scenario.CombinationsUpTo), or only the credible ones.
 	Sets [][]int
 	// Context, when non-nil, supplies the precomputed scenario state; nil
 	// builds one.
@@ -68,11 +63,8 @@ func Compile(dep *topo.Deployment, flows *flow.Set, path string, opts CompileOpt
 	}
 
 	combos := opts.Sets
-	if combos == nil {
-		combos = scenario.CombinationsUpTo(m, opts.Depth)
-	}
 	if len(combos) == 0 {
-		return nil, fmt.Errorf("planstore: nothing to compile (depth %d, %d explicit sets)", opts.Depth, len(opts.Sets))
+		return nil, fmt.Errorf("planstore: no failure sets to compile")
 	}
 	keys := make([]uint64, len(combos))
 	seen := make(map[uint64]int, len(combos))

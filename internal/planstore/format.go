@@ -1,5 +1,5 @@
 // Package planstore turns failure recovery into an O(1) lookup: an offline
-// compiler sweeps every failure combination up to depth k with the parallel
+// compiler sweeps the failure combinations it is given with the parallel
 // sweep engine, delta-encodes each solution against the instance's ideal
 // (nearest-controller) mapping, and writes one versioned, CRC-framed binary
 // file. A reader memory-maps the file and serves plans by binary search over
@@ -286,8 +286,8 @@ func decodePlanInto(t *template, payload []byte, sol *core.Solution) error {
 	}
 	sol.PairController = nil
 	// The varint reader is inlined by position rather than closed over a
-	// shrinking slice: this loop is the daemon's failure path, and the
-	// closure indirection alone costs a measurable share of the decode.
+	// shrinking slice: the closure indirection alone costs a measurable
+	// share of the decode.
 	pos := 0
 	errTruncated := func() error { return fmt.Errorf("%w: truncated delta payload", ErrCorrupt) }
 

@@ -12,8 +12,8 @@ import (
 
 // Pinned by benchmark/storeatt.go's consult stream (`planstore.fallback_us`,
 // `planstore.fallbacks`): Consult, Project, Superset and OutcomeFallback have
-// no other caller — the daemon serves Exact + Decode or solves — and go with
-// those probes in the housekeeping `benchmark` PR.
+// no other caller — the daemon does not consult a store — and go with those
+// probes in the housekeeping `benchmark` PR.
 
 // transPool recycles Project's controller-translation scratch, so a
 // superset projection allocates no deployment-sized slice per call.

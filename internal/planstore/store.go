@@ -16,7 +16,6 @@ import (
 // only the pages holding the hit record. A Store is immutable after Open and
 // safe for concurrent use.
 type Store struct {
-	path   string
 	data   []byte
 	mapped bool
 	hdr    Header
@@ -79,7 +78,7 @@ func Open(path string) (*Store, error) {
 			return nil, fmt.Errorf("planstore: %w", err)
 		}
 	}
-	st := &Store{path: path, data: data, mapped: mapped}
+	st := &Store{data: data, mapped: mapped}
 	if err := st.parse(); err != nil {
 		_ = st.Close()
 		return nil, err
@@ -140,15 +139,6 @@ func (st *Store) Close() error {
 	return nil
 }
 
-// Path returns the file the store was opened from.
-func (st *Store) Path() string { return st.path }
-
-// Header returns the file header.
-func (st *Store) Header() Header { return st.hdr }
-
-// Len returns the number of indexed failure sets.
-func (st *Store) Len() int { return len(st.keys) }
-
 func (st *Store) rec(i int) Rec {
 	e := st.entries[i]
 	return Rec{Key: st.keys[i], payload: st.data[e.off : e.off+uint64(e.length)], crc: e.crc, idx: i}
@@ -162,9 +152,8 @@ func (st *Store) Exact(failed []int) (Rec, bool) {
 	if !ok {
 		return Rec{}, false
 	}
-	// Hand-rolled binary search: this is the daemon's failure path, and
-	// sort.Search's closure call per probe is measurable against a
-	// sub-microsecond lookup budget.
+	// Hand-rolled binary search: sort.Search's closure call per probe is
+	// measurable against a sub-microsecond lookup budget.
 	lo, hi := 0, len(st.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
