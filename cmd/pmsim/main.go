@@ -7,16 +7,11 @@
 // Usage:
 //
 //	pmsim [-scenario 1|2|3|all] [-skip-optimal] [-opt-time 60s]
-//	      [-lambda 0.001] [-slack n] [-csv dir]
+//	      [-lambda 0.001] [-csv dir]
 //	      [-cpuprofile f] [-memprofile f]
 //
 // Each sweep evaluates one failure case per GOMAXPROCS at a time; the tables
 // are the same at any setting (GOMAXPROCS=1 runs the cases in order).
-//
-// With -scale n it instead runs a synthetic-deployment smoke at n switches:
-// a depth-1 sweep with the fast heuristics over all-pairs traffic, printing
-// per-case equivalence-class compression (the class-aggregated solver path is
-// the one under test). CI runs `pmsim -scale 100` as a smoke check.
 package main
 
 import (
@@ -30,7 +25,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"pmedic/internal/core"
 	"pmedic/internal/eval"
 	"pmedic/internal/flow"
 	"pmedic/internal/prof"
@@ -50,7 +44,6 @@ type config struct {
 	skipOptimal bool
 	optTime     time.Duration
 	lambda      float64
-	slack       int
 	csvDir      string
 }
 
@@ -60,9 +53,7 @@ func run(args []string, out io.Writer) (err error) {
 	skipOptimal := fs.Bool("skip-optimal", false, "skip the Optimal (branch & bound) comparator")
 	optTime := fs.Duration("opt-time", 60*time.Second, "time budget per case for Optimal")
 	lambda := fs.Float64("lambda", 0, "objective weight λ (0 = default)")
-	slack := fs.Int("slack", 0, "path-count hop slack (0 = default)")
 	csvDir := fs.String("csv", "", "also write each figure panel as CSV into this directory")
-	scale := fs.Int("scale", 0, "run a synthetic scale smoke at this many switches instead of the paper figures")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -84,11 +75,7 @@ func run(args []string, out io.Writer) (err error) {
 		skipOptimal: *skipOptimal,
 		optTime:     *optTime,
 		lambda:      *lambda,
-		slack:       *slack,
 		csvDir:      *csvDir,
-	}
-	if *scale > 0 {
-		return runScale(out, *scale)
 	}
 	switch *scenarioFlag {
 	case "all":
@@ -104,7 +91,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{Slack: cfg.slack})
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
 	if err != nil {
 		return err
 	}
@@ -128,97 +115,6 @@ func run(args []string, out io.Writer) (err error) {
 			}
 		}
 	}
-	return nil
-}
-
-// runScale is the -scale smoke: a deterministic n-switch synthetic deployment
-// with all-pairs traffic, swept at depth 1 with the fast heuristics. It prints
-// the equivalence-class compression of every case — the CLASSES column is
-// what PM plans over once a case is big and compressible enough (core's
-// aggMinFlows and 2×), the path the scale-syn benchmark workload exercises;
-// RetroFlow and PG plan flow by flow at every size — and fails loudly if any
-// case cannot be solved or recovers nothing.
-func runScale(out io.Writer, n int) error {
-	const m = 8
-	start := time.Now()
-	// Synthetic needs the controller capacity up front, but the right value
-	// depends on the workload. The graph is deterministic in n, so: build once
-	// with a placeholder, generate the flows, size capacity off the largest
-	// pre-failure domain load, and rebuild the deployment around it.
-	dep, err := topo.Synthetic(n, m, 1)
-	if err != nil {
-		return err
-	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{})
-	if err != nil {
-		return err
-	}
-	maxLoad := 0
-	for _, c := range dep.Controllers {
-		load := 0
-		for _, sw := range c.Domain {
-			load += flows.SwitchFlowCount(sw)
-		}
-		if load > maxLoad {
-			maxLoad = load
-		}
-	}
-	capacity := maxLoad + maxLoad/2 + 1
-	if dep, err = topo.Synthetic(n, m, capacity); err != nil {
-		return err
-	}
-	sctx, err := scenario.NewContext(dep, flows)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "scale smoke: %d switches, %d controllers (capacity %d), %d flows [setup %s]\n\n",
-		n, m, capacity, flows.Len(), time.Since(start).Round(time.Millisecond))
-
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "CASE\tOFFLINE FLOWS\tCLASSES\tFLOWS/CLASS\tPM PROG\tRETROFLOW PROG\tPG PROG\tCOMPILE\tPM TIME\n")
-	for j := 0; j < m; j++ {
-		t0 := time.Now()
-		inst, err := sctx.Build([]int{j})
-		compile := time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("case {%d}: %w", j, err)
-		}
-		classes := inst.Problem.ClassCount()
-		if classes <= 0 {
-			return fmt.Errorf("case {%d}: not class-aggregable (classes=%d)", j, classes)
-		}
-		prog := make(map[string]int, 3)
-		var pmTime time.Duration
-		for _, alg := range []struct {
-			name string
-			run  func(*core.Problem) (*core.Solution, error)
-		}{{"PM", core.PM}, {"RetroFlow", core.RetroFlow}, {"PG", core.PG}} {
-			sol, err := alg.run(inst.Problem)
-			if err != nil {
-				return fmt.Errorf("case {%d}: %s: %w", j, alg.name, err)
-			}
-			rep, err := inst.Evaluate(sol)
-			if err != nil {
-				return fmt.Errorf("case {%d}: %s: %w", j, alg.name, err)
-			}
-			if rep.RecoveredFlows == 0 {
-				return fmt.Errorf("case {%d}: %s recovered no flows", j, alg.name)
-			}
-			prog[alg.name] = rep.TotalProg
-			if alg.name == "PM" {
-				pmTime = sol.Runtime
-			}
-		}
-		fmt.Fprintf(w, "{%d}\t%d\t%d\t%.1f\t%d\t%d\t%d\t%s\t%s\n",
-			j, inst.Problem.NumFlows, classes,
-			float64(inst.Problem.NumFlows)/float64(classes),
-			prog["PM"], prog["RetroFlow"], prog["PG"],
-			compile.Round(10*time.Microsecond), pmTime.Round(10*time.Microsecond))
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nscale smoke passed in %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -5,11 +5,10 @@
 //
 // Usage:
 //
-//	pmtopo [-slack n] [-limit n]
+//	pmtopo
 //
-// The workload is one flow per ordered node pair (600 on ATT). -slack and
-// -limit bound its path counting, which decides p̄ but no γ, so they leave
-// the table as it is. The default output is pinned in testdata/att.txt.
+// The workload is one flow per ordered node pair (600 on ATT). The output is
+// pinned in testdata/att.txt.
 package main
 
 import (
@@ -33,8 +32,6 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pmtopo", flag.ContinueOnError)
-	slack := fs.Int("slack", 0, "path-count hop slack (0 = default)")
-	limit := fs.Int("limit", 0, "path-count cap (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -43,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{Slack: *slack, Limit: *limit})
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
 	if err != nil {
 		return err
 	}

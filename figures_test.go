@@ -372,17 +372,6 @@ func TestFig7ComputationTime(t *testing.T) {
 
 // --- ablations (design knobs called out in DESIGN.md) ---
 
-// TestAblationSlack sweeps the path-counting hop slack: looser bounds inflate
-// p̄ and slow counting.
-func TestAblationSlack(t *testing.T) {
-	d := figures(t)
-	for _, slack := range []int{1, 2} {
-		if _, err := flow.Generate(d.dep.Graph, flow.Options{Slack: slack}); err != nil {
-			t.Fatalf("slack=%d: %v", slack, err)
-		}
-	}
-}
-
 // TestAblationPathCap sweeps the per-pair path-count cap, which bounds the p̄
 // distribution's spread (and with it the inter-algorithm gaps).
 func TestAblationPathCap(t *testing.T) {
@@ -466,28 +455,6 @@ func TestExtensionCascade(t *testing.T) {
 		if got != row.want {
 			t.Fatalf("trigger %.2f: PM, RetroFlow, PG episodes %+v, want %+v", row.trigger, got, row.want)
 		}
-	}
-}
-
-// TestExtensionSuccessiveChurn measures recovery churn across a two-step
-// successive failure.
-func TestExtensionSuccessiveChurn(t *testing.T) {
-	d := figures(t)
-	steps, err := scenario.BuildSuccessive(d.dep, d.flows, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := core.PM(steps[0].Instance.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := core.PM(steps[1].Instance.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := eval.Churn(steps[0].Instance, prev, steps[1].Instance, next)
-	if len(steps) != 2 || churn.CommonSwitches == 0 || churn.CommonPairs == 0 {
-		t.Fatalf("%d steps, churn = %+v", len(steps), churn)
 	}
 }
 
@@ -694,23 +661,6 @@ func TestFacadeScenarioValidation(t *testing.T) {
 	}
 	if _, err := scenario.Build(d.dep, d.flows, []int{0, 1, 2, 3, 4, 5}); err == nil {
 		t.Fatal("all-failed must be rejected")
-	}
-}
-
-func TestFacadeSuccessiveAndChurn(t *testing.T) {
-	d := figures(t)
-	steps, err := scenario.BuildSuccessive(d.dep, d.flows, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 2 {
-		t.Fatalf("steps = %d", len(steps))
-	}
-	prev, _ := solveCase(t, steps[0].Instance, core.PM)
-	next, _ := solveCase(t, steps[1].Instance, core.PM)
-	churn := eval.Churn(steps[0].Instance, prev, steps[1].Instance, next)
-	if churn.CommonSwitches == 0 || churn.CommonPairs == 0 {
-		t.Fatalf("churn = %+v", churn)
 	}
 }
 

@@ -372,7 +372,7 @@ func TestAggMatchesFlatSweep(t *testing.T) {
 		cfgs = cfgs[:1]
 	}
 	for _, c := range cfgs {
-		dep, err := topo.Synthetic(c.n, c.m, c.capacity)
+		dep, err := topo.SyntheticWithOpts(c.n, c.m, c.capacity, topo.SyntheticOpts{})
 		if err != nil {
 			t.Fatalf("synthetic(%d,%d): %v", c.n, c.m, err)
 		}

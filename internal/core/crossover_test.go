@@ -44,6 +44,38 @@ func scaleSynContext(t *testing.T, n, m, regions int) *scenario.Context {
 	return ctx
 }
 
+// TestScaleSynHeuristicsRecover takes every heuristic to 10⁶ flows: on each of
+// scale-syn's six depth-1 failure sets, PM, RetroFlow and PG solve, the plan
+// evaluates, and it recovers at least one flow.
+func TestScaleSynHeuristicsRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 999 000-flow fixture")
+	}
+	ctx := scaleSynContext(t, 1000, 50, 8)
+	for _, set := range [][]int{{13}, {17}, {22}, {25}, {29}, {37}} {
+		inst, err := ctx.Build(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []struct {
+			name  string
+			solve func(*core.Problem) (*core.Solution, error)
+		}{{"PM", core.PM}, {"RetroFlow", core.RetroFlow}, {"PG", core.PG}} {
+			sol, err := alg.solve(inst.Problem)
+			if err != nil {
+				t.Fatalf("%s %s: %v", inst.Label(), alg.name, err)
+			}
+			rep, err := inst.Evaluate(sol)
+			if err != nil {
+				t.Fatalf("%s %s: %v", inst.Label(), alg.name, err)
+			}
+			if rep.RecoveredFlows == 0 {
+				t.Errorf("%s %s: recovered no flows", inst.Label(), alg.name)
+			}
+		}
+	}
+}
+
 // minMs is the fastest of reps calls, in milliseconds.
 func minMs(reps int, fn func()) float64 {
 	best := time.Duration(1<<63 - 1)

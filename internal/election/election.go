@@ -7,11 +7,12 @@
 // shared filesystem and across goroutines inside one (flock follows the
 // open file description, not the process).
 //
-// The term is the fencing token: it increases by at least one on every
-// change of leadership, the medic folds it into its resume-epoch bump, and
-// the epoch-derived OpenFlow generation IDs carry the fence to the wire —
-// a deposed leader's in-flight pushes are refused by the switch agents,
-// and its late WAL writes are refused by the store guard (Check).
+// The term increases by at least one on every change of leadership; the
+// medic reports it in its status and leader gauge. The fence is the epoch: a
+// new leader resumes above its predecessor's durable epoch reservation, and
+// the epoch-derived OpenFlow generation IDs carry the fence to the wire — a
+// deposed leader's in-flight pushes are refused by the switch agents, and
+// its late WAL writes are refused by the store guard (Check).
 //
 // SIGKILL needs no cleanup: a dead leader simply stops renewing, its lease
 // expires after TTL, and the next campaigner takes over. Graceful shutdown

@@ -3,83 +3,7 @@ package eval
 import (
 	"errors"
 	"testing"
-
-	"pmedic/internal/core"
-	"pmedic/internal/scenario"
 )
-
-func TestBuildSuccessiveSteps(t *testing.T) {
-	dep, flows := fixtures(t)
-	steps, err := scenario.BuildSuccessive(dep, flows, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 2 {
-		t.Fatalf("steps = %d", len(steps))
-	}
-	if steps[0].NewlyFailed != 3 || len(steps[0].Failed) != 1 {
-		t.Fatalf("step 0 = %+v", steps[0])
-	}
-	if len(steps[1].Failed) != 2 {
-		t.Fatalf("step 1 cumulative = %v", steps[1].Failed)
-	}
-	if len(steps[1].Instance.Switches) <= len(steps[0].Instance.Switches) {
-		t.Fatal("offline set must grow across steps")
-	}
-}
-
-func TestBuildSuccessiveValidation(t *testing.T) {
-	dep, flows := fixtures(t)
-	if _, err := scenario.BuildSuccessive(dep, flows, nil); err == nil {
-		t.Fatal("empty order must fail")
-	}
-	if _, err := scenario.BuildSuccessive(dep, flows, []int{0, 1, 2, 3, 4, 5}); err == nil {
-		t.Fatal("killing every controller must fail")
-	}
-}
-
-func TestChurnAcrossSuccessiveFailures(t *testing.T) {
-	dep, flows := fixtures(t)
-	steps, err := scenario.BuildSuccessive(dep, flows, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := core.PM(steps[0].Instance.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := core.PM(steps[1].Instance.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := Churn(steps[0].Instance, prev, steps[1].Instance, next)
-	if churn.CommonSwitches != len(steps[0].Instance.Switches) {
-		t.Fatalf("common switches = %d, want all %d of step 0",
-			churn.CommonSwitches, len(steps[0].Instance.Switches))
-	}
-	if churn.CommonPairs == 0 {
-		t.Fatal("no common pairs")
-	}
-	if churn.RemappedSwitches > churn.CommonSwitches || churn.ToggledPairs > churn.CommonPairs {
-		t.Fatalf("inconsistent churn: %+v", churn)
-	}
-}
-
-func TestChurnIdentical(t *testing.T) {
-	dep, flows := fixtures(t)
-	inst, err := scenario.Build(dep, flows, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := core.PM(inst.Problem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := Churn(inst, sol, inst, sol)
-	if churn.RemappedSwitches != 0 || churn.ToggledPairs != 0 {
-		t.Fatalf("self-churn must be zero: %+v", churn)
-	}
-}
 
 func TestCascadeStableAtFullTrigger(t *testing.T) {
 	dep, flows := fixtures(t)

@@ -32,26 +32,20 @@ type Flow struct {
 	Path     []topo.NodeID
 }
 
-// Options tunes workload generation. The zero value is replaced by Defaults.
+// Options tunes workload generation; a zero field takes its default.
+//
+// p_i^l counts the simple paths from i to the destination at most one hop
+// longer than the shortest, the paths enumerated in the paper's Fig. 1
+// example.
 type Options struct {
-	// Slack bounds path counting: p_i^l counts simple paths from i to the
-	// destination no longer than (hop distance + Slack). Default 1, which
-	// matches the paths enumerated in the paper's Fig. 1 example.
-	Slack int
 	// Limit caps each p_i^l (0 = default 12). Counting is exact below the
 	// cap; the cap prevents exponential blow-up on dense graphs.
 	Limit int
 }
 
-const (
-	defaultSlack = 1
-	defaultLimit = 12
-)
+const defaultLimit = 12
 
 func (o Options) withDefaults() Options {
-	if o.Slack == 0 {
-		o.Slack = defaultSlack
-	}
 	if o.Limit == 0 {
 		o.Limit = defaultLimit
 	}
@@ -95,9 +89,6 @@ func fitsInt32(what string, v int) error {
 // path.
 func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	opts = opts.withDefaults()
-	if opts.Slack < 0 {
-		return nil, fmt.Errorf("flow: negative slack %d", opts.Slack)
-	}
 	if opts.Limit < 0 {
 		return nil, fmt.Errorf("flow: negative limit %d", opts.Limit)
 	}
@@ -120,31 +111,11 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 		layers[v] = graphalg.BFS(g, topo.NodeID(v))
 	}
 	// p_i^l depends only on the switch and the destination, so it is
-	// memoized by destination column, memo[dst*n+at]. Within one hop of the
-	// shortest — the default slack — a column is one walk-counting pass. A
-	// wider slack admits walks that are not simple paths, so it counts each
-	// (switch, destination) pair by a bounded DFS on first use instead.
+	// memoized by destination column, memo[dst*n+at]: one walk-counting pass
+	// a column.
 	memo := make([]int, n*n)
-	countPaths := func(at, dst topo.NodeID) int { return memo[int(dst)*n+int(at)] }
-	if opts.Slack == 1 {
-		for dst := range layers {
-			graphalg.CountWithinOneHop(g, layers[dst], opts.Limit, memo[dst*n:(dst+1)*n])
-		}
-	} else {
-		for i := range memo {
-			memo[i] = -1
-		}
-		visited := make([]bool, n)
-		countPaths = func(at, dst topo.NodeID) int {
-			key := int(dst)*n + int(at)
-			if c := memo[key]; c >= 0 {
-				return c
-			}
-			toDst := layers[dst].Hops
-			c := graphalg.CountSimplePathsPruned(g, at, dst, toDst[at]+opts.Slack, opts.Limit, toDst, visited)
-			memo[key] = c
-			return c
-		}
+	for dst := range layers {
+		graphalg.CountWithinOneHop(g, layers[dst], opts.Limit, memo[dst*n:(dst+1)*n])
 	}
 
 	// Routing pass: append every pair's path to the arena, carve its view and
@@ -196,7 +167,7 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 		f := &s.Flows[l]
 		for _, v := range f.Path {
 			e := Through{Flow: int32(l)}
-			if c := countPaths(v, f.Dst); c >= 2 {
+			if c := memo[int(f.Dst)*n+int(v)]; c >= 2 {
 				e.PBar = int32(c)
 			}
 			s.through[cursor[v]] = e

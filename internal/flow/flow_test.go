@@ -23,10 +23,10 @@ func attGraph(t *testing.T) *topo.Graph {
 
 // pBar is the tests' p̄ oracle, independent of Generate's memoized counting:
 // graphalg.CountSimplePaths runs its own BFS on fresh scratch, so the two
-// share only the definition — simple paths from v to dst no longer than the
-// hop distance plus the slack, capped at the limit, and 0 below 2.
+// share only the definition — simple paths from v to dst at most one hop
+// longer than the shortest, capped at the limit, and 0 below 2.
 func pBar(g *topo.Graph, opts Options, v, dst topo.NodeID) int32 {
-	maxHops := graphalg.BFS(g, dst).Hops[v] + opts.Slack
+	maxHops := graphalg.BFS(g, dst).Hops[v] + 1
 	if c := graphalg.CountSimplePaths(g, v, dst, maxHops, opts.Limit); c >= 2 {
 		return int32(c)
 	}
@@ -157,42 +157,6 @@ func TestPathCountRespectsLimit(t *testing.T) {
 	}
 }
 
-func TestSlackIncreasesCounts(t *testing.T) {
-	g := attGraph(t)
-	s0, err := Generate(g, Options{Slack: 1, Limit: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Generate(g, Options{Slack: 2, Limit: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grew := false
-	for v := 0; v < g.NumNodes(); v++ {
-		sw := topo.NodeID(v)
-		for k, a := range s0.Through(sw) {
-			b := s2.Through(sw)[k]
-			if b.Flow != a.Flow {
-				t.Fatalf("switch %d entry %d: flow %d under slack 2, %d under slack 1", v, k, b.Flow, a.Flow)
-			}
-			if b.PBar < a.PBar {
-				t.Fatalf("switch %d flow %d: slack 2 p̄ %d < slack 1 p̄ %d", v, a.Flow, b.PBar, a.PBar)
-			}
-			grew = grew || b.PBar > a.PBar
-		}
-	}
-	if !grew {
-		t.Fatal("extra slack should strictly increase at least one count")
-	}
-}
-
-func TestNegativeSlackRejected(t *testing.T) {
-	g := attGraph(t)
-	if _, err := Generate(g, Options{Slack: -1}); err == nil {
-		t.Fatal("negative slack must be rejected")
-	}
-}
-
 // TestSwitchIndexMatchesFlows is the oracle of the switch→flows index: every
 // switch's entries equal the list rebuilt the slow way from the flows' paths
 // — flows ascending, the oracle's p̄ beside each, 0 at the destination.
@@ -278,7 +242,6 @@ func TestSwitchIndexPinned(t *testing.T) {
 	}{
 		{"att", att, Options{}, 0xa3a91258cc2e1bc5},
 		{"att limit 300", att, Options{Limit: 300}, 0x239ae741e9d9790f},
-		{"att slack 2", att, Options{Slack: 2}, 0x3fafde7552a9a952},
 		{"synthetic300 seed 7", syn.Graph, Options{}, 0xf7a7989ec1325723},
 	} {
 		s, err := Generate(c.g, c.opts)
@@ -321,7 +284,7 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := s.Options()
-	if opts.Slack != defaultSlack || opts.Limit != defaultLimit {
+	if opts.Limit != defaultLimit {
 		t.Fatalf("defaults not applied: %+v", opts)
 	}
 }

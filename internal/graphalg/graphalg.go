@@ -299,65 +299,30 @@ func CountSimplePaths(g *topo.Graph, src, dst topo.NodeID, maxHops, limit int) i
 		return 0
 	}
 	toDst := BFS(g, dst).Hops
-	return CountSimplePathsPruned(g, src, dst, maxHops, limit, toDst, make([]bool, n))
-}
-
-// CountSimplePathsPruned is CountSimplePaths with the per-destination BFS hop
-// distances and the visited scratch supplied by the caller. Workload
-// generation counts paths for up to n² (node, destination) pairs and already
-// holds every destination's hop vector, so recomputing a BFS (O(V+E)) per
-// count would dominate the search itself at scale. visited must be all-false
-// on entry and is restored to all-false on return.
-func CountSimplePathsPruned(g *topo.Graph, src, dst topo.NodeID, maxHops, limit int, toDst []int, visited []bool) int {
-	n := g.NumNodes()
-	if src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
-		return 0
-	}
-	if src == dst {
-		return 0
-	}
 	if toDst[src] < 0 || toDst[src] > maxHops {
 		return 0
 	}
-	c := pathCounter{
-		g:       g,
-		dst:     dst,
-		toDst:   toDst,
-		limit:   limit,
-		visited: visited,
+	visited := make([]bool, n)
+	count := 0
+	var dfs func(u topo.NodeID, budget int)
+	dfs = func(u topo.NodeID, budget int) {
+		g.ForEachNeighbor(u, func(v topo.NodeID) {
+			if limit > 0 && count >= limit {
+				return
+			}
+			if v == dst {
+				count++
+				return
+			}
+			if visited[v] || toDst[v] < 0 || toDst[v] > budget-1 {
+				return
+			}
+			visited[v] = true
+			dfs(v, budget-1)
+			visited[v] = false
+		})
 	}
-	c.visited[src] = true
-	c.dfs(src, maxHops)
-	c.visited[src] = false
-	return c.count
-}
-
-type pathCounter struct {
-	g       *topo.Graph
-	dst     topo.NodeID
-	toDst   []int
-	limit   int
-	visited []bool
-	count   int
-}
-
-func (c *pathCounter) dfs(u topo.NodeID, budget int) {
-	if c.limit > 0 && c.count >= c.limit {
-		return
-	}
-	c.g.ForEachNeighbor(u, func(v topo.NodeID) {
-		if c.limit > 0 && c.count >= c.limit {
-			return
-		}
-		if v == c.dst {
-			c.count++
-			return
-		}
-		if c.visited[v] || c.toDst[v] < 0 || c.toDst[v] > budget-1 {
-			return
-		}
-		c.visited[v] = true
-		c.dfs(v, budget-1)
-		c.visited[v] = false
-	})
+	visited[src] = true
+	dfs(src, maxHops)
+	return count
 }

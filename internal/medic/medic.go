@@ -258,6 +258,14 @@ func (m *Medic) run() {
 	// The first event's epoch is reserved before the event exists (a no-op
 	// after Fence); a refusal is dealt with by the pass that meets it.
 	_ = m.ensureReserved(m.cur.Epoch + 1)
+	// A resumed state with no plan in force for its failure set gets one pass
+	// before any event: the detector, which is told the restored set is down,
+	// has nothing to announce. The empty batch detects nothing, so the pass
+	// reserves the resumed epoch, restores any pending fail-back and plans.
+	if !m.cur.Snap.Converged {
+		m.apply([]monitor.Event{}...)
+		m.reconcile()
+	}
 	for {
 		select {
 		case <-m.done:

@@ -48,6 +48,8 @@ type recorder struct {
 	restores [][]topo.NodeID
 	// lose lists the switches every restore reports it could not reach.
 	lose []topo.NodeID
+	// pushErr, when set, is what every push fails with.
+	pushErr error
 
 	// watch, when set, holds every call to the fencing invariant.
 	t      testing.TB
@@ -101,8 +103,11 @@ func (r *recorder) push(_ map[topo.NodeID]string, _ *flow.Set, inst *scenario.In
 	r.pushes = append(r.pushes, inst)
 	r.sols = append(r.sols, sol)
 	r.gens = append(r.gens, opts.GenerationID)
-	demote := r.demote
+	demote, pushErr := r.demote, r.pushErr
 	r.mu.Unlock()
+	if pushErr != nil {
+		return nil, pushErr
+	}
 
 	rep := &sdnsim.RecoveryReport{}
 	for i, swID := range inst.Switches {

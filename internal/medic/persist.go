@@ -9,9 +9,13 @@
 // A pass stages its records in memory and commits them as one group after its
 // last log entry, so a crash loses whole passes, never half of one, and
 // nothing on the way from a detector event to the push waits for the disk. A
-// lost pass is re-detected and re-planned by the successor at a higher epoch:
-// it resumes above max(epoch, reserved), and the reserve record, made durable
-// in blocks off the recovery path, bounds every epoch this medic signs.
+// pass lost whole is re-detected by the successor, whose detector starts from
+// the journalled failure set; a journalled failure set no pass converged on —
+// the pass failed, or was lost after a reservation committed its detect
+// records — is re-planned by the successor before it reads any event. Either
+// way at a higher epoch: it resumes above max(epoch, reserved), and the
+// reserve record, made durable in blocks off the recovery path, bounds every
+// epoch this medic signs.
 // Outcome records carry absolute state, so replay is idempotent. A failed
 // store write degrades durability (counted, surfaced in Status) and never
 // stops the loop, with one exception: a reservation the store's guard refuses

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -490,5 +491,59 @@ func TestEventLogRestoreContinuesSeq(t *testing.T) {
 	got = small.snapshot()
 	if len(got) != 2 || got[1].Seq != 11 || got[0].Seq != 10 {
 		t.Fatalf("small ring restore window wrong: %+v", got)
+	}
+}
+
+// TestReplayedDetectIsNotConverged: a detect record replayed over a converged
+// outcome leaves a status that is neither converged nor ideal. A reservation
+// commits a pass's staged detect records before its outcome, so a follower can
+// read exactly this WAL.
+func TestReplayedDetectIsNotConverged(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := idleState()
+	idle.Epoch = 1
+	if err := st.Append(recOutcome, idle); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(recDetect, detectRecord{Epoch: 2, Failed: []int{3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ReadStatus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(s.Failed) != "[3]" || s.Epoch != 2 || s.Converged || s.Ideal {
+		t.Fatalf("failed=%v epoch=%d converged=%v ideal=%v, want failed=[3] epoch=2 and neither converged nor ideal",
+			s.Failed, s.Epoch, s.Converged, s.Ideal)
+	}
+}
+
+// TestUnconvergedResumeReplans: a medic that resumes a failure set no pass
+// converged on plans it before any event arrives. The detector is told the
+// resumed set is down, so no event about it ever comes.
+func TestUnconvergedResumeReplans(t *testing.T) {
+	dir := t.TempDir()
+	m1, _, events := newStoredMedic(t, dir, &recorder{pushErr: errors.New("switch agent unreachable")}, 0)
+	events <- monitor.Event{Seq: 1, Failed: []int{3}, At: time.Now()}
+	waitStatus(t, m1, func(s Status) bool { return s.Epoch == 1 && strings.HasPrefix(s.Case, "push for ") })
+	m1.Stop()
+
+	rec := &recorder{}
+	m2, _, _ := newStoredMedic(t, dir, rec, 0)
+	st := waitStatus(t, m2, func(s Status) bool { return s.Converged })
+	if fmt.Sprint(st.Failed) != "[3]" || st.Ideal {
+		t.Fatalf("failed=%v ideal=%v, want a converged recovery of [3]", st.Failed, st.Ideal)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.pushes) != 1 || fmt.Sprint(rec.pushes[0].Failed) != "[3]" {
+		t.Fatalf("resumed medic pushed %d plans, want one for [3]", len(rec.pushes))
 	}
 }

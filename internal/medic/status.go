@@ -221,8 +221,11 @@ func idleState() state {
 // detect folds one detector event into the failure set, live (step) or
 // replayed from its record: a controller that returns from the set awaits its
 // fail-back, one that was never in it is ignored, and one that fails again
-// before its fail-back has nothing left to restore.
+// before its fail-back has nothing left to restore. The outcome describes the
+// previous epoch until a pass replaces it: epoch N reads converged, or ideal,
+// only once N has been planned.
 func (s *state) detect(failed, recovered []int) {
+	s.Snap.Converged, s.Snap.Ideal = false, false
 	for _, j := range failed {
 		s.Failed = setAdd(s.Failed, j)
 		s.PendingRecovered, _ = setDel(s.PendingRecovered, j)

@@ -100,9 +100,6 @@ func (p *pass) take(in input) {
 			p.note(KindDetect, "%s", ev)
 			p.detect(ev.Failed, ev.Recovered)
 		}
-		// The state describes the previous epoch until the pass replaces it:
-		// epoch N reads converged, or ideal, only once N has been planned.
-		p.Snap.Converged, p.Snap.Ideal = false, false
 		p.next = effect{kind: effReserve}
 		return
 	}

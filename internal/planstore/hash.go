@@ -59,10 +59,11 @@ func TopoHash(dep *topo.Deployment, flows *flow.Set) uint64 {
 	}
 
 	opts := flows.Options()
-	// A removed pair-ordering flag was mixed here, always 0 in practice; the
-	// constant keeps every compiled store's hash valid.
+	// A removed pair-ordering flag was mixed here, always 0 in practice, and
+	// a removed path-count slack, always 1; the constants keep every compiled
+	// store's hash valid.
 	mix(0)
-	mix(uint64(opts.Slack))
+	mix(1)
 	mix(uint64(opts.Limit))
 	mix(uint64(flows.Len()))
 	return h

@@ -154,7 +154,7 @@ func pBarOracle(g *topo.Graph, opts flow.Options) func(v, dst topo.NodeID) int {
 		key := [2]topo.NodeID{v, dst}
 		c, ok := memo[key]
 		if !ok {
-			maxHops := graphalg.BFS(g, dst).Hops[v] + opts.Slack
+			maxHops := graphalg.BFS(g, dst).Hops[v] + 1
 			if c = graphalg.CountSimplePaths(g, v, dst, maxHops, opts.Limit); c < 2 {
 				c = 0
 			}

@@ -116,7 +116,9 @@ func (n *Network) MappingSnapshot() []int {
 // their assigned (deployment-indexed) controller, unmapped ones become
 // unmanaged. It is ApplyRecovery's last step without the flow-mods — the
 // daemon calls it after PushRecoveryResilient has already installed the
-// data-plane state over the wire, so no flow-mods are replayed here.
+// data-plane state over the wire, so no flow-mods are replayed here. A
+// mapping onto a missing or dead controller is refused whole: no switch
+// moves.
 func (n *Network) AdoptMapping(inst *scenario.Instance, sol *core.Solution) error {
 	if sol.PairController != nil {
 		return errors.New("sdnsim: flow-level solutions need a middle layer, not a switch mapping")
@@ -127,10 +129,8 @@ func (n *Network) AdoptMapping(inst *scenario.Instance, sol *core.Solution) erro
 	}
 	n.ctrlMu.Lock()
 	defer n.ctrlMu.Unlock()
-	for i, jj := range sol.SwitchController {
-		sw := n.Switches[inst.Switches[i]]
+	for _, jj := range sol.SwitchController {
 		if jj < 0 {
-			sw.Controller = -1
 			continue
 		}
 		ctrl := inst.Active[jj]
@@ -140,6 +140,14 @@ func (n *Network) AdoptMapping(inst *scenario.Instance, sol *core.Solution) erro
 		if !n.Controllers[ctrl].Alive {
 			return fmt.Errorf("%w: controller %d", ErrControllerDown, ctrl)
 		}
+	}
+	for i, jj := range sol.SwitchController {
+		sw := n.Switches[inst.Switches[i]]
+		if jj < 0 {
+			sw.Controller = -1
+			continue
+		}
+		ctrl := inst.Active[jj]
 		if sw.Controller != ctrl {
 			n.Stats.Remappings++
 		}

@@ -1,6 +1,8 @@
 package sdnsim
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -150,6 +152,41 @@ func TestAdoptMappingRejectsDeadController(t *testing.T) {
 	}
 	if err := n.AdoptMapping(inst, sol); err == nil {
 		t.Fatal("AdoptMapping accepted a mapping onto a dead controller")
+	}
+}
+
+// TestRefusedAdoptChangesNothing kills the controller of the last switch the
+// plan maps, so every earlier switch has passed its check by the time the
+// refusal comes: the mapping and the remap count must be as they were.
+func TestRefusedAdoptChangesNothing(t *testing.T) {
+	dep, flows, n := lifecycleFixture(t)
+	if err := n.StopController(3); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := scenario.Build(dep, flows, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := core.PM(inst.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := -1
+	for _, jj := range sol.SwitchController {
+		if jj >= 0 {
+			victim = inst.Active[jj]
+		}
+	}
+	if err := n.StopController(victim); err != nil {
+		t.Fatal(err)
+	}
+	before, remaps := n.MappingSnapshot(), n.Stats.Remappings
+	if err := n.AdoptMapping(inst, sol); !errors.Is(err, ErrControllerDown) {
+		t.Fatalf("AdoptMapping onto dead controller %d = %v, want ErrControllerDown", victim, err)
+	}
+	if after := n.MappingSnapshot(); !slices.Equal(after, before) || n.Stats.Remappings != remaps {
+		t.Fatalf("refused adopt moved switches: mapping %v -> %v, remappings %d -> %d",
+			before, after, remaps, n.Stats.Remappings)
 	}
 }
 

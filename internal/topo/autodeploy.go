@@ -6,8 +6,8 @@ import (
 )
 
 // AutoDeployment derives a plausible controller deployment for an arbitrary
-// topology (Synthetic places its controllers with it): the m highest-degree
-// nodes become controller sites and every switch joins
+// topology (SyntheticWithOpts places its controllers with it): the m
+// highest-degree nodes become controller sites and every switch joins
 // the domain of its nearest site (by hop count, ties toward the lower site
 // index), each controller getting the given capacity.
 func AutoDeployment(g *Graph, m, capacity int) (*Deployment, error) {

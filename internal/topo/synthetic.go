@@ -2,18 +2,8 @@ package topo
 
 import "fmt"
 
-// Synthetic builds a deterministic n-node deployment for scale tests and
-// benchmarks: nodes on a ⌈√n⌉-wide geographic grid (so link delays vary but
-// are reproducible), grid edges plus periodic chords to keep the diameter
-// small, and m controllers placed by AutoDeployment with the given capacity.
-// The same (n, m, capacity) always yields the same deployment — no
-// randomness is involved. It is SyntheticWithOpts with the zero options.
-func Synthetic(n, m, capacity int) (*Deployment, error) {
-	return SyntheticWithOpts(n, m, capacity, SyntheticOpts{})
-}
-
-// SyntheticOpts tunes SyntheticWithOpts. The zero value selects the exact
-// layout Synthetic has always produced, byte for byte.
+// SyntheticOpts tunes SyntheticWithOpts. The zero value selects the plain
+// grid layout, with no randomness involved.
 type SyntheticOpts struct {
 	// Seed perturbs node coordinates and chord targets through a splitmix64
 	// stream, yielding diverse but reproducible graphs: the same (n, m,
@@ -38,7 +28,12 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// SyntheticWithOpts is Synthetic with a seed and a region-count hint.
+// SyntheticWithOpts builds a deterministic n-node deployment for scale tests
+// and benchmarks: nodes on a ⌈√n⌉-wide geographic grid (so link delays vary
+// but are reproducible), grid edges plus periodic chords to keep the diameter
+// small, and m controllers placed by AutoDeployment with the given capacity.
+// opts may perturb the layout or cluster it into regions; the same (n, m,
+// capacity, opts) always yields the same deployment.
 func SyntheticWithOpts(n, m, capacity int, opts SyntheticOpts) (*Deployment, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topo: synthetic: need at least 2 nodes, got %d", n)
@@ -73,9 +68,8 @@ func addSynthEdge(g *Graph, a, b, n int) error {
 	return g.AddEdge(NodeID(a), NodeID(b))
 }
 
-// buildGrid is the single-grid layout. With seed 0 it reproduces the legacy
-// Synthetic graph exactly; a non-zero seed jitters coordinates and varies the
-// chord targets.
+// buildGrid is the single-grid layout. Seed 0 draws nothing from the stream;
+// a non-zero seed jitters coordinates and varies the chord targets.
 func buildGrid(g *Graph, n int, seed uint64) error {
 	side := 1
 	for side*side < n {

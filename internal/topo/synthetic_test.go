@@ -3,7 +3,7 @@ package topo
 import "testing"
 
 func TestSyntheticDeterministic(t *testing.T) {
-	a, err := Synthetic(100, 8, 400)
+	a, err := SyntheticWithOpts(100, 8, 400, SyntheticOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,38 +19,26 @@ func TestSyntheticDeterministic(t *testing.T) {
 	if len(a.Controllers) != 8 {
 		t.Fatalf("got %d controllers, want 8", len(a.Controllers))
 	}
-	b, err := Synthetic(100, 8, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Graph.NumEdges() != b.Graph.NumEdges() {
-		t.Fatalf("edge count differs across builds: %d vs %d", a.Graph.NumEdges(), b.Graph.NumEdges())
-	}
-	for j := range a.Controllers {
-		if a.Controllers[j].Site != b.Controllers[j].Site {
-			t.Fatalf("controller %d site differs: %v vs %v", j, a.Controllers[j].Site, b.Controllers[j].Site)
-		}
-	}
 }
 
 func TestSyntheticSmall(t *testing.T) {
-	dep, err := Synthetic(20, 4, 100)
+	dep, err := SyntheticWithOpts(20, 4, 100, SyntheticOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dep.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Synthetic(1, 1, 10); err == nil {
+	if _, err := SyntheticWithOpts(1, 1, 10, SyntheticOpts{}); err == nil {
 		t.Fatal("want error for n < 2")
 	}
 }
 
-// TestSyntheticZeroOptsIdentical pins the compatibility contract: the zero
-// SyntheticOpts must reproduce the legacy layout byte for byte — same
-// coordinates, same edges, same deployment.
+// TestSyntheticZeroOptsIdentical pins determinism: two builds with the zero
+// SyntheticOpts agree byte for byte — same coordinates, same edges, same
+// deployment.
 func TestSyntheticZeroOptsIdentical(t *testing.T) {
-	a, err := Synthetic(100, 8, 400)
+	a, err := SyntheticWithOpts(100, 8, 400, SyntheticOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +52,7 @@ func TestSyntheticZeroOptsIdentical(t *testing.T) {
 // TestSyntheticSeeded checks that seeds diversify the layout while staying
 // reproducible, and that a region hint yields a valid clustered deployment.
 func TestSyntheticSeeded(t *testing.T) {
-	base, err := Synthetic(100, 8, 400)
+	base, err := SyntheticWithOpts(100, 8, 400, SyntheticOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
