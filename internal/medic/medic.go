@@ -385,11 +385,15 @@ func (m *Medic) exec(e effect) input {
 	switch e.kind {
 	case effRestore:
 		m.metrics.restore.observe(took)
+		if in.err == nil {
+			m.metrics.sent(in.restored.Outcomes, in.restored.FlowModsAcked)
+		}
 	case effPush:
 		m.metrics.push.observe(took)
 		if in.err == nil {
 			m.metrics.pushRetries.Add(pushRetries(in.pushed))
 			m.metrics.fenced.Add(uint64(fencedOutcomes(in.pushed)))
+			m.metrics.sent(in.pushed.Outcomes, in.pushed.FlowModsAcked)
 		}
 	}
 	return in

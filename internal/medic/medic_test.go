@@ -435,7 +435,8 @@ func TestBatchedFailBackIsOneRestorerCall(t *testing.T) {
 }
 
 // TestMetricsTimeTheWireStages: /metrics carries one histogram per wire
-// stage next to the reconcile one, each observed once per driver call.
+// stage next to the reconcile one, each observed once per driver call, with
+// buckets below a millisecond, and counts what the drivers sent.
 func TestMetricsTimeTheWireStages(t *testing.T) {
 	m := newIdleMedic(t, &recorder{}, nil)
 	drive(m, monitor.Event{Seq: 1, Failed: []int{3, 4}})
@@ -450,7 +451,11 @@ func TestMetricsTimeTheWireStages(t *testing.T) {
 		"pmedicd_push_duration_seconds_count 1\n",
 		"pmedicd_restore_duration_seconds_count 1\n",
 		"pmedicd_push_duration_seconds_bucket{le=\"+Inf\"} 1\n",
+		"pmedicd_push_duration_seconds_bucket{le=\"0.0005\"} ",
+		"pmedicd_restore_duration_seconds_bucket{le=\"0.0001\"} ",
 		"pmedicd_restores_total 2\n",
+		"pmedicd_push_flowmods_total 0\n",
+		"pmedicd_full_asserts_total 0\n",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, out.String())

@@ -13,8 +13,9 @@ import (
 )
 
 // durationBuckets are the histogram upper bounds, in seconds, shared by the
-// reconcile-pass, push, restore and WAL-commit latencies.
-var durationBuckets = [...]float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
+// reconcile-pass, push, restore and WAL-commit latencies; pushes and WAL
+// commits on a LAN take well under a millisecond.
+var durationBuckets = [...]float64{0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
 // histogram is one cumulative latency histogram over durationBuckets.
 type histogram struct {
@@ -59,8 +60,13 @@ type Metrics struct {
 	pushRetries atomic.Uint64
 	fenced      atomic.Uint64
 	restores    atomic.Uint64
-	leader      atomic.Uint64 // 1 when leader
-	term        atomic.Uint64
+	// pushFlowMods and fullAsserts count what recovery and fail-back pushes
+	// sent: the flow-mods acknowledged, and the switches pushed their whole
+	// table because the standby set could not vouch for it.
+	pushFlowMods atomic.Uint64
+	fullAsserts  atomic.Uint64
+	leader       atomic.Uint64 // 1 when leader
+	term         atomic.Uint64
 
 	// reconcile times a pass; push and restore time its wire drivers (one
 	// Pusher, one Restorer call). walCommit times the write + fsync after it.
@@ -69,6 +75,12 @@ type Metrics struct {
 	sessions *sdnsim.Sessions       // standby-session gauge and counters, nil on a follower
 	st       *store.Store           // WAL fsync/checkpoint/pending sources, nil standalone
 	pub      *atomic.Pointer[state] // the medic's published state (its epoch reservation), wired with st
+}
+
+// sent counts one recovery or fail-back push.
+func (x *Metrics) sent(outs []sdnsim.SwitchOutcome, acked int) {
+	x.pushFlowMods.Add(uint64(acked))
+	x.fullAsserts.Add(uint64(fullAsserts(outs)))
 }
 
 func (x *Metrics) setLeader(leader bool, term uint64) {
@@ -94,6 +106,8 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 	counter("pmedicd_push_retries_total", "Per-switch push connection attempts beyond the first.", x.pushRetries.Load())
 	counter("pmedicd_fenced_pushes_total", "Switch pushes refused by generation-ID fencing.", x.fenced.Load())
 	counter("pmedicd_restores_total", "Returned controller domains restored to the ideal mapping.", x.restores.Load())
+	counter("pmedicd_push_flowmods_total", "Flow-mods acknowledged by recovery and fail-back pushes.", x.pushFlowMods.Load())
+	counter("pmedicd_full_asserts_total", "Switch pushes sent as the whole table, not its difference: no record vouched for the table.", x.fullAsserts.Load())
 	gauge("pmedicd_leader", "1 when this replica holds the leader lease, 0 otherwise.", x.leader.Load())
 	gauge("pmedicd_leader_term", "Fencing term of the last lease this replica held or observed.", x.term.Load())
 

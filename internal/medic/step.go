@@ -158,7 +158,9 @@ func (p *pass) take(in input) {
 // leave the unreachable set, or join it if the push missed them. A domain back
 // whole is restored: its controller leaves the pending set and re-takes the
 // switches, which a recovery adopted after the revival may have handed away.
-// Any other stays pending for the next pass to retry (adds are idempotent).
+// Any other stays pending for the next pass to retry: a switch this push
+// reached is sent only its claim again, one it missed what it still lacks,
+// or its whole table if it may hold partial state.
 func (p *pass) restored(in input) {
 	if in.err != nil {
 		p.note(KindError, "fail-back for controller(s) %v: %v", p.PendingRecovered, in.err)
@@ -166,15 +168,18 @@ func (p *pass) restored(in input) {
 		return
 	}
 	rep := in.restored
-	acked := make(map[topo.NodeID]int, len(rep.Outcomes))
+	outs := make(map[topo.NodeID]sdnsim.SwitchOutcome, len(rep.Outcomes))
 	for _, out := range rep.Outcomes {
-		acked[out.Switch] += out.FlowModsAcked
+		outs[out.Switch] = out
 	}
 	var whole []int
 	for _, j := range p.PendingRecovered {
-		mods, lost := 0, 0
+		mods, fulls, lost := 0, 0, 0
 		for _, sw := range p.ctx.Dep.Controllers[j].Domain {
-			mods += acked[sw]
+			mods += outs[sw].FlowModsAcked
+			if outs[sw].Full {
+				fulls++
+			}
 			if slices.Contains(rep.Failed, sw) {
 				p.Unreachable = setAdd(p.Unreachable, sw)
 				lost++
@@ -182,8 +187,8 @@ func (p *pass) restored(in input) {
 				p.Unreachable, _ = setDel(p.Unreachable, sw)
 			}
 		}
-		p.note(KindRestore, "controller %d returned: %d flow-mods restored to its domain, %d switch(es) unreachable",
-			j, mods, lost)
+		p.note(KindRestore, "controller %d returned: %d flow-mods restored to its domain, %d switch(es) asserted in full, %d unreachable",
+			j, mods, fulls, lost)
 		if lost == 0 {
 			whole = append(whole, j)
 			p.PendingRecovered, _ = setDel(p.PendingRecovered, j)
@@ -297,7 +302,8 @@ func (p *pass) pushed(in input) {
 		p.next.kind = effStepDown
 		return
 	}
-	p.note(KindPush, "pushed %s: %d flow-mods acked, %d demoted", inst.Label(), rep.FlowModsAcked, len(rep.Demoted))
+	p.note(KindPush, "pushed %s: %d flow-mods acked, %d switch(es) asserted in full, %d demoted",
+		inst.Label(), rep.FlowModsAcked, fullAsserts(rep.Outcomes), len(rep.Demoted))
 	done.n, done.acked = done.n+1, done.acked+rep.FlowModsAcked
 	done.last = clone(p.next.plan)
 	fresh := false
@@ -365,6 +371,17 @@ func achievedSnapshot(inst *scenario.Instance, done pushes, rep *core.Report, re
 	}
 	sort.Slice(s.FlowProg, func(a, b int) bool { return s.FlowProg[a].Flow < s.FlowProg[b].Flow })
 	return s
+}
+
+// fullAsserts counts the switches a push sent their whole table.
+func fullAsserts(outs []sdnsim.SwitchOutcome) int {
+	n := 0
+	for i := range outs {
+		if outs[i].Full {
+			n++
+		}
+	}
+	return n
 }
 
 // fencedOutcomes counts switches whose push generation-ID fencing refused.

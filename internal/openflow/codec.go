@@ -63,6 +63,7 @@ func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 		t = TypeRoleReply
 		b = byteOrder.AppendUint32(b, uint32(m.Role))
 		b = byteOrder.AppendUint64(b, m.GenerationID)
+		b = byteOrder.AppendUint64(b, m.Nonce)
 	case ErrorMsg:
 		t = TypeError
 		b = byteOrder.AppendUint16(b, m.Code)
@@ -162,7 +163,11 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 			NextHop:  byteOrder.Uint32(body[15:19]),
 		}, nil
 	case TypeRoleRequest, TypeRoleReply:
-		if err := need(12); err != nil {
+		n := 12
+		if t == TypeRoleReply {
+			n = 20 // and the boot nonce
+		}
+		if err := need(n); err != nil {
 			return nil, err
 		}
 		role := ControllerRole(byteOrder.Uint32(body[0:4]))
@@ -173,7 +178,7 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 		if t == TypeRoleRequest {
 			return RoleRequest{Role: role, GenerationID: gen}, nil
 		}
-		return RoleReply{Role: role, GenerationID: gen}, nil
+		return RoleReply{Role: role, GenerationID: gen, Nonce: byteOrder.Uint64(body[12:20])}, nil
 	case TypeError:
 		if err := need(2); err != nil {
 			return nil, err

@@ -68,6 +68,7 @@ func allMessages() []Message {
 		FlowMod{Command: FlowDeleteAll},
 		RoleRequest{Role: RoleMaster, GenerationID: 42},
 		RoleReply{Role: RoleSlave, GenerationID: 43},
+		RoleReply{Role: RoleMaster, GenerationID: 44, Nonce: 0x9e3779b97f4a7c15},
 		BarrierRequest{},
 		BarrierReply{},
 		ErrorMsg{Code: 17, Data: []byte("bad flow mod")},
@@ -193,6 +194,26 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 				t.Fatalf("ReadMessage accepted a %d-byte prefix of a %d-byte %T", cut, len(buf), m)
 			}
 		}
+	}
+}
+
+// TestRoleReplyCarriesTheBootNonce: a role reply's body is the role, the
+// generation and the switch's boot nonce, 20 bytes; a 12-byte one, a role
+// request's length, is truncated.
+func TestRoleReplyCarriesTheBootNonce(t *testing.T) {
+	reply := RoleReply{Role: RoleMaster, GenerationID: 1 << 40, Nonce: 0xfeedfacecafebeef}
+	buf, err := AppendEncode(nil, reply, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := len(buf) - HeaderLen; body != 20 {
+		t.Fatalf("role reply body is %d bytes, want 20", body)
+	}
+	roundTrip(t, reply, 7)
+	short := append([]byte(nil), buf[:HeaderLen+12]...)
+	byteOrder.PutUint16(short[2:4], uint16(len(short)))
+	if _, _, err := ReadMessage(bytes.NewReader(short)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("12-byte role reply: error %v, want ErrTruncated", err)
 	}
 }
 

@@ -50,6 +50,8 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(enc(append(batch, BarrierRequest{})...))
 	// Leftover reply frames a reused session drains before its next batch.
 	f.Add(enc(BarrierReply{}, RoleReply{Role: RoleMaster, GenerationID: 64}, Echo{Reply: true, Data: []byte("x")}, ErrorMsg{Code: 3}))
+	// A role reply carrying a switch's boot nonce.
+	f.Add(enc(RoleReply{Role: RoleMaster, GenerationID: 65, Nonce: 0x0123456789abcdef}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -164,10 +164,13 @@ type RoleRequest struct {
 // MsgType implements Message.
 func (RoleRequest) MsgType() MsgType { return TypeRoleRequest }
 
-// RoleReply confirms the negotiated role.
+// RoleReply confirms the negotiated role. Nonce is the switch's boot nonce,
+// drawn each time its agent starts: a controller that sees it change knows
+// the switch restarted and may have lost its flow table.
 type RoleReply struct {
 	Role         ControllerRole
 	GenerationID uint64
+	Nonce        uint64
 }
 
 // MsgType implements Message.

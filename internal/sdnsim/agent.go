@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 
 	"pmedic/internal/flow"
@@ -18,6 +19,8 @@ import (
 // so the wire and the in-process path share one translation to table state.
 type Agent struct {
 	listener *openflow.Listener
+	// nonce is the boot nonce every role reply carries (openflow.RoleReply).
+	nonce uint64
 
 	mu       sync.Mutex
 	sw       *Switch
@@ -46,6 +49,7 @@ func ServeSwitch(sw *Switch, addr string) (*Agent, error) {
 	}
 	a := &Agent{
 		listener: l,
+		nonce:    rand.Uint64(),
 		sw:       sw,
 		role:     openflow.RoleEqual,
 		conns:    make(map[*openflow.Conn]struct{}),
@@ -246,7 +250,7 @@ func (a *Agent) handleRole(conn *openflow.Conn, m openflow.RoleRequest, h openfl
 		binary.BigEndian.PutUint64(data[:], cur)
 		return conn.SendXID(openflow.ErrorMsg{Code: openflow.ErrCodeRoleStale, Data: data[:]}, h.XID)
 	}
-	return conn.SendXID(openflow.RoleReply{Role: m.Role, GenerationID: m.GenerationID}, h.XID)
+	return conn.SendXID(openflow.RoleReply{Role: m.Role, GenerationID: m.GenerationID, Nonce: a.nonce}, h.XID)
 }
 
 // ErrAgentMissing reports a recovery push that has no agent for a switch it

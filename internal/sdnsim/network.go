@@ -249,8 +249,9 @@ func (n *Network) reaches(start, dst, banned topo.NodeID) bool {
 // ApplyRecovery applies a switch-mapping recovery solution in process, as
 // PushRecoveryResilient does over the wire on a healthy control channel: the
 // solution is verified against the instance, every mapped switch gets the
-// flow-mods of buildPushPlan — an add for each of its SDN-mode pairs, a
-// delete for each legacy-mode one — and AdoptMapping records the new
+// full assert of buildPushPlan — an add for each of its SDN-mode pairs, a
+// delete for each legacy-mode one, which leaves the table the wire's
+// difference leaves — and AdoptMapping records the new
 // ownership. A switch the solution leaves unmapped is not touched: nobody
 // manages it, so nobody can delete its entries. It returns the control
 // messages the recovery costs: the flow-mods plus one mastership claim per
@@ -259,7 +260,7 @@ func (n *Network) ApplyRecovery(inst *scenario.Instance, sol *core.Solution) (in
 	if err := sol.Verify(inst.Problem); err != nil {
 		return 0, fmt.Errorf("sdnsim: apply: %w", err)
 	}
-	plan, err := buildPushPlan(n.Flows, inst, sol)
+	plan, err := buildPushPlan(n.Flows, inst, sol, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -32,6 +32,13 @@ func testMods(n int) []openflow.FlowMod {
 	return mods
 }
 
+// pushMods runs one push session of mods, in full, and reports what
+// pushOnce's session says of it.
+func pushMods(opts PushOptions, addr string, gen uint64, mods []openflow.FlowMod) (acked int, sentAny, lost bool, err error) {
+	s, err := pushOnce(opts, addr, gen, switchPush{mods: mods})
+	return s.acked, s.sentAny, s.lost, err
+}
+
 // oneAgent serves switch 13 of the ATT network.
 func oneAgent(t *testing.T) (*Agent, map[topo.NodeID]string) {
 	t.Helper()
@@ -75,7 +82,7 @@ func TestPushSessionWritesIndependentOfBatchSize(t *testing.T) {
 			handshake = cc.writes.Load()
 			return c, nil
 		}
-		acked, sentAny, _, err := pushOnce(PushOptions{Dial: dial}.withDefaults(), addrs[13], 1, testMods(n))
+		acked, sentAny, _, err := pushMods(PushOptions{Dial: dial}.withDefaults(), addrs[13], 1, testMods(n))
 		if err != nil || acked != n || sentAny {
 			t.Fatalf("n=%d: acked %d, sentAny %v, err %v", n, acked, sentAny, err)
 		}
@@ -158,7 +165,7 @@ func TestAgentDiscardsModsBehindRefusedClaim(t *testing.T) {
 
 	// The driver's view of the same thing: the refused first attempt is not
 	// partial state, and the resynced second one lands everything.
-	acked, sentAny, lost, err := pushOnce(PushOptions{}.withDefaults(), addrs[13], 2, mods)
+	acked, sentAny, lost, err := pushMods(PushOptions{}.withDefaults(), addrs[13], 2, mods)
 	if acked != 0 || sentAny || lost || !errors.As(err, &re) {
 		t.Fatalf("refused attempt: acked %d, sentAny %v, err %v", acked, sentAny, err)
 	}
@@ -269,7 +276,7 @@ func TestPushResetMidBatchIsDirtyThenConverges(t *testing.T) {
 				defer opts.Sessions.Close()
 				opts.Sessions.Warm(map[topo.NodeID]string{13: agent.Addr()}, opts)
 			}
-			acked, sentAny, lost, err := pushOnce(opts, agent.Addr(), 1, mods)
+			acked, sentAny, lost, err := pushMods(opts, agent.Addr(), 1, mods)
 			if !errors.Is(err, chaos.ErrInjectedReset) || acked != 0 || !sentAny || lost != warm {
 				t.Fatalf("cut batch: acked %d, sentAny %v, lost %v, err %v", acked, sentAny, lost, err)
 			}

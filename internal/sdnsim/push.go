@@ -98,7 +98,7 @@ const (
 	// PushLegacyPlanned: the plan left the whole switch in legacy mode;
 	// nothing was pushed.
 	PushLegacyPlanned PushStatus = iota + 1
-	// PushApplied: the switch acknowledged its full configuration.
+	// PushApplied: the switch acknowledged what it was sent (switchPush).
 	PushApplied
 	// PushDemoted: the switch stayed unreachable through every retry and was
 	// demoted to legacy mode.
@@ -132,6 +132,10 @@ type SwitchOutcome struct {
 	Attempts int
 	// FlowModsAcked counts flow-mods confirmed behind a barrier.
 	FlowModsAcked int
+	// Full marks a switch pushed its whole desired table, not its
+	// difference: the standby set could not vouch for its table, or it
+	// answered with a new boot nonce.
+	Full bool
 	// Dirty marks a demoted switch that may hold partial state:
 	// some flow-mods were sent on a connection that died before its barrier
 	// confirmed them.
@@ -155,47 +159,83 @@ type RecoveryReport struct {
 	Demoted []topo.NodeID
 }
 
-// switchPush is one switch's desired configuration as wire messages: per
-// pair at the switch, in flow order, a FlowAdd where the flow is in SDN mode
-// and a FlowDelete where it is legacy. An offline flow with no pair at the
-// switch (p̄ < 2 there) gets no message and keeps its entry.
+// switchPush is one switch's push: the flow-mods sent behind its mastership
+// claim. build writes the switch's desired table as flow-mods: in full given
+// no record, else only those that change the table the record describes.
+// mods is the full table (diff false) or, when the standby set vouched for
+// the switch at boot nonce nonce, the difference (diff true); a switch that
+// answers with another nonce is sent build(nil) as well. A fence builds
+// nothing and sends no mods.
 type switchPush struct {
 	index int
 	sw    topo.NodeID
 	mods  []openflow.FlowMod
+	build func(*table) []openflow.FlowMod
+	diff  bool
+	nonce uint64
+	// vouches marks a fail-back: its full push leaves every steady-state
+	// entry in place, so once acknowledged the set vouches for the switch.
+	vouches bool
+}
+
+// against sets the push's mods: the difference against set's record of the
+// switch when set vouches for it, else the full table.
+func (sp *switchPush) against(set *Sessions) {
+	if t, ok := set.vouched(sp.sw); ok {
+		sp.diff, sp.nonce, sp.mods = true, t.nonce, sp.build(&t)
+		return
+	}
+	sp.mods = sp.build(nil)
 }
 
 // buildPushPlan compiles a switch-mapping solution into per-switch pushes,
-// in instance switch order. Unmapped switches are absent: nobody manages
-// them, so nothing is pushed. It is the one translation from a recovery to
-// flow tables, used on the wire (PushRecoveryResilient) and in process
-// (Network.ApplyRecovery).
-func buildPushPlan(flows *flow.Set, inst *scenario.Instance, sol *core.Solution) ([]switchPush, error) {
+// in instance switch order, each against set's record (recoveryMods); a nil
+// set makes every push the full assert. Unmapped switches are absent: nobody
+// manages them, so nothing is pushed. It is the one translation from a
+// recovery to flow tables, used on the wire (PushRecoveryResilient) and in
+// process (Network.ApplyRecovery, always in full).
+func buildPushPlan(flows *flow.Set, inst *scenario.Instance, sol *core.Solution, set *Sessions) ([]switchPush, error) {
 	if sol.PairController != nil {
 		return nil, errors.New("sdnsim: flow-level solutions need a middle layer, not a switch mapping")
 	}
-	p := inst.Problem
 	var plan []switchPush
 	for i, swID := range inst.Switches {
 		if sol.SwitchController[i] < 0 {
 			continue
 		}
-		sp := switchPush{index: i, sw: swID}
-		for k, hi := p.SwitchRun(i); k < hi; k++ {
-			f := &flows.Flows[inst.FlowIDs[p.Pairs[k].Flow]]
-			if sol.Active[k] {
-				sp.mods = append(sp.mods, addMod(f, swID))
-			} else {
-				sp.mods = append(sp.mods, deleteMod(f))
-			}
-		}
+		sp := switchPush{index: i, sw: swID, build: func(t *table) []openflow.FlowMod {
+			return recoveryMods(flows, inst, sol, i, t)
+		}}
+		sp.against(set)
 		plan = append(plan, sp)
 	}
 	return plan, nil
 }
 
-// addMod asserts a flow's SDN entry at sw: forward to the flow's current
-// next hop after sw (the destination when sw is last before it).
+// recoveryMods is the instance's switch i under sol: per pair at it, in flow
+// order, a FlowAdd where the flow is in SDN mode and a FlowDelete where it is
+// legacy. Given t, the record of the switch's table, it keeps only the mods
+// that change it: an add where the steady-state entry was deleted, a delete
+// where it was not. An offline flow with no pair at the switch (p̄ < 2 there)
+// gets no message and keeps its entry.
+func recoveryMods(flows *flow.Set, inst *scenario.Instance, sol *core.Solution, i int, t *table) []openflow.FlowMod {
+	p, sw := inst.Problem, inst.Switches[i]
+	var mods []openflow.FlowMod
+	for k, hi := p.SwitchRun(i); k < hi; k++ {
+		f := &flows.Flows[inst.FlowIDs[p.Pairs[k].Flow]]
+		switch {
+		case t != nil && t.holds(f.ID) == sol.Active[k]:
+		case sol.Active[k]:
+			mods = append(mods, addMod(f, sw))
+		default:
+			mods = append(mods, deleteMod(f))
+		}
+	}
+	return mods
+}
+
+// addMod asserts a flow's steady-state SDN entry at sw, the one New installs:
+// forward to the next node on the flow's path after sw.
 func addMod(f *flow.Flow, sw topo.NodeID) openflow.FlowMod {
 	next := f.Dst
 	for h := 0; h+1 < len(f.Path); h++ {
@@ -220,53 +260,58 @@ func deleteMod(f *flow.Flow) openflow.FlowMod {
 	}
 }
 
-// pushOnce performs one complete push session against addr, on the switch's
-// standby session when opts.Sessions holds one and on a fresh dial and Hello
-// handshake otherwise. From there it costs one transport write and one round
-// trip whatever len(mods) is: the mastership claim under gen, every mod and
-// the barrier leave in a single flush, then the role reply (the liveness
-// proof) and the barrier reply are awaited by XID — frames an earlier use left
-// behind carry older XIDs and are skipped. Sending the mods before the claim
-// is answered is safe because the agent, not the driver, enforces the fence:
-// it discards the mods of a connection whose claim it refused, and it judges
-// every claim, first on its connection or not, against the newest generation
-// it has seen. Only a fully acknowledged session goes back to stand by; any
-// error closes it.
-//
-// acked is len(mods) on full success. sentAny is the partial-state marker:
-// mods left on a connection whose barrier never confirmed them. A flush that
-// fails may have delivered any prefix of the batch, cut mid-frame, so it
-// counts; a refused claim does not, since the agent applied nothing. lost
-// reports an attempt that failed on a reused session before any answer to its
-// claim arrived: the session died while it stood by, which says nothing about
-// the switch.
-func pushOnce(opts PushOptions, addr string, gen uint64, mods []openflow.FlowMod) (acked int, sentAny, lost bool, err error) {
+// session is what one push session did: the flow-mods its barrier confirmed,
+// the boot nonce the switch's role reply carried, and whether the switch's
+// whole desired table was sent. sentAny is the partial-state marker: mods
+// left on a connection whose barrier never confirmed them (a failed flush may
+// have delivered any prefix of the batch, cut mid-frame; a refused claim
+// applied nothing). lost reports an attempt that failed on a reused session
+// before any answer to its claim arrived: the session died while it stood
+// by, which says nothing about the switch.
+type session struct {
+	acked         int
+	nonce         uint64
+	full          bool
+	sentAny, lost bool
+}
+
+// pushOnce performs one complete push session of sp against addr, on the
+// switch's standby session when opts.Sessions holds one and on a fresh dial
+// and Hello handshake otherwise. From there it costs one transport write and
+// one round trip whatever len(sp.mods) is: the mastership claim under gen,
+// every mod and the barrier leave in a single flush, then the role reply (the
+// liveness proof) and the barrier reply are awaited by XID — frames an
+// earlier use left behind carry older XIDs and are skipped. Sending the mods
+// before the claim is answered is safe because the agent, not the driver,
+// enforces the fence: it discards the mods of a connection whose claim it
+// refused, and it judges every claim, first on its connection or not, against
+// the newest generation it has seen. A difference answered with a boot nonce
+// other than the one the set vouched at means the switch restarted under it:
+// the set stops vouching, and the full table follows on the same session
+// behind a second barrier, one round trip more. Only a fully acknowledged
+// session goes back to stand by; any error closes it.
+func pushOnce(opts PushOptions, addr string, gen uint64, sp switchPush) (s session, err error) {
 	conn, reused, err := opts.Sessions.acquire(addr, opts)
 	if err != nil {
-		return 0, false, false, err
+		return s, err
 	}
 	answered := false
 	defer func() {
-		lost = err != nil && reused && !answered
-		opts.Sessions.release(addr, conn, err == nil, lost)
+		s.lost = err != nil && reused && !answered
+		opts.Sessions.release(addr, conn, err == nil, s.lost)
 	}()
 	conn.SetIOTimeout(opts.IOTimeout)
 	roleXID, err := conn.Queue(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: gen})
 	if err != nil {
-		return 0, false, false, err
+		return s, err
 	}
-	for _, m := range mods {
-		if _, err := conn.Queue(m); err != nil {
-			return 0, false, false, err
-		}
-	}
-	barrierXID, err := conn.Queue(openflow.BarrierRequest{})
+	barrierXID, err := queueBatch(conn, sp.mods)
 	if err != nil {
-		return 0, false, false, err
+		return s, err
 	}
-	sentAny = len(mods) > 0
+	s.full, s.sentAny = !sp.diff, len(sp.mods) > 0
 	if err := conn.Flush(); err != nil {
-		return 0, sentAny, false, err
+		return s, err
 	}
 	msg, _, err := conn.RecvXID(roleXID)
 	if err != nil {
@@ -274,22 +319,46 @@ func pushOnce(opts PushOptions, addr string, gen uint64, mods []openflow.FlowMod
 		// not.
 		answered = errors.As(err, new(*openflow.RemoteError))
 		if _, stale := staleGeneration(err); stale {
-			sentAny = false
+			s.sentAny = false
 		}
-		return 0, sentAny, false, err
+		return s, err
 	}
 	answered = true
-	if _, ok := msg.(openflow.RoleReply); !ok {
-		return 0, sentAny, false, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
+	reply, ok := msg.(openflow.RoleReply)
+	if !ok {
+		return s, fmt.Errorf("sdnsim: push %s: unexpected %v to role request", addr, msg.MsgType())
+	}
+	s.nonce, s.acked = reply.Nonce, len(sp.mods)
+	if sp.diff && reply.Nonce != sp.nonce {
+		opts.Sessions.forget(sp.sw)
+		full := sp.build(nil)
+		if barrierXID, err = queueBatch(conn, full); err != nil {
+			return s, err
+		}
+		s.full, s.sentAny, s.acked = true, s.sentAny || len(full) > 0, s.acked+len(full)
+		if err := conn.Flush(); err != nil {
+			return s, err
+		}
 	}
 	msg, _, err = conn.RecvXID(barrierXID)
 	if err != nil {
-		return 0, sentAny, false, err
+		return s, err
 	}
 	if _, ok := msg.(openflow.BarrierReply); !ok {
-		return 0, sentAny, false, fmt.Errorf("sdnsim: push %s: unexpected %v to barrier", addr, msg.MsgType())
+		return s, fmt.Errorf("sdnsim: push %s: unexpected %v to barrier", addr, msg.MsgType())
 	}
-	return len(mods), false, false, nil
+	s.sentAny = false
+	return s, nil
+}
+
+// queueBatch queues mods and the barrier that confirms them.
+func queueBatch(conn *openflow.Conn, mods []openflow.FlowMod) (barrierXID uint32, err error) {
+	for _, m := range mods {
+		if _, err := conn.Queue(m); err != nil {
+			return 0, err
+		}
+	}
+	return conn.Queue(openflow.BarrierRequest{})
 }
 
 // staleGeneration reports whether err is an agent's refusal of a stale
@@ -305,7 +374,9 @@ func staleGeneration(err error) (gen uint64, ok bool) {
 // PushRecoveryResilient delivers a switch-mapping recovery over a faulty
 // control channel, degrading gracefully instead of failing atomically: every
 // mapped switch is pushed concurrently (role, flow-mods, barrier, all
-// XID-matched), with transient faults retried under capped exponential
+// XID-matched) — the flow-mods that change its table when opts.Sessions
+// vouches for it, else its whole desired table (buildPushPlan) — with
+// transient faults retried under capped exponential
 // backoff plus seeded jitter, and a switch that stays unreachable through
 // every retry is demoted — reported, not fatal. Planning around the demoted
 // switches is the caller's (the medic's reconcile step).
@@ -322,7 +393,7 @@ func PushRecoveryResilient(
 	opts PushOptions,
 ) (*RecoveryReport, error) {
 	opts = opts.withDefaults()
-	work, err := buildPushPlan(flows, inst, sol)
+	work, err := buildPushPlan(flows, inst, sol, opts.Sessions)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +410,8 @@ func PushRecoveryResilient(
 // under one shared generation, starting at opts.GenerationID, and folds the
 // result into outs[sp.index]. A switch that stays unreachable ends the round
 // PushDemoted with its last error, and Dirty if flow-mods were left
-// unconfirmed on it; a switch that acknowledges is PushApplied and clean. It
+// unconfirmed on it; a switch that acknowledges is PushApplied and clean.
+// Each outcome is folded into the standby set's record (Sessions.note). It
 // returns the flow-mods acknowledged and the switches demoted, ascending.
 func pushRound(addrs map[topo.NodeID]string, work []switchPush, opts PushOptions, outs []SwitchOutcome) (acked int, failed []topo.NodeID) {
 	var gen atomic.Uint64
@@ -347,8 +419,9 @@ func pushRound(addrs map[topo.NodeID]string, work []switchPush, opts PushOptions
 	par.For(len(work), pushConcurrency, func(i int) {
 		sp := work[i]
 		res, dirty, err := pushSwitch(addrs, sp, &gen, opts)
+		opts.Sessions.note(sp, res, dirty, err)
 		out := &outs[sp.index]
-		out.Attempts, out.Elapsed, out.FlowModsAcked = res.attempts, res.elapsed, res.mods
+		out.Attempts, out.Elapsed, out.FlowModsAcked, out.Full = res.attempts, res.elapsed, res.mods, res.full
 		out.Err, out.Dirty = err, dirty
 		out.Status = PushApplied
 		if err != nil {
@@ -365,10 +438,13 @@ func pushRound(addrs map[topo.NodeID]string, work []switchPush, opts PushOptions
 	return acked, failed
 }
 
-// attemptResult carries a worker's bookkeeping out of the retry loop.
+// attemptResult carries a worker's bookkeeping out of the retry loop, among
+// it the boot nonce acknowledged and whether the whole table was sent.
 type attemptResult struct {
 	attempts int
 	mods     int
+	nonce    uint64
+	full     bool
 	elapsed  time.Duration
 }
 
@@ -377,7 +453,8 @@ type attemptResult struct {
 // on stale-role errors. A standby session found dead on use is not a fault of
 // the switch: that attempt is repeated at once, once, on a fresh dial, with
 // no backoff and none of the MaxAttempts budget spent, and everything after
-// is the ordinary ladder. dirty reports whether any attempt left flow-mods
+// is the ordinary ladder. Every attempt sends the same mods, so one that is
+// acknowledged clears dirty, which reports whether any attempt left flow-mods
 // unconfirmed.
 func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64, opts PushOptions) (res attemptResult, dirty bool, err error) {
 	start := time.Now()
@@ -393,16 +470,17 @@ func pushSwitch(addrs map[topo.NodeID]string, sp switchPush, gen *atomic.Uint64,
 	)
 	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
 		res.attempts++
-		acked, sentAny, lost, err := pushOnce(opts, addr, gen.Load(), sp.mods)
-		if sentAny {
+		s, err := pushOnce(opts, addr, gen.Load(), sp)
+		res.full = res.full || s.full
+		if s.sentAny {
 			dirty = true
 		}
 		if err == nil {
-			res.mods = acked
+			res.mods, res.nonce = s.acked, s.nonce
 			return res, false, nil
 		}
 		lastErr = err
-		if lost && !redialled {
+		if s.lost && !redialled {
 			redialled = true
 			attempt--
 			continue

@@ -1,8 +1,10 @@
 package sdnsim
 
 import (
+	"slices"
 	"sync"
 
+	"pmedic/internal/flow"
 	"pmedic/internal/openflow"
 	"pmedic/internal/par"
 	"pmedic/internal/topo"
@@ -24,16 +26,41 @@ import (
 // attempt opens with its own role claim, so the switch-side fence judges each
 // use of a session afresh.
 //
-// A nil *Sessions is the set whose every acquire misses: the drivers dial per
-// use and close after it. All methods are safe for concurrent use.
+// The set also keeps the record of each switch's flow table (table), so the
+// drivers push a switch only the flow-mods that change it, and push in full
+// a switch it does not vouch for. A new set vouches for none; an acknowledged
+// full fail-back (not a recovery, which leaves p̄ < 2 entries unknown) makes
+// it vouch, at the boot nonce the reply carried; a push left Dirty, or a
+// reply with another nonce (the switch restarted), ends the vouch.
+//
+// A nil *Sessions is the set whose every acquire misses and that vouches for
+// nothing: the drivers dial per use, close after it, and push in full. All
+// methods are safe for concurrent use.
 type Sessions struct {
 	mu   sync.Mutex
 	idle map[string]*openflow.Conn
 	// inUse counts, per address, the attempts and warm-up dials that hold or
 	// are opening its session; Warm leaves such an address alone.
-	inUse  map[string]int
+	inUse map[string]int
+	// tables is the record of the switches the set vouches for.
+	tables map[topo.NodeID]table
 	closed bool
 	stats  SessionStats
+}
+
+// table is the record of one vouched-for switch's flow table: the boot nonce
+// its agent answered with, and, ascending, the flows whose steady-state
+// entry (the one New installs and addMod asserts) acknowledged pushes have
+// deleted. Every other flow through the switch holds its steady-state entry.
+type table struct {
+	nonce   uint64
+	deleted []flow.ID
+}
+
+// holds reports whether the table holds id's steady-state entry.
+func (t *table) holds(id flow.ID) bool {
+	_, gone := slices.BinarySearch(t.deleted, id)
+	return !gone
 }
 
 // SessionStats counts what a Sessions set did: the answer to "did this
@@ -51,7 +78,69 @@ type SessionStats struct {
 
 // NewSessions returns an empty set.
 func NewSessions() *Sessions {
-	return &Sessions{idle: make(map[string]*openflow.Conn), inUse: make(map[string]int)}
+	return &Sessions{idle: make(map[string]*openflow.Conn), inUse: make(map[string]int), tables: make(map[topo.NodeID]table)}
+}
+
+// vouched returns the record of sw's table; ok is false when the set does
+// not vouch for it.
+func (s *Sessions) vouched(sw topo.NodeID) (t table, ok bool) {
+	if s == nil {
+		return table{}, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok = s.tables[sw]
+	return t, ok
+}
+
+// forget stops vouching for sw's table.
+func (s *Sessions) forget(sw topo.NodeID) {
+	if s != nil {
+		s.mu.Lock()
+		delete(s.tables, sw)
+		s.mu.Unlock()
+	}
+}
+
+// note folds one switch's push into the record (the vouching rule above):
+// an acknowledged difference is applied to it — a delete records its flow's
+// entry deleted, an add records it back — and an acknowledged full fail-back
+// vouches for the switch with nothing deleted; a push that failed Dirty ends
+// the vouch. A record is replaced, never changed in place, so a table that
+// vouched returned stays as it was.
+func (s *Sessions) note(sp switchPush, res attemptResult, dirty bool, err error) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.tables[sp.sw]
+	switch {
+	case err != nil:
+		if dirty {
+			delete(s.tables, sp.sw)
+		}
+	case !res.full:
+		if ok && t.nonce == res.nonce {
+			s.tables[sp.sw] = table{nonce: t.nonce, deleted: applyDiff(t.deleted, sp.mods)}
+		}
+	case sp.vouches:
+		s.tables[sp.sw] = table{nonce: res.nonce}
+	}
+}
+
+// applyDiff returns the deleted set after mods, ascending.
+func applyDiff(deleted []flow.ID, mods []openflow.FlowMod) []flow.ID {
+	next := slices.Clone(deleted)
+	for _, m := range mods {
+		switch i, found := slices.BinarySearch(next, flow.ID(m.Match.FlowID)); {
+		case m.Command == openflow.FlowDelete && !found:
+			next = slices.Insert(next, i, flow.ID(m.Match.FlowID))
+		case m.Command == openflow.FlowAdd && found:
+			next = slices.Delete(next, i, i+1)
+		}
+	}
+	return next
 }
 
 // Stats returns the set's counters.

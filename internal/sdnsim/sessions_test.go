@@ -169,7 +169,7 @@ func TestWarmPushIsOneWriteThenItsReads(t *testing.T) {
 		if reading != 0 {
 			t.Fatalf("n=%d: %d read(s) parked on the idle session", n, reading)
 		}
-		acked, sentAny, lost, err := pushOnce(opts, addrs[13], uint64(gen+1), testMods(n))
+		acked, sentAny, lost, err := pushMods(opts, addrs[13], uint64(gen+1), testMods(n))
 		if err != nil || acked != n || sentAny || lost {
 			t.Fatalf("n=%d: acked %d, sentAny %v, lost %v, err %v", n, acked, sentAny, lost, err)
 		}
@@ -410,7 +410,7 @@ func TestLeftoverReplyFramesAreSkippedOnReuse(t *testing.T) {
 	defer set.Close()
 	opts := PushOptions{Dial: dial, Sessions: set}.withDefaults()
 	for gen, n := range []int{4, 9, 1} {
-		acked, sentAny, lost, err := pushOnce(opts, addrs[13], uint64(gen+1), testMods(n))
+		acked, sentAny, lost, err := pushMods(opts, addrs[13], uint64(gen+1), testMods(n))
 		if err != nil || acked != n || sentAny || lost {
 			t.Fatalf("push %d: acked %d, sentAny %v, lost %v, err %v", gen+1, acked, sentAny, lost, err)
 		}
