@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -220,13 +221,74 @@ func flowMajorProblem(rng *rand.Rand, numFlows, flow0Pairs int) *core.Problem {
 	return p
 }
 
+// pbarFanProblem hand-builds a problem whose flows all share one pair at
+// switch 0 and then split, at switch 1, into every p̄ from 2 to maxPBar: one
+// class with maxPBar-1 children at a single switch, each split again by an
+// optional pair at switch 2. It has enough flows, and few enough classes,
+// for PM to plan over classes whenever the index is usable.
+func pbarFanProblem(maxPBar int) *core.Problem {
+	numFlows := core.AggMinFlows
+	p := &core.Problem{
+		NumSwitches:    3,
+		NumControllers: 2,
+		NumFlows:       numFlows,
+		Rest:           []int{numFlows, numFlows / 2},
+		Gamma:          []int{numFlows, numFlows, numFlows},
+		Delay:          [][]float64{{1, 2}, {2, 1}, {1, 1}},
+	}
+	for l := 0; l < numFlows; l++ {
+		p.Pairs = append(p.Pairs, core.Pair{Switch: 0, Flow: l, PBar: 2})
+	}
+	for l := 0; l < numFlows; l++ {
+		p.Pairs = append(p.Pairs, core.Pair{Switch: 1, Flow: l, PBar: 2 + l%(maxPBar-1)})
+	}
+	for l := 0; l < numFlows; l += 3 {
+		p.Pairs = append(p.Pairs, core.Pair{Switch: 2, Flow: l, PBar: 3})
+	}
+	return p
+}
+
+// checkAtBound finalizes a problem built at or just past one of the class
+// index's bounds. The index must match the reference and be usable exactly
+// at the bound; PM must equal pmFlat, Solution and Report, either way:
+// through the aggregated path at the bound, through the unusable sentinel
+// past it.
+func checkAtBound(t *testing.T, tag string, p *core.Problem, usable bool) {
+	t.Helper()
+	if err := p.Finalize(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	p.BudgetMs = p.IdealDelayBudget()
+	if err := core.ClassIndexVsReference(p); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if got := core.NumClasses(p) > 0; got != usable {
+		t.Fatalf("%s: index usable = %v, want %v", tag, got, usable)
+	}
+	if usable {
+		checkAggEquivalence(t, tag, p)
+		return
+	}
+	pm, err := core.PM(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := core.PMFlat(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameSolution(t, tag, flat, pm)
+	requireSameReport(t, tag, p, flat, pm)
+}
+
 // TestClassIndexMatchesReference pins the refined class index against the
 // sort-based reference, up to the numbering of the classes, on the adversarial
 // random problems (duplicated, unique and empty signatures), on hand-built
-// flow-major problems Finalize has to reorder first — one with a 64-pair flow,
-// the most a class can hold, one with a 65-pair flow, which leaves the problem
-// without an index and PM on its per-flow path — and on a 1000-node scale-syn
-// case.
+// problems at and one past each of the index's bounds — flow-major ones
+// Finalize has to reorder first, with a 64-pair flow (the most a class can
+// hold) or a 65-pair one, and a class splitting into every p̄ up to
+// maxClassPBar, or one past it — and on a 1000-node scale-syn case. Past a
+// bound the problem has no index and PM runs its per-flow path.
 func TestClassIndexMatchesReference(t *testing.T) {
 	iters := 120
 	if testing.Short() {
@@ -251,29 +313,10 @@ func TestClassIndexMatchesReference(t *testing.T) {
 
 	for _, flow0Pairs := range []int{64, 65} {
 		p := flowMajorProblem(rand.New(rand.NewSource(17)), core.AggMinFlows, flow0Pairs)
-		if err := p.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		p.BudgetMs = p.IdealDelayBudget()
-		if err := core.ClassIndexVsReference(p); err != nil {
-			t.Fatalf("flow-major, %d-pair flow: %v", flow0Pairs, err)
-		}
-		if usable := core.NumClasses(p) > 0; usable != (flow0Pairs <= 64) {
-			t.Fatalf("flow-major, %d-pair flow: index usable = %v", flow0Pairs, usable)
-		}
-		if flow0Pairs <= 64 {
-			checkAggEquivalence(t, t.Name()+"/flow-major", p)
-			continue
-		}
-		pm, err := core.PM(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat, err := core.PMFlat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSolution(t, t.Name()+"/65-pair flow", flat, pm)
+		checkAtBound(t, fmt.Sprintf("flow-major, %d-pair flow", flow0Pairs), p, flow0Pairs <= 64)
+	}
+	for _, maxPBar := range []int{core.MaxClassPBar, core.MaxClassPBar + 1} {
+		checkAtBound(t, fmt.Sprintf("p̄ fan to %d", maxPBar), pbarFanProblem(maxPBar), maxPBar <= core.MaxClassPBar)
 	}
 
 	if testing.Short() {
@@ -356,6 +399,47 @@ func TestComparatorsBuildNoClassIndex(t *testing.T) {
 	}
 	if !core.HasClassIndex(p) {
 		t.Fatalf("PM did not index a %d-flow, %d-class problem", p.NumFlows, core.NumClasses(p))
+	}
+}
+
+// TestAggBuildsNoFlowIndex: the aggregated PM path reads its flows' pairs
+// through the class templates and a walk over Pairs, never through the
+// flow → pairs index, so it must leave that index unbuilt; the per-flow
+// solvers build it on first use, and a re-Finalize drops it.
+func TestAggBuildsNoFlowIndex(t *testing.T) {
+	p := hubAggProblem(rand.New(rand.NewSource(3000)), core.AggMinFlows)
+	if err := p.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	p.BudgetMs = p.IdealDelayBudget()
+	if core.HasFlowIndex(p) {
+		t.Fatal("Finalize built the flow → pairs index")
+	}
+	if _, err := core.PM(p); err != nil {
+		t.Fatal(err)
+	}
+	if !core.HasClassIndex(p) || 2*core.NumClasses(p) > p.NumFlows {
+		t.Fatalf("PM did not plan a %d-flow, %d-class problem over classes", p.NumFlows, core.NumClasses(p))
+	}
+	if core.HasFlowIndex(p) {
+		t.Fatal("the aggregated PM path built the flow → pairs index")
+	}
+	for _, alg := range []struct {
+		name string
+		run  func(*core.Problem) (*core.Solution, error)
+	}{{"pmFlat", core.PMFlat}, {"PG", core.PG}} {
+		if _, err := alg.run(p); err != nil {
+			t.Fatalf("%s: %v", alg.name, err)
+		}
+		if !core.HasFlowIndex(p) {
+			t.Fatalf("%s ran without the flow → pairs index", alg.name)
+		}
+		if err := p.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if core.HasFlowIndex(p) {
+			t.Fatal("a second Finalize kept the flow → pairs index")
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // classIndex partitions a finalized Problem's flows into equivalence classes:
 // two flows are equivalent when their eligible-pair signatures — the sequence
@@ -17,7 +20,7 @@ import "math/bits"
 // one routine (refineClasses), lazily, on its own flows.
 //
 // Bit t of a class refers to template pair t; for member flow l the concrete
-// pair index is flowPairs[flowPairOff[l]+t] (a flow's pairs are stored
+// pair is l's t-th pair in the order of Pairs (switch-major, so
 // switch-ascending, matching the template order).
 type classIndex struct {
 	numClasses int
@@ -39,16 +42,21 @@ type classIndex struct {
 // uint64 bitset over the template pairs.
 const maxClassPairs = 64
 
+// maxClassPBar bounds p̄ for aggregation: refineClasses finds a class's child
+// through a row of p̄+1 slots per node. ATT and scale-syn reach 12.
+const maxClassPBar = 64
+
 // classIndexUnusable is the cached sentinel for problems that cannot be
 // aggregated.
 var classIndexUnusable = &classIndex{numClasses: -1}
 
 // classIndexOf returns the problem's class index, computing and caching it on
 // first use, or nil when the problem cannot be aggregated (some flow has more
-// than maxClassPairs pairs). The first call is not safe for concurrent use;
-// every current caller solves a Problem from a single goroutine at a time
-// (the sweep engine and the hierarchical solve parallelize across Problems,
-// not within one).
+// than maxClassPairs pairs, or some p̄ exceeds maxClassPBar). The first call is
+// not safe for concurrent use, and neither is PairsOfFlow's, which caches the
+// flow → pairs index the same way; every current caller solves a Problem from
+// a single goroutine at a time (the sweep engine and the hierarchical solve
+// parallelize across Problems, not within one).
 func (p *Problem) classIndexOf() *classIndex {
 	if p.classes == nil {
 		p.classes = refineClasses(p)
@@ -65,12 +73,11 @@ func (p *Problem) classIndexOf() *classIndex {
 type refineNode struct {
 	parent, sw, pbar int32
 	depth            int32 // pairs on the path, the template length
-	// The node's children made at switch kidsAt: kid first, then along
-	// sibling, oldest first. Children made at earlier switches are never
-	// looked up again.
-	kidsAt, kid, sibling int32
-	count                int32 // flows ending here; later the fill cursor
-	class                int32 // final class ID, for nodes where flows end
+	// kidsAt is the switch the node's row of the child table was last reset
+	// at; children made at earlier switches are never looked up again.
+	kidsAt int32
+	count  int32 // flows ending here; later the fill cursor
+	class  int32 // final class ID, for nodes where flows end
 }
 
 // refineClasses builds p's class index by partition refinement over the
@@ -83,44 +90,49 @@ type refineNode struct {
 // compared. The classes are the nodes flows end in, numbered in order of
 // creation; a class's template is the path down to its node.
 //
-// The cost is one sequential pass over Pairs with a random access into
-// classOf and the (few thousand) nodes per pair, then two passes over the
-// flows. The nodes are pooled scratch; what the classIndex retains is freshly
-// allocated. It returns classIndexUnusable at the first flow to exceed
-// maxClassPairs pairs.
+// A node's children at the current switch are found in O(1): node n's row of
+// the child table, kids[n*w:(n+1)*w] with w = p̄_max+1, is indexed by p̄ and
+// reset the first time n gets a child at a switch. The cost is one
+// sequential pass over Pairs with a random access into classOf, the (few
+// thousand) nodes and their rows per pair, then two passes over the flows.
+// The nodes and rows are pooled scratch; what the classIndex retains is
+// freshly allocated. It returns classIndexUnusable when p̄_max exceeds
+// maxClassPBar or at the first flow to exceed maxClassPairs pairs.
 func refineClasses(p *Problem) *classIndex {
-	L := p.NumFlows
+	if p.maxPBar > maxClassPBar {
+		return classIndexUnusable
+	}
+	L, w := p.NumFlows, int32(p.maxPBar+1)
 	ci := &classIndex{classOf: make([]int32, L), members: make([]int32, L)}
 	classOf := ci.classOf
 	sc := scratchPool.Get().(*solverScratch)
 	nodes := append(sc.refine[:0], refineNode{parent: -1, kidsAt: -1})
+	kids := growSlice(&sc.refineKids, int(w))
 	defer func() {
-		sc.refine = nodes
+		sc.refine, sc.refineKids = nodes, kids
 		scratchPool.Put(sc)
 	}()
 	for i := int32(0); i < int32(p.NumSwitches); i++ {
 		for _, pr := range p.Pairs[p.swPairOff[i]:p.swPairOff[i+1]] {
 			from := classOf[pr.Flow]
-			to, last := int32(-1), int32(-1)
-			if nodes[from].kidsAt == i {
-				for to = nodes[from].kid; to >= 0 && nodes[to].pbar != int32(pr.PBar); to = nodes[to].sibling {
-					last = to
+			row := kids[from*w : (from+1)*w]
+			if nodes[from].kidsAt != i {
+				nodes[from].kidsAt = i
+				for x := range row {
+					row[x] = -1
 				}
 			}
+			to := row[pr.PBar]
 			if to < 0 {
 				if nodes[from].depth == maxClassPairs {
 					return classIndexUnusable
 				}
 				to = int32(len(nodes))
 				nodes = append(nodes, refineNode{
-					parent: from, sw: i, pbar: int32(pr.PBar), depth: nodes[from].depth + 1,
-					kidsAt: -1, sibling: -1,
+					parent: from, sw: i, pbar: int32(pr.PBar), depth: nodes[from].depth + 1, kidsAt: -1,
 				})
-				if last >= 0 {
-					nodes[last].sibling = to
-				} else {
-					nodes[from].kidsAt, nodes[from].kid = i, to
-				}
+				row[pr.PBar] = to // before the row's backing array may move
+				kids = slices.Grow(kids, int(w))[:len(kids)+int(w)]
 			}
 			classOf[pr.Flow] = to
 		}
@@ -168,9 +180,9 @@ func refineClasses(p *Problem) *classIndex {
 
 // ClassCount returns the number of flow equivalence classes of a finalized
 // problem, or -1 when the problem cannot be class-aggregated (some flow has
-// more than 64 eligible pairs). It is a diagnostic for scale reporting —
-// compression factor is NumFlows / ClassCount — and shares the solvers'
-// cached index.
+// more than 64 eligible pairs, or some p̄ is above 64). It is a diagnostic
+// for scale reporting — compression factor is NumFlows / ClassCount — and
+// shares the solvers' cached index.
 func (p *Problem) ClassCount() int {
 	ci := p.classIndexOf()
 	if ci == nil {
@@ -188,11 +200,6 @@ func (ci *classIndex) numPairs(c int32) int {
 func (ci *classIndex) template(c int32) (sw, pbar []int32) {
 	lo, hi := ci.tmplOff[c], ci.tmplOff[c+1]
 	return ci.tmplSwitch[lo:hi], ci.tmplPBar[lo:hi]
-}
-
-// pairOf returns the concrete pair index of template bit t for member flow l.
-func (p *Problem) pairOf(l int32, t int32) int {
-	return p.flowPairs[p.flowPairOff[l]+int32(t)]
 }
 
 // maskProg returns the programmability a member of class c holds under the

@@ -28,8 +28,13 @@ func (p *Problem) compareSignatures(a, b int32) int {
 // sort every flow ID by (signature, flow ID) and cut runs of equal
 // signatures. It is the oracle refineClasses must match up to the numbering
 // of the classes. It returns nil when some flow has more than maxClassPairs
-// pairs.
+// pairs or some p̄ exceeds maxClassPBar.
 func referenceClassIndex(p *Problem) *classIndex {
+	for _, pr := range p.Pairs {
+		if pr.PBar > maxClassPBar {
+			return nil
+		}
+	}
 	L := p.NumFlows
 	order := make([]int32, L)
 	for l := range order {

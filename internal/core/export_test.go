@@ -7,7 +7,7 @@ package core
 var PMFlat = pmFlat
 
 // PMAgg forces the aggregated PM path; it returns false when the problem has
-// no usable class index (a flow with more than 64 pairs).
+// no usable class index (a flow with more than 64 pairs, or a p̄ above 64).
 func PMAgg(p *Problem) (*Solution, bool, error) {
 	ci := p.classIndexOf()
 	if ci == nil {
@@ -30,6 +30,13 @@ func NumClasses(p *Problem) int { return p.ClassCount() }
 func HasClassIndex(p *Problem) bool { return p.classes != nil }
 
 func DropClassIndex(p *Problem) { p.classes = nil }
+
+// HasFlowIndex reports whether p carries the flow → pairs index PairsOfFlow
+// builds on first use.
+func HasFlowIndex(p *Problem) bool { return p.flowPairs != nil }
+
+// MaxClassPBar is the largest p̄ a class-indexed problem may hold.
+const MaxClassPBar = maxClassPBar
 
 // AggMinFlows is PM's dispatch threshold.
 const AggMinFlows = aggMinFlows

@@ -48,10 +48,10 @@ func PM(p *Problem) (*Solution, error) {
 // aggMinFlows is the instance size below which PM stays on its per-flow path.
 // It is read off the table in DESIGN.md §13.3 (TestAggCrossoverTable
 // regenerates it): on the scale-syn fixture at 100–1000 nodes, class index
-// plus pmAgg costs 1.1–2.1× pmFlat on ten of the eleven cases up to 5 400
-// flows, is ahead on nine of the twelve between 7 900 and 17 500 flows
-// (0.5–1.0×, and within 0.8 ms behind on the other three), and on all but one
-// case from 28 000 flows up — 0.36–0.6× at the 91 000–140 000 flows of a
+// plus pmAgg costs 1.1–1.7× pmFlat on nine of the eleven cases up to 5 400
+// flows, is ahead on ten of the twelve between 7 900 and 17 500 flows
+// (0.3–0.9×, and within 0.3 ms behind on the other two), and on every case
+// from 28 000 flows up — 0.22–0.39× at the 91 000–140 000 flows of a
 // 1000-node failure. The constant sits in the gap between the first two
 // bands. sweep-att (ATT, 600 flows) is the workload on the flat side of it,
 // scale-syn the one on the other.
@@ -59,9 +59,9 @@ const aggMinFlows = 6500
 
 // aggClassIndex returns the class index when PM should run aggregated:
 // enough flows to matter and at least 2× signature compression. Everything
-// else — fewer flows, a flow with more than maxClassPairs pairs, signatures
-// that barely repeat — lands on pmFlat, whose per-switch work is linear in the
-// switch's pairs.
+// else — fewer flows, a flow with more than maxClassPairs pairs, a p̄ above
+// maxClassPBar, signatures that barely repeat — lands on pmFlat, whose
+// per-switch work is linear in the switch's pairs.
 func (p *Problem) aggClassIndex() *classIndex {
 	if p.NumFlows < aggMinFlows {
 		return nil

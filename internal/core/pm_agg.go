@@ -413,20 +413,28 @@ func (st *aggState) upgradeChain(c int32, mask uint64, s *Solution, rest []int) 
 	return mask, steps, cross
 }
 
-// expandActive writes every group's mask out to the per-flow Active array:
-// member flow l with template bit t set activates pair flowPairs[off(l)+t].
+// expandActive writes every group's mask out to the per-pair Active array.
+// Each member flow gets its group's mask; one walk over Pairs then hands
+// every flow's pairs the mask's bits in turn. A flow's t-th pair in that
+// walk is its t-th pair in switch order, template bit t, because Pairs is
+// switch-major and a template lists its pairs switch-ascending. The masks
+// are per-call garbage rather than pooled scratch: kept in the pool, 8 bytes
+// per flow of the largest case raised the carrier-scale peak RSS.
 func (st *aggState) expandActive(s *Solution) {
+	mask := make([]uint64, st.p.NumFlows)
 	st.forEachGroup(func(_ int32, g *aggGroup) {
 		if g.mask == 0 {
 			return
 		}
 		for _, sp := range g.spans {
-			for pos := sp.lo; pos < sp.hi; pos++ {
-				l := st.ci.members[pos]
-				for m := g.mask; m != 0; m &= m - 1 {
-					s.Active[st.p.pairOf(l, int32(bits.TrailingZeros64(m)))] = true
-				}
+			for _, l := range st.ci.members[sp.lo:sp.hi] {
+				mask[l] = g.mask
 			}
 		}
 	})
+	for k, pr := range st.p.Pairs {
+		m := mask[pr.Flow]
+		s.Active[k] = m&1 != 0
+		mask[pr.Flow] = m >> 1
+	}
 }

@@ -28,8 +28,10 @@ type solverScratch struct {
 	// nearestSet[i].
 	nearestBuf []int
 	nearestSet []bool
-	// class-index construction (refineClasses): the refinement tree.
-	refine []refineNode
+	// class-index construction (refineClasses): the refinement tree and its
+	// child table.
+	refine     []refineNode
+	refineKids []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(solverScratch) }}

@@ -63,13 +63,16 @@ type Problem struct {
 	// maximum number of offline switches on any offline flow's path.
 	TotalIterations int
 
-	// Pair indexes, built by Finalize. Pairs is switch-major, so switch i's
-	// pairs are the run Pairs[swPairOff[i]:swPairOff[i+1]] and need no index
-	// of their own; flow l's pair indices, ascending (hence switch-ascending),
-	// are flowPairs[flowPairOff[l]:flowPairOff[l+1]].
+	// Pair indexes. Pairs is switch-major, so switch i's pairs are the run
+	// Pairs[swPairOff[i]:swPairOff[i+1]] and need no index of their own;
+	// flow l's pair indices, ascending (hence switch-ascending), are
+	// flowPairs[flowPairOff[l]:flowPairOff[l+1]]. Finalize builds the offsets
+	// and maxPBar, the largest p̄; flowPairs is built by the first
+	// PairsOfFlow, since the aggregated PM path never reads it.
 	swPairOff   []int32
 	flowPairs   []int
 	flowPairOff []int32
+	maxPBar     int
 
 	// classes caches the flow equivalence-class index used by the aggregated
 	// PM path; computed lazily by classIndexOf.
@@ -88,8 +91,9 @@ var (
 )
 
 // Finalize validates the instance, puts Pairs in switch-major order when they
-// are not, fills derived fields (pair indexes, default lambda, TotalIterations
-// when unset), and must be called before the problem is handed to any solver.
+// are not, fills derived fields (pair offsets, default lambda, TotalIterations
+// when unset), drops the cached indexes, and must be called before the
+// problem is handed to any solver.
 func (p *Problem) Finalize() error {
 	if p.NumSwitches <= 0 || p.NumControllers <= 0 || p.NumFlows <= 0 {
 		return fmt.Errorf("%w: N=%d M=%d L=%d", ErrEmptyProblem, p.NumSwitches, p.NumControllers, p.NumFlows)
@@ -119,13 +123,11 @@ func (p *Problem) Finalize() error {
 		}
 	}
 	// One pass over the pairs validates them, counts them per switch and per
-	// flow, and notes whether they are switch-major already. Flow counts land
-	// two slots up so that flowOff doubles as the fill cursor below: after the
-	// prefix sums slot l+1 holds flow l's start, the fill advances it to l's
-	// end, which is l+1's start, and slots [0, L] come out as the offsets.
+	// flow, finds the largest p̄ and notes whether they are switch-major
+	// already.
 	swOff := make([]int32, p.NumSwitches+1)
-	flowOff := make([]int32, p.NumFlows+2)
-	switchMajor, last := true, 0
+	flowOff := make([]int32, p.NumFlows+1)
+	switchMajor, last, maxPBar := true, 0, 0
 	for k, pr := range p.Pairs {
 		if pr.Switch < 0 || pr.Switch >= p.NumSwitches {
 			return fmt.Errorf("%w: pair %d switch %d", ErrInvalidProblem, k, pr.Switch)
@@ -138,8 +140,9 @@ func (p *Problem) Finalize() error {
 		}
 		switchMajor = switchMajor && pr.Switch >= last
 		last = pr.Switch
+		maxPBar = max(maxPBar, pr.PBar)
 		swOff[pr.Switch+1]++
-		flowOff[pr.Flow+2]++
+		flowOff[pr.Flow+1]++
 	}
 	if p.Lambda == 0 {
 		p.Lambda = DefaultLambda
@@ -151,7 +154,7 @@ func (p *Problem) Finalize() error {
 		swOff[i] += swOff[i-1]
 	}
 	maxFlowPairs := int32(0)
-	for l := 2; l < len(flowOff); l++ {
+	for l := 1; l < len(flowOff); l++ {
 		maxFlowPairs = max(maxFlowPairs, flowOff[l])
 		flowOff[l] += flowOff[l-1]
 	}
@@ -165,14 +168,8 @@ func (p *Problem) Finalize() error {
 		}
 		copy(p.Pairs, sorted)
 	}
-	p.flowPairs = make([]int, len(p.Pairs))
-	for k := range p.Pairs {
-		l := p.Pairs[k].Flow
-		p.flowPairs[flowOff[l+1]] = k
-		flowOff[l+1]++
-	}
-	p.swPairOff, p.flowPairOff = swOff, flowOff[:p.NumFlows+1]
-	p.classes = nil
+	p.swPairOff, p.flowPairOff, p.maxPBar = swOff, flowOff, maxPBar
+	p.flowPairs, p.classes = nil, nil
 	if p.TotalIterations == 0 {
 		p.TotalIterations = max(int(maxFlowPairs), 1)
 	}
@@ -190,9 +187,25 @@ func (p *Problem) SwitchRun(i int) (lo, hi int) {
 
 // PairsOfFlow returns the indices into Pairs of flow l's eligible pairs.
 // The returned slice is a view into the shared CSR index; callers must not
-// mutate it.
+// mutate it. The first call builds the index and caches it until the next
+// Finalize; like classIndexOf's, it is not safe for concurrent use.
 func (p *Problem) PairsOfFlow(l int) []int {
+	if p.flowPairs == nil {
+		p.buildFlowPairs()
+	}
 	return p.flowPairs[p.flowPairOff[l]:p.flowPairOff[l+1]]
+}
+
+// buildFlowPairs fills the flow → pairs index in one pass over Pairs, with a
+// cursor per flow.
+func (p *Problem) buildFlowPairs() {
+	fp := make([]int, len(p.Pairs))
+	next := slices.Clone(p.flowPairOff)
+	for k, pr := range p.Pairs {
+		fp[next[pr.Flow]] = k
+		next[pr.Flow]++
+	}
+	p.flowPairs = fp
 }
 
 // EligiblePairCount returns the number of eligible pairs at switch i (the

@@ -151,6 +151,7 @@ func (p *Problem) sliceAllSwitches(sl *Slice) (*Slice, error) {
 		swPairOff:       p.swPairOff,
 		flowPairs:       p.flowPairs,
 		flowPairOff:     p.flowPairOff,
+		maxPBar:         p.maxPBar,
 		// The class index depends only on the pairs, never on controllers, so
 		// a parent-computed index carries over; a nil one is computed lazily
 		// on the sub alone.
