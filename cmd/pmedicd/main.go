@@ -27,7 +27,7 @@
 //	pmedicd [-listen 127.0.0.1:8080] [-interval 500ms] [-timeout 0]
 //	        [-threshold 3] [-debounce 0] [-jitter 0] [-seed 1]
 //	        [-state-dir ""] [-replica-id ""]
-//	        [-lease-ttl 2s] [-compact-every 0]
+//	        [-lease-ttl 2s]
 //	        [-kill 3,4] [-kill-after 5s] [-revive-after 10s]
 //	        [-run-for 0] [-dry-run]
 //
@@ -87,10 +87,9 @@ type config struct {
 	dryRun      bool
 
 	// HA: a non-empty stateDir turns on persistence and leader election.
-	stateDir     string
-	replicaID    string
-	leaseTTL     time.Duration
-	compactEvery int
+	stateDir  string
+	replicaID string
+	leaseTTL  time.Duration
 }
 
 func parseFlags(args []string) (config, error) {
@@ -105,7 +104,6 @@ func parseFlags(args []string) (config, error) {
 	stateDir := fs.String("state-dir", "", "snapshot+WAL state directory; enables crash-safe HA mode")
 	replicaID := fs.String("replica-id", "", "this replica's name in the leader lease (default pmedicd-<pid>)")
 	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "leader lease validity; failover latency after SIGKILL is about one TTL")
-	compactEvery := fs.Int("compact-every", 0, "WAL records since the last checkpoint before the daemon folds them into a snapshot (0 = store default, 64)")
 	kill := fs.String("kill", "", "comma-separated controller indices the chaos script kills")
 	killAfter := fs.Duration("kill-after", 5*time.Second, "delay before the chaos kill")
 	reviveAfter := fs.Duration("revive-after", 10*time.Second, "delay before the killed controllers return (0 = never)")
@@ -132,21 +130,20 @@ func parseFlags(args []string) (config, error) {
 		return config{}, negative
 	}
 	cfg := config{
-		listen:       *listen,
-		interval:     *interval,
-		timeout:      *timeout,
-		threshold:    *threshold,
-		debounce:     *debounce,
-		jitter:       *jitter,
-		seed:         *seed,
-		killAfter:    *killAfter,
-		reviveAfter:  *reviveAfter,
-		runFor:       *runFor,
-		dryRun:       *dryRun,
-		stateDir:     *stateDir,
-		replicaID:    *replicaID,
-		leaseTTL:     *leaseTTL,
-		compactEvery: *compactEvery,
+		listen:      *listen,
+		interval:    *interval,
+		timeout:     *timeout,
+		threshold:   *threshold,
+		debounce:    *debounce,
+		jitter:      *jitter,
+		seed:        *seed,
+		killAfter:   *killAfter,
+		reviveAfter: *reviveAfter,
+		runFor:      *runFor,
+		dryRun:      *dryRun,
+		stateDir:    *stateDir,
+		replicaID:   *replicaID,
+		leaseTTL:    *leaseTTL,
 	}
 	if cfg.replicaID == "" {
 		cfg.replicaID = fmt.Sprintf("pmedicd-%d", os.Getpid())
@@ -306,7 +303,7 @@ func (d *daemon) medicConfig() medic.Config {
 // keeps as its standby sessions), hand the restored failure set to a fresh
 // detector, start reconciling, and swap in the leader HTTP surface.
 func (d *daemon) promote(term uint64) error {
-	opts := store.Options{CompactEvery: d.cfg.compactEvery}
+	var opts store.Options
 	if d.el != nil {
 		opts.Guard = d.el.Check
 	}
@@ -418,7 +415,7 @@ func run(args []string, out io.Writer) error {
 
 	if cfg.dryRun {
 		if cfg.stateDir != "" {
-			st, err := store.Open(cfg.stateDir, store.Options{CompactEvery: cfg.compactEvery})
+			st, err := store.Open(cfg.stateDir, store.Options{})
 			if err != nil {
 				return err
 			}

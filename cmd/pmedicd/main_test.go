@@ -67,17 +67,22 @@ func TestKillOutOfRangeIsRefused(t *testing.T) {
 }
 
 // TestNegativeSettingsAreRefused: a negative duration or count is an error,
-// not a setting the daemon reports and then runs as its default.
+// not a setting the daemon reports and then runs as its default; the WAL's
+// compaction threshold is the store's own, which no flag sets.
 func TestNegativeSettingsAreRefused(t *testing.T) {
 	for _, name := range []string{"-interval", "-timeout", "-jitter", "-debounce", "-threshold",
-		"-lease-ttl", "-compact-every", "-kill-after", "-revive-after", "-run-for"} {
+		"-lease-ttl", "-kill-after", "-revive-after", "-run-for"} {
 		value := "-1s"
-		if name == "-threshold" || name == "-compact-every" {
+		if name == "-threshold" {
 			value = "-2"
 		}
 		err := run([]string{"-dry-run", name, value}, new(bytes.Buffer))
 		if err == nil || !strings.Contains(err.Error(), name+" "+value) {
 			t.Errorf("%s %s: %v, want it refused by name", name, value, err)
 		}
+	}
+	err := run([]string{"-dry-run", "-compact-every", "8"}, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -compact-every") {
+		t.Errorf("-compact-every 8: %v, want it refused as undefined", err)
 	}
 }

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	pmsim [-scenario 1|2|3|all] [-skip-optimal] [-opt-time 60s]
-//	      [-lambda 0.001] [-csv dir]
+//	pmsim [-scenario 1|2|3|all] [-skip-optimal] [-opt-time 60s] [-csv dir]
 //	      [-cpuprofile f] [-memprofile f]
 //
 // Each sweep evaluates one failure case per GOMAXPROCS at a time; the tables
@@ -43,7 +42,6 @@ type config struct {
 	scenarios   []int
 	skipOptimal bool
 	optTime     time.Duration
-	lambda      float64
 	csvDir      string
 }
 
@@ -52,15 +50,11 @@ func run(args []string, out io.Writer) (err error) {
 	scenarioFlag := fs.String("scenario", "all", "failure scenario: 1, 2, 3, or all")
 	skipOptimal := fs.Bool("skip-optimal", false, "skip the Optimal (branch & bound) comparator")
 	optTime := fs.Duration("opt-time", 60*time.Second, "time budget per case for Optimal")
-	lambda := fs.Float64("lambda", 0, "objective weight λ (0 = default)")
 	csvDir := fs.String("csv", "", "also write each figure panel as CSV into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *lambda < 0 {
-		return fmt.Errorf("invalid -lambda %v: want 0 (the default) or more", *lambda)
 	}
 	stop, perr := prof.Start(*cpuProfile, *memProfile)
 	if perr != nil {
@@ -74,7 +68,6 @@ func run(args []string, out io.Writer) (err error) {
 	cfg := config{
 		skipOptimal: *skipOptimal,
 		optTime:     *optTime,
-		lambda:      *lambda,
 		csvDir:      *csvDir,
 	}
 	switch *scenarioFlag {
@@ -102,7 +95,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	algs := eval.Comparators(cfg.lambda, cfg.optTime, cfg.skipOptimal)
+	algs := eval.Comparators(cfg.optTime, cfg.skipOptimal)
 	for _, k := range cfg.scenarios {
 		cases, err := eval.SweepOpts(dep, flows, k, algs, eval.Options{Context: sctx})
 		if err != nil {

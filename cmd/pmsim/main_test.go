@@ -76,19 +76,23 @@ func TestTablesMatchCommittedRun(t *testing.T) {
 	}
 }
 
-// TestNegativeSettingsAreRefused: a negative λ or Optimal time budget is an
-// error, not the default and not an unbounded exact solve.
+// TestNegativeSettingsAreRefused: a negative Optimal time budget is an
+// error, not an unbounded exact solve, and λ is a constant no flag sets.
 func TestNegativeSettingsAreRefused(t *testing.T) {
-	for _, args := range [][]string{
-		{"-scenario", "1", "-skip-optimal", "-lambda", "-0.5"},
-		{"-scenario", "1", "-opt-time", "-1s"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scenario", "1", "-skip-optimal", "-lambda", "0.1"}, "flag provided but not defined: -lambda"},
+		{[]string{"-scenario", "1", "-opt-time", "-1s"}, ""},
 	} {
+		args := tc.args
 		done := make(chan error, 1)
 		go func() { done <- run(args, io.Discard) }()
 		select {
 		case err := <-done:
-			if err == nil {
-				t.Errorf("%v: no error", args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: error %v, want one containing %q", args, err, tc.want)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%v: still running after 30s", args)

@@ -6,12 +6,12 @@
 // Usage:
 //
 //	pmsolve -failed 13,16 [-algorithm pm|retroflow|pg|optimal]
-//	        [-opt-time 60s] [-limit n] [-sensitivity]
+//	        [-opt-time 60s] [-sensitivity]
 //	        [-pretty] [-cpuprofile f] [-memprofile f]
 //
 // The -failed list names controllers by their site IDs as printed by pmtopo
 // (e.g. "13,16" is the paper-style case (13, 16)). The workload is one flow
-// per ordered node pair; -limit caps its path counts.
+// per ordered node pair.
 //
 // -algorithm optimal adds an "exact" object: whether branch & bound proved
 // its answer or a budget cut it short, nodes, bound and gap, and the simplex
@@ -135,7 +135,6 @@ func run(args []string, out io.Writer) (err error) {
 	failedFlag := fs.String("failed", "", "comma-separated failed controller site IDs, e.g. 13,16")
 	algFlag := fs.String("algorithm", "pm", "pm, retroflow, pg, or optimal")
 	optTime := fs.Duration("opt-time", 60*time.Second, "time budget for -algorithm optimal")
-	limit := fs.Int("limit", 0, "path-count cap (0 = default)")
 	pretty := fs.Bool("pretty", false, "indent the JSON output")
 	withSensitivity := fs.Bool("sensitivity", false, "include LP-relaxation shadow prices")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -164,7 +163,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	flows, err := flow.Generate(dep.Graph, flow.Options{Limit: *limit})
+	flows, err := flow.Generate(dep.Graph, flow.Options{})
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -58,5 +59,14 @@ func TestNegativeOptTimeFailsFast(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("-opt-time -1s: still solving after 30s")
+	}
+}
+
+// TestPathCapIsNotAFlag: the workload's path-count cap is flow's default,
+// which no flag sets.
+func TestPathCapIsNotAFlag(t *testing.T) {
+	err := run([]string{"-failed", "13", "-limit", "3"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -limit") {
+		t.Fatalf("-limit 3: %v, want it refused as undefined", err)
 	}
 }

@@ -50,7 +50,7 @@ var buildFigures = sync.OnceValues(func() (*figureData, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &figureData{dep: dep, flows: flows, ctx: ctx, algs: eval.Comparators(0, 0, true)}
+	d := &figureData{dep: dep, flows: flows, ctx: ctx, algs: eval.Comparators(0, true)}
 	for k := 1; k <= 3; k++ {
 		if d.sweep[k], err = eval.SweepOpts(dep, flows, k, d.algs, eval.Options{Context: ctx}); err != nil {
 			return nil, err
@@ -413,51 +413,6 @@ func TestAblationPMIterations(t *testing.T) {
 
 // --- extensions (beyond the paper; see EXPERIMENTS.md) ---
 
-// TestExtensionCascade runs a cascading-failure episode from the hub domain's
-// failure ({3}) per trigger and algorithm and holds each to its row. Per-flow
-// recovery spreads the hub's sessions where switch-level recovery moves them
-// whole, so at the same trigger per-flow recovery never collapses sooner than
-// switch-level recovery, and at 90 % only the flow-level PG survives.
-func TestExtensionCascade(t *testing.T) {
-	d := figures(t)
-	type episode struct {
-		rounds    int
-		collapsed bool
-	}
-	for _, row := range []struct {
-		trigger float64
-		want    [3]episode // PM, RetroFlow, PG: the order of d.algs
-	}{
-		{1.0, [3]episode{{1, false}, {1, false}, {1, false}}},
-		{0.95, [3]episode{{1, false}, {4, true}, {1, false}}},
-		{0.9, [3]episode{{3, true}, {2, true}, {1, false}}},
-	} {
-		var got [3]episode
-		for a, alg := range d.algs {
-			res, err := eval.Cascade(d.dep, d.flows, []int{3}, alg, row.trigger)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[a] = episode{res.SurvivedRounds(), res.Collapsed}
-			// A cascade goes on past a round only if the round overloaded a
-			// controller; a stable episode's last round overloads none.
-			for i, r := range res.Rounds {
-				stableEnd := !res.Collapsed && i == len(res.Rounds)-1
-				if (len(r.Overloaded) == 0) != stableEnd {
-					t.Fatalf("trigger %.2f, %s: round %d of %d overloads %v (collapsed %v)",
-						row.trigger, alg.Name, i+1, len(res.Rounds), r.Overloaded, res.Collapsed)
-				}
-			}
-			if !res.Collapsed && res.FinalReport() == nil {
-				t.Fatalf("trigger %.2f, %s: stabilised without a final report", row.trigger, alg.Name)
-			}
-		}
-		if got != row.want {
-			t.Fatalf("trigger %.2f: PM, RetroFlow, PG episodes %+v, want %+v", row.trigger, got, row.want)
-		}
-	}
-}
-
 // TestExtensionBehaviouralCheck applies PM's and RetroFlow's recovery of every
 // ATT failure set (41 cases) to the behavioural simulator and holds the
 // packet-level network to the analytic report: the simulator takes offline
@@ -661,24 +616,5 @@ func TestFacadeScenarioValidation(t *testing.T) {
 	}
 	if _, err := scenario.Build(d.dep, d.flows, []int{0, 1, 2, 3, 4, 5}); err == nil {
 		t.Fatal("all-failed must be rejected")
-	}
-}
-
-func TestFacadeCascadeOrderingByGranularity(t *testing.T) {
-	d := figures(t)
-	pmRes, err := eval.Cascade(d.dep, d.flows, []int{3}, d.algs[0], 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rfRes, err := eval.Cascade(d.dep, d.flows, []int{3}, d.algs[1], 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-flow recovery spreads load; switch-level recovery concentrates it.
-	if pmRes.Collapsed && !rfRes.Collapsed {
-		t.Fatal("PM cascaded further than RetroFlow at the same trigger")
-	}
-	if pmRes.SurvivedRounds() == 0 || rfRes.SurvivedRounds() == 0 {
-		t.Fatalf("survived rounds: PM %d, RetroFlow %d", pmRes.SurvivedRounds(), rfRes.SurvivedRounds())
 	}
 }

@@ -12,9 +12,8 @@
 // test are guaranteed to converge eventually.
 //
 // The package knows nothing about the protocol above it except, for
-// frame-level faults, how to delimit frames: the default framer understands
-// the 8-byte header used by internal/openflow (total length, big-endian, at
-// bytes 2..3), and Config.FrameLen can replace it.
+// frame-level faults, how to delimit frames: by the 8-byte header used by
+// internal/openflow (total length, big-endian, at bytes 2..3).
 package chaos
 
 import (
@@ -72,16 +71,12 @@ type Config struct {
 	// MaxDialFails bounds the total injected failures (0 = unlimited).
 	DialFailProb float64
 	MaxDialFails int
-
-	// FrameLen returns the length in bytes of the first complete frame in
-	// buf, or 0 if buf holds no complete frame yet. Nil selects the
-	// openflow-style framer: an 8-byte header whose bytes 2..3 carry the
-	// big-endian total message length.
-	FrameLen func(buf []byte) int
 }
 
-// openflowFrameLen delimits frames by the openflow wire header without
-// importing the package: total length lives at bytes 2..3, big-endian.
+// openflowFrameLen returns the length in bytes of the first complete frame in
+// buf, or 0 if buf holds no complete frame yet. It delimits frames by the
+// openflow wire header without importing the package: total length lives at
+// bytes 2..3, big-endian.
 func openflowFrameLen(buf []byte) int {
 	const headerLen = 8
 	if len(buf) < headerLen {
@@ -131,8 +126,7 @@ func (b *budget) take() bool {
 // deadline setters of the wrapped transport when present, so connection
 // deadlines keep working through the chaos layer.
 type Transport struct {
-	cfg   Config
-	frame func([]byte) int
+	cfg Config
 
 	resets, drops, dups *budget
 
@@ -146,19 +140,14 @@ type Transport struct {
 
 // NewTransport wraps rwc with the configured fault plan.
 func NewTransport(rwc io.ReadWriteCloser, cfg Config) *Transport {
-	t := &Transport{
+	return &Transport{
 		cfg:    cfg,
-		frame:  cfg.FrameLen,
 		rwc:    rwc,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		resets: newBudget(cfg.MaxResets),
 		drops:  newBudget(cfg.MaxDrops),
 		dups:   newBudget(cfg.MaxDups),
 	}
-	if t.frame == nil {
-		t.frame = openflowFrameLen
-	}
-	return t
 }
 
 // delay sleeps the configured latency plus seeded jitter.
@@ -213,7 +202,7 @@ func (t *Transport) Write(p []byte) (int, error) {
 	// per frame.
 	t.wbuf = append(t.wbuf, p...)
 	for {
-		n := t.frame(t.wbuf)
+		n := openflowFrameLen(t.wbuf)
 		if n <= 0 || n > len(t.wbuf) {
 			break
 		}

@@ -24,8 +24,6 @@ import (
 // switch-ascending, matching the template order).
 type classIndex struct {
 	numClasses int
-	// classOf[l] is flow l's class.
-	classOf []int32
 	// members lists flow indices grouped by class, ascending flow ID within
 	// each class: members[memberOff[c]:memberOff[c+1]].
 	members   []int32
@@ -93,18 +91,20 @@ type refineNode struct {
 // A node's children at the current switch are found in O(1): node n's row of
 // the child table, kids[n*w:(n+1)*w] with w = p̄_max+1, is indexed by p̄ and
 // reset the first time n gets a child at a switch. The cost is one
-// sequential pass over Pairs with a random access into classOf, the (few
-// thousand) nodes and their rows per pair, then two passes over the flows.
-// The nodes and rows are pooled scratch; what the classIndex retains is
-// freshly allocated. It returns classIndexUnusable when p̄_max exceeds
+// sequential pass over Pairs with a random access into classOf (each flow's
+// node so far), the (few thousand) nodes and their rows per pair, then two
+// passes over the flows. The nodes and rows are pooled scratch; classOf, 4 B
+// per flow, is allocated per call and dropped with it (pooling it would pin
+// the largest case's array); what the classIndex retains is freshly
+// allocated. It returns classIndexUnusable when p̄_max exceeds
 // maxClassPBar or at the first flow to exceed maxClassPairs pairs.
 func refineClasses(p *Problem) *classIndex {
 	if p.maxPBar > maxClassPBar {
 		return classIndexUnusable
 	}
 	L, w := p.NumFlows, int32(p.maxPBar+1)
-	ci := &classIndex{classOf: make([]int32, L), members: make([]int32, L)}
-	classOf := ci.classOf
+	ci := &classIndex{members: make([]int32, L)}
+	classOf := make([]int32, L)
 	sc := scratchPool.Get().(*solverScratch)
 	nodes := append(sc.refine[:0], refineNode{parent: -1, kidsAt: -1})
 	kids := growSlice(&sc.refineKids, int(w))
@@ -173,7 +173,6 @@ func refineClasses(p *Problem) *classIndex {
 		nd := &nodes[n]
 		ci.members[nd.count] = int32(l)
 		nd.count++
-		classOf[l] = nd.class
 	}
 	return ci
 }

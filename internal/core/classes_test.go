@@ -51,7 +51,6 @@ func referenceClassIndex(p *Problem) *classIndex {
 	})
 
 	ci := &classIndex{
-		classOf:   make([]int32, L),
 		members:   order,
 		memberOff: []int32{0},
 		tmplOff:   []int32{0},
@@ -60,10 +59,6 @@ func referenceClassIndex(p *Problem) *classIndex {
 		run := idx + 1
 		for run < L && p.compareSignatures(order[run], order[idx]) == 0 {
 			run++
-		}
-		c := int32(ci.numClasses)
-		for _, l := range order[idx:run] {
-			ci.classOf[l] = c
 		}
 		for _, k := range p.PairsOfFlow(int(order[idx])) {
 			ci.tmplSwitch = append(ci.tmplSwitch, int32(p.Pairs[k].Switch))
@@ -75,6 +70,28 @@ func referenceClassIndex(p *Problem) *classIndex {
 		idx = run
 	}
 	return ci
+}
+
+// classOfFlows derives each flow's class from ci's member lists, or fails if
+// they do not list every one of the L flows exactly once.
+func classOfFlows(ci *classIndex, L int) ([]int32, error) {
+	if len(ci.members) != L || len(ci.memberOff) != ci.numClasses+1 {
+		return nil, fmt.Errorf("lengths: members %d (L=%d), memberOff %d (classes %d)",
+			len(ci.members), L, len(ci.memberOff), ci.numClasses)
+	}
+	classOf := make([]int32, L)
+	for l := range classOf {
+		classOf[l] = -1
+	}
+	for c := int32(0); c < int32(ci.numClasses); c++ {
+		for _, l := range ci.members[ci.memberOff[c]:ci.memberOff[c+1]] {
+			if l < 0 || int(l) >= L || classOf[l] >= 0 {
+				return nil, fmt.Errorf("flow %d listed under class %d is out of range or listed twice", l, c)
+			}
+			classOf[l] = c
+		}
+	}
+	return classOf, nil
 }
 
 // classIndexVsReference builds p's class index afresh and checks it against
@@ -95,14 +112,21 @@ func classIndexVsReference(p *Problem) error {
 	if nc != want.numClasses {
 		return fmt.Errorf("%d classes, reference has %d", nc, want.numClasses)
 	}
-	if len(got.classOf) != L || len(got.members) != L || len(got.memberOff) != nc+1 || len(got.tmplOff) != nc+1 {
-		return fmt.Errorf("lengths: classOf %d members %d (L=%d), memberOff %d tmplOff %d (classes %d)",
-			len(got.classOf), len(got.members), L, len(got.memberOff), len(got.tmplOff), nc)
+	if len(got.members) != L || len(got.memberOff) != nc+1 || len(got.tmplOff) != nc+1 {
+		return fmt.Errorf("lengths: members %d (L=%d), memberOff %d tmplOff %d (classes %d)",
+			len(got.members), L, len(got.memberOff), len(got.tmplOff), nc)
 	}
 	if got.memberOff[0] != 0 || int(got.memberOff[nc]) != L || got.tmplOff[0] != 0 ||
 		int(got.tmplOff[nc]) != len(got.tmplSwitch) || len(got.tmplSwitch) != len(got.tmplPBar) {
 		return fmt.Errorf("offset ends: memberOff %d..%d (L=%d), tmplOff %d..%d (templates %d/%d)",
 			got.memberOff[0], got.memberOff[nc], L, got.tmplOff[0], got.tmplOff[nc], len(got.tmplSwitch), len(got.tmplPBar))
+	}
+	if _, err := classOfFlows(got, L); err != nil {
+		return err
+	}
+	wantClass, err := classOfFlows(want, L)
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
 	}
 	// toWant maps each class to the reference class of its first member; the
 	// map must be one to one for the partitions to be the same.
@@ -113,7 +137,7 @@ func classIndexVsReference(p *Problem) error {
 		if len(members) == 0 {
 			return fmt.Errorf("class %d is empty", c)
 		}
-		toWant[c] = want.classOf[members[0]]
+		toWant[c] = wantClass[members[0]]
 		if taken[toWant[c]] {
 			return fmt.Errorf("class %d and an earlier one both hold members of reference class %d", c, toWant[c])
 		}
@@ -123,10 +147,7 @@ func classIndexVsReference(p *Problem) error {
 			if m > 0 && members[m-1] >= l {
 				return fmt.Errorf("class %d: members not ascending at %d: %d then %d", c, m, members[m-1], l)
 			}
-			if got.classOf[l] != c {
-				return fmt.Errorf("flow %d listed under class %d but classOf says %d", l, c, got.classOf[l])
-			}
-			if want.classOf[l] != toWant[c] {
+			if wantClass[l] != toWant[c] {
 				return fmt.Errorf("flows %d and %d share class %d but not a reference class", members[0], l, c)
 			}
 			ks := p.PairsOfFlow(int(l))

@@ -32,7 +32,7 @@ func composedReport(p *core.Problem, s *core.Solution, opts core.EvaluateOptions
 		}
 		r.MinProg = min(r.MinProg, v)
 	}
-	r.Objective = float64(r.MinProg) + p.Lambda*float64(r.TotalProg)
+	r.Objective = float64(r.MinProg) + core.Lambda*float64(r.TotalProg)
 
 	delayOf := func(i, j int) float64 {
 		if s.MiddleLayer && opts.MiddleDelay != nil {

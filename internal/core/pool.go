@@ -67,21 +67,7 @@ func (sc *solverScratch) nearestRow(p *Problem, i int) []int {
 	if sc.nearestSet[i] {
 		return row
 	}
-	for j := range row {
-		row[j] = j
-	}
-	d := p.Delay[i]
-	// Insertion sort with an explicit index tie-break, as NearestControllers.
-	for a := 1; a < len(row); a++ {
-		for b := a; b > 0; b-- {
-			x, y := row[b-1], row[b]
-			if d[x] > d[y] || (d[x] == d[y] && x > y) {
-				row[b-1], row[b] = y, x
-			} else {
-				break
-			}
-		}
-	}
+	nearestOrder(row, p.Delay[i])
 	sc.nearestSet[i] = true
 	return row
 }

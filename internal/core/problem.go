@@ -56,9 +56,6 @@ type Problem struct {
 	// recovery (every offline switch mapped to its nearest active
 	// controller), Σ_i γ_i · min_j D_ij.
 	BudgetMs float64
-	// Lambda weighs the total-programmability objective against the min-
-	// programmability objective: obj = r + Lambda · Σ_l pro^l.
-	Lambda float64
 	// TotalIterations bounds PM's balancing loop; the paper sets it to the
 	// maximum number of offline switches on any offline flow's path.
 	TotalIterations int
@@ -79,10 +76,11 @@ type Problem struct {
 	classes *classIndex
 }
 
-// DefaultLambda is the weight used when Problem.Lambda is zero. A small
-// positive weight keeps the lexicographic intent of the two-stage objective
-// (balance first, then total programmability) per the paper's reference [17].
-const DefaultLambda = 1e-3
+// Lambda weighs the total-programmability objective against the min-
+// programmability objective: obj = r + Lambda · Σ_l pro^l. A small positive
+// weight keeps the lexicographic intent of the two-stage objective (balance
+// first, then total programmability) per the paper's reference [17].
+const Lambda = 1e-3
 
 // Validation errors.
 var (
@@ -91,9 +89,9 @@ var (
 )
 
 // Finalize validates the instance, puts Pairs in switch-major order when they
-// are not, fills derived fields (pair offsets, default lambda, TotalIterations
-// when unset), drops the cached indexes, and must be called before the
-// problem is handed to any solver.
+// are not, fills derived fields (pair offsets, TotalIterations when unset),
+// drops the cached indexes, and must be called before the problem is handed
+// to any solver.
 func (p *Problem) Finalize() error {
 	if p.NumSwitches <= 0 || p.NumControllers <= 0 || p.NumFlows <= 0 {
 		return fmt.Errorf("%w: N=%d M=%d L=%d", ErrEmptyProblem, p.NumSwitches, p.NumControllers, p.NumFlows)
@@ -143,12 +141,6 @@ func (p *Problem) Finalize() error {
 		maxPBar = max(maxPBar, pr.PBar)
 		swOff[pr.Switch+1]++
 		flowOff[pr.Flow+1]++
-	}
-	if p.Lambda == 0 {
-		p.Lambda = DefaultLambda
-	}
-	if p.Lambda < 0 {
-		return fmt.Errorf("%w: Lambda=%v", ErrInvalidProblem, p.Lambda)
 	}
 	for i := 1; i < len(swOff); i++ {
 		swOff[i] += swOff[i-1]
@@ -219,23 +211,28 @@ func (p *Problem) EligiblePairCount(i int) int {
 // from switch i (stable tie-break on controller index): the paper's C(i).
 func (p *Problem) NearestControllers(i int) []int {
 	order := make([]int, p.NumControllers)
+	nearestOrder(order, p.Delay[i])
+	return order
+}
+
+// nearestOrder fills order with the controller indices 0..len(order)-1 sorted
+// by ascending delay[j], ties broken by the lower index.
+func nearestOrder(order []int, delay []float64) {
 	for j := range order {
 		order[j] = j
 	}
-	row := p.Delay[i]
 	// Insertion sort: M is small (<= 6 in the evaluation) and this keeps the
 	// tie-break explicit.
 	for a := 1; a < len(order); a++ {
 		for b := a; b > 0; b-- {
 			x, y := order[b-1], order[b]
-			if row[x] > row[y] || (row[x] == row[y] && x > y) {
+			if delay[x] > delay[y] || (delay[x] == delay[y] && x > y) {
 				order[b-1], order[b] = y, x
 			} else {
 				break
 			}
 		}
 	}
-	return order
 }
 
 // TotalRest returns Σ_j A_j^rest.

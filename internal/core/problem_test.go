@@ -58,7 +58,6 @@ func TestFinalizeValidation(t *testing.T) {
 		{"pair switch", func(p *Problem) { p.Pairs[0].Switch = 9 }, "pair 0 switch 9"},
 		{"pair flow", func(p *Problem) { p.Pairs[0].Flow = -1 }, "pair 0 flow -1"},
 		{"pair pbar", func(p *Problem) { p.Pairs[1].PBar = 1 }, "pair 1 p̄=1 (eligible pairs need p̄ >= 2)"},
-		{"negative lambda", func(p *Problem) { p.Lambda = -0.5 }, "Lambda=-0.5"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,9 +87,6 @@ func TestFinalizeValidation(t *testing.T) {
 
 func TestFinalizeDerivedFields(t *testing.T) {
 	p := tinyProblem(t)
-	if p.Lambda != DefaultLambda {
-		t.Fatalf("Lambda = %v, want default %v", p.Lambda, DefaultLambda)
-	}
 	// Flow 1 has pairs at both switches -> TotalIterations = 2.
 	if p.TotalIterations != 2 {
 		t.Fatalf("TotalIterations = %d, want 2", p.TotalIterations)

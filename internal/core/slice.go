@@ -31,8 +31,8 @@ type Slice struct {
 // Slice restricts p to the switches and controllers marked in keepSwitch and
 // keepController (indexed like p's switches/controllers). Flows are derived:
 // a flow joins the slice iff it has an eligible pair at a kept switch. The
-// returned sub-problem is finalized, inherits Lambda, and recomputes its own
-// ideal delay budget over the kept delay columns.
+// returned sub-problem is finalized and recomputes its own ideal delay budget
+// over the kept delay columns.
 //
 // Slice returns (nil, nil) when no eligible pair survives the restriction or
 // no controller is kept — there is nothing to solve; callers skip the region.
@@ -97,7 +97,6 @@ func (p *Problem) Slice(keepSwitch, keepController []bool) (*Slice, error) {
 		NumSwitches:    len(sl.Switches),
 		NumControllers: len(sl.Controllers),
 		NumFlows:       len(sl.Flows),
-		Lambda:         p.Lambda,
 	}
 	sub.Pairs = make([]Pair, 0, numPairs)
 	sl.PairIndex = make([]int, 0, numPairs)
@@ -146,7 +145,6 @@ func (p *Problem) sliceAllSwitches(sl *Slice) (*Slice, error) {
 		NumFlows:        p.NumFlows,
 		Pairs:           p.Pairs,
 		Gamma:           p.Gamma,
-		Lambda:          p.Lambda,
 		TotalIterations: p.TotalIterations,
 		swPairOff:       p.swPairOff,
 		flowPairs:       p.flowPairs,

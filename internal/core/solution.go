@@ -272,7 +272,7 @@ func Evaluate(p *Problem, s *Solution, opts EvaluateOptions) (*Report, error) {
 	if len(t.pro) == 0 {
 		r.MinProg = 0
 	}
-	r.Objective = float64(r.MinProg) + p.Lambda*float64(r.TotalProg)
+	r.Objective = float64(r.MinProg) + Lambda*float64(r.TotalProg)
 	if r.RecoveredFlows > 0 {
 		r.PerFlowOverheadMs = r.OverheadMs / float64(r.RecoveredFlows)
 	}

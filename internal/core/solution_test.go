@@ -113,7 +113,7 @@ func TestEvaluateMetrics(t *testing.T) {
 	if !rep.WithinBudget {
 		t.Fatal("3 ms is within the budget of 20 ms")
 	}
-	wantObj := 2 + p.Lambda*9
+	wantObj := 2 + Lambda*9
 	if math.Abs(rep.Objective-wantObj) > 1e-12 {
 		t.Fatalf("objective = %v, want %v", rep.Objective, wantObj)
 	}

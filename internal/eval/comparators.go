@@ -12,19 +12,11 @@ import (
 
 // Comparators is the paper's comparator table — PM, RetroFlow, PG and, unless
 // skipOptimal, the exact Optimal warm-started from PM — in the order every
-// figure prints them. lambda > 0 overrides the objective weight of each case
-// (0 keeps the default); optBudget bounds each exact solve (0 = opt's
-// default).
-func Comparators(lambda float64, optBudget time.Duration, skipOptimal bool) []Algorithm {
-	problem := func(inst *scenario.Instance) *core.Problem {
-		if lambda > 0 {
-			inst.Problem.Lambda = lambda
-		}
-		return inst.Problem
-	}
+// figure prints them. optBudget bounds each exact solve (0 = opt's default).
+func Comparators(optBudget time.Duration, skipOptimal bool) []Algorithm {
 	heuristic := func(name string, solve func(*core.Problem) (*core.Solution, error)) Algorithm {
 		return Algorithm{Name: name, Run: func(inst *scenario.Instance) (*core.Solution, error) {
-			return solve(problem(inst))
+			return solve(inst.Problem)
 		}}
 	}
 	algs := []Algorithm{heuristic("PM", core.PM), heuristic("RetroFlow", core.RetroFlow), heuristic("PG", core.PG)}
@@ -34,8 +26,8 @@ func Comparators(lambda float64, optBudget time.Duration, skipOptimal bool) []Al
 	// Optimal warm-starts from PM's deterministic plan for the case; a warm
 	// start that PM could not give is one it does without.
 	return append(algs, Algorithm{Name: "Optimal", Run: func(inst *scenario.Instance) (*core.Solution, error) {
-		warm, _ := core.PM(problem(inst))
-		sol, err := opt.Solve(problem(inst), opt.Options{TimeLimit: optBudget, Warm: warm})
+		warm, _ := core.PM(inst.Problem)
+		sol, err := opt.Solve(inst.Problem, opt.Options{TimeLimit: optBudget, Warm: warm})
 		if errors.Is(err, opt.ErrNoSolution) {
 			return nil, fmt.Errorf("%w: %v", ErrNoResult, err)
 		}

@@ -36,8 +36,6 @@ func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	switch m := msg.(type) {
 	case Hello:
 		t = TypeHello
-	case FeaturesRequest:
-		t = TypeFeaturesRequest
 	case BarrierRequest:
 		t = TypeBarrierRequest
 	case BarrierReply:
@@ -45,10 +43,6 @@ func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	case Echo:
 		t = m.MsgType()
 		b = append(b, m.Data...)
-	case FeaturesReply:
-		t = TypeFeaturesReply
-		b = byteOrder.AppendUint64(b, m.DatapathID)
-		b = append(b, m.NumTables, boolByte(m.Hybrid))
 	case FlowMod:
 		t = TypeFlowMod
 		b = append(b, uint8(m.Command))
@@ -78,13 +72,6 @@ func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	b[start+1] = uint8(t)
 	byteOrder.PutUint16(b[start+2:start+4], uint16(total))
 	return b, nil
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 func appendMatch(b []byte, m Match) []byte {
@@ -131,23 +118,12 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 	switch t {
 	case TypeHello:
 		return Hello{}, nil
-	case TypeFeaturesRequest:
-		return FeaturesRequest{}, nil
 	case TypeBarrierRequest:
 		return BarrierRequest{}, nil
 	case TypeBarrierReply:
 		return BarrierReply{}, nil
 	case TypeEchoRequest, TypeEchoReply:
 		return Echo{Reply: t == TypeEchoReply, Data: append([]byte(nil), body...)}, nil
-	case TypeFeaturesReply:
-		if err := need(10); err != nil {
-			return nil, err
-		}
-		return FeaturesReply{
-			DatapathID: byteOrder.Uint64(body[0:8]),
-			NumTables:  body[8],
-			Hybrid:     body[9] == 1,
-		}, nil
 	case TypeFlowMod:
 		if err := need(19); err != nil {
 			return nil, err

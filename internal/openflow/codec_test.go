@@ -60,9 +60,6 @@ func allMessages() []Message {
 		Echo{Data: []byte("ping")},
 		Echo{Reply: true, Data: []byte("pong")},
 		Echo{},
-		FeaturesRequest{},
-		FeaturesReply{DatapathID: 0xdeadbeef01020304, NumTables: 2, Hybrid: true},
-		FeaturesReply{DatapathID: 1},
 		FlowMod{Command: FlowAdd, Priority: 100, Match: match, NextHop: 9},
 		FlowMod{Command: FlowDelete, Match: match},
 		FlowMod{Command: FlowDeleteAll},
@@ -172,14 +169,19 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownType: an unassigned type code fails decode,
+// OpenFlow's features request and reply (5, 6), which this subset does not
+// carry, included.
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	buf, err := AppendEncode(nil, Hello{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[1] = 0xEE
-	if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadType) {
-		t.Fatalf("error = %v, want ErrBadType", err)
+	for _, typ := range []byte{5, 6, 0xEE} {
+		buf, err := AppendEncode(nil, Hello{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[1] = typ
+		if _, _, err := ReadMessage(bytes.NewReader(buf)); !errors.Is(err, ErrBadType) {
+			t.Fatalf("type %d: error = %v, want ErrBadType", typ, err)
+		}
 	}
 }
 

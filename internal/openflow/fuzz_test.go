@@ -52,6 +52,22 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(enc(BarrierReply{}, RoleReply{Role: RoleMaster, GenerationID: 64}, Echo{Reply: true, Data: []byte("x")}, ErrorMsg{Code: 3}))
 	// A role reply carrying a switch's boot nonce.
 	f.Add(enc(RoleReply{Role: RoleMaster, GenerationID: 65, Nonce: 0x0123456789abcdef}))
+	// OpenFlow's features request and replies (types 5, 6; a reply's body is
+	// datapath ID, table count and a hybrid flag), which this subset does not
+	// carry: each fails decode like any unknown type.
+	for _, fr := range []struct {
+		typ  MsgType
+		body []byte
+	}{
+		{5, nil},
+		{6, []byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 2, 1}},
+		{6, []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0}},
+	} {
+		b := append(enc(Hello{}), fr.body...)
+		b[1] = uint8(fr.typ)
+		byteOrder.PutUint16(b[2:4], uint16(len(b)))
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

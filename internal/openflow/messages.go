@@ -1,6 +1,6 @@
 // Package openflow implements the control-channel wire protocol the
 // simulated switches and controllers speak: an OpenFlow-1.3-flavored message
-// set (hello/echo, features, flow-mod, role, barrier, error)
+// set (hello/echo, flow-mod, role, barrier, error)
 // with a binary codec and a TCP connection wrapper. The subset covers what
 // programmability recovery needs — installing and removing flow entries,
 // claiming the master role over a re-mapped switch, and liveness probing.
@@ -15,19 +15,17 @@ const Version uint8 = 0x04
 // MsgType discriminates message bodies.
 type MsgType uint8
 
-// Message types. Each keeps its wire number; 7 and 8 are unassigned.
+// Message types. Each keeps its wire number; 5 to 8 are unassigned.
 const (
-	TypeHello           MsgType = 1
-	TypeError           MsgType = 2
-	TypeEchoRequest     MsgType = 3
-	TypeEchoReply       MsgType = 4
-	TypeFeaturesRequest MsgType = 5
-	TypeFeaturesReply   MsgType = 6
-	TypeFlowMod         MsgType = 9
-	TypeRoleRequest     MsgType = 10
-	TypeRoleReply       MsgType = 11
-	TypeBarrierRequest  MsgType = 12
-	TypeBarrierReply    MsgType = 13
+	TypeHello          MsgType = 1
+	TypeError          MsgType = 2
+	TypeEchoRequest    MsgType = 3
+	TypeEchoReply      MsgType = 4
+	TypeFlowMod        MsgType = 9
+	TypeRoleRequest    MsgType = 10
+	TypeRoleReply      MsgType = 11
+	TypeBarrierRequest MsgType = 12
+	TypeBarrierReply   MsgType = 13
 )
 
 // String renders the message type for diagnostics.
@@ -41,10 +39,6 @@ func (t MsgType) String() string {
 		return "echo-request"
 	case TypeEchoReply:
 		return "echo-reply"
-	case TypeFeaturesRequest:
-		return "features-request"
-	case TypeFeaturesReply:
-		return "features-reply"
 	case TypeFlowMod:
 		return "flow-mod"
 	case TypeRoleRequest:
@@ -96,24 +90,6 @@ func (e Echo) MsgType() MsgType {
 	}
 	return TypeEchoRequest
 }
-
-// FeaturesRequest asks a switch for its datapath description.
-type FeaturesRequest struct{}
-
-// MsgType implements Message.
-func (FeaturesRequest) MsgType() MsgType { return TypeFeaturesRequest }
-
-// FeaturesReply describes a switch.
-type FeaturesReply struct {
-	DatapathID uint64
-	NumTables  uint8
-	// Hybrid reports the legacy-fallthrough capability of high-end switches
-	// (the Brocade MLX-8-style OpenFlow/OSPF pipeline the paper relies on).
-	Hybrid bool
-}
-
-// MsgType implements Message.
-func (FeaturesReply) MsgType() MsgType { return TypeFeaturesReply }
 
 // Match selects packets of one flow. The reproduction's flows are identified
 // end-to-end, so an exact ternary match suffices: flow ID plus endpoints.

@@ -171,7 +171,7 @@ func build(p *core.Problem) (*model, error) {
 	}
 	md.z = make([]int, len(p.Pairs))
 	for k, pr := range p.Pairs {
-		md.z[k] = md.m.AddVar(0, 1, p.Lambda*float64(pr.PBar), "z"+strconv.Itoa(k), true)
+		md.z[k] = md.m.AddVar(0, 1, core.Lambda*float64(pr.PBar), "z"+strconv.Itoa(k), true)
 	}
 
 	// (2) Each switch maps to at most one controller.

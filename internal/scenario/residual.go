@@ -32,7 +32,6 @@ func (inst *Instance) Residual(demoted map[topo.NodeID]bool) (*core.Problem, []i
 		Rest:           append([]int(nil), p.Rest...),
 		Gamma:          append([]int(nil), p.Gamma...),
 		Delay:          append([][]float64(nil), p.Delay...), // rows shared, read-only
-		Lambda:         p.Lambda,
 	}
 	excluded := make([]bool, p.NumSwitches)
 	for i, sw := range inst.Switches {

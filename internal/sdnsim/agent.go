@@ -191,12 +191,6 @@ func (a *Agent) serve(conn *openflow.Conn) {
 			return
 		}
 		switch m := msg.(type) {
-		case openflow.FeaturesRequest:
-			err = conn.SendXID(openflow.FeaturesReply{
-				DatapathID: uint64(a.sw.ID),
-				NumTables:  2,
-				Hybrid:     a.sw.Pipeline == PipelineHybrid,
-			}, h.XID)
 		case openflow.RoleRequest:
 			err = a.handleRole(conn, m, h, &claim)
 		case openflow.FlowMod:

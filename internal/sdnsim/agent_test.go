@@ -27,19 +27,6 @@ func TestAgentHandlesBasicProtocol(t *testing.T) {
 	}
 	defer func() { _ = conn.Close() }()
 
-	// Features.
-	if _, err := conn.Send(openflow.FeaturesRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	msg, _, err := conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	feat, ok := msg.(openflow.FeaturesReply)
-	if !ok || feat.DatapathID != 13 || !feat.Hybrid {
-		t.Fatalf("features = %#v", msg)
-	}
-
 	// Role.
 	if _, err := conn.Send(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 9}); err != nil {
 		t.Fatal(err)
@@ -55,7 +42,7 @@ func TestAgentHandlesBasicProtocol(t *testing.T) {
 	if _, err := conn.Send(openflow.Echo{Data: []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
-	msg, _, err = conn.Recv()
+	msg, _, err := conn.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
