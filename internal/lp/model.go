@@ -2,8 +2,9 @@
 // simplex with bounded variables, two phases (slack crash basis plus
 // artificial variables for feasibility, then optimality), Dantzig pricing
 // with a Bland anti-cycling fallback, and periodic basis refactorization.
-// The constraint matrix is stored in compressed-sparse-column form; the
-// basis inverse is a product-form eta file, rebuilt from the basis columns'
+// The constraint matrix is compiled once per model structure into
+// compressed-sparse-column form, which the model's clones share; the basis
+// inverse is a product-form eta file, rebuilt from the basis columns'
 // non-zero patterns, for large models and a dense explicit inverse for tiny
 // ones. Solves can be warm-started from the basis of a related solve
 // (Solution.Basis → Options.Warm), which branch & bound uses to start child
@@ -64,6 +65,7 @@ type Model struct {
 	upper []float64
 	names []string
 	rows  []row
+	form  *form // compiled on the first solve; AddVar and AddRow drop it
 }
 
 // NewModel returns an empty model with the given sense.
@@ -84,6 +86,7 @@ func (m *Model) AddVar(lower, upper, objCoeff float64, name string) int {
 	m.upper = append(m.upper, upper)
 	m.obj = append(m.obj, objCoeff)
 	m.names = append(m.names, name)
+	m.form = nil
 	return len(m.obj) - 1
 }
 
@@ -126,6 +129,7 @@ func (m *Model) AddRow(op Op, rhs float64, terms ...Term) error {
 	cp := make([]Term, len(terms))
 	copy(cp, terms)
 	m.rows = append(m.rows, row{terms: cp, op: op, rhs: rhs})
+	m.form = nil
 	return nil
 }
 
@@ -263,10 +267,12 @@ func (m *Model) SolveWith(opts Options) (*Solution, error) {
 }
 
 // Clone returns a model sharing this model's immutable structure (rows,
-// objective, names) with independent bounds. Branch & bound tightens a
-// clone's bounds node by node and leaves the model's own alone; neither model
-// may gain variables or rows after cloning.
+// objective, names) and its compiled form with independent bounds. Branch &
+// bound tightens a clone's bounds node by node and leaves the model's own
+// alone; neither model may gain variables or rows after cloning. The form is
+// compiled here, so clones solved on different goroutines only read it.
 func (m *Model) Clone() *Model {
+	m.compiled()
 	cp := *m
 	cp.lower = append([]float64(nil), m.lower...)
 	cp.upper = append([]float64(nil), m.upper...)

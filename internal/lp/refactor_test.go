@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -130,13 +131,17 @@ func refactorizeBothWays(s *simplex) (singular bool, diff string) {
 // CheckRefactorizations makes every eta refactorization of every simplex run
 // until the test ends also run refactorizeBothWays, failing t on a
 // difference. It returns the counts of bases compared and of those both
-// sides called singular.
+// sides called singular. Branch & bound refactorizes on several workers at
+// once, so the hook takes a lock.
 func CheckRefactorizations(t testing.TB) (compared, singular *int) {
 	compared, singular = new(int), new(int)
+	var mu sync.Mutex
 	testHookRefactorize = func(s *simplex) {
 		if _, ok := s.fact.(*etaFactor); !ok {
 			return
 		}
+		mu.Lock()
+		defer mu.Unlock()
 		*compared++
 		sing, diff := refactorizeBothWays(s)
 		if sing {

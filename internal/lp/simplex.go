@@ -26,19 +26,13 @@ type simplex struct {
 	m int // rows
 	n int // structural variables
 
-	// CSC storage for all columns, structural then slack then artificial.
-	// Column v occupies rowIdx/colVal[colPtr[v]:colPtr[v+1]].
-	colPtr []int32
-	rowIdx []int32
-	colVal []float64
+	// The model's compiled form; a cold start appends its artificial
+	// columns to a copy (crashBasis).
+	form
 
 	lower  []float64 // bounds per expanded variable
 	upper  []float64
-	costP2 []float64 // phase-2 (true, minimization) costs
 	costP1 []float64 // phase-1 costs (1 on artificials)
-	b      []float64 // right-hand sides
-
-	slackVar []int32 // per row: slack variable index, or -1 (EQ rows)
 
 	nArt     int
 	artStart int // first artificial variable index
@@ -55,75 +49,116 @@ type simplex struct {
 	refactors int
 }
 
-func (s *simplex) numCols() int { return len(s.colPtr) - 1 }
+// form is the part of a model's computational form that its bounds do not
+// touch: the structural and slack columns in CSC form (column v occupies
+// rowIdx/colVal[colPtr[v]:colPtr[v+1]]), the phase-2 costs, the right-hand
+// sides and each row's slack. A Model compiles it on its first solve and
+// keeps it, shared with its clones, until AddVar or AddRow drops it; a solve
+// only reads it.
+type form struct {
+	colPtr []int32
+	rowIdx []int32
+	colVal []float64
+	costP2 []float64 // phase-2 (true, minimization) costs
+	b      []float64 // right-hand sides
 
-// col returns column v's sparse entries.
-func (s *simplex) col(v int) ([]int32, []float64) {
-	a, b := s.colPtr[v], s.colPtr[v+1]
-	return s.rowIdx[a:b], s.colVal[a:b]
+	slackVar []int32 // per row: slack variable index, or -1 (EQ rows)
 }
 
-// newSimplex expands the model into computational form.
+func (f *form) numCols() int { return len(f.colPtr) - 1 }
+
+// col returns column v's sparse entries.
+func (f *form) col(v int) ([]int32, []float64) {
+	a, b := f.colPtr[v], f.colPtr[v+1]
+	return f.rowIdx[a:b], f.colVal[a:b]
+}
+
+// compiled returns the model's form, compiling it if AddVar or AddRow
+// dropped it (or no solve or Clone has built it yet).
+func (m *Model) compiled() *form {
+	if m.form == nil {
+		m.form = compile(m)
+	}
+	return m.form
+}
+
+// compile expands the model's rows and objective into computational form.
+func compile(m *Model) *form {
+	nr, n := len(m.rows), len(m.obj)
+	f := &form{}
+	// Structural columns in CSC form: count, prefix-sum, fill, then merge
+	// duplicate variable mentions within a row (AddRow permits them).
+	counts := make([]int32, n+1)
+	for _, r := range m.rows {
+		for _, t := range r.terms {
+			counts[t.Var+1]++
+		}
+	}
+	f.colPtr = make([]int32, n+1, n+nr+1)
+	for v := 0; v < n; v++ {
+		f.colPtr[v+1] = f.colPtr[v] + counts[v+1]
+	}
+	nnz := f.colPtr[n]
+	f.rowIdx = make([]int32, nnz, nnz+int32(nr))
+	f.colVal = make([]float64, nnz, nnz+int32(nr))
+	next := make([]int32, n)
+	copy(next, f.colPtr[:n])
+	for i, r := range m.rows {
+		for _, t := range r.terms {
+			k := next[t.Var]
+			f.rowIdx[k] = int32(i)
+			f.colVal[k] = t.Coeff
+			next[t.Var]++
+		}
+	}
+	f.mergeDuplicates(n)
+
+	f.costP2 = make([]float64, n, n+nr)
+	for v, c := range m.obj {
+		if m.sense == Maximize {
+			f.costP2[v] = -c
+		} else {
+			f.costP2[v] = c
+		}
+	}
+	f.b = make([]float64, nr)
+	for i, r := range m.rows {
+		f.b[i] = r.rhs
+	}
+	// Slack columns: LE -> +slack in [0, inf); GE -> -slack in [0, inf);
+	// EQ -> none.
+	f.slackVar = make([]int32, nr)
+	for i, r := range m.rows {
+		switch r.op {
+		case LE:
+			f.slackVar[i] = int32(f.addCol(i, 1))
+		case GE:
+			f.slackVar[i] = int32(f.addCol(i, -1))
+		case EQ:
+			f.slackVar[i] = -1
+		}
+	}
+	return f
+}
+
+// newSimplex sets up one solve of the model: its compiled form, shared and
+// read-only, under the model's current bounds.
 func newSimplex(m *Model, opts Options) *simplex {
 	s := &simplex{
 		opts:     opts,
 		m:        len(m.rows),
 		n:        len(m.obj),
 		maximize: m.sense == Maximize,
+		form:     *m.compiled(),
 	}
-	// Structural columns in CSC form: count, prefix-sum, fill, then merge
-	// duplicate variable mentions within a row (AddRow permits them).
-	counts := make([]int32, s.n+1)
-	for _, r := range m.rows {
-		for _, t := range r.terms {
-			counts[t.Var+1]++
-		}
-	}
-	s.colPtr = make([]int32, s.n+1)
-	for v := 0; v < s.n; v++ {
-		s.colPtr[v+1] = s.colPtr[v] + counts[v+1]
-	}
-	nnz := s.colPtr[s.n]
-	s.rowIdx = make([]int32, nnz, nnz+int32(2*s.m))
-	s.colVal = make([]float64, nnz, nnz+int32(2*s.m))
-	next := make([]int32, s.n)
-	copy(next, s.colPtr[:s.n])
-	for i, r := range m.rows {
-		for _, t := range r.terms {
-			k := next[t.Var]
-			s.rowIdx[k] = int32(i)
-			s.colVal[k] = t.Coeff
-			next[t.Var]++
-		}
-	}
-	s.mergeDuplicates()
-
-	s.lower = append(make([]float64, 0, s.n+2*s.m), m.lower...)
-	s.upper = append(make([]float64, 0, s.n+2*s.m), m.upper...)
-	s.costP2 = make([]float64, s.n, s.n+2*s.m)
-	for v, c := range m.obj {
-		if s.maximize {
-			s.costP2[v] = -c
-		} else {
-			s.costP2[v] = c
-		}
-	}
-	s.b = make([]float64, s.m)
-	for i, r := range m.rows {
-		s.b[i] = r.rhs
-	}
-	// Slack columns: LE -> +slack in [0, inf); GE -> -slack in [0, inf);
-	// EQ -> none.
-	s.slackVar = make([]int32, s.m)
-	for i, r := range m.rows {
-		switch r.op {
-		case LE:
-			s.slackVar[i] = int32(s.addCol(i, 1, 0, math.Inf(1), 0))
-		case GE:
-			s.slackVar[i] = int32(s.addCol(i, -1, 0, math.Inf(1), 0))
-		case EQ:
-			s.slackVar[i] = -1
-		}
+	// Structural bounds from the model, slack bounds [0, inf).
+	nCols := s.numCols()
+	s.lower = make([]float64, nCols, nCols+s.m)
+	s.upper = make([]float64, nCols, nCols+s.m)
+	copy(s.lower, m.lower)
+	copy(s.upper, m.upper)
+	for v := s.n; v < nCols; v++ {
+		s.upper[v] = math.Inf(1)
 	}
 
 	// Basis-inverse representation: the product-form eta file with sparse
@@ -138,32 +173,32 @@ func newSimplex(m *Model, opts Options) *simplex {
 	return s
 }
 
-// mergeDuplicates sums repeated row entries inside each CSC column, keeping
-// entries sorted by row.
-func (s *simplex) mergeDuplicates() {
+// mergeDuplicates sums repeated row entries inside each of the n structural
+// CSC columns, keeping entries sorted by row.
+func (f *form) mergeDuplicates(n int) {
 	write := int32(0)
-	newPtr := make([]int32, len(s.colPtr))
-	for v := 0; v < s.n; v++ {
-		a, b := s.colPtr[v], s.colPtr[v+1]
+	newPtr := make([]int32, len(f.colPtr))
+	for v := 0; v < n; v++ {
+		a, b := f.colPtr[v], f.colPtr[v+1]
 		newPtr[v] = write
 		if b > a+1 {
-			seg := colSegment{rows: s.rowIdx[a:b], vals: s.colVal[a:b]}
+			seg := colSegment{rows: f.rowIdx[a:b], vals: f.colVal[a:b]}
 			sort.Stable(seg)
 		}
 		for k := a; k < b; k++ {
-			if write > newPtr[v] && s.rowIdx[write-1] == s.rowIdx[k] {
-				s.colVal[write-1] += s.colVal[k]
+			if write > newPtr[v] && f.rowIdx[write-1] == f.rowIdx[k] {
+				f.colVal[write-1] += f.colVal[k]
 				continue
 			}
-			s.rowIdx[write] = s.rowIdx[k]
-			s.colVal[write] = s.colVal[k]
+			f.rowIdx[write] = f.rowIdx[k]
+			f.colVal[write] = f.colVal[k]
 			write++
 		}
 	}
-	newPtr[s.n] = write
-	copy(s.colPtr, newPtr)
-	s.rowIdx = s.rowIdx[:write]
-	s.colVal = s.colVal[:write]
+	newPtr[n] = write
+	copy(f.colPtr, newPtr)
+	f.rowIdx = f.rowIdx[:write]
+	f.colVal = f.colVal[:write]
 }
 
 // colSegment sorts one CSC column's entries by row index.
@@ -179,15 +214,30 @@ func (c colSegment) Swap(i, j int) {
 	c.vals[i], c.vals[j] = c.vals[j], c.vals[i]
 }
 
-// addCol appends a single-entry column and returns its index.
-func (s *simplex) addCol(row int, coeff, lo, hi, cost float64) int {
-	s.rowIdx = append(s.rowIdx, int32(row))
-	s.colVal = append(s.colVal, coeff)
-	s.colPtr = append(s.colPtr, int32(len(s.rowIdx)))
-	s.lower = append(s.lower, lo)
-	s.upper = append(s.upper, hi)
-	s.costP2 = append(s.costP2, cost)
-	return s.numCols() - 1
+// addCol appends a single-entry column of cost 0 and returns its index.
+func (f *form) addCol(row int, coeff float64) int {
+	f.rowIdx = append(f.rowIdx, int32(row))
+	f.colVal = append(f.colVal, coeff)
+	f.colPtr = append(f.colPtr, int32(len(f.rowIdx)))
+	f.costP2 = append(f.costP2, 0)
+	return f.numCols() - 1
+}
+
+// withRoom returns a copy of the form with room for k more columns.
+func (f form) withRoom(k int) form {
+	f.colPtr = append(make([]int32, 0, len(f.colPtr)+k), f.colPtr...)
+	f.rowIdx = append(make([]int32, 0, len(f.rowIdx)+k), f.rowIdx...)
+	f.colVal = append(make([]float64, 0, len(f.colVal)+k), f.colVal...)
+	f.costP2 = append(make([]float64, 0, len(f.costP2)+k), f.costP2...)
+	return f
+}
+
+// addArtificial appends an artificial column in [0, inf) and returns its
+// index.
+func (s *simplex) addArtificial(row int, coeff float64) int {
+	s.lower = append(s.lower, 0)
+	s.upper = append(s.upper, math.Inf(1))
+	return s.addCol(row, coeff)
 }
 
 // errNumerical reports unrecoverable numerical trouble.
@@ -282,6 +332,8 @@ func (s *simplex) residual(resid []float64) {
 // starts closer to feasibility — for all-LE models with nonnegative
 // residuals it is skipped entirely.
 func (s *simplex) crashBasis(resid []float64) {
+	// The model's clones share its form: the artificials go on a copy.
+	s.form = s.form.withRoom(s.m)
 	s.artStart = s.numCols()
 	s.basis = make([]int, s.m)
 	s.xB = make([]float64, s.m)
@@ -304,7 +356,7 @@ func (s *simplex) crashBasis(resid []float64) {
 		if resid[i] < 0 {
 			coeff = -1.0
 		}
-		v := s.addCol(i, coeff, 0, math.Inf(1), 0)
+		v := s.addArtificial(i, coeff)
 		s.state = append(s.state, inBasis)
 		s.basis[i] = v
 		s.xB[i] = math.Abs(resid[i])

@@ -1,8 +1,10 @@
 package mip
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pmedic/internal/lp"
@@ -41,8 +43,10 @@ func buildRandomBinary(rng *rand.Rand, nv int) *Model {
 // infeasibility). Under every node budget from 1 to 20 it must stay inside
 // the budget, and what it claims must hold: a feasible incumbent is no better
 // than the optimum and its bound no worse, optimal is claimed only at the
-// optimum, and infeasible only when no point exists.
+// optimum, and infeasible only when no point exists. Every search runs at
+// GOMAXPROCS 1, 2 and 8 and must return the same result bit for bit.
 func TestSearchMatchesExhaustive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(17))
 	statuses := map[Status]int{}
 	for trial := 0; trial < 40; trial++ {
@@ -62,7 +66,7 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 		}
 		infeasible := math.IsInf(best, -1)
 
-		res, err := m.Solve(Options{})
+		res, err := solveAtEachProcs(m, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -76,7 +80,7 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 		}
 
 		for maxNodes := 1; maxNodes <= 20; maxNodes++ {
-			res, err := m.Solve(Options{MaxNodes: maxNodes})
+			res, err := solveAtEachProcs(m, Options{MaxNodes: maxNodes})
 			if err != nil {
 				t.Fatalf("trial %d, %d nodes: %v", trial, maxNodes, err)
 			}
@@ -107,6 +111,35 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 	if statuses[StatusFeasible] == 0 || statuses[StatusOptimal] == 0 {
 		t.Fatalf("budgeted outcomes %v: want both feasible and optimal among them", statuses)
 	}
+}
+
+// solveAtEachProcs runs the search at GOMAXPROCS 1, 2 and 8 and returns the
+// first result, or an error if another differs from it: the frontier's
+// relaxations are solved in parallel, but the tree may not depend on it.
+func solveAtEachProcs(m *Model, opts Options) (*Result, error) {
+	var first *Result
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, err := m.Solve(opts)
+		if err != nil {
+			return nil, err
+		}
+		if first == nil {
+			first = res
+		} else if got, want := resultString(res), resultString(first); got != want {
+			return nil, fmt.Errorf("GOMAXPROCS %d: result\n%s\ndiffers from GOMAXPROCS 1's\n%s", procs, got, want)
+		}
+	}
+	return first, nil
+}
+
+// resultString prints a result, Runtime aside, with every float64 in its
+// shortest round-trip form: two results print alike only if their status,
+// node count, objective, bound, gap, X and LP work are the same bits.
+func resultString(r *Result) string {
+	cp := *r
+	cp.Runtime = 0
+	return fmt.Sprintf("%+v", cp)
 }
 
 func zeros(n int) []float64 { return make([]float64, n) }

@@ -1,8 +1,9 @@
 // Package mip solves mixed-integer linear programs by LP-based branch &
 // bound: best-first bulk-synchronous search with most-fractional branching,
 // LP bound pruning, a root rounding heuristic, warm-started node
-// relaxations, and wall-clock/node budgets. Each round expands the K best
-// open nodes on one model clone and merges the results in selection order.
+// relaxations, and wall-clock/node budgets. Each round solves the K best open
+// nodes' relaxations in parallel, one model clone each, and merges the
+// results in selection order.
 // Together with package lp it forms the reproduction's stand-in for the
 // GUROBI solver the paper uses for the Optimal comparator.
 package mip
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"pmedic/internal/lp"
+	"pmedic/internal/par"
 )
 
 // Model is a MIP under construction: a linear model plus integrality marks.
@@ -186,10 +188,11 @@ var ErrModel = errors.New("mip: invalid model")
 // intTol is the integrality tolerance.
 const intTol = 1e-6
 
-// frontierWidth is how many open nodes each bulk-synchronous round expands.
-// Expansion is serial, so any width would do; 8 stays because it defines the
-// search trajectory the exact solver's pinned trees and the optimal-att
-// benchmark digest were taken on (opt's TestATTTreesPinned).
+// frontierWidth is how many open nodes each bulk-synchronous round expands,
+// each on its own model clone. The width, not the number of workers, defines
+// the search trajectory: the merge is serial, so the tree is the same at any
+// GOMAXPROCS. 8 is the width the exact solver's pinned trees and the
+// optimal-att benchmark digest were taken on (opt's TestATTTreesPinned).
 const frontierWidth = 8
 
 type node struct {
@@ -261,8 +264,13 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 		}
 	}
 
-	// The nodes' bounds go on a clone, so the model keeps its own.
-	clone := m.lpm.Clone()
+	// The nodes' bounds go on one clone per frontier slot, so the model keeps
+	// its own and a round's relaxations can be solved side by side.
+	clones := make([]*lp.Model, frontierWidth)
+	for i := range clones {
+		clones[i] = m.lpm.Clone()
+	}
+	exps := make([]expansion, frontierWidth)
 
 	open := []*node{{bound: infFor(m.sense)}}
 	// dropped holds nodes whose relaxation hit the LP iteration limit: they
@@ -314,11 +322,16 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 		selected := open[:width]
 		open = append([]*node(nil), open[width:]...)
 
-		// Expand and merge in selection order. Every selected node's
-		// relaxation is solved and counted, also one an earlier merge this
-		// round has since dominated.
-		for _, nd := range selected {
-			ex := m.expandNode(clone, nd, origLo, origHi, opts)
+		// Expand in parallel, then merge in selection order. Every selected
+		// node's relaxation is solved and counted, also one an earlier merge
+		// this round has since dominated. Parallel expansion pays only on
+		// cores the caller leaves idle; a sweep that keeps every core on a
+		// case of its own gains nothing from it (DESIGN §11).
+		par.For(len(selected), 0, func(i int) {
+			exps[i] = m.expandNode(clones[i], selected[i], origLo, origHi, opts)
+		})
+		for i, nd := range selected {
+			ex := exps[i]
 			if ex.err != nil {
 				return nil, fmt.Errorf("mip: node %d relaxation: %w", res.Nodes+1, ex.err)
 			}
@@ -437,7 +450,7 @@ func (m *Model) Solve(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// expandNode solves one node's relaxation on the search's clone: reset
+// expandNode solves one node's relaxation on a frontier slot's clone: reset
 // bounds, apply the node's fixes, warm-start from the parent basis, and
 // locate the most fractional integer variable.
 func (m *Model) expandNode(clone *lp.Model, nd *node, origLo, origHi []float64, opts Options) expansion {

@@ -2,7 +2,9 @@ package opt
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,6 +62,7 @@ func TestATTTreesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, budget := range []int{64, 256} {
 		if budget > 64 && testing.Short() {
 			continue
@@ -73,32 +76,53 @@ func TestATTTreesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Search(inst.Problem, Options{TimeLimit: time.Hour, MaxNodes: budget, Warm: warm})
-			if want.status == mip.StatusUnknown {
-				if !errors.Is(err, ErrNoSolution) || res == nil {
-					t.Fatalf("%d nodes, case %v: error %v, want ErrNoSolution beside a result", budget, want.set, err)
+			// The frontier's relaxations are solved in parallel; the tree,
+			// its incumbent and its LP work may not depend on it.
+			var first string
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				at := fmt.Sprintf("%d nodes, case %v, GOMAXPROCS %d", budget, want.set, procs)
+				res, err := Search(inst.Problem, Options{TimeLimit: time.Hour, MaxNodes: budget, Warm: warm})
+				if want.status == mip.StatusUnknown {
+					if !errors.Is(err, ErrNoSolution) || res == nil {
+						t.Fatalf("%s: error %v, want ErrNoSolution beside a result", at, err)
+					}
+				} else if err != nil {
+					t.Fatalf("%s: %v", at, err)
 				}
-			} else if err != nil {
-				t.Fatalf("%d nodes, case %v: %v", budget, want.set, err)
-			}
-			if res.Status != want.status || res.Nodes != want.nodes || res.Proved() != (want.status == mip.StatusOptimal) {
-				t.Errorf("%d nodes, case %v: %v after %d nodes, want %v after %d", budget, want.set, res.Status, res.Nodes, want.status, want.nodes)
-			}
-			if math.Abs(res.Objective-want.objective) > 1e-9 || math.Abs(res.Bound-want.bound) > 1e-9 {
-				t.Errorf("%d nodes, case %v: objective %.17g bound %.17g, want %.17g and %.17g", budget, want.set, res.Objective, res.Bound, want.objective, want.bound)
-			}
-			if (res.Solution == nil) != (want.objective == 0) {
-				t.Errorf("%d nodes, case %v: solution %v beside objective %v", budget, want.set, res.Solution, res.Objective)
-			}
-			if want.certified >= 0 && (res.LP.Certified != want.certified || res.LP.Cold != want.cold) {
-				t.Errorf("%d nodes, case %v: %d relaxations certified infeasible and %d cold starts, want %d and %d (%+v)",
-					budget, want.set, res.LP.Certified, res.LP.Cold, want.certified, want.cold, res.LP)
-			}
-			if w := res.LP; w.Cold+w.Warm+w.Repaired+w.Certified < res.Nodes || w.Iters == 0 || w.Refactors < res.Nodes {
-				t.Errorf("%d nodes, case %v: LP work %+v does not cover %d nodes", budget, want.set, w, res.Nodes)
+				if res.Status != want.status || res.Nodes != want.nodes || res.Proved() != (want.status == mip.StatusOptimal) {
+					t.Errorf("%s: %v after %d nodes, want %v after %d", at, res.Status, res.Nodes, want.status, want.nodes)
+				}
+				if math.Abs(res.Objective-want.objective) > 1e-9 || math.Abs(res.Bound-want.bound) > 1e-9 {
+					t.Errorf("%s: objective %.17g bound %.17g, want %.17g and %.17g", at, res.Objective, res.Bound, want.objective, want.bound)
+				}
+				if (res.Solution == nil) != (want.objective == 0) {
+					t.Errorf("%s: solution %v beside objective %v", at, res.Solution, res.Objective)
+				}
+				if want.certified >= 0 && (res.LP.Certified != want.certified || res.LP.Cold != want.cold) {
+					t.Errorf("%s: %d relaxations certified infeasible and %d cold starts, want %d and %d (%+v)",
+						at, res.LP.Certified, res.LP.Cold, want.certified, want.cold, res.LP)
+				}
+				if w := res.LP; w.Cold+w.Warm+w.Repaired+w.Certified < res.Nodes || w.Iters == 0 || w.Refactors < res.Nodes {
+					t.Errorf("%s: LP work %+v does not cover %d nodes", at, w, res.Nodes)
+				}
+				if tree := treeString(res.Result); first == "" {
+					first = tree
+				} else if tree != first {
+					t.Errorf("%s: result\n%s\ndiffers from GOMAXPROCS 1's\n%s", at, tree, first)
+				}
 			}
 		}
 	}
+}
+
+// treeString prints a search result, Runtime aside, with every float64 in
+// its shortest round-trip form: two results print alike only if their
+// status, node count, objective, bound, gap, X and LP work are the same bits.
+func treeString(r *mip.Result) string {
+	cp := *r
+	cp.Runtime = 0
+	return fmt.Sprintf("%+v", cp)
 }
 
 // TestIncompleteSearchIsNotProved: an incumbent beside unexplored nodes —
