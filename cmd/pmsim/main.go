@@ -2,7 +2,9 @@
 // scenario (1, 2, or 3 simultaneous controller failures) it runs PM,
 // RetroFlow, PG, and Optimal over every failure combination and prints the
 // series behind each panel of Figs. 4, 5, and 6, plus the Fig. 7 computation-
-// time comparison.
+// time comparison. With -csv dir it also writes the printed tables, one CSV
+// file per panel (fig<N><letter>_<stem>.csv, the runtime table
+// fig<N>_runtime.csv), holding the same header and cells as printed.
 //
 // Usage:
 //
@@ -14,11 +16,13 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -50,7 +54,7 @@ func run(args []string, out io.Writer) (err error) {
 	scenarioFlag := fs.String("scenario", "all", "failure scenario: 1, 2, 3, or all")
 	skipOptimal := fs.Bool("skip-optimal", false, "skip the Optimal (branch & bound) comparator")
 	optTime := fs.Duration("opt-time", 60*time.Second, "time budget per case for Optimal")
-	csvDir := fs.String("csv", "", "also write each figure panel as CSV into this directory")
+	csvDir := fs.String("csv", "", "also write each printed table as a CSV file into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -96,14 +100,15 @@ func run(args []string, out io.Writer) (err error) {
 		return err
 	}
 	algs := eval.Comparators(cfg.optTime, cfg.skipOptimal)
+	names := algNames(algs)
 	for _, k := range cfg.scenarios {
 		cases, err := eval.SweepOpts(dep, flows, k, algs, eval.Options{Context: sctx})
 		if err != nil {
 			return err
 		}
-		printScenario(out, k, cases, algNames(algs))
+		printScenario(out, k, cases, names)
 		if cfg.csvDir != "" {
-			if err := exportCSV(cfg.csvDir, k, cases, algNames(algs)); err != nil {
+			if err := writeCSV(cfg.csvDir, k, cases, names); err != nil {
 				return err
 			}
 		}
@@ -111,31 +116,111 @@ func run(args []string, out io.Writer) (err error) {
 	return nil
 }
 
-// exportCSV writes every panel of the scenario's figure as a CSV file.
-func exportCSV(dir string, k int, cases []*eval.CaseResult, names []string) error {
+// panel is one table of a scenario's figure: the title it is printed under,
+// the CSV file -csv writes it to, and the cell one algorithm gets in one case
+// ("-" when the algorithm has no result there).
+type panel struct {
+	title, file string
+	cell        func(c *eval.CaseResult, name string) string
+}
+
+// panels lists the tables of scenario k's figure (Fig. k+3) in print order:
+// Fig. 4 has (a)–(d), Figs. 5 and 6 have (a)–(f), and the Fig. 7 runtime table
+// comes last. A panel's file is fig<N><letter>_<stem>.csv, the runtime
+// table's fig<N>_runtime.csv.
+func panels(k int) []panel {
+	list := []panel{
+		{"Path programmability of recovered flows (min/q1/median/q3/max)", "programmability_box", func(c *eval.CaseResult, name string) string {
+			box, ok := c.ProgBox(name)
+			if !ok {
+				return "-"
+			}
+			return fmt.Sprintf("%.0f/%.0f/%.1f/%.0f/%.0f", box.Min, box.Q1, box.Median, box.Q3, box.Max)
+		}},
+		{"Total path programmability, % of RetroFlow", "total_prog_pct_of_retroflow", func(c *eval.CaseResult, name string) string {
+			pct, ok := c.TotalProgPctOf(name, "RetroFlow")
+			if !ok {
+				return "-"
+			}
+			return fmt.Sprintf("%.0f%%", pct)
+		}},
+		{"Recovered programmable flows, % of offline flows", "recovered_flows_pct", func(c *eval.CaseResult, name string) string {
+			pct, ok := c.RecoveredFlowPct(name)
+			if !ok {
+				return "-"
+			}
+			return fmt.Sprintf("%.0f%%", pct)
+		}},
+	}
+	if k >= 2 {
+		list = append(list,
+			panel{"Recovered offline switches", "recovered_switches", func(c *eval.CaseResult, name string) string {
+				rep := c.Report(name)
+				if rep == nil {
+					return "-"
+				}
+				return fmt.Sprintf("%d/%d", rep.RecoveredSwitches, len(c.Instance.Switches))
+			}},
+			panel{"Control resource used on active controllers (Σ load / Σ residual)", "controller_load", func(c *eval.CaseResult, name string) string {
+				rep := c.Report(name)
+				if rep == nil {
+					return "-"
+				}
+				used := 0
+				for _, l := range rep.ControllerLoad {
+					used += l
+				}
+				return fmt.Sprintf("%d/%d", used, c.Instance.Problem.TotalRest())
+			}})
+	}
+	list = append(list, panel{"Per-flow communication overhead (ms)", "per_flow_overhead_ms", func(c *eval.CaseResult, name string) string {
+		ms, ok := c.PerFlowOverheadMs(name)
+		if !ok {
+			return "-"
+		}
+		return fmt.Sprintf("%.3f", ms)
+	}})
+	fig := k + 3
+	for i := range list {
+		letter := 'a' + i
+		list[i].title = fmt.Sprintf("Fig. %d(%c) %s", fig, letter, list[i].title)
+		list[i].file = fmt.Sprintf("fig%d%c_%s.csv", fig, letter, list[i].file)
+	}
+	return append(list, panel{"Fig. 7 input: computation time", fmt.Sprintf("fig%d_runtime.csv", fig), func(c *eval.CaseResult, name string) string {
+		rep := c.Report(name)
+		if rep == nil {
+			return "-"
+		}
+		return rep.Runtime.Round(10 * time.Microsecond).String()
+	}})
+}
+
+// rows returns the panel's table: a header, then one row per case.
+func (p panel) rows(cases []*eval.CaseResult, names []string) [][]string {
+	rows := [][]string{append([]string{"CASE"}, names...)}
+	for _, c := range cases {
+		row := []string{c.Label}
+		for _, name := range names {
+			row = append(row, p.cell(c, name))
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// writeCSV writes each of the scenario's panels, as printed, to its own CSV
+// file in dir.
+func writeCSV(dir string, k int, cases []*eval.CaseResult, names []string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	fig := map[int]string{1: "fig4", 2: "fig5", 3: "fig6"}[k]
-	panels := []struct {
-		suffix string
-		metric eval.Metric
-	}{
-		{"a_programmability_box", eval.MetricProgBox()},
-		{"b_total_prog_pct_of_retroflow", eval.MetricTotalProgPct("RetroFlow")},
-		{"c_recovered_flows_pct", eval.MetricRecoveredFlowPct()},
-		{"d_recovered_switches_pct", eval.MetricRecoveredSwitchPct()},
-		{"e_controller_load", eval.MetricControllerLoad()},
-		{"f_per_flow_overhead_ms", eval.MetricPerFlowOverhead()},
-		{"runtime_micros", eval.MetricRuntimeMicros()},
-	}
-	for _, p := range panels {
-		path := filepath.Join(dir, fig+p.suffix+".csv")
+	for _, p := range panels(k) {
+		path := filepath.Join(dir, p.file)
 		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		if err := eval.WriteCSV(f, cases, names, p.metric); err != nil {
+		if err := csv.NewWriter(f).WriteAll(p.rows(cases, names)); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("export %s: %w", path, err)
 		}
@@ -155,83 +240,19 @@ func algNames(algs []eval.Algorithm) []string {
 }
 
 func printScenario(out io.Writer, k int, cases []*eval.CaseResult, names []string) {
-	figure := map[int]string{1: "Fig. 4", 2: "Fig. 5", 3: "Fig. 6"}[k]
-	fmt.Fprintf(out, "================ %d controller failure(s): %s (%d cases) ================\n\n",
-		k, figure, len(cases))
-
-	section(out, figure+"(a) Path programmability of recovered flows (min/q1/median/q3/max)")
-	table(out, cases, names, func(c *eval.CaseResult, name string) string {
-		box, ok := c.ProgBox(name)
-		if !ok {
-			return "-"
+	fmt.Fprintf(out, "================ %d controller failure(s): Fig. %d (%d cases) ================\n\n",
+		k, k+3, len(cases))
+	for _, p := range panels(k) {
+		fmt.Fprintln(out, p.title)
+		fmt.Fprintln(out, strings.Repeat("-", len(p.title)))
+		w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+		for _, row := range p.rows(cases, names) {
+			fmt.Fprintln(w, strings.Join(row, "\t"))
 		}
-		return fmt.Sprintf("%.0f/%.0f/%.1f/%.0f/%.0f", box.Min, box.Q1, box.Median, box.Q3, box.Max)
-	})
-
-	section(out, figure+"(b) Total path programmability, % of RetroFlow")
-	table(out, cases, names, func(c *eval.CaseResult, name string) string {
-		pct, ok := c.TotalProgPctOf(name, "RetroFlow")
-		if !ok {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f%%", pct)
-	})
-
-	section(out, figure+"(c) Recovered programmable flows, % of offline flows")
-	table(out, cases, names, func(c *eval.CaseResult, name string) string {
-		pct, ok := c.RecoveredFlowPct(name)
-		if !ok {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f%%", pct)
-	})
-
-	if k >= 2 {
-		section(out, figure+"(d) Recovered offline switches")
-		table(out, cases, names, func(c *eval.CaseResult, name string) string {
-			rep := c.Report(name)
-			if rep == nil {
-				return "-"
-			}
-			return fmt.Sprintf("%d/%d", rep.RecoveredSwitches, len(c.Instance.Switches))
-		})
-
-		section(out, figure+"(e) Control resource used on active controllers (Σ load / Σ residual)")
-		table(out, cases, names, func(c *eval.CaseResult, name string) string {
-			rep := c.Report(name)
-			if rep == nil {
-				return "-"
-			}
-			used := 0
-			for _, l := range rep.ControllerLoad {
-				used += l
-			}
-			return fmt.Sprintf("%d/%d", used, c.Instance.Problem.TotalRest())
-		})
+		_ = w.Flush()
+		fmt.Fprintln(out)
 	}
-
-	suffix := "(d)"
-	if k >= 2 {
-		suffix = "(f)"
-	}
-	section(out, figure+suffix+" Per-flow communication overhead (ms)")
-	table(out, cases, names, func(c *eval.CaseResult, name string) string {
-		ms, ok := c.PerFlowOverheadMs(name)
-		if !ok {
-			return "-"
-		}
-		return fmt.Sprintf("%.3f", ms)
-	})
-
-	section(out, "Fig. 7 input: computation time")
-	table(out, cases, names, func(c *eval.CaseResult, name string) string {
-		rep := c.Report(name)
-		if rep == nil {
-			return "-"
-		}
-		return rep.Runtime.Round(10 * time.Microsecond).String()
-	})
-	if hasAlg(names, "Optimal") {
+	if slices.Contains(names, "Optimal") {
 		var sumPct float64
 		n := 0
 		for _, c := range cases {
@@ -245,32 +266,4 @@ func printScenario(out io.Writer, k int, cases []*eval.CaseResult, names []strin
 				sumPct/float64(n), n)
 		}
 	}
-}
-
-func hasAlg(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
-}
-
-func section(out io.Writer, title string) {
-	fmt.Fprintln(out, title)
-	fmt.Fprintln(out, strings.Repeat("-", len(title)))
-}
-
-func table(out io.Writer, cases []*eval.CaseResult, names []string, cell func(*eval.CaseResult, string) string) {
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "CASE\t%s\n", strings.Join(names, "\t"))
-	for _, c := range cases {
-		row := make([]string, len(names))
-		for i, name := range names {
-			row[i] = cell(c, name)
-		}
-		fmt.Fprintf(w, "%s\t%s\n", c.Label, strings.Join(row, "\t"))
-	}
-	_ = w.Flush()
-	fmt.Fprintln(out)
 }

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -71,6 +75,84 @@ func TestTablesMatchCommittedRun(t *testing.T) {
 			}
 			if got := figTables(t, out.String(), sc.fig, sc.panels, sc.cases); !reflect.DeepEqual(got, want) {
 				t.Errorf("-scenario %s at GOMAXPROCS %d: %s tables differ from pmsim_full.txt:\n%s", sc.scenario, procs, sc.fig, out.String())
+			}
+		}
+	}
+}
+
+// cellSep is the padding tabwriter puts between two printed cells; a case
+// label holds single spaces only ("(13, 16)").
+var cellSep = regexp.MustCompile(`  +`)
+
+// printedTables returns every table of pmsim's output, keyed by the title
+// printed above it: the header row, then one row per case, cell by cell.
+func printedTables(out string) map[string][][]string {
+	tables := make(map[string][][]string)
+	lines := strings.Split(out, "\n")
+	for i := 0; i+1 < len(lines); i++ {
+		title := lines[i]
+		if title == "" || lines[i+1] != strings.Repeat("-", len(title)) {
+			continue
+		}
+		var rows [][]string
+		for i += 2; i < len(lines) && lines[i] != ""; i++ {
+			rows = append(rows, cellSep.Split(lines[i], -1))
+		}
+		tables[title] = rows
+	}
+	return tables
+}
+
+// TestCSVMatchesTables: -csv writes one file per printed panel, named with
+// the panel's letter (the runtime table: fig<N>_runtime.csv), holding the
+// printed header and cells, cell for cell.
+func TestCSVMatchesTables(t *testing.T) {
+	for _, sc := range []struct {
+		scenario    string
+		fig, tables int
+	}{
+		{"1", 4, 5},
+		{"2", 5, 7},
+	} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		if err := run([]string{"-scenario", sc.scenario, "-skip-optimal", "-csv", dir}, &out); err != nil {
+			t.Fatal(err)
+		}
+		tables := printedTables(out.String())
+		if len(tables) != sc.tables {
+			t.Fatalf("-scenario %s printed %d tables, want %d", sc.scenario, len(tables), sc.tables)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != len(tables) {
+			t.Errorf("-scenario %s wrote %d CSV files for %d printed tables", sc.scenario, len(files), len(tables))
+		}
+		for title, rows := range tables {
+			name := fmt.Sprintf("fig%d_runtime.csv", sc.fig)
+			if rest, ok := strings.CutPrefix(title, fmt.Sprintf("Fig. %d(", sc.fig)); ok {
+				matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("fig%d%c_*.csv", sc.fig, rest[0])))
+				if err != nil || len(matches) != 1 {
+					t.Errorf("%s: CSV files %v, want one", title, matches)
+					continue
+				}
+				name = filepath.Base(matches[0])
+			} else if title != "Fig. 7 input: computation time" {
+				t.Errorf("-scenario %s printed an unexpected table %q", sc.scenario, title)
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Errorf("%s: %v", title, err)
+				continue
+			}
+			got, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			} else if !reflect.DeepEqual(got, rows) {
+				t.Errorf("%s: %s holds\n%q\nprinted\n%q", title, name, got, rows)
 			}
 		}
 	}

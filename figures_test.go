@@ -11,6 +11,7 @@ package pmedic
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -373,9 +374,11 @@ func TestFig7ComputationTime(t *testing.T) {
 // --- ablations (design knobs called out in DESIGN.md) ---
 
 // TestAblationPathCap sweeps the per-pair path-count cap, which bounds the p̄
-// distribution's spread (and with it the inter-algorithm gaps).
+// distribution's spread (and with it the inter-algorithm gaps): on {3,4} the
+// largest p̄ reaches the cap, and PM's total programmability rises with it.
 func TestAblationPathCap(t *testing.T) {
 	d := figures(t)
+	want := map[int]int{4: 1241, 12: 2084, 48: 2620}
 	for _, cap := range []int{4, 12, 48} {
 		t.Run(fmt.Sprintf("cap=%d", cap), func(t *testing.T) {
 			flows, err := flow.Generate(d.dep.Graph, flow.Options{Limit: cap})
@@ -386,28 +389,53 @@ func TestAblationPathCap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := core.PM(inst.Problem); err != nil {
-				t.Fatal(err)
+			maxPBar := 0
+			for _, pr := range inst.Problem.Pairs {
+				maxPBar = max(maxPBar, pr.PBar)
+			}
+			if maxPBar != cap {
+				t.Errorf("largest p̄ %d, want the cap %d", maxPBar, cap)
+			}
+			if _, rep := solveCase(t, inst, core.PM); rep.TotalProg != want[cap] {
+				t.Errorf("PM's total programmability %d, want %d", rep.TotalProg, want[cap])
 			}
 		})
 	}
 }
 
 // TestAblationPMIterations compares PM's balancing depth: a single sweep
-// versus the paper's TOTAL_ITERATIONS sweeps.
+// versus the paper's TOTAL_ITERATIONS sweeps. The further sweeps never lower
+// the least programmability of any ATT case at depths 1–3, and they change
+// 15 of the 62 solutions at depths 1–5.
 func TestAblationPMIterations(t *testing.T) {
 	d := figures(t)
-	for _, iters := range []int{1, 0} { // 0 = paper default
-		inst, err := d.ctx.Build([]int{3, 4})
-		if err != nil {
-			t.Fatal(err)
+	cases, differ := 0, 0
+	for k := 1; k <= 5; k++ {
+		for _, failed := range scenario.Combinations(len(d.dep.Controllers), k) {
+			var sols [2]*core.Solution
+			var reps [2]*core.Report
+			for i, iters := range []int{1, 0} { // 0 = paper default
+				inst, err := d.ctx.Build(failed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if iters > 0 {
+					inst.Problem.TotalIterations = iters
+				}
+				sols[i], reps[i] = solveCase(t, inst, core.PM)
+				sols[i].Runtime = 0
+			}
+			if k <= 3 && reps[1].MinProg < reps[0].MinProg {
+				t.Errorf("case %v: min programmability %d after every sweep, %d after one", failed, reps[1].MinProg, reps[0].MinProg)
+			}
+			if !reflect.DeepEqual(sols[0], sols[1]) {
+				differ++
+			}
+			cases++
 		}
-		if iters > 0 {
-			inst.Problem.TotalIterations = iters
-		}
-		if _, err := core.PM(inst.Problem); err != nil {
-			t.Fatalf("%d iteration(s): %v", iters, err)
-		}
+	}
+	if cases != 62 || differ != 15 {
+		t.Errorf("%d of %d solutions differ between one sweep and the default depth, want 15 of 62", differ, cases)
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package eval is the experiment harness: it runs recovery algorithms over
-// failure cases, aggregates the paper's metrics (programmability box
-// statistics, totals normalized to RetroFlow, recovery percentages,
-// controller loads, per-flow communication overhead, computation time), and
-// renders them as the rows/series of the paper's figures.
+// failure cases and reads the paper's metrics off their reports
+// (programmability box statistics, totals normalized to RetroFlow, recovery
+// percentages, controller loads, per-flow communication overhead,
+// computation time); cmd/pmsim renders them as the paper's figure panels.
 package eval
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +31,10 @@ type Algorithm struct {
 // the harness records the absence instead of failing the whole sweep.
 var ErrNoResult = errors.New("eval: no result")
 
-// CaseResult holds every algorithm's report for one failure case.
+// CaseResult holds every algorithm's report for one failure case. It is
+// read-only once built: every statistic (ProgBox and the percentage
+// accessors) is computed from Reports when it is asked for, and nothing is
+// cached on it.
 type CaseResult struct {
 	Label    string
 	Failed   []int
@@ -40,10 +42,6 @@ type CaseResult struct {
 	// Reports maps algorithm name to its report; algorithms that returned
 	// ErrNoResult are absent.
 	Reports map[string]*core.Report
-	// progBox caches per-algorithm box statistics, computed once when the
-	// case is evaluated so the figure-rendering metric calls never re-sort
-	// the per-flow programmability vector.
-	progBox map[string]BoxStat
 }
 
 // Report returns the named algorithm's report, or nil when it has none.
@@ -142,7 +140,6 @@ func evalCase(inst *scenario.Instance, failed []int, algs []Algorithm) (*CaseRes
 		Failed:   append([]int(nil), failed...),
 		Instance: inst,
 		Reports:  make(map[string]*core.Report, len(algs)),
-		progBox:  make(map[string]BoxStat, len(algs)),
 	}
 	for _, alg := range algs {
 		sol, err := alg.Run(inst)
@@ -157,7 +154,6 @@ func evalCase(inst *scenario.Instance, failed []int, algs []Algorithm) (*CaseRes
 			return nil, fmt.Errorf("eval: case %v: %s: %w", failed, alg.Name, err)
 		}
 		cr.Reports[alg.Name] = rep
-		cr.progBox[alg.Name] = Quartiles(rep.FlowProg)
 	}
 	return cr, nil
 }
@@ -169,72 +165,38 @@ type BoxStat struct {
 }
 
 // Quartiles computes box statistics with linear interpolation between order
-// statistics (the convention of matplotlib's boxplot, which the paper uses).
-//
-// Per-flow programmability is a few hundred small integers, so the order
-// statistics are read off a histogram over [min, max] when that range is at
-// most a few times the sample count, and off a sorted copy otherwise; either
-// way the interpolation sees the same float64 values as a sort would hand it.
+// statistics (the convention of matplotlib's boxplot, which the paper uses),
+// read off a sorted copy of values.
 func Quartiles(values []int) BoxStat {
 	n := len(values)
 	if n == 0 {
 		return BoxStat{}
 	}
-	lo, hi := values[0], values[0]
-	for _, v := range values[1:] {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	// at(r) is the r-th smallest value, r counted from 0.
-	var at func(r int) int
-	if histogramFits(lo, hi, n) {
-		// cum[v] counts the values <= lo+v.
-		cum := make([]int, uint(hi)-uint(lo)+1)
-		for _, v := range values {
-			cum[v-lo]++
-		}
-		for v := 1; v < len(cum); v++ {
-			cum[v] += cum[v-1]
-		}
-		at = func(r int) int { return lo + sort.SearchInts(cum, r+1) }
-	} else {
-		sorted := slices.Clone(values)
-		slices.Sort(sorted)
-		at = func(r int) int { return sorted[r] }
-	}
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
 	quantile := func(q float64) float64 {
 		pos := q * float64(n-1)
 		r := int(pos)
 		if r >= n-1 {
-			return float64(hi)
+			return float64(sorted[n-1])
 		}
 		frac := pos - float64(r)
-		return float64(at(r))*(1-frac) + float64(at(r+1))*frac
+		return float64(sorted[r])*(1-frac) + float64(sorted[r+1])*frac
 	}
 	return BoxStat{
-		Min:    float64(lo),
+		Min:    float64(sorted[0]),
 		Q1:     quantile(0.25),
 		Median: quantile(0.5),
 		Q3:     quantile(0.75),
-		Max:    float64(hi),
+		Max:    float64(sorted[n-1]),
 		N:      n,
 	}
 }
 
-// histogramFits reports whether Quartiles counts n values spanning [lo, hi]
-// into a histogram rather than sorting them.
-func histogramFits(lo, hi, n int) bool {
-	return uint(hi)-uint(lo) <= 4*uint(n)
-}
-
 // ProgBox returns the box statistics of per-flow programmability for one
-// algorithm in one case (Figs. 4(a), 5(a), 6(a)). Unrecovered flows
-// contribute zeros, as in the paper's RetroFlow whiskers. Cases produced by
-// Sweep serve the precomputed statistics; hand-built CaseResults fall back
-// to computing them on the spot.
+// algorithm in one case (Figs. 4(a), 5(a), 6(a)), computed on each call.
+// Unrecovered flows contribute zeros, as in the paper's RetroFlow whiskers.
 func (c *CaseResult) ProgBox(name string) (BoxStat, bool) {
-	if box, ok := c.progBox[name]; ok {
-		return box, true
-	}
 	rep := c.Reports[name]
 	if rep == nil {
 		return BoxStat{}, false
