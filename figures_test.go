@@ -220,28 +220,27 @@ func TestFig5RecoveredFlows(t *testing.T) {
 }
 
 // TestFig5RecoveredSwitches holds Fig. 5(d): recovered offline switches per
-// algorithm.
+// algorithm, the count pmsim prints as x/y.
 func TestFig5RecoveredSwitches(t *testing.T) {
 	for _, c := range figures(t).sweep[2] {
-		pm, _ := c.RecoveredSwitchPct("PM")
-		rf, _ := c.RecoveredSwitchPct("RetroFlow")
+		pm, rf := c.Reports["PM"].RecoveredSwitches, c.Reports["RetroFlow"].RecoveredSwitches
 		if pm < rf {
-			t.Fatalf("case %s: PM switches %.0f%% < RetroFlow %.0f%%", c.Label, pm, rf)
+			t.Fatalf("case %s: PM recovers %d switches < RetroFlow %d", c.Label, pm, rf)
 		}
 	}
 }
 
 // TestFig5ControllerLoad holds Fig. 5(e): control resource used per active
-// controller.
+// controller, within its residual capacity.
 func TestFig5ControllerLoad(t *testing.T) {
 	for _, c := range figures(t).sweep[2] {
-		loads, ok := c.ControllerLoadPct("PM")
-		if !ok {
-			t.Fatalf("case %s: no PM loads", c.Label)
+		pm := c.Reports["PM"]
+		if pm == nil {
+			t.Fatalf("case %s: no PM report", c.Label)
 		}
-		for jj, pct := range loads {
-			if pct > 100.0001 {
-				t.Fatalf("case %s: controller %d at %.1f%%", c.Label, jj, pct)
+		for jj, load := range pm.ControllerLoad {
+			if rest := c.Instance.Problem.Rest[jj]; load > rest {
+				t.Fatalf("case %s: controller %d load %d above its residual %d", c.Label, jj, load, rest)
 			}
 		}
 	}
@@ -306,20 +305,25 @@ func TestFig6RecoveredFlows(t *testing.T) {
 // TestFig6RecoveredSwitches holds Fig. 6(d).
 func TestFig6RecoveredSwitches(t *testing.T) {
 	for _, c := range figures(t).sweep[3] {
-		pm, _ := c.RecoveredSwitchPct("PM")
-		rf, _ := c.RecoveredSwitchPct("RetroFlow")
+		pm, rf := c.Reports["PM"].RecoveredSwitches, c.Reports["RetroFlow"].RecoveredSwitches
 		if pm < rf {
-			t.Fatalf("case %s: PM %.0f%% < RetroFlow %.0f%%", c.Label, pm, rf)
+			t.Fatalf("case %s: PM recovers %d switches < RetroFlow %d", c.Label, pm, rf)
 		}
 	}
 }
 
 // TestFig6ControllerLoad holds Fig. 6(e): in tight cases PM saturates the
-// surviving controllers.
+// surviving controllers, never beyond their residual capacity.
 func TestFig6ControllerLoad(t *testing.T) {
 	for _, c := range figures(t).sweep[3] {
-		if _, ok := c.ControllerLoadPct("PM"); !ok {
+		pm := c.Reports["PM"]
+		if pm == nil {
 			t.Fatalf("case %s: missing loads", c.Label)
+		}
+		for jj, load := range pm.ControllerLoad {
+			if rest := c.Instance.Problem.Rest[jj]; load > rest {
+				t.Fatalf("case %s: controller %d load %d above its residual %d", c.Label, jj, load, rest)
+			}
 		}
 	}
 }
@@ -481,7 +485,11 @@ func TestExtensionBehaviouralCheck(t *testing.T) {
 					t.Fatalf("case %s, %s: %v", c.Label, alg.name, err)
 				}
 				p := sc.Problem
-				for l, pro := range sol.FlowProgrammability(p) {
+				rep, err := sc.Evaluate(sol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l, pro := range rep.FlowProg {
 					if pro == 0 {
 						continue
 					}
@@ -506,7 +514,7 @@ func TestExtensionBehaviouralCheck(t *testing.T) {
 						}
 					}
 				}
-				if !rerouteRecovered(net, sc, sol) {
+				if !rerouteRecovered(net, sc, rep.FlowProg) {
 					t.Fatalf("case %s, %s: no recovered flow could be rerouted and delivered through its new next hop", c.Label, alg.name)
 				}
 			}
@@ -518,15 +526,16 @@ func TestExtensionBehaviouralCheck(t *testing.T) {
 	t.Logf("%d PM and %d RetroFlow recovered flows reroutable, %d legacy-mode pairs at mapped switches not", recovered[0], recovered[1], legacy)
 }
 
-// rerouteRecovered uses the programmability a recovery restored: it reroutes
-// a recovered flow, at a switch where ProgrammableAt holds, through a next hop
-// other than its entry's, and reports whether a packet of the flow then
-// reaches its destination leaving that switch through the new hop. Reroute
-// checks only that the new hop reaches the destination without the switch,
-// not that the tables downstream agree, so a hop whose packet loops back is
-// legal and the next candidate is tried. It leaves the network rerouted.
-func rerouteRecovered(net *sdnsim.Network, sc *scenario.Instance, sol *core.Solution) bool {
-	for l, pro := range sol.FlowProgrammability(sc.Problem) {
+// rerouteRecovered uses the programmability a recovery restored, flowProg
+// being its report's pro^l per offline flow: it reroutes a recovered flow, at
+// a switch where ProgrammableAt holds, through a next hop other than its
+// entry's, and reports whether a packet of the flow then reaches its
+// destination leaving that switch through the new hop. Reroute checks only
+// that the new hop reaches the destination without the switch, not that the
+// tables downstream agree, so a hop whose packet loops back is legal and the
+// next candidate is tried. It leaves the network rerouted.
+func rerouteRecovered(net *sdnsim.Network, sc *scenario.Instance, flowProg []int) bool {
+	for l, pro := range flowProg {
 		if pro == 0 {
 			continue
 		}

@@ -4,15 +4,15 @@
 //
 //   - latency on every read and write,
 //   - connection resets with a partial (truncated) final write,
-//   - dropped and duplicated whole frames on the write path,
+//   - duplicated whole frames on the write path,
 //
 // while a Dialer additionally injects dial failures. All decisions come from
 // the seed, so a failing schedule replays exactly; shared fault budgets
-// (MaxResets, MaxDialFails, ...) bound the chaos so that retry loops under
+// (MaxResets, MaxDialFails) bound the chaos so that retry loops under
 // test are guaranteed to converge eventually.
 //
 // The package knows nothing about the protocol above it except, for
-// frame-level faults, how to delimit frames: by the 8-byte header used by
+// duplicated frames, how to delimit frames: by the 8-byte header used by
 // internal/openflow (total length, big-endian, at bytes 2..3).
 package chaos
 
@@ -56,16 +56,10 @@ type Config struct {
 	// loop eventually gets a clean connection.
 	MaxResets int
 
-	// DropProb and DupProb are per-frame probabilities on the write path:
-	// a dropped frame never reaches the peer; a duplicated one arrives
-	// twice. Frame faults require buffering writes until whole frames
-	// delimit, so they only engage when at least one probability is nonzero.
-	DropProb float64
-	DupProb  float64
-	// MaxDrops / MaxDups bound the respective injections (0 = unlimited),
-	// shared across a Dialer's transports like MaxResets.
-	MaxDrops int
-	MaxDups  int
+	// DupProb is the per-frame probability on the write path that a frame
+	// arrives twice. Duplication requires buffering writes until whole
+	// frames delimit, so it only engages when DupProb is nonzero.
+	DupProb float64
 
 	// DialFailProb is the per-Dial probability of ErrInjectedDialFailure;
 	// MaxDialFails bounds the total injected failures (0 = unlimited).
@@ -98,14 +92,13 @@ func openflowFrameLen(buf []byte) int {
 type budget struct {
 	mu   sync.Mutex
 	left int
-	cap  bool
 }
 
 func newBudget(max int) *budget {
 	if max <= 0 {
 		return nil
 	}
-	return &budget{left: max, cap: true}
+	return &budget{left: max}
 }
 
 // take consumes one unit; it reports whether the fault may be injected.
@@ -115,7 +108,7 @@ func (b *budget) take() bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cap && b.left <= 0 {
+	if b.left <= 0 {
 		return false
 	}
 	b.left--
@@ -128,7 +121,7 @@ func (b *budget) take() bool {
 type Transport struct {
 	cfg Config
 
-	resets, drops, dups *budget
+	resets *budget
 
 	mu     sync.Mutex // guards rng, wbuf, broken
 	rng    *rand.Rand
@@ -145,8 +138,6 @@ func NewTransport(rwc io.ReadWriteCloser, cfg Config) *Transport {
 		rwc:    rwc,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		resets: newBudget(cfg.MaxResets),
-		drops:  newBudget(cfg.MaxDrops),
-		dups:   newBudget(cfg.MaxDups),
 	}
 }
 
@@ -176,9 +167,7 @@ func (t *Transport) Read(p []byte) (int, error) {
 	return t.rwc.Read(p)
 }
 
-// Write injects latency and the configured write-path faults. It reports
-// len(p) bytes consumed on success even when frames were dropped: from the
-// caller's perspective the bytes entered the network and vanished there.
+// Write injects latency and the configured write-path faults.
 func (t *Transport) Write(p []byte) (int, error) {
 	t.delay()
 	t.mu.Lock()
@@ -195,11 +184,10 @@ func (t *Transport) Write(p []byte) (int, error) {
 		_ = t.rwc.Close() // unblock the peer and any concurrent reader
 		return 0, ErrInjectedReset
 	}
-	if t.cfg.DropProb <= 0 && t.cfg.DupProb <= 0 {
+	if t.cfg.DupProb <= 0 {
 		return t.rwc.Write(p)
 	}
-	// Frame-level faults: buffer until whole frames delimit, then decide
-	// per frame.
+	// Duplication: buffer until whole frames delimit, then decide per frame.
 	t.wbuf = append(t.wbuf, p...)
 	for {
 		n := openflowFrameLen(t.wbuf)
@@ -207,17 +195,11 @@ func (t *Transport) Write(p []byte) (int, error) {
 			break
 		}
 		frame := t.wbuf[:n]
-		switch {
-		case t.cfg.DropProb > 0 && t.rng.Float64() < t.cfg.DropProb && t.drops.take():
-			// dropped: never reaches the wire
-		case t.cfg.DupProb > 0 && t.rng.Float64() < t.cfg.DupProb && t.dups.take():
-			if _, err := t.rwc.Write(frame); err != nil {
-				return 0, err
-			}
-			if _, err := t.rwc.Write(frame); err != nil {
-				return 0, err
-			}
-		default:
+		copies := 1
+		if t.rng.Float64() < t.cfg.DupProb {
+			copies = 2
+		}
+		for ; copies > 0; copies-- {
 			if _, err := t.rwc.Write(frame); err != nil {
 				return 0, err
 			}
@@ -249,10 +231,10 @@ func (t *Transport) SetWriteDeadline(dl time.Time) error {
 }
 
 // Dialer opens TCP connections wrapped in fault-injecting transports. Fault
-// budgets (MaxResets, MaxDrops, MaxDups, MaxDialFails) are shared across
-// every connection the dialer creates, and each connection derives its own
-// PRNG stream from the dialer's seed and a dial sequence number, so a fixed
-// seed replays the same schedule for the same dial order.
+// budgets (MaxResets, MaxDialFails) are shared across every connection the
+// dialer creates, and each connection derives its own PRNG stream from the
+// dialer's seed and a dial sequence number, so a fixed seed replays the same
+// schedule for the same dial order.
 type Dialer struct {
 	cfg Config
 
@@ -260,8 +242,7 @@ type Dialer struct {
 	rng *rand.Rand
 	seq int64
 
-	dialFails           *budget
-	resets, drops, dups *budget
+	dialFails, resets *budget
 }
 
 // NewDialer builds a dialer with the given fault plan.
@@ -271,8 +252,6 @@ func NewDialer(cfg Config) *Dialer {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		dialFails: newBudget(cfg.MaxDialFails),
 		resets:    newBudget(cfg.MaxResets),
-		drops:     newBudget(cfg.MaxDrops),
-		dups:      newBudget(cfg.MaxDups),
 	}
 }
 
@@ -304,6 +283,6 @@ func (d *Dialer) Dial(addr string, timeout time.Duration) (*Transport, error) {
 	t := NewTransport(nc, cfg)
 	// Share the dialer-wide budgets so chaos is bounded globally, not per
 	// connection.
-	t.resets, t.drops, t.dups = d.resets, d.drops, d.dups
+	t.resets = d.resets
 	return t, nil
 }

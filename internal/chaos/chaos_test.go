@@ -46,7 +46,7 @@ func TestDeterministicSchedule(t *testing.T) {
 	// stream, twice in a row.
 	run := func() []byte {
 		rec := &recorder{}
-		tr := NewTransport(rec, Config{Seed: 42, DropProb: 0.3, DupProb: 0.3})
+		tr := NewTransport(rec, Config{Seed: 42, DupProb: 0.3})
 		for i := 0; i < 50; i++ {
 			if _, err := tr.Write(frame(uint32(i), []byte{byte(i)})); err != nil {
 				t.Fatal(err)
@@ -60,7 +60,7 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 	// And a different seed should (for this configuration) differ.
 	rec := &recorder{}
-	tr := NewTransport(rec, Config{Seed: 43, DropProb: 0.3, DupProb: 0.3})
+	tr := NewTransport(rec, Config{Seed: 43, DupProb: 0.3})
 	for i := 0; i < 50; i++ {
 		if _, err := tr.Write(frame(uint32(i), []byte{byte(i)})); err != nil {
 			t.Fatal(err)
@@ -71,15 +71,17 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
+// TestFrameDropAndDup: no setting drops a frame, so a frame passes once
+// by default, and with DupProb 1 it arrives twice.
 func TestFrameDropAndDup(t *testing.T) {
 	rec := &recorder{}
-	tr := NewTransport(rec, Config{DropProb: 1})
+	tr := NewTransport(rec, Config{})
 	msg := frame(7, []byte("x"))
 	if _, err := tr.Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.bytes(); len(got) != 0 {
-		t.Fatalf("DropProb=1 leaked %d bytes", len(got))
+	if got := rec.bytes(); !bytes.Equal(got, msg) {
+		t.Fatalf("default config wrote %d bytes, want the frame once (%d)", len(got), len(msg))
 	}
 
 	rec = &recorder{}
@@ -92,30 +94,40 @@ func TestFrameDropAndDup(t *testing.T) {
 	}
 }
 
+// TestFrameFaultsRespectBudgetsAndPartialWrites: two transports share one
+// reset budget, as a Dialer's connections do. The first write spends it and
+// leaks at most a strict prefix of its frame; on the second transport the
+// reset no longer fires, and a frame fed in partial writes escapes, doubled,
+// only once it is whole.
 func TestFrameFaultsRespectBudgetsAndPartialWrites(t *testing.T) {
-	rec := &recorder{}
-	tr := NewTransport(rec, Config{DropProb: 1, MaxDrops: 1})
+	cfg := Config{ResetProb: 1, MaxResets: 1, DupProb: 1}
+	shared := newBudget(cfg.MaxResets)
 	msg := frame(1, []byte("abc"))
-	// Feed the first frame in two partial writes: nothing may escape until
-	// the frame completes, and the first complete frame is dropped.
-	if _, err := tr.Write(msg[:5]); err != nil {
-		t.Fatal(err)
+
+	rec1 := &recorder{}
+	tr1 := NewTransport(rec1, cfg)
+	tr1.resets = shared
+	if _, err := tr1.Write(msg); !errors.Is(err, ErrInjectedReset) {
+		t.Fatalf("first write error = %v, want ErrInjectedReset", err)
 	}
-	if len(rec.bytes()) != 0 {
+	if got := rec1.bytes(); len(got) >= len(msg) || !bytes.HasPrefix(msg, got) {
+		t.Fatalf("reset leaked %x, want a strict prefix of %x", got, msg)
+	}
+
+	rec2 := &recorder{}
+	tr2 := NewTransport(rec2, cfg)
+	tr2.resets = shared
+	if _, err := tr2.Write(msg[:5]); err != nil {
+		t.Fatalf("write after the budget is spent: %v", err)
+	}
+	if len(rec2.bytes()) != 0 {
 		t.Fatal("partial frame escaped the buffer")
 	}
-	if _, err := tr.Write(msg[5:]); err != nil {
+	if _, err := tr2.Write(msg[5:]); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.bytes()) != 0 {
-		t.Fatal("first frame should have been dropped")
-	}
-	// Budget exhausted: the second frame passes.
-	if _, err := tr.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.bytes(), msg) {
-		t.Fatalf("second frame mangled: %x", rec.bytes())
+	if got := rec2.bytes(); !bytes.Equal(got, append(append([]byte(nil), msg...), msg...)) {
+		t.Fatalf("DupProb=1 wrote %d bytes, want the doubled frame (%d)", len(got), 2*len(msg))
 	}
 }
 

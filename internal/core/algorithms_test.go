@@ -293,8 +293,11 @@ func TestPGBalancesBeforeMaximizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pro := s.FlowProgrammability(p)
-	if pro[0] == 0 {
+	rep, err := Evaluate(p, s, EvaluateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pro := rep.FlowProg; pro[0] == 0 {
 		t.Fatalf("PG starved flow 0: pro=%v", pro)
 	}
 }

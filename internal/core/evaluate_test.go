@@ -12,8 +12,8 @@ import (
 )
 
 // composedReport is Evaluate as it was before it read a solution once: Verify,
-// then ControllerLoads, then FlowProgrammability, then a loop of its own over
-// Active for the overhead.
+// then ControllerLoads, then a loop over Active for pro^l, then one of its
+// own for the overhead.
 func composedReport(p *core.Problem, s *core.Solution, opts core.EvaluateOptions) (*core.Report, error) {
 	if err := s.Verify(p); err != nil {
 		return nil, err
@@ -22,7 +22,12 @@ func composedReport(p *core.Problem, s *core.Solution, opts core.EvaluateOptions
 	if err != nil {
 		return nil, err
 	}
-	pro := s.FlowProgrammability(p)
+	pro := make([]int, p.NumFlows)
+	for k, on := range s.Active {
+		if on {
+			pro[p.Pairs[k].Flow] += p.Pairs[k].PBar
+		}
+	}
 	r := &core.Report{Algorithm: s.Algorithm, FlowProg: pro, ControllerLoad: loads, Runtime: s.Runtime}
 	r.MinProg = int(^uint(0) >> 1)
 	for _, v := range pro {

@@ -192,18 +192,6 @@ func (s *Solution) ControllerLoads(p *Problem) ([]int, error) {
 	return t.loads, nil
 }
 
-// FlowProgrammability returns pro^l for every flow: the sum of p̄ over the
-// flow's active pairs.
-func (s *Solution) FlowProgrammability(p *Problem) []int {
-	pro := make([]int, p.NumFlows)
-	for k, on := range s.Active {
-		if on {
-			pro[p.Pairs[k].Flow] += p.Pairs[k].PBar
-		}
-	}
-	return pro
-}
-
 // Report aggregates the paper's per-instance metrics for one solution.
 type Report struct {
 	Algorithm string

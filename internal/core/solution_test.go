@@ -77,8 +77,11 @@ func TestFlowProgrammability(t *testing.T) {
 	s.SwitchController[1] = 1
 	s.Active[1] = true // flow 1 at switch 0, p̄=3
 	s.Active[2] = true // flow 1 at switch 1, p̄=2
-	pro := s.FlowProgrammability(p)
-	if pro[0] != 0 || pro[1] != 5 || pro[2] != 0 {
+	rep, err := Evaluate(p, s, EvaluateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pro := rep.FlowProg; pro[0] != 0 || pro[1] != 5 || pro[2] != 0 {
 		t.Fatalf("pro = %v, want [0 5 0]", pro)
 	}
 }

@@ -230,38 +230,6 @@ func (c *CaseResult) RecoveredFlowPct(name string) (float64, bool) {
 	return 100 * float64(rep.RecoveredFlows) / float64(total), true
 }
 
-// RecoveredSwitchPct returns the percentage of offline switches recovered
-// (Figs. 5(d), 6(d)).
-func (c *CaseResult) RecoveredSwitchPct(name string) (float64, bool) {
-	rep := c.Reports[name]
-	if rep == nil {
-		return 0, false
-	}
-	total := len(c.Instance.Switches)
-	if total == 0 {
-		return 0, false
-	}
-	return 100 * float64(rep.RecoveredSwitches) / float64(total), true
-}
-
-// ControllerLoadPct returns per-active-controller capacity utilization in
-// percent of the residual capacity (Figs. 5(e), 6(e)), ordered like
-// Instance.Active.
-func (c *CaseResult) ControllerLoadPct(name string) ([]float64, bool) {
-	rep := c.Reports[name]
-	if rep == nil {
-		return nil, false
-	}
-	p := c.Instance.Problem
-	out := make([]float64, len(rep.ControllerLoad))
-	for j, load := range rep.ControllerLoad {
-		if p.Rest[j] > 0 {
-			out[j] = 100 * float64(load) / float64(p.Rest[j])
-		}
-	}
-	return out, true
-}
-
 // PerFlowOverheadMs returns the per-flow communication overhead metric
 // (Figs. 4(d), 5(f), 6(f)).
 func (c *CaseResult) PerFlowOverheadMs(name string) (float64, bool) {

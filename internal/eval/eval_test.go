@@ -175,17 +175,16 @@ func TestMetricAccessors(t *testing.T) {
 	if !ok || fp <= 0 || fp > 100 {
 		t.Fatalf("recovered flow pct = %v", fp)
 	}
-	sp, ok := cr.RecoveredSwitchPct("PM")
-	if !ok || sp <= 0 || sp > 100 {
-		t.Fatalf("recovered switch pct = %v", sp)
+	pm := cr.Reports["PM"]
+	if pm.RecoveredSwitches <= 0 || pm.RecoveredSwitches > len(cr.Instance.Switches) {
+		t.Fatalf("recovered switches = %d of %d", pm.RecoveredSwitches, len(cr.Instance.Switches))
 	}
-	loads, ok := cr.ControllerLoadPct("PM")
-	if !ok || len(loads) != cr.Instance.Problem.NumControllers {
-		t.Fatalf("loads = %v", loads)
+	if len(pm.ControllerLoad) != cr.Instance.Problem.NumControllers {
+		t.Fatalf("loads = %v", pm.ControllerLoad)
 	}
-	for _, pct := range loads {
-		if pct < 0 || pct > 100+1e-9 {
-			t.Fatalf("load pct %v out of range", pct)
+	for j, load := range pm.ControllerLoad {
+		if load < 0 || load > cr.Instance.Problem.Rest[j] {
+			t.Fatalf("controller %d load %d out of [0, %d]", j, load, cr.Instance.Problem.Rest[j])
 		}
 	}
 	ov, ok := cr.PerFlowOverheadMs("PG")

@@ -129,7 +129,7 @@ func decodeBody(t MsgType, body []byte) (Message, error) {
 			return nil, err
 		}
 		cmd := FlowModCommand(body[0])
-		if cmd < FlowAdd || cmd > FlowDeleteAll {
+		if cmd != FlowAdd && cmd != FlowDelete {
 			return nil, fmt.Errorf("%w: flow-mod command %d", ErrBadEncoding, cmd)
 		}
 		return FlowMod{

@@ -27,7 +27,7 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(enc(m))
 	}
 	// The corruption tests' inputs: bad version, unknown type, bad flow-mod
-	// command, bad role, a declared length below the header, truncations.
+	// commands, bad role, a declared length below the header, truncations.
 	corrupt := func(m Message, mut func(b []byte)) []byte {
 		b := enc(m)
 		mut(b)
@@ -36,6 +36,9 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add(corrupt(Hello{}, func(b []byte) { b[0] = 0x01 }))
 	f.Add(corrupt(Hello{}, func(b []byte) { b[1] = 0xEE }))
 	f.Add(corrupt(FlowMod{Command: FlowAdd}, func(b []byte) { b[HeaderLen] = 99 }))
+	// OpenFlow's delete-all flow-mod (command 3), which this subset does not
+	// carry: it fails decode like any unknown command.
+	f.Add(corrupt(FlowMod{Command: FlowDelete}, func(b []byte) { b[HeaderLen] = 3 }))
 	f.Add(corrupt(RoleRequest{Role: RoleMaster}, func(b []byte) { byteOrder.PutUint32(b[HeaderLen:], 77) }))
 	f.Add(corrupt(Hello{}, func(b []byte) { byteOrder.PutUint16(b[2:4], 3) }))
 	f.Add(corrupt(Hello{}, func(b []byte) { byteOrder.PutUint16(b[2:4], MaxMessageLen) }))

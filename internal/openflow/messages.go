@@ -102,14 +102,16 @@ type Match struct {
 // FlowModCommand selects the flow-table operation.
 type FlowModCommand uint8
 
-// Flow-mod commands.
+// Flow-mod commands. Each keeps its wire number; 3, OpenFlow's delete-all,
+// is not carried and fails decode.
 const (
 	FlowAdd FlowModCommand = iota + 1
 	FlowDelete
-	FlowDeleteAll
 )
 
 // FlowMod installs or removes a flow entry: on match, forward to NextHop.
+// Priority is carried on the wire as OpenFlow does; the simulated switches
+// hold one entry per flow and do not read it.
 type FlowMod struct {
 	Command  FlowModCommand
 	Priority uint16

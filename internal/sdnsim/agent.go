@@ -93,7 +93,7 @@ func (a *Agent) FlowModsRefused() int {
 	return a.refused
 }
 
-// Entry returns the switch's highest-priority entry for a flow, safely.
+// Entry returns the switch's entry for a flow, safely.
 func (a *Agent) Entry(id flow.ID) (FlowEntry, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -167,8 +167,8 @@ func TestRestartedSwitchIsAssertedInFull(t *testing.T) {
 	if err := r.fx.agents[victim].Close(); err != nil {
 		t.Fatal(err)
 	}
-	r.fx.n.Switches[victim].FlushEntries()
-	r.twin.Switches[victim].FlushEntries()
+	r.fx.n.Switches[victim].entries = nil
+	r.twin.Switches[victim].entries = nil
 	again, err := ServeSwitch(r.fx.n.Switches[victim], r.addrs[victim])
 	if err != nil {
 		t.Fatal(err)

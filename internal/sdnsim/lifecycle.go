@@ -147,11 +147,7 @@ func (n *Network) AdoptMapping(inst *scenario.Instance, sol *core.Solution) erro
 			sw.Controller = -1
 			continue
 		}
-		ctrl := inst.Active[jj]
-		if sw.Controller != ctrl {
-			n.Stats.Remappings++
-		}
-		sw.Controller = ctrl
+		sw.Controller = inst.Active[jj]
 	}
 	return nil
 }

@@ -19,16 +19,6 @@ type Controller struct {
 	Alive bool
 }
 
-// Stats counts simulator activity.
-type Stats struct {
-	PacketsInjected  int
-	PacketsDelivered int
-	PacketsDropped   int
-	FlowModsSent     int
-	Remappings       int
-	LegacyFallbacks  int
-}
-
 // Network is a running SD-WAN: a topology deployment with live switches and
 // controllers.
 type Network struct {
@@ -37,7 +27,6 @@ type Network struct {
 
 	Switches    []*Switch
 	Controllers []*Controller
-	Stats       Stats
 
 	// OnControllerChange, when set, is invoked (outside the lifecycle lock)
 	// after StopController or StartController flips a controller's liveness.
@@ -59,14 +48,15 @@ var (
 	ErrControllerDown  = errors.New("sdnsim: controller is down")
 	ErrBadController   = errors.New("sdnsim: controller index out of range")
 	ErrBadFlow         = errors.New("sdnsim: unknown flow")
+	ErrBadSwitch       = errors.New("sdnsim: unknown switch")
 	ErrPacketLoop      = errors.New("sdnsim: packet exceeded the hop budget")
 	ErrInvalidNextHop  = errors.New("sdnsim: next hop is not adjacent")
 	ErrNoAlternatePath = errors.New("sdnsim: next hop cannot reach the destination")
 )
 
-// New builds the steady-state network: every switch runs the hybrid
-// pipeline with converged legacy (OSPF) tables, every flow has SDN entries
-// along its path, and every controller manages its domain.
+// New builds the steady-state network: every switch has its converged legacy
+// (OSPF) table, every flow has SDN entries along its path, and every
+// controller manages its domain.
 func New(dep *topo.Deployment, flows *flow.Set) (*Network, error) {
 	g := dep.Graph
 	delayW, err := g.EdgeDelaysMs()
@@ -98,7 +88,7 @@ func New(dep *topo.Deployment, flows *flow.Set) (*Network, error) {
 	for l := range flows.Flows {
 		f := &flows.Flows[l]
 		for i := 0; i+1 < len(f.Path); i++ {
-			n.Switches[f.Path[i]].InstallEntry(FlowEntry{FlowID: f.ID, Priority: 100, NextHop: f.Path[i+1]})
+			n.Switches[f.Path[i]].InstallEntry(FlowEntry{FlowID: f.ID, NextHop: f.Path[i+1]})
 		}
 	}
 	return n, nil
@@ -147,7 +137,6 @@ func (n *Network) Inject(id flow.ID) (*Trace, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadFlow, id)
 	}
 	f := &n.Flows.Flows[id]
-	n.Stats.PacketsInjected++
 	tr := &Trace{Flow: id}
 	at := f.Src
 	for hops := 0; hops <= maxHops; hops++ {
@@ -157,24 +146,17 @@ func (n *Network) Inject(id flow.ID) (*Trace, error) {
 		switch verdict {
 		case VerdictDelivered:
 			tr.Delivered = true
-			n.Stats.PacketsDelivered++
 			return tr, nil
 		case VerdictFlowTable, VerdictLegacy:
-			if verdict == VerdictLegacy {
-				n.Stats.LegacyFallbacks++
-			}
 			if !n.Dep.Graph.HasEdge(at, nh) {
-				n.Stats.PacketsDropped++
 				return tr, fmt.Errorf("%w: %d -> %d", ErrInvalidNextHop, at, nh)
 			}
 			tr.LatencyMs += n.delay(at, nh)
 			at = nh
 		default:
-			n.Stats.PacketsDropped++
 			return tr, nil
 		}
 	}
-	n.Stats.PacketsDropped++
 	return tr, fmt.Errorf("%w: flow %d", ErrPacketLoop, id)
 }
 
@@ -190,12 +172,16 @@ func (n *Network) OfflineSwitches() []topo.NodeID {
 }
 
 // Reroute changes a flow's next hop at a switch — the operational meaning of
-// path programmability. It fails when the switch is unmanaged, its
-// controller is dead, the flow is not SDN-routed there, or the new next hop
-// cannot reach the destination without coming back through the switch.
+// path programmability. It fails when the flow or the switch is unknown, the
+// switch is unmanaged, its controller is dead, the flow is not SDN-routed
+// there, or the new next hop cannot reach the destination without coming
+// back through the switch.
 func (n *Network) Reroute(id flow.ID, at topo.NodeID, newNextHop topo.NodeID) error {
 	if id < 0 || int(id) >= len(n.Flows.Flows) {
 		return fmt.Errorf("%w: %d", ErrBadFlow, id)
+	}
+	if at < 0 || int(at) >= len(n.Switches) {
+		return fmt.Errorf("%w: %d", ErrBadSwitch, at)
 	}
 	sw := n.Switches[at]
 	if !sw.Managed() {
@@ -214,8 +200,7 @@ func (n *Network) Reroute(id flow.ID, at topo.NodeID, newNextHop topo.NodeID) er
 	if !n.reaches(newNextHop, f.Dst, at) {
 		return fmt.Errorf("%w: %d via %d", ErrNoAlternatePath, f.Dst, newNextHop)
 	}
-	n.Stats.FlowModsSent++
-	sw.InstallEntry(FlowEntry{FlowID: id, Priority: 100, NextHop: newNextHop})
+	sw.InstallEntry(FlowEntry{FlowID: id, NextHop: newNextHop})
 	return nil
 }
 
@@ -270,7 +255,6 @@ func (n *Network) ApplyRecovery(inst *scenario.Instance, sol *core.Solution) (in
 		for _, m := range sp.mods {
 			sw.Apply(m)
 		}
-		n.Stats.FlowModsSent += len(sp.mods)
 		messages += 1 + len(sp.mods)
 	}
 	return messages, n.AdoptMapping(inst, sol)
@@ -278,8 +262,13 @@ func (n *Network) ApplyRecovery(inst *scenario.Instance, sol *core.Solution) (in
 
 // ProgrammableAt reports whether the flow can actually be rerouted at the
 // switch right now: SDN entry present, the switch's master alive, and at
-// least one alternative next hop reaching the destination.
+// least one alternative next hop reaching the destination. An unknown flow
+// or switch is not programmable: an agent installs an entry for any flow ID
+// a controller sends, so a table may hold flows outside the workload.
 func (n *Network) ProgrammableAt(id flow.ID, at topo.NodeID) bool {
+	if id < 0 || int(id) >= len(n.Flows.Flows) || at < 0 || int(at) >= len(n.Switches) {
+		return false
+	}
 	sw := n.Switches[at]
 	if !sw.Managed() || !n.Controllers[sw.Controller].Alive {
 		return false

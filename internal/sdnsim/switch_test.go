@@ -1,61 +1,85 @@
 package sdnsim
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"pmedic/internal/flow"
+	"pmedic/internal/openflow"
 	"pmedic/internal/topo"
 )
 
-// installEntrySorted is the flow-table insert as a full re-sort: replace the
-// entry with an equal (Priority, FlowID) key, else append and stable-sort by
-// (Priority desc, FlowID asc).
-func installEntrySorted(entries []FlowEntry, e FlowEntry) []FlowEntry {
-	for i := range entries {
-		if entries[i].FlowID == e.FlowID && entries[i].Priority == e.Priority {
-			entries[i] = e
-			return entries
-		}
+// referenceTable is a flow table as a map keyed by flow ID, listed in flow
+// order.
+func referenceTable(ref map[flow.ID]FlowEntry) []FlowEntry {
+	var out []FlowEntry
+	for _, e := range ref {
+		out = append(out, e)
 	}
-	entries = append(entries, e)
-	sort.SliceStable(entries, func(a, b int) bool {
-		if entries[a].Priority != entries[b].Priority {
-			return entries[a].Priority > entries[b].Priority
-		}
-		return entries[a].FlowID < entries[b].FlowID
-	})
-	return entries
+	slices.SortFunc(out, func(a, b FlowEntry) int { return cmp.Compare(a.FlowID, b.FlowID) })
+	return out
 }
 
-// TestInstallEntryMatchesSort applies random add, replace, delete and flush
+// TestInstallEntryMatchesSort applies random add, replace and delete
 // sequences to a switch and requires its flow table to equal, entry for
-// entry, the table the re-sorting insert builds from the same sequence.
+// entry, the reference map's entries sorted by flow ID.
 func TestInstallEntryMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	priorities := []int{0, 1, 100, 100, 200}
 	for seq := 0; seq < 200; seq++ {
 		s := NewSwitch(0, nil)
-		var want []FlowEntry
+		ref := map[flow.ID]FlowEntry{}
 		numFlows := 1 + rng.Intn(40)
 		for op := 0; op < 300; op++ {
 			id := flow.ID(rng.Intn(numFlows))
-			switch r := rng.Intn(20); {
-			case r < 14: // an add, a replace when the key is already installed
-				e := FlowEntry{FlowID: id, Priority: priorities[rng.Intn(len(priorities))], NextHop: topo.NodeID(rng.Intn(25))}
+			if rng.Intn(20) < 14 { // an add, a replace when the flow has an entry
+				e := FlowEntry{FlowID: id, NextHop: topo.NodeID(rng.Intn(25))}
 				s.InstallEntry(e)
-				want = installEntrySorted(want, e)
-			case r < 19:
-				want = slices.DeleteFunc(want, func(e FlowEntry) bool { return e.FlowID == id })
-				s.RemoveEntry(id)
-			default:
-				s.FlushEntries()
-				want = nil
+				ref[id] = e
+			} else {
+				_, had := ref[id]
+				delete(ref, id)
+				if got := s.RemoveEntry(id); got != had {
+					t.Fatalf("sequence %d, op %d: RemoveEntry(%d) = %v, the flow had an entry: %v", seq, op, id, got, had)
+				}
 			}
-			if !slices.Equal(s.entries, want) {
-				t.Fatalf("sequence %d, op %d: table %v, the re-sorting insert %v", seq, op, s.entries, want)
+			if want := referenceTable(ref); !slices.Equal(s.entries, want) {
+				t.Fatalf("sequence %d, op %d: table %v, the reference %v", seq, op, s.entries, want)
+			}
+		}
+	}
+}
+
+// TestEntryMatchesMapReference drives ATT's steady-state switches with random
+// add, replace and delete flow-mods through Switch.Apply, the agent's and
+// ApplyRecovery's translation, for flow IDs of the workload and beyond it,
+// and after every flow-mod looks up every such ID with Entry against a map
+// of what was applied.
+func TestEntryMatchesMapReference(t *testing.T) {
+	n := network(t)
+	ids := n.Flows.Len() + 64 // the last 64 are outside the workload
+	rng := rand.New(rand.NewSource(53))
+	for _, sw := range n.Switches {
+		ref := make(map[flow.ID]FlowEntry, len(sw.entries))
+		for _, e := range sw.entries {
+			ref[e.FlowID] = e
+		}
+		for op := 0; op < 40; op++ {
+			id := flow.ID(rng.Intn(ids))
+			m := openflow.FlowMod{Command: openflow.FlowDelete, Priority: uint16(rng.Intn(3) * 100), Match: openflow.Match{FlowID: uint32(id)}}
+			if rng.Intn(3) > 0 {
+				m.Command, m.NextHop = openflow.FlowAdd, uint32(rng.Intn(len(n.Switches)))
+				ref[id] = FlowEntry{FlowID: id, NextHop: topo.NodeID(m.NextHop)}
+			} else {
+				delete(ref, id)
+			}
+			sw.Apply(m)
+			for l := 0; l < ids; l++ {
+				want, wantOK := ref[flow.ID(l)]
+				if got, ok := sw.Entry(flow.ID(l)); ok != wantOK || got != want {
+					t.Fatalf("switch %d, op %d (%+v): Entry(%d) = %+v, %v, want %+v, %v", sw.ID, op, m, l, got, ok, want, wantOK)
+				}
 			}
 		}
 	}
