@@ -44,7 +44,7 @@ func noSessionLeft(t *testing.T, s *liveStack) {
 	t.Helper()
 	waitUntil(t, "every agent without an open session", 5*time.Second, func() bool {
 		for _, a := range s.agents {
-			if a.OpenSessions() != 0 {
+			if a.Channels() != 0 {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,53 +293,24 @@ func TestMarkDownHandsOffDetectorState(t *testing.T) {
 // channels quickly, and drop every channel without ever being dead (a
 // restart faster than one probe).
 type endpoint struct {
-	l    *openflow.Listener
+	*openflow.Server
 	idle time.Duration // per-read deadline on every channel; 0 = none
 	mute atomic.Bool   // read requests, answer none
-
-	mu    sync.Mutex
-	conns map[*openflow.Conn]struct{}
-	wg    sync.WaitGroup
 }
 
 func serveEndpoint(t *testing.T, idle time.Duration) *endpoint {
 	t.Helper()
-	l, err := openflow.Listen("127.0.0.1:0")
+	e := &endpoint{idle: idle}
+	srv, err := openflow.Serve("127.0.0.1:0", e.serve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &endpoint{l: l, idle: idle, conns: make(map[*openflow.Conn]struct{})}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			e.mu.Lock()
-			e.conns[conn] = struct{}{}
-			e.mu.Unlock()
-			e.wg.Add(1)
-			go e.serve(conn)
-		}
-	}()
-	t.Cleanup(func() {
-		_ = l.Close()
-		e.kick()
-		e.wg.Wait()
-	})
+	e.Server = srv
+	t.Cleanup(func() { _ = srv.Close() })
 	return e
 }
 
 func (e *endpoint) serve(conn *openflow.Conn) {
-	defer e.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		e.mu.Lock()
-		delete(e.conns, conn)
-		e.mu.Unlock()
-	}()
 	conn.SetIOTimeout(e.idle)
 	for {
 		msg, h, err := conn.Recv()
@@ -351,21 +323,6 @@ func (e *endpoint) serve(conn *openflow.Conn) {
 			}
 		}
 	}
-}
-
-// kick closes every open channel; the endpoint keeps accepting.
-func (e *endpoint) kick() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for c := range e.conns {
-		_ = c.Close()
-	}
-}
-
-func (e *endpoint) open() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.conns)
 }
 
 // waitState polls target 0's state until cond holds.
@@ -456,6 +413,36 @@ func TestCrashIsDetectedInRoundTripsNotTicks(t *testing.T) {
 	}
 }
 
+// TestSilentClientIsNoFailure: a client that connects to a live controller's
+// endpoint and never says Hello holds up its own channel only, so the probes
+// behind it are answered and no event comes over 25 intervals.
+func TestSilentClientIsNoFailure(t *testing.T) {
+	es, err := openflow.ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = es.Close() }()
+	nc, err := net.Dial("tcp", es.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nc.Close() }()
+
+	const interval = 25 * time.Millisecond
+	m := New([]Target{{ID: 0, Addr: es.Addr()}}, Config{
+		Interval:  interval,
+		Jitter:    5 * time.Millisecond,
+		Threshold: 3,
+		Seed:      9,
+	})
+	m.Start()
+	defer m.Stop()
+	expectNoEvent(t, m, 25*interval, "a silent client is no failure of the controller")
+	if s := m.State()[0]; !s.Up || s.Failures != 0 || s.Probes < 10 {
+		t.Fatalf("after 25 intervals beside a silent client: %+v", s)
+	}
+}
+
 // TestSilentFailureIsDetectedByHeartbeatOnly: an endpoint that keeps its
 // channels open but stops answering never resets the session, so nothing is
 // probed early: the verdict comes on the Threshold-th tick, as it always did.
@@ -468,7 +455,7 @@ func TestSilentFailureIsDetectedByHeartbeatOnly(t *testing.T) {
 		Threshold: 3,
 		Seed:      7,
 	}
-	m := New([]Target{{ID: 0, Addr: ep.l.Addr()}}, cfg)
+	m := New([]Target{{ID: 0, Addr: ep.Addr()}}, cfg)
 	m.Start()
 	defer m.Stop()
 	waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
@@ -539,7 +526,7 @@ func TestSpuriousResetsCostAProbeNotAnEvent(t *testing.T) {
 
 	t.Run("idle reap", func(t *testing.T) {
 		ep := serveEndpoint(t, 50*time.Millisecond)
-		m := New([]Target{{ID: 0, Addr: ep.l.Addr()}}, Config{
+		m := New([]Target{{ID: 0, Addr: ep.Addr()}}, Config{
 			Interval:  20 * time.Millisecond,
 			Timeout:   200 * time.Millisecond,
 			Threshold: 2,
@@ -618,7 +605,7 @@ func TestLostSessionLeavesNoStaleTick(t *testing.T) {
 		mu.Unlock()
 		return err
 	}
-	m = New([]Target{{ID: 0, Addr: ep.l.Addr()}}, Config{
+	m = New([]Target{{ID: 0, Addr: ep.Addr()}}, Config{
 		Interval: interval,
 		Jitter:   time.Millisecond,
 		Timeout:  time.Second,
@@ -628,7 +615,7 @@ func TestLostSessionLeavesNoStaleTick(t *testing.T) {
 	m.Start()
 	defer m.Stop()
 	waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
-	loseSession(t, m, ep.kick)
+	loseSession(t, m, ep.CloseChannels)
 	waitState(t, m, "the reset's probe and the tick after it", func(s TargetState) bool {
 		mu.Lock()
 		defer mu.Unlock()
@@ -680,7 +667,7 @@ func TestFlapInsideDebounceEmitsNothing(t *testing.T) {
 // sees it end — and its reader is one of the goroutines Stop waits for.
 func TestStopClosesWatchedSession(t *testing.T) {
 	ep := serveEndpoint(t, 0)
-	m := New([]Target{{ID: 0, Addr: ep.l.Addr()}}, Config{Interval: 10 * time.Millisecond, Timeout: time.Second, Seed: 1})
+	m := New([]Target{{ID: 0, Addr: ep.Addr()}}, Config{Interval: 10 * time.Millisecond, Timeout: time.Second, Seed: 1})
 	m.Start()
 	waitState(t, m, "session armed", func(s TargetState) bool { return s.Watched })
 	m.Stop()
@@ -688,9 +675,9 @@ func TestStopClosesWatchedSession(t *testing.T) {
 		t.Fatal("event stream still open after Stop")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for ep.open() != 0 {
+	for ep.Channels() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d channel(s) still open at the peer after Stop", ep.open())
+			t.Fatalf("%d channel(s) still open at the peer after Stop", ep.Channels())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -850,8 +837,8 @@ func TestLoneCrashIsNotHeldByAHeartbeatProbe(t *testing.T) {
 	}
 	defer func() { _ = es.Close() }()
 	busy := serveEndpoint(t, 0)
-	gate := newGatedProbe(busy.l.Addr())
-	m := New([]Target{{ID: 0, Addr: es.Addr()}, {ID: 1, Addr: busy.l.Addr()}}, Config{
+	gate := newGatedProbe(busy.Addr())
+	m := New([]Target{{ID: 0, Addr: es.Addr()}, {ID: 1, Addr: busy.Addr()}}, Config{
 		Interval:  50 * time.Millisecond,
 		Timeout:   10 * time.Second,
 		Threshold: 2,
@@ -892,10 +879,10 @@ func TestHungNeighbourCostsOneVerificationNotTimeout(t *testing.T) {
 	}
 	defer func() { _ = es.Close() }()
 	var m *Monitor
-	gate := newGatedProbe(hung.l.Addr())
+	gate := newGatedProbe(hung.Addr())
 	// Heartbeat probes pass; the ones that verify a lost session hang.
 	gate.shut = func() bool { return m.State()[0].SessionResets > 0 }
-	m = New([]Target{{ID: 0, Addr: hung.l.Addr()}, {ID: 1, Addr: es.Addr()}}, Config{
+	m = New([]Target{{ID: 0, Addr: hung.Addr()}, {ID: 1, Addr: es.Addr()}}, Config{
 		Interval:  50 * time.Millisecond,
 		Timeout:   10 * time.Second,
 		Threshold: 2,
@@ -906,7 +893,7 @@ func TestHungNeighbourCostsOneVerificationNotTimeout(t *testing.T) {
 	defer m.Stop()
 	defer close(gate.open)
 	watched(t, m)
-	loseSession(t, m, hung.kick)
+	loseSession(t, m, hung.CloseChannels)
 	<-gate.parked // target 0 is verifying its lost session, and will be for a while
 
 	killed := time.Now()

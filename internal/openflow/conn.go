@@ -11,10 +11,6 @@ import (
 	"time"
 )
 
-// DefaultHandshakeTimeout bounds the server side of the handshake in Accept,
-// so one unresponsive client cannot wedge a listener forever.
-const DefaultHandshakeTimeout = 10 * time.Second
-
 // writeBufferLen is the write buffer's initial capacity: room for the batch
 // a busy switch gets in one push session (about 200 flow-mods of 27 bytes,
 // a role request and a barrier) without growing. Larger batches grow it.
@@ -244,27 +240,16 @@ func (c *Conn) Ping(data []byte) error {
 func (c *Conn) Close() error { return c.raw.Close() }
 
 // DialTimeout opens a control channel to addr over TCP, bounding both the
-// TCP connect and the Hello handshake by d (d <= 0 means no bound, the
-// historical hang-forever behaviour). The returned Conn has no per-operation
-// deadline armed; callers wanting bounded reads and writes call
-// SetIOTimeout.
+// TCP connect and the Hello handshake by d (0 means no bound). The
+// returned Conn has no per-operation deadline armed; callers wanting bounded
+// reads and writes call SetIOTimeout.
 func DialTimeout(addr string, d time.Duration) (*Conn, error) {
-	var (
-		nc  net.Conn
-		err error
-	)
-	if d > 0 {
-		nc, err = net.DialTimeout("tcp", addr, d)
-	} else {
-		nc, err = net.Dial("tcp", addr)
-	}
+	nc, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
 		return nil, fmt.Errorf("openflow: dial %s: %w", addr, err)
 	}
 	c := NewConn(nc)
-	if d > 0 {
-		c.SetIOTimeout(d)
-	}
+	c.SetIOTimeout(d)
 	if err := c.Handshake(); err != nil {
 		_ = nc.Close()
 		return nil, err
@@ -272,49 +257,3 @@ func DialTimeout(addr string, d time.Duration) (*Conn, error) {
 	c.SetIOTimeout(0)
 	return c, nil
 }
-
-// Listener accepts control channels.
-type Listener struct {
-	l net.Listener
-	// HandshakeTimeout bounds the Hello exchange of each accepted channel;
-	// zero selects DefaultHandshakeTimeout and negative disables the bound.
-	HandshakeTimeout time.Duration
-}
-
-// Listen starts a control-channel listener on addr (e.g. "127.0.0.1:0").
-func Listen(addr string) (*Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("openflow: listen %s: %w", addr, err)
-	}
-	return &Listener{l: l}, nil
-}
-
-// Addr returns the bound address.
-func (l *Listener) Addr() string { return l.l.Addr().String() }
-
-// Accept blocks for the next channel and performs the handshake, bounded by
-// the listener's handshake timeout.
-func (l *Listener) Accept() (*Conn, error) {
-	nc, err := l.l.Accept()
-	if err != nil {
-		return nil, err
-	}
-	c := NewConn(nc)
-	d := l.HandshakeTimeout
-	if d == 0 {
-		d = DefaultHandshakeTimeout
-	}
-	if d > 0 {
-		c.SetIOTimeout(d)
-	}
-	if err := c.Handshake(); err != nil {
-		_ = nc.Close()
-		return nil, err
-	}
-	c.SetIOTimeout(0)
-	return c, nil
-}
-
-// Close stops the listener.
-func (l *Listener) Close() error { return l.l.Close() }

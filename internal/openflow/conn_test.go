@@ -233,49 +233,38 @@ func TestXIDsMonotone(t *testing.T) {
 	}
 }
 
+// answerPings is a Server handler that answers Echo requests until the
+// channel ends.
+func answerPings(c *Conn) {
+	for {
+		msg, h, err := c.Recv()
+		if err != nil {
+			return
+		}
+		if e, ok := msg.(Echo); ok && !e.Reply {
+			if c.SendXID(Echo{Reply: true, Data: e.Data}, h.XID) != nil {
+				return
+			}
+		}
+	}
+}
+
 func TestTCPDialListen(t *testing.T) {
-	l, err := Listen("127.0.0.1:0")
+	srv, err := Serve("127.0.0.1:0", answerPings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = l.Close() }()
+	defer func() { _ = srv.Close() }()
 
-	type result struct {
-		conn *Conn
-		err  error
-	}
-	acceptCh := make(chan result, 1)
-	go func() {
-		c, err := l.Accept()
-		acceptCh <- result{c, err}
-	}()
-
-	client, err := DialTimeout(l.Addr(), 5*time.Second)
+	client, err := DialTimeout(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = client.Close() }()
 
-	srv := <-acceptCh
-	if srv.err != nil {
-		t.Fatal(srv.err)
-	}
-	defer func() { _ = srv.conn.Close() }()
-
 	// Echo request/reply with matching XIDs across real TCP.
 	xid, err := client.Send(Echo{Data: []byte("alive?")})
 	if err != nil {
-		t.Fatal(err)
-	}
-	msg, h, err := srv.conn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, ok := msg.(Echo)
-	if !ok || req.Reply {
-		t.Fatalf("server got %#v", msg)
-	}
-	if err := srv.conn.SendXID(Echo{Reply: true, Data: req.Data}, h.XID); err != nil {
 		t.Fatal(err)
 	}
 	reply, rh, err := client.Recv()
@@ -288,6 +277,48 @@ func TestTCPDialListen(t *testing.T) {
 	if rep, ok := reply.(Echo); !ok || !rep.Reply || string(rep.Data) != "alive?" {
 		t.Fatalf("reply = %#v", reply)
 	}
+}
+
+// silentClient connects to addr over TCP and never sends its Hello.
+func silentClient(t *testing.T, addr string) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nc.Close() })
+}
+
+// checkSilentClientBlocksNoOne connects a silent client to addr first; a dial
+// and a ping behind it must still succeed, and close must end its
+// handshaking channel instead of waiting out the handshake bound.
+func checkSilentClientBlocksNoOne(t *testing.T, addr string, close func() error) {
+	t.Helper()
+	silentClient(t, addr)
+	conn, err := DialTimeout(addr, time.Second)
+	if err != nil {
+		t.Fatalf("dial behind a silent client: %v", err)
+	}
+	defer func() { _ = conn.Close() }()
+	conn.SetIOTimeout(time.Second)
+	if err := conn.Ping([]byte("behind")); err != nil {
+		t.Fatalf("ping behind a silent client: %v", err)
+	}
+	start := time.Now()
+	if err := close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Close took %v beside a silent client", took)
+	}
+}
+
+func TestServerSilentClientBlocksNoOne(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", answerPings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSilentClientBlocksNoOne(t, srv.Addr(), srv.Close)
 }
 
 func TestDialTimeoutUnresponsivePeer(t *testing.T) {
@@ -320,33 +351,37 @@ func TestDialTimeoutUnresponsivePeer(t *testing.T) {
 	}
 }
 
+// TestAcceptTimesOutOnMuteClient: a channel whose client never sends its
+// Hello is closed at the handshake bound, and its handler never runs.
 func TestAcceptTimesOutOnMuteClient(t *testing.T) {
-	ofl, err := Listen("127.0.0.1:0")
+	const bound = 150 * time.Millisecond
+	handshakeTimeout = bound
+	t.Cleanup(func() { handshakeTimeout = DefaultHandshakeTimeout })
+	handled := make(chan struct{}, 1)
+	srv, err := Serve("127.0.0.1:0", func(*Conn) { handled <- struct{}{} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = ofl.Close() }()
-	ofl.HandshakeTimeout = 150 * time.Millisecond
+	defer func() { _ = srv.Close() }()
 
-	// The client connects at the TCP level but never sends its hello.
-	nc, err := net.Dial("tcp", ofl.Addr())
+	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = nc.Close() }()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := ofl.Accept()
-		done <- err
-	}()
+	start := time.Now()
+	_ = nc.SetReadDeadline(start.Add(5 * time.Second))
+	// The server's Hello arrives, then EOF once the bound has passed.
+	if _, err := io.ReadAll(nc); err != nil {
+		t.Fatalf("mute channel still open: %v", err)
+	}
+	if took := time.Since(start); took < bound-50*time.Millisecond {
+		t.Fatalf("mute channel closed after %v, before the %v bound", took, bound)
+	}
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Accept handshook with a mute client")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept hung on a mute client")
+	case <-handled:
+		t.Fatal("the handler ran on a channel that never handshook")
+	default:
 	}
 }
 

@@ -119,3 +119,13 @@ func TestEchoServerCloseTwice(t *testing.T) {
 		t.Fatal("a closed endpoint still answers")
 	}
 }
+
+// TestEchoServerSilentClientBlocksNoProbe: a client that connects and never
+// says Hello costs its own channel only; probes behind it are answered.
+func TestEchoServerSilentClientBlocksNoProbe(t *testing.T) {
+	s, err := ServeEcho("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSilentClientBlocksNoOne(t, s.Addr(), s.Close)
+}

@@ -1,9 +1,12 @@
 // Package openflow implements the control-channel wire protocol the
 // simulated switches and controllers speak: an OpenFlow-1.3-flavored message
 // set (hello/echo, flow-mod, role, barrier, error)
-// with a binary codec and a TCP connection wrapper. The subset covers what
-// programmability recovery needs — installing and removing flow entries,
-// claiming the master role over a re-mapped switch, and liveness probing.
+// with a binary codec, a TCP connection wrapper (Conn, dialled with
+// DialTimeout) and one Server that accepts channels for switch agents and
+// echo endpoints alike, each channel's handshake on its own goroutine. The
+// subset covers what programmability recovery needs — installing and
+// removing flow entries, claiming the master role over a re-mapped switch,
+// and liveness probing.
 package openflow
 
 import "fmt"

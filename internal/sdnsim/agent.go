@@ -17,8 +17,12 @@ import (
 // master role, and install or remove flow entries over real TCP. It applies
 // each flow-mod with Switch.Apply, as Network.ApplyRecovery does in process,
 // so the wire and the in-process path share one translation to table state.
+//
+// The embedded Server holds the controller channels. A controller may hold
+// one open indefinitely (Sessions), so Close ends them itself — the switch
+// going away under its sessions — rather than wait for the peer to hang up.
 type Agent struct {
-	listener *openflow.Listener
+	*openflow.Server
 	// nonce is the boot nonce every role reply carries (openflow.RoleReply).
 	nonce uint64
 
@@ -29,39 +33,19 @@ type Agent struct {
 	genSet   bool
 	flowMods int
 	refused  int
-	// conns are the accepted controller channels still being served. A
-	// controller may hold one open indefinitely (Sessions), so Close has to
-	// end them itself rather than wait for the peer to hang up.
-	conns map[*openflow.Conn]struct{}
-
-	wg        sync.WaitGroup
-	done      chan struct{}
-	closeOnce sync.Once
-	closeErr  error
 }
 
 // ServeSwitch starts an agent for sw on addr (e.g. "127.0.0.1:0"). The
 // agent serves controller channels until Close.
 func ServeSwitch(sw *Switch, addr string) (*Agent, error) {
-	l, err := openflow.Listen(addr)
+	a := &Agent{nonce: rand.Uint64(), sw: sw, role: openflow.RoleEqual}
+	srv, err := openflow.Serve(addr, a.serve)
 	if err != nil {
 		return nil, fmt.Errorf("sdnsim: agent for switch %d: %w", sw.ID, err)
 	}
-	a := &Agent{
-		listener: l,
-		nonce:    rand.Uint64(),
-		sw:       sw,
-		role:     openflow.RoleEqual,
-		conns:    make(map[*openflow.Conn]struct{}),
-		done:     make(chan struct{}),
-	}
-	a.wg.Add(1)
-	go a.acceptLoop()
+	a.Server = srv
 	return a, nil
 }
-
-// Addr returns the agent's listen address.
-func (a *Agent) Addr() string { return a.listener.Addr() }
 
 // Role returns the currently negotiated controller role.
 func (a *Agent) Role() openflow.ControllerRole {
@@ -100,64 +84,6 @@ func (a *Agent) Entry(id flow.ID) (FlowEntry, bool) {
 	return a.sw.Entry(id)
 }
 
-// OpenSessions returns the number of controller channels the agent is
-// serving right now.
-func (a *Agent) OpenSessions() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.conns)
-}
-
-// Close stops the agent: it stops accepting, closes every controller channel
-// still open — the switch going away under its sessions — and waits for
-// their handlers to return. Later calls return what the first did.
-func (a *Agent) Close() error {
-	a.closeOnce.Do(func() {
-		close(a.done)
-		a.closeErr = a.listener.Close()
-		a.mu.Lock()
-		for conn := range a.conns {
-			_ = conn.Close()
-		}
-		a.mu.Unlock()
-		a.wg.Wait()
-	})
-	return a.closeErr
-}
-
-func (a *Agent) acceptLoop() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.listener.Accept()
-		if err != nil {
-			select {
-			case <-a.done:
-				return
-			default:
-				// Transient accept/handshake failure; keep serving.
-				continue
-			}
-		}
-		// Close closes done before it sweeps conns under mu, so a channel
-		// accepted around a Close is either swept there or refused here.
-		a.mu.Lock()
-		select {
-		case <-a.done:
-			a.mu.Unlock()
-			_ = conn.Close()
-			return
-		default:
-		}
-		a.conns[conn] = struct{}{}
-		a.mu.Unlock()
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			a.serve(conn)
-		}()
-	}
-}
-
 // connClaim is one connection's standing with the switch-side fence: the
 // generation of its last Master/Slave claim and whether that claim was
 // refused as stale. The push driver sends its flow-mods in the same flush as
@@ -178,12 +104,6 @@ func (a *Agent) fenced(c connClaim) bool {
 
 // serve handles one controller channel until it closes.
 func (a *Agent) serve(conn *openflow.Conn) {
-	defer func() {
-		_ = conn.Close()
-		a.mu.Lock()
-		delete(a.conns, conn)
-		a.mu.Unlock()
-	}()
 	var claim connClaim
 	for {
 		msg, h, err := conn.Recv()

@@ -2,6 +2,7 @@ package sdnsim
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -263,5 +264,44 @@ func TestAgentCloseTwice(t *testing.T) {
 	}
 	if _, err := openflow.DialTimeout(agent.Addr(), time.Second); err == nil {
 		t.Fatal("a closed agent still accepts")
+	}
+}
+
+// TestAgentSilentClientBlocksNoPush: a client that connects to a switch and
+// never says Hello costs its own channel only. A controller's dial behind it
+// succeeds within the push driver's bound, and Close ends the stalled channel
+// instead of waiting out the handshake.
+func TestAgentSilentClientBlocksNoPush(t *testing.T) {
+	agent, err := ServeSwitch(network(t).Switches[13], "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = agent.Close() }()
+	nc, err := net.Dial("tcp", agent.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nc.Close() }()
+
+	conn, err := openflow.DialTimeout(agent.Addr(), time.Second)
+	if err != nil {
+		t.Fatalf("dial behind a silent client: %v", err)
+	}
+	defer func() { _ = conn.Close() }()
+	conn.SetIOTimeout(time.Second)
+	if err := conn.Ping([]byte("behind")); err != nil {
+		t.Fatalf("ping behind a silent client: %v", err)
+	}
+	waitOpenSessions(t, agent, 2) // the silent channel counts from accept
+
+	start := time.Now()
+	if err := agent.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Agent.Close took %v beside a silent client", took)
+	}
+	if n := agent.Channels(); n != 0 {
+		t.Fatalf("closed agent still holds %d channels", n)
 	}
 }

@@ -196,42 +196,32 @@ func TestResilientPushSurvivesChaos(t *testing.T) {
 // land but their confirmation never comes.
 func muteBarrierAgent(t *testing.T) string {
 	t.Helper()
-	l, err := openflow.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = l.Close() })
-	go func() {
+	srv, err := openflow.Serve("127.0.0.1:0", func(conn *openflow.Conn) {
 		for {
-			conn, err := l.Accept()
+			msg, h, err := conn.Recv()
 			if err != nil {
 				return
 			}
-			go func(conn *openflow.Conn) {
-				defer func() { _ = conn.Close() }()
-				for {
-					msg, h, err := conn.Recv()
-					if err != nil {
-						return
-					}
-					switch m := msg.(type) {
-					case openflow.Echo:
-						if !m.Reply {
-							err = conn.SendXID(openflow.Echo{Reply: true, Data: m.Data}, h.XID)
-						}
-					case openflow.RoleRequest:
-						err = conn.SendXID(openflow.RoleReply{Role: m.Role, GenerationID: m.GenerationID}, h.XID)
-					case openflow.BarrierRequest:
-						// swallowed: the controller's barrier times out
-					}
-					if err != nil {
-						return
-					}
+			switch m := msg.(type) {
+			case openflow.Echo:
+				if !m.Reply {
+					err = conn.SendXID(openflow.Echo{Reply: true, Data: m.Data}, h.XID)
 				}
-			}(conn)
+			case openflow.RoleRequest:
+				err = conn.SendXID(openflow.RoleReply{Role: m.Role, GenerationID: m.GenerationID}, h.XID)
+			case openflow.BarrierRequest:
+				// swallowed: the controller's barrier times out
+			}
+			if err != nil {
+				return
+			}
 		}
-	}()
-	return l.Addr()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv.Addr()
 }
 
 func TestResilientPushBarrierTimeoutDemotesDirty(t *testing.T) {

@@ -173,28 +173,73 @@ func TestRerouteChangesForwarding(t *testing.T) {
 	t.Fatal("no programmable (flow, switch) found in steady state")
 }
 
-func TestRerouteRejectsLoop(t *testing.T) {
-	n := network(t)
-	// Rerouting toward a neighbor that can only reach dst back through the
-	// same switch must be refused. Find such a case: a degree-1 neighbor.
-	for l := range n.Flows.Flows {
-		f := &n.Flows.Flows[l]
-		for _, at := range f.Path[:len(f.Path)-1] {
-			for _, v := range n.Dep.Graph.Neighbors(at) {
-				if v == f.Dst {
-					continue
-				}
-				if n.Dep.Graph.Degree(v) == 1 {
-					err := n.Reroute(f.ID, at, v)
-					if err == nil {
-						t.Fatalf("reroute into dead-end %d accepted", v)
-					}
-					return
-				}
-			}
+// pendantNetwork is the path 0–1–2 with a pendant node 3 on 1, one
+// controller managing all four, and flow 0→2 routed 0–1–2.
+func pendantNetwork(t *testing.T) (*Network, flow.ID) {
+	t.Helper()
+	g := &topo.Graph{}
+	for i := 0; i < 4; i++ {
+		g.AddNode(fmt.Sprint(i), float64(i), float64(i))
+	}
+	for _, e := range [][2]topo.NodeID{{0, 1}, {1, 2}, {1, 3}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Skip("topology has no degree-1 node adjacent to a flow path")
+	dep := &topo.Deployment{Graph: g, Controllers: []topo.Controller{
+		{Site: 1, Domain: []topo.NodeID{0, 1, 2, 3}, Capacity: topo.DefaultControllerCapacity},
+	}}
+	flows, err := flow.Generate(g, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(dep, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows.Flows {
+		if f.Src == 0 && f.Dst == 2 {
+			return n, f.ID
+		}
+	}
+	t.Fatal("no flow 0→2")
+	return nil, 0
+}
+
+// TestRerouteRejectsLoop: rerouting flow 0→2 at 1 toward the pendant 3,
+// which reaches 2 only back through 1, is refused and leaves the entry.
+func TestRerouteRejectsLoop(t *testing.T) {
+	n, id := pendantNetwork(t)
+	if err := n.Reroute(id, 1, 3); !errors.Is(err, ErrNoAlternatePath) {
+		t.Fatalf("reroute into the pendant: %v, want ErrNoAlternatePath", err)
+	}
+	if e, _ := n.Switches[1].Entry(id); e.NextHop != 2 {
+		t.Fatalf("refused reroute changed the entry to %+v", e)
+	}
+}
+
+// TestInjectRefusesNonAdjacentNextHop: an entry pointing at a switch that is
+// not a neighbour stops the packet with ErrInvalidNextHop.
+func TestInjectRefusesNonAdjacentNextHop(t *testing.T) {
+	n, id := pendantNetwork(t)
+	n.Switches[0].InstallEntry(FlowEntry{FlowID: id, NextHop: 2})
+	if _, err := n.Inject(id); !errors.Is(err, ErrInvalidNextHop) {
+		t.Fatalf("inject over 0→2, not a link: %v, want ErrInvalidNextHop", err)
+	}
+}
+
+// TestInjectStopsAPacketLoop: two adjacent switches whose entries point at
+// each other bounce the packet until the hop budget ends it.
+func TestInjectStopsAPacketLoop(t *testing.T) {
+	n, id := pendantNetwork(t)
+	n.Switches[1].InstallEntry(FlowEntry{FlowID: id, NextHop: 0})
+	tr, err := n.Inject(id)
+	if !errors.Is(err, ErrPacketLoop) {
+		t.Fatalf("inject through 0⇄1: %v, want ErrPacketLoop", err)
+	}
+	if tr.Delivered || len(tr.Path) != maxHops+1 {
+		t.Fatalf("looping packet: delivered %v after %d hops, want dropped after %d", tr.Delivered, len(tr.Path), maxHops+1)
+	}
 }
 
 func TestApplyRecoveryRespectsCapacity(t *testing.T) {

@@ -87,7 +87,7 @@ func (l *opLog) since(pos int) string {
 // a closed one, asynchronously.
 func openSessionsReach(a *Agent, n int) bool {
 	deadline := time.Now().Add(5 * time.Second)
-	for a.OpenSessions() != n {
+	for a.Channels() != n {
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -99,7 +99,7 @@ func openSessionsReach(a *Agent, n int) bool {
 func waitOpenSessions(t *testing.T, a *Agent, n int) {
 	t.Helper()
 	if !openSessionsReach(a, n) {
-		t.Fatalf("agent %s serves %d sessions, want %d", a.Addr(), a.OpenSessions(), n)
+		t.Fatalf("agent %s serves %d sessions, want %d", a.Addr(), a.Channels(), n)
 	}
 }
 
@@ -127,6 +127,13 @@ func TestAgentCloseEndsOpenSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
+	// An answered ping means the agent has read this channel's Hello and
+	// serves it: a channel closed with its Hello unread ends in a reset, not
+	// EOF, and the agent counts a channel from accept on.
+	conn.SetIOTimeout(5 * time.Second)
+	if err := conn.Ping([]byte("held")); err != nil {
+		t.Fatal(err)
+	}
 	waitOpenSessions(t, agent, 1)
 
 	closed := make(chan error, 1)
@@ -139,10 +146,9 @@ func TestAgentCloseEndsOpenSessions(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Agent.Close still waiting on an open controller channel")
 	}
-	if n := agent.OpenSessions(); n != 0 {
+	if n := agent.Channels(); n != 0 {
 		t.Fatalf("closed agent still serves %d sessions", n)
 	}
-	conn.SetIOTimeout(5 * time.Second)
 	if _, _, err := conn.Recv(); !errors.Is(err, io.EOF) {
 		t.Fatalf("controller side of a closed agent reads %v, want EOF", err)
 	}
@@ -188,7 +194,7 @@ func TestWarmPushIsOneWriteThenItsReads(t *testing.T) {
 	if st := set.Stats(); st.Idle != 1 || st.Reused != 3 || st.Dialled != 1 || st.StaleRedialled != 0 {
 		t.Fatalf("after three warm pushes: %+v", st)
 	}
-	if n := agent.OpenSessions(); n != 1 {
+	if n := agent.Channels(); n != 1 {
 		t.Fatalf("agent serves %d sessions, want the one standby", n)
 	}
 }
@@ -349,7 +355,7 @@ func TestDeposedLeaderIsFencedOnItsStandbySession(t *testing.T) {
 	if _, _, err := pushSwitch(addrs, sp, newGen(newer.GenerationID), newer); err != nil {
 		t.Fatal(err)
 	}
-	if n := agent.OpenSessions(); n != 2 {
+	if n := agent.Channels(); n != 2 {
 		t.Fatalf("agent serves %d sessions, want one per leader", n)
 	}
 	applied := agent.FlowModsApplied()
@@ -510,7 +516,7 @@ func TestSessionsConcurrentUse(t *testing.T) {
 		t.Fatalf("after the storm: %+v, want %d idle", st, len(addrs))
 	}
 	for sw := range addrs {
-		if n := fx.agents[sw].OpenSessions(); n < 1 {
+		if n := fx.agents[sw].Channels(); n < 1 {
 			t.Fatalf("switch %d serves %d sessions, want its standby", sw, n)
 		}
 	}

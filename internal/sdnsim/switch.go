@@ -5,7 +5,9 @@
 // shortest-delay table — and controllers own switch domains, fail, and
 // re-map. Recovery solutions computed by internal/core (or internal/opt) are
 // applied to the network, in process or over the openflow wire, and their
-// effect on packet forwarding and reroutability is observable.
+// effect on packet forwarding and reroutability is observable. Over the wire
+// each switch is an Agent: an openflow.Server whose handler applies the
+// controller's flow-mods to the switch.
 package sdnsim
 
 import (
