@@ -383,6 +383,8 @@ func (m *Medic) exec(e effect) input {
 	in.at = time.Now()
 	took := in.at.Sub(m.cur.at)
 	switch e.kind {
+	case effPlan:
+		m.metrics.plan.observe(took)
 	case effRestore:
 		m.metrics.restore.observe(took)
 		if in.err == nil {

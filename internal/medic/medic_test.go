@@ -435,8 +435,9 @@ func TestBatchedFailBackIsOneRestorerCall(t *testing.T) {
 }
 
 // TestMetricsTimeTheWireStages: /metrics carries one histogram per wire
-// stage next to the reconcile one, each observed once per driver call, with
-// buckets below a millisecond, and counts what the drivers sent.
+// stage and one for planning next to the reconcile one, each observed once
+// per call (the fail-back plans nothing), with buckets below a millisecond,
+// and counts what the drivers sent.
 func TestMetricsTimeTheWireStages(t *testing.T) {
 	m := newIdleMedic(t, &recorder{}, nil)
 	drive(m, monitor.Event{Seq: 1, Failed: []int{3, 4}})
@@ -448,6 +449,7 @@ func TestMetricsTimeTheWireStages(t *testing.T) {
 	}
 	for _, want := range []string{
 		"pmedicd_reconcile_duration_seconds_count 2\n",
+		"pmedicd_plan_duration_seconds_count 1\n",
 		"pmedicd_push_duration_seconds_count 1\n",
 		"pmedicd_restore_duration_seconds_count 1\n",
 		"pmedicd_push_duration_seconds_bucket{le=\"+Inf\"} 1\n",

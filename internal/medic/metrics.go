@@ -13,8 +13,8 @@ import (
 )
 
 // durationBuckets are the histogram upper bounds, in seconds, shared by the
-// reconcile-pass, push, restore and WAL-commit latencies; pushes and WAL
-// commits on a LAN take well under a millisecond.
+// reconcile-pass, plan, push, restore and WAL-commit latencies; plans,
+// pushes and WAL commits on a LAN take well under a millisecond.
 var durationBuckets = [...]float64{0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
 // histogram is one cumulative latency histogram over durationBuckets.
@@ -68,9 +68,11 @@ type Metrics struct {
 	leader       atomic.Uint64 // 1 when leader
 	term         atomic.Uint64
 
-	// reconcile times a pass; push and restore time its wire drivers (one
-	// Pusher, one Restorer call). walCommit times the write + fsync after it.
-	reconcile, push, restore, walCommit histogram
+	// reconcile times a pass; plan its compiles and solves, push and restore its
+	// wire drivers (one Pusher, one Restorer call), so what a pass spends
+	// outside the three is reconcile minus them. walCommit times the write +
+	// fsync after it.
+	reconcile, plan, push, restore, walCommit histogram
 
 	sessions *sdnsim.Sessions       // standby-session gauge and counters, nil on a follower
 	st       *store.Store           // WAL fsync/checkpoint/pending sources, nil standalone
@@ -131,6 +133,7 @@ func (x *Metrics) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	x.reconcile.write(&b, "pmedicd_reconcile_duration_seconds", "Latency of one reconcile pass (plan, push, adopt); it ends before the pass's WAL commit, which pmedicd_wal_commit_duration_seconds times.")
+	x.plan.write(&b, "pmedicd_plan_duration_seconds", "Latency of one plan, from the previous stage's end: the failure set's compile and solve, or a re-solve around demoted switches (a pass that re-plans plans again).")
 	x.push.write(&b, "pmedicd_push_duration_seconds", "Latency of one recovery push (every switch its plan maps, retries included; a pass that re-plans pushes again).")
 	x.restore.write(&b, "pmedicd_restore_duration_seconds", "Latency of one fail-back push over the returned domains.")
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"pmedic/internal/core"
@@ -344,7 +343,11 @@ func clone(sol *core.Solution) *core.Solution {
 
 // achievedSnapshot flattens an adopted plan into the serializable reconciled
 // state: the mapping table in instance switch order, per-flow achieved
-// programmability sorted by flow ID, and the plan metrics.
+// programmability by ascending flow ID, and the plan metrics. It runs between
+// the push's return and the converged stamp, so it merges rather than sorts:
+// inst.FlowIDs and inst.Unrecoverable are each ascending and disjoint (the
+// scenario.Instance contract), and one pass over both orders every offline
+// flow into a slice allocated once.
 func achievedSnapshot(inst *scenario.Instance, done pushes, rep *core.Report, restores int) snapshot {
 	s := snapshot{Label: inst.Label(), Outcome: Outcome{
 		Converged:      true,
@@ -355,21 +358,26 @@ func achievedSnapshot(inst *scenario.Instance, done pushes, rep *core.Report, re
 		OfflineFlows:   inst.OfflineFlowCount(),
 		PushRounds:     done.n,
 		FlowModsAcked:  done.acked,
+		Mapping:        make([]MappingEntry, len(inst.Switches)),
+		FlowProg:       make([]FlowProg, 0, inst.OfflineFlowCount()),
 	}}
 	for i, jj := range done.last.SwitchController {
-		e := MappingEntry{Switch: inst.Switches[i], Controller: -1}
+		s.Mapping[i] = MappingEntry{Switch: inst.Switches[i], Controller: -1}
 		if jj >= 0 {
-			e.Controller = inst.Active[jj]
+			s.Mapping[i].Controller = inst.Active[jj]
 		}
-		s.Mapping = append(s.Mapping, e)
 	}
-	for l, prog := range rep.FlowProg {
-		s.FlowProg = append(s.FlowProg, FlowProg{Flow: inst.FlowIDs[l], Prog: prog})
+	lost := inst.Unrecoverable
+	for l, id := range inst.FlowIDs {
+		for len(lost) > 0 && lost[0] < id {
+			s.FlowProg = append(s.FlowProg, FlowProg{Flow: lost[0]})
+			lost = lost[1:]
+		}
+		s.FlowProg = append(s.FlowProg, FlowProg{Flow: id, Prog: rep.FlowProg[l]})
 	}
-	for _, lid := range inst.Unrecoverable {
-		s.FlowProg = append(s.FlowProg, FlowProg{Flow: lid, Prog: 0})
+	for _, id := range lost {
+		s.FlowProg = append(s.FlowProg, FlowProg{Flow: id})
 	}
-	sort.Slice(s.FlowProg, func(a, b int) bool { return s.FlowProg[a].Flow < s.FlowProg[b].Flow })
 	return s
 }
 

@@ -210,7 +210,10 @@ func scanCase(dep *topo.Deployment, flows *flow.Set, pBar func(v, dst topo.NodeI
 // cases whose gather holds duplicates: every failure set of up to three
 // controllers (and the invalid ones) through one shared Context must equal
 // the one-shot scenario.Build — instances DeepEqual, errors string-equal —
-// and its flows and pairs must equal an all-flows scan.
+// and its flows and pairs must equal an all-flows scan. The scan walks flows
+// in ID order, so this pins the Instance contract that FlowIDs and
+// Unrecoverable are each ascending and disjoint, which the medic's adopt step
+// merges on.
 func TestContextBuildMatchesScan(t *testing.T) {
 	dep, flows := syntheticFixtures(t)
 	ctx, err := NewContext(dep, flows)

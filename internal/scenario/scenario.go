@@ -34,12 +34,14 @@ type Instance struct {
 	// Switches lists the offline switches; its order defines the Problem's
 	// switch indexing.
 	Switches []topo.NodeID
-	// FlowIDs lists the recoverable offline flows; its order defines the
-	// Problem's flow indexing.
+	// FlowIDs lists the recoverable offline flows, ascending; its order
+	// defines the Problem's flow indexing.
 	FlowIDs []flow.ID
-	// Unrecoverable lists offline flows with no eligible (β=1) pair at any
-	// offline switch: no algorithm can restore their programmability, so
-	// they are excluded from the optimization (see DESIGN.md §8).
+	// Unrecoverable lists, ascending, the offline flows with no eligible
+	// (β=1) pair at any offline switch: no algorithm can restore their
+	// programmability, so they are excluded from the optimization (see
+	// DESIGN.md §8). It and FlowIDs are disjoint, so a merge of the two
+	// lists gives every offline flow in ID order without sorting.
 	Unrecoverable []flow.ID
 
 	// MiddleSite is the node hosting the FlowVisor-style middle layer and
