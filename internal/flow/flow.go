@@ -15,8 +15,10 @@ package flow
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"pmedic/internal/graphalg"
+	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
 
@@ -84,9 +86,29 @@ func fitsInt32(what string, v int) error {
 	return nil
 }
 
+// parallelMinNodes is the graph size from which the start-up passes that run
+// once per node — Generate's, and scenario.NewContext's Dijkstras — go out on
+// par.For over every core. Below it they run on the calling goroutine and
+// start no goroutine: at ATT's 25 nodes a fan-out costs about what it saves,
+// from 48 it starts to pay, at 500 it takes two fifths off on two cores
+// (DESIGN §13.1 has the table). It is a variable only so that the test
+// drawing that table can move it.
+var parallelMinNodes = 48
+
+// Workers returns the number of workers a once-per-node start-up pass over an
+// n-node graph runs on: 1 (the calling goroutine) below parallelMinNodes,
+// otherwise runtime.GOMAXPROCS. The pass's output never depends on it.
+func Workers(n int) int {
+	if n < parallelMinNodes {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Generate routes one flow per ordered node pair on a hop-primary/
 // delay-secondary shortest path and computes p̄ at every switch of every
-// path.
+// path. Its per-node passes run on Workers(n) workers; the Set is the same
+// byte for byte at every worker count.
 func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	opts = opts.withDefaults()
 	if opts.Limit < 0 {
@@ -102,79 +124,136 @@ func Generate(g *topo.Graph, opts Options) (*Set, error) {
 	}
 
 	n := g.NumNodes()
+	workers := Workers(n)
 	s := &Set{opts: opts}
 
 	// BFS layers from every node. The graph is undirected, so a node's layers
-	// drive both routing out of it and counting paths into it.
+	// drive both routing out of it and counting paths into it. p_i^l depends
+	// only on the switch and the destination, so it is memoized by
+	// destination column, memo[dst*n+at]: one walk-counting pass a column.
 	layers := make([]graphalg.Layers, n)
-	for v := range layers {
-		layers[v] = graphalg.BFS(g, topo.NodeID(v))
-	}
-	// p_i^l depends only on the switch and the destination, so it is
-	// memoized by destination column, memo[dst*n+at]: one walk-counting pass
-	// a column.
 	memo := make([]int, n*n)
-	for dst := range layers {
-		graphalg.CountWithinOneHop(g, layers[dst], opts.Limit, memo[dst*n:(dst+1)*n])
-	}
+	par.For(n, workers, func(v int) {
+		layers[v] = graphalg.BFS(g, topo.NodeID(v))
+		graphalg.CountWithinOneHop(g, layers[v], opts.Limit, memo[v*n:(v+1)*n])
+	})
 
-	// Routing pass: append every pair's path to the arena, carve its view and
-	// count its traversals into swOff[v+1]. Routing is hop-primary, so a flow
-	// takes its hop distance plus one nodes: the arena is sized exactly, and
-	// the traversal count checked against the index's int32 offsets, before a
-	// path exists — an append never moves a view already carved.
-	traversals := -n
-	for _, l := range layers {
+	// Routing is hop-primary, so a flow takes its hop distance plus one
+	// nodes: each source's stretch of the arena is known, and the traversal
+	// count checked against the index's int32 offsets, before a path exists.
+	// srcOff[src] is where src's paths start.
+	srcOff := make([]int, n+1)
+	for src, l := range layers {
+		srcOff[src+1] = srcOff[src] - 1
 		for _, h := range l.Hops {
-			traversals += h + 1
+			srcOff[src+1] += h + 1
 		}
 	}
-	if err := fitsInt32("traversal count", traversals); err != nil {
+	if err := fitsInt32("traversal count", srcOff[n]); err != nil {
 		return nil, err
 	}
-	s.pathArc = make([]topo.NodeID, 0, traversals)
-	s.Flows = make([]Flow, 0, n*(n-1))
+	s.pathArc = make([]topo.NodeID, srcOff[n])
+	s.Flows = make([]Flow, n*(n-1))
 	s.swOff = make([]int32, n+1)
-	for src := 0; src < n; src++ {
-		tree := graphalg.HopMajorTree(g, layers[src], delay)
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
-			}
-			lo := len(s.pathArc)
-			s.pathArc, err = tree.AppendPathTo(s.pathArc, topo.NodeID(dst))
-			if err != nil {
-				return nil, fmt.Errorf("flow: route %d->%d: %w", src, dst, err)
-			}
-			path := s.pathArc[lo:len(s.pathArc):len(s.pathArc)]
-			for _, v := range path {
-				s.swOff[v+1]++
-			}
-			s.Flows = append(s.Flows, Flow{ID: ID(len(s.Flows)), Src: topo.NodeID(src), Dst: topo.NodeID(dst), Path: path})
+
+	// Routing pass, over contiguous blocks of sources: a block appends its
+	// sources' paths to its own stretch of the arena, carves their views and
+	// counts its traversals per switch. An append never moves a view already
+	// carved, and the lowest block's error is the one a serial pass meets
+	// first. Fanned out, it takes four blocks a worker, so that a block held
+	// up on a busy core holds little up behind it.
+	perWorker := 4
+	if workers == 1 {
+		perWorker = 1
+	}
+	blocks := make([]routeBlock, min(n, perWorker*workers))
+	for b := range blocks {
+		blocks[b] = routeBlock{lo: b * n / len(blocks), hi: (b + 1) * n / len(blocks)}
+	}
+	par.For(len(blocks), workers, func(b int) {
+		blocks[b].route(g, layers, delay, s, srcOff)
+	})
+	for _, b := range blocks {
+		if b.err != nil {
+			return nil, b.err
 		}
 	}
 
 	// Transpose: a counting sort of the traversals into the switch→flows
 	// index, with p̄ = p_i^l where it is at least 2. The destination counts no
-	// path to itself, so its entry carries 0.
-	for i := 0; i < n; i++ {
-		s.swOff[i+1] += s.swOff[i]
+	// path to itself, so its entry carries 0. A prefix sum over (switch,
+	// block) turns each block's counts into its own cursors, so the blocks
+	// write the index in parallel and each switch's slice still lands flows
+	// ascending.
+	for v := 0; v < n; v++ {
+		at := s.swOff[v]
+		for _, b := range blocks {
+			at, b.cursor[v] = at+b.cursor[v], at
+		}
+		s.swOff[v+1] = at
 	}
 	s.through = make([]Through, len(s.pathArc))
-	cursor := make([]int32, n)
-	copy(cursor, s.swOff[:n])
-	for l := range s.Flows {
-		f := &s.Flows[l]
+	par.For(len(blocks), workers, func(b int) {
+		blocks[b].transpose(s, memo)
+	})
+	return s, nil
+}
+
+// routeBlock is one contiguous block of sources [lo, hi) of Generate's
+// routing and transpose passes. cursor counts the block's traversals per
+// switch, then holds where the block writes each switch's next index entry.
+type routeBlock struct {
+	lo, hi int
+	cursor []int32
+	err    error
+}
+
+// route writes the block's flows and their paths, and counts the block's
+// traversals per switch into cursor.
+func (b *routeBlock) route(g *topo.Graph, layers []graphalg.Layers, delay graphalg.Weight, s *Set, srcOff []int) {
+	n := len(layers)
+	b.cursor = make([]int32, n)
+	arc := s.pathArc[srcOff[b.lo]:srcOff[b.lo]:srcOff[b.hi]]
+	id := b.lo * (n - 1)
+	var err error
+	for src := b.lo; src < b.hi; src++ {
+		tree := graphalg.HopMajorTree(g, layers[src], delay)
+		for dst := 0; dst < n; dst++ {
+			if dst == src {
+				continue
+			}
+			lo := len(arc)
+			arc, err = tree.AppendPathTo(arc, topo.NodeID(dst))
+			if err != nil {
+				b.err = fmt.Errorf("flow: route %d->%d: %w", src, dst, err)
+				return
+			}
+			path := arc[lo:len(arc):len(arc)]
+			for _, v := range path {
+				b.cursor[v]++
+			}
+			s.Flows[id] = Flow{ID: ID(id), Src: topo.NodeID(src), Dst: topo.NodeID(dst), Path: path}
+			id++
+		}
+	}
+}
+
+// transpose writes the block's flows' entries of the switch→flows index at
+// the block's cursors.
+func (b *routeBlock) transpose(s *Set, memo []int) {
+	n := len(b.cursor)
+	flows := s.Flows[b.lo*(n-1) : b.hi*(n-1)]
+	for k := range flows {
+		f := &flows[k]
 		for _, v := range f.Path {
-			e := Through{Flow: int32(l)}
+			e := Through{Flow: int32(f.ID)}
 			if c := memo[int(f.Dst)*n+int(v)]; c >= 2 {
 				e.PBar = int32(c)
 			}
-			s.through[cursor[v]] = e
-			cursor[v]++
+			s.through[b.cursor[v]] = e
+			b.cursor[v]++
 		}
 	}
-	return s, nil
 }
 
 // Len returns the number of flows.

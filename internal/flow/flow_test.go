@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -172,8 +173,15 @@ func TestSwitchIndexMatchesFlows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(s.pathArc) != cap(s.pathArc) {
-				t.Fatalf("%s %+v: %d traversals, %d predicted from hop distances", name, opts, len(s.pathArc), cap(s.pathArc))
+			off := 0
+			for _, f := range s.Flows {
+				if &f.Path[0] != &s.pathArc[off] {
+					t.Fatalf("%s %+v: flow %d's path is not the arena at %d", name, opts, f.ID, off)
+				}
+				off += len(f.Path)
+			}
+			if off != len(s.pathArc) {
+				t.Fatalf("%s %+v: %d traversals, %d predicted from hop distances", name, opts, off, len(s.pathArc))
 			}
 			want := make([][]Through, g.NumNodes())
 			programmable := 0
@@ -206,9 +214,11 @@ func TestSwitchIndexMatchesFlows(t *testing.T) {
 
 // TestSwitchIndexPinned pins the bytes of the path arena and the switch index
 // — an FNV-64a over swOff, through and pathArc, little-endian int32s — for
-// four workloads. The digests were taken from the generator that still kept
-// a per-stop arena beside the index, so a change of storage that moves a
-// path, an offset or a p̄ fails here even where the oracle would agree.
+// three workloads, at GOMAXPROCS 1, 2 and 8. The digests were taken from the
+// serial generator that still kept a per-stop arena beside the index, so a
+// change of storage that moves a path, an offset or a p̄ fails here even
+// where the oracle would agree. The 300-node synthetic lies above
+// parallelMinNodes, so above one proc it pins the fanned-out passes too.
 func TestSwitchIndexPinned(t *testing.T) {
 	digest := func(s *Set) uint64 {
 		h := fnv.New64a()
@@ -233,7 +243,11 @@ func TestSwitchIndexPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if syn.Graph.NumNodes() < parallelMinNodes {
+		t.Fatalf("the synthetic's %d nodes lie below parallelMinNodes %d", syn.Graph.NumNodes(), parallelMinNodes)
+	}
 	att := attGraph(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
 		name string
 		g    *topo.Graph
@@ -244,12 +258,15 @@ func TestSwitchIndexPinned(t *testing.T) {
 		{"att limit 300", att, Options{Limit: 300}, 0x239ae741e9d9790f},
 		{"synthetic300 seed 7", syn.Graph, Options{}, 0xf7a7989ec1325723},
 	} {
-		s, err := Generate(c.g, c.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := digest(s); got != c.want {
-			t.Errorf("%s: index digest %#016x, want %#016x", c.name, got, c.want)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			s, err := Generate(c.g, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(s); got != c.want {
+				t.Errorf("%s, GOMAXPROCS %d: index digest %#016x, want %#016x", c.name, procs, got, c.want)
+			}
 		}
 	}
 }

@@ -29,10 +29,13 @@ type deadliner interface {
 // and Flush may additionally be called from multiple goroutines.
 //
 // Writes go through one buffer that reaches the transport in a single Write
-// per flush. Send flushes after its message; Queue does not, so a caller
-// that has many messages for the peer (a push session's role claim,
+// per flush. Send flushes after its message; Queue and QueueXID do not, so a
+// caller that has many messages for the peer (a push session's role claim,
 // flow-mods and barrier) pays the transport once per batch instead of once
-// per message.
+// per message. Recv flushes what is queued once the read buffer has drained,
+// so a peer that queues its replies (a switch agent answering such a batch)
+// writes them once, after the batch's last frame, and never leaves a reply
+// queued behind a read that waits for it.
 //
 // A Conn whose Recv fails with a timeout may have consumed part of a frame
 // and is no longer usable for further traffic; close and redial.
@@ -41,8 +44,9 @@ type Conn struct {
 	dl  deadliner // nil when the transport has no deadline support
 	r   *bufio.Reader
 
-	wmu  sync.Mutex
-	wbuf []byte // encoded messages not yet written to raw
+	wmu    sync.Mutex
+	wbuf   []byte      // encoded messages not yet written to raw
+	queued atomic.Bool // Queue or QueueXID left wbuf non-empty
 
 	xid     atomic.Uint32
 	timeout atomic.Int64 // per-operation deadline, ns; 0 = none
@@ -142,9 +146,16 @@ func (c *Conn) SendXID(msg Message, xid uint32) error {
 // it. Queuing allocates nothing while the batch fits the buffer.
 func (c *Conn) Queue(msg Message) (uint32, error) {
 	xid := c.xid.Add(1)
+	return xid, c.QueueXID(msg, xid)
+}
+
+// QueueXID is Queue under the caller's XID (for replies, which must echo the
+// request's XID).
+func (c *Conn) QueueXID(msg Message, xid uint32) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return xid, c.queueLocked(msg, xid)
+	c.queued.Store(true)
+	return c.queueLocked(msg, xid)
 }
 
 // Flush writes every queued message to the transport in one Write, under
@@ -169,6 +180,7 @@ func (c *Conn) flushLocked() error {
 	}
 	buf := c.wbuf
 	c.wbuf = c.wbuf[:0]
+	c.queued.Store(false)
 	if err := c.armWrite(); err != nil {
 		return err
 	}
@@ -177,8 +189,17 @@ func (c *Conn) flushLocked() error {
 }
 
 // Recv blocks for the next message, honoring the armed per-operation
-// deadline.
+// deadline. When no byte of it is buffered yet, it first flushes what Queue
+// and QueueXID left: the peer may be waiting for those replies. Only a
+// queued write takes the write lock here, so a Send blocked on a synchronous
+// transport (Handshake's, over net.Pipe) does not hold up the read that
+// would unblock it.
 func (c *Conn) Recv() (Message, Header, error) {
+	if c.r.Buffered() == 0 && c.queued.Load() {
+		if err := c.Flush(); err != nil {
+			return nil, Header{}, err
+		}
+	}
 	if err := c.armRead(); err != nil {
 		return nil, Header{}, err
 	}

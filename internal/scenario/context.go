@@ -11,14 +11,16 @@ import (
 	"pmedic/internal/core"
 	"pmedic/internal/flow"
 	"pmedic/internal/graphalg"
+	"pmedic/internal/par"
 	"pmedic/internal/topo"
 )
 
 // Context is everything about a (Deployment, Set) pair that does not depend
 // on which controllers failed: shortest-path delay vectors from every node,
 // the FlowVisor-style middle-layer placement, and the pre-failure load of
-// every controller domain. Building a Context costs one Dijkstra per node;
-// compiling a failure case against it (Context.Build) is then pure slicing
+// every controller domain. Building a Context costs one Dijkstra per node,
+// on as many cores as flow.Workers grants the graph; compiling a failure
+// case against it (Context.Build) is then pure slicing
 // and indexing over the cached state, which is what makes sweeps over all
 // C(m, k) cases and the daemon's per-event re-planning cheap.
 //
@@ -50,13 +52,22 @@ func NewContext(dep *topo.Deployment, flows *flow.Set) (*Context, error) {
 	n := g.NumNodes()
 	ctx := &Context{Dep: dep, Flows: flows}
 
+	// One Dijkstra per node, on flow.Workers(n) workers; the lowest node's
+	// error is the one a serial pass meets first.
 	ctx.dist = make([][]float64, n)
-	for v := 0; v < n; v++ {
+	errs := make([]error, n)
+	par.For(n, flow.Workers(n), func(v int) {
 		tree, err := graphalg.Dijkstra(g, topo.NodeID(v), delayW)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: delays from %d: %w", v, err)
+			errs[v] = fmt.Errorf("scenario: delays from %d: %w", v, err)
+			return
 		}
 		ctx.dist[v] = tree.Dist
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Middle layer: the delay-centroid node (minimum summed shortest-path

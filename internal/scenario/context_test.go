@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -113,6 +115,60 @@ func TestContextBuildAllocs(t *testing.T) {
 	})
 	if allocs > 32 {
 		t.Fatalf("warm Context.Build(%v) = %.0f allocs/op, want <= 32", failed, allocs)
+	}
+}
+
+// TestNewContextDelaysMatchSerialDijkstra holds NewContext's delay vectors,
+// at GOMAXPROCS 1, 2 and 8, to a plain serial loop of one Dijkstra per node,
+// bit for bit, on TestSwitchIndexPinned's 300-node synthetic: a graph above
+// the size from which the Dijkstras fan out. The centroid and the domain
+// loads read those vectors and the index, so they must not move either.
+func TestNewContextDelaysMatchSerialDijkstra(t *testing.T) {
+	dep, err := topo.SyntheticWithOpts(300, 8, 500, topo.SyntheticOpts{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dep.Graph
+	flows, err := flow.Generate(g, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay, err := g.EdgeDelaysMs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]float64, g.NumNodes())
+	for v := range want {
+		tree, err := graphalg.Dijkstra(g, topo.NodeID(v), delay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = tree.Dist
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var serial *Context
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if w := flow.Workers(g.NumNodes()); w != procs {
+			t.Fatalf("GOMAXPROCS %d: %d nodes run on %d workers", procs, g.NumNodes(), w)
+		}
+		ctx, err := NewContext(dep, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if !slices.Equal(ctx.dist[v], want[v]) {
+				t.Fatalf("GOMAXPROCS %d: delays from %d differ from the serial Dijkstra", procs, v)
+			}
+		}
+		if serial == nil {
+			serial = ctx
+		}
+		if ctx.middleSite != serial.middleSite || !slices.Equal(ctx.domainLoad, serial.domainLoad) {
+			t.Fatalf("GOMAXPROCS %d: middle site %d, loads %v; at GOMAXPROCS 1 %d, %v",
+				procs, ctx.middleSite, ctx.domainLoad, serial.middleSite, serial.domainLoad)
+		}
 	}
 }
 

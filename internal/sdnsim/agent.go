@@ -102,7 +102,10 @@ func (a *Agent) fenced(c connClaim) bool {
 	return c.refused || (c.made && int64(c.gen-a.gen) < 0)
 }
 
-// serve handles one controller channel until it closes.
+// serve handles one controller channel until it closes. Its replies are
+// queued, and conn.Recv writes them once it has read everything the
+// controller sent: a push session — claim, flow-mods, barrier — costs the
+// agent one write.
 func (a *Agent) serve(conn *openflow.Conn) {
 	var claim connClaim
 	for {
@@ -124,10 +127,10 @@ func (a *Agent) serve(conn *openflow.Conn) {
 			a.flowMods++
 			a.mu.Unlock()
 		case openflow.BarrierRequest:
-			err = conn.SendXID(openflow.BarrierReply{}, h.XID)
+			err = conn.QueueXID(openflow.BarrierReply{}, h.XID)
 		case openflow.Echo:
 			if !m.Reply {
-				err = conn.SendXID(openflow.Echo{Reply: true, Data: m.Data}, h.XID)
+				err = conn.QueueXID(openflow.Echo{Reply: true, Data: m.Data}, h.XID)
 			}
 		}
 		if err != nil {
@@ -162,9 +165,9 @@ func (a *Agent) handleRole(conn *openflow.Conn, m openflow.RoleRequest, h openfl
 	if stale {
 		var data [8]byte
 		binary.BigEndian.PutUint64(data[:], cur)
-		return conn.SendXID(openflow.ErrorMsg{Code: openflow.ErrCodeRoleStale, Data: data[:]}, h.XID)
+		return conn.QueueXID(openflow.ErrorMsg{Code: openflow.ErrCodeRoleStale, Data: data[:]}, h.XID)
 	}
-	return conn.SendXID(openflow.RoleReply{Role: m.Role, GenerationID: m.GenerationID, Nonce: a.nonce}, h.XID)
+	return conn.QueueXID(openflow.RoleReply{Role: m.Role, GenerationID: m.GenerationID, Nonce: a.nonce}, h.XID)
 }
 
 // ErrAgentMissing reports a recovery push that has no agent for a switch it

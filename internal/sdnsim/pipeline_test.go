@@ -99,6 +99,55 @@ func TestPushSessionWritesIndependentOfBatchSize(t *testing.T) {
 	}
 }
 
+// TestAgentAnswersABatchInOneWrite is the agent-side twin of
+// TestWarmPushIsOneWriteThenItsReads: a push session — claim, n flow-mods,
+// barrier — reaches the agent in one flush, and the agent answers it, role
+// reply and barrier reply, in one transport write. Each batch fits one read
+// of the agent's buffer, so net.Pipe hands it over whole.
+func TestAgentAnswersABatchInOneWrite(t *testing.T) {
+	a := &Agent{nonce: 1, sw: network(t).Switches[13], role: openflow.RoleEqual}
+	applied := 0
+	for gen, n := range []int{1, 50, 100} {
+		ctrlEnd, agentEnd := net.Pipe()
+		cc := &countingConn{Conn: agentEnd}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			a.serve(openflow.NewConn(cc))
+		}()
+		conn := openflow.NewConn(ctrlEnd)
+		conn.SetIOTimeout(5 * time.Second)
+		roleXID, err := conn.Queue(openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: uint64(gen + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		barrierXID, err := queueBatch(conn, testMods(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msg, _, err := conn.RecvXID(roleXID); err != nil {
+			t.Fatalf("n=%d: role reply: %v %v", n, msg, err)
+		}
+		if msg, _, err := conn.RecvXID(barrierXID); err != nil {
+			t.Fatalf("n=%d: barrier reply: %v %v", n, msg, err)
+		} else if _, ok := msg.(openflow.BarrierReply); !ok {
+			t.Fatalf("n=%d: %v to the barrier", n, msg.MsgType())
+		}
+		_ = conn.Close()
+		<-served
+		applied += n
+		if got := a.FlowModsApplied(); got != applied {
+			t.Fatalf("n=%d: agent applied %d flow-mods in total, want %d", n, got, applied)
+		}
+		if w := cc.writes.Load(); w != 1 {
+			t.Fatalf("n=%d: the agent answered the batch in %d writes, want 1", n, w)
+		}
+	}
+}
+
 // TestAgentDiscardsModsBehindRefusedClaim: a whole session — stale claim,
 // mods, barrier — arrives in one flush, before the driver could know the
 // claim was refused. Nothing may be applied, the claim's XID gets the
